@@ -17,7 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from nearfeas import _kernels_py  # noqa: E402
 
@@ -90,7 +91,9 @@ def bench_pipeline(backend):
         "    solve_nfold_config(inst, ApproxParams.build(Rat(1, 5)))\n"
         "print(nearfeas.KERNEL_BACKEND, time.perf_counter() - start)\n"
     )
-    env = dict(os.environ, NEARFEAS_KERNELS=backend)
+    # the subprocess imports the same source tree as this script
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, NEARFEAS_KERNELS=backend, PYTHONPATH=path)
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )

@@ -8,7 +8,7 @@ smallest index), exploring the floor side first.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NodeLimitExceeded
 from .rationals import ZERO, is_integral, rat_floor
@@ -49,7 +49,6 @@ class SolveStats:
 
     lp_pivots: int = 0
     bb_nodes: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def solve_mip(model, node_limit=10**6, stats=None):

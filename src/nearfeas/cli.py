@@ -303,15 +303,12 @@ def build_parser():
     p.add_argument("--refine-limit", type=int, default=12)
     p.add_argument("--node-limit", type=int, default=10**6)
     p.add_argument("--delta", default=None, help="override the initial box width")
-    p.add_argument("--seed", type=int, default=None, help="recorded only; solving is deterministic")
-    p.add_argument("--workers", type=int, default=1, help="oracle partitioning only")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exact brute-force solve")
     p.add_argument("--input", required=True)
     p.add_argument("--cap", type=int, default=10**7)
     p.add_argument("--json-out", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random instance")

@@ -51,37 +51,58 @@ def normalize_configs(inst):
         if not seen:
             return None
         deduped.append(seen)
-    tau = max(len(cfgs) for cfgs in deduped)
-    configs = []
+    tau, configs = pad_configs(deduped)
     value_mats = []
     costs = []
-    for blk, cfgs in zip(inst.blocks, deduped):
-        padded = list(cfgs) + [cfgs[0]] * (tau - len(cfgs))
-        cols = [blk.D.matvec(cfg) for cfg in padded]
-        s = blk.D.rows
-        value_mats.append(
-            Matrix(s, tau, [cols[phi][r] for r in range(s) for phi in range(tau)])
-        )
-        configs.append(tuple(padded))
-        costs.append(
-            tuple(
-                sum((wv * cv for wv, cv in zip(blk.weights, cfg)), ZERO)
-                for cfg in padded
-            )
-        )
-    return NormalizedConfig(inst, tau, tuple(configs), tuple(value_mats), tuple(costs))
+    for blk, padded in zip(inst.blocks, configs):
+        mat, cfg_costs = value_columns(blk.D, blk.weights, padded)
+        value_mats.append(mat)
+        costs.append(cfg_costs)
+    return NormalizedConfig(inst, tau, configs, tuple(value_mats), tuple(costs))
+
+
+def pad_configs(config_lists):
+    """The common count tau, and every list padded to it by repeating its
+    first entry (a repeated column adds no choice)."""
+    tau = max(len(cfgs) for cfgs in config_lists)
+    return tau, tuple(tuple(cfgs) + (cfgs[0],) * (tau - len(cfgs)) for cfgs in config_lists)
+
+
+def value_columns(D, weights, vectors):
+    """The matrix whose column phi is D v_phi, and the exact costs w.v_phi."""
+    cols = [D.matvec(v) for v in vectors]
+    mat = Matrix(D.rows, len(cols), [col[r] for r in range(D.rows) for col in cols])
+    return mat, tuple(sum((wv * v for wv, v in zip(weights, vec)), ZERO) for vec in vectors)
 
 
 @dataclass(frozen=True)
 class ConfigModel:
-    norm: NormalizedConfig
-    part: object
+    """Mixed model over box-typed block selections.  The selection stage
+    (``select_columns``) reads only these fields, so both block pipelines'
+    models carry them."""
+
     mixed: MixedModel
     tau: int
+    config_costs: tuple  # per block: tuple of tau exact column costs
+    config_part: object  # ConfigBoxPartition over the value matrices
     z_col: dict  # (block, phi) -> column
-    y_col: dict  # (type key, phi) -> column
-    slack_cols: tuple
     block_type: tuple  # type key per block
+
+
+def selection_columns(part, n, tau):
+    """Column layout of both block models: the selection z of (block, phi)
+    at i * tau + phi, then the count y of (type, phi); and each block's type."""
+    z_col = {(i, phi): i * tau + phi for i in range(n) for phi in range(tau)}
+    y_col = {
+        (key, phi): n * tau + k * tau + phi
+        for k, key in enumerate(part.type_groups)
+        for phi in range(tau)
+    }
+    block_type = [None] * n
+    for key, members in part.type_groups.items():
+        for i in members:
+            block_type[i] = key
+    return z_col, y_col, tuple(block_type)
 
 
 def build_mip4(norm, part, slack_bounds=None):
@@ -99,20 +120,7 @@ def build_mip4(norm, part, slack_bounds=None):
     ny = len(keys) * tau
     nslack = s if slack_bounds is not None else 0
     cols = nz + ny + nslack
-
-    z_col = {}
-    for i in range(n):
-        for phi in range(tau):
-            z_col[(i, phi)] = i * tau + phi
-    y_col = {}
-    for k, key in enumerate(keys):
-        for phi in range(tau):
-            y_col[(key, phi)] = nz + k * tau + phi
-
-    block_type = [None] * n
-    for key, members in part.type_groups.items():
-        for i in members:
-            block_type[i] = key
+    z_col, y_col, block_type = selection_columns(part, n, tau)
 
     rows = s + len(keys) * tau + n
     entries = [ZERO] * (rows * cols)
@@ -169,18 +177,14 @@ def build_mip4(norm, part, slack_bounds=None):
         Matrix(rows, cols, entries), tuple(rhs), tuple(lower), tuple(upper), tuple(objective)
     )
     mixed = MixedModel(lp, frozenset(range(nz, nz + ny)))
-    return ConfigModel(
-        norm, part, mixed, tau, z_col, y_col, tuple(range(nz + ny, cols)), tuple(block_type)
-    )
+    return ConfigModel(mixed, tau, norm.costs, part, z_col, block_type)
 
 
-def fix_counts_lp(model, mixed_sol):
-    """LP over z with coupling residuals pinned to their attained values and
-    the (type, column) counts pinned to the mixed optimum."""
-    norm, part, tau = model.norm, model.part, model.tau
-    inst = norm.inst
-    n = len(inst.blocks)
-    s = len(inst.b0)
+def fix_counts_lp(model, s, mixed_sol):
+    """LP over z with the s coupling residuals pinned to their attained values
+    and the (type, column) counts pinned to the mixed optimum."""
+    part, tau = model.config_part, model.tau
+    n = len(model.block_type)
     nz = n * tau
     zstar = mixed_sol.values[:nz]
     keys = tuple(part.type_groups.keys())
@@ -219,22 +223,20 @@ def fix_counts_lp(model, mixed_sol):
         rhs.append(ONE)
         row += 1
 
-    objective = []
-    for i in range(n):
-        objective.extend(norm.costs[i])
+    objective = tuple(c for costs in model.config_costs for c in costs)
     return LinearProgram(
         Matrix(rows, nz, entries),
         tuple(rhs),
         (ZERO,) * nz,
         (ONE,) * nz,
-        tuple(objective),
+        objective,
     )
 
 
 def build_restriction(model, vertex):
     """Bipartite restriction over the fractional selection entries."""
-    norm, part, tau = model.norm, model.part, model.tau
-    n = len(norm.inst.blocks)
+    part, tau = model.config_part, model.tau
+    n = len(model.block_type)
     values = vertex.values
     frac = [
         (i, phi)
@@ -245,7 +247,7 @@ def build_restriction(model, vertex):
     if not frac:
         return None
     blocks = sorted({i for i, _ in frac})
-    pairs = sorted({(model.block_type[i], phi) for i, phi in frac}, key=lambda p: (p[0], p[1]))
+    pairs = sorted({(model.block_type[i], phi) for i, phi in frac})
     left_index = {i: r for r, i in enumerate(blocks)}
     right_index = {p: r for r, p in enumerate(pairs)}
 
@@ -262,12 +264,9 @@ def build_restriction(model, vertex):
         acc = ZERO
         for i in part.type_groups[key]:
             v = values[model.z_col[(i, phi)]]
-            if is_integral(v):
+            if not is_integral(v):
                 acc = acc + v
-        count = sum(
-            (values[model.z_col[(i, phi)]] for i in part.type_groups[key]), ZERO
-        )
-        right_rhs.append(count - acc)
+        right_rhs.append(acc)
 
     return AssignmentRestriction(
         tuple(frac),
@@ -275,16 +274,15 @@ def build_restriction(model, vertex):
         tuple(right_index[(model.block_type[i], phi)] for i, phi in frac),
         tuple(left_rhs),
         tuple(right_rhs),
-        tuple(norm.costs[i][phi] for i, phi in frac),
+        tuple(model.config_costs[i][phi] for i, phi in frac),
     )
 
 
 def _selection_from_values(model, values, rounded):
     """Per-block selected column; exactly one per block after rounding."""
-    norm, tau = model.norm, model.tau
-    n = len(norm.inst.blocks)
+    tau = model.tau
     chosen = []
-    for i in range(n):
+    for i in range(len(model.block_type)):
         picks = []
         for phi in range(tau):
             v = rounded.get((i, phi))
@@ -300,25 +298,21 @@ def _selection_from_values(model, values, rounded):
     return tuple(chosen)
 
 
-def _attempt(norm, delta, slack_bounds, params, stats, trace):
-    """One mixed solve + vertex restriction + TU rounding at a given width.
+def select_columns(model, s, mixed_sol, stats, trace):
+    """The selection stage of both block pipelines.
 
-    Returns (chosen columns, x, objective), or None when the slack-bounded
-    model is infeasible (a width-independent fact).
+    The counts are fixed at the mixed optimum, the LP over the selections is
+    solved to a vertex (at most s(2 tau + 1) fractional entries for s
+    coupling rows), its bipartite restriction is made integral by an exact
+    TU re-solve, and each block is decoded to its one selected column.
+    Returns the columns and their exact cost, which is at most the vertex
+    objective, itself at most the cost of the mixed optimum's selections.
     """
-    inst = norm.inst
-    part = partition_config_columns(norm.value_mats, delta)
-    model = build_mip4(norm, part, slack_bounds=slack_bounds)
-    mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
-    if mixed.status == MIPStatus.INFEASIBLE:
-        return None
-
-    lp = fix_counts_lp(model, mixed)
+    lp = fix_counts_lp(model, s, mixed_sol)
     vertex = solve_lp_vertex(lp)
     stats.lp_pivots += vertex.pivots
     if vertex.status != LPStatus.OPTIMAL:
         raise PipelineInvariantError("fixed-count restriction lost feasibility")
-    s = len(inst.b0)
     support = nonintegral_support(vertex)
     if len(support) > s * (2 * model.tau + 1):
         raise PipelineInvariantError(
@@ -338,7 +332,7 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
         if trace is not None:
             frac_obj = sum(
                 (
-                    norm.costs[i][phi] * vertex.values[model.z_col[(i, phi)]]
+                    model.config_costs[i][phi] * vertex.values[model.z_col[(i, phi)]]
                     for i, phi in restriction.keys
                 ),
                 ZERO,
@@ -346,15 +340,31 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
             trace.tu_calls.append((restriction, frac_obj, rounded))
 
     chosen = _selection_from_values(model, vertex.values, rounded)
-    x = tuple(norm.configs[i][phi] for i, phi in enumerate(chosen))
-    objective = sum((norm.costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
-    if objective > vertex.objective_value or vertex.objective_value > mixed.objective_value:
+    cost = sum((model.config_costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
+    # z occupies the first columns of the mixed model, in the LP's order
+    mixed_cost = sum((c * v for c, v in zip(lp.objective, mixed_sol.values)), ZERO)
+    if cost > vertex.objective_value or vertex.objective_value > mixed_cost:
         raise PipelineInvariantError("objective chain violated")
-    return chosen, x, objective
+    return chosen, cost
+
+
+def _attempt(norm, delta, slack_bounds, params, stats, trace):
+    """One mixed solve + selection stage at a given width.
+
+    Returns (x, objective), or None when the slack-bounded model is
+    infeasible (a width-independent fact).
+    """
+    part = partition_config_columns(norm.value_mats, delta)
+    model = build_mip4(norm, part, slack_bounds=slack_bounds)
+    mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
+    if mixed.status == MIPStatus.INFEASIBLE:
+        return None
+    chosen, objective = select_columns(model, len(norm.inst.b0), mixed, stats, trace)
+    return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen)), objective
 
 
 def _check_marginals(model, vertex, rounded):
-    part, tau = model.part, model.tau
+    part, tau = model.config_part, model.tau
     for key, members in part.type_groups.items():
         for phi in range(tau):
             before = sum((vertex.values[model.z_col[(i, phi)]] for i in members), ZERO)
@@ -371,7 +381,7 @@ def _check_marginals(model, vertex, rounded):
 def _type_submatrices(model, vertex, support):
     """Per type: assignment-constraint submatrix restricted to its fractional
     selection entries (rank is bounded by 2 tau)."""
-    norm, part, tau = model.norm, model.part, model.tau
+    part, tau = model.config_part, model.tau
     out = []
     for key, members in part.type_groups.items():
         frac = [
@@ -436,7 +446,7 @@ def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
             fallback = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
             if fallback is None:
                 raise PipelineInvariantError("coupling-free model cannot be infeasible")
-            _, x, objective = fallback
+            x, objective = fallback
             report = violation_report(inst, x, ADDITIVE, report_bound, objective)
             return ApproxResult(
                 SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE,
@@ -447,7 +457,7 @@ def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
                 refinement,
                 stats,
             )
-        _, x, objective = attempt
+        x, objective = attempt
         report = violation_report(inst, x, ADDITIVE, report_bound, objective)
         residual = report.residual
         if all(abs(r) <= b for r, b in zip(residual, violation_bounds)):

@@ -8,9 +8,12 @@ minor part has negligible local impact.  If every column is big the instance
 delegates to the configuration pipeline over the exact local solution sets;
 otherwise a combined mixed model couples box-typed major configurations with
 box-grouped minor variables, and the two parts are re-solved and rounded
-independently (TU re-solve for the selections, greedy in-group rounding for
-the minors).  Recombination may overshoot an upper bound by less than
-lambda; clamping repairs it with a local effect below eps/2 per block.
+independently: the selections by the configuration pipeline's selection
+stage (``solver_config.select_columns``: fixed-count vertex, then TU
+re-solve), so a trace collects their fixed-count vertices as it does there,
+and the minors by greedy in-group rounding.  Recombination may overshoot an
+upper bound by less than lambda; clamping repairs it with a local effect
+below eps/2 per block.
 
 Every acceptance decision is an exact post-hoc check of the multiplicative
 guarantee on the original unscaled data; on failure the box widths are
@@ -36,11 +39,18 @@ from .instances import (
     violation_report,
 )
 from .linalg import Matrix
-from .rationals import ONE, Rat, ZERO, is_integral, rat_ceil
+from .rationals import ONE, Rat, ZERO, rat_ceil
 from .results import ApproxResult, SolveStatus
-from .rounding import AssignmentRestriction, GroupRoundingPlan, greedy_group_round, tu_round
+from .rounding import GroupRoundingPlan, greedy_group_round
 from .simplex import LinearProgram, LPStatus, nonintegral_support, solve_lp_vertex
-from .solver_config import solve_config_core
+from .solver_config import (
+    ConfigModel,
+    pad_configs,
+    select_columns,
+    selection_columns,
+    solve_config_core,
+    value_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -182,28 +192,15 @@ def enumerate_major_configs(sblock, split, window, cap):
 
 
 @dataclass(frozen=True)
-class Mip6Model:
-    mixed: MixedModel
-    tau: int
+class Mip6Model(ConfigModel):
+    """The selection model over the major value matrices, plus the minors."""
+
     configs: tuple  # per block: tuple of tau major vectors
-    config_costs: tuple  # per block: tuple of tau exact costs
-    z_col: dict
-    y_col: dict
-    block_type: tuple
-    config_part: object  # ConfigBoxPartition over the major value matrices
     minor_keys: tuple  # (block, column) per minor variable
     minor_col: dict
-    yd_col: dict  # minor box index -> column
     minor_part: object  # BoxPartition over the minor D columns, or None
     minor_ub: dict  # (block, column) -> bound
     slack_cols: tuple
-
-
-def _pad_configs(config_lists):
-    tau = max(len(c) for c in config_lists)
-    return tau, tuple(
-        tuple(list(c) + [c[0]] * (tau - len(c))) for c in config_lists
-    )
 
 
 def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, epsilon):
@@ -214,23 +211,16 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
     """
     n = len(sblocks)
     sd = len(inst.b0)
-    tau, configs = _pad_configs(config_lists)
+    tau, configs = pad_configs(config_lists)
 
     # major value matrices: column phi holds sum_j lambda_j (x'_phi)_j D_j
     value_mats = []
     config_costs = []
     for sb, split, cfgs in zip(sblocks, splits, configs):
-        blk = sb.block
-        cols = []
-        costs = []
-        for cfg in cfgs:
-            scaled = tuple(lam * v for lam, v in zip(split.lambdas, cfg))
-            cols.append(blk.D.matvec(scaled))
-            costs.append(sum((w * s for w, s in zip(blk.w, scaled)), ZERO))
-        value_mats.append(
-            Matrix(sd, tau, [cols[phi][r] for r in range(sd) for phi in range(tau)])
-        )
-        config_costs.append(tuple(costs))
+        scaled = [tuple(lam * v for lam, v in zip(split.lambdas, cfg)) for cfg in cfgs]
+        mat, costs = value_columns(sb.block.D, sb.block.w, scaled)
+        value_mats.append(mat)
+        config_costs.append(costs)
     config_part = partition_config_columns(value_mats, delta1)
 
     # minor variables: one per small column with a positive bound
@@ -266,25 +256,12 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
     nyd = len(minor_part.groups) if minor_part is not None else 0
     nslack = sd
     cols = nz + ny + nminor + nyd + nslack
-
-    z_col = {}
-    for i in range(n):
-        for phi in range(tau):
-            z_col[(i, phi)] = i * tau + phi
-    y_col = {}
-    for k, key in enumerate(type_keys):
-        for phi in range(tau):
-            y_col[(key, phi)] = nz + k * tau + phi
+    z_col, y_col, block_type = selection_columns(config_part, n, tau)
     minor_col = {key: nz + ny + p for p, key in enumerate(minor_keys)}
     yd_col = {}
     if minor_part is not None:
         for d, key in enumerate(minor_part.groups.keys()):
             yd_col[key] = nz + ny + nminor + d
-
-    block_type = [None] * n
-    for key, members in config_part.type_groups.items():
-        for i in members:
-            block_type[i] = key
 
     rows = sd + len(type_keys) * tau + n + nyd
     entries = [ZERO] * (rows * cols)
@@ -362,156 +339,19 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
         range(nz + ny + nminor, nz + ny + nminor + nyd)
     )
     return Mip6Model(
-        MixedModel(lp, integer_vars),
-        tau,
-        configs,
-        tuple(config_costs),
-        z_col,
-        y_col,
-        tuple(block_type),
-        config_part,
-        minor_keys,
-        minor_col,
-        yd_col,
-        minor_part,
-        minor_ub,
-        tuple(range(nz + ny + nminor + nyd, cols)),
+        mixed=MixedModel(lp, integer_vars),
+        tau=tau,
+        config_costs=tuple(config_costs),
+        config_part=config_part,
+        z_col=z_col,
+        block_type=block_type,
+        configs=configs,
+        minor_keys=minor_keys,
+        minor_col=minor_col,
+        minor_part=minor_part,
+        minor_ub=minor_ub,
+        slack_cols=tuple(range(nz + ny + nminor + nyd, cols)),
     )
-
-
-def _fix_selection_lp(model, mixed_sol):
-    """LP over z with the coupling contribution of z pinned to its attained
-    value, counts pinned to the mixed optimum, one selection per block."""
-    part, tau = model.config_part, model.tau
-    n = len(model.block_type)
-    sd = len(model.mixed.lp.rhs) - len(model.y_col) - n - len(model.yd_col)
-    values = mixed_sol.values
-    nz = n * tau
-    type_keys = tuple(part.type_groups.keys())
-
-    rows = sd + len(type_keys) * tau + n
-    entries = [ZERO] * (rows * nz)
-    rhs = []
-    for r in range(sd):
-        base = r * nz
-        acc = ZERO
-        for i in range(n):
-            resid = part.residual_matrices[i]
-            for phi in range(tau):
-                c = resid[phi][r]
-                if c:
-                    col = model.z_col[(i, phi)]
-                    entries[base + col] = c
-                    if values[col]:
-                        acc = acc + c * values[col]
-        rhs.append(acc)
-    row = sd
-    for key in type_keys:
-        for phi in range(tau):
-            base = row * nz
-            acc = ZERO
-            for i in part.type_groups[key]:
-                col = model.z_col[(i, phi)]
-                entries[base + col] = ONE
-                acc = acc + values[col]
-            rhs.append(acc)
-            row += 1
-    for i in range(n):
-        base = row * nz
-        for phi in range(tau):
-            entries[base + model.z_col[(i, phi)]] = ONE
-        rhs.append(ONE)
-        row += 1
-
-    objective = []
-    for i in range(n):
-        objective.extend(model.config_costs[i])
-    return LinearProgram(
-        Matrix(rows, nz, entries), tuple(rhs), (ZERO,) * nz, (ONE,) * nz, tuple(objective)
-    )
-
-
-def _round_selection(model, mixed_sol, stats, trace):
-    """Vertex of the selection restriction, then exact TU rounding."""
-    n = len(model.block_type)
-    tau = model.tau
-    sd = len(model.slack_cols)
-    lp = _fix_selection_lp(model, mixed_sol)
-    vertex = solve_lp_vertex(lp)
-    stats.lp_pivots += vertex.pivots
-    if vertex.status != LPStatus.OPTIMAL:
-        raise PipelineInvariantError("selection restriction lost feasibility")
-    support = nonintegral_support(vertex)
-    if len(support) > sd * (2 * tau + 1):
-        raise PipelineInvariantError("selection fractional support exceeds s(2tau+1)")
-
-    values = vertex.values
-    frac = [
-        (i, phi)
-        for i in range(n)
-        for phi in range(tau)
-        if model.z_col[(i, phi)] in support
-    ]
-    rounded = {}
-    if frac:
-        blocks = sorted({i for i, _ in frac})
-        pairs = sorted({(model.block_type[i], phi) for i, phi in frac})
-        left_index = {i: r for r, i in enumerate(blocks)}
-        right_index = {p: r for r, p in enumerate(pairs)}
-        left_rhs = []
-        for i in blocks:
-            acc = ONE
-            for phi in range(tau):
-                v = values[model.z_col[(i, phi)]]
-                if is_integral(v) and v:
-                    acc = acc - v
-            left_rhs.append(acc)
-        right_rhs = []
-        for key, phi in pairs:
-            acc = ZERO
-            for i in model.config_part.type_groups[key]:
-                v = values[model.z_col[(i, phi)]]
-                if not is_integral(v):
-                    acc = acc + v
-            right_rhs.append(acc)
-        restriction = AssignmentRestriction(
-            tuple(frac),
-            tuple(left_index[i] for i, _ in frac),
-            tuple(right_index[(model.block_type[i], phi)] for i, phi in frac),
-            tuple(left_rhs),
-            tuple(right_rhs),
-            tuple(model.config_costs[i][phi] for i, phi in frac),
-        )
-        rounded = tu_round(restriction, stats=stats)
-        if trace is not None:
-            frac_obj = sum(
-                (
-                    model.config_costs[i][phi] * values[model.z_col[(i, phi)]]
-                    for i, phi in frac
-                ),
-                ZERO,
-            )
-            trace.tu_calls.append((restriction, frac_obj, rounded))
-
-    chosen = []
-    sel_cost = ZERO
-    for i in range(n):
-        picks = []
-        for phi in range(tau):
-            v = rounded.get((i, phi))
-            if v is None:
-                v = values[model.z_col[(i, phi)]]
-            if v == 1:
-                picks.append(phi)
-            elif v != 0:
-                raise PipelineInvariantError("selection entry not 0/1 after rounding")
-        if len(picks) != 1:
-            raise PipelineInvariantError("block does not select exactly one column")
-        chosen.append(picks[0])
-        sel_cost = sel_cost + model.config_costs[i][picks[0]]
-    if sel_cost > vertex.objective_value:
-        raise PipelineInvariantError("selection rounding increased the objective")
-    return tuple(chosen), sel_cost
 
 
 def _fix_minor_lp(model, mixed_sol):
@@ -709,7 +549,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
                 notes=("case2",),
             )
 
-        chosen, sel_cost = _round_selection(model, mixed, stats, trace)
+        chosen, sel_cost = select_columns(model, sd, mixed, stats, trace)
         minors, minor_cost = _round_minors(model, mixed, stats, trace)
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")

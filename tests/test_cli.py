@@ -132,9 +132,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert "feasible" in report and "optimum" in report
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", "/nonexistent.json", "--epsilon", "1/2")
     assert code == 1
+    # unknown flags, such as the removed --seed and --workers, are usage errors
+    inst = tmp_path / "g.json"
+    main(["gen", "--kind", "general", "--seed", "2", "--output", str(inst)])
+    for argv in (
+        ("solve", "--epsilon", "1/2", "--seed", "1"),
+        ("solve", "--epsilon", "1/2", "--workers", "2"),
+        ("oracle", "--workers", "2"),
+    ):
+        code, _, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+        assert code == 1
+        assert "unrecognized arguments" in err
 
 
 def test_pipeline_mismatch_rejected(tmp_path, capsys):

@@ -8,6 +8,7 @@ from nearfeas.instances import ApproxParams, NFoldNonnegInstance
 from nearfeas.oracle import brute_force_nfold
 from nearfeas.rationals import ONE, Rat
 from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.simplex import nonintegral_support
 from nearfeas.solver_nfold import (
     BIG,
     FIXED,
@@ -210,7 +211,8 @@ def test_fractional_minors_are_rounded_by_group():
 def test_guarantees_on_random_instances():
     rng = random.Random(55)
     trace = PipelineTrace()
-    for _ in range(15):
+    case2_runs = 0
+    for k in range(40):
         inst = gen_nonneg(
             rng,
             n_blocks=rng.randint(1, 4),
@@ -218,10 +220,17 @@ def test_guarantees_on_random_instances():
             s_d=rng.randint(1, 2),
             t=rng.randint(1, 2),
             u_max=3,
+            # the later instances shrink local columns, so case 2 runs too
+            small_bias=0.5 if k >= 15 else 0.0,
         )
         eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
+        recorded = len(trace.fixed_y_vertices)
         res = solve_nfold(inst, ApproxParams.build(eps), trace=trace)
         assert res.status == SolveStatus.OK
+        if "case2" in res.notes:
+            # case 2 runs the same selection stage as the config pipeline
+            case2_runs += 1
+            assert len(trace.fixed_y_vertices) > recorded
         # multiplicative guarantee on the original data, exact
         for blk, xi in zip(inst.blocks, res.x):
             ax = blk.A.matvec(xi)
@@ -239,6 +248,9 @@ def test_guarantees_on_random_instances():
         # bounds respected
         for blk, xi in zip(inst.blocks, res.x):
             assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
+    assert case2_runs
+    for _lp, vertex, s, tau, _submats in trace.fixed_y_vertices:
+        assert len(nonintegral_support(vertex)) <= s * (2 * tau + 1)
 
 
 def test_build_mip6_no_small_columns_has_no_minors():
