@@ -9,6 +9,7 @@ matrices) by cell underlies all three solver pipelines.
 
 from dataclasses import dataclass
 
+from .errors import PipelineInvariantError
 from .rationals import ONE, Rat, ZERO, as_rat, rat_ceil
 
 
@@ -88,7 +89,7 @@ def partition_columns(mat, delta):
         res = tuple(v - cv for v, cv in zip(col, canon))
         for rv in res:
             if abs(rv) > side:
-                raise AssertionError("residual exceeds cell side")
+                raise PipelineInvariantError("residual exceeds cell side")
         residuals.append(res)
     return BoxPartition(delta, scale, groups, canonicals, tuple(residuals))
 
@@ -138,7 +139,7 @@ def partition_config_columns(mats, delta):
             res = tuple(v - cv for v, cv in zip(col, canon[j]))
             for rv in res:
                 if abs(rv) > side:
-                    raise AssertionError("residual exceeds cell side")
+                    raise PipelineInvariantError("residual exceeds cell side")
             resid.append(res)
         residual_matrices.append(tuple(resid))
     return ConfigBoxPartition(

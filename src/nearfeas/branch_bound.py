@@ -10,7 +10,7 @@ smallest index), exploring the floor side first.
 import enum
 from dataclasses import dataclass
 
-from .errors import NodeLimitExceeded
+from .errors import NodeLimitExceeded, PipelineInvariantError
 from .rationals import ZERO, is_integral, rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp_vertex
 
@@ -78,7 +78,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
         if sol.status == LPStatus.INFEASIBLE:
             continue
         if sol.status == LPStatus.UNBOUNDED:
-            raise AssertionError("unbounded relaxation under finite bounds")
+            raise PipelineInvariantError("unbounded relaxation under finite bounds")
         if best is not None and sol.objective_value >= best[0]:
             continue
 

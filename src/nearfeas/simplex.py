@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .backend import pivot_update
+from .errors import PipelineInvariantError
 from .rationals import ONE, ZERO, as_rat, is_integral
 from .linalg import Matrix
 
@@ -169,7 +170,7 @@ class _Tableau:
             else:
                 t = t_row
                 if t < 0:
-                    raise AssertionError("negative ratio-test step")
+                    raise PipelineInvariantError("negative ratio-test step")
                 self._move(entering, up, t)
                 lv = basis[leave]
                 stat[lv] = leave_stat
@@ -178,7 +179,7 @@ class _Tableau:
                 basis[leave] = entering
                 pivot_update(T, leave, entering)
                 self.pivots += 1
-        raise AssertionError("simplex iteration cap hit; anti-cycling rule broken")
+        raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
 
     def _move(self, entering, up, t):
         if not t:
@@ -245,7 +246,7 @@ def solve_lp_vertex(lp):
 def _verify_vertex(lp, values):
     for j, v in enumerate(values):
         if not (lp.lower[j] <= v <= lp.upper[j]):
-            raise AssertionError("vertex violates bounds")
+            raise PipelineInvariantError("vertex violates bounds")
     for i in range(lp.matrix.rows):
         row = lp.matrix.row(i)
         acc = ZERO
@@ -253,7 +254,7 @@ def _verify_vertex(lp, values):
             if v and row[j]:
                 acc = acc + row[j] * v
         if acc != lp.rhs[i]:
-            raise AssertionError("vertex violates equations")
+            raise PipelineInvariantError("vertex violates equations")
 
 
 def nonintegral_support(sol):

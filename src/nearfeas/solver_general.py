@@ -34,7 +34,6 @@ class GeneralModel:
     mixed: MixedModel
     n: int
     group_keys: tuple  # box index per integer variable, column order n..n+G-1
-    slack_cols: tuple
 
 
 def build_mip1(inst, part, slack_bound=None):
@@ -82,7 +81,7 @@ def build_mip1(inst, part, slack_bound=None):
     rhs = tuple(inst.b) + (ZERO,) * g
     lp = LinearProgram(Matrix(m + g, cols, entries), rhs, tuple(lower), tuple(upper), tuple(objective))
     mixed = MixedModel(lp, frozenset(range(n, n + g)))
-    return GeneralModel(inst, part, mixed, n, keys, tuple(range(n + g, cols)))
+    return GeneralModel(inst, part, mixed, n, keys)
 
 
 def restrict_lp2(model, mixed_sol):

@@ -200,7 +200,6 @@ class Mip6Model(ConfigModel):
     minor_col: dict
     minor_part: object  # BoxPartition over the minor D columns, or None
     minor_ub: dict  # (block, column) -> bound
-    slack_cols: tuple
 
 
 def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, epsilon):
@@ -350,16 +349,14 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
         minor_col=minor_col,
         minor_part=minor_part,
         minor_ub=minor_ub,
-        slack_cols=tuple(range(nz + ny + nminor + nyd, cols)),
     )
 
 
-def _fix_minor_lp(model, mixed_sol):
+def _fix_minor_lp(model, sd, mixed_sol):
     part = model.minor_part
     keys = model.minor_keys
     nm = len(keys)
     values = mixed_sol.values
-    sd = len(model.slack_cols)
 
     rows = sd + len(part.groups)
     entries = [ZERO] * (rows * nm)
@@ -389,13 +386,12 @@ def _fix_minor_lp(model, mixed_sol):
     return LinearProgram(Matrix(rows, nm, entries), tuple(rhs), lower, upper, objective)
 
 
-def _round_minors(model, mixed_sol, stats, trace):
+def _round_minors(model, sd, mixed_sol, stats, trace):
     """Vertex of the minor restriction, then greedy in-group rounding."""
     if model.minor_part is None:
         return {}, ZERO
     keys = model.minor_keys
-    sd = len(model.slack_cols)
-    lp = _fix_minor_lp(model, mixed_sol)
+    lp = _fix_minor_lp(model, sd, mixed_sol)
     vertex = solve_lp_vertex(lp)
     stats.lp_pivots += vertex.pivots
     if vertex.status != LPStatus.OPTIMAL:
@@ -429,11 +425,11 @@ def _round_minors(model, mixed_sol, stats, trace):
     return out, cost
 
 
-def _case1_configs(sblocks, splits, cap):
-    """Exact local solution sets: window [1, 1] on every surviving row."""
+def _major_configs(sblocks, splits, window, cap):
+    """Major configurations of every block, or None once a block has none."""
     out = []
     for sb, split in zip(sblocks, splits):
-        cfgs = enumerate_major_configs(sb, split, (ONE, ONE), cap)
+        cfgs = enumerate_major_configs(sb, split, window, cap)
         if not cfgs:
             return None
         out.append(cfgs)
@@ -465,7 +461,8 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
     """All columns big: delegate to the configuration pipeline over the exact
     local solution sets, then restate the additive outcome multiplicatively."""
     eps = params.epsilon
-    config_lists = _case1_configs(sblocks, splits, params.config_cap)
+    # the exact local solution sets: window [1, 1] on every surviving row
+    config_lists = _major_configs(sblocks, splits, (ONE, ONE), params.config_cap)
     if config_lists is None:
         return ApproxResult(
             SolveStatus.INFEASIBLE, None, None, None, None, 0, stats,
@@ -506,12 +503,10 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
     b_pos = [b for b in inst.b0 if b > 0]
     b_min = min(b_pos) if b_pos else ONE
     slack_bounds = tuple((eps / 2) * b if b > 0 else ZERO for b in inst.b0)
+    window = (1 - eps / 2, 1 + eps / 2)
 
-    config_lists = [
-        enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), params.config_cap)
-        for sb, sp in zip(sblocks, splits)
-    ]
-    if any(not cfgs for cfgs in config_lists):
+    config_lists = _major_configs(sblocks, splits, window, params.config_cap)
+    if config_lists is None:
         return ApproxResult(
             SolveStatus.INFEASIBLE, None, None, None, None, 0, stats,
             notes=("case2", "a block has no major configurations in the window"),
@@ -550,7 +545,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
             )
 
         chosen, sel_cost = select_columns(model, sd, mixed, stats, trace)
-        minors, minor_cost = _round_minors(model, mixed, stats, trace)
+        minors, minor_cost = _round_minors(model, sd, mixed, stats, trace)
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")
 
@@ -593,16 +588,12 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
             # big and removes the overshoot source entirely
             psi = psi / 2
             splits = [classify_and_split(sb, psi) for sb in sblocks]
-            config_lists = [
-                enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), params.config_cap)
-                for sb, sp in zip(sblocks, splits)
-            ]
-            if any(not cfgs for cfgs in config_lists):
+            config_lists = _major_configs(sblocks, splits, window, params.config_cap)
+            if config_lists is None:
                 return ApproxResult(
                     SolveStatus.INFEASIBLE, None, None, None, delta1, refinement, stats,
                     notes=("case2", "no major configurations after psi refinement"),
                 )
-            tau = max(len(c) for c in config_lists)
     raise RefinementLimitExceeded(
         f"violation bound not met after {params.refinement_limit} refinements"
     )

@@ -1,5 +1,6 @@
 import json
 
+from nearfeas import simplex
 from nearfeas.cli import main
 
 
@@ -146,6 +147,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
         assert code == 1
         assert "unrecognized arguments" in err
+
+
+def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
+    # a broken internal guarantee is a classified error, not a traceback
+    inst = tmp_path / "g.json"
+    main(["gen", "--kind", "general", "--seed", "2", "--output", str(inst)])
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+    code, _, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2")
+    assert code == 1
+    assert err.startswith("internal error: ")
+    assert "iteration cap" in err
 
 
 def test_pipeline_mismatch_rejected(tmp_path, capsys):
