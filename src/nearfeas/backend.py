@@ -1,35 +1,45 @@
 """Hot kernels: simplex pivoting, fraction-free elimination, exact dot products.
 
-These loops dominate runtime.  They run as plain Python over exact scalars.
+These loops dominate runtime.  They run as plain Python: the pivot and rank
+kernels over Python ints, ``dot`` over exact rationals.
 """
 
 KERNEL_BACKEND = "pure"
 
 
-def pivot_update(rows, pr, pc):
-    """Gauss-Jordan pivot on rows[pr][pc], in place, over exact scalars.
+def pivot_update(rows, pr, pc, d):
+    """Integer-preserving Gauss-Jordan pivot on rows[pr][pc], in place.
 
-    Every row in `rows` participates, including any objective row the caller
-    appended.  Rows are plain lists; entries are exact rationals.
+    Rows are lists of Python ints over the common denominator `d`, the
+    determinant of the current basis (Edmonds 1967).  Every other row,
+    including any objective row the caller appended, becomes
+    ``(a * piv - f * p) // d``; by Cramer's rule each division is exact.  The
+    pivot row is left unchanged.  Returns the pivot, the new common
+    denominator.
     """
     prow = rows[pr]
-    n = len(prow)
     piv = prow[pc]
-    if piv != 1:
-        for j in range(n):
-            if prow[j]:
-                prow[j] = prow[j] / piv
+    if piv == d:
+        # (a * d - f * p) / d = a - f * p / d: only rows with f != 0 change,
+        # and only where p != 0 (f * p / d is exact since a and the result are)
+        nz = [(j, p) for j, p in enumerate(prow) if p]
+        for i in range(len(rows)):
+            row = rows[i]
+            f = row[pc]
+            if f and i != pr:
+                for j, p in nz:
+                    row[j] -= f * p // d
+        return piv
     for i in range(len(rows)):
         if i == pr:
             continue
         row = rows[i]
         f = row[pc]
         if f:
-            for j in range(n):
-                pj = prow[j]
-                if pj:
-                    row[j] = row[j] - f * pj
-    prow[pc] = piv / piv  # exact 1 in the scalar's own type
+            row[:] = [(a * piv - f * p) // d for a, p in zip(row, prow)]
+        else:
+            row[:] = [a * piv // d if a else 0 for a in row]
+    return piv
 
 
 def bareiss_rank(m):

@@ -40,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_UNATTAINABLE = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 _STATUS_EXIT = {
     SolveStatus.OK: EXIT_OK,
@@ -352,7 +353,7 @@ def main(argv=None):
         return EXIT_USAGE
     except NearfeasError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

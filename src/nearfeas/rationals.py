@@ -2,10 +2,12 @@
 
 Everything numeric in this package is an exact rational; no floating point
 ever enters a computation.  ``Rat`` is the scalar constructor: gmpy2's mpq
-when available (much faster on big pivots), ``fractions.Fraction`` otherwise.
-Both keep values in lowest terms with a positive denominator and print as
-"p/q" (or "p" for integers), so results are identical either way.  Set
-``NEARFEAS_RAT=fraction`` to force the stdlib scalar.
+when available, ``fractions.Fraction`` otherwise.  Simplex pivots do not use
+it (the tableau is integer, see ``simplex``); model data, ratio tests,
+variable values and reports do.  Both keep values in lowest terms with a
+positive denominator and print as "p/q" (or "p" for integers), so results are
+identical either way.  Set ``NEARFEAS_RAT=fraction`` to force the stdlib
+scalar.
 """
 
 import math

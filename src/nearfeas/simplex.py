@@ -5,14 +5,25 @@ eligible index enters; ratio ties break to the smallest basic variable
 index), so every run is deterministic and terminates despite degeneracy.
 All arithmetic is exact; optimality and feasibility are decided with zero
 tolerance.
+
+The tableau holds no rationals.  Each constraint row is scaled once to
+integers and the tableau is kept as Python ints over one common denominator,
+the determinant of the current basis, by integer-preserving Gauss-Jordan
+pivots (J. Edmonds, "Systems of distinct representatives and linear
+algebra", J. Res. NBS 71B, 1967): every division in a pivot is exact by
+Cramer's rule.  Rationals appear only in the ratio test and in the variable
+values, which are tracked apart from the tableau; the tableau keeps no
+right-hand-side column.  Each decision compares the same exact quantities a
+rational tableau would, so the pivot path is the same.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .backend import pivot_update
 from .errors import PipelineInvariantError
-from .rationals import ONE, ZERO, as_rat, is_integral
+from .rationals import ZERO, as_rat, is_integral
 from .linalg import Matrix
 
 
@@ -63,7 +74,22 @@ _BASIC, _LOW, _UP = 0, 1, 2
 _MAX_ITERATIONS = 1 << 22
 
 
+def _scale(values):
+    """Positive integer L (the lcm of the denominators) with L * v integral."""
+    return math.lcm(*(v.denominator for v in values))
+
+
 class _Tableau:
+    """Bounded-variable tableau held as Python ints over one common denominator.
+
+    Row i is ``d * (B^-1 [A | I])_i`` and row r is ``d * k * (reduced costs)``
+    with ``k > 0``, where B is the current basis and ``d`` the determinant of
+    the matching columns of the row-scaled matrix ``D [A | I]`` (``D`` holds
+    each row's denominator lcm).  Pivots keep every entry integral
+    (``backend.pivot_update``); ``d`` may turn negative, so signs of entries
+    are read relative to the sign of ``d``.
+    """
+
     def __init__(self, lp):
         self.lp = lp
         r, c = lp.matrix.rows, lp.matrix.cols
@@ -77,15 +103,17 @@ class _Tableau:
         self.basis = list(range(c, c + r))
         self.pivots = 0
 
+        # the nonzeros of each row, (column, value), read once
+        nonzeros = [[(j, v) for j, v in enumerate(lp.matrix.row(i)) if v] for i in range(r)]
+
         # residuals of the initial all-at-lower point become artificial values
         resid = []
-        for i in range(r):
-            row = lp.matrix.row(i)
+        for i, nz in enumerate(nonzeros):
             s = lp.rhs[i]
-            for j in range(c):
+            for j, v in nz:
                 lj = lp.lower[j]
-                if lj and row[j]:
-                    s = s - row[j] * lj
+                if lj:
+                    s = s - v * lj
             resid.append(s)
 
         sign = []
@@ -94,30 +122,32 @@ class _Tableau:
             if s >= 0:
                 self.lower.append(ZERO)
                 self.upper.append(s)
-                sign.append(ONE if s > 0 else ZERO)
+                sign.append(1 if s > 0 else 0)
             else:
                 self.lower.append(s)
                 self.upper.append(ZERO)
-                sign.append(-ONE)
+                sign.append(-1)
 
-        # rows: [A | I | B^-1 b], plus one reduced-cost row at index r
+        # rows: d * [A | I] for the all-artificial basis, whose determinant in
+        # the row-scaled matrix is the product d of the row scales; the cost
+        # row holds the phase-1 reduced costs (k = 1), minus the signed sum of
+        # the rows
+        d = math.prod(_scale(v for _, v in nz) for nz in nonzeros)
+        self.d = d
         self.T = []
-        for i in range(r):
-            row = list(lp.matrix.row(i))
-            row.extend(ONE if k == i else ZERO for k in range(r))
-            row.append(lp.rhs[i])
-            self.T.append(row)
-        cost = []
-        for j in range(c):
-            col = lp.matrix.column(j)
-            acc = ZERO
-            for i in range(r):
-                if sign[i] and col[i]:
-                    acc = acc - sign[i] * col[i]
-            cost.append(acc)
-        cost.extend(ZERO for _ in range(r + 1))
+        cost = [0] * self.n
+        for i, nz in enumerate(nonzeros):
+            t = [0] * self.n
+            for j, v in nz:
+                t[j] = v.numerator * (d // v.denominator)
+            t[c + i] = d
+            self.T.append(t)
+            si = sign[i]
+            if si:
+                for j, _ in nz:
+                    cost[j] -= si * t[j]
         self.T.append(cost)
-        self.phase_cost = [ZERO] * c + sign
+        self.phase_cost = [0] * c + sign
 
     def _iterate(self):
         T, val, lower, upper, stat, basis = (
@@ -129,13 +159,20 @@ class _Tableau:
             self.basis,
         )
         cost_row = T[self.r]
+        d = self.d
+        fixed = [lo == hi for lo, hi in zip(lower, upper)]
         for _ in range(_MAX_ITERATIONS):
+            pos = d > 0
             entering = -1
             for j in range(self.n):
-                sj = stat[j]
-                if sj == _BASIC or lower[j] == upper[j]:
-                    continue
                 rc = cost_row[j]
+                if not rc:
+                    continue
+                sj = stat[j]
+                if sj == _BASIC or fixed[j]:
+                    continue
+                if not pos:
+                    rc = -rc
                 if (sj == _LOW and rc < 0) or (sj == _UP and rc > 0):
                     entering = j
                     break
@@ -150,16 +187,20 @@ class _Tableau:
                 a = T[i][entering]
                 if not a:
                     continue
-                da = a if up else -a
                 bi = basis[i]
-                if da > 0:
-                    cap = (val[bi] - lower[bi]) / da
+                # the step is |d| * gap / |a|, the gap being to the bound the
+                # move drives the basic variable toward; |d| is common to all
+                # rows, so the caps compared here leave it out
+                if ((a > 0) == pos) == up:
+                    cap = (val[bi] - lower[bi]) / abs(a)
                     hb = _LOW
                 else:
-                    cap = (upper[bi] - val[bi]) / (-da)
+                    cap = (upper[bi] - val[bi]) / abs(a)
                     hb = _UP
                 if t_row is None or cap < t_row or (cap == t_row and bi < basis[leave]):
                     t_row, leave, leave_stat = cap, i, hb
+            if t_row is not None:
+                t_row = t_row * abs(d)
             t_own = upper[entering] - lower[entering]
 
             if t_row is None or t_own <= t_row:
@@ -177,7 +218,7 @@ class _Tableau:
                 val[lv] = lower[lv] if leave_stat == _LOW else upper[lv]
                 stat[entering] = _BASIC
                 basis[leave] = entering
-                pivot_update(T, leave, entering)
+                d = self.d = pivot_update(T, leave, entering, d)
                 self.pivots += 1
         raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
 
@@ -185,24 +226,28 @@ class _Tableau:
         if not t:
             return
         T, val, basis = self.T, self.val, self.basis
+        t_d = t / self.d  # entries are d times the tableau's
         for i in range(self.r):
             a = T[i][entering]
             if a:
-                step = a * t
+                step = a * t_d
                 bi = basis[i]
                 val[bi] = val[bi] - step if up else val[bi] + step
         val[entering] = val[entering] + t if up else val[entering] - t
 
     def rebuild_cost_row(self, objective):
-        cost = list(objective) + [ZERO] * (self.r + 1)
+        k = _scale(objective)
+        obj = [v.numerator * (k // v.denominator) for v in objective]
+        d = self.d
+        cost = [v * d for v in obj] + [0] * self.r
         T = self.T
         for i in range(self.r):
-            cb = objective[self.basis[i]] if self.basis[i] < self.c else ZERO
+            cb = obj[self.basis[i]] if self.basis[i] < self.c else 0
             if cb:
                 row = T[i]
                 for j in range(self.n):
                     if row[j]:
-                        cost[j] = cost[j] - cb * row[j]
+                        cost[j] -= cb * row[j]
         T[self.r] = cost
 
     def solve(self):

@@ -155,7 +155,7 @@ def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
     main(["gen", "--kind", "general", "--seed", "2", "--output", str(inst)])
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
     code, _, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2")
-    assert code == 1
+    assert code == 5
     assert err.startswith("internal error: ")
     assert "iteration cap" in err
 

@@ -1,5 +1,7 @@
 """Checks on the checkout itself."""
 
+import importlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -22,3 +24,18 @@ def test_no_tracked_file_is_ignored():
     if out.returncode:
         pytest.skip(f"git cannot read the checkout: {out.stderr.strip()}")
     assert out.stdout == ""
+
+
+def test_perfbench_hooks_resolve():
+    """Every function the benchmark traces still exists where it looks for it;
+    a moved or renamed one would only turn its per-layer metrics null."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for hook, module_name, attr, _ in spans.HOOKS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{hook}: {module_name}.{attr} does not resolve"

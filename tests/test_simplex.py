@@ -261,3 +261,73 @@ def test_rational_entry_lps_match():
         else:
             assert sol.status == LPStatus.OPTIMAL
             assert sol.objective_value == expected
+
+
+# Degenerate LPs (vertices on bounds, ratio-test ties) with their pivot path
+# pinned: (A, b, lower, upper, objective, pivots, basis, values).  The first
+# four have fractional rows and objectives and negative residuals at the
+# all-lower start, so the integer tableau's denominator leaves 1 and turns
+# negative; the last is 0/1 data.
+_PINNED_LPS = [
+    (
+        [["2/3", 1, "2/3", 2], [0, 0, 0, "-1/2"], [0, "-2/3", 1, 0]],
+        [3, "-1/2", "-2/3"],
+        [0, -1, -1, 0],
+        [2, 1, 0, 1],
+        [1, "-3/2", -3, -1],
+        4,
+        (2, 3),
+        [0, 1, 0, 1],
+    ),
+    (
+        [[0, -1, -2, -2, 2], [1, "-2/3", -2, 1, -1], ["2/3", -2, 0, 0, -1]],
+        [5, "-4/3", 1],
+        [-1, -1, -1, -1, -1],
+        [0, 1, 0, 0, 1],
+        ["1/3", "1/2", "-3/2", -1, 3],
+        5,
+        (0, 2, 4),
+        [0, -1, 0, -1, 1],
+    ),
+    (
+        [[1, 1, 1, 1], [1, -1, "-1/2", -1]],
+        [-2, "3/2"],
+        [0, -1, -1, -1],
+        [2, 0, 0, 1],
+        [-3, "-1/2", "-3/2", 0],
+        5,
+        (1, 2),
+        [0, 0, -1, -1],
+    ),
+    (
+        [[1, 2, -2, "-1/3", "-1/3"], [-1, 2, "-2/3", -1, -1], [1, 2, -1, 2, 2]],
+        ["-1/3", -5, 2],
+        [0, -1, 0, 0, 0],
+        [2, 0, 1, 1, 1],
+        [2, 0, -3, 0, 3],
+        6,
+        (1, 2, 4),
+        [2, -1, 0, 1, 0],
+    ),
+    (
+        [[1, 1, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1], [1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0]],
+        [1, 1, 1, 0],
+        [0] * 6,
+        [1] * 6,
+        [1, 1, 1, -1, 1, -1],
+        7,
+        (3, 4, 5),
+        [0, 0, 0, 0, 0, 1],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", _PINNED_LPS)
+def test_pinned_pivot_paths(case):
+    A, b, lower, upper, obj, pivots, basis, values = case
+    lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    sol = solve_lp_vertex(lp)
+    assert sol.status == LPStatus.OPTIMAL
+    assert sol.pivots == pivots
+    assert sol.basis == basis
+    assert sol.values == tuple(Rat(v) for v in values)
