@@ -5,14 +5,22 @@ the simplex module; pruning compares rationals exactly, so the returned
 objective is the true mixed-integer optimum.  Branches on the integer
 variable whose relaxation value is farthest from an integer (ties to the
 smallest index), exploring the floor side first.
+
+Only the root LP is solved cold.  A child differs from its parent by one
+bound of a basic variable, so it is re-optimized from the parent's optimal
+tableau by the bounded dual simplex (``Tableau.reoptimize``, after Koberstein
+2005): the down child continues on the parent's tableau in place, and the up
+child waits on the stack with a snapshot of it.  Every optimal node vertex is
+checked against the equations and the node's bounds, and every infeasible
+node by its Farkas certificate.
 """
 
 import enum
 from dataclasses import dataclass
 
 from .errors import NodeLimitExceeded, PipelineInvariantError
-from .rationals import ZERO, is_integral, rat_floor
-from .simplex import LinearProgram, LPStatus, solve_lp_vertex
+from .rationals import ZERO, Rat, is_integral, rat_floor
+from .simplex import LinearProgram, LPStatus, Tableau
 
 
 class MIPStatus(enum.Enum):
@@ -45,10 +53,19 @@ class MixedSolution:
 
 @dataclass
 class SolveStats:
-    """Cumulative effort counters threaded through a pipeline run."""
+    """Cumulative effort counters threaded through a pipeline run.
+
+    ``bb_infeasible`` counts nodes whose LP is infeasible, ``bb_pruned`` nodes
+    cut off by the incumbent's objective, ``bb_incumbents`` incumbent updates,
+    and ``bb_max_depth`` is the deepest node of any search (the root is 0).
+    """
 
     lp_pivots: int = 0
     bb_nodes: int = 0
+    bb_infeasible: int = 0
+    bb_pruned: int = 0
+    bb_incumbents: int = 0
+    bb_max_depth: int = 0
 
 
 def solve_mip(model, node_limit=10**6, stats=None):
@@ -58,72 +75,58 @@ def solve_mip(model, node_limit=10**6, stats=None):
     """
     lp = model.lp
     int_vars = sorted(model.integer_vars)
-    nodes = 0
-    pivots = 0
+    run = SolveStats()
     best = None  # (objective, values)
 
-    # stack entries: bound overrides {j: (lo, hi)}
-    stack = [{}]
+    # stack entries: (tableau, branched variable, its new bounds, depth); the
+    # root carries no bound change and is solved cold
+    stack = [(Tableau(lp), None, None, None, 0)]
     while stack:
-        overrides = stack.pop()
-        if nodes >= node_limit:
+        tab, j, lo, hi, depth = stack.pop()
+        if run.bb_nodes >= node_limit:
             raise NodeLimitExceeded(f"branch-and-bound exceeded {node_limit} nodes")
-        nodes += 1
+        run.bb_nodes += 1
+        run.bb_max_depth = max(run.bb_max_depth, depth)
 
-        node_lp = _with_bounds(lp, overrides)
-        if node_lp is None:
+        status = tab.solve() if j is None else tab.reoptimize(j, lo, hi)
+        run.lp_pivots += tab.pivots
+        if status == LPStatus.INFEASIBLE:
+            run.bb_infeasible += 1
             continue
-        sol = solve_lp_vertex(node_lp)
-        pivots += sol.pivots
-        if sol.status == LPStatus.INFEASIBLE:
-            continue
-        if sol.status == LPStatus.UNBOUNDED:
+        if status == LPStatus.UNBOUNDED:
             raise PipelineInvariantError("unbounded relaxation under finite bounds")
+        sol = tab.vertex()
         if best is not None and sol.objective_value >= best[0]:
+            run.bb_pruned += 1
             continue
 
         branch_var = -1
         branch_dist = ZERO
-        for j in int_vars:
-            v = sol.values[j]
+        for k in int_vars:
+            v = sol.values[k]
             if is_integral(v):
                 continue
             f = v - rat_floor(v)
             dist = min(f, 1 - f)
             if dist > branch_dist:
                 branch_dist = dist
-                branch_var = j
+                branch_var = k
         if branch_var < 0:
             best = (sol.objective_value, sol.values)
+            run.bb_incumbents += 1
             continue
 
-        v = sol.values[branch_var]
-        lo, hi = overrides.get(
-            branch_var, (lp.lower[branch_var], lp.upper[branch_var])
-        )
-        down = dict(overrides)
-        down[branch_var] = (lo, rat_floor(v))
-        up = dict(overrides)
-        up[branch_var] = (rat_floor(v) + 1, hi)
-        stack.append(up)
-        stack.append(down)  # explored first
+        fl = Rat(rat_floor(sol.values[branch_var]))
+        stack.append((tab.copy(), branch_var, fl + 1, tab.upper[branch_var], depth + 1))
+        stack.append((tab, branch_var, tab.lower[branch_var], fl, depth + 1))  # explored first
 
     if stats is not None:
-        stats.bb_nodes += nodes
-        stats.lp_pivots += pivots
+        stats.lp_pivots += run.lp_pivots
+        stats.bb_nodes += run.bb_nodes
+        stats.bb_infeasible += run.bb_infeasible
+        stats.bb_pruned += run.bb_pruned
+        stats.bb_incumbents += run.bb_incumbents
+        stats.bb_max_depth = max(stats.bb_max_depth, run.bb_max_depth)
     if best is None:
-        return MixedSolution(MIPStatus.INFEASIBLE, None, None, nodes, pivots)
-    return MixedSolution(MIPStatus.OPTIMAL, best[1], best[0], nodes, pivots)
-
-
-def _with_bounds(lp, overrides):
-    if not overrides:
-        return lp
-    lower = list(lp.lower)
-    upper = list(lp.upper)
-    for j, (lo, hi) in overrides.items():
-        if lo > hi:
-            return None
-        lower[j] = lo
-        upper[j] = hi
-    return LinearProgram(lp.matrix, lp.rhs, tuple(lower), tuple(upper), lp.objective)
+        return MixedSolution(MIPStatus.INFEASIBLE, None, None, run.bb_nodes, run.lp_pivots)
+    return MixedSolution(MIPStatus.OPTIMAL, best[1], best[0], run.bb_nodes, run.lp_pivots)

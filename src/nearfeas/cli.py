@@ -76,6 +76,10 @@ def _result_report(kind, epsilon, result):
         "solve_stats": {
             "lp_pivots": result.stats.lp_pivots,
             "bb_nodes": result.stats.bb_nodes,
+            "bb_infeasible": result.stats.bb_infeasible,
+            "bb_pruned": result.stats.bb_pruned,
+            "bb_incumbents": result.stats.bb_incumbents,
+            "bb_max_depth": result.stats.bb_max_depth,
         },
         "x": _solution_json(result.x),
         "notes": list(result.notes),

@@ -119,7 +119,17 @@ class ApproxParams:
             raise InvalidInstanceError(["epsilon must lie in (0, 1]"])
         if kw.get("delta_override") is not None:
             kw["delta_override"] = as_rat(kw["delta_override"])
-        return cls(eps, **kw)
+        params = cls(eps, **kw)
+        problems = []
+        if params.refinement_limit < 0:
+            problems.append("refinement_limit must be nonnegative")
+        if params.node_limit < 1:
+            problems.append("node_limit must be positive")
+        if params.config_cap < 1:
+            problems.append("config_cap must be positive")
+        if problems:
+            raise InvalidInstanceError(problems)
+        return params
 
 
 ADDITIVE = "additive"

@@ -1,10 +1,10 @@
-"""Exact bounded-variable primal simplex returning optimal vertex solutions.
+"""Exact bounded-variable simplex returning optimal vertex solutions.
 
-Two-phase method with signed artificial variables and Bland's rule (smallest
-eligible index enters; ratio ties break to the smallest basic variable
-index), so every run is deterministic and terminates despite degeneracy.
-All arithmetic is exact; optimality and feasibility are decided with zero
-tolerance.
+A cold solve is the two-phase primal method with signed artificial variables
+and Bland's rule (smallest eligible index enters; ratio ties break to the
+smallest basic variable index), so every run is deterministic and terminates
+despite degeneracy.  All arithmetic is exact; optimality and feasibility are
+decided with zero tolerance.
 
 The tableau holds no rationals.  Each constraint row is scaled once to
 integers and the tableau is kept as Python ints over one common denominator,
@@ -15,8 +15,23 @@ Cramer's rule.  Rationals appear only in the ratio test and in the variable
 values, which are tracked apart from the tableau; the tableau keeps no
 right-hand-side column.  Each decision compares the same exact quantities a
 rational tableau would, so the pivot path is the same.
+
+A ``Tableau`` left optimal can be re-optimized after one basic variable's
+bounds are tightened, by the bounded-variable dual simplex (A. Koberstein,
+"The dual simplex method: techniques for a fast and stable implementation",
+PhD thesis, Paderborn, 2005).  Edmonds' entries are minors of the row-scaled
+matrix fixed by the basis alone, so the old tableau is exact for the new
+bounds; the basis stays dual feasible and only the tightened variable is out
+of bounds, which is where the dual method starts.  The leaving row is the
+bound-violating basic variable of smallest index and ties in the dual ratio
+test break to the smallest index (Bland's rule read on the dual), so the
+re-optimization is deterministic and terminates.  A row with no entering
+column is a Farkas certificate of infeasibility and is checked exactly
+against the original matrix.  Branch-and-bound re-optimizes every child node
+this way from its parent's tableau.
 """
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -79,7 +94,18 @@ def _scale(values):
     return math.lcm(*(v.denominator for v in values))
 
 
-class _Tableau:
+def _scaled_rows(lp):
+    """Each constraint row scaled to integers by the lcm s of its
+    denominators: (the nonzeros of s * A_i as (column, int), s * b_i, s)."""
+    rows = []
+    for i in range(lp.matrix.rows):
+        nz = [(j, v) for j, v in enumerate(lp.matrix.row(i)) if v]
+        s = _scale(v for _, v in nz)
+        rows.append(([(j, v.numerator * (s // v.denominator)) for j, v in nz], lp.rhs[i] * s, s))
+    return rows
+
+
+class Tableau:
     """Bounded-variable tableau held as Python ints over one common denominator.
 
     Row i is ``d * (B^-1 [A | I])_i`` and row r is ``d * k * (reduced costs)``
@@ -88,6 +114,12 @@ class _Tableau:
     each row's denominator lcm).  Pivots keep every entry integral
     (``backend.pivot_update``); ``d`` may turn negative, so signs of entries
     are read relative to the sign of ``d``.
+
+    ``solve`` runs the cold two-phase method; once it is optimal,
+    ``reoptimize`` tightens one basic variable's bounds and restores
+    optimality by the dual simplex, and ``copy`` snapshots the state for a
+    later re-optimization under other bounds.  ``pivots`` counts the pivots
+    of the last solve or re-optimization.
     """
 
     def __init__(self, lp):
@@ -103,28 +135,26 @@ class _Tableau:
         self.basis = list(range(c, c + r))
         self.pivots = 0
 
-        # the nonzeros of each row, (column, value), read once
-        nonzeros = [[(j, v) for j, v in enumerate(lp.matrix.row(i)) if v] for i in range(r)]
+        # the rows scaled to integers, read once and shared by every copy:
+        # they also check vertices and infeasibility certificates
+        rows = self.rows = _scaled_rows(lp)
 
         # residuals of the initial all-at-lower point become artificial values
-        resid = []
-        for i, nz in enumerate(nonzeros):
-            s = lp.rhs[i]
-            for j, v in nz:
+        sign = []
+        for i, (nz, sb, s) in enumerate(rows):
+            acc = sb
+            for j, a in nz:
                 lj = lp.lower[j]
                 if lj:
-                    s = s - v * lj
-            resid.append(s)
-
-        sign = []
-        for i, s in enumerate(resid):
-            self.val[c + i] = s
-            if s >= 0:
+                    acc = acc - a * lj
+            res = acc / s
+            self.val[c + i] = res
+            if res >= 0:
                 self.lower.append(ZERO)
-                self.upper.append(s)
-                sign.append(1 if s > 0 else 0)
+                self.upper.append(res)
+                sign.append(1 if res > 0 else 0)
             else:
-                self.lower.append(s)
+                self.lower.append(res)
                 self.upper.append(ZERO)
                 sign.append(-1)
 
@@ -132,14 +162,15 @@ class _Tableau:
         # the row-scaled matrix is the product d of the row scales; the cost
         # row holds the phase-1 reduced costs (k = 1), minus the signed sum of
         # the rows
-        d = math.prod(_scale(v for _, v in nz) for nz in nonzeros)
-        self.d = d
+        d = math.prod(s for _, _, s in rows)
+        self.d = self.d0 = d
         self.T = []
         cost = [0] * self.n
-        for i, nz in enumerate(nonzeros):
+        for i, (nz, _, s) in enumerate(rows):
+            f = d // s
             t = [0] * self.n
-            for j, v in nz:
-                t[j] = v.numerator * (d // v.denominator)
+            for j, a in nz:
+                t[j] = a * f
             t[c + i] = d
             self.T.append(t)
             si = sign[i]
@@ -148,6 +179,17 @@ class _Tableau:
                     cost[j] -= si * t[j]
         self.T.append(cost)
         self.phase_cost = [0] * c + sign
+
+    def copy(self):
+        """An independent snapshot: rows, basis, bounds and values."""
+        new = copy.copy(self)
+        new.T = [row[:] for row in self.T]
+        new.lower = self.lower[:]
+        new.upper = self.upper[:]
+        new.stat = self.stat[:]
+        new.val = self.val[:]
+        new.basis = self.basis[:]
+        return new
 
     def _iterate(self):
         T, val, lower, upper, stat, basis = (
@@ -251,6 +293,7 @@ class _Tableau:
         T[self.r] = cost
 
     def solve(self):
+        """Cold two-phase solve from the all-artificial basis."""
         status = self._iterate()
         infeas = ZERO
         for j in range(self.c, self.n):
@@ -265,6 +308,128 @@ class _Tableau:
         self.rebuild_cost_row(tuple(self.lp.objective))
         return self._iterate()
 
+    def reoptimize(self, j, lo, hi):
+        """Give basic variable j the bounds [lo, hi] and restore optimality by
+        the bounded dual simplex; OPTIMAL or INFEASIBLE.
+
+        The tableau must be optimal.  Its basis stays dual feasible under the
+        new bounds, and no value moves until the first dual pivot.
+        """
+        if self.stat[j] != _BASIC:
+            raise PipelineInvariantError("bound change on a nonbasic variable")
+        self.lower[j] = lo
+        self.upper[j] = hi
+        T, val, lower, upper, stat, basis = (
+            self.T,
+            self.val,
+            self.lower,
+            self.upper,
+            self.stat,
+            self.basis,
+        )
+        r = self.r
+        cost_row = T[r]
+        d = self.d
+        self.pivots = 0
+        for _ in range(_MAX_ITERATIONS):
+            # the leaving row: the out-of-bounds basic variable of least index
+            leave = -1
+            for i in range(r):
+                bi = basis[i]
+                if not lower[bi] <= val[bi] <= upper[bi] and (leave < 0 or bi < lv):
+                    leave, lv = i, bi
+            if leave < 0:
+                return LPStatus.OPTIMAL
+
+            # lv moves to the bound it violates; an entering column must move
+            # it that way, and the least |reduced cost| / |entry| keeps every
+            # reduced cost's sign (compared as cross products, ties to the
+            # smallest index)
+            to_low = val[lv] < lower[lv]
+            row = T[leave]
+            pos = d > 0
+            q = -1
+            qc = qa = 0
+            # a column at its lower bound may only rise and one at its upper
+            # bound only fall, moving lv by -(entry) per unit: it enters only
+            # if that moves lv toward the bound lv violates.  Artificials are
+            # fixed at 0 after phase 1 and never enter, nor does any other
+            # fixed column.
+            for k in range(self.c):
+                a = row[k]
+                if not a:
+                    continue
+                sk = stat[k]
+                if sk == _BASIC or (sk == _LOW) != (((a > 0) == pos) != to_low):
+                    continue
+                ck = abs(cost_row[k])
+                a = abs(a)
+                if (q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:
+                    q, qc, qa = k, ck, a
+            if q < 0:
+                self._certify_infeasible(leave)
+                return LPStatus.INFEASIBLE
+
+            bound = lower[lv] if to_low else upper[lv]
+            # x_q moves by d * step, each basic variable by -(its entry) * step
+            step = (val[lv] - bound) / row[q]
+            for i in range(r):
+                a = T[i][q]
+                if a:
+                    bi = basis[i]
+                    val[bi] = val[bi] - a * step
+            val[q] = val[q] + step * d
+            stat[lv] = _LOW if to_low else _UP
+            stat[q] = _BASIC
+            basis[leave] = q
+            d = self.d = pivot_update(T, leave, q, d)
+            self.pivots += 1
+        raise PipelineInvariantError("dual simplex iteration cap hit; anti-cycling rule broken")
+
+    def _certify_infeasible(self, p):
+        """Check that row p proves the current bounds infeasible.
+
+        The row's artificial part y satisfies ``y . (A x) = y . b`` for every
+        solution x of the equations; the certificate holds when ``y . b`` lies
+        outside the range of ``y . A x`` over the bounds.  Both sides are
+        recomputed from the original rows, scaled by ``d0 > 0``, not read
+        from the tableau.
+        """
+        c = self.c
+        d0 = self.d0
+        g = [0] * c
+        rhs = ZERO
+        for yi, (nz, sb, s) in zip(self.T[p][c:], self.rows):
+            if yi:
+                f = yi * (d0 // s)
+                if sb:
+                    rhs = rhs + f * sb
+                for j, a in nz:
+                    g[j] += f * a
+        least = most = ZERO
+        for j, gj in enumerate(g):
+            if gj:
+                at_lo, at_hi = gj * self.lower[j], gj * self.upper[j]
+                if gj < 0:
+                    at_lo, at_hi = at_hi, at_lo
+                least = least + at_lo
+                most = most + at_hi
+        if least <= rhs <= most:
+            raise PipelineInvariantError("dual simplex infeasibility certificate does not hold")
+
+    def vertex(self):
+        """The optimal vertex of the current basis, checked against the
+        equations and the current bounds."""
+        c = self.c
+        values = tuple(self.val[:c])
+        _verify_vertex(self.rows, self.lower, self.upper, values)
+        obj = ZERO
+        for v, w in zip(values, self.lp.objective):
+            if v and w:
+                obj = obj + w * v
+        basis = tuple(sorted(b for b in self.basis if b < c))
+        return VertexSolution(LPStatus.OPTIMAL, values, basis, obj, self.pivots)
+
 
 def solve_lp_vertex(lp):
     """Solve to an optimal vertex (basic) solution, exactly.
@@ -273,32 +438,30 @@ def solve_lp_vertex(lp):
     non-basic variables sit at a bound, and the columns of variables strictly
     between their bounds are linearly independent.
     """
-    tab = _Tableau(lp)
+    tab = Tableau(lp)
     status = tab.solve()
     if status != LPStatus.OPTIMAL:
         return VertexSolution(status, None, (), None, tab.pivots)
-
-    values = tuple(tab.val[: lp.matrix.cols])
-    _verify_vertex(lp, values)
-    obj = ZERO
-    for j, v in enumerate(values):
-        if v and lp.objective[j]:
-            obj = obj + lp.objective[j] * v
-    basis = tuple(sorted(b for b in tab.basis if b < lp.matrix.cols))
-    return VertexSolution(LPStatus.OPTIMAL, values, basis, obj, tab.pivots)
+    return tab.vertex()
 
 
-def _verify_vertex(lp, values):
-    for j, v in enumerate(values):
-        if not (lp.lower[j] <= v <= lp.upper[j]):
+def _verify_vertex(rows, lower, upper, values):
+    """Raise unless values meet the bounds and the equations exactly.
+
+    ``rows`` are ``_scaled_rows``; each equation is checked over its row's
+    nonzeros as a sum of integers, the values scaled by the lcm L of their
+    denominators, against ``L * s * b_i``.
+    """
+    for v, lo, hi in zip(values, lower, upper):
+        if not lo <= v <= hi:
             raise PipelineInvariantError("vertex violates bounds")
-    for i in range(lp.matrix.rows):
-        row = lp.matrix.row(i)
-        acc = ZERO
-        for j, v in enumerate(values):
-            if v and row[j]:
-                acc = acc + row[j] * v
-        if acc != lp.rhs[i]:
+    L = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (L // v.denominator) for v in values]
+    for nz, sb, _ in rows:
+        acc = 0
+        for j, a in nz:
+            acc += a * scaled[j]
+        if acc != sb * L:
             raise PipelineInvariantError("vertex violates equations")
 
 

@@ -1,13 +1,23 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nearfeas.branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from nearfeas.errors import NodeLimitExceeded
 from nearfeas.linalg import Matrix
 from nearfeas.rationals import Rat
-from nearfeas.simplex import LinearProgram, LPStatus, solve_lp_vertex
+from nearfeas.simplex import (
+    LinearProgram,
+    LPStatus,
+    Tableau,
+    _scaled_rows,
+    _verify_vertex,
+    solve_lp_vertex,
+)
+from test_simplex import _PINNED_LPS
 
 
 def mip_optimum_by_enumeration(model):
@@ -121,7 +131,171 @@ def test_stats_accumulate():
     assert stats.lp_pivots >= 1
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, upper, objective, counts",
+    [
+        # min x s.t. 2y + x = 3: the root has y = 3/2; the down child y <= 1
+        # gives the incumbent y = x = 1, the up child y >= 2 needs x < 0
+        ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1)),
+        # min -y + 5z s.t. 2y + x - z = 3: the root has y = 3/2; the down child
+        # gives the incumbent y = x = 1 (objective -1), the up child's best is
+        # y = 2, z = 1 (objective 3), cut off by the incumbent
+        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1)),
+    ],
+)
+def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
+    lp = LinearProgram(Matrix.from_rows(rows), rhs, (0,) * len(upper), upper, objective)
+    stats = SolveStats()
+    solve_mip(MixedModel(lp, frozenset({0})), stats=stats)
+    assert (
+        stats.bb_nodes,
+        stats.bb_infeasible,
+        stats.bb_pruned,
+        stats.bb_incumbents,
+        stats.bb_max_depth,
+    ) == counts
+    # a second search adds its counts and keeps the deeper of the two depths
+    solve_mip(MixedModel(lp, frozenset()), stats=stats)
+    assert stats.bb_nodes == counts[0] + 1
+    assert stats.bb_incumbents == counts[3] + 1
+    assert stats.bb_max_depth == counts[4]
+
+
 def test_integer_bounds_must_be_integral():
     lp = LinearProgram(Matrix.from_rows([[1]]), (0,), (Rat(1, 2),), (1,), (1,))
     with pytest.raises(ValueError):
         MixedModel(lp, frozenset({0}))
+
+
+def test_up_child_after_deep_down_subtree():
+    # min x1 - 2 x2 s.t. 3 x0 + 3 x1 + 2 x2 = 6, x0 in [0, 4] and x1 in [0, 2]
+    # integer, x2 in [0, 1]: the root has x0 = 4/3.  Its down side takes a
+    # whole subtree; the up child, re-optimized from the root's snapshot after
+    # that subtree has pivoted the shared tableau, is the last node and holds
+    # the optimum.
+    lp = LinearProgram(Matrix.from_rows([[3, 3, 2]]), (6,), (0, 0, 0), (4, 2, 1), (0, 1, -2))
+    model = MixedModel(lp, frozenset({0, 1}))
+    down = MixedModel(
+        LinearProgram(lp.matrix, lp.rhs, lp.lower, (1, 2, 1), lp.objective), model.integer_vars
+    )
+    down_stats = SolveStats()
+    down_sol = solve_mip(down, stats=down_stats)
+    assert down_stats.bb_max_depth >= 3
+
+    stats = SolveStats()
+    sol = solve_mip(model, stats=stats)
+    assert stats.bb_nodes == down_stats.bb_nodes + 2  # root, down subtree, up child
+    assert sol.objective_value == mip_optimum_by_enumeration(model)
+    assert sol.objective_value < down_sol.objective_value
+    assert sol.values[0] >= 2
+
+
+def _child_lp(lp, j, lo, hi):
+    lower, upper = list(lp.lower), list(lp.upper)
+    lower[j], upper[j] = lo, hi
+    return LinearProgram(lp.matrix, lp.rhs, tuple(lower), tuple(upper), lp.objective)
+
+
+def _check_warm_child(parent, j, lo, hi):
+    """Re-optimize a snapshot of an optimal tableau under new bounds of basic
+    variable j; it must agree with a cold solve of the child LP, and the
+    parent tableau must be left as it was.  Returns the child's status."""
+    lp = parent.lp
+    before = parent.vertex()
+    child = _child_lp(lp, j, lo, hi)
+    cold = solve_lp_vertex(child)
+    warm = parent.copy()
+    status = warm.reoptimize(j, lo, hi)
+    assert status == cold.status
+    if status == LPStatus.OPTIMAL:
+        sol = warm.vertex()
+        assert sol.objective_value == cold.objective_value
+        _verify_vertex(_scaled_rows(child), child.lower, child.upper, sol.values)
+    assert parent.vertex() == before
+    return status
+
+
+@st.composite
+def _lp_and_cut(draw):
+    """A small LP with rational data, and a bound cut: which basic variable
+    (by rank), which side, and how far toward the opposite bound."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    lower = [Fraction(draw(st.integers(-2, 0))) for _ in range(n)]
+    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    if draw(st.booleans()):
+        x0 = [lo + draw(st.integers(0, int(hi - lo))) for lo, hi in zip(lower, upper)]
+        b = [sum((A[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
+    else:
+        b = [Fraction(draw(st.integers(-4, 4))) for _ in range(m)]
+    obj = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
+    lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_and_cut())
+# x0 + x1 = 2 over [0, 1]^2 leaves x0 basic at 1; x0 <= 1/2 is infeasible
+@example((LinearProgram(Matrix.from_rows([[1, 1]]), (2,), (0, 0), (1, 1), (1, 0)), 0, False, 2))
+def test_warm_child_matches_cold_solve(case):
+    lp, rank, up, k = case
+    parent = Tableau(lp)
+    if parent.solve() != LPStatus.OPTIMAL:
+        return
+    basic = sorted(j for j in parent.basis if j < lp.matrix.cols)
+    if not basic:
+        return
+    j = basic[rank % len(basic)]
+    v, lo, hi = parent.val[j], lp.lower[j], lp.upper[j]
+    # the cut excludes v, as a branching bound excludes a fractional value
+    if up and v < hi:
+        lo = v + (hi - v) * Fraction(k, 4)
+    elif not up and v > lo:
+        hi = v - (v - lo) * Fraction(k, 4)
+    else:
+        return
+    _check_warm_child(parent, j, lo, hi)
+
+
+def test_warm_children_of_pinned_degenerate_lps():
+    statuses = []
+    for A, b, lower, upper, obj, *_ in _PINNED_LPS:
+        lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+        tab = Tableau(lp)
+        assert tab.solve() == LPStatus.OPTIMAL
+        for j in sorted(k for k in tab.basis if k < lp.matrix.cols):
+            v = tab.val[j]
+            for lo, hi in (
+                (lp.lower[j], v - Rat(1, 2)),
+                (lp.lower[j], v - 1),
+                (v + Rat(1, 2), lp.upper[j]),
+                (v + 1, lp.upper[j]),
+            ):
+                if lo <= hi:
+                    statuses.append(_check_warm_child(tab, j, lo, hi))
+    assert LPStatus.OPTIMAL in statuses and LPStatus.INFEASIBLE in statuses
+
+
+def test_fixed_column_never_enters_the_dual_ratio_test():
+    # min -x0 - 3/2 x1  s.t.  x0 + x1 + x2 = 5/2, x1 fixed at 0.  The primal
+    # never moves the fixed x1, so at the optimum (x0 basic at 5/2) its
+    # reduced cost -1/2 has the sign that would make it enter.  Cutting x0 to
+    # [0, 2] makes x1 (ratio 1/2) and x2 (ratio 1) candidates; x1 entering
+    # would leave x2's reduced cost dual infeasible.  Only x2 may enter.
+    lp = LinearProgram(
+        Matrix.from_rows([[1, 1, 1]]),
+        (Rat(5, 2),),
+        (0, 0, 0),
+        (3, 0, 5),
+        (-1, Rat(-3, 2), 0),
+    )
+    tab = Tableau(lp)
+    assert tab.solve() == LPStatus.OPTIMAL
+    assert tab.basis == [0]
+    assert tab.reoptimize(0, Rat(0), Rat(2)) == LPStatus.OPTIMAL
+    assert (tab.pivots, tab.basis) == (1, [2])
+    sol = tab.vertex()
+    assert sol.values == (2, 0, Rat(1, 2))
+    assert sol.objective_value == -2

@@ -30,6 +30,14 @@ def test_solve_general_with_oracle_check(tmp_path, capsys):
     assert report["within_bound"] is True
     assert report["oracle"]["check_passed"] is True
     assert report["solve_stats"]["lp_pivots"] >= 0
+    assert set(report["solve_stats"]) == {
+        "lp_pivots",
+        "bb_nodes",
+        "bb_infeasible",
+        "bb_pruned",
+        "bb_incumbents",
+        "bb_max_depth",
+    }
 
 
 def test_solve_report_byte_deterministic(tmp_path, capsys):
@@ -147,6 +155,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
         assert code == 1
         assert "unrecognized arguments" in err
+    # limits that admit no search are usage errors, not resource limits
+    for flag, value, message in (
+        ("--node-limit", "0", "node_limit must be positive"),
+        ("--node-limit", "-3", "node_limit must be positive"),
+        ("--refine-limit", "-1", "refinement_limit must be nonnegative"),
+    ):
+        code, _, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2", flag, value)
+        assert code == 1
+        assert message in err
 
 
 def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):

@@ -80,6 +80,14 @@ def test_params_epsilon_range():
     assert p.epsilon == 1
 
 
+def test_params_reject_limits_that_admit_no_search():
+    # node and refinement limits are also checked through the CLI
+    with pytest.raises(InvalidInstanceError, match="config_cap must be positive"):
+        ApproxParams.build(Rat(1, 2), config_cap=0)
+    p = ApproxParams.build(Rat(1, 2), node_limit=1, config_cap=1, refinement_limit=0)
+    assert (p.node_limit, p.config_cap, p.refinement_limit) == (1, 1, 0)
+
+
 def _roundtrip(inst):
     return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
 

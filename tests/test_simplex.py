@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from nearfeas.errors import PipelineInvariantError
 from nearfeas.linalg import Matrix, is_nonsingular
 from nearfeas.rationals import Rat
 from nearfeas.simplex import (
     LinearProgram,
     LPStatus,
+    _scaled_rows,
+    _verify_vertex,
     nonintegral_support,
     solve_lp_vertex,
     strictly_between_columns,
@@ -331,3 +334,21 @@ def test_pinned_pivot_paths(case):
     assert sol.pivots == pivots
     assert sol.basis == basis
     assert sol.values == tuple(Rat(v) for v in values)
+
+
+def test_verify_vertex_rejects_one_violation():
+    # rows x0 + 2 x2 = 3 and x1 - x2 = 0 with zeros between the nonzeros
+    lp = LinearProgram(
+        Matrix.from_rows([[1, 0, 2, 0], [0, 1, -1, 0]]), (3, 0), (0, 0, 0, 0), (3, 1, 1, 2), (0, 0, 0, 0)
+    )
+    rows = _scaled_rows(lp)
+    good = tuple(Rat(v) for v in (1, 1, 1, 2))
+    _verify_vertex(rows, lp.lower, lp.upper, good)
+    for values, message in (
+        ((1, 1, 1, 3), "bounds"),  # x3 above its upper bound, every equation holds
+        ((1, 1, 1, -1), "bounds"),  # x3 below its lower bound
+        ((1, 0, 1, 0), "equations"),  # only the second equation fails
+        ((1, Rat(1, 2), Rat(1, 2), 0), "equations"),  # only the first equation fails
+    ):
+        with pytest.raises(PipelineInvariantError, match=message):
+            _verify_vertex(rows, lp.lower, lp.upper, tuple(Rat(v) for v in values))

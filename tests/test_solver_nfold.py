@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nearfeas.errors import ZeroColumnUnsupported
+from nearfeas.errors import EnumerationCapExceeded, ZeroColumnUnsupported
 from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
 from nearfeas.oracle import brute_force_nfold
@@ -302,3 +302,11 @@ def test_build_mip6_integer_variable_count():
     assert len(model.mixed.integer_vars) == types * model.tau + boxes
     # one small column with lambda = 2, u = 10: bounds as split
     assert splits[0].major_ub[0] == 5 and splits[0].minor_ub[0] == 1
+
+
+def test_config_cap_is_a_resource_limit():
+    # the instance `nearfeas gen --kind nfold-nonneg --seed 3` writes
+    inst = gen_nonneg(random.Random(3), n_blocks=4, s_a=2, s_d=2, t=2)
+    assert solve_nfold(inst, ApproxParams.build(Rat(1, 2))).status == SolveStatus.OK
+    with pytest.raises(EnumerationCapExceeded, match="more than 1 major configurations"):
+        solve_nfold(inst, ApproxParams.build(Rat(1, 2), config_cap=1))
