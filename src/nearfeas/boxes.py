@@ -4,13 +4,17 @@ Columns living in [-scale, scale]^m are assigned to axis-aligned cells of
 side delta*scale; each cell's lower corner is its canonical vector, and every
 column decomposes exactly as canonical + residual with the residual bounded
 entrywise by delta*scale.  Grouping columns (or whole per-block column
-matrices) by cell underlies all three solver pipelines.
+matrices) by cell underlies all three solver pipelines, and ``coupled_model``
+builds the one mixed model all three solve over such partitions.
 """
 
 from dataclasses import dataclass
 
+from .branch_bound import MixedModel
 from .errors import PipelineInvariantError
+from .linalg import Matrix
 from .rationals import ONE, Rat, ZERO, as_rat, rat_ceil
+from .simplex import LinearProgram
 
 
 def snap_delta(delta):
@@ -145,3 +149,108 @@ def partition_config_columns(mats, delta):
     return ConfigBoxPartition(
         delta, scale, type_groups, canonical_matrices, tuple(residual_matrices)
     )
+
+
+def coupled_model(b, slack_bounds, selection=None, grouped=None):
+    """The mixed model coupling box-typed selections and box-grouped variables.
+
+    ``selection`` is ``(config_part, tau, costs)``: a ConfigBoxPartition over
+    per-block matrices of tau columns, and each block's tau column costs; a
+    0/1 variable z selects a block's column, and an integer count y per
+    (type, column) stands for the selections of that column across the
+    type's blocks.  ``grouped`` is ``(part, lower, upper, costs)``: a
+    BoxPartition plus each partition column's bounds and cost; the columns
+    relax to continuous variables x, and an integer variable g per group
+    stands for its members' sum.  Canonical vectors go on y and g, residuals
+    on z and x, and each coupling row ``= b_r`` gains a slack column bounded
+    by +-slack_bounds[r].  An absent part adds no rows and no columns.
+
+    Columns are ``[z | y | x | g | slack]``: z of (block i, column phi) at
+    ``i * tau + phi``, y of (type k, column phi) at ``k * tau + phi`` past the
+    z, and types and groups in their partition's order.  Rows are
+    ``[coupling | linking | selection | group]``: a type's selections of
+    column phi sum to its y, each block selects one column, and a group's
+    members sum to its g.  Any integer point of the original program embeds
+    with zero slack and equal objective, so the model optimum never exceeds
+    the original's.
+    """
+    cpart, tau, block_costs = selection if selection is not None else (None, 0, ())
+    part, x_lower, x_upper, x_costs = grouped if grouped is not None else (None, (), (), ())
+    types = tuple(cpart.type_groups.items()) if cpart is not None else ()
+    groups = tuple(part.groups.items()) if part is not None else ()
+    s = len(b)
+    blocks = len(block_costs)
+    nz = blocks * tau
+    x0 = nz + len(types) * tau
+    g0 = x0 + len(x_costs)
+    s0 = g0 + len(groups)
+    cols = s0 + s
+    rows = s + len(types) * tau + blocks + len(groups)
+    entries = [ZERO] * (rows * cols)
+
+    for r in range(s):
+        base = r * cols
+        for i in range(blocks):
+            for phi, res in enumerate(cpart.residual_matrices[i]):
+                entries[base + i * tau + phi] = res[r]
+        for k, (key, _) in enumerate(types):
+            for phi, canon in enumerate(cpart.canonical_matrices[key]):
+                entries[base + nz + k * tau + phi] = canon[r]
+        for j in range(len(x_costs)):
+            entries[base + x0 + j] = part.residuals[j][r]
+        for k, (key, _) in enumerate(groups):
+            entries[base + g0 + k] = part.canonicals[key][r]
+        entries[base + s0 + r] = -ONE
+    row = s
+    for k, (_, members) in enumerate(types):
+        for phi in range(tau):
+            base = row * cols
+            for i in members:
+                entries[base + i * tau + phi] = ONE
+            entries[base + nz + k * tau + phi] = -ONE
+            row += 1
+    for i in range(blocks):
+        base = row * cols + i * tau
+        entries[base : base + tau] = [ONE] * tau
+        row += 1
+    for k, (_, members) in enumerate(groups):
+        base = row * cols
+        for j in members:
+            entries[base + x0 + j] = ONE
+        entries[base + g0 + k] = -ONE
+        row += 1
+
+    lower = [ZERO] * nz
+    upper = [ONE] * nz
+    for _, members in types:
+        lower.extend([ZERO] * tau)
+        upper.extend([Rat(len(members))] * tau)
+    lower.extend(x_lower)
+    upper.extend(x_upper)
+    for _, members in groups:
+        lower.append(sum(x_lower[j] for j in members))
+        upper.append(sum(x_upper[j] for j in members))
+    lower.extend(-v for v in slack_bounds)
+    upper.extend(slack_bounds)
+    objective = [c for costs in block_costs for c in costs]
+    objective.extend([ZERO] * (x0 - nz))
+    objective.extend(x_costs)
+    objective.extend([ZERO] * (cols - g0))
+    rhs = tuple(b) + (ZERO,) * (x0 - nz) + (ONE,) * blocks + (ZERO,) * len(groups)
+
+    lp = LinearProgram(
+        Matrix(rows, cols, entries), rhs, tuple(lower), tuple(upper), tuple(objective)
+    )
+    return MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
+
+
+def selection_columns(part, n, tau):
+    """Where ``coupled_model`` puts the selection z of (block i, column phi)
+    for a ConfigBoxPartition ``part`` over n blocks: column i * tau + phi;
+    and each block's type."""
+    z_col = {(i, phi): i * tau + phi for i in range(n) for phi in range(tau)}
+    block_type = [None] * n
+    for key, members in part.type_groups.items():
+        for i in members:
+            block_type[i] = key
+    return z_col, tuple(block_type)

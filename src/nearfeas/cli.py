@@ -3,10 +3,12 @@
 Reports are deterministic JSON (sorted keys); every rational appears as an
 authoritative exact string alongside a float approximation for readability.
 Exit codes: 0 solved within bound, 2 near-feasibility unattainable,
-3 infeasible, 4 resource limit exceeded, 1 usage or parse error.
+3 infeasible, 4 resource limit exceeded, 1 usage or parse error, 5 internal
+error (a broken solver invariant).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -288,7 +290,10 @@ def cmd_check(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by every later
+    ``main`` call of the process."""
     parser = argparse.ArgumentParser(
         prog="nearfeas",
         description="Exact-rational approximation pipelines for integer programs",
@@ -339,9 +344,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -1,31 +1,19 @@
 """Exact rational scalars and their text form.
 
 Everything numeric in this package is an exact rational; no floating point
-ever enters a computation.  ``Rat`` is the scalar constructor: gmpy2's mpq
-when available, ``fractions.Fraction`` otherwise.  Simplex pivots do not use
-it (the tableau is integer, see ``simplex``); model data, ratio tests,
-variable values and reports do.  Both keep values in lowest terms with a
-positive denominator and print as "p/q" (or "p" for integers), so results are
-identical either way.  Set ``NEARFEAS_RAT=fraction`` to force the stdlib
-scalar.
+ever enters a computation.  ``Rat`` is the scalar constructor,
+``fractions.Fraction``: values stay in lowest terms with a positive
+denominator and print as "p/q" (or "p" for integers).  Simplex pivots do not
+use it (the tableau is integer, see ``simplex``); model data, ratio tests,
+variable values and reports do.
 """
 
 import math
-import os
 import re
 from fractions import Fraction
 
-if os.environ.get("NEARFEAS_RAT", "").lower() == "fraction":
-    Rat = Fraction
-    RAT_BACKEND = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as Rat
-
-        RAT_BACKEND = "gmpy2"
-    except ImportError:
-        Rat = Fraction
-        RAT_BACKEND = "fraction"
+Rat = Fraction
+RAT_BACKEND = "fraction"
 
 ZERO = Rat(0)
 ONE = Rat(1)

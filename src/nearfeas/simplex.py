@@ -72,6 +72,37 @@ class LinearProgram:
             if lo > hi:
                 raise ValueError("bounds crossed")
 
+    def restrict(self, cols, rows, values):
+        """The LP over the kept columns ``cols`` and rows ``rows`` with every
+        other column fixed at ``values`` (one value per column of this LP).
+
+        Row i's right-hand side is the sum over kept j of A_ij * values[j],
+        which is b_i less the fixed columns' share wherever ``values`` meets
+        row i; so the kept part of ``values`` satisfies the restriction
+        exactly.  Kept columns keep their bounds and costs.
+        """
+        cols = tuple(cols)
+        nonzero = [(j, values[j]) for j in cols if values[j]]
+        A, c = self.matrix.entries, self.matrix.cols
+        entries = []
+        rhs = []
+        for i in rows:
+            base = i * c
+            entries.extend([A[base + j] for j in cols])
+            acc = ZERO
+            for j, v in nonzero:
+                a = A[base + j]
+                if a:
+                    acc = acc + a * v
+            rhs.append(acc)
+        return LinearProgram(
+            Matrix(len(rhs), len(cols), entries),
+            tuple(rhs),
+            tuple(self.lower[j] for j in cols),
+            tuple(self.upper[j] for j in cols),
+            tuple(self.objective[j] for j in cols),
+        )
+
 
 @dataclass(frozen=True)
 class VertexSolution:

@@ -3,10 +3,12 @@
 Each block contributes one column D^i x^i from its precomputed value matrix;
 blocks whose value matrices fall columnwise into the same boxes share a type,
 and one integer variable per (type, column) counts selections across the
-type's blocks.  After the exact mixed solve, the selection variables are
-re-solved to a vertex at fixed counts (few fractional entries survive by the
-two-part rank argument) and integralized by an exact re-solve over the
-totally unimodular bipartite restriction.
+type's blocks: the selection part of ``boxes.coupled_model``.  After the
+exact mixed solve, the selection variables are re-solved to a vertex at
+fixed counts (``LinearProgram.restrict``; few fractional entries survive by
+the two-part rank argument) and integralized by an exact re-solve over the
+totally unimodular bipartite restriction.  Nonnegative n-fold case 2 runs
+the same selection stage, ``select_columns``.
 
 The coupling rows carry slack columns bounded per row by the permitted
 violation; slack-bounded infeasibility is therefore independent of the box
@@ -18,15 +20,15 @@ cost-minimal selection and its exact violation.  Structural infeasibility
 
 from dataclasses import dataclass
 
-from .boxes import partition_config_columns
+from .boxes import coupled_model, partition_config_columns, selection_columns
 from .branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
-from .rationals import ONE, Rat, ZERO, is_integral
+from .rationals import ONE, ZERO, is_integral
 from .results import ApproxResult, SolveStatus
 from .rounding import AssignmentRestriction, tu_round
-from .simplex import LinearProgram, LPStatus, nonintegral_support, solve_lp_vertex
+from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
 
 
 @dataclass(frozen=True)
@@ -89,148 +91,20 @@ class ConfigModel:
     block_type: tuple  # type key per block
 
 
-def selection_columns(part, n, tau):
-    """Column layout of both block models: the selection z of (block, phi)
-    at i * tau + phi, then the count y of (type, phi); and each block's type."""
-    z_col = {(i, phi): i * tau + phi for i in range(n) for phi in range(tau)}
-    y_col = {
-        (key, phi): n * tau + k * tau + phi
-        for k, key in enumerate(part.type_groups)
-        for phi in range(tau)
-    }
-    block_type = [None] * n
-    for key, members in part.type_groups.items():
-        for i in members:
-            block_type[i] = key
-    return z_col, y_col, tuple(block_type)
-
-
-def build_mip4(norm, part, slack_bounds=None):
-    """Mixed model over selection variables z and per-(type, column) counts y.
-
-    Any choice function of the original instance maps to a feasible 0/1 z
-    with equal objective, so the model optimum never exceeds the original's.
-    """
-    inst = norm.inst
-    n = len(inst.blocks)
-    tau = norm.tau
-    s = len(inst.b0)
-    keys = tuple(part.type_groups.keys())
-    nz = n * tau
-    ny = len(keys) * tau
-    nslack = s if slack_bounds is not None else 0
-    cols = nz + ny + nslack
-    z_col, y_col, block_type = selection_columns(part, n, tau)
-
-    rows = s + len(keys) * tau + n
-    entries = [ZERO] * (rows * cols)
-    rhs = []
-    # coupling rows: canonical part on y, residual part on z, slack
-    for r in range(s):
-        base = r * cols
-        for k, key in enumerate(keys):
-            canon = part.canonical_matrices[key]
-            for phi in range(tau):
-                entries[base + y_col[(key, phi)]] = canon[phi][r]
-        for i in range(n):
-            resid = part.residual_matrices[i]
-            for phi in range(tau):
-                entries[base + z_col[(i, phi)]] = resid[phi][r]
-        if nslack:
-            entries[base + nz + ny + r] = -ONE
-        rhs.append(inst.b0[r])
-    # linking rows: selections of a (type, column) sum to its count
-    row = s
-    for key in keys:
-        for phi in range(tau):
-            base = row * cols
-            for i in part.type_groups[key]:
-                entries[base + z_col[(i, phi)]] = ONE
-            entries[base + y_col[(key, phi)]] = -ONE
-            rhs.append(ZERO)
-            row += 1
-    # selection rows: each block picks exactly one column
-    for i in range(n):
-        base = row * cols
-        for phi in range(tau):
-            entries[base + z_col[(i, phi)]] = ONE
-        rhs.append(ONE)
-        row += 1
-
-    lower = [ZERO] * nz
-    upper = [ONE] * nz
-    objective = []
-    for i in range(n):
-        objective.extend(norm.costs[i])
-    for key in keys:
-        size = len(part.type_groups[key])
-        for _ in range(tau):
-            lower.append(ZERO)
-            upper.append(Rat(size))
-            objective.append(ZERO)
-    for r in range(nslack):
-        lower.append(-slack_bounds[r])
-        upper.append(slack_bounds[r])
-        objective.append(ZERO)
-
-    lp = LinearProgram(
-        Matrix(rows, cols, entries), tuple(rhs), tuple(lower), tuple(upper), tuple(objective)
-    )
-    mixed = MixedModel(lp, frozenset(range(nz, nz + ny)))
-    return ConfigModel(mixed, tau, norm.costs, part, z_col, block_type)
+def build_mip4(norm, part, slack_bounds):
+    """Mixed model over selection variables z and per-(type, column) counts y;
+    each coupling row r gains a slack column bounded by +-slack_bounds[r]."""
+    mixed = coupled_model(norm.inst.b0, slack_bounds, selection=(part, norm.tau, norm.costs))
+    z_col, block_type = selection_columns(part, len(norm.inst.blocks), norm.tau)
+    return ConfigModel(mixed, norm.tau, norm.costs, part, z_col, block_type)
 
 
 def fix_counts_lp(model, s, mixed_sol):
     """LP over z with the s coupling residuals pinned to their attained values
-    and the (type, column) counts pinned to the mixed optimum."""
-    part, tau = model.config_part, model.tau
-    n = len(model.block_type)
-    nz = n * tau
-    zstar = mixed_sol.values[:nz]
-    keys = tuple(part.type_groups.keys())
-
-    rows = s + len(keys) * tau + n
-    entries = [ZERO] * (rows * nz)
-    rhs = []
-    for r in range(s):
-        base = r * nz
-        acc = ZERO
-        for i in range(n):
-            resid = part.residual_matrices[i]
-            for phi in range(tau):
-                c = resid[phi][r]
-                if c:
-                    col = model.z_col[(i, phi)]
-                    entries[base + col] = c
-                    if zstar[col]:
-                        acc = acc + c * zstar[col]
-        rhs.append(acc)
-    row = s
-    for key in keys:
-        for phi in range(tau):
-            base = row * nz
-            acc = ZERO
-            for i in part.type_groups[key]:
-                col = model.z_col[(i, phi)]
-                entries[base + col] = ONE
-                acc = acc + zstar[col]
-            rhs.append(acc)
-            row += 1
-    for i in range(n):
-        base = row * nz
-        for phi in range(tau):
-            entries[base + model.z_col[(i, phi)]] = ONE
-        rhs.append(ONE)
-        row += 1
-
-    objective = tuple(c for costs in model.config_costs for c in costs)
-    return LinearProgram(
-        Matrix(rows, nz, entries),
-        tuple(rhs),
-        (ZERO,) * nz,
-        (ONE,) * nz,
-        objective,
-    )
+    and the (type, column) counts pinned to the mixed optimum, over the
+    coupling, linking and selection rows."""
+    rows = s + len(model.config_part.type_groups) * model.tau + len(model.block_type)
+    return model.mixed.lp.restrict(range(len(model.z_col)), range(rows), mixed_sol.values)
 
 
 def build_restriction(model, vertex):

@@ -2,11 +2,14 @@
 
 Columns of H are grouped into boxes; one integer variable per occupied group
 replaces the group's sum while the members relax to continuous variables
-(coupled through canonical + residual splits of their columns).  The mixed
-model is solved exactly, the continuous part is re-solved to a vertex with
-the group sums pinned, and at most 2m surviving fractional variables are
-rounded greedily within their groups.  A final exact check against the
-permitted violation drives the halve-and-retry refinement of the box width.
+(coupled through canonical + residual splits of their columns): the grouped
+part of ``boxes.coupled_model``.  The mixed model is solved exactly, the
+continuous part is re-solved to a vertex with the group sums pinned
+(``LinearProgram.restrict``), and at most 2m surviving fractional variables
+are rounded greedily within their groups.  That rounding stage,
+``round_within_groups``, also rounds the minor variables of nonnegative
+n-fold case 2.  A final exact check against the permitted violation drives
+the halve-and-retry refinement of the box width.
 
 The coupling rows carry slack columns bounded by the permitted violation, so
 instances without exactly-feasible integer points still yield near-feasible
@@ -16,72 +19,29 @@ set admits an integer point (which certifies the original as infeasible).
 
 from dataclasses import dataclass
 
-from .boxes import partition_columns
+from .boxes import coupled_model, partition_columns
 from .branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_general, violation_report
-from .linalg import Matrix
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 from .results import ApproxResult, SolveStatus
 from .rounding import GroupRoundingPlan, greedy_group_round
-from .simplex import LinearProgram, LPStatus, nonintegral_support, solve_lp_vertex
+from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
 
 
 @dataclass(frozen=True)
 class GeneralModel:
     inst: object
-    part: object
-    mixed: MixedModel
-    n: int
-    group_keys: tuple  # box index per integer variable, column order n..n+G-1
+    mixed: MixedModel  # columns [x | g | slack] of boxes.coupled_model
 
 
-def build_mip1(inst, part, slack_bound=None):
-    """Mixed model with one integer group variable per occupied box.
-
-    With slack_bound set, each coupling row gains a slack column bounded by
-    +-slack_bound; any integer point x of the original program embeds via
-    y_k = sum of its group members (slack zero), with equal objective.
-    """
-    m, n = inst.H.rows, inst.H.cols
-    keys = tuple(part.groups.keys())
-    g = len(keys)
-    nslack = m if slack_bound is not None else 0
-    cols = n + g + nslack
-
-    entries = [ZERO] * ((m + g) * cols)
-    # coupling rows: residual part on x, canonical part on y, optional slack
-    for j in range(n):
-        res = part.residuals[j]
-        for i in range(m):
-            entries[i * cols + j] = res[i]
-    for k, key in enumerate(keys):
-        canon = part.canonicals[key]
-        for i in range(m):
-            entries[i * cols + n + k] = canon[i]
-    for i in range(nslack):
-        entries[i * cols + n + g + i] = -ONE
-    # group rows: members sum to the group variable
-    for k, key in enumerate(keys):
-        row = m + k
-        for j in part.groups[key]:
-            entries[row * cols + j] = ONE
-        entries[row * cols + n + k] = -ONE
-
-    lower = list(inst.l)
-    upper = list(inst.u)
-    for key in keys:
-        lower.append(sum(inst.l[j] for j in part.groups[key]))
-        upper.append(sum(inst.u[j] for j in part.groups[key]))
-    for _ in range(nslack):
-        lower.append(-slack_bound)
-        upper.append(slack_bound)
-
-    objective = list(inst.w) + [ZERO] * (g + nslack)
-    rhs = tuple(inst.b) + (ZERO,) * g
-    lp = LinearProgram(Matrix(m + g, cols, entries), rhs, tuple(lower), tuple(upper), tuple(objective))
-    mixed = MixedModel(lp, frozenset(range(n, n + g)))
-    return GeneralModel(inst, part, mixed, n, keys)
+def build_mip1(inst, part, slack_bound):
+    """Mixed model with one integer group variable per occupied box; each
+    coupling row gains a slack column bounded by +-slack_bound."""
+    mixed = coupled_model(
+        inst.b, (slack_bound,) * inst.H.rows, grouped=(part, inst.l, inst.u, inst.w)
+    )
+    return GeneralModel(inst, mixed)
 
 
 def restrict_lp2(model, mixed_sol):
@@ -89,36 +49,8 @@ def restrict_lp2(model, mixed_sol):
     values attained by the mixed optimum; the mixed x itself stays feasible."""
     if mixed_sol.status != MIPStatus.OPTIMAL:
         raise ValueError("restrict_lp2 requires an optimal mixed solution")
-    inst, part, n = model.inst, model.part, model.n
-    m = inst.H.rows
-    xstar = mixed_sol.values[:n]
-
-    keys = model.group_keys
-    rows = m + len(keys)
-    entries = [ZERO] * (rows * n)
-    rhs = []
-    for i in range(m):
-        acc = ZERO
-        for j in range(n):
-            r = part.residuals[j][i]
-            if r:
-                entries[i * n + j] = r
-                if xstar[j]:
-                    acc = acc + r * xstar[j]
-        rhs.append(acc)
-    for k, key in enumerate(keys):
-        acc = ZERO
-        for j in part.groups[key]:
-            entries[(m + k) * n + j] = ONE
-            acc = acc + xstar[j]
-        rhs.append(acc)
-    return LinearProgram(
-        Matrix(rows, n, entries),
-        tuple(rhs),
-        tuple(inst.l),
-        tuple(inst.u),
-        tuple(inst.w),
-    )
+    lp = model.mixed.lp
+    return lp.restrict(range(model.inst.H.cols), range(lp.matrix.rows), mixed_sol.values)
 
 
 def claim1_check(sol, m):
@@ -126,14 +58,32 @@ def claim1_check(sol, m):
     return len(nonintegral_support(sol)) <= 2 * m
 
 
-def _round_groups(model, vertex, trace=None):
-    inst, part = model.inst, model.part
-    values = list(vertex.values)
-    for key in model.group_keys:
-        members = part.groups[key]
-        plan = GroupRoundingPlan.build(
-            (j, values[j], inst.w[j]) for j in members
+def round_within_groups(lp, part, m, pinned, stats, trace):
+    """The grouped rounding stage of the general pipeline and of nonnegative
+    n-fold case 2's minor variables.
+
+    ``lp`` is the pinned restriction over the grouped variables, in the
+    column order of ``part``, with its m coupling rows first; ``pinned`` is
+    the mixed optimum's values of those variables.  The restriction is solved
+    to a vertex (at most 2m fractional entries), and each group's fractional
+    members are rounded greedily, which conserves the group sum.  Returns the
+    rounded values and their exact cost, which is at most the vertex
+    objective, itself at most the cost of ``pinned``.
+    """
+    vertex = solve_lp_vertex(lp)
+    stats.lp_pivots += vertex.pivots
+    if vertex.status != LPStatus.OPTIMAL:
+        raise PipelineInvariantError("pinned restriction lost feasibility")
+    if not claim1_check(vertex, m):
+        raise PipelineInvariantError(
+            f"fractional support {len(nonintegral_support(vertex))} exceeds 2m={2 * m}"
         )
+    if trace is not None:
+        trace.lp2_vertices.append((lp, vertex, m))
+
+    values = list(vertex.values)
+    for members in part.groups.values():
+        plan = GroupRoundingPlan.build((j, values[j], lp.objective[j]) for j in members)
         if trace is not None:
             trace.group_plans.append(plan)
         for j, v in greedy_group_round(plan).items():
@@ -142,7 +92,12 @@ def _round_groups(model, vertex, trace=None):
         after = sum((values[j] for j in members), ZERO)
         if before != after:
             raise PipelineInvariantError("group sum not conserved by rounding")
-    return tuple(int(v) for v in values)
+    x = tuple(int(v) for v in values)
+    cost = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+    pinned_cost = sum((c * v for c, v in zip(lp.objective, pinned)), ZERO)
+    if cost > vertex.objective_value or vertex.objective_value > pinned_cost:
+        raise PipelineInvariantError("objective chain violated")
+    return x, cost
 
 
 def solve_general(inst, params, trace=None):
@@ -165,21 +120,9 @@ def solve_general(inst, params, trace=None):
             )
 
         lp2 = restrict_lp2(model, mixed)
-        vertex = solve_lp_vertex(lp2)
-        stats.lp_pivots += vertex.pivots
-        if vertex.status != LPStatus.OPTIMAL:
-            raise PipelineInvariantError("pinned restriction lost feasibility")
-        if not claim1_check(vertex, m):
-            raise PipelineInvariantError(
-                f"fractional support {len(nonintegral_support(vertex))} exceeds 2m={2 * m}"
-            )
-        if trace is not None:
-            trace.lp2_vertices.append((lp2, vertex, m))
-
-        x = _round_groups(model, vertex, trace)
-        objective = sum((wv * xv for wv, xv in zip(inst.w, x)), ZERO)
-        if objective > vertex.objective_value or vertex.objective_value > mixed.objective_value:
-            raise PipelineInvariantError("objective chain violated")
+        x, objective = round_within_groups(
+            lp2, part, m, mixed.values[: inst.H.cols], stats, trace
+        )
         report = violation_report(inst, x, ADDITIVE, bound, objective)
         if report.within_bound:
             return ApproxResult(

@@ -6,14 +6,17 @@ matrices are big (some coordinate at least psi) or small; small columns split
 x = lambda * major + minor so the major part has big scaled columns and the
 minor part has negligible local impact.  If every column is big the instance
 delegates to the configuration pipeline over the exact local solution sets;
-otherwise a combined mixed model couples box-typed major configurations with
-box-grouped minor variables, and the two parts are re-solved and rounded
-independently: the selections by the configuration pipeline's selection
-stage (``solver_config.select_columns``: fixed-count vertex, then TU
-re-solve), so a trace collects their fixed-count vertices as it does there,
-and the minors by greedy in-group rounding.  Recombination may overshoot an
-upper bound by less than lambda; clamping repairs it with a local effect
-below eps/2 per block.
+otherwise a combined mixed model (``boxes.coupled_model`` with both parts)
+couples box-typed major configurations with box-grouped minor variables, and
+the two parts are pinned at the mixed optimum and rounded independently: the
+selections by the configuration pipeline's selection stage
+(``solver_config.select_columns``: fixed-count vertex, then TU re-solve) and
+the minors by the general pipeline's grouped rounding stage
+(``solver_general.round_within_groups``: restriction vertex, then greedy
+in-group rounding), so a trace collects their fixed-count and restriction
+vertices as it does there.  Recombination may overshoot an upper bound by
+less than lambda; clamping repairs it with a local effect below eps/2 per
+block.
 
 Every acceptance decision is an exact post-hoc check of the multiplicative
 guarantee on the original unscaled data; on failure the box widths are
@@ -23,8 +26,13 @@ toward the clamp-free all-big regime.
 
 from dataclasses import dataclass
 
-from .boxes import partition_columns, partition_config_columns
-from .branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
+from .boxes import (
+    coupled_model,
+    partition_columns,
+    partition_config_columns,
+    selection_columns,
+)
+from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import (
     EnumerationCapExceeded,
     InvalidInstanceError,
@@ -39,18 +47,16 @@ from .instances import (
     violation_report,
 )
 from .linalg import Matrix
-from .rationals import ONE, Rat, ZERO, rat_ceil
+from .rationals import ONE, ZERO, rat_ceil
 from .results import ApproxResult, SolveStatus
-from .rounding import GroupRoundingPlan, greedy_group_round
-from .simplex import LinearProgram, LPStatus, nonintegral_support, solve_lp_vertex
 from .solver_config import (
     ConfigModel,
     pad_configs,
     select_columns,
-    selection_columns,
     solve_config_core,
     value_columns,
 )
+from .solver_general import round_within_groups
 
 
 @dataclass(frozen=True)
@@ -196,10 +202,8 @@ class Mip6Model(ConfigModel):
     """The selection model over the major value matrices, plus the minors."""
 
     configs: tuple  # per block: tuple of tau major vectors
-    minor_keys: tuple  # (block, column) per minor variable
-    minor_col: dict
+    minor_keys: tuple  # (block, column) per minor variable, in this order
     minor_part: object  # BoxPartition over the minor D columns, or None
-    minor_ub: dict  # (block, column) -> bound
 
 
 def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, epsilon):
@@ -224,12 +228,12 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
 
     # minor variables: one per small column with a positive bound
     minor_keys = []
-    minor_ub = {}
+    minor_ub = []
     for sb, split in zip(sblocks, splits):
         for j in range(sb.A.cols):
             if split.kinds[j] == SMALL and split.minor_ub[j] > 0:
                 minor_keys.append((sb.index, j))
-                minor_ub[(sb.index, j)] = split.minor_ub[j]
+                minor_ub.append(split.minor_ub[j])
         # exact smallness check: the whole minor range stays under eps/2
         for h in range(sb.A.rows):
             row = sb.A.row(h)
@@ -240,105 +244,22 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
             if reach > epsilon / 2:
                 raise PipelineInvariantError("minor part exceeds eps/2 on a local row")
     minor_keys = tuple(minor_keys)
-    minor_part = None
+    minor_part = grouped = None
     if minor_keys:
         entries = []
         for r in range(sd):
             for (i, j) in minor_keys:
                 entries.append(inst.blocks[i].D.at(r, j))
         minor_part = partition_columns(Matrix(sd, len(minor_keys), entries), delta2)
+        costs = tuple(inst.blocks[i].w[j] for i, j in minor_keys)
+        grouped = (minor_part, (ZERO,) * len(minor_keys), tuple(minor_ub), costs)
 
-    type_keys = tuple(config_part.type_groups.keys())
-    nz = n * tau
-    ny = len(type_keys) * tau
-    nminor = len(minor_keys)
-    nyd = len(minor_part.groups) if minor_part is not None else 0
-    nslack = sd
-    cols = nz + ny + nminor + nyd + nslack
-    z_col, y_col, block_type = selection_columns(config_part, n, tau)
-    minor_col = {key: nz + ny + p for p, key in enumerate(minor_keys)}
-    yd_col = {}
-    if minor_part is not None:
-        for d, key in enumerate(minor_part.groups.keys()):
-            yd_col[key] = nz + ny + nminor + d
-
-    rows = sd + len(type_keys) * tau + n + nyd
-    entries = [ZERO] * (rows * cols)
-    rhs = []
-    for r in range(sd):
-        base = r * cols
-        for k, key in enumerate(type_keys):
-            canon = config_part.canonical_matrices[key]
-            for phi in range(tau):
-                entries[base + y_col[(key, phi)]] = canon[phi][r]
-        for i in range(n):
-            resid = config_part.residual_matrices[i]
-            for phi in range(tau):
-                entries[base + z_col[(i, phi)]] = resid[phi][r]
-        if minor_part is not None:
-            for d, (key, members) in enumerate(minor_part.groups.items()):
-                entries[base + yd_col[key]] = minor_part.canonicals[key][r]
-                for p in members:
-                    entries[base + minor_col[minor_keys[p]]] = minor_part.residuals[p][r]
-        entries[base + nz + ny + nminor + nyd + r] = -ONE
-        rhs.append(inst.b0[r])
-    row = sd
-    for key in type_keys:
-        for phi in range(tau):
-            base = row * cols
-            for i in config_part.type_groups[key]:
-                entries[base + z_col[(i, phi)]] = ONE
-            entries[base + y_col[(key, phi)]] = -ONE
-            rhs.append(ZERO)
-            row += 1
-    for i in range(n):
-        base = row * cols
-        for phi in range(tau):
-            entries[base + z_col[(i, phi)]] = ONE
-        rhs.append(ONE)
-        row += 1
-    if minor_part is not None:
-        for key, members in minor_part.groups.items():
-            base = row * cols
-            for p in members:
-                entries[base + minor_col[minor_keys[p]]] = ONE
-            entries[base + yd_col[key]] = -ONE
-            rhs.append(ZERO)
-            row += 1
-
-    lower = [ZERO] * nz
-    upper = [ONE] * nz
-    objective = []
-    for i in range(n):
-        objective.extend(config_costs[i])
-    for key in type_keys:
-        size = len(config_part.type_groups[key])
-        for _ in range(tau):
-            lower.append(ZERO)
-            upper.append(Rat(size))
-            objective.append(ZERO)
-    for key in minor_keys:
-        lower.append(ZERO)
-        upper.append(Rat(minor_ub[key]))
-        objective.append(inst.blocks[key[0]].w[key[1]])
-    if minor_part is not None:
-        for key, members in minor_part.groups.items():
-            lower.append(ZERO)
-            upper.append(Rat(sum(minor_ub[minor_keys[p]] for p in members)))
-            objective.append(ZERO)
-    for r in range(sd):
-        lower.append(-slack_bounds[r])
-        upper.append(slack_bounds[r])
-        objective.append(ZERO)
-
-    lp = LinearProgram(
-        Matrix(rows, cols, entries), tuple(rhs), tuple(lower), tuple(upper), tuple(objective)
+    mixed = coupled_model(
+        inst.b0, slack_bounds, selection=(config_part, tau, tuple(config_costs)), grouped=grouped
     )
-    integer_vars = frozenset(range(nz, nz + ny)) | frozenset(
-        range(nz + ny + nminor, nz + ny + nminor + nyd)
-    )
+    z_col, block_type = selection_columns(config_part, n, tau)
     return Mip6Model(
-        mixed=MixedModel(lp, integer_vars),
+        mixed=mixed,
         tau=tau,
         config_costs=tuple(config_costs),
         config_part=config_part,
@@ -346,83 +267,8 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
         block_type=block_type,
         configs=configs,
         minor_keys=minor_keys,
-        minor_col=minor_col,
         minor_part=minor_part,
-        minor_ub=minor_ub,
     )
-
-
-def _fix_minor_lp(model, sd, mixed_sol):
-    part = model.minor_part
-    keys = model.minor_keys
-    nm = len(keys)
-    values = mixed_sol.values
-
-    rows = sd + len(part.groups)
-    entries = [ZERO] * (rows * nm)
-    rhs = []
-    for r in range(sd):
-        base = r * nm
-        acc = ZERO
-        for p in range(nm):
-            c = part.residuals[p][r]
-            if c:
-                entries[base + p] = c
-                v = values[model.minor_col[keys[p]]]
-                if v:
-                    acc = acc + c * v
-        rhs.append(acc)
-    for g, (key, members) in enumerate(part.groups.items()):
-        base = (sd + g) * nm
-        acc = ZERO
-        for p in members:
-            entries[base + p] = ONE
-            acc = acc + values[model.minor_col[keys[p]]]
-        rhs.append(acc)
-
-    lower = (ZERO,) * nm
-    upper = tuple(Rat(model.minor_ub[k]) for k in keys)
-    objective = tuple(model.mixed.lp.objective[model.minor_col[k]] for k in keys)
-    return LinearProgram(Matrix(rows, nm, entries), tuple(rhs), lower, upper, objective)
-
-
-def _round_minors(model, sd, mixed_sol, stats, trace):
-    """Vertex of the minor restriction, then greedy in-group rounding."""
-    if model.minor_part is None:
-        return {}, ZERO
-    keys = model.minor_keys
-    lp = _fix_minor_lp(model, sd, mixed_sol)
-    vertex = solve_lp_vertex(lp)
-    stats.lp_pivots += vertex.pivots
-    if vertex.status != LPStatus.OPTIMAL:
-        raise PipelineInvariantError("minor restriction lost feasibility")
-    if len(nonintegral_support(vertex)) > 2 * sd:
-        raise PipelineInvariantError("minor fractional support exceeds 2s")
-
-    out = {}
-    cost = ZERO
-    for g, (key, members) in enumerate(model.minor_part.groups.items()):
-        plan = GroupRoundingPlan.build(
-            (keys[p], vertex.values[p], lp.objective[p]) for p in members
-        )
-        if trace is not None:
-            trace.group_plans.append(plan)
-        rounded = greedy_group_round(plan)
-        before = sum((vertex.values[p] for p in members), ZERO)
-        after = ZERO
-        for p in members:
-            k = keys[p]
-            v = rounded.get(k)
-            if v is None:
-                v = vertex.values[p]
-            out[k] = int(v)
-            after = after + v
-            cost = cost + lp.objective[p] * v
-        if before != after:
-            raise PipelineInvariantError("minor group sum not conserved")
-    if cost > vertex.objective_value:
-        raise PipelineInvariantError("minor rounding increased the objective")
-    return out, cost
 
 
 def _major_configs(sblocks, splits, window, cap):
@@ -545,7 +391,18 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
             )
 
         chosen, sel_cost = select_columns(model, sd, mixed, stats, trace)
-        minors, minor_cost = _round_minors(model, sd, mixed, stats, trace)
+        minors, minor_cost = {}, ZERO
+        if model.minor_part is not None:
+            # the minors x sit after z and y; keep the coupling and group rows
+            lp = model.mixed.lp
+            first = len(model.z_col) + len(model.config_part.type_groups) * model.tau
+            cols = range(first, first + len(model.minor_keys))
+            groups = range(lp.matrix.rows - len(model.minor_part.groups), lp.matrix.rows)
+            restriction = lp.restrict(cols, (*range(sd), *groups), mixed.values)
+            values, minor_cost = round_within_groups(
+                restriction, model.minor_part, sd, mixed.values[first : cols.stop], stats, trace
+            )
+            minors = dict(zip(model.minor_keys, values))
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")
 

@@ -187,46 +187,6 @@ def test_pipeline_mismatch_rejected(tmp_path, capsys):
     assert "cannot solve" in err
 
 
-def test_reports_identical_across_scalar_backends(tmp_path, capsys):
-    """gmpy2 and Fraction scalars must produce byte-identical reports."""
-    import os
-    import subprocess
-    import sys
-
-    pytest = __import__("pytest")
-    try:
-        import gmpy2  # noqa: F401
-    except ImportError:
-        pytest.skip("gmpy2 not installed; only one backend available")
-
-    inst = tmp_path / "g.json"
-    main(["gen", "--kind", "general", "--m", "2", "--n", "6", "--seed", "21", "--output", str(inst)])
-    outs = {}
-    for backend in ("gmpy2", "fraction"):
-        out = tmp_path / f"r_{backend}.json"
-        env = dict(os.environ, NEARFEAS_RAT=backend)
-        res = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "nearfeas.cli",
-                "solve",
-                "--input",
-                str(inst),
-                "--epsilon",
-                "1/5",
-                "--oracle-check",
-                "--json-out",
-                str(out),
-            ],
-            capture_output=True,
-            env=env,
-        )
-        assert res.returncode == 0, res.stderr
-        outs[backend] = out.read_bytes()
-    assert outs["gmpy2"] == outs["fraction"]
-
-
 def test_solve_worked_example_with_oracle(tmp_path, capsys):
     inst = tmp_path / "g1.json"
     inst.write_text(

@@ -41,7 +41,7 @@ def test_build_mip4_forced_single():
     inst = NFoldConfigInstance.build([([[1]], [(1,)], [1])], [1])
     norm = normalize_configs(inst)
     part = partition_config_columns(norm.value_mats, Rat(1, 2))
-    model = build_mip4(norm, part)
+    model = build_mip4(norm, part, (Rat(0),))
     from nearfeas.branch_bound import solve_mip
 
     sol = solve_mip(model.mixed)
@@ -56,7 +56,7 @@ def test_build_mip4_identical_blocks_share_type():
     norm = normalize_configs(inst)
     part = partition_config_columns(norm.value_mats, Rat(1, 2))
     assert len(part.type_groups) == 1
-    model = build_mip4(norm, part)
+    model = build_mip4(norm, part, (Rat(0),))
     # tau linking rows, 2 selection rows, s coupling rows
     assert model.mixed.lp.matrix.rows == 1 + 2 * 1 + 2
     assert len(model.mixed.integer_vars) == 2  # one occupied type x tau

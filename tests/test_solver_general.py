@@ -21,7 +21,7 @@ from nearfeas.solver_general import (
 def test_build_mip1_single_group():
     inst = GeneralIP.build([[1, 1]], [2], [1, 1], [0, 0], [2, 2])
     part = partition_columns(inst.H, Rat(1, 2))
-    model = build_mip1(inst, part)
+    model = build_mip1(inst, part, Rat(0))
     assert len(model.mixed.integer_vars) == 1
     assert model.mixed.lp.matrix.rows == 1 + 1  # m coupling + 1 group row
 
@@ -29,7 +29,7 @@ def test_build_mip1_single_group():
 def test_build_mip1_two_groups_row_count():
     inst = GeneralIP.build([[1, Rat(9, 10)], [0, Rat(1, 10)]], [1, 0], [1, 1], [0, 0], [1, 1])
     part = partition_columns(inst.H, Rat(1, 2))
-    model = build_mip1(inst, part)
+    model = build_mip1(inst, part, Rat(0))
     assert len(model.mixed.integer_vars) == 2
     assert model.mixed.lp.matrix.rows == 2 + 2  # m + number of groups
 

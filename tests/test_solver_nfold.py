@@ -5,10 +5,11 @@ import pytest
 from nearfeas.errors import EnumerationCapExceeded, ZeroColumnUnsupported
 from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
+from nearfeas.linalg import is_nonsingular
 from nearfeas.oracle import brute_force_nfold
 from nearfeas.rationals import ONE, Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import nonintegral_support
+from nearfeas.simplex import nonintegral_support, strictly_between_columns
 from nearfeas.solver_nfold import (
     BIG,
     FIXED,
@@ -211,7 +212,7 @@ def test_fractional_minors_are_rounded_by_group():
 def test_guarantees_on_random_instances():
     rng = random.Random(55)
     trace = PipelineTrace()
-    case2_runs = 0
+    case2_runs = minor_runs = 0
     for k in range(40):
         inst = gen_nonneg(
             rng,
@@ -225,12 +226,20 @@ def test_guarantees_on_random_instances():
         )
         eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
         recorded = len(trace.fixed_y_vertices)
+        restricted = len(trace.lp2_vertices)
         res = solve_nfold(inst, ApproxParams.build(eps), trace=trace)
         assert res.status == SolveStatus.OK
         if "case2" in res.notes:
-            # case 2 runs the same selection stage as the config pipeline
+            # case 2 runs the same selection stage as the config pipeline, and
+            # the same grouped rounding stage as the general one on the minor
+            # variables of its first model, if it has any
             case2_runs += 1
             assert len(trace.fixed_y_vertices) > recorded
+            t = inst.blocks[0].A.cols
+            splits = [classify_and_split(sb, eps / (4 * t)) for sb in normalize_blocks(inst)]
+            if any(kind == SMALL and ub for sp in splits for kind, ub in zip(sp.kinds, sp.minor_ub)):
+                minor_runs += 1
+                assert len(trace.lp2_vertices) > restricted
         # multiplicative guarantee on the original data, exact
         for blk, xi in zip(inst.blocks, res.x):
             ax = blk.A.matvec(xi)
@@ -248,9 +257,12 @@ def test_guarantees_on_random_instances():
         # bounds respected
         for blk, xi in zip(inst.blocks, res.x):
             assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
-    assert case2_runs
+    assert case2_runs and minor_runs
     for _lp, vertex, s, tau, _submats in trace.fixed_y_vertices:
         assert len(nonintegral_support(vertex)) <= s * (2 * tau + 1)
+    for lp, vertex, s in trace.lp2_vertices:
+        assert len(nonintegral_support(vertex)) <= 2 * s
+        assert is_nonsingular(strictly_between_columns(lp, vertex))
 
 
 def test_build_mip6_no_small_columns_has_no_minors():
