@@ -24,7 +24,7 @@ from .instances import (
 from .linalg import Matrix, is_nonsingular, rank_exact
 from .oracle import brute_force, brute_force_config, brute_force_general, brute_force_nfold
 from .rationals import RAT_BACKEND, Rat, as_rat, format_rat, parse_rat
-from .results import ApproxResult, OracleComparison, PipelineTrace, SolveStatus
+from .results import ApproxResult, PipelineTrace, SolveStatus
 from .simplex import (
     LinearProgram,
     LPStatus,
@@ -49,7 +49,6 @@ __all__ = [
     "MULTIPLICATIVE",
     "NFoldConfigInstance",
     "NFoldNonnegInstance",
-    "OracleComparison",
     "PipelineTrace",
     "RAT_BACKEND",
     "Rat",

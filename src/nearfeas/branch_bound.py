@@ -18,7 +18,7 @@ node by its Farkas certificate.
 import enum
 from dataclasses import dataclass
 
-from .errors import NodeLimitExceeded, PipelineInvariantError
+from .errors import NodeLimitExceeded
 from .rationals import ZERO, Rat, is_integral, rat_floor
 from .simplex import LinearProgram, LPStatus, Tableau
 
@@ -93,8 +93,6 @@ def solve_mip(model, node_limit=10**6, stats=None):
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1
             continue
-        if status == LPStatus.UNBOUNDED:
-            raise PipelineInvariantError("unbounded relaxation under finite bounds")
         sol = tab.vertex()
         if best is not None and sol.objective_value >= best[0]:
             run.bb_pruned += 1

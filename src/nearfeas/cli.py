@@ -29,6 +29,10 @@ from .instances import (
     NFoldNonnegInstance,
     instance_from_dict,
     instance_to_dict,
+    read_json,
+    validate_config,
+    validate_general,
+    validate_nonneg,
 )
 from .oracle import brute_force
 from .rationals import as_rat, format_rat, to_float
@@ -112,11 +116,7 @@ def _emit(report, json_out):
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
+    data = read_json(path)
     if isinstance(data, dict) and data.get("kind") == "scheduling":
         if data.get("format") != 1:
             raise InstanceFormatError("$.format", "missing or unsupported format (need 1)")
@@ -273,15 +273,12 @@ def cmd_check(args):
     if isinstance(inst, dict):
         scheduling_to_config(inst["jobs"], inst["cmax"], costs=inst.get("costs"))
         problems = []
+    elif isinstance(inst, GeneralIP):
+        problems, _ = validate_general(inst)
+    elif isinstance(inst, NFoldConfigInstance):
+        problems, _ = validate_config(inst)
     else:
-        from .instances import validate_config, validate_general, validate_nonneg
-
-        if isinstance(inst, GeneralIP):
-            problems, _ = validate_general(inst)
-        elif isinstance(inst, NFoldConfigInstance):
-            problems, _ = validate_config(inst)
-        else:
-            problems = validate_nonneg(inst)
+        problems = validate_nonneg(inst)
     if problems:
         for p in problems:
             sys.stderr.write(p + "\n")

@@ -432,13 +432,17 @@ def instance_to_dict(inst):
     raise TypeError(f"unsupported instance type {type(inst)!r}")
 
 
-def load_instance(path):
+def read_json(path):
+    """The parsed contents of an instance file; invalid JSON is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
-    return instance_from_dict(data)
+
+
+def load_instance(path):
+    return instance_from_dict(read_json(path))
 
 
 def dump_instance(inst, path):

@@ -46,9 +46,6 @@ class Matrix:
     def column(self, j):
         return self.entries[j :: self.cols] if self.cols else ()
 
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self):
         return Matrix(
             self.cols,

@@ -1,15 +1,24 @@
 """Brute-force exact solvers: the ground truth for every pipeline guarantee.
 
-Enumeration is lexicographic and exhaustive within the declared bound box;
-the cap fails loudly instead of sampling.  Partial constraint sums are
-maintained incrementally, but no pruning beyond the bound box is applied.
+All three oracles are one product search, ``_matches``: each position (a
+variable, or a block) picks one entry from a list of (contribution vector,
+cost, witness), and a combination counts when its contributions sum exactly
+to a target.  The n-fold oracle first lists each block's solutions of
+A^i x = b^i with it, then searches their product.  Target rows and costs are
+scaled to integers once (by the lcm of their denominators).  Enumeration is
+lexicographic and exhaustive within the validated instance's bound box; the
+first combination of strictly smallest cost is the witness, and a box larger
+than the cap fails loudly before any search.  No code is shared with solvers.
 """
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter, sub
 
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
-from .rationals import ZERO
+from .instances import validate_config, validate_general, validate_nonneg
+from .rationals import ZERO, Rat
 
 DEFAULT_CAP = 10**7
 
@@ -21,160 +30,93 @@ class OracleResult:
     witness: object  # solution structure or None
 
 
-def _check_cap(count, cap, what):
-    if count > cap:
-        raise EnumerationCapExceeded(f"{what}: {count} points exceeds cap {cap}")
+_INFEASIBLE = OracleResult(False, None, None)
+
+
+def _validate(problems, points, cap, kind):
+    """Reject an invalid instance or cap, then a bound box larger than the cap."""
+    if cap < 1:
+        problems = [*problems, "cap must be positive"]
+    if problems:
+        raise InvalidInstanceError(problems)
+    if points > cap:
+        raise EnumerationCapExceeded(f"{kind} oracle: {points} points exceeds cap {cap}")
+
+
+def _scaled(values, scales):
+    return tuple(v.numerator * (s // v.denominator) for v, s in zip(values, scales))
+
+
+def _matches(choices, target):
+    """Yield (cost, witnesses) for every pick of one entry per position whose
+    contributions sum to target, in lexicographic order of the picks;
+    ``choices[i]`` lists position i's (contribution vector, cost, witness)."""
+    entries = [e for position in choices for e in position]
+    rows = [math.lcm(t.denominator, *(e[0][r].denominator for e in entries))
+            for r, t in enumerate(target)]
+    unit = math.lcm(*(e[1].denominator for e in entries))
+    choices = [[(_scaled(vec, rows), c.numerator * (unit // c.denominator), w)
+                for vec, c, w in position] for position in choices]
+    last = len(choices) - 1
+    picks = [None] * len(choices)
+
+    def search(i, rest, cost):
+        # rest is target minus the contributions picked so far
+        if i == last:
+            for vec, c, w in choices[i]:
+                if vec == rest:
+                    picks[i] = w
+                    yield Rat(cost + c, unit), tuple(picks)
+            return
+        for vec, c, w in choices[i]:
+            picks[i] = w
+            yield from search(i + 1, tuple(map(sub, rest, vec)), cost + c)
+
+    return search(0, _scaled(target, rows), 0)
+
+
+def _best(choices, target):
+    """The first combination of strictly smallest cost (``min`` keeps the first)."""
+    best = min(_matches(choices, target), key=itemgetter(0), default=None)
+    return _INFEASIBLE if best is None else OracleResult(True, *best)
+
+
+def _variables(mat, w, lower, upper):
+    """Position j: value v in [lower_j, upper_j] adds v * column j, costs v * w_j."""
+    return [[(tuple(v * a for a in mat.column(j)), v * w[j], v)
+             for v in range(lower[j], upper[j] + 1)] for j in range(mat.cols)]
 
 
 def brute_force_general(inst, cap=DEFAULT_CAP):
     """Exact optimum of min w.x over H.x = b, l <= x <= u, x integer."""
-    n = inst.H.cols
-    m = inst.H.rows
-    total = 1
-    for lo, hi in zip(inst.l, inst.u):
-        total *= hi - lo + 1
-    _check_cap(total, cap, "general oracle")
-
-    cols = [inst.H.column(j) for j in range(n)]
-    best = None
-    witness = None
-    x = list(inst.l)
-    resid = [ZERO] * m
-    obj = ZERO
-    for j in range(n):
-        if inst.l[j]:
-            for i in range(m):
-                resid[i] = resid[i] + cols[j][i] * inst.l[j]
-            obj = obj + inst.w[j] * inst.l[j]
-
-    def rec(j, resid, obj):
-        nonlocal best, witness
-        if j == n:
-            if all(r == b for r, b in zip(resid, inst.b)):
-                if best is None or obj < best:
-                    best = obj
-                    witness = tuple(x)
-            return
-        col = cols[j]
-        for v in range(inst.l[j], inst.u[j] + 1):
-            x[j] = v
-            rec(j + 1, resid, obj)
-            if v < inst.u[j]:
-                resid = [r + c for r, c in zip(resid, col)]
-                obj = obj + inst.w[j]
-        # restore for caller (resid/obj are rebound locally, x overwritten later)
-        x[j] = inst.l[j]
-
-    rec(0, list(resid), obj)
-    if best is None:
-        return OracleResult(False, None, None)
-    return OracleResult(True, best, witness)
+    problems, _ = validate_general(inst)
+    _validate(problems, math.prod(hi - lo + 1 for lo, hi in zip(inst.l, inst.u)), cap, "general")
+    return _best(_variables(inst.H, inst.w, inst.l, inst.u), inst.b)
 
 
 def brute_force_config(inst, cap=DEFAULT_CAP):
     """Exact optimum over all choice functions x^i in configs^i."""
-    total = 1
-    for blk in inst.blocks:
-        total *= max(len(blk.configs), 1)
-    _check_cap(total, cap, "config oracle")
-
-    n = len(inst.blocks)
-    s = len(inst.b0)
-    # precompute D^i p and w^i p per config
-    values = []
-    costs = []
-    for blk in inst.blocks:
-        if not blk.configs:
-            return OracleResult(False, None, None)
-        values.append([blk.D.matvec(cfg) for cfg in blk.configs])
-        costs.append(
-            [sum((wv * cv for wv, cv in zip(blk.weights, cfg)), ZERO) for cfg in blk.configs]
-        )
-
-    best = None
-    witness = None
-    choice = [0] * n
-
-    def rec(i, acc, obj):
-        nonlocal best, witness
-        if i == n:
-            if all(a == b for a, b in zip(acc, inst.b0)):
-                if best is None or obj < best:
-                    best = obj
-                    witness = tuple(choice)
-            return
-        for k in range(len(values[i])):
-            choice[i] = k
-            val = values[i][k]
-            rec(i + 1, [a + v for a, v in zip(acc, val)], obj + costs[i][k])
-        choice[i] = 0
-
-    rec(0, [ZERO] * s, ZERO)
-    if best is None:
-        return OracleResult(False, None, None)
-    sol = tuple(inst.blocks[i].configs[k] for i, k in enumerate(witness))
-    return OracleResult(True, best, sol)
+    problems, _ = validate_config(inst)
+    _validate(problems, math.prod(max(len(blk.configs), 1) for blk in inst.blocks), cap, "config")
+    if not all(blk.configs for blk in inst.blocks):
+        return _INFEASIBLE
+    choices = [[(blk.D.matvec(cfg), sum(map(Rat.__mul__, blk.weights, cfg), ZERO), cfg)
+                for cfg in blk.configs] for blk in inst.blocks]
+    return _best(choices, inst.b0)
 
 
 def brute_force_nfold(inst, cap=DEFAULT_CAP):
-    """Exact optimum over the full integer box with all equalities exact.
-
-    Enumerates per-block solutions of A^i x = b^i first, then the product; the
-    cap still applies to the full box so failure modes match the contract.
-    """
-    total = 1
+    """Exact optimum over the full integer box with all equalities exact; the
+    cap applies to the full box, not to the per-block solution lists."""
+    points = math.prod(hi + 1 for blk in inst.blocks for hi in blk.u)
+    _validate(validate_nonneg(inst), points, cap, "nfold")
+    choices = []
     for blk in inst.blocks:
-        for hi in blk.u:
-            total *= hi + 1
-    _check_cap(total, cap, "nfold oracle")
-
-    per_block = []
-    for blk in inst.blocks:
-        t = len(blk.u)
-        sols = []
-        x = [0] * t
-        cols = [blk.A.column(j) for j in range(t)]
-
-        def rec(j, acc, blk=blk, x=x, cols=cols, sols=sols, t=t):
-            if j == t:
-                if all(a == b for a, b in zip(acc, blk.bi)):
-                    dsum = blk.D.matvec(tuple(x))
-                    cost = sum((wv * xv for wv, xv in zip(blk.w, x)), ZERO)
-                    sols.append((tuple(x), dsum, cost))
-                return
-            for v in range(blk.u[j] + 1):
-                x[j] = v
-                rec(j + 1, acc, blk, x, cols, sols, t)
-                acc = [a + c for a, c in zip(acc, cols[j])]
-            x[j] = 0
-
-        rec(0, [ZERO] * blk.A.rows)
-        if not sols:
-            return OracleResult(False, None, None)
-        per_block.append(sols)
-
-    n = len(inst.blocks)
-    best = None
-    witness = None
-    choice = [0] * n
-
-    def combine(i, acc, obj):
-        nonlocal best, witness
-        if i == n:
-            if all(a == b for a, b in zip(acc, inst.b0)):
-                if best is None or obj < best:
-                    best = obj
-                    witness = tuple(per_block[k][c][0] for k, c in enumerate(choice))
-            return
-        for k, (_, dsum, cost) in enumerate(per_block[i]):
-            choice[i] = k
-            combine(i + 1, [a + d for a, d in zip(acc, dsum)], obj + cost)
-        choice[i] = 0
-
-    combine(0, [ZERO] * len(inst.b0), ZERO)
-    if best is None:
-        return OracleResult(False, None, None)
-    return OracleResult(True, best, witness)
+        local = _matches(_variables(blk.A, blk.w, [0] * len(blk.u), blk.u), blk.bi)
+        choices.append([(blk.D.matvec(x), cost, x) for cost, x in local])
+        if not choices[-1]:
+            return _INFEASIBLE
+    return _best(choices, inst.b0)
 
 
 def brute_force(inst, cap=DEFAULT_CAP):

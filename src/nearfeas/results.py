@@ -12,14 +12,6 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class OracleComparison:
-    oracle_feasible: bool
-    oracle_optimum: object  # Rat or None
-    objective_le_opt: bool | None  # None when the guarantee is vacuous
-    objective_guarantee_vacuous: bool
-
-
 @dataclass
 class ApproxResult:
     """Integer solution plus its exact violation report and solve metadata.
@@ -35,7 +27,6 @@ class ApproxResult:
     delta_used: object
     refinements: int
     stats: SolveStats = field(default_factory=SolveStats)
-    oracle: OracleComparison | None = None
     notes: tuple = ()
 
 

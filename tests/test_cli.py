@@ -141,6 +141,19 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert "feasible" in report and "optimum" in report
 
 
+def test_oracle_validates_like_check_and_solve(tmp_path, capsys):
+    # b has one entry for two rows; the first row alone would admit x = (0, 2)
+    data = {"format": 1, "kind": "general", "H": [["1", "1"], ["1", "-1"]], "b": ["2"],
+            "w": ["1", "1"], "l": [0, 0], "u": [3, 3]}
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(data))
+    for argv in (("oracle",), ("check",), ("solve", "--epsilon", "1/2")):
+        code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+        assert code == 1
+        assert "dimension mismatch: b" in err
+        assert out == ""
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", "/nonexistent.json", "--epsilon", "1/2")
     assert code == 1
@@ -164,6 +177,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2", flag, value)
         assert code == 1
         assert message in err
+    for value in ("0", "-5"):
+        code, _, err = run(capsys, "oracle", "--input", str(inst), "--cap", value)
+        assert code == 1
+        assert "cap must be positive" in err
 
 
 def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Checks on the checkout itself."""
 
+import argparse
 import importlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 
@@ -39,3 +41,30 @@ def test_perfbench_hooks_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{hook}: {module_name}.{attr} does not resolve"
+
+
+def test_readme_cli_block_lists_every_option():
+    """Each subcommand line of the README's CLI block (with its continuation
+    lines) names every option the parser defines for that subcommand."""
+    from nearfeas.cli import build_parser
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    usage = {}
+    for line in block.splitlines():
+        if line.startswith("nearfeas "):
+            command = line.split()[1]
+            usage[command] = ""
+        usage[command] += line + "\n"
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(usage) == sorted(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[command]), (
+                        f"README CLI block lacks {command} {option}"
+                    )
