@@ -10,7 +10,8 @@ pre-scaled to integers, and decoders report in the original units.
 import math
 from dataclasses import dataclass
 
-from .instances import GeneralIP, NFoldConfigInstance
+from .errors import InvalidInstanceError
+from .instances import GeneralIP, NFoldConfigInstance, SchedulingInstance, validate_scheduling
 from .rationals import ZERO, as_rat
 
 
@@ -71,22 +72,18 @@ def scheduling_to_config(p, cmax, costs=None):
 
     p is n x m nonnegative processing times (rationals allowed; they are
     scaled to integers internally), costs an optional n x m cost table used
-    as the objective.  Returns (instance, decoder); the decoder maps a
+    as the objective.  Data that ``validate_scheduling`` rejects raises
+    InvalidInstanceError.  Returns (instance, decoder); the decoder maps a
     per-block solution back to an assignment with exact loads and makespan
     in the original units.
     """
-    p_rows = [[as_rat(v) for v in row] for row in p]
-    cmax = as_rat(cmax)
+    sched = SchedulingInstance.build(p, cmax, costs)
+    problems, _ = validate_scheduling(sched)
+    if problems:
+        raise InvalidInstanceError(problems)
+    p_rows, cmax, costs = sched.jobs, sched.cmax, sched.costs
     n = len(p_rows)
-    m = len(p_rows[0]) if n else (len(costs[0]) if costs else 1)
-    if any(len(row) != m for row in p_rows):
-        raise ValueError("dimension mismatch: processing times")
-    if any(v < 0 for row in p_rows for v in row) or cmax < 0:
-        raise ValueError("scheduling data must be nonnegative")
-    if costs is not None:
-        costs = [[as_rat(v) for v in row] for row in costs]
-        if len(costs) != n or any(len(row) != m for row in costs):
-            raise ValueError("dimension mismatch: costs")
+    m = len(p_rows[0]) if n else 1
 
     scale = _scale_to_integers(p_rows, cmax)
     cmax_i = int(cmax * scale)

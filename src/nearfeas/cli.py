@@ -1,10 +1,12 @@
 """Command-line surface: solve, oracle, gen, check.
 
+``instances`` parses and validates instance files; ``_KINDS`` maps each
+instance type to its report kind, its ``--pipeline`` and its solve step.
 Reports are deterministic JSON (sorted keys); every rational appears as an
 authoritative exact string alongside a float approximation for readability.
 Exit codes: 0 solved within bound, 2 near-feasibility unattainable,
-3 infeasible, 4 resource limit exceeded, 1 usage or parse error, 5 internal
-error (a broken solver invariant).
+3 infeasible, 4 resource limit exceeded, 1 usage or parse error ("error: ..."
+on stderr), 5 internal error (a broken solver invariant).
 """
 
 import argparse
@@ -27,15 +29,13 @@ from .instances import (
     GeneralIP,
     NFoldConfigInstance,
     NFoldNonnegInstance,
-    instance_from_dict,
+    SchedulingInstance,
     instance_to_dict,
-    read_json,
-    validate_config,
-    validate_general,
-    validate_nonneg,
+    load_instance,
+    validate,
 )
 from .oracle import brute_force
-from .rationals import as_rat, format_rat, to_float
+from .rationals import format_rat, parse_rat, to_float
 from .results import SolveStatus
 from .solver_config import solve_nfold_config
 from .solver_general import solve_general
@@ -115,35 +115,53 @@ def _emit(report, json_out):
             fh.write(text)
 
 
-def _load(path):
-    data = read_json(path)
-    if isinstance(data, dict) and data.get("kind") == "scheduling":
-        if data.get("format") != 1:
-            raise InstanceFormatError("$.format", "missing or unsupported format (need 1)")
-        if "jobs" not in data or "cmax" not in data:
-            raise InstanceFormatError("$", "scheduling instance needs jobs and cmax")
-        return data
-    return instance_from_dict(data)
+def _scheduling_core(inst):
+    return scheduling_to_config(inst.jobs, inst.cmax, costs=inst.costs)
 
 
-def _dispatch(inst, pipeline):
-    if isinstance(inst, dict):  # scheduling
-        if pipeline not in ("auto", "nfold-config"):
-            raise InvalidInstanceError(
-                [f"pipeline {pipeline} cannot solve a scheduling instance"]
-            )
-        return "scheduling"
-    table = {
-        GeneralIP: ("general", "general"),
-        NFoldConfigInstance: ("nfold_config", "nfold-config"),
-        NFoldNonnegInstance: ("nfold_nonneg", "nfold"),
+def _solve_scheduling(inst, params):
+    """Solve the configuration core; the report gains the decoded schedule
+    and its additive makespan bound cmax + epsilon * max p."""
+    core, decode = _scheduling_core(inst)
+    result = solve_nfold_config(core, params)
+    if result.x is None:
+        return result, core, {}
+    d = decode(result.x)
+    bound = inst.cmax + params.epsilon * inst.max_time()
+    schedule = {
+        "assignment": list(d.assignment),
+        "loads": [format_rat(v) for v in d.loads],
+        "makespan": format_rat(d.makespan),
+        "makespan_approx": to_float(d.makespan),
+        "makespan_bound": format_rat(bound),
+        "makespan_within_bound": bool(d.makespan <= bound),
     }
-    kind, expected = table[type(inst)]
-    if pipeline not in ("auto", expected):
-        raise InvalidInstanceError(
-            [f"pipeline {pipeline} cannot solve a {kind} instance"]
-        )
-    return kind
+    if inst.costs is not None:
+        schedule["cost"] = format_rat(d.cost)
+    return result, core, {"schedule": schedule}
+
+
+# instance type -> (report kind, the --pipeline that solves it, solve step);
+# a step returns (result, the instance the oracle checks it on, extra report
+# sections).  Steps look each solver up at call time, so a tracer that
+# replaces a solver on this module sees every call.
+_KINDS = {
+    GeneralIP: ("general", "general", lambda inst, p: (solve_general(inst, p), inst, {})),
+    NFoldConfigInstance: (
+        "nfold_config",
+        "nfold-config",
+        lambda inst, p: (solve_nfold_config(inst, p), inst, {}),
+    ),
+    NFoldNonnegInstance: ("nfold_nonneg", "nfold", lambda inst, p: (solve_nfold(inst, p), inst, {})),
+    SchedulingInstance: ("scheduling", "nfold-config", _solve_scheduling),
+}
+
+
+def _rat_flag(flag, text):
+    try:
+        return parse_rat(text)
+    except ValueError as exc:
+        raise InvalidInstanceError([f"{flag}: {exc}"]) from exc
 
 
 def _oracle_section(inst, result):
@@ -172,50 +190,19 @@ def _oracle_section(inst, result):
 
 
 def cmd_solve(args):
-    inst = _load(args.input)
-    kind = _dispatch(inst, args.pipeline)
-    epsilon = as_rat(args.epsilon)
+    inst = load_instance(args.input)
+    kind, pipeline, step = _KINDS[type(inst)]
+    if args.pipeline not in ("auto", pipeline):
+        raise InvalidInstanceError([f"pipeline {args.pipeline} cannot solve a {kind} instance"])
     params = ApproxParams.build(
-        epsilon,
-        delta_override=as_rat(args.delta) if args.delta else None,
+        _rat_flag("--epsilon", args.epsilon),
+        delta_override=None if args.delta is None else _rat_flag("--delta", args.delta),
         refinement_limit=args.refine_limit,
         node_limit=args.node_limit,
     )
-
-    schedule_section = None
-    if kind == "scheduling":
-        core, decode = scheduling_to_config(
-            inst["jobs"], inst["cmax"], costs=inst.get("costs")
-        )
-        result = solve_nfold_config(core, params)
-        if result.x is not None:
-            d = decode(result.x)
-            maxp = max((as_rat(v) for row in inst["jobs"] for v in row), default=as_rat(0))
-            bound = as_rat(inst["cmax"]) + epsilon * maxp
-            schedule_section = {
-                "assignment": list(d.assignment),
-                "loads": [format_rat(v) for v in d.loads],
-                "makespan": format_rat(d.makespan),
-                "makespan_approx": to_float(d.makespan),
-                "makespan_bound": format_rat(bound),
-                "makespan_within_bound": bool(d.makespan <= bound),
-            }
-            if inst.get("costs") is not None:
-                schedule_section["cost"] = format_rat(d.cost)
-        check_inst = core
-    elif kind == "general":
-        result = solve_general(inst, params)
-        check_inst = inst
-    elif kind == "nfold_config":
-        result = solve_nfold_config(inst, params)
-        check_inst = inst
-    else:
-        result = solve_nfold(inst, params)
-        check_inst = inst
-
-    report = _result_report(kind, epsilon, result)
-    if schedule_section is not None:
-        report["schedule"] = schedule_section
+    result, check_inst, sections = step(inst, params)
+    report = _result_report(kind, params.epsilon, result)
+    report.update(sections)
     exit_code = _STATUS_EXIT[result.status]
 
     if args.oracle_check:
@@ -235,9 +222,9 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    inst = _load(args.input)
-    if isinstance(inst, dict):
-        inst, _ = scheduling_to_config(inst["jobs"], inst["cmax"], costs=inst.get("costs"))
+    inst = load_instance(args.input)
+    if isinstance(inst, SchedulingInstance):
+        inst, _ = _scheduling_core(inst)
     orc = brute_force(inst, cap=args.cap)
     report = {"feasible": orc.feasible}
     _rat_json(report, "optimum", orc.optimum)
@@ -269,20 +256,9 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    inst = _load(args.input)
-    if isinstance(inst, dict):
-        scheduling_to_config(inst["jobs"], inst["cmax"], costs=inst.get("costs"))
-        problems = []
-    elif isinstance(inst, GeneralIP):
-        problems, _ = validate_general(inst)
-    elif isinstance(inst, NFoldConfigInstance):
-        problems, _ = validate_config(inst)
-    else:
-        problems = validate_nonneg(inst)
+    problems, _ = validate(load_instance(args.input))
     if problems:
-        for p in problems:
-            sys.stderr.write(p + "\n")
-        return EXIT_USAGE
+        raise InvalidInstanceError(problems)
     sys.stdout.write("ok\n")
     return EXIT_OK
 
@@ -353,13 +329,9 @@ def main(argv=None):
     except (InstanceFormatError, InvalidInstanceError, ZeroColumnUnsupported) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NearfeasError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,7 @@
-"""Instance types for the three solver pipelines, validation, exact violation
-reports against the original (unrelaxed) constraints, and the JSON wire
-format ("format": 1).
+"""The four instance kinds (general IP, the two n-fold kinds, scheduling),
+their validation, exact violation reports against the original (unrelaxed)
+constraints, and the JSON wire format ("format": 1).  Each kind has one
+validator returning ``(problems, Delta)``; ``validate`` picks it by type.
 
 All variable bounds are required finite so branch-and-bound and the oracle
 enumerations stay bounded; Delta values are always computed from the data,
@@ -8,7 +9,7 @@ never supplied by the caller.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InstanceFormatError, InvalidInstanceError
 from .linalg import Matrix
@@ -105,6 +106,27 @@ class NFoldNonnegInstance:
 
 
 @dataclass(frozen=True)
+class SchedulingInstance:
+    """Makespan at most cmax on unrelated machines: job i takes jobs[i][h] on
+    machine h; costs, when given, has the same shape and is the objective."""
+
+    jobs: tuple  # one row of processing times per job
+    cmax: object
+    costs: object = None  # None, or one row of costs per job
+
+    @classmethod
+    def build(cls, jobs, cmax, costs=None):
+        def rows(table):
+            return tuple(tuple(as_rat(v) for v in row) for row in table)
+
+        return cls(rows(jobs), as_rat(cmax), None if costs is None else rows(costs))
+
+    def max_time(self):
+        """The largest processing time; zero without jobs."""
+        return max((v for row in self.jobs for v in row), default=ZERO)
+
+
+@dataclass(frozen=True)
 class ApproxParams:
     epsilon: object
     delta_override: object = None
@@ -127,6 +149,8 @@ class ApproxParams:
             problems.append("node_limit must be positive")
         if params.config_cap < 1:
             problems.append("config_cap must be positive")
+        if params.delta_override is not None and params.delta_override <= 0:
+            problems.append("delta_override must be positive")
         if problems:
             raise InvalidInstanceError(problems)
         return params
@@ -187,6 +211,7 @@ def validate_general(inst):
 
 
 def validate_config(inst):
+    """Returns (problems, Delta), Delta = max_i ||D^i||_inf."""
     problems = []
     if not inst.blocks:
         problems.append("dimension mismatch: no blocks")
@@ -212,16 +237,19 @@ def validate_config(inst):
 
 
 def validate_nonneg(inst):
+    """Returns (problems, Delta), Delta = max_i ||D^i||_inf."""
     problems = []
     if not inst.blocks:
         problems.append("dimension mismatch: no blocks")
-        return problems
+        return problems, ZERO
     sa = inst.blocks[0].A.rows
     sd = inst.blocks[0].D.rows
     t = inst.blocks[0].A.cols
     if sa < 1 or sd < 1 or t < 1:
         problems.append("dimension mismatch: blocks must be at least 1x1")
+    delta = ZERO
     for i, blk in enumerate(inst.blocks):
+        delta = max(delta, blk.D.inf_norm())
         if blk.A.rows != sa or blk.D.rows != sd or blk.A.cols != t or blk.D.cols != t:
             problems.append(f"dimension mismatch: block {i} shape")
             continue
@@ -233,7 +261,38 @@ def validate_nonneg(inst):
             problems.append(f"negative upper bound in block {i}")
     if len(inst.b0) != sd:
         problems.append("dimension mismatch: b0")
-    return problems
+    return problems, delta
+
+
+def validate_scheduling(inst):
+    """Returns (problems, Delta), Delta the largest processing time: the unit
+    of the additive makespan bound cmax + epsilon * Delta."""
+    problems = []
+    m = len(inst.jobs[0]) if inst.jobs else 1
+    if m < 1:
+        problems.append("dimension mismatch: no machines")
+    if any(len(row) != m for row in inst.jobs):
+        problems.append("dimension mismatch: processing times")
+    if any(v < 0 for row in inst.jobs for v in row) or inst.cmax < 0:
+        problems.append("scheduling data must be nonnegative")
+    if inst.costs is not None and (
+        len(inst.costs) != len(inst.jobs) or any(len(row) != m for row in inst.costs)
+    ):
+        problems.append("dimension mismatch: costs")
+    return problems, inst.max_time()
+
+
+_VALIDATORS = {
+    GeneralIP: validate_general,
+    NFoldConfigInstance: validate_config,
+    NFoldNonnegInstance: validate_nonneg,
+    SchedulingInstance: validate_scheduling,
+}
+
+
+def validate(inst):
+    """(problems, Delta) from the validator of the instance's kind."""
+    return _VALIDATORS[type(inst)](inst)
 
 
 def violation_report(inst, x, mode, bound, objective=None):
@@ -295,16 +354,17 @@ def _need(obj, key, path):
     return obj[key]
 
 
+def _rat(value, path):
+    try:
+        return as_rat(value)
+    except (ValueError, TypeError) as exc:
+        raise InstanceFormatError(path, str(exc)) from exc
+
+
 def _rat_list(values, path):
     if not isinstance(values, list):
         raise InstanceFormatError(path, "expected a list")
-    out = []
-    for i, v in enumerate(values):
-        try:
-            out.append(as_rat(v))
-        except (ValueError, TypeError) as exc:
-            raise InstanceFormatError(f"{path}[{i}]", str(exc)) from exc
-    return out
+    return [_rat(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _int_list(values, path):
@@ -318,14 +378,54 @@ def _int_list(values, path):
     return out
 
 
+def _rat_rows(rows, path):
+    if not isinstance(rows, list):
+        raise InstanceFormatError(path, "expected a list of rows")
+    return [_rat_list(row, f"{path}[{i}]") for i, row in enumerate(rows)]
+
+
 def _rat_matrix(rows, path):
     if not isinstance(rows, list) or not rows:
         raise InstanceFormatError(path, "expected a non-empty list of rows")
-    parsed = [_rat_list(row, f"{path}[{i}]") for i, row in enumerate(rows)]
     try:
-        return Matrix.from_rows(parsed)
+        return Matrix.from_rows(_rat_rows(rows, path))
     except ValueError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
+
+
+def _nfold(data, path, parse_block):
+    """The blocks and b0 of an n-fold kind, each block parsed by parse_block."""
+    blocks = _need(data, "blocks", path)
+    if not isinstance(blocks, list) or not blocks:
+        raise InstanceFormatError(f"{path}.blocks", "expected a non-empty list")
+    built = []
+    for i, blk in enumerate(blocks):
+        bp = f"{path}.blocks[{i}]"
+        if not isinstance(blk, dict):
+            raise InstanceFormatError(bp, "expected an object")
+        built.append(parse_block(blk, bp))
+    return built, _rat_list(_need(data, "b0", path), f"{path}.b0")
+
+
+def _config_block(blk, bp):
+    configs = _need(blk, "configs", bp)
+    if not isinstance(configs, list):
+        raise InstanceFormatError(f"{bp}.configs", "expected a list")
+    return (
+        _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
+        [_int_list(cfg, f"{bp}.configs[{k}]") for k, cfg in enumerate(configs)],
+        _rat_list(_need(blk, "weights", bp), f"{bp}.weights"),
+    )
+
+
+def _nonneg_block(blk, bp):
+    return (
+        _rat_matrix(_need(blk, "A", bp), f"{bp}.A"),
+        _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
+        _rat_list(_need(blk, "bi", bp), f"{bp}.bi"),
+        _int_list(_need(blk, "u", bp), f"{bp}.u"),
+        _rat_list(_need(blk, "w", bp), f"{bp}.w"),
+    )
 
 
 def instance_from_dict(data, path="$"):
@@ -343,44 +443,16 @@ def instance_from_dict(data, path="$"):
             _int_list(_need(data, "u", path), f"{path}.u"),
         )
     if kind == "nfold_config":
-        blocks = _need(data, "blocks", path)
-        if not isinstance(blocks, list) or not blocks:
-            raise InstanceFormatError(f"{path}.blocks", "expected a non-empty list")
-        built = []
-        for i, blk in enumerate(blocks):
-            bp = f"{path}.blocks[{i}]"
-            if not isinstance(blk, dict):
-                raise InstanceFormatError(bp, "expected an object")
-            configs = _need(blk, "configs", bp)
-            if not isinstance(configs, list):
-                raise InstanceFormatError(f"{bp}.configs", "expected a list")
-            built.append(
-                (
-                    _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
-                    [_int_list(cfg, f"{bp}.configs[{k}]") for k, cfg in enumerate(configs)],
-                    _rat_list(_need(blk, "weights", bp), f"{bp}.weights"),
-                )
-            )
-        return NFoldConfigInstance.build(built, _rat_list(_need(data, "b0", path), f"{path}.b0"))
+        return NFoldConfigInstance.build(*_nfold(data, path, _config_block))
     if kind == "nfold_nonneg":
-        blocks = _need(data, "blocks", path)
-        if not isinstance(blocks, list) or not blocks:
-            raise InstanceFormatError(f"{path}.blocks", "expected a non-empty list")
-        built = []
-        for i, blk in enumerate(blocks):
-            bp = f"{path}.blocks[{i}]"
-            if not isinstance(blk, dict):
-                raise InstanceFormatError(bp, "expected an object")
-            built.append(
-                (
-                    _rat_matrix(_need(blk, "A", bp), f"{bp}.A"),
-                    _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
-                    _rat_list(_need(blk, "bi", bp), f"{bp}.bi"),
-                    _int_list(_need(blk, "u", bp), f"{bp}.u"),
-                    _rat_list(_need(blk, "w", bp), f"{bp}.w"),
-                )
-            )
-        return NFoldNonnegInstance.build(built, _rat_list(_need(data, "b0", path), f"{path}.b0"))
+        return NFoldNonnegInstance.build(*_nfold(data, path, _nonneg_block))
+    if kind == "scheduling":
+        costs = data.get("costs")  # optional; null means none
+        return SchedulingInstance.build(
+            _rat_rows(_need(data, "jobs", path), f"{path}.jobs"),
+            _rat(_need(data, "cmax", path), f"{path}.cmax"),
+            None if costs is None else _rat_rows(costs, f"{path}.costs"),
+        )
     raise InstanceFormatError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
@@ -432,17 +504,14 @@ def instance_to_dict(inst):
     raise TypeError(f"unsupported instance type {type(inst)!r}")
 
 
-def read_json(path):
-    """The parsed contents of an instance file; invalid JSON is a format error."""
+def load_instance(path):
+    """The instance an instance file holds; invalid JSON is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
-
-
-def load_instance(path):
-    return instance_from_dict(read_json(path))
+    return instance_from_dict(data)
 
 
 def dump_instance(inst, path):

@@ -109,7 +109,8 @@ def brute_force_nfold(inst, cap=DEFAULT_CAP):
     """Exact optimum over the full integer box with all equalities exact; the
     cap applies to the full box, not to the per-block solution lists."""
     points = math.prod(hi + 1 for blk in inst.blocks for hi in blk.u)
-    _validate(validate_nonneg(inst), points, cap, "nfold")
+    problems, _ = validate_nonneg(inst)
+    _validate(problems, points, cap, "nfold")
     choices = []
     for blk in inst.blocks:
         local = _matches(_variables(blk.A, blk.w, [0] * len(blk.u), blk.u), blk.bi)

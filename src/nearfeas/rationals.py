@@ -49,7 +49,10 @@ def as_rat(value):
         return parse_rat(value)
     if isinstance(value, int):
         return Rat(value)
-    return Rat(value.numerator, value.denominator)
+    try:
+        return Rat(value.numerator, value.denominator)
+    except AttributeError:
+        raise TypeError(f"expected a rational, got {value!r}") from None
 
 
 def is_integral(value):

@@ -22,7 +22,6 @@ class GroupRoundingPlan:
 
     members: tuple  # variable keys, sorted by (weight, key)
     floors: tuple
-    fracs: tuple  # nonzero fractional parts, aligned with members
     gamma: int
 
     @classmethod
@@ -40,7 +39,6 @@ class GroupRoundingPlan:
         return cls(
             tuple(e[1] for e in fractional),
             tuple(e[2] for e in fractional),
-            tuple(e[3] for e in fractional),
             int(gamma),
         )
 

@@ -291,10 +291,8 @@ def _free_bounds(norm):
 
 def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
     """Shared driver: per-row violation bounds decide acceptance; the attached
-    report uses the uniform additive bound max(violation_bounds)."""
-    problems, delta_inf = validate_config(inst)
-    if problems:
-        raise InvalidInstanceError(problems)
+    report uses the uniform additive bound max(violation_bounds).  inst must
+    pass ``validate_config``: its callers validate, or build it valid."""
     norm = normalize_configs(inst)
     stats = stats if stats is not None else SolveStats()
     if norm is None:

@@ -283,7 +283,7 @@ def _major_configs(sblocks, splits, window, cap):
 
 
 def solve_nfold(inst, params, trace=None):
-    problems = validate_nonneg(inst)
+    problems, delta_cfg = validate_nonneg(inst)
     if problems:
         raise InvalidInstanceError(problems)
     eps = params.epsilon
@@ -294,7 +294,6 @@ def solve_nfold(inst, params, trace=None):
         return ApproxResult(SolveStatus.INFEASIBLE, None, None, None, None, 0, stats)
 
     t = inst.blocks[0].A.cols
-    delta_cfg = max((blk.D.inf_norm() for blk in inst.blocks), default=ZERO)
     psi = eps / (4 * t)
     splits = [classify_and_split(sb, psi) for sb in sblocks]
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nearfeas.apps import gap_to_config, knapsack_to_general, scheduling_to_config
+from nearfeas.errors import InvalidInstanceError
 from nearfeas.instances import ApproxParams
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
@@ -130,3 +131,15 @@ def test_knapsack_rejects_bad_data():
         knapsack_to_general([1], [[-1]], [2])
     with pytest.raises(ValueError):
         knapsack_to_general([1], [[1], [1]], [2])
+
+
+def test_scheduling_rejects_bad_data():
+    for p, cmax, costs, message in (
+        ([[1, 2], [3]], 2, None, "dimension mismatch: processing times"),
+        ([[1, -2]], 2, None, "scheduling data must be nonnegative"),
+        ([[1, 2]], -1, None, "scheduling data must be nonnegative"),
+        ([[1, 2]], 2, [[0, 1], [1, 0]], "dimension mismatch: costs"),
+        ([[]], 2, None, "dimension mismatch: no machines"),
+    ):
+        with pytest.raises(InvalidInstanceError, match=message):
+            scheduling_to_config(p, cmax, costs=costs)

@@ -1,7 +1,28 @@
+import collections
+import contextlib
+import copy
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas import simplex
 from nearfeas.cli import main
+from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
+from nearfeas.instances import (
+    instance_to_dict,
+    validate_config,
+    validate_general,
+    validate_nonneg,
+    validate_scheduling,
+)
+from nearfeas.rationals import parse_rat
 
 
 def run(capsys, *argv):
@@ -181,6 +202,27 @@ def test_usage_error_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, "oracle", "--input", str(inst), "--cap", value)
         assert code == 1
         assert "cap must be positive" in err
+    # malformed or nonpositive rationals in flags are usage errors naming the value
+    for flag, value, message in (
+        ("--epsilon", "0.5", "error: --epsilon: malformed rational '0.5'"),
+        ("--delta", "abc", "error: --delta: malformed rational 'abc'"),
+        ("--delta", "0", "error: delta_override must be positive"),
+        ("--delta", "-1", "error: delta_override must be positive"),
+    ):
+        argv = ["solve", "--input", str(inst), "--epsilon", "1/2", flag, value]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == message + "\n"
+    # an input that is a directory, not UTF-8, or nested too deeply to
+    # decode is a usage error too
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (tmp_path, binary, deep):
+        code, _, err = run(capsys, "check", "--input", str(path))
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
@@ -228,3 +270,164 @@ def test_solve_worked_example_with_oracle(tmp_path, capsys):
     assert Fraction(report["objective"]) <= Fraction(report["oracle"]["optimum"])
     assert Fraction(report["max_abs_residual"]) <= Fraction(report["bound"])
     assert report["bound"] == "1"  # eps * Delta = (1/5) * 5
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"cmax": "x"}, "$.cmax: malformed rational 'x'"),
+        ({"jobs": [[1, 2], [3]]}, "dimension mismatch: processing times"),
+        ({"costs": [[0, 1]]}, "dimension mismatch: costs"),
+        ({"jobs": [[1, 1.5], [2, 1]]}, "$.jobs[0][1]: floating-point values are not allowed"),
+        ({"jobs": "ab"}, "$.jobs: expected a list of rows"),
+        ({"cmax": -2}, "scheduling data must be nonnegative"),
+    ],
+)
+def test_malformed_scheduling_file_exits_one(tmp_path, capsys, fields, message):
+    data = {"format": 1, "kind": "scheduling", "jobs": [[1, 2], [2, 1]], "cmax": 2,
+            "costs": [[0, 1], [1, 0]]}
+    data.update(fields)
+    inst = tmp_path / "s.json"
+    inst.write_text(json.dumps(data))
+    for argv in (("check",), ("oracle",), ("solve", "--epsilon", "1/2")):
+        code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# one small valid instance file per kind
+VALID_FILES = {
+    "general": instance_to_dict(gen_general(random.Random(1), m=2, n=3)),
+    "nfold_config": instance_to_dict(gen_config(random.Random(2), n_blocks=2)),
+    "nfold_nonneg": instance_to_dict(gen_nonneg(random.Random(3), n_blocks=2)),
+    "scheduling": gen_scheduling(random.Random(4), n_jobs=3, m_machines=2, with_costs=True),
+}
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _nodes(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+def _negated(value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return -value
+    try:
+        return str(-parse_rat(value))
+    except ValueError:
+        return None
+
+
+@st.composite
+def _mutated_files(draw):
+    """A valid file of some kind with one mutation: a key dropped, a value
+    swapped for a float, null, "x" or a nested list, a row made ragged, or a
+    number negated."""
+    data = copy.deepcopy(VALID_FILES[draw(st.sampled_from(sorted(VALID_FILES)))])
+    nodes = list(_nodes(data))
+    mutation = draw(st.sampled_from(["drop", "swap", "ragged", "negate"]))
+    if mutation == "drop":
+        targets = [p + (k,) for p, node in nodes if isinstance(node, dict) for k in sorted(node)]
+    elif mutation == "swap":
+        targets = [p for p, _ in nodes if p]
+    elif mutation == "ragged":
+        targets = [
+            p + (i,) for p, node in nodes
+            if isinstance(node, list) and node and all(isinstance(r, list) and r for r in node)
+            for i in range(len(node))
+        ]
+    else:
+        targets = [
+            p for p, node in nodes
+            if not isinstance(node, (dict, list)) and _negated(node) not in (None, node)
+        ]
+    *parent_path, last = draw(st.sampled_from(targets))
+    parent = data
+    for step in parent_path:
+        parent = parent[step]
+    if mutation == "drop":
+        del parent[last]
+    elif mutation == "swap":
+        parent[last] = draw(st.sampled_from([1.5, None, "x", [[1]]]))
+    elif mutation == "ragged" and draw(st.booleans()):
+        parent[last].append(parent[last][-1])
+    elif mutation == "ragged":
+        parent[last].pop()
+    else:
+        parent[last] = _negated(parent[last])
+    return data
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_files())
+def test_mutated_instance_files_are_classified(data):
+    # every outcome is a documented exit code; no exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for argv in (["check"], ["oracle"], ["solve", "--epsilon", "1/2"]):
+            code, _, err = _main([argv[0], "--input", path, *argv[1:]])
+            assert code in (0, 1, 2, 3, 4, 5)
+            if code == 1:
+                assert err.startswith("error: "), err
+
+
+def test_python_m_nearfeas_runs_from_a_checkout(tmp_path):
+    inst = tmp_path / "g.json"
+    main(["gen", "--kind", "general", "--seed", "1", "--output", str(inst)])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "nearfeas", "check", "--input", str(inst)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_each_solve_validates_its_instance_once(tmp_path, capsys, monkeypatch):
+    counts = collections.Counter()
+
+    def counted(fn):
+        def wrapper(inst):
+            counts[fn.__name__] += 1
+            return fn(inst)
+
+        return wrapper
+
+    for fn in (validate_general, validate_config, validate_nonneg, validate_scheduling):
+        wrapped = counted(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nearfeas") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapped)
+    # the scheduling core is a second instance: the configuration pipeline
+    # validates it, once
+    expected = {
+        "general": {"validate_general": 1},
+        "nfold_config": {"validate_config": 1},
+        "nfold_nonneg": {"validate_nonneg": 1},
+        "scheduling": {"validate_scheduling": 1, "validate_config": 1},
+    }
+    for kind, data in VALID_FILES.items():
+        inst = tmp_path / f"{kind}.json"
+        inst.write_text(json.dumps(data))
+        counts.clear()
+        code, _, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2")
+        assert code in (0, 2, 3)
+        assert counts == expected[kind], kind

@@ -10,11 +10,14 @@ from nearfeas.instances import (
     GeneralIP,
     NFoldConfigInstance,
     NFoldNonnegInstance,
+    SchedulingInstance,
     instance_from_dict,
     instance_to_dict,
+    validate,
     validate_config,
     validate_general,
     validate_nonneg,
+    validate_scheduling,
     violation_report,
 )
 from nearfeas.errors import InvalidInstanceError
@@ -84,6 +87,9 @@ def test_params_reject_limits_that_admit_no_search():
     # node and refinement limits are also checked through the CLI
     with pytest.raises(InvalidInstanceError, match="config_cap must be positive"):
         ApproxParams.build(Rat(1, 2), config_cap=0)
+    for delta in (0, "-1/2"):
+        with pytest.raises(InvalidInstanceError, match="delta_override must be positive"):
+            ApproxParams.build(Rat(1, 2), delta_override=delta)
     p = ApproxParams.build(Rat(1, 2), node_limit=1, config_cap=1, refinement_limit=0)
     assert (p.node_limit, p.config_cap, p.refinement_limit) == (1, 1, 0)
 
@@ -145,4 +151,38 @@ def test_validate_config_and_nonneg():
     assert problems == [] and delta == 1
 
     bad = NFoldNonnegInstance.build([([[-1]], [[1]], [1], [2], [1])], [1])
-    assert any("negative" in p for p in validate_nonneg(bad))
+    problems, delta = validate_nonneg(bad)
+    assert any("negative" in p for p in problems) and delta == 1
+
+
+def test_scheduling_kind_parses_and_validates():
+    data = {"format": 1, "kind": "scheduling", "jobs": [[1, "3/2"], [2, 1]], "cmax": "5/2",
+            "costs": [[0, 1], [1, 0]]}
+    inst = instance_from_dict(data)
+    assert inst == SchedulingInstance.build([[1, Rat(3, 2)], [2, 1]], Rat(5, 2), [[0, 1], [1, 0]])
+    # Delta is the largest processing time; validate picks the kind's validator
+    assert validate(inst) == validate_scheduling(inst) == ([], 2)
+    general = GeneralIP.build([[2]], [3], [1], [3], [1])
+    assert validate(general) == validate_general(general)
+    data["costs"] = None
+    assert instance_from_dict(data).costs is None
+    del data["costs"]
+    assert instance_from_dict(data).costs is None
+    data["jobs"] = []
+    assert validate(instance_from_dict(data)) == ([], 0)
+
+
+def test_scheduling_format_errors_name_their_path():
+    base = {"format": 1, "kind": "scheduling", "jobs": [[1, 2]], "cmax": 2}
+    for change, path in (
+        ({"jobs": [[1, None]]}, r"\$\.jobs\[0\]\[1\]"),
+        ({"jobs": [3]}, r"\$\.jobs\[0\]"),
+        ({"cmax": [[1]]}, r"\$\.cmax"),
+        ({"costs": {"a": 1}}, r"\$\.costs"),
+        ({"costs": [["x", 1]]}, r"\$\.costs\[0\]\[0\]"),
+    ):
+        with pytest.raises(InstanceFormatError, match=path):
+            instance_from_dict({**base, **change})
+    del base["cmax"]
+    with pytest.raises(InstanceFormatError, match=r"\$\.cmax: missing field"):
+        instance_from_dict(base)
