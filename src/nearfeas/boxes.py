@@ -110,16 +110,16 @@ class ConfigBoxPartition:
 def partition_config_columns(mats, delta):
     """Group whole per-block column matrices by the tuple of their cells.
 
-    Blocks whose matrices land columnwise in the same cells share one type;
-    only occurring types materialize.
+    Blocks whose matrices land columnwise in the same cells share one type,
+    so the members of a type have equal widths; only occurring types
+    materialize.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("no matrices")
-    shape = (mats[0].rows, mats[0].cols)
     for m in mats:
-        if (m.rows, m.cols) != shape:
-            raise ValueError("dimension mismatch: blocks differ in shape")
+        if m.rows != mats[0].rows:
+            raise ValueError("dimension mismatch: blocks differ in row count")
     scale = max((m.inf_norm() for m in mats), default=ZERO)
     if scale == 0:
         scale = ONE
@@ -151,80 +151,123 @@ def partition_config_columns(mats, delta):
     )
 
 
+@dataclass(frozen=True)
+class CoupledModel:
+    """A mixed model of ``coupled_model``, the partitions it was built over,
+    and where each part sits: the one record of the model's layout."""
+
+    mixed: MixedModel
+    config_part: object  # ConfigBoxPartition of the selections, or None
+    config_costs: tuple  # per block: its column costs
+    part: object  # BoxPartition of the grouped variables, or None
+    z: tuple  # per block: the range of its selection columns
+    y: tuple  # per type: the range of its count columns
+    x: range  # the grouped variables, in the partition's column order
+    coupling: range  # rows
+    linking: range  # rows, one per count column in the order of y
+    selection: range  # rows, one per block
+    groups: range  # rows, one per group in the partition's order
+
+    def restrict_selections(self, values):
+        """The LP over z with every other column pinned at ``values``, over
+        the coupling, linking and selection rows."""
+        cols = [j for cols in self.z for j in cols]
+        rows = (*self.coupling, *self.linking, *self.selection)
+        return self.mixed.lp.restrict(cols, rows, values)
+
+    def restrict_grouped(self, values):
+        """The LP over x with every other column pinned at ``values``, over
+        the coupling and group rows."""
+        return self.mixed.lp.restrict(self.x, (*self.coupling, *self.groups), values)
+
+
+def _spans(start, widths):
+    """Consecutive ranges of the given widths from ``start``."""
+    out = []
+    for w in widths:
+        out.append(range(start, start + w))
+        start += w
+    return tuple(out)
+
+
 def coupled_model(b, slack_bounds, selection=None, grouped=None):
     """The mixed model coupling box-typed selections and box-grouped variables.
 
-    ``selection`` is ``(config_part, tau, costs)``: a ConfigBoxPartition over
-    per-block matrices of tau columns, and each block's tau column costs; a
-    0/1 variable z selects a block's column, and an integer count y per
-    (type, column) stands for the selections of that column across the
-    type's blocks.  ``grouped`` is ``(part, lower, upper, costs)``: a
-    BoxPartition plus each partition column's bounds and cost; the columns
-    relax to continuous variables x, and an integer variable g per group
-    stands for its members' sum.  Canonical vectors go on y and g, residuals
-    on z and x, and each coupling row ``= b_r`` gains a slack column bounded
-    by +-slack_bounds[r].  An absent part adds no rows and no columns.
+    ``selection`` is ``(config_part, costs)``: a ConfigBoxPartition over
+    per-block matrices of distinct configuration columns, and each block's
+    column costs (one per column, so a block's width is their number); a 0/1
+    variable z selects a block's column, and an integer count y per (type,
+    column) stands for the selections of that column across the type's
+    blocks, whose keys, and so widths, are equal.  ``grouped`` is ``(part,
+    lower, upper, costs)``: a BoxPartition plus each partition column's
+    bounds and cost; the columns relax to continuous variables x, and an
+    integer variable g per group stands for its members' sum.  Canonical
+    vectors go on y and g, residuals on z and x, and each coupling row
+    ``= b_r`` gains a slack column bounded by +-slack_bounds[r].  An absent
+    part adds no rows and no columns.
 
-    Columns are ``[z | y | x | g | slack]``: z of (block i, column phi) at
-    ``i * tau + phi``, y of (type k, column phi) at ``k * tau + phi`` past the
-    z, and types and groups in their partition's order.  Rows are
+    Columns are ``[z | y | x | g | slack]``, each block's z and each type's y
+    contiguous, types and groups in their partition's order.  Rows are
     ``[coupling | linking | selection | group]``: a type's selections of
-    column phi sum to its y, each block selects one column, and a group's
-    members sum to its g.  Any integer point of the original program embeds
-    with zero slack and equal objective, so the model optimum never exceeds
-    the original's.
+    column phi sum to its y of phi, each block selects one of its columns,
+    and a group's members sum to its g.  Any integer point of the original
+    program embeds with zero slack and equal objective, so the model optimum
+    never exceeds the original's.  The returned ``CoupledModel`` records
+    where each part sits.
     """
-    cpart, tau, block_costs = selection if selection is not None else (None, 0, ())
+    cpart, block_costs = selection if selection is not None else (None, ())
     part, x_lower, x_upper, x_costs = grouped if grouped is not None else (None, (), (), ())
     types = tuple(cpart.type_groups.items()) if cpart is not None else ()
     groups = tuple(part.groups.items()) if part is not None else ()
     s = len(b)
     blocks = len(block_costs)
-    nz = blocks * tau
-    x0 = nz + len(types) * tau
-    g0 = x0 + len(x_costs)
+    z = _spans(0, [len(costs) for costs in block_costs])
+    nz = z[-1].stop if z else 0
+    y = _spans(nz, [len(key) for key, _ in types])
+    x0 = y[-1].stop if y else nz
+    x = range(x0, x0 + len(x_costs))
+    g0 = x.stop
     s0 = g0 + len(groups)
     cols = s0 + s
-    rows = s + len(types) * tau + blocks + len(groups)
+    linking = range(s, s + x0 - nz)
+    rows_sel = range(linking.stop, linking.stop + blocks)
+    rows_grp = range(rows_sel.stop, rows_sel.stop + len(groups))
+    rows = rows_grp.stop
     entries = [ZERO] * (rows * cols)
 
     for r in range(s):
         base = r * cols
-        for i in range(blocks):
-            for phi, res in enumerate(cpart.residual_matrices[i]):
-                entries[base + i * tau + phi] = res[r]
-        for k, (key, _) in enumerate(types):
-            for phi, canon in enumerate(cpart.canonical_matrices[key]):
-                entries[base + nz + k * tau + phi] = canon[r]
+        for i, zi in enumerate(z):
+            for j, res in zip(zi, cpart.residual_matrices[i]):
+                entries[base + j] = res[r]
+        for (key, _), yk in zip(types, y):
+            for j, canon in zip(yk, cpart.canonical_matrices[key]):
+                entries[base + j] = canon[r]
         for j in range(len(x_costs)):
             entries[base + x0 + j] = part.residuals[j][r]
         for k, (key, _) in enumerate(groups):
             entries[base + g0 + k] = part.canonicals[key][r]
         entries[base + s0 + r] = -ONE
-    row = s
-    for k, (_, members) in enumerate(types):
-        for phi in range(tau):
-            base = row * cols
+    for (_, members), yk in zip(types, y):
+        for phi, j in enumerate(yk):
+            base = (linking.start + j - nz) * cols
             for i in members:
-                entries[base + i * tau + phi] = ONE
-            entries[base + nz + k * tau + phi] = -ONE
-            row += 1
-    for i in range(blocks):
-        base = row * cols + i * tau
-        entries[base : base + tau] = [ONE] * tau
-        row += 1
+                entries[base + z[i][phi]] = ONE
+            entries[base + j] = -ONE
+    for i, zi in enumerate(z):
+        base = (rows_sel.start + i) * cols
+        entries[base + zi.start : base + zi.stop] = [ONE] * len(zi)
     for k, (_, members) in enumerate(groups):
-        base = row * cols
+        base = (rows_grp.start + k) * cols
         for j in members:
             entries[base + x0 + j] = ONE
         entries[base + g0 + k] = -ONE
-        row += 1
 
     lower = [ZERO] * nz
     upper = [ONE] * nz
-    for _, members in types:
-        lower.extend([ZERO] * tau)
-        upper.extend([Rat(len(members))] * tau)
+    for (_, members), yk in zip(types, y):
+        lower.extend([ZERO] * len(yk))
+        upper.extend([Rat(len(members))] * len(yk))
     lower.extend(x_lower)
     upper.extend(x_upper)
     for _, members in groups:
@@ -236,21 +279,13 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     objective.extend([ZERO] * (x0 - nz))
     objective.extend(x_costs)
     objective.extend([ZERO] * (cols - g0))
-    rhs = tuple(b) + (ZERO,) * (x0 - nz) + (ONE,) * blocks + (ZERO,) * len(groups)
+    rhs = tuple(b) + (ZERO,) * len(linking) + (ONE,) * blocks + (ZERO,) * len(groups)
 
     lp = LinearProgram(
         Matrix(rows, cols, entries), rhs, tuple(lower), tuple(upper), tuple(objective)
     )
-    return MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
-
-
-def selection_columns(part, n, tau):
-    """Where ``coupled_model`` puts the selection z of (block i, column phi)
-    for a ConfigBoxPartition ``part`` over n blocks: column i * tau + phi;
-    and each block's type."""
-    z_col = {(i, phi): i * tau + phi for i in range(n) for phi in range(tau)}
-    block_type = [None] * n
-    for key, members in part.type_groups.items():
-        for i in members:
-            block_type[i] = key
-    return z_col, tuple(block_type)
+    mixed = MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
+    return CoupledModel(
+        mixed, cpart, tuple(block_costs), part, z, y, x,
+        range(s), linking, rows_sel, rows_grp,
+    )

@@ -108,11 +108,13 @@ def _result_report(kind, epsilon, result):
 
 
 def _emit(report, json_out):
+    """Write the report to ``json_out``, if given, and then to stdout, so a
+    sink that cannot be written leaves stdout empty."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _scheduling_core(inst):

@@ -456,8 +456,12 @@ def instance_from_dict(data, path="$"):
     raise InstanceFormatError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
+def _rows_json(rows):
+    return [[format_rat(v) for v in row] for row in rows]
+
+
 def _matrix_json(mat):
-    return [[format_rat(v) for v in mat.row(i)] for i in range(mat.rows)]
+    return _rows_json(mat.row(i) for i in range(mat.rows))
 
 
 def instance_to_dict(inst):
@@ -501,6 +505,16 @@ def instance_to_dict(inst):
             ],
             "b0": [format_rat(v) for v in inst.b0],
         }
+    if isinstance(inst, SchedulingInstance):
+        data = {
+            "format": 1,
+            "kind": "scheduling",
+            "jobs": _rows_json(inst.jobs),
+            "cmax": format_rat(inst.cmax),
+        }
+        if inst.costs is not None:
+            data["costs"] = _rows_json(inst.costs)
+        return data
     raise TypeError(f"unsupported instance type {type(inst)!r}")
 
 

@@ -1,12 +1,13 @@
 """Pipeline for block IPs whose blocks choose from explicit configuration sets.
 
-Each block contributes one column D^i x^i from its precomputed value matrix;
-blocks whose value matrices fall columnwise into the same boxes share a type,
-and one integer variable per (type, column) counts selections across the
-type's blocks: the selection part of ``boxes.coupled_model``.  After the
-exact mixed solve, the selection variables are re-solved to a vertex at
-fixed counts (``LinearProgram.restrict``; few fractional entries survive by
-the two-part rank argument) and integralized by an exact re-solve over the
+Each block contributes one column D^i x^i from its precomputed value matrix,
+which has one column per distinct configuration of the block; blocks whose
+value matrices fall columnwise into the same boxes share a type, and one
+integer variable per (type, column) counts selections across the type's
+blocks: the selection part of ``boxes.coupled_model``.  After the exact
+mixed solve, the selection variables are re-solved to a vertex at fixed
+counts (``CoupledModel.restrict_selections``; few fractional entries survive
+by the two-part rank argument) and integralized by an exact re-solve over the
 totally unimodular bipartite restriction.  Nonnegative n-fold case 2 runs
 the same selection stage, ``select_columns``.
 
@@ -20,8 +21,8 @@ cost-minimal selection and its exact violation.  Structural infeasibility
 
 from dataclasses import dataclass
 
-from .boxes import coupled_model, partition_config_columns, selection_columns
-from .branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
+from .boxes import coupled_model, partition_config_columns
+from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
@@ -33,41 +34,31 @@ from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
 
 @dataclass(frozen=True)
 class NormalizedConfig:
-    """Per-block configs deduplicated and padded to a uniform count tau."""
+    """Per-block configs deduplicated; tau is the largest distinct count,
+    which sets the width delta0 and the s(2 tau + 1) support bound."""
 
     inst: object
     tau: int
-    configs: tuple  # per block: tuple of tau integer vectors
-    value_mats: tuple  # per block: Matrix s x tau with columns D^i p^i_phi
-    costs: tuple  # per block: tuple of tau exact config costs
+    configs: tuple  # per block: tuple of its distinct integer vectors
+    value_mats: tuple  # per block: Matrix with columns D^i p^i_phi, one per config
+    costs: tuple  # per block: tuple of exact config costs, one per config
 
 
 def normalize_configs(inst):
     """Returns the normalized instance, or None if some config set is empty."""
-    deduped = []
-    for blk in inst.blocks:
-        seen = []
-        for cfg in blk.configs:
-            if cfg not in seen:
-                seen.append(cfg)
-        if not seen:
-            return None
-        deduped.append(seen)
-    tau, configs = pad_configs(deduped)
+    configs = []
     value_mats = []
     costs = []
-    for blk, padded in zip(inst.blocks, configs):
-        mat, cfg_costs = value_columns(blk.D, blk.weights, padded)
+    for blk in inst.blocks:
+        distinct = tuple(dict.fromkeys(blk.configs))
+        if not distinct:
+            return None
+        mat, cfg_costs = value_columns(blk.D, blk.weights, distinct)
+        configs.append(distinct)
         value_mats.append(mat)
         costs.append(cfg_costs)
-    return NormalizedConfig(inst, tau, configs, tuple(value_mats), tuple(costs))
-
-
-def pad_configs(config_lists):
-    """The common count tau, and every list padded to it by repeating its
-    first entry (a repeated column adds no choice)."""
-    tau = max(len(cfgs) for cfgs in config_lists)
-    return tau, tuple(tuple(cfgs) + (cfgs[0],) * (tau - len(cfgs)) for cfgs in config_lists)
+    tau = max(len(cfgs) for cfgs in configs)
+    return NormalizedConfig(inst, tau, tuple(configs), tuple(value_mats), tuple(costs))
 
 
 def value_columns(D, weights, vectors):
@@ -77,59 +68,42 @@ def value_columns(D, weights, vectors):
     return mat, tuple(sum((wv * v for wv, v in zip(weights, vec)), ZERO) for vec in vectors)
 
 
-@dataclass(frozen=True)
-class ConfigModel:
-    """Mixed model over box-typed block selections.  The selection stage
-    (``select_columns``) reads only these fields, so both block pipelines'
-    models carry them."""
-
-    mixed: MixedModel
-    tau: int
-    config_costs: tuple  # per block: tuple of tau exact column costs
-    config_part: object  # ConfigBoxPartition over the value matrices
-    z_col: dict  # (block, phi) -> column
-    block_type: tuple  # type key per block
-
-
 def build_mip4(norm, part, slack_bounds):
     """Mixed model over selection variables z and per-(type, column) counts y;
     each coupling row r gains a slack column bounded by +-slack_bounds[r]."""
-    mixed = coupled_model(norm.inst.b0, slack_bounds, selection=(part, norm.tau, norm.costs))
-    z_col, block_type = selection_columns(part, len(norm.inst.blocks), norm.tau)
-    return ConfigModel(mixed, norm.tau, norm.costs, part, z_col, block_type)
+    return coupled_model(norm.inst.b0, slack_bounds, selection=(part, norm.costs))
 
 
-def fix_counts_lp(model, s, mixed_sol):
-    """LP over z with the s coupling residuals pinned to their attained values
+def fix_counts_lp(model, mixed_sol):
+    """LP over z with the coupling residuals pinned to their attained values
     and the (type, column) counts pinned to the mixed optimum, over the
     coupling, linking and selection rows."""
-    rows = s + len(model.config_part.type_groups) * model.tau + len(model.block_type)
-    return model.mixed.lp.restrict(range(len(model.z_col)), range(rows), mixed_sol.values)
+    return model.restrict_selections(mixed_sol.values)
 
 
 def build_restriction(model, vertex):
     """Bipartite restriction over the fractional selection entries."""
-    part, tau = model.config_part, model.tau
-    n = len(model.block_type)
+    part = model.config_part
     values = vertex.values
+    block_type = {i: key for key, members in part.type_groups.items() for i in members}
     frac = [
         (i, phi)
-        for i in range(n)
-        for phi in range(tau)
-        if not is_integral(values[model.z_col[(i, phi)]])
+        for i, cols in enumerate(model.z)
+        for phi, j in enumerate(cols)
+        if not is_integral(values[j])
     ]
     if not frac:
         return None
     blocks = sorted({i for i, _ in frac})
-    pairs = sorted({(model.block_type[i], phi) for i, phi in frac})
+    pairs = sorted({(block_type[i], phi) for i, phi in frac})
     left_index = {i: r for r, i in enumerate(blocks)}
     right_index = {p: r for r, p in enumerate(pairs)}
 
     left_rhs = []
     for i in blocks:
         acc = ONE
-        for phi in range(tau):
-            v = values[model.z_col[(i, phi)]]
+        for j in model.z[i]:
+            v = values[j]
             if is_integral(v) and v:
                 acc = acc - v
         left_rhs.append(acc)
@@ -137,7 +111,7 @@ def build_restriction(model, vertex):
     for key, phi in pairs:
         acc = ZERO
         for i in part.type_groups[key]:
-            v = values[model.z_col[(i, phi)]]
+            v = values[model.z[i][phi]]
             if not is_integral(v):
                 acc = acc + v
         right_rhs.append(acc)
@@ -145,7 +119,7 @@ def build_restriction(model, vertex):
     return AssignmentRestriction(
         tuple(frac),
         tuple(left_index[i] for i, _ in frac),
-        tuple(right_index[(model.block_type[i], phi)] for i, phi in frac),
+        tuple(right_index[(block_type[i], phi)] for i, phi in frac),
         tuple(left_rhs),
         tuple(right_rhs),
         tuple(model.config_costs[i][phi] for i, phi in frac),
@@ -154,14 +128,13 @@ def build_restriction(model, vertex):
 
 def _selection_from_values(model, values, rounded):
     """Per-block selected column; exactly one per block after rounding."""
-    tau = model.tau
     chosen = []
-    for i in range(len(model.block_type)):
+    for i, cols in enumerate(model.z):
         picks = []
-        for phi in range(tau):
+        for phi, j in enumerate(cols):
             v = rounded.get((i, phi))
             if v is None:
-                v = values[model.z_col[(i, phi)]]
+                v = values[j]
             if v == 1:
                 picks.append(phi)
             elif v != 0:
@@ -177,24 +150,26 @@ def select_columns(model, s, mixed_sol, stats, trace):
 
     The counts are fixed at the mixed optimum, the LP over the selections is
     solved to a vertex (at most s(2 tau + 1) fractional entries for s
-    coupling rows), its bipartite restriction is made integral by an exact
-    TU re-solve, and each block is decoded to its one selected column.
-    Returns the columns and their exact cost, which is at most the vertex
-    objective, itself at most the cost of the mixed optimum's selections.
+    coupling rows, tau the widest block), its bipartite restriction is made
+    integral by an exact TU re-solve, and each block is decoded to its one
+    selected column.  Returns the columns and their exact cost, which is at
+    most the vertex objective, itself at most the cost of the mixed
+    optimum's selections.
     """
-    lp = fix_counts_lp(model, s, mixed_sol)
+    lp = fix_counts_lp(model, mixed_sol)
     vertex = solve_lp_vertex(lp)
     stats.lp_pivots += vertex.pivots
     if vertex.status != LPStatus.OPTIMAL:
         raise PipelineInvariantError("fixed-count restriction lost feasibility")
     support = nonintegral_support(vertex)
-    if len(support) > s * (2 * model.tau + 1):
+    tau = max(len(cols) for cols in model.z)
+    if len(support) > s * (2 * tau + 1):
         raise PipelineInvariantError(
             f"fractional support {len(support)} exceeds s(2tau+1)"
         )
     if trace is not None:
         trace.fixed_y_vertices.append(
-            (lp, vertex, s, model.tau, _type_submatrices(model, vertex, support))
+            (lp, vertex, s, tau, _type_submatrices(model, vertex, support))
         )
 
     restriction = build_restriction(model, vertex)
@@ -206,7 +181,7 @@ def select_columns(model, s, mixed_sol, stats, trace):
         if trace is not None:
             frac_obj = sum(
                 (
-                    model.config_costs[i][phi] * vertex.values[model.z_col[(i, phi)]]
+                    model.config_costs[i][phi] * vertex.values[model.z[i][phi]]
                     for i, phi in restriction.keys
                 ),
                 ZERO,
@@ -215,8 +190,11 @@ def select_columns(model, s, mixed_sol, stats, trace):
 
     chosen = _selection_from_values(model, vertex.values, rounded)
     cost = sum((model.config_costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
-    # z occupies the first columns of the mixed model, in the LP's order
-    mixed_cost = sum((c * v for c, v in zip(lp.objective, mixed_sol.values)), ZERO)
+    mixed_cost = sum(
+        (c * mixed_sol.values[j] for costs, cols in zip(model.config_costs, model.z)
+         for c, j in zip(costs, cols)),
+        ZERO,
+    )
     if cost > vertex.objective_value or vertex.objective_value > mixed_cost:
         raise PipelineInvariantError("objective chain violated")
     return chosen, cost
@@ -238,15 +216,14 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
 
 
 def _check_marginals(model, vertex, rounded):
-    part, tau = model.config_part, model.tau
-    for key, members in part.type_groups.items():
-        for phi in range(tau):
-            before = sum((vertex.values[model.z_col[(i, phi)]] for i in members), ZERO)
+    for members in model.config_part.type_groups.values():
+        for phi in range(len(model.z[members[0]])):
+            before = sum((vertex.values[model.z[i][phi]] for i in members), ZERO)
             after = ZERO
             for i in members:
                 v = rounded.get((i, phi))
                 if v is None:
-                    v = vertex.values[model.z_col[(i, phi)]]
+                    v = vertex.values[model.z[i][phi]]
                 after = after + v
             if before != after:
                 raise PipelineInvariantError("type marginal not conserved by rounding")
@@ -254,19 +231,18 @@ def _check_marginals(model, vertex, rounded):
 
 def _type_submatrices(model, vertex, support):
     """Per type: assignment-constraint submatrix restricted to its fractional
-    selection entries (rank is bounded by 2 tau)."""
-    part, tau = model.config_part, model.tau
+    selection entries (rank is bounded by twice the type's width)."""
     out = []
-    for key, members in part.type_groups.items():
+    for members in model.config_part.type_groups.values():
         frac = [
             (i, phi)
             for i in members
-            for phi in range(tau)
-            if model.z_col[(i, phi)] in support
+            for phi, j in enumerate(model.z[i])
+            if j in support
         ]
         if not frac:
             continue
-        rows = len(members) + tau
+        rows = len(members) + len(model.z[members[0]])
         member_row = {i: r for r, i in enumerate(members)}
         entries = [ZERO] * (rows * len(frac))
         for c, (i, phi) in enumerate(frac):

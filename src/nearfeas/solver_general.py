@@ -17,10 +17,8 @@ solutions; the model is infeasible only when not even the relaxed constraint
 set admits an integer point (which certifies the original as infeasible).
 """
 
-from dataclasses import dataclass
-
 from .boxes import coupled_model, partition_columns
-from .branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
+from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_general, violation_report
 from .rationals import ZERO
@@ -29,19 +27,12 @@ from .rounding import GroupRoundingPlan, greedy_group_round
 from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
 
 
-@dataclass(frozen=True)
-class GeneralModel:
-    inst: object
-    mixed: MixedModel  # columns [x | g | slack] of boxes.coupled_model
-
-
 def build_mip1(inst, part, slack_bound):
     """Mixed model with one integer group variable per occupied box; each
     coupling row gains a slack column bounded by +-slack_bound."""
-    mixed = coupled_model(
+    return coupled_model(
         inst.b, (slack_bound,) * inst.H.rows, grouped=(part, inst.l, inst.u, inst.w)
     )
-    return GeneralModel(inst, mixed)
 
 
 def restrict_lp2(model, mixed_sol):
@@ -49,8 +40,7 @@ def restrict_lp2(model, mixed_sol):
     values attained by the mixed optimum; the mixed x itself stays feasible."""
     if mixed_sol.status != MIPStatus.OPTIMAL:
         raise ValueError("restrict_lp2 requires an optimal mixed solution")
-    lp = model.mixed.lp
-    return lp.restrict(range(model.inst.H.cols), range(lp.matrix.rows), mixed_sol.values)
+    return model.restrict_grouped(mixed_sol.values)
 
 
 def claim1_check(sol, m):
@@ -121,7 +111,7 @@ def solve_general(inst, params, trace=None):
 
         lp2 = restrict_lp2(model, mixed)
         x, objective = round_within_groups(
-            lp2, part, m, mixed.values[: inst.H.cols], stats, trace
+            lp2, part, m, mixed.values[model.x.start : model.x.stop], stats, trace
         )
         report = violation_report(inst, x, ADDITIVE, bound, objective)
         if report.within_bound:

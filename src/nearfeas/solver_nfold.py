@@ -26,12 +26,7 @@ toward the clamp-free all-big regime.
 
 from dataclasses import dataclass
 
-from .boxes import (
-    coupled_model,
-    partition_columns,
-    partition_config_columns,
-    selection_columns,
-)
+from .boxes import coupled_model, partition_columns, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import (
     EnumerationCapExceeded,
@@ -49,13 +44,7 @@ from .instances import (
 from .linalg import Matrix
 from .rationals import ONE, ZERO, rat_ceil
 from .results import ApproxResult, SolveStatus
-from .solver_config import (
-    ConfigModel,
-    pad_configs,
-    select_columns,
-    solve_config_core,
-    value_columns,
-)
+from .solver_config import select_columns, solve_config_core, value_columns
 from .solver_general import round_within_groups
 
 
@@ -197,29 +186,19 @@ def enumerate_major_configs(sblock, split, window, cap):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Mip6Model(ConfigModel):
-    """The selection model over the major value matrices, plus the minors."""
-
-    configs: tuple  # per block: tuple of tau major vectors
-    minor_keys: tuple  # (block, column) per minor variable, in this order
-    minor_part: object  # BoxPartition over the minor D columns, or None
-
-
 def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, epsilon):
     """Combined mixed model: box-typed major selections plus box-grouped minors.
 
-    Asserts the minor-part smallness bound (below eps/2 per scaled local row)
-    exactly at build time.
+    Returns the model and the (block, column) of each minor variable, in the
+    order of its grouped part.  Asserts the minor-part smallness bound (below
+    eps/2 per scaled local row) exactly at build time.
     """
-    n = len(sblocks)
     sd = len(inst.b0)
-    tau, configs = pad_configs(config_lists)
 
     # major value matrices: column phi holds sum_j lambda_j (x'_phi)_j D_j
     value_mats = []
     config_costs = []
-    for sb, split, cfgs in zip(sblocks, splits, configs):
+    for sb, split, cfgs in zip(sblocks, splits, config_lists):
         scaled = [tuple(lam * v for lam, v in zip(split.lambdas, cfg)) for cfg in cfgs]
         mat, costs = value_columns(sb.block.D, sb.block.w, scaled)
         value_mats.append(mat)
@@ -244,7 +223,7 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
             if reach > epsilon / 2:
                 raise PipelineInvariantError("minor part exceeds eps/2 on a local row")
     minor_keys = tuple(minor_keys)
-    minor_part = grouped = None
+    grouped = None
     if minor_keys:
         entries = []
         for r in range(sd):
@@ -254,21 +233,10 @@ def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds
         costs = tuple(inst.blocks[i].w[j] for i, j in minor_keys)
         grouped = (minor_part, (ZERO,) * len(minor_keys), tuple(minor_ub), costs)
 
-    mixed = coupled_model(
-        inst.b0, slack_bounds, selection=(config_part, tau, tuple(config_costs)), grouped=grouped
+    model = coupled_model(
+        inst.b0, slack_bounds, selection=(config_part, config_costs), grouped=grouped
     )
-    z_col, block_type = selection_columns(config_part, n, tau)
-    return Mip6Model(
-        mixed=mixed,
-        tau=tau,
-        config_costs=tuple(config_costs),
-        config_part=config_part,
-        z_col=z_col,
-        block_type=block_type,
-        configs=configs,
-        minor_keys=minor_keys,
-        minor_part=minor_part,
-    )
+    return model, minor_keys
 
 
 def _major_configs(sblocks, splits, window, cap):
@@ -379,7 +347,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
         delta2 = eps / (8 * sd)
 
     for refinement in range(params.refinement_limit + 1):
-        model = build_mip6(
+        model, minor_keys = build_mip6(
             inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, eps
         )
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
@@ -391,17 +359,16 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
 
         chosen, sel_cost = select_columns(model, sd, mixed, stats, trace)
         minors, minor_cost = {}, ZERO
-        if model.minor_part is not None:
-            # the minors x sit after z and y; keep the coupling and group rows
-            lp = model.mixed.lp
-            first = len(model.z_col) + len(model.config_part.type_groups) * model.tau
-            cols = range(first, first + len(model.minor_keys))
-            groups = range(lp.matrix.rows - len(model.minor_part.groups), lp.matrix.rows)
-            restriction = lp.restrict(cols, (*range(sd), *groups), mixed.values)
+        if minor_keys:
             values, minor_cost = round_within_groups(
-                restriction, model.minor_part, sd, mixed.values[first : cols.stop], stats, trace
+                model.restrict_grouped(mixed.values),
+                model.part,
+                sd,
+                mixed.values[model.x.start : model.x.stop],
+                stats,
+                trace,
             )
-            minors = dict(zip(model.minor_keys, values))
+            minors = dict(zip(minor_keys, values))
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")
 
@@ -414,7 +381,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
                 if split.kinds[j] == FIXED:
                     xi.append(0)
                     continue
-                major = model.configs[sb.index][chosen[sb.index]][j]
+                major = config_lists[sb.index][chosen[sb.index]][j]
                 v = split.lambdas[j] * major + minors.get((sb.index, j), 0)
                 if v > blk.u[j]:
                     clamped.append((sb.index, j, v - blk.u[j]))

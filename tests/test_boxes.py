@@ -127,8 +127,13 @@ def test_config_partition_occupancy_bound():
             assert all(abs(v) <= side for v in col)
 
 
-def test_config_partition_shape_mismatch():
-    with pytest.raises(ValueError):
+def test_config_partition_row_count_mismatch():
+    with pytest.raises(ValueError, match="row count"):
         partition_config_columns(
-            [Matrix.from_rows([[1]]), Matrix.from_rows([[1, 2]])], Rat(1, 2)
+            [Matrix.from_rows([[1]]), Matrix.from_rows([[1], [2]])], Rat(1, 2)
         )
+    # blocks of different widths are valid and never share a type
+    part = partition_config_columns(
+        [Matrix.from_rows([[1]]), Matrix.from_rows([[1, 1]])], Rat(1, 2)
+    )
+    assert sorted(len(key) for key in part.type_groups) == [1, 2]

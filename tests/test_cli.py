@@ -22,7 +22,7 @@ from nearfeas.instances import (
     validate_nonneg,
     validate_scheduling,
 )
-from nearfeas.rationals import parse_rat
+from nearfeas.rationals import parse_rat, to_float
 
 
 def run(capsys, *argv):
@@ -70,6 +70,40 @@ def test_solve_report_byte_deterministic(tmp_path, capsys):
     c2, _, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2", "--json-out", str(out2))
     assert c1 == c2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unwritable_json_out_leaves_stdout_empty(tmp_path, capsys):
+    inst = tmp_path / "g.json"
+    main(["gen", "--kind", "general", "--seed", "1", "--output", str(inst)])
+    code, out, err = run(
+        capsys, "solve", "--input", str(inst), "--epsilon", "1/2", "--json-out", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["general", "nfold-config", "nfold-nonneg", "scheduling"])
+def test_report_rationals_round_trip(tmp_path, capsys, kind):
+    """Every exact field of a report parses with parse_rat, and every
+    ``*_approx`` is to_float of the parsed value."""
+    inst = tmp_path / "i.json"
+    main(["gen", "--kind", kind, "--seed", "1", "--output", str(inst)])
+    code, out, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2")
+    assert code == 0
+    report = json.loads(out)
+    for key in ("objective", "bound", "max_abs_residual"):
+        assert report[f"{key}_approx"] == to_float(parse_rat(report[key]))
+    assert report["residual_approx"] == [to_float(parse_rat(v)) for v in report["residual"]]
+    assert parse_rat(report["epsilon"]) == parse_rat("1/2")
+    assert parse_rat(report["delta_used"]) > 0
+    if kind == "scheduling":
+        schedule = report["schedule"]
+        loads = [parse_rat(v) for v in schedule["loads"]]
+        makespan = parse_rat(schedule["makespan"])
+        assert makespan == max(loads)
+        assert schedule["makespan_approx"] == to_float(makespan)
+        assert makespan <= parse_rat(schedule["makespan_bound"])
 
 
 def test_check_crossed_bounds_exits_one(tmp_path, capsys):

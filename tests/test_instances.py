@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from nearfeas.errors import InstanceFormatError
+from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from nearfeas.instances import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -11,8 +13,10 @@ from nearfeas.instances import (
     NFoldConfigInstance,
     NFoldNonnegInstance,
     SchedulingInstance,
+    dump_instance,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     validate,
     validate_config,
     validate_general,
@@ -116,6 +120,23 @@ def test_json_roundtrip_nonneg():
         [([["1/2", 1]], [[2, 0]], [1], [3, 2], [0, "5/2"])], [4]
     )
     assert _roundtrip(inst) == inst
+
+
+def test_json_roundtrip_every_kind(tmp_path):
+    rng = random.Random(1)
+    insts = [
+        gen_general(rng),
+        gen_config(rng),
+        gen_nonneg(rng),
+        instance_from_dict(gen_scheduling(rng)),
+        SchedulingInstance.build([[1, "3/2"], [2, 1]], "5/2", [[0, 1], [1, "1/3"]]),
+    ]
+    for k, inst in enumerate(insts):
+        assert instance_from_dict(instance_to_dict(inst)) == inst
+        assert _roundtrip(inst) == inst
+        path = tmp_path / f"{k}.json"
+        dump_instance(inst, path)
+        assert load_instance(path) == inst
 
 
 def test_format_field_required():

@@ -10,12 +10,16 @@ benchmark report.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from nearfeas import solver_config, solver_general, solver_nfold
+from nearfeas.boxes import partition_config_columns
 from nearfeas.branch_bound import solve_mip
+from nearfeas.generate import gen_config
 from nearfeas.instances import ApproxParams, instance_from_dict
+from nearfeas.rationals import Rat
 from nearfeas.simplex import solve_lp_vertex
 
 INSTANCES = {
@@ -94,13 +98,17 @@ PINNED = {
         (5, 10, (5, 6, 7), "b5cc86b2af6d48b6dc19a24a070f679c64a417c7a65ede82ceb2250ce183546d"),
         (5, 5, None, "2c9ec0b0748d42058d99ea11d02ab03fe9acd2e98b173c21e8c85b21f7f47c31"),
     ],
+    # blocks of 1, 3 and 3 configurations, three types: 7 z, 7 y, 1 slack;
+    # 1 coupling, 7 linking and 3 selection rows
     "nfold-config": [
-        (13, 19, tuple(range(9, 18)), "67e8d80bad60237594ef3ab552d9126424a4642294ac57f1628e2db968af80d9"),
-        (13, 9, None, "90a3be1601f70e00ad3afb0f97fe487a7ed3c642edfb2c5f657c7263e352f2bd"),
+        (11, 15, tuple(range(7, 14)), "7e3767f61b9646ae88f2680015ee956d4ffe32f6f9056129b46144ad407e4321"),
+        (11, 7, None, "39dd18476ef818bcefa9f26f8397a1a06764c8a4b0d2bcf1cccac3a36c3d5c48"),
     ],
+    # major configurations per block 1, 2 and 1, three types: 4 z, 4 y, 2
+    # minors x, 1 group g, 2 slacks
     "nfold": [
-        (12, 17, (6, 7, 8, 9, 10, 11, 14), "4da12d5eb1ae32cf51870506bd2a84a461e2694b8fae22348d5e48dda52bcd04"),
-        (11, 6, None, "2ae17a21aa238469c6188a3705299d8e8f7a50a8e2e7b4d95fed79c3a1fa5727"),
+        (10, 13, (4, 5, 6, 7, 10), "b9f81259ec12cee668cc5d8fa6bb92fe650453fc8ca0cb98c7d9372ce8a9d850"),
+        (9, 4, None, "592ce23f8ce3b5509eea4b340ca37fe687539f1978db15cff35bff246b07edd8"),
         (3, 2, None, "c83b848e34b481c87dd5f016332169500b6d368d6a401b0ee14b3681738b1ab3"),
     ],
 }
@@ -111,3 +119,28 @@ def test_pinned_model_layouts(monkeypatch, kind):
     res, seen = _layouts(monkeypatch, kind)
     assert res.status.value == "ok" and res.refinements == 0
     assert seen == PINNED[kind]
+
+
+def test_selection_columns_are_distinct_configurations():
+    """A selection model has one z per distinct configuration of each block
+    and one y per column of each type's key; the layout ``coupled_model``
+    reports matches its matrix."""
+    rng = random.Random(11)
+    for _ in range(30):
+        inst = gen_config(rng, n_blocks=rng.randint(1, 5), max_configs=6)
+        norm = solver_config.normalize_configs(inst)
+        part = partition_config_columns(norm.value_mats, Rat(1, 4))
+        model = solver_config.build_mip4(norm, part, (Rat(0),) * len(inst.b0))
+        lp = model.mixed.lp
+        distinct = [len(set(blk.configs)) for blk in inst.blocks]
+        widths = [len(key) for key in part.type_groups]
+        assert [len(cols) for cols in model.z] == distinct
+        assert [len(cols) for cols in model.y] == widths
+        assert sorted(model.mixed.integer_vars) == [j for cols in model.y for j in cols]
+        assert lp.matrix.cols == sum(distinct) + sum(widths) + len(inst.b0)
+        assert lp.matrix.rows == len(inst.b0) + sum(widths) + len(inst.blocks)
+        for i, cols in enumerate(model.z):
+            assert len(set(norm.configs[i])) == len(cols)
+            row = lp.matrix.row(model.selection[i])
+            assert [j for j, v in enumerate(row) if v] == list(cols)
+            assert [lp.objective[j] for j in cols] == list(norm.costs[i])

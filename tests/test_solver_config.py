@@ -15,13 +15,13 @@ from nearfeas.solver_config import (
 )
 
 
-def test_normalize_pads_and_dedupes():
+def test_normalize_dedupes():
     inst = NFoldConfigInstance.build(
         [([[1]], [(0,), (1,)], [1]), ([[1]], [(2,)], [1])], [1]
     )
     norm = normalize_configs(inst)
-    assert norm.tau == 2
-    assert norm.configs[1] == ((2,), (2,))  # padded by repetition
+    assert norm.tau == 2  # the largest distinct count
+    assert norm.configs[1] == ((2,),)  # one entry per distinct configuration
 
     dup = NFoldConfigInstance.build([([[1]], [(1,), (1,), (2,)], [1])], [1])
     norm2 = normalize_configs(dup)
@@ -46,7 +46,7 @@ def test_build_mip4_forced_single():
 
     sol = solve_mip(model.mixed)
     assert sol.status.value == "optimal"
-    assert sol.values[model.z_col[(0, 0)]] == 1
+    assert sol.values[model.z[0][0]] == 1
 
 
 def test_build_mip4_identical_blocks_share_type():
@@ -57,9 +57,9 @@ def test_build_mip4_identical_blocks_share_type():
     part = partition_config_columns(norm.value_mats, Rat(1, 2))
     assert len(part.type_groups) == 1
     model = build_mip4(norm, part, (Rat(0),))
-    # tau linking rows, 2 selection rows, s coupling rows
+    # s coupling rows, one linking row per column of the type, 2 selection rows
     assert model.mixed.lp.matrix.rows == 1 + 2 * 1 + 2
-    assert len(model.mixed.integer_vars) == 2  # one occupied type x tau
+    assert len(model.mixed.integer_vars) == 2  # one occupied type x its 2 columns
 
 
 def test_solve_contract_examples():

@@ -279,14 +279,14 @@ def test_build_mip6_no_small_columns_has_no_minors():
         enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), 10**4)
         for sb, sp in zip(sblocks, splits)
     ]
-    model = build_mip6(
+    model, minor_keys = build_mip6(
         inst, sblocks, splits, cfgs, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
     )
-    assert model.minor_keys == ()
-    assert model.minor_part is None
-    # integer variables: (occupied types) * tau only
-    types = len(model.config_part.type_groups)
-    assert len(model.mixed.integer_vars) == types * model.tau
+    assert minor_keys == ()
+    assert model.part is None
+    # integer variables: one count per column of each occupied type only
+    widths = sum(len(key) for key in model.config_part.type_groups)
+    assert len(model.mixed.integer_vars) == widths
 
 
 def test_build_mip6_integer_variable_count():
@@ -306,12 +306,12 @@ def test_build_mip6_integer_variable_count():
         enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), 10**4)
         for sb, sp in zip(sblocks, splits)
     ]
-    model = build_mip6(
+    model, _ = build_mip6(
         inst, sblocks, splits, cfgs, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
     )
-    types = len(model.config_part.type_groups)
-    boxes = len(model.minor_part.groups)
-    assert len(model.mixed.integer_vars) == types * model.tau + boxes
+    widths = sum(len(key) for key in model.config_part.type_groups)
+    boxes = len(model.part.groups)
+    assert len(model.mixed.integer_vars) == widths + boxes
     # one small column with lambda = 2, u = 10: bounds as split
     assert splits[0].major_ub[0] == 5 and splits[0].minor_ub[0] == 1
 
