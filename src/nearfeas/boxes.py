@@ -5,7 +5,9 @@ side delta*scale; each cell's lower corner is its canonical vector, and every
 column decomposes exactly as canonical + residual with the residual bounded
 entrywise by delta*scale.  Grouping columns (or whole per-block column
 matrices) by cell underlies all three solver pipelines, and ``coupled_model``
-builds the one mixed model all three solve over such partitions.
+builds the one mixed model all three solve over such partitions; its
+``CoupledModel`` says where each part's columns sit, so a pipeline reads the
+part it rounds straight off the mixed optimum.
 """
 
 from dataclasses import dataclass
@@ -167,18 +169,6 @@ class CoupledModel:
     linking: range  # rows, one per count column in the order of y
     selection: range  # rows, one per block
     groups: range  # rows, one per group in the partition's order
-
-    def restrict_selections(self, values):
-        """The LP over z with every other column pinned at ``values``, over
-        the coupling, linking and selection rows."""
-        cols = [j for cols in self.z for j in cols]
-        rows = (*self.coupling, *self.linking, *self.selection)
-        return self.mixed.lp.restrict(cols, rows, values)
-
-    def restrict_grouped(self, values):
-        """The LP over x with every other column pinned at ``values``, over
-        the coupling and group rows."""
-        return self.mixed.lp.restrict(self.x, (*self.coupling, *self.groups), values)
 
 
 def _spans(start, widths):

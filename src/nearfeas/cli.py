@@ -211,13 +211,14 @@ def cmd_solve(args):
         section, ok = _oracle_section(check_inst, result)
         report["oracle"] = section
         if not ok:
+            # a result the oracle contradicts is a solver bug
             _emit(report, args.json_out)
             sys.stderr.write(
-                "oracle check failed: objective "
+                "internal error: oracle check failed: objective "
                 f"{report['objective']} vs optimum {section['optimum']}, "
                 f"max residual {report['max_abs_residual']} vs bound {report['bound']}\n"
             )
-            return EXIT_USAGE
+            return EXIT_INTERNAL
 
     _emit(report, args.json_out)
     return exit_code
@@ -235,7 +236,15 @@ def cmd_oracle(args):
     return EXIT_OK if orc.feasible else EXIT_INFEASIBLE
 
 
+# gen's size flags, by argparse destination, and the least value each accepts
+_GEN_MINIMA = {"m": 1, "n": 1, "blocks": 1, "s": 1, "t": 1, "delta_max": 0}
+
+
 def cmd_gen(args):
+    for dest, least in _GEN_MINIMA.items():
+        if getattr(args, dest) < least:
+            flag = "--" + dest.replace("_", "-")
+            raise InvalidInstanceError([f"{flag} must be at least {least}"])
     rng = random.Random(args.seed)
     if args.kind == "general":
         inst = gen_general(rng, m=args.m, n=args.n, delta_max=args.delta_max)

@@ -34,8 +34,8 @@ class ApproxResult:
 class PipelineTrace:
     """Optional collector for the structural invariants exercised in tests."""
 
-    lp2_vertices: list = field(default_factory=list)  # (LinearProgram, VertexSolution, m)
-    fixed_y_vertices: list = field(default_factory=list)  # (lp, sol, s, tau, type_cols)
+    grouped_optima: list = field(default_factory=list)  # (CoupledModel, mixed values)
+    selection_optima: list = field(default_factory=list)  # (model, values, type_cols)
     tu_calls: list = field(default_factory=list)  # (restriction, fractional, rounded)
     group_plans: list = field(default_factory=list)
     clamps: list = field(default_factory=list)

@@ -71,37 +71,6 @@ class LinearProgram:
             if lo > hi:
                 raise ValueError("bounds crossed")
 
-    def restrict(self, cols, rows, values):
-        """The LP over the kept columns ``cols`` and rows ``rows`` with every
-        other column fixed at ``values`` (one value per column of this LP).
-
-        Row i's right-hand side is the sum over kept j of A_ij * values[j],
-        which is b_i less the fixed columns' share wherever ``values`` meets
-        row i; so the kept part of ``values`` satisfies the restriction
-        exactly.  Kept columns keep their bounds and costs.
-        """
-        cols = tuple(cols)
-        nonzero = [(j, values[j]) for j in cols if values[j]]
-        A, c = self.matrix.entries, self.matrix.cols
-        entries = []
-        rhs = []
-        for i in rows:
-            base = i * c
-            entries.extend([A[base + j] for j in cols])
-            acc = ZERO
-            for j, v in nonzero:
-                a = A[base + j]
-                if a:
-                    acc = acc + a * v
-            rhs.append(acc)
-        return LinearProgram(
-            Matrix(len(rhs), len(cols), entries),
-            tuple(rhs),
-            tuple(self.lower[j] for j in cols),
-            tuple(self.upper[j] for j in cols),
-            tuple(self.objective[j] for j in cols),
-        )
-
 
 @dataclass(frozen=True)
 class VertexSolution:
@@ -495,22 +464,17 @@ def _verify_vertex(rows, lower, upper, values):
             raise PipelineInvariantError("vertex violates equations")
 
 
-def nonintegral_support(sol):
-    """Indices of variables taking non-integer values in an optimal solution."""
-    if sol.status != LPStatus.OPTIMAL:
-        raise ValueError("nonintegral_support requires an optimal solution")
-    return frozenset(j for j, v in enumerate(sol.values) if not is_integral(v))
+def nonintegral_support(values):
+    """Indices of the entries of ``values`` that are not integers."""
+    return frozenset(j for j, v in enumerate(values) if not is_integral(v))
 
 
-def strictly_between_columns(lp, sol):
-    """Submatrix of columns whose value is strictly inside its bounds."""
-    cols = [
-        j
-        for j, v in enumerate(sol.values)
-        if lp.lower[j] < v < lp.upper[j]
-    ]
+def strictly_between_columns(lp, values, cols):
+    """Submatrix, over all rows, of the columns among ``cols`` whose value is
+    strictly inside its bounds."""
+    between = [j for j in cols if lp.lower[j] < values[j] < lp.upper[j]]
     entries = []
     for i in range(lp.matrix.rows):
         row = lp.matrix.row(i)
-        entries.extend(row[j] for j in cols)
-    return Matrix(lp.matrix.rows, len(cols), entries)
+        entries.extend(row[j] for j in between)
+    return Matrix(lp.matrix.rows, len(between), entries)

@@ -4,12 +4,13 @@ Each block contributes one column D^i x^i from its precomputed value matrix,
 which has one column per distinct configuration of the block; blocks whose
 value matrices fall columnwise into the same boxes share a type, and one
 integer variable per (type, column) counts selections across the type's
-blocks: the selection part of ``boxes.coupled_model``.  After the exact
-mixed solve, the selection variables are re-solved to a vertex at fixed
-counts (``CoupledModel.restrict_selections``; few fractional entries survive
-by the two-part rank argument) and integralized by an exact re-solve over the
-totally unimodular bipartite restriction.  Nonnegative n-fold case 2 runs
-the same selection stage, ``select_columns``.
+blocks: the selection part of ``boxes.coupled_model``.  The exact mixed
+solve ends at a basic optimal solution, whose selection variables already
+are an optimal vertex of the LP at fixed counts (``fix_counts_lp``; few
+fractional entries survive by the two-part rank argument); they are
+integralized by an exact re-solve over the totally unimodular bipartite
+restriction.  Nonnegative n-fold case 2 runs the same selection stage,
+``select_columns``.
 
 The coupling rows carry slack columns bounded per row by the permitted
 violation; slack-bounded infeasibility is therefore independent of the box
@@ -29,7 +30,7 @@ from .linalg import Matrix
 from .rationals import ONE, ZERO, is_integral
 from .results import ApproxResult, SolveStatus
 from .rounding import AssignmentRestriction, tu_round
-from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
+from .simplex import nonintegral_support
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,15 @@ def build_mip4(norm, part, slack_bounds):
 
 
 def fix_counts_lp(model, mixed_sol):
-    """LP over z with the coupling residuals pinned to their attained values
-    and the (type, column) counts pinned to the mixed optimum, over the
-    coupling, linking and selection rows."""
-    return model.restrict_selections(mixed_sol.values)
+    """The optimal vertex of the fixed-count LP (z, with every other column
+    pinned at the mixed optimum): the optimum's own z, which come first.
+    ``solve_mip`` branches only on counts; see ``solver_general.restrict_lp2``."""
+    return mixed_sol.values[: model.z[-1].stop]
 
 
-def build_restriction(model, vertex):
+def build_restriction(model, values):
     """Bipartite restriction over the fractional selection entries."""
     part = model.config_part
-    values = vertex.values
     block_type = {i: key for key, members in part.type_groups.items() for i in members}
     frac = [
         (i, phi)
@@ -145,57 +145,48 @@ def _selection_from_values(model, values, rounded):
     return tuple(chosen)
 
 
-def select_columns(model, s, mixed_sol, stats, trace):
+def select_columns(model, mixed_sol, stats, trace):
     """The selection stage of both block pipelines.
 
-    The counts are fixed at the mixed optimum, the LP over the selections is
-    solved to a vertex (at most s(2 tau + 1) fractional entries for s
-    coupling rows, tau the widest block), its bipartite restriction is made
-    integral by an exact TU re-solve, and each block is decoded to its one
-    selected column.  Returns the columns and their exact cost, which is at
-    most the vertex objective, itself at most the cost of the mixed
-    optimum's selections.
+    The selection part of the mixed optimum is the fixed-count LP's optimal
+    vertex (``fix_counts_lp``), so at most s(2 tau + 1) of its entries are
+    fractional for s coupling rows, tau the widest block; its bipartite
+    restriction is made integral by an exact TU re-solve, and each block is
+    decoded to its one selected column.  Returns the columns and their exact
+    cost, which is at most the cost of the unrounded selections.
     """
-    lp = fix_counts_lp(model, mixed_sol)
-    vertex = solve_lp_vertex(lp)
-    stats.lp_pivots += vertex.pivots
-    if vertex.status != LPStatus.OPTIMAL:
-        raise PipelineInvariantError("fixed-count restriction lost feasibility")
-    support = nonintegral_support(vertex)
+    values = fix_counts_lp(model, mixed_sol)
+    support = nonintegral_support(values)
+    s = len(model.coupling)
     tau = max(len(cols) for cols in model.z)
     if len(support) > s * (2 * tau + 1):
         raise PipelineInvariantError(
             f"fractional support {len(support)} exceeds s(2tau+1)"
         )
     if trace is not None:
-        trace.fixed_y_vertices.append(
-            (lp, vertex, s, tau, _type_submatrices(model, vertex, support))
+        trace.selection_optima.append(
+            (model, mixed_sol.values, _type_submatrices(model, support))
         )
 
-    restriction = build_restriction(model, vertex)
+    restriction = build_restriction(model, values)
     if restriction is None:
         rounded = {}
     else:
         rounded = tu_round(restriction, stats=stats)
-        _check_marginals(model, vertex, rounded)
+        _check_marginals(model, values, rounded)
         if trace is not None:
             frac_obj = sum(
                 (
-                    model.config_costs[i][phi] * vertex.values[model.z[i][phi]]
+                    model.config_costs[i][phi] * values[model.z[i][phi]]
                     for i, phi in restriction.keys
                 ),
                 ZERO,
             )
             trace.tu_calls.append((restriction, frac_obj, rounded))
 
-    chosen = _selection_from_values(model, vertex.values, rounded)
+    chosen = _selection_from_values(model, values, rounded)
     cost = sum((model.config_costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
-    mixed_cost = sum(
-        (c * mixed_sol.values[j] for costs, cols in zip(model.config_costs, model.z)
-         for c, j in zip(costs, cols)),
-        ZERO,
-    )
-    if cost > vertex.objective_value or vertex.objective_value > mixed_cost:
+    if cost > sum((c * v for c, v in zip(model.mixed.lp.objective, values)), ZERO):
         raise PipelineInvariantError("objective chain violated")
     return chosen, cost
 
@@ -211,25 +202,25 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
     mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
     if mixed.status == MIPStatus.INFEASIBLE:
         return None
-    chosen, objective = select_columns(model, len(norm.inst.b0), mixed, stats, trace)
+    chosen, objective = select_columns(model, mixed, stats, trace)
     return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen)), objective
 
 
-def _check_marginals(model, vertex, rounded):
+def _check_marginals(model, values, rounded):
     for members in model.config_part.type_groups.values():
         for phi in range(len(model.z[members[0]])):
-            before = sum((vertex.values[model.z[i][phi]] for i in members), ZERO)
+            before = sum((values[model.z[i][phi]] for i in members), ZERO)
             after = ZERO
             for i in members:
                 v = rounded.get((i, phi))
                 if v is None:
-                    v = vertex.values[model.z[i][phi]]
+                    v = values[model.z[i][phi]]
                 after = after + v
             if before != after:
                 raise PipelineInvariantError("type marginal not conserved by rounding")
 
 
-def _type_submatrices(model, vertex, support):
+def _type_submatrices(model, support):
     """Per type: assignment-constraint submatrix restricted to its fractional
     selection entries (rank is bounded by twice the type's width)."""
     out = []

@@ -3,13 +3,13 @@
 Columns of H are grouped into boxes; one integer variable per occupied group
 replaces the group's sum while the members relax to continuous variables
 (coupled through canonical + residual splits of their columns): the grouped
-part of ``boxes.coupled_model``.  The mixed model is solved exactly, the
-continuous part is re-solved to a vertex with the group sums pinned
-(``LinearProgram.restrict``), and at most 2m surviving fractional variables
-are rounded greedily within their groups.  That rounding stage,
-``round_within_groups``, also rounds the minor variables of nonnegative
-n-fold case 2.  A final exact check against the permitted violation drives
-the halve-and-retry refinement of the box width.
+part of ``boxes.coupled_model``.  The mixed model is solved exactly to a
+basic optimal solution, whose continuous part already is an optimal vertex
+of the LP with the group sums pinned (``restrict_lp2``), so at most 2m of
+its variables are fractional; they are rounded greedily within their
+groups.  That rounding stage, ``round_within_groups``, also rounds the minor
+variables of nonnegative n-fold case 2.  A final exact check against the
+permitted violation drives the halve-and-retry refinement of the box width.
 
 The coupling rows carry slack columns bounded by the permitted violation, so
 instances without exactly-feasible integer points still yield near-feasible
@@ -24,7 +24,7 @@ from .instances import ADDITIVE, validate_general, violation_report
 from .rationals import ZERO
 from .results import ApproxResult, SolveStatus
 from .rounding import GroupRoundingPlan, greedy_group_round
-from .simplex import LPStatus, nonintegral_support, solve_lp_vertex
+from .simplex import nonintegral_support
 
 
 def build_mip1(inst, part, slack_bound):
@@ -36,56 +36,51 @@ def build_mip1(inst, part, slack_bound):
 
 
 def restrict_lp2(model, mixed_sol):
-    """LP over the x variables with residual sums and group sums pinned to the
-    values attained by the mixed optimum; the mixed x itself stays feasible."""
-    if mixed_sol.status != MIPStatus.OPTIMAL:
-        raise ValueError("restrict_lp2 requires an optimal mixed solution")
-    return model.restrict_grouped(mixed_sol.values)
+    """The optimal vertex of LP2, the LP over the grouped variables x with
+    every other column pinned at the mixed optimum: that optimum's own x.
+
+    ``solve_mip`` returns a basic optimal solution of its last LP and never
+    branches on x, so its x part is a vertex of LP2 (a vertex of a polytope
+    that lies in a slice is a vertex of the slice; A. Schrijver, *Theory of
+    Linear and Integer Programming*, 1986, ch. 8), and an optimal one, since
+    a cheaper x would give a cheaper mixed solution."""
+    return mixed_sol.values[model.x.start : model.x.stop]
 
 
-def claim1_check(sol, m):
-    """At most 2m variables of an LP2 vertex take fractional values."""
-    return len(nonintegral_support(sol)) <= 2 * m
-
-
-def round_within_groups(lp, part, m, pinned, stats, trace):
+def round_within_groups(model, mixed_sol, trace):
     """The grouped rounding stage of the general pipeline and of nonnegative
     n-fold case 2's minor variables.
 
-    ``lp`` is the pinned restriction over the grouped variables, in the
-    column order of ``part``, with its m coupling rows first; ``pinned`` is
-    the mixed optimum's values of those variables.  The restriction is solved
-    to a vertex (at most 2m fractional entries), and each group's fractional
-    members are rounded greedily, which conserves the group sum.  Returns the
-    rounded values and their exact cost, which is at most the vertex
-    objective, itself at most the cost of ``pinned``.
+    The grouped part of the mixed optimum is LP2's optimal vertex
+    (``restrict_lp2``), so at most 2m of its entries are fractional for the
+    m coupling rows; each group's fractional members are rounded greedily,
+    which conserves the group sum.  Returns the rounded values, in the
+    column order of ``model.part``, and their exact cost, which is at most
+    the cost of the unrounded values.
     """
-    vertex = solve_lp_vertex(lp)
-    stats.lp_pivots += vertex.pivots
-    if vertex.status != LPStatus.OPTIMAL:
-        raise PipelineInvariantError("pinned restriction lost feasibility")
-    if not claim1_check(vertex, m):
-        raise PipelineInvariantError(
-            f"fractional support {len(nonintegral_support(vertex))} exceeds 2m={2 * m}"
-        )
+    vertex = restrict_lp2(model, mixed_sol)
+    m = len(model.coupling)
+    support = len(nonintegral_support(vertex))
+    if support > 2 * m:
+        raise PipelineInvariantError(f"fractional support {support} exceeds 2m={2 * m}")
     if trace is not None:
-        trace.lp2_vertices.append((lp, vertex, m))
+        trace.grouped_optima.append((model, mixed_sol.values))
 
-    values = list(vertex.values)
-    for members in part.groups.values():
-        plan = GroupRoundingPlan.build((j, values[j], lp.objective[j]) for j in members)
+    costs = model.mixed.lp.objective[model.x.start : model.x.stop]
+    values = list(vertex)
+    for members in model.part.groups.values():
+        plan = GroupRoundingPlan.build((j, values[j], costs[j]) for j in members)
         if trace is not None:
             trace.group_plans.append(plan)
         for j, v in greedy_group_round(plan).items():
             values[j] = v
-        before = sum((vertex.values[j] for j in members), ZERO)
+        before = sum((vertex[j] for j in members), ZERO)
         after = sum((values[j] for j in members), ZERO)
         if before != after:
             raise PipelineInvariantError("group sum not conserved by rounding")
     x = tuple(int(v) for v in values)
-    cost = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
-    pinned_cost = sum((c * v for c, v in zip(lp.objective, pinned)), ZERO)
-    if cost > vertex.objective_value or vertex.objective_value > pinned_cost:
+    cost = sum((c * v for c, v in zip(costs, x)), ZERO)
+    if cost > sum((c * v for c, v in zip(costs, vertex)), ZERO):
         raise PipelineInvariantError("objective chain violated")
     return x, cost
 
@@ -109,10 +104,7 @@ def solve_general(inst, params, trace=None):
                 SolveStatus.INFEASIBLE, None, None, None, part.delta, refinement, stats
             )
 
-        lp2 = restrict_lp2(model, mixed)
-        x, objective = round_within_groups(
-            lp2, part, m, mixed.values[model.x.start : model.x.stop], stats, trace
-        )
+        x, objective = round_within_groups(model, mixed, trace)
         report = violation_report(inst, x, ADDITIVE, bound, objective)
         if report.within_bound:
             return ApproxResult(

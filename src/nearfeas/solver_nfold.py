@@ -8,15 +8,14 @@ minor part has negligible local impact.  If every column is big the instance
 delegates to the configuration pipeline over the exact local solution sets;
 otherwise a combined mixed model (``boxes.coupled_model`` with both parts)
 couples box-typed major configurations with box-grouped minor variables, and
-the two parts are pinned at the mixed optimum and rounded independently: the
-selections by the configuration pipeline's selection stage
-(``solver_config.select_columns``: fixed-count vertex, then TU re-solve) and
-the minors by the general pipeline's grouped rounding stage
-(``solver_general.round_within_groups``: restriction vertex, then greedy
-in-group rounding), so a trace collects their fixed-count and restriction
-vertices as it does there.  Recombination may overshoot an upper bound by
-less than lambda; clamping repairs it with a local effect below eps/2 per
-block.
+the two parts of its optimum are rounded independently, each an optimal
+vertex of the LP that pins the rest: the selections by the configuration
+pipeline's selection stage (``solver_config.select_columns``: TU re-solve)
+and the minors by the general pipeline's grouped rounding stage
+(``solver_general.round_within_groups``: greedy in-group rounding), so a
+trace collects both parts as it does there.  Recombination may overshoot an
+upper bound by less than lambda; clamping repairs it with a local effect
+below eps/2 per block.
 
 Every acceptance decision is an exact post-hoc check of the multiplicative
 guarantee on the original unscaled data; on failure the box widths are
@@ -357,17 +356,10 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
                 notes=("case2",),
             )
 
-        chosen, sel_cost = select_columns(model, sd, mixed, stats, trace)
+        chosen, sel_cost = select_columns(model, mixed, stats, trace)
         minors, minor_cost = {}, ZERO
         if minor_keys:
-            values, minor_cost = round_within_groups(
-                model.restrict_grouped(mixed.values),
-                model.part,
-                sd,
-                mixed.values[model.x.start : model.x.stop],
-                stats,
-                trace,
-            )
+            values, minor_cost = round_within_groups(model, mixed, trace)
             minors = dict(zip(minor_keys, values))
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")

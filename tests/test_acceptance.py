@@ -158,26 +158,28 @@ def test_criterion_1_general_guarantee(general_runs):
 
 def test_criterion_2_claim1(general_runs):
     _, trace = general_runs
-    if not trace.lp2_vertices:
-        _fail(2, "no restriction vertices were produced")
-    for _, vertex, m in trace.lp2_vertices:
-        n = len(nonintegral_support(vertex))
+    if not trace.grouped_optima:
+        _fail(2, "no grouped parts were rounded")
+    for model, values in trace.grouped_optima:
+        m = len(model.coupling)
+        n = len(nonintegral_support(values[model.x.start : model.x.stop]))
         if n > 2 * m:
             _fail(2, f"fractional support {n} exceeds 2m = {2 * m}")
-    _pass(2, f"{len(trace.lp2_vertices)} restriction vertices, all with <= 2m fractional entries")
+    _pass(2, f"{len(trace.grouped_optima)} grouped parts, all with <= 2m fractional entries")
 
 
 def test_criterion_3_vertex_nonsingularity(general_runs, config_runs):
     _, gtrace = general_runs
     _, ctrace = config_runs
     checked = 0
-    for lp, vertex, _m in gtrace.lp2_vertices:
-        if not is_nonsingular(strictly_between_columns(lp, vertex)):
-            _fail(3, "singular strictly-between column set on a restriction vertex")
+    for model, values in gtrace.grouped_optima:
+        if not is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x)):
+            _fail(3, "singular strictly-between column set on a grouped part")
         checked += 1
-    for lp, vertex, *_ in ctrace.fixed_y_vertices:
-        if not is_nonsingular(strictly_between_columns(lp, vertex)):
-            _fail(3, "singular strictly-between column set on a fixed-count vertex")
+    for model, values, _subs in ctrace.selection_optima:
+        z = range(model.z[-1].stop)
+        if not is_nonsingular(strictly_between_columns(model.mixed.lp, values, z)):
+            _fail(3, "singular strictly-between column set on a selection part")
         checked += 1
     _pass(3, f"{checked} optimal vertices, strictly-between columns always independent")
 
@@ -195,9 +197,10 @@ def test_criterion_4_config_guarantee(config_runs):
             _fail(4, f"objective {res.objective} above optimum {orc.optimum}")
         if res.report.max_abs_residual > eps * delta:
             _fail(4, "violation above eps*Delta")
-    for _, vertex, s, tau, _subs in trace.fixed_y_vertices:
-        if len(nonintegral_support(vertex)) > s * (2 * tau + 1):
-            _fail(4, "fixed-count vertex fractional support exceeds s(2tau+1)")
+    for model, values, _subs in trace.selection_optima:
+        s, tau = len(model.coupling), max(len(cols) for cols in model.z)
+        if len(nonintegral_support(values[: model.z[-1].stop])) > s * (2 * tau + 1):
+            _fail(4, "selection part fractional support exceeds s(2tau+1)")
     _pass(4, f"{len(runs)} instances: membership, objective, violation, support bounds all exact")
 
 
@@ -258,7 +261,8 @@ def test_criterion_5_tu_rounding(config_runs):
 def test_criterion_6_rank_bounds(config_runs):
     _, trace = config_runs
     checked = 0
-    for _, _vertex, _s, tau, submats in trace.fixed_y_vertices:
+    for model, _values, submats in trace.selection_optima:
+        tau = max(len(cols) for cols in model.z)
         for sub in submats:
             if rank_exact(sub) > 2 * tau:
                 _fail(6, f"type-group fractional submatrix rank exceeds 2tau = {2 * tau}")

@@ -8,11 +8,12 @@ import random
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfeas import simplex
+from nearfeas import cli, simplex
 from nearfeas.cli import main
 from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from nearfeas.instances import (
@@ -22,7 +23,7 @@ from nearfeas.instances import (
     validate_nonneg,
     validate_scheduling,
 )
-from nearfeas.rationals import parse_rat, to_float
+from nearfeas.rationals import Rat, parse_rat, to_float
 
 
 def run(capsys, *argv):
@@ -304,6 +305,43 @@ def test_solve_worked_example_with_oracle(tmp_path, capsys):
     assert Fraction(report["objective"]) <= Fraction(report["oracle"]["optimum"])
     assert Fraction(report["max_abs_residual"]) <= Fraction(report["bound"])
     assert report["bound"] == "1"  # eps * Delta = (1/5) * 5
+
+
+def test_failed_oracle_check_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # an oracle optimum below the solver's objective contradicts the solver
+    inst = tmp_path / "g.json"
+    main(["gen", "--kind", "general", "--m", "1", "--n", "3", "--seed", "9", "--output", str(inst)])
+    capsys.readouterr()
+    monkeypatch.setattr(
+        cli, "brute_force", lambda inst: SimpleNamespace(feasible=True, optimum=Rat(-1000))
+    )
+    code, out, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/5", "--oracle-check")
+    assert code == 5
+    report = json.loads(out)
+    assert report["status"] == "ok" and report["oracle"]["check_passed"] is False
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: oracle check failed: objective ")
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("general", "--m", "0"),
+        ("general", "--n", "0"),
+        ("nfold-config", "--blocks", "0"),
+        ("nfold-nonneg", "--s", "0"),
+        ("nfold-config", "--t", "0"),
+        ("general", "--delta-max", "-1"),
+    ],
+)
+def test_gen_rejects_sizes_below_their_least(tmp_path, capsys, kind, flag, value):
+    out_file = tmp_path / "g.json"
+    code, out, err = run(
+        capsys, "gen", "--kind", kind, flag, value, "--seed", "1", "--output", str(out_file)
+    )
+    least = 0 if flag == "--delta-max" else 1
+    assert (code, out, err) == (1, "", f"error: {flag} must be at least {least}\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

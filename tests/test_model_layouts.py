@@ -1,12 +1,13 @@
-"""Pinned layouts of the coupled mixed models and their pinned restrictions.
+"""Pinned layouts of the coupled mixed models.
 
 For one small instance per pipeline (nonnegative n-fold in case 2, with
-minor variables), every mixed model handed to branch-and-bound and every
-restriction LP solved to a vertex is recorded in call order.  Its shape, its
-integer variables and a SHA-256 of its exact entries, right-hand side, bounds
-and objective are compared with pinned values, so a change of column or row
-order, or of any entry, bound or cost, fails here and not only in a
-benchmark report.
+minor variables), every mixed model handed to branch-and-bound is recorded
+in call order; the pipelines build no other LP, since each rounds its parts
+straight off the mixed optimum, so the only LP solved cold is each
+branch-and-bound root.  A model's shape, its integer variables and
+a SHA-256 of its exact entries, right-hand side, bounds and objective are
+compared with pinned values, so a change of column or row order, or of any
+entry, bound or cost, fails here and not only in a benchmark report.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from nearfeas.branch_bound import solve_mip
 from nearfeas.generate import gen_config
 from nearfeas.instances import ApproxParams, instance_from_dict
 from nearfeas.rationals import Rat
-from nearfeas.simplex import solve_lp_vertex
+from nearfeas.simplex import Tableau
 
 INSTANCES = {
     "general": {
@@ -69,56 +70,53 @@ def _digest(lp):
 
 
 def _layouts(monkeypatch, kind):
-    """(rows, cols, integer variables or None, digest) of every mixed model
-    and restriction LP one solve builds, in call order."""
+    """(rows, cols, integer variables, digest) of every mixed model one solve
+    builds, and (rows, cols) of every LP it solves cold, in call order."""
     seen = []
+    cold = []
 
     def mixed(model, **kw):
         lp = model.lp
         seen.append((lp.matrix.rows, lp.matrix.cols, tuple(sorted(model.integer_vars)), _digest(lp)))
         return solve_mip(model, **kw)
 
-    def restriction(lp):
-        seen.append((lp.matrix.rows, lp.matrix.cols, None, _digest(lp)))
-        return solve_lp_vertex(lp)
+    def solve(tab):
+        cold.append((tab.lp.matrix.rows, tab.lp.matrix.cols))
+        return cold_solve(tab)
 
+    cold_solve = Tableau.solve
+    monkeypatch.setattr(Tableau, "solve", solve)
     for mod in (solver_general, solver_config, solver_nfold):
-        for name, fn in (("solve_mip", mixed), ("solve_lp_vertex", restriction)):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, fn)
+        monkeypatch.setattr(mod, "solve_mip", mixed)
     res = SOLVERS[kind](instance_from_dict(INSTANCES[kind]), ApproxParams.build("1/2"))
-    return res, seen
+    return res, seen, cold
 
 
-# (rows, cols, integer variables, SHA-256): the mixed model first, then each
-# restriction in the order it is solved (nonnegative n-fold: the selections',
-# then the minors').
+# (rows, cols, integer variables, SHA-256) of each mixed model.
 PINNED = {
     "general": [
         (5, 10, (5, 6, 7), "b5cc86b2af6d48b6dc19a24a070f679c64a417c7a65ede82ceb2250ce183546d"),
-        (5, 5, None, "2c9ec0b0748d42058d99ea11d02ab03fe9acd2e98b173c21e8c85b21f7f47c31"),
     ],
     # blocks of 1, 3 and 3 configurations, three types: 7 z, 7 y, 1 slack;
     # 1 coupling, 7 linking and 3 selection rows
     "nfold-config": [
         (11, 15, tuple(range(7, 14)), "7e3767f61b9646ae88f2680015ee956d4ffe32f6f9056129b46144ad407e4321"),
-        (11, 7, None, "39dd18476ef818bcefa9f26f8397a1a06764c8a4b0d2bcf1cccac3a36c3d5c48"),
     ],
     # major configurations per block 1, 2 and 1, three types: 4 z, 4 y, 2
     # minors x, 1 group g, 2 slacks
     "nfold": [
         (10, 13, (4, 5, 6, 7, 10), "b9f81259ec12cee668cc5d8fa6bb92fe650453fc8ca0cb98c7d9372ce8a9d850"),
-        (9, 4, None, "592ce23f8ce3b5509eea4b340ca37fe687539f1978db15cff35bff246b07edd8"),
-        (3, 2, None, "c83b848e34b481c87dd5f016332169500b6d368d6a401b0ee14b3681738b1ab3"),
     ],
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_pinned_model_layouts(monkeypatch, kind):
-    res, seen = _layouts(monkeypatch, kind)
+    res, seen, cold = _layouts(monkeypatch, kind)
     assert res.status.value == "ok" and res.refinements == 0
     assert seen == PINNED[kind]
+    # the only cold LP is each branch-and-bound root
+    assert cold == [layout[:2] for layout in seen]
 
 
 def test_selection_columns_are_distinct_configurations():

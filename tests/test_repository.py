@@ -1,9 +1,12 @@
 """Checks on the checkout itself."""
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -68,3 +71,34 @@ def test_readme_cli_block_lists_every_option():
                     assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[command]), (
                         f"README CLI block lacks {command} {option}"
                     )
+
+
+def test_readme_dotted_names_resolve():
+    """Every backticked dotted name in the README whose head is the package,
+    one of its modules or a class defined in one (``simplex.solve_lp_vertex``,
+    ``LinearProgram.matrix``) names something that exists."""
+    import nearfeas
+
+    owners = {"nearfeas": nearfeas}
+    for info in pkgutil.iter_modules(nearfeas.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"nearfeas.{info.name}")
+        owners[info.name] = module
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                owners[name] = obj
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    checked = 0
+    for dotted in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme))):
+        head, *rest = dotted.split(".")
+        if head not in owners:
+            continue
+        owner = owners[head]
+        for part in rest:
+            fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
+            assert hasattr(owner, part) or part in fields, f"README names {dotted}, which does not exist"
+            owner = getattr(owner, part, None)
+        checked += 1
+    assert checked

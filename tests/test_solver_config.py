@@ -116,10 +116,11 @@ def test_exact_block_membership_and_guarantees():
         assert res.objective <= orc.optimum
         okc += 1
     assert okc == 20
-    # fractional support and per-type rank bounds on every fixed-count vertex
-    assert trace.fixed_y_vertices
-    for lp, vertex, s, tau, submats in trace.fixed_y_vertices:
-        assert len(nonintegral_support(vertex)) <= s * (2 * tau + 1)
+    # fractional support and per-type rank bounds on every selection part
+    assert trace.selection_optima
+    for model, values, submats in trace.selection_optima:
+        s, tau = len(model.coupling), max(len(cols) for cols in model.z)
+        assert len(nonintegral_support(values[: model.z[-1].stop])) <= s * (2 * tau + 1)
         for sub in submats:
             assert rank_exact(sub) <= 2 * tau
 

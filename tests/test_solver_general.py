@@ -1,21 +1,18 @@
 import random
 
+import pytest
+
 from nearfeas.boxes import partition_columns
-from nearfeas.branch_bound import MIPStatus, solve_mip
-from nearfeas.errors import RefinementLimitExceeded
+from nearfeas.branch_bound import MIPStatus, MixedSolution, solve_mip
+from nearfeas.errors import PipelineInvariantError, RefinementLimitExceeded
 from nearfeas.generate import gen_general
 from nearfeas.instances import ApproxParams, GeneralIP
 from nearfeas.linalg import is_nonsingular
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import nonintegral_support, solve_lp_vertex, strictly_between_columns
-from nearfeas.solver_general import (
-    build_mip1,
-    claim1_check,
-    restrict_lp2,
-    solve_general,
-)
+from nearfeas.simplex import nonintegral_support, strictly_between_columns
+from nearfeas.solver_general import build_mip1, round_within_groups, solve_general
 
 
 def test_build_mip1_single_group():
@@ -49,33 +46,18 @@ def test_mip1_embeds_feasible_points():
         assert mixed.objective_value <= orc.optimum
 
 
-def test_restrict_lp2_properties():
+def test_round_within_groups_rejects_wide_fractional_support():
+    # one coupling row, so a grouped part with 3 > 2m fractional entries
+    # cannot be a vertex of LP2
     inst = GeneralIP.build([[2, 3, 5]], [10], [1, 1, 1], [0, 0, 0], [3, 3, 2])
     part = partition_columns(inst.H, Rat(1, 10))
     model = build_mip1(inst, part, slack_bound=Rat(1))
-    mixed = solve_mip(model.mixed)
-    lp2 = restrict_lp2(model, mixed)
-    vertex = solve_lp_vertex(lp2)
-    # feasible (x* itself solves it) and no worse than x*
-    assert vertex.status.value == "optimal"
-    xstar_obj = sum(
-        (inst.w[j] * mixed.values[j] for j in range(3)), Rat(0)
-    )
-    assert vertex.objective_value <= xstar_obj
-    # integral mixed x -> empty fractional support after re-solve is allowed
-    assert claim1_check(vertex, inst.H.rows)
-
-
-def test_claim1_synthetic_failure():
-    from nearfeas.simplex import LPStatus
-
-    class FakeSol:
-        status = LPStatus.OPTIMAL
-        values = (Rat(1, 2), Rat(1, 2), Rat(1, 2))
-
-    assert not claim1_check(FakeSol(), 1)
-    FakeSol.values = (Rat(1, 2), Rat(1, 2))
-    assert claim1_check(FakeSol(), 1)
+    values = [Rat(0)] * model.mixed.lp.matrix.cols
+    for j in model.x:
+        values[j] = Rat(1, 2)
+    mixed = MixedSolution(MIPStatus.OPTIMAL, tuple(values), Rat(0))
+    with pytest.raises(PipelineInvariantError, match="exceeds 2m=2"):
+        round_within_groups(model, mixed, None)
 
 
 def test_solve_three_column_example():
@@ -129,11 +111,12 @@ def test_guarantees_on_random_instances():
             assert res.objective <= orc.optimum
             solved += 1
     assert solved >= 20
-    # support and nonsingularity bounds on every vertex the pipeline produced
-    assert trace.lp2_vertices
-    for lp2, vertex, m in trace.lp2_vertices:
-        assert len(nonintegral_support(vertex)) <= 2 * m
-        assert is_nonsingular(strictly_between_columns(lp2, vertex))
+    # support and nonsingularity bounds on every grouped part it rounded
+    assert trace.grouped_optima
+    for model, values in trace.grouped_optima:
+        x = values[model.x.start : model.x.stop]
+        assert len(nonintegral_support(x)) <= 2 * len(model.coupling)
+        assert is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x))
 
 
 def test_group_sum_conservation():

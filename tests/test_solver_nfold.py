@@ -225,8 +225,8 @@ def test_guarantees_on_random_instances():
             small_bias=0.5 if k >= 15 else 0.0,
         )
         eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
-        recorded = len(trace.fixed_y_vertices)
-        restricted = len(trace.lp2_vertices)
+        recorded = len(trace.selection_optima)
+        restricted = len(trace.grouped_optima)
         res = solve_nfold(inst, ApproxParams.build(eps), trace=trace)
         assert res.status == SolveStatus.OK
         if "case2" in res.notes:
@@ -234,12 +234,12 @@ def test_guarantees_on_random_instances():
             # the same grouped rounding stage as the general one on the minor
             # variables of its first model, if it has any
             case2_runs += 1
-            assert len(trace.fixed_y_vertices) > recorded
+            assert len(trace.selection_optima) > recorded
             t = inst.blocks[0].A.cols
             splits = [classify_and_split(sb, eps / (4 * t)) for sb in normalize_blocks(inst)]
             if any(kind == SMALL and ub for sp in splits for kind, ub in zip(sp.kinds, sp.minor_ub)):
                 minor_runs += 1
-                assert len(trace.lp2_vertices) > restricted
+                assert len(trace.grouped_optima) > restricted
         # multiplicative guarantee on the original data, exact
         for blk, xi in zip(inst.blocks, res.x):
             ax = blk.A.matvec(xi)
@@ -258,11 +258,13 @@ def test_guarantees_on_random_instances():
         for blk, xi in zip(inst.blocks, res.x):
             assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
     assert case2_runs and minor_runs
-    for _lp, vertex, s, tau, _submats in trace.fixed_y_vertices:
-        assert len(nonintegral_support(vertex)) <= s * (2 * tau + 1)
-    for lp, vertex, s in trace.lp2_vertices:
-        assert len(nonintegral_support(vertex)) <= 2 * s
-        assert is_nonsingular(strictly_between_columns(lp, vertex))
+    for model, values, _submats in trace.selection_optima:
+        s, tau = len(model.coupling), max(len(cols) for cols in model.z)
+        assert len(nonintegral_support(values[: model.z[-1].stop])) <= s * (2 * tau + 1)
+    for model, values in trace.grouped_optima:
+        x = values[model.x.start : model.x.stop]
+        assert len(nonintegral_support(x)) <= 2 * len(model.coupling)
+        assert is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x))
 
 
 def test_build_mip6_no_small_columns_has_no_minors():
