@@ -1,10 +1,12 @@
 """Exact branch-and-bound for models with a designated set of integer variables.
 
 Depth-first search over the integer-variable box with exact LP bounds from
-the simplex module; pruning compares rationals exactly, so the returned
-objective is the true mixed-integer optimum.  Branches on the integer
-variable whose relaxation value is farthest from an integer (ties to the
-smallest index), exploring the floor side first.
+the simplex module; each node reads its vertex as integers over one
+denominator (``Tableau.vertex_numerators``), and pruning and branching
+compare those integers exactly, so the returned objective is the true
+mixed-integer optimum.  Rationals are built only for an incumbent.
+Branches on the integer variable whose relaxation value is farthest from an
+integer (ties to the smallest index), exploring the floor side first.
 
 Only the root LP is solved cold.  A child differs from its parent by one
 bound of a basic variable, so it is re-optimized from the parent's optimal
@@ -19,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NodeLimitExceeded
-from .rationals import ZERO, Rat, is_integral, rat_floor
+from .rationals import Rat, is_integral
 from .simplex import LinearProgram, LPStatus, Tableau
 
 
@@ -76,7 +78,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
     lp = model.lp
     int_vars = sorted(model.integer_vars)
     run = SolveStats()
-    best = None  # (objective, values)
+    best = None  # (objective numerator, its denominator, values)
 
     # stack entries: (tableau, branched variable, its new bounds, depth); the
     # root carries no bound change and is solved cold
@@ -93,30 +95,33 @@ def solve_mip(model, node_limit=10**6, stats=None):
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1
             continue
-        sol = tab.vertex()
-        if best is not None and sol.objective_value >= best[0]:
+        # the checked vertex as integers over one positive denominator
+        values, den, cost, cost_den = tab.vertex_numerators()
+        if best is not None and cost * best[1] >= best[0] * cost_den:
             run.bb_pruned += 1
             continue
 
+        # the integer variable farthest from an integer: the distance is
+        # min(f, 1 - f) for the fractional part f, here its numerator over den
         branch_var = -1
-        branch_dist = ZERO
+        branch_dist = 0
         for k in int_vars:
-            v = sol.values[k]
-            if is_integral(v):
+            f = values[k] % den
+            if not f:
                 continue
-            f = v - rat_floor(v)
-            dist = min(f, 1 - f)
+            dist = min(f, den - f)
             if dist > branch_dist:
                 branch_dist = dist
                 branch_var = k
         if branch_var < 0:
-            best = (sol.objective_value, sol.values)
+            best = (cost, cost_den, tuple(Rat(v, den) for v in values))
             run.bb_incumbents += 1
             continue
 
-        fl = Rat(rat_floor(sol.values[branch_var]))
-        stack.append((tab.copy(), branch_var, fl + 1, tab.upper[branch_var], depth + 1))
-        stack.append((tab, branch_var, tab.lower[branch_var], fl, depth + 1))  # explored first
+        # each child tightens one bound and keeps the other (None)
+        fl = values[branch_var] // den
+        stack.append((tab.copy(), branch_var, fl + 1, None, depth + 1))
+        stack.append((tab, branch_var, None, fl, depth + 1))  # explored first
 
     if stats is not None:
         stats.lp_pivots += run.lp_pivots
@@ -127,4 +132,5 @@ def solve_mip(model, node_limit=10**6, stats=None):
         stats.bb_max_depth = max(stats.bb_max_depth, run.bb_max_depth)
     if best is None:
         return MixedSolution(MIPStatus.INFEASIBLE, None, None, run.bb_nodes, run.lp_pivots)
-    return MixedSolution(MIPStatus.OPTIMAL, best[1], best[0], run.bb_nodes, run.lp_pivots)
+    cost, cost_den, values = best
+    return MixedSolution(MIPStatus.OPTIMAL, values, Rat(cost, cost_den), run.bb_nodes, run.lp_pivots)

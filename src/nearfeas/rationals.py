@@ -3,9 +3,10 @@
 Everything numeric in this package is an exact rational; no floating point
 ever enters a computation.  ``Rat`` is the scalar constructor,
 ``fractions.Fraction``: values stay in lowest terms with a positive
-denominator and print as "p/q" (or "p" for integers).  Simplex pivots do not
-use it (the tableau is integer, see ``simplex``); model data, ratio tests,
-variable values and reports do.
+denominator and print as "p/q" (or "p" for integers).  The simplex does not
+use it between reading an LP and returning its vertex (the tableau, bounds
+and values are integer, see ``simplex``); model data, solutions and reports
+do.
 """
 
 import math

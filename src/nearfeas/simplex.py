@@ -6,15 +6,20 @@ smallest basic variable index), so every run is deterministic and terminates
 despite degeneracy.  All arithmetic is exact; optimality and feasibility are
 decided with zero tolerance.
 
-The tableau holds no rationals.  Each constraint row is scaled once to
+The LP's state holds no rationals.  Each constraint row is scaled once to
 integers and the tableau is kept as Python ints over one common denominator,
-the determinant of the current basis, by integer-preserving Gauss-Jordan
+the determinant d of the current basis, by integer-preserving Gauss-Jordan
 pivots (J. Edmonds, "Systems of distinct representatives and linear
 algebra", J. Res. NBS 71B, 1967): every division in a pivot is exact by
-Cramer's rule.  Rationals appear only in the ratio test and in the variable
-values, which are tracked apart from the tableau; the tableau keeps no
-right-hand-side column.  Each decision compares the same exact quantities a
-rational tableau would, so the pivot path is the same.
+Cramer's rule.  One positive integer scale L per LP makes every bound and
+every scaled right-hand side integral, so the bounds are held as ints over L
+and the basic values as an integer value column over d * L that the pivots
+carry with the tableau (an integer right-hand side, as in the revised
+simplex of R. Azulay & J.-F. Pique, "A revised simplex method with integer
+Q-matrices", ACM TOMS 27(3), 2001).  Every decision is an integer cross
+product read against the sign of d, and compares the same exact quantities
+a rational tableau would, so the pivot path is the same.  Rationals appear
+only in the LP's input and in ``vertex()``'s output.
 
 A ``Tableau`` left optimal can be re-optimized after one basic variable's
 bounds are tightened, by the bounded-variable dual simplex (A. Koberstein,
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 from .backend import pivot_update
 from .errors import PipelineInvariantError
-from .rationals import ZERO, as_rat, is_integral
+from .rationals import Rat, as_rat, is_integral
 from .linalg import Matrix
 
 
@@ -93,6 +98,11 @@ def _scale(values):
     return math.lcm(*(v.denominator for v in values))
 
 
+def _scaled(v, L):
+    """L * v as an int; L must be a multiple of v's denominator."""
+    return v.numerator * (L // v.denominator)
+
+
 def _scaled_rows(lp):
     """Each constraint row scaled to integers by the lcm s of its
     denominators: (the nonzeros of s * A_i as (column, int), s * b_i, s)."""
@@ -100,7 +110,7 @@ def _scaled_rows(lp):
     for i in range(lp.matrix.rows):
         nz = [(j, v) for j, v in enumerate(lp.matrix.row(i)) if v]
         s = _scale(v for _, v in nz)
-        rows.append(([(j, v.numerator * (s // v.denominator)) for j, v in nz], lp.rhs[i] * s, s))
+        rows.append(([(j, _scaled(v, s)) for j, v in nz], lp.rhs[i] * s, s))
     return rows
 
 
@@ -114,11 +124,19 @@ class Tableau:
     (``backend.pivot_update``); ``d`` may turn negative, so signs of entries
     are read relative to the sign of ``d``.
 
+    The bounds ``lower`` and ``upper`` are ints over the scale ``L``, and
+    each row ends in a value column: ``d * L`` times the row's basic value,
+    and ``-d * k * L`` times the objective in row r.  The column is the
+    tableau of ``L * D (b - N x_N)``, so a pivot carries it like any other
+    column, and a nonbasic variable that moves adds its own column times its
+    step to it.  A nonbasic variable sits at the bound its status names.
+
     ``solve`` runs the cold two-phase method; once it is optimal,
     ``reoptimize`` tightens one basic variable's bounds and restores
     optimality by the dual simplex, and ``copy`` snapshots the state for a
     later re-optimization under other bounds.  ``pivots`` counts the pivots
-    of the last solve or re-optimization.
+    of the last solve or re-optimization.  Rationals appear only in the LP
+    given to the constructor and in what ``vertex`` returns.
     """
 
     def __init__(self, lp):
@@ -126,11 +144,8 @@ class Tableau:
         r, c = lp.matrix.rows, lp.matrix.cols
         self.r = r
         self.c = c
-        self.n = c + r  # structural + artificial
-        self.lower = list(lp.lower)
-        self.upper = list(lp.upper)
+        self.n = n = c + r  # structural + artificial
         self.stat = [_LOW] * c + [_BASIC] * r
-        self.val = list(lp.lower) + [ZERO] * r
         self.basis = list(range(c, c + r))
         self.pivots = 0
 
@@ -138,74 +153,97 @@ class Tableau:
         # they also check vertices and infeasibility certificates
         rows = self.rows = _scaled_rows(lp)
 
-        # residuals of the initial all-at-lower point become artificial values
-        sign = []
-        for i, (nz, sb, s) in enumerate(rows):
-            acc = sb
-            for j, a in nz:
-                lj = lp.lower[j]
-                if lj:
-                    acc = acc - a * lj
-            res = acc / s
-            self.val[c + i] = res
-            if res >= 0:
-                self.lower.append(ZERO)
-                self.upper.append(res)
-                sign.append(1 if res > 0 else 0)
-            else:
-                self.lower.append(res)
-                self.upper.append(ZERO)
-                sign.append(-1)
+        # L: the bounds, the scaled right-hand sides and the residuals of the
+        # all-at-lower start (the artificials' initial ranges) times L are
+        # integral.  L0 covers the first two; res[i] is L0 * s times row i's
+        # residual, which L makes integral once it holds L0 * s / gcd(res[i],
+        # L0 * s)
+        L0 = math.lcm(_scale(lp.lower), _scale(lp.upper), _scale(sb for _, sb, _ in rows))
+        low0 = [_scaled(v, L0) for v in lp.lower]
+        res = []
+        L = L0
+        for nz, sb, s in rows:
+            ri = _scaled(sb, L0) - sum(a * low0[j] for j, a in nz)
+            res.append(ri)
+            L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))
+        self.L = L
+        f = L // L0
+        self.lower = [v * f for v in low0]
+        self.upper = [_scaled(v, L) for v in lp.upper]
+        self.rhs = tuple(_scaled(sb, L) for _, sb, _ in rows)
 
-        # rows: d * [A | I] for the all-artificial basis, whose determinant in
-        # the row-scaled matrix is the product d of the row scales; the cost
-        # row holds the phase-1 reduced costs (k = 1), minus the signed sum of
-        # the rows
+        # rows: d * [A | I | value] for the all-artificial basis, whose
+        # determinant in the row-scaled matrix is the product d of the row
+        # scales; each artificial's value is its residual.  The cost row
+        # holds the phase-1 reduced costs (k = 1), minus the signed sum of the
+        # rows
         d = math.prod(s for _, _, s in rows)
         self.d = self.d0 = d
         self.T = []
-        cost = [0] * self.n
+        cost = [0] * (n + 1)
         for i, (nz, _, s) in enumerate(rows):
-            f = d // s
-            t = [0] * self.n
+            ri = res[i] * f  # L * s * residual
+            self.lower.append(min(ri, 0) // s)
+            self.upper.append(max(ri, 0) // s)
+            g = d // s
+            t = [0] * (n + 1)
             for j, a in nz:
-                t[j] = a * f
+                t[j] = a * g
             t[c + i] = d
+            t[n] = ri * g
             self.T.append(t)
-            si = sign[i]
-            if si:
+            if ri:
+                si = 1 if ri > 0 else -1
                 for j, _ in nz:
                     cost[j] -= si * t[j]
+                cost[n] -= si * t[n]
         self.T.append(cost)
-        self.phase_cost = [0] * c + sign
 
     def copy(self):
-        """An independent snapshot: rows, basis, bounds and values."""
+        """An independent snapshot: rows, basis, bounds and statuses."""
         new = copy.copy(self)
         new.T = [row[:] for row in self.T]
         new.lower = self.lower[:]
         new.upper = self.upper[:]
         new.stat = self.stat[:]
-        new.val = self.val[:]
         new.basis = self.basis[:]
         return new
 
+    def _shift(self, q, step):
+        """Add ``step`` times column q to the value column, as if nonbasic
+        x_q fell by ``step / L``: a bound flip moves it by ``-step / L``;
+        ``step = L * x_q`` takes x_q out of the nonbasic part before it enters
+        the basis, and ``step = -L * x_q`` puts a leaving variable in."""
+        if step:
+            n = self.n
+            for row in self.T:
+                a = row[q]
+                if a:
+                    row[n] += a * step
+
+    def _pivot(self, leave, q, leave_stat):
+        """Swap x_q into the basis at row ``leave``; the leaving variable
+        takes the bound ``leave_stat`` names."""
+        stat, basis = self.stat, self.basis
+        self._shift(q, self.lower[q] if stat[q] == _LOW else self.upper[q])
+        lv = basis[leave]
+        stat[lv] = leave_stat
+        stat[q] = _BASIC
+        basis[leave] = q
+        self.d = pivot_update(self.T, leave, q, self.d)
+        self._shift(lv, -(self.lower[lv] if leave_stat == _LOW else self.upper[lv]))
+        self.pivots += 1
+
     def _iterate(self):
-        T, val, lower, upper, stat, basis = (
-            self.T,
-            self.val,
-            self.lower,
-            self.upper,
-            self.stat,
-            self.basis,
-        )
+        T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
+        n = self.n
         cost_row = T[self.r]
-        d = self.d
         fixed = [lo == hi for lo, hi in zip(lower, upper)]
         for _ in range(_MAX_ITERATIONS):
+            d = self.d
             pos = d > 0
             entering = -1
-            for j in range(self.n):
+            for j in range(n):
                 rc = cost_row[j]
                 if not rc:
                     continue
@@ -221,121 +259,122 @@ class Tableau:
                 return LPStatus.OPTIMAL
 
             up = stat[entering] == _LOW  # moving up from lower, else down from upper
-            t_row = None
+            # the ratio test: the step that row i allows is gap / (L * |a|),
+            # gap being |d| * L times the distance from the basic value to the
+            # bound the move drives it toward; caps compare as cross products
             leave = -1
+            lg = la = 0
             leave_stat = _LOW
             for i in range(self.r):
-                a = T[i][entering]
+                row = T[i]
+                a = row[entering]
                 if not a:
                     continue
                 bi = basis[i]
-                # the step is |d| * gap / |a|, the gap being to the bound the
-                # move drives the basic variable toward; |d| is common to all
-                # rows, so the caps compared here leave it out
                 if ((a > 0) == pos) == up:
-                    cap = (val[bi] - lower[bi]) / abs(a)
+                    gap = row[n] - d * lower[bi]
                     hb = _LOW
                 else:
-                    cap = (upper[bi] - val[bi]) / abs(a)
+                    gap = d * upper[bi] - row[n]
                     hb = _UP
-                if t_row is None or cap < t_row or (cap == t_row and bi < basis[leave]):
-                    t_row, leave, leave_stat = cap, i, hb
-            if t_row is not None:
-                t_row = t_row * abs(d)
-            t_own = upper[entering] - lower[entering]
+                if not pos:
+                    gap = -gap
+                if a < 0:
+                    a = -a
+                if leave < 0 or gap * la < lg * a or (gap * la == lg * a and bi < basis[leave]):
+                    leave, lg, la, leave_stat = i, gap, a, hb
+            width = upper[entering] - lower[entering]
 
-            if t_row is None or t_own <= t_row:
-                t = t_own
-                self._move(entering, up, t)
+            if leave < 0 or width * la <= lg:
+                self._shift(entering, -width if up else width)
                 stat[entering] = _UP if up else _LOW
-                val[entering] = upper[entering] if up else lower[entering]
             else:
-                t = t_row
-                if t < 0:
+                if lg < 0:
                     raise PipelineInvariantError("negative ratio-test step")
-                self._move(entering, up, t)
-                lv = basis[leave]
-                stat[lv] = leave_stat
-                val[lv] = lower[lv] if leave_stat == _LOW else upper[lv]
-                stat[entering] = _BASIC
-                basis[leave] = entering
-                d = self.d = pivot_update(T, leave, entering, d)
-                self.pivots += 1
+                self._pivot(leave, entering, leave_stat)
         raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
 
-    def _move(self, entering, up, t):
-        if not t:
-            return
-        T, val, basis = self.T, self.val, self.basis
-        t_d = t / self.d  # entries are d times the tableau's
-        for i in range(self.r):
-            a = T[i][entering]
-            if a:
-                step = a * t_d
-                bi = basis[i]
-                val[bi] = val[bi] - step if up else val[bi] + step
-        val[entering] = val[entering] + t if up else val[entering] - t
-
     def rebuild_cost_row(self, objective):
-        k = _scale(objective)
-        obj = [v.numerator * (k // v.denominator) for v in objective]
-        d = self.d
-        cost = [v * d for v in obj] + [0] * self.r
+        k = self.k = _scale(objective)
+        obj = self.obj = [_scaled(v, k) for v in objective]
+        d, n = self.d, self.n
+        cost = [v * d for v in obj] + [0] * (self.r + 1)
+        # the value column's entry is -d * k * L times the objective
+        cost[n] = -d * sum(
+            v * (self.lower[j] if self.stat[j] == _LOW else self.upper[j])
+            for j, v in enumerate(obj)
+            if v and self.stat[j] != _BASIC
+        )
         T = self.T
         for i in range(self.r):
             cb = obj[self.basis[i]] if self.basis[i] < self.c else 0
             if cb:
                 row = T[i]
-                for j in range(self.n):
+                for j in range(n + 1):
                     if row[j]:
                         cost[j] -= cb * row[j]
         T[self.r] = cost
 
     def solve(self):
         """Cold two-phase solve from the all-artificial basis."""
-        status = self._iterate()
-        infeas = ZERO
-        for j in range(self.c, self.n):
-            if self.phase_cost[j]:
-                infeas = infeas + self.phase_cost[j] * self.val[j]
-        if infeas != 0:
+        self._iterate()
+        # the cost row's value entry is -d * L times the phase-1 objective,
+        # the signed sum of the artificials
+        if self.T[self.r][self.n]:
             return LPStatus.INFEASIBLE
+        # every artificial is 0, so its bounds close on its value
         for j in range(self.c, self.n):
-            self.lower[j] = ZERO
-            self.upper[j] = ZERO
-            self.val[j] = ZERO
-        self.rebuild_cost_row(tuple(self.lp.objective))
+            self.lower[j] = 0
+            self.upper[j] = 0
+        self.rebuild_cost_row(self.lp.objective)
         return self._iterate()
 
+    def _rescale(self, f):
+        """Multiply L, the bounds and the value column by the integer f."""
+        self.L *= f
+        self.lower = [v * f for v in self.lower]
+        self.upper = [v * f for v in self.upper]
+        self.rhs = tuple(v * f for v in self.rhs)
+        n = self.n
+        for row in self.T:
+            row[n] *= f
+
     def reoptimize(self, j, lo, hi):
-        """Give basic variable j the bounds [lo, hi] and restore optimality by
-        the bounded dual simplex; OPTIMAL or INFEASIBLE.
+        """Give basic variable j the bounds [lo, hi] (ints or rationals; None
+        keeps that bound) and restore optimality by the bounded dual simplex;
+        OPTIMAL or INFEASIBLE.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
-        new bounds, and no value moves until the first dual pivot.
+        new bounds, and no value moves until the first dual pivot.  A bound
+        whose denominator does not divide L scales L up to the lcm.
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
-        self.lower[j] = lo
-        self.upper[j] = hi
-        T, val, lower, upper, stat, basis = (
-            self.T,
-            self.val,
-            self.lower,
-            self.upper,
-            self.stat,
-            self.basis,
-        )
-        r = self.r
+        L = math.lcm(self.L, *(v.denominator for v in (lo, hi) if v is not None))
+        if L != self.L:
+            self._rescale(L // self.L)
+        if lo is not None:
+            self.lower[j] = _scaled(lo, L)
+        if hi is not None:
+            self.upper[j] = _scaled(hi, L)
+        T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
+        r, n = self.r, self.n
         cost_row = T[r]
-        d = self.d
         self.pivots = 0
         for _ in range(_MAX_ITERATIONS):
-            # the leaving row: the out-of-bounds basic variable of least index
+            d = self.d
+            pos = d > 0
+            # the leaving row: the out-of-bounds basic variable of least
+            # index; with d < 0 the value column runs opposite to the values
             leave = -1
             for i in range(r):
                 bi = basis[i]
-                if not lower[bi] <= val[bi] <= upper[bi] and (leave < 0 or bi < lv):
+                if leave >= 0 and bi > lv:
+                    continue
+                v = T[i][n]
+                lo_d = d * lower[bi]
+                hi_d = d * upper[bi]
+                if (v < lo_d or v > hi_d) if pos else (v > lo_d or v < hi_d):
                     leave, lv = i, bi
             if leave < 0:
                 return LPStatus.OPTIMAL
@@ -344,9 +383,9 @@ class Tableau:
             # it that way, and the least |reduced cost| / |entry| keeps every
             # reduced cost's sign (compared as cross products, ties to the
             # smallest index)
-            to_low = val[lv] < lower[lv]
             row = T[leave]
-            pos = d > 0
+            v = row[n]
+            to_low = v < d * lower[lv] if pos else v > d * lower[lv]
             q = -1
             qc = qa = 0
             # a column at its lower bound may only rise and one at its upper
@@ -368,21 +407,7 @@ class Tableau:
             if q < 0:
                 self._certify_infeasible(leave)
                 return LPStatus.INFEASIBLE
-
-            bound = lower[lv] if to_low else upper[lv]
-            # x_q moves by d * step, each basic variable by -(its entry) * step
-            step = (val[lv] - bound) / row[q]
-            for i in range(r):
-                a = T[i][q]
-                if a:
-                    bi = basis[i]
-                    val[bi] = val[bi] - a * step
-            val[q] = val[q] + step * d
-            stat[lv] = _LOW if to_low else _UP
-            stat[q] = _BASIC
-            basis[leave] = q
-            d = self.d = pivot_update(T, leave, q, d)
-            self.pivots += 1
+            self._pivot(leave, q, _LOW if to_low else _UP)
         raise PipelineInvariantError("dual simplex iteration cap hit; anti-cycling rule broken")
 
     def _certify_infeasible(self, p):
@@ -391,43 +416,62 @@ class Tableau:
         The row's artificial part y satisfies ``y . (A x) = y . b`` for every
         solution x of the equations; the certificate holds when ``y . b`` lies
         outside the range of ``y . A x`` over the bounds.  Both sides are
-        recomputed from the original rows, scaled by ``d0 > 0``, not read
+        recomputed from the original rows, scaled by ``d0 * L > 0``, not read
         from the tableau.
         """
         c = self.c
         d0 = self.d0
         g = [0] * c
-        rhs = ZERO
-        for yi, (nz, sb, s) in zip(self.T[p][c:], self.rows):
+        rhs = 0
+        for yi, (nz, _, s), sb in zip(self.T[p][c : self.n], self.rows, self.rhs):
             if yi:
                 f = yi * (d0 // s)
-                if sb:
-                    rhs = rhs + f * sb
+                rhs += f * sb
                 for j, a in nz:
                     g[j] += f * a
-        least = most = ZERO
+        least = most = 0
         for j, gj in enumerate(g):
             if gj:
                 at_lo, at_hi = gj * self.lower[j], gj * self.upper[j]
                 if gj < 0:
                     at_lo, at_hi = at_hi, at_lo
-                least = least + at_lo
-                most = most + at_hi
+                least += at_lo
+                most += at_hi
         if least <= rhs <= most:
             raise PipelineInvariantError("dual simplex infeasibility certificate does not hold")
+
+    def vertex_numerators(self):
+        """The vertex of the current basis in integer form, checked against
+        the equations and the current bounds: ``(values, den, cost,
+        cost_den)``, x_j being ``values[j] / den`` and the objective
+        ``cost / cost_den``, with both denominators positive."""
+        c, n, d = self.c, self.n, self.d
+        e = abs(d)
+        lower, upper, stat = self.lower, self.upper, self.stat
+        values = [(lower[j] if stat[j] == _LOW else upper[j]) * e for j in range(c)]
+        for row, b in zip(self.T, self.basis):
+            if b < c:
+                values[b] = row[n] if d > 0 else -row[n]
+        _verify_vertex(self.rows, self.rhs, lower, upper, values, e)
+        cost = 0
+        for v, w in zip(values, self.obj):
+            if v and w:
+                cost += v * w
+        den = e * self.L
+        return values, den, cost, den * self.k
 
     def vertex(self):
         """The optimal vertex of the current basis, checked against the
         equations and the current bounds."""
-        c = self.c
-        values = tuple(self.val[:c])
-        _verify_vertex(self.rows, self.lower, self.upper, values)
-        obj = ZERO
-        for v, w in zip(values, self.lp.objective):
-            if v and w:
-                obj = obj + w * v
-        basis = tuple(sorted(b for b in self.basis if b < c))
-        return VertexSolution(LPStatus.OPTIMAL, values, basis, obj, self.pivots)
+        values, den, cost, cost_den = self.vertex_numerators()
+        basis = tuple(sorted(b for b in self.basis if b < self.c))
+        return VertexSolution(
+            LPStatus.OPTIMAL,
+            tuple(Rat(v, den) for v in values),
+            basis,
+            Rat(cost, cost_den),
+            self.pivots,
+        )
 
 
 def solve_lp_vertex(lp):
@@ -444,23 +488,22 @@ def solve_lp_vertex(lp):
     return tab.vertex()
 
 
-def _verify_vertex(rows, lower, upper, values):
+def _verify_vertex(rows, rhs, lower, upper, values, e):
     """Raise unless values meet the bounds and the equations exactly.
 
-    ``rows`` are ``_scaled_rows``; each equation is checked over its row's
-    nonzeros as a sum of integers, the values scaled by the lcm L of their
-    denominators, against ``L * s * b_i``.
+    Everything is an integer numerator: ``lower``, ``upper`` and ``rhs`` (one
+    ``L * s * b_i`` per row of ``_scaled_rows``) over a scale L > 0, and
+    ``values`` over ``e * L`` with e > 0.  Each equation is checked over its
+    row's nonzeros as a sum of integers.
     """
     for v, lo, hi in zip(values, lower, upper):
-        if not lo <= v <= hi:
+        if not lo * e <= v <= hi * e:
             raise PipelineInvariantError("vertex violates bounds")
-    L = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (L // v.denominator) for v in values]
-    for nz, sb, _ in rows:
+    for (nz, _, _), sb in zip(rows, rhs):
         acc = 0
         for j, a in nz:
-            acc += a * scaled[j]
-        if acc != sb * L:
+            acc += a * values[j]
+        if acc != sb * e:
             raise PipelineInvariantError("vertex violates equations")
 
 

@@ -9,15 +9,8 @@ from nearfeas.branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from nearfeas.errors import NodeLimitExceeded
 from nearfeas.linalg import Matrix
 from nearfeas.rationals import Rat
-from nearfeas.simplex import (
-    LinearProgram,
-    LPStatus,
-    Tableau,
-    _scaled_rows,
-    _verify_vertex,
-    solve_lp_vertex,
-)
-from test_simplex import _PINNED_LPS
+from nearfeas.simplex import LinearProgram, LPStatus, Tableau, solve_lp_vertex
+from test_simplex import _PINNED_LPS, _pinned_lp, verify_rational_vertex
 
 
 def mip_optimum_by_enumeration(model):
@@ -210,26 +203,28 @@ def _check_warm_child(parent, j, lo, hi):
     if status == LPStatus.OPTIMAL:
         sol = warm.vertex()
         assert sol.objective_value == cold.objective_value
-        _verify_vertex(_scaled_rows(child), child.lower, child.upper, sol.values)
+        verify_rational_vertex(child, sol.values)
     assert parent.vertex() == before
     return status
 
 
 @st.composite
 def _lp_and_cut(draw):
-    """A small LP with rational data, and a bound cut: which basic variable
-    (by rank), which side, and how far toward the opposite bound."""
+    """A small LP with rational data, bounds and right-hand sides (bounds and
+    free right-hand sides over denominators up to 6, so the tableau's scale
+    L exceeds 1), and a bound cut: which basic variable (by rank), which
+    side, and how far toward the opposite bound."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     A = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    lower = [Fraction(draw(st.integers(-2, 0))) for _ in range(n)]
-    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    lower = [draw(st.fractions(min_value=-2, max_value=0, max_denominator=6)) for _ in range(n)]
+    upper = [draw(st.fractions(min_value=lo, max_value=lo + 3, max_denominator=6)) for lo in lower]
     if draw(st.booleans()):
-        x0 = [lo + draw(st.integers(0, int(hi - lo))) for lo, hi in zip(lower, upper)]
+        x0 = [draw(st.fractions(min_value=lo, max_value=hi, max_denominator=6)) for lo, hi in zip(lower, upper)]
         b = [sum((A[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
     else:
-        b = [Fraction(draw(st.integers(-4, 4))) for _ in range(m)]
+        b = [draw(st.fractions(min_value=-4, max_value=4, max_denominator=6)) for _ in range(m)]
     obj = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
     lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
     return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 4))
@@ -248,7 +243,7 @@ def test_warm_child_matches_cold_solve(case):
     if not basic:
         return
     j = basic[rank % len(basic)]
-    v, lo, hi = parent.val[j], lp.lower[j], lp.upper[j]
+    v, lo, hi = parent.vertex().values[j], lp.lower[j], lp.upper[j]
     # the cut excludes v, as a branching bound excludes a fractional value
     if up and v < hi:
         lo = v + (hi - v) * Fraction(k, 4)
@@ -261,12 +256,12 @@ def test_warm_child_matches_cold_solve(case):
 
 def test_warm_children_of_pinned_degenerate_lps():
     statuses = []
-    for A, b, lower, upper, obj, *_ in _PINNED_LPS:
-        lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    for case in _PINNED_LPS:
+        lp = _pinned_lp(case)
         tab = Tableau(lp)
         assert tab.solve() == LPStatus.OPTIMAL
         for j in sorted(k for k in tab.basis if k < lp.matrix.cols):
-            v = tab.val[j]
+            v = tab.vertex().values[j]
             for lo, hi in (
                 (lp.lower[j], v - Rat(1, 2)),
                 (lp.lower[j], v - 1),

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -469,6 +470,15 @@ def test_python_m_nearfeas_runs_from_a_checkout(tmp_path):
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
+    # only ``python -m nearfeas`` runs the CLI; a plain import (as pkgutil
+    # walks do) must neither exit nor print
+    monkeypatch.delitem(sys.modules, "nearfeas.__main__", raising=False)
+    module = importlib.import_module("nearfeas.__main__")
+    assert module.main is main
+    assert capsys.readouterr() == ("", "")
 
 
 def test_each_solve_validates_its_instance_once(tmp_path, capsys, monkeypatch):

@@ -81,8 +81,6 @@ def test_readme_dotted_names_resolve():
 
     owners = {"nearfeas": nearfeas}
     for info in pkgutil.iter_modules(nearfeas.__path__):
-        if info.name == "__main__":
-            continue
         module = importlib.import_module(f"nearfeas.{info.name}")
         owners[info.name] = module
         for name, obj in vars(module).items():

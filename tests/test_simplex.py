@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from nearfeas.rationals import Rat
 from nearfeas.simplex import (
     LinearProgram,
     LPStatus,
+    Tableau,
     _scaled_rows,
     _verify_vertex,
     nonintegral_support,
@@ -259,7 +261,10 @@ def test_rational_entry_lps_match():
 # pinned: (A, b, lower, upper, objective, pivots, basis, values).  The first
 # four have fractional rows and objectives and negative residuals at the
 # all-lower start, so the integer tableau's denominator leaves 1 and turns
-# negative; the last is 0/1 data.
+# negative; the fifth is 0/1 data.  The last three have bounds and right-hand
+# sides over different denominators, so the scale L of bounds and values is
+# 30, 12 and 30 (12: the second row's residual is -5/4); in the last, an
+# artificial leaves the basis at its nonzero bound.
 _PINNED_LPS = [
     (
         [["2/3", 1, "2/3", 2], [0, 0, 0, "-1/2"], [0, "-2/3", 1, 0]],
@@ -311,33 +316,120 @@ _PINNED_LPS = [
         (3, 4, 5),
         [0, 0, 0, 0, 0, 1],
     ),
+    (
+        [[1, 1, "3/2", 2, 3], ["3/2", -1, -2, 1, 3]],
+        [-4, "-1/5"],
+        [-4, -1, -1, "-4/3", "-1/2"],
+        ["-5/2", 0, 0, -1, "5/6"],
+        [-3, 1, -2, 1, 2],
+        5,
+        (2, 3),
+        ["-5/2", -1, "-31/55", "-237/220", "5/6"],
+    ),
+    (
+        [[-1, 0, 2, "-3/2", -3], ["3/2", -3, 2, 0, 2]],
+        [5, "-1/4"],
+        [0, -1, 0, -4, -1],
+        [2, "2/3", "3/2", 1, "-1/2"],
+        [1, -1, -3, 1, 3],
+        4,
+        (0, 3),
+        ["1/2", "2/3", "3/2", "1/3", -1],
+    ),
+    (
+        [[1, 1, 3, 0, -2], [-2, 3, "-1/2", -1, 1]],
+        ["-4/5", "3/5"],
+        [-1, 0, 0, "-1/3", -1],
+        ["-1/2", 3, 1, "2/3", 1],
+        [-1, -2, 1, 2, 0],
+        7,
+        (3, 4),
+        ["-1/2", 0, 0, "11/20", "3/20"],
+    ),
 ]
+
+
+def _pinned_lp(case):
+    A, b, lower, upper, obj, *_ = case
+    return LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
 
 
 @pytest.mark.parametrize("case", _PINNED_LPS)
 def test_pinned_pivot_paths(case):
-    A, b, lower, upper, obj, pivots, basis, values = case
-    lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
-    sol = solve_lp_vertex(lp)
+    *_, pivots, basis, values = case
+    sol = solve_lp_vertex(_pinned_lp(case))
     assert sol.status == LPStatus.OPTIMAL
     assert sol.pivots == pivots
     assert sol.basis == basis
     assert sol.values == tuple(Rat(v) for v in values)
 
 
+def test_pinned_scales():
+    assert [Tableau(_pinned_lp(case)).L for case in _PINNED_LPS[5:]] == [30, 12, 30]
+
+
+@pytest.mark.parametrize(
+    "j, lo, hi, status, pivots, basis, values",
+    [
+        (4, "2/7", 1, LPStatus.OPTIMAL, 1, [3, 2], ["-1/2", 0, "19/210", "269/420", "2/7"]),
+        (4, -1, "1/11", LPStatus.INFEASIBLE, 1, [3, 0], None),
+    ],
+)
+def test_pinned_warm_rescale(j, lo, hi, status, pivots, basis, values):
+    # the last pinned LP has L = 30 and x4 basic at 3/20; a bound over 7 or
+    # 11 does not divide L, so the re-optimization scales L and the values up
+    tab = Tableau(_pinned_lp(_PINNED_LPS[-1]))
+    assert tab.solve() == LPStatus.OPTIMAL
+    assert tab.reoptimize(j, Rat(lo), Rat(hi)) == status
+    assert tab.L == 30 * Rat(lo).denominator * Rat(hi).denominator
+    assert (tab.pivots, tab.basis) == (pivots, basis)
+    if values is not None:
+        assert tab.vertex().values == tuple(Rat(v) for v in values)
+
+
+def verify_rational_vertex(lp, values):
+    """``_verify_vertex`` on rational values: everything is put over the lcm
+    L of the bound and scaled right-hand-side denominators, and the values
+    over ``e * L``."""
+    rows = _scaled_rows(lp)
+    L = math.lcm(*(v.denominator for v in lp.lower + lp.upper + tuple(sb for _, sb, _ in rows)))
+    e = math.lcm(*((v * L).denominator for v in values))
+    _verify_vertex(
+        rows,
+        [int(sb * L) for _, sb, _ in rows],
+        [int(v * L) for v in lp.lower],
+        [int(v * L) for v in lp.upper],
+        [int(v * L * e) for v in values],
+        e,
+    )
+
+
 def test_verify_vertex_rejects_one_violation():
-    # rows x0 + 2 x2 = 3 and x1 - x2 = 0 with zeros between the nonzeros
+    # rows x0 + 2 x2 = 3 and x1 - x2 = 0 with zeros between the nonzeros; the
+    # data is integral, so L = 1 and the values are numerators over e
     lp = LinearProgram(
         Matrix.from_rows([[1, 0, 2, 0], [0, 1, -1, 0]]), (3, 0), (0, 0, 0, 0), (3, 1, 1, 2), (0, 0, 0, 0)
     )
     rows = _scaled_rows(lp)
-    good = tuple(Rat(v) for v in (1, 1, 1, 2))
-    _verify_vertex(rows, lp.lower, lp.upper, good)
-    for values, message in (
-        ((1, 1, 1, 3), "bounds"),  # x3 above its upper bound, every equation holds
-        ((1, 1, 1, -1), "bounds"),  # x3 below its lower bound
-        ((1, 0, 1, 0), "equations"),  # only the second equation fails
-        ((1, Rat(1, 2), Rat(1, 2), 0), "equations"),  # only the first equation fails
+    rhs, lower, upper = (3, 0), (0, 0, 0, 0), (3, 1, 1, 2)
+    _verify_vertex(rows, rhs, lower, upper, (1, 1, 1, 2), 1)
+    _verify_vertex(rows, rhs, lower, upper, (2, 2, 2, 4), 2)
+    for values, e, message in (
+        ((1, 1, 1, 3), 1, "bounds"),  # x3 above its upper bound, every equation holds
+        ((1, 1, 1, -1), 1, "bounds"),  # x3 below its lower bound
+        ((1, 0, 1, 0), 1, "equations"),  # only the second equation fails
+        ((2, 1, 1, 0), 2, "equations"),  # (1, 1/2, 1/2, 0): only the first equation fails
     ):
         with pytest.raises(PipelineInvariantError, match=message):
-            _verify_vertex(rows, lp.lower, lp.upper, tuple(Rat(v) for v in values))
+            _verify_vertex(rows, rhs, lower, upper, values, e)
+
+
+def test_verify_rational_vertex_scales_bounds_and_values():
+    # x0 + x1 = 5/6 over [1/3, 1/2] x [0, 1]: L = 6, and 1/2 + 1/3 is checked
+    # over e * L = 12
+    lp = LinearProgram(Matrix.from_rows([[1, 1]]), (Rat(5, 6),), (Rat(1, 3), 0), (Rat(1, 2), 1), (0, 0))
+    verify_rational_vertex(lp, (Rat(1, 2), Rat(1, 3)))
+    with pytest.raises(PipelineInvariantError, match="bounds"):
+        verify_rational_vertex(lp, (Rat(1, 4), Rat(7, 12)))
+    with pytest.raises(PipelineInvariantError, match="equations"):
+        verify_rational_vertex(lp, (Rat(1, 2), Rat(1, 4)))
