@@ -7,38 +7,55 @@ kernels over Python ints, ``dot`` over exact rationals.
 KERNEL_BACKEND = "pure"
 
 
-def pivot_update(rows, pr, pc, d):
+def pivot_update(rows, pr, pc, dens, d):
     """Integer-preserving Gauss-Jordan pivot on rows[pr][pc], in place.
 
-    Rows are lists of Python ints over the common denominator `d`, the
-    determinant of the current basis (Edmonds 1967).  Every other row,
-    including any objective row the caller appended, becomes
-    ``(a * piv - f * p) // d``; by Cramer's rule each division is exact.  The
-    pivot row is left unchanged.  Returns the pivot, the new common
-    denominator.
+    Rows are lists of Python ints, row i over its own denominator
+    ``dens[i]``: the determinant of the basis at the last pivot that changed
+    that row (Edmonds 1967), while `d` is the determinant of the current
+    basis.  A row's values as rationals are ``rows[i] / dens[i]``, so a row
+    over a stale denominator still reads the current tableau, and
+    ``rows[i] * d / dens[i]`` is integral: it is the row Edmonds' scheme
+    would hold over `d`.
+
+    The pivot row is first brought over `d` (``p * d // dens[pr]``) if it is
+    stale, and its entry in column `pc` is the pivot, the new determinant.
+    Rows with a zero in column `pc`, including any objective row the caller
+    appended, do not change and keep their denominators.  Every other row
+    becomes ``(a * piv - f * p) // dens[i]`` over ``dens[i] = piv``: that is
+    the Edmonds update of the row brought over `d`, so by Cramer's rule each
+    division is exact.  The pivot row stays as it is over `d`, now over the
+    pivot.  Returns the pivot, the new determinant.
     """
     prow = rows[pr]
-    piv = prow[pc]
+    dp = dens[pr]
+    if dp != d:
+        prow[:] = [p * d // dp if p else 0 for p in prow]
+    piv = dens[pr] = prow[pc]
     if piv == d:
-        # (a * d - f * p) / d = a - f * p / d: only rows with f != 0 change,
-        # and only where p != 0 (f * p / d is exact since a and the result are)
+        # a row over d becomes (a * d - f * p) / d = a - f * p / d: it
+        # changes only where p != 0 (f * p / d is exact since a and the
+        # result are), and stays over d
         nz = [(j, p) for j, p in enumerate(prow) if p]
         for i in range(len(rows)):
             row = rows[i]
             f = row[pc]
             if f and i != pr:
-                for j, p in nz:
-                    row[j] -= f * p // d
+                di = dens[i]
+                if di == d:
+                    for j, p in nz:
+                        row[j] -= f * p // d
+                else:
+                    row[:] = [(a * piv - f * p) // di for a, p in zip(row, prow)]
+                    dens[i] = piv
         return piv
     for i in range(len(rows)):
-        if i == pr:
-            continue
         row = rows[i]
         f = row[pc]
-        if f:
-            row[:] = [(a * piv - f * p) // d for a, p in zip(row, prow)]
-        else:
-            row[:] = [a * piv // d if a else 0 for a in row]
+        if f and i != pr:
+            di = dens[i]
+            row[:] = [(a * piv - f * p) // di for a, p in zip(row, prow)]
+            dens[i] = piv
     return piv
 
 

@@ -35,32 +35,46 @@ class BoxIndex:
         return self.lambdas < other.lambdas
 
 
+def _grid(delta, scale):
+    """The snapped delta and the cell side delta*scale of one partition."""
+    delta = snap_delta(delta)
+    side = delta * scale
+    if side <= 0:
+        raise ValueError("delta*scale must be positive")
+    return delta, side
+
+
+def _box_index(vec, delta, side, scale):
+    """``box_index`` on a grid from ``_grid``."""
+    least = 1 - delta.denominator  # 1 - 1/delta: -scale's cell
+    sn, sd = side.numerator, side.denominator
+    lams = []
+    for v in vec:
+        if abs(v) > scale:
+            raise ValueError("coordinate exceeds scale")
+        lam = -(-v.numerator * sd // (v.denominator * sn))  # ceil(v / side)
+        lams.append(lam if lam > least else least)
+    return BoxIndex(tuple(lams))
+
+
 def box_index(vec, delta, scale):
     """Cell index of vec: lambda_i = ceil(v_i / (delta*scale)), clamped.
 
     Boundary values land in the lower cell; -scale (which has no lower cell)
     clamps up into range.
     """
-    delta = snap_delta(delta)
-    cells = rat_ceil(1 / delta)  # 1/delta, integral after snapping
-    side = delta * scale
-    if side <= 0:
-        raise ValueError("delta*scale must be positive")
-    lams = []
-    for v in vec:
-        if abs(v) > scale:
-            raise ValueError("coordinate exceeds scale")
-        lam = rat_ceil(v / side)
-        if lam < 1 - cells:
-            lam = 1 - cells
-        lams.append(lam)
-    return BoxIndex(tuple(lams))
+    delta, side = _grid(delta, scale)
+    return _box_index(vec, delta, side, scale)
+
+
+def _corner(idx, side):
+    """``canonical_vector`` on a grid of cell side ``side``."""
+    return tuple((lam - 1) * side for lam in idx.lambdas)
 
 
 def canonical_vector(idx, delta, scale):
     """Lower corner of the cell: coordinate i is (lambda_i - 1) * delta * scale."""
-    side = snap_delta(delta) * scale
-    return tuple((lam - 1) * side for lam in idx.lambdas)
+    return _corner(idx, snap_delta(delta) * scale)
 
 
 @dataclass(frozen=True)
@@ -79,17 +93,16 @@ def partition_columns(mat, delta):
     scale = mat.inf_norm()
     if scale == 0:
         scale = ONE
-    delta = snap_delta(delta)
-    side = delta * scale
+    delta, side = _grid(delta, scale)
     groups = {}
     canonicals = {}
     residuals = []
     for j in range(mat.cols):
         col = mat.column(j)
-        idx = box_index(col, delta, scale)
+        idx = _box_index(col, delta, side, scale)
         if idx not in groups:
             groups[idx] = []
-            canonicals[idx] = canonical_vector(idx, delta, scale)
+            canonicals[idx] = _corner(idx, side)
         groups[idx].append(j)
         canon = canonicals[idx]
         res = tuple(v - cv for v, cv in zip(col, canon))
@@ -125,18 +138,15 @@ def partition_config_columns(mats, delta):
     scale = max((m.inf_norm() for m in mats), default=ZERO)
     if scale == 0:
         scale = ONE
-    delta = snap_delta(delta)
-    side = delta * scale
+    delta, side = _grid(delta, scale)
     type_groups = {}
     canonical_matrices = {}
     residual_matrices = []
     for i, m in enumerate(mats):
-        key = tuple(box_index(m.column(j), delta, scale) for j in range(m.cols))
+        key = tuple(_box_index(m.column(j), delta, side, scale) for j in range(m.cols))
         if key not in type_groups:
             type_groups[key] = []
-            canonical_matrices[key] = tuple(
-                canonical_vector(idx, delta, scale) for idx in key
-            )
+            canonical_matrices[key] = tuple(_corner(idx, side) for idx in key)
         type_groups[key].append(i)
         canon = canonical_matrices[key]
         resid = []

@@ -7,19 +7,23 @@ despite degeneracy.  All arithmetic is exact; optimality and feasibility are
 decided with zero tolerance.
 
 The LP's state holds no rationals.  Each constraint row is scaled once to
-integers and the tableau is kept as Python ints over one common denominator,
-the determinant d of the current basis, by integer-preserving Gauss-Jordan
-pivots (J. Edmonds, "Systems of distinct representatives and linear
-algebra", J. Res. NBS 71B, 1967): every division in a pivot is exact by
-Cramer's rule.  One positive integer scale L per LP makes every bound and
-every scaled right-hand side integral, so the bounds are held as ints over L
-and the basic values as an integer value column over d * L that the pivots
-carry with the tableau (an integer right-hand side, as in the revised
-simplex of R. Azulay & J.-F. Pique, "A revised simplex method with integer
-Q-matrices", ACM TOMS 27(3), 2001).  Every decision is an integer cross
-product read against the sign of d, and compares the same exact quantities
-a rational tableau would, so the pivot path is the same.  Rationals appear
-only in the LP's input and in ``vertex()``'s output.
+integers and the tableau is kept as Python ints by integer-preserving
+Gauss-Jordan pivots (J. Edmonds, "Systems of distinct representatives and
+linear algebra", J. Res. NBS 71B, 1967): every division in a pivot is exact
+by Cramer's rule.  Edmonds holds every row over one common denominator, the
+determinant d of the current basis; here each row i has its own denominator
+dens[i], the determinant of the basis at the last pivot that changed row i,
+so a pivot leaves the rows with a zero in its column as they are instead of
+rewriting them over the new d.  One positive integer scale L per LP makes
+every bound and every scaled right-hand side integral, so the bounds are
+held as ints over L and the basic values as an integer value column, over
+dens[i] * L in row i, that the pivots carry with the tableau (an integer
+right-hand side, as in the revised simplex of R. Azulay & J.-F. Pique, "A
+revised simplex method with integer Q-matrices", ACM TOMS 27(3), 2001).
+Every decision is an integer cross product within one row, or between two
+rows each read against the sign of its own denominator, and compares the
+same exact quantities a rational tableau would, so the pivot path is the
+same.  Rationals appear only in the LP's input and in ``vertex()``'s output.
 
 A ``Tableau`` left optimal can be re-optimized after one basic variable's
 bounds are tightened, by the bounded-variable dual simplex (A. Koberstein,
@@ -115,21 +119,27 @@ def _scaled_rows(lp):
 
 
 class Tableau:
-    """Bounded-variable tableau held as Python ints over one common denominator.
+    """Bounded-variable tableau held as Python ints, each row over its own
+    denominator.
 
-    Row i is ``d * (B^-1 [A | I])_i`` and row r is ``d * k * (reduced costs)``
-    with ``k > 0``, where B is the current basis and ``d`` the determinant of
-    the matching columns of the row-scaled matrix ``D [A | I]`` (``D`` holds
-    each row's denominator lcm).  Pivots keep every entry integral
-    (``backend.pivot_update``); ``d`` may turn negative, so signs of entries
-    are read relative to the sign of ``d``.
+    ``d`` is the determinant of the current basis B: of its columns in the
+    row-scaled matrix ``D [A | I]`` (``D`` holds each row's denominator
+    lcm).  Row i is ``dens[i] * (B^-1 [A | I])_i`` and row r is
+    ``dens[r] * k * (reduced costs)`` with ``k > 0``, where ``dens[i]`` is
+    the determinant of the basis at the last pivot that changed row i (so
+    ``T[i] * d / dens[i]`` is Edmonds' integral row over ``d``).  Pivots
+    keep every entry integral (``backend.pivot_update``).  A pivot's
+    determinant is its pivot entry, which may be negative, so ``d`` and any
+    ``dens[i]`` may turn negative, and signs of entries in row i are read
+    relative to the sign of ``dens[i]``.
 
     The bounds ``lower`` and ``upper`` are ints over the scale ``L``, and
-    each row ends in a value column: ``d * L`` times the row's basic value,
-    and ``-d * k * L`` times the objective in row r.  The column is the
-    tableau of ``L * D (b - N x_N)``, so a pivot carries it like any other
-    column, and a nonbasic variable that moves adds its own column times its
-    step to it.  A nonbasic variable sits at the bound its status names.
+    each row ends in a value column: ``dens[i] * L`` times the row's basic
+    value, and ``-dens[r] * k * L`` times the objective in row r.  The
+    column is the tableau of ``L * D (b - N x_N)``, so a pivot carries it
+    like any other column, and a nonbasic variable that moves adds its own
+    column times its step to it.  A nonbasic variable sits at the bound its
+    status names.
 
     ``solve`` runs the cold two-phase method; once it is optimal,
     ``reoptimize`` tightens one basic variable's bounds and restores
@@ -179,6 +189,7 @@ class Tableau:
         # rows
         d = math.prod(s for _, _, s in rows)
         self.d = self.d0 = d
+        self.dens = [d] * (r + 1)
         self.T = []
         cost = [0] * (n + 1)
         for i, (nz, _, s) in enumerate(rows):
@@ -200,9 +211,11 @@ class Tableau:
         self.T.append(cost)
 
     def copy(self):
-        """An independent snapshot: rows, basis, bounds and statuses."""
+        """An independent snapshot: rows and their denominators, basis,
+        bounds and statuses."""
         new = copy.copy(self)
         new.T = [row[:] for row in self.T]
+        new.dens = self.dens[:]
         new.lower = self.lower[:]
         new.upper = self.upper[:]
         new.stat = self.stat[:]
@@ -230,18 +243,18 @@ class Tableau:
         stat[lv] = leave_stat
         stat[q] = _BASIC
         basis[leave] = q
-        self.d = pivot_update(self.T, leave, q, self.d)
+        self.d = pivot_update(self.T, leave, q, self.dens, self.d)
         self._shift(lv, -(self.lower[lv] if leave_stat == _LOW else self.upper[lv]))
         self.pivots += 1
 
     def _iterate(self):
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
+        dens = self.dens
         n = self.n
         cost_row = T[self.r]
         fixed = [lo == hi for lo, hi in zip(lower, upper)]
         for _ in range(_MAX_ITERATIONS):
-            d = self.d
-            pos = d > 0
+            pos = dens[self.r] > 0
             entering = -1
             for j in range(n):
                 rc = cost_row[j]
@@ -260,8 +273,9 @@ class Tableau:
 
             up = stat[entering] == _LOW  # moving up from lower, else down from upper
             # the ratio test: the step that row i allows is gap / (L * |a|),
-            # gap being |d| * L times the distance from the basic value to the
-            # bound the move drives it toward; caps compare as cross products
+            # gap being |dens[i]| * L times the distance from the basic value
+            # to the bound the move drives it toward; the step does not depend
+            # on the row's denominator, and caps compare as cross products
             leave = -1
             lg = la = 0
             leave_stat = _LOW
@@ -271,11 +285,13 @@ class Tableau:
                 if not a:
                     continue
                 bi = basis[i]
+                di = dens[i]
+                pos = di > 0
                 if ((a > 0) == pos) == up:
-                    gap = row[n] - d * lower[bi]
+                    gap = row[n] - di * lower[bi]
                     hb = _LOW
                 else:
-                    gap = d * upper[bi] - row[n]
+                    gap = di * upper[bi] - row[n]
                     hb = _UP
                 if not pos:
                     gap = -gap
@@ -297,7 +313,14 @@ class Tableau:
     def rebuild_cost_row(self, objective):
         k = self.k = _scale(objective)
         obj = self.obj = [_scaled(v, k) for v in objective]
-        d, n = self.d, self.n
+        d, n, dens = self.d, self.n, self.dens
+        T = self.T
+        # bring every row over d, the cost row's new denominator
+        for i in range(self.r):
+            di = dens[i]
+            if di != d:
+                T[i][:] = [a * d // di if a else 0 for a in T[i]]
+        dens[:] = [d] * (self.r + 1)
         cost = [v * d for v in obj] + [0] * (self.r + 1)
         # the value column's entry is -d * k * L times the objective
         cost[n] = -d * sum(
@@ -305,7 +328,6 @@ class Tableau:
             for j, v in enumerate(obj)
             if v and self.stat[j] != _BASIC
         )
-        T = self.T
         for i in range(self.r):
             cb = obj[self.basis[i]] if self.basis[i] < self.c else 0
             if cb:
@@ -318,7 +340,7 @@ class Tableau:
     def solve(self):
         """Cold two-phase solve from the all-artificial basis."""
         self._iterate()
-        # the cost row's value entry is -d * L times the phase-1 objective,
+        # the cost row's value entry is -dens[r] * L times the phase-1 objective,
         # the signed sum of the artificials
         if self.T[self.r][self.n]:
             return LPStatus.INFEASIBLE
@@ -358,23 +380,24 @@ class Tableau:
         if hi is not None:
             self.upper[j] = _scaled(hi, L)
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
+        dens = self.dens
         r, n = self.r, self.n
         cost_row = T[r]
         self.pivots = 0
         for _ in range(_MAX_ITERATIONS):
-            d = self.d
-            pos = d > 0
             # the leaving row: the out-of-bounds basic variable of least
-            # index; with d < 0 the value column runs opposite to the values
+            # index; in a row over a negative denominator the value column
+            # runs opposite to the values
             leave = -1
             for i in range(r):
                 bi = basis[i]
                 if leave >= 0 and bi > lv:
                     continue
                 v = T[i][n]
-                lo_d = d * lower[bi]
-                hi_d = d * upper[bi]
-                if (v < lo_d or v > hi_d) if pos else (v > lo_d or v < hi_d):
+                di = dens[i]
+                lo_d = di * lower[bi]
+                hi_d = di * upper[bi]
+                if (v < lo_d or v > hi_d) if di > 0 else (v > lo_d or v < hi_d):
                     leave, lv = i, bi
             if leave < 0:
                 return LPStatus.OPTIMAL
@@ -385,7 +408,9 @@ class Tableau:
             # smallest index)
             row = T[leave]
             v = row[n]
-            to_low = v < d * lower[lv] if pos else v > d * lower[lv]
+            di = dens[leave]
+            pos = di > 0
+            to_low = v < di * lower[lv] if pos else v > di * lower[lv]
             q = -1
             qc = qa = 0
             # a column at its lower bound may only rise and one at its upper
@@ -445,13 +470,14 @@ class Tableau:
         the equations and the current bounds: ``(values, den, cost,
         cost_den)``, x_j being ``values[j] / den`` and the objective
         ``cost / cost_den``, with both denominators positive."""
-        c, n, d = self.c, self.n, self.d
-        e = abs(d)
+        c, n = self.c, self.n
+        e = abs(self.d)
         lower, upper, stat = self.lower, self.upper, self.stat
         values = [(lower[j] if stat[j] == _LOW else upper[j]) * e for j in range(c)]
-        for row, b in zip(self.T, self.basis):
+        # row i's value entry over e * L: row[n] / dens[i] is L times the value
+        for row, di, b in zip(self.T, self.dens, self.basis):
             if b < c:
-                values[b] = row[n] if d > 0 else -row[n]
+                values[b] = row[n] * e // di
         _verify_vertex(self.rows, self.rhs, lower, upper, values, e)
         cost = 0
         for v, w in zip(values, self.obj):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -137,3 +138,57 @@ def test_config_partition_row_count_mismatch():
         [Matrix.from_rows([[1]]), Matrix.from_rows([[1, 1]])], Rat(1, 2)
     )
     assert sorted(len(key) for key in part.type_groups) == [1, 2]
+
+
+def _reference_box_index(vec, delta, scale):
+    """The cell index computed entry by entry in rationals, re-snapping delta
+    for every column: the definition the partitions must keep."""
+    delta = snap_delta(delta)
+    cells = math.ceil(1 / delta)
+    side = delta * scale
+    return BoxIndex(tuple(max(math.ceil(v / side), 1 - cells) for v in vec))
+
+
+def _reference_groups(columns, delta, scale):
+    groups = {}
+    for j, col in enumerate(columns):
+        groups.setdefault(_reference_box_index(col, delta, scale), []).append(j)
+    return groups
+
+
+_entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(_entries, min_size=1, max_size=6), min_size=1, max_size=4).filter(
+        lambda rows: len({len(r) for r in rows}) == 1
+    ),
+    st.fractions(min_value=Rat(1, 12), max_value=2, max_denominator=12),
+    st.integers(1, 3),
+)
+def test_partitions_match_the_per_column_box_index(rows, delta, blocks):
+    H = Matrix.from_rows(rows)
+    part = partition_columns(H, delta)
+    columns = [H.column(j) for j in range(H.cols)]
+    scale = max((abs(v) for col in columns for v in col), default=Rat(0)) or Rat(1)
+    assert part.scale == scale and part.delta == snap_delta(delta)
+    assert part.groups == _reference_groups(columns, delta, scale)
+    for idx in part.groups:
+        assert part.canonicals[idx] == canonical_vector(idx, delta, scale)
+    for j, col in enumerate(columns):
+        assert box_index(col, delta, scale) == _reference_box_index(col, delta, scale)
+
+    # the same columns dealt round-robin into blocks
+    mats = [
+        Matrix.from_rows([[row[j] for j in range(b, H.cols, blocks)] for row in rows])
+        for b in range(min(blocks, H.cols))
+    ]
+    cpart = partition_config_columns(mats, delta)
+    expected = {}
+    for i, m in enumerate(mats):
+        key = tuple(_reference_box_index(m.column(j), delta, scale) for j in range(m.cols))
+        expected.setdefault(key, []).append(i)
+    assert cpart.type_groups == expected
+    for key, canon in cpart.canonical_matrices.items():
+        assert canon == tuple(canonical_vector(idx, delta, scale) for idx in key)

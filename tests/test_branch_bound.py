@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nearfeas import backend
 from nearfeas.branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from nearfeas.errors import NodeLimitExceeded
 from nearfeas.linalg import Matrix
@@ -294,3 +295,169 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     sol = tab.vertex()
     assert sol.values == (2, 0, Rat(1, 2))
     assert sol.objective_value == -2
+
+
+def _eager_pivot_update(rows, pr, pc, d):
+    """Edmonds' pivot with every row over the common denominator d: each row
+    is rewritten, whether its values change or not.  The reference for the
+    per-row denominators of ``backend.pivot_update``."""
+    prow = rows[pr]
+    piv = prow[pc]
+    for i, row in enumerate(rows):
+        if i != pr:
+            f = row[pc]
+            row[:] = [(a * piv - f * p) // d for a, p in zip(row, prow)]
+    return piv
+
+
+def _eager_pivot(rows, pr, pc, dens, d):
+    assert all(di == d for di in dens)
+    piv = _eager_pivot_update(rows, pr, pc, d)
+    dens[:] = [piv] * len(dens)
+    return piv
+
+
+def _reoptimize_chain(lp, first, steps):
+    """Cold solve, then re-optimize snapshots under bound cuts, as
+    branch-and-bound does: each step copies one of the tableaux made so far
+    (``which``), cuts one basic variable (``rank``) toward a side (``up``)
+    by ``k`` quarters of the distance to its opposite bound, and re-optimizes
+    the copy.  Returns every tableau with the status it reached."""
+    tab = Tableau(lp)
+    made = [(tab, tab.solve())]
+    for which, rank, up, k in [(0,) + first] + steps:
+        parent, status = made[which % len(made)]
+        if status != LPStatus.OPTIMAL:
+            continue
+        basic = sorted(j for j in parent.basis if j < lp.matrix.cols)
+        if not basic:
+            continue
+        j = basic[rank % len(basic)]
+        v, lo, hi = parent.vertex().values[j], parent.lp.lower[j], parent.lp.upper[j]
+        if up and v < hi:
+            lo = v + (hi - v) * Fraction(k, 4)
+        elif not up and v > lo:
+            hi = v - (v - lo) * Fraction(k, 4)
+        else:
+            continue
+        child = parent.copy()
+        made.append((child, child.reoptimize(j, lo, hi)))
+    return made
+
+
+_chain_steps = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 4), st.booleans(), st.integers(1, 4)), max_size=6
+)
+
+
+def _run_chain(lp, first, steps, kernel):
+    """``_reoptimize_chain`` with ``kernel`` as the tableau's pivot; also
+    returns the rows, their denominators and d after every pivot."""
+    log = []
+
+    def pivot(rows, pr, pc, dens, d):
+        piv = kernel(rows, pr, pc, dens, d)
+        log.append(([row[:] for row in rows], dens[:], piv))
+        return piv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nearfeas.simplex.pivot_update", pivot)
+        made = _reoptimize_chain(lp, first, steps)
+    return made, log
+
+
+def _assert_over_d(rows, dens, d, ref_rows):
+    """Each row brought over d, exactly, is the eager row."""
+    for row, di, ref_row in zip(rows, dens, ref_rows):
+        over_d = []
+        for v in row:
+            q, rem = divmod(v * d, di)
+            assert rem == 0
+            over_d.append(q)
+        assert over_d == ref_row
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lp_and_cut(), _chain_steps)
+# the dual simplex's first leaving row sits over a denominator of the other
+# sign than d, so its entering test must read the row's own sign
+@example(
+    (
+        LinearProgram(
+            Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, -1]]),
+            (0, 1),
+            (-1, -1, 0, -1),
+            (0, 0, 0, 0),
+            (0, 0, 0, -1),
+        ),
+        0,
+        False,
+        1,
+    ),
+    [],
+)
+# phase 1's ratio test meets a row over a stale denominator, so it must read
+# the row's own
+@example(
+    (
+        LinearProgram(
+            Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            (1, 0, 0),
+            (-1, 0, 0),
+            (1, 2, 0),
+            (0, 0, 0),
+        ),
+        0,
+        False,
+        1,
+    ),
+    [],
+)
+# the dual leaving-row scan meets a row over a stale denominator
+@example(
+    (
+        LinearProgram(
+            Matrix.from_rows([[0, 0, 0, 0, 1], [0, 1, -1, 0, 1]]),
+            (-1, 0),
+            (0, 0, -1, 0, -2),
+            (0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 0),
+        ),
+        0,
+        True,
+        1,
+    ),
+    [],
+)
+def test_per_row_denominators_match_the_eager_tableau(case, steps):
+    lp, rank, up, k = case
+    made, log = _run_chain(lp, (rank, up, k), steps, backend.pivot_update)
+    eager, ref_log = _run_chain(lp, (rank, up, k), steps, _eager_pivot)
+    # every pivot, of every tableau in the order they were made
+    assert len(log) == len(ref_log)
+    for (rows, dens, d), (ref_rows, _, ref_d) in zip(log, ref_log):
+        assert d == ref_d
+        _assert_over_d(rows, dens, d, ref_rows)
+    # every tableau's final state, snapshots included
+    assert [s for _, s in made] == [s for _, s in eager]
+    for (tab, status), (ref, _) in zip(made, eager):
+        assert (tab.d, tab.basis, tab.stat, tab.L) == (ref.d, ref.basis, ref.stat, ref.L)
+        assert (tab.lower, tab.upper) == (ref.lower, ref.upper)
+        _assert_over_d(tab.T, tab.dens, tab.d, ref.T)
+        if status == LPStatus.OPTIMAL:
+            assert tab.vertex() == ref.vertex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lp_and_cut())
+def test_a_mutated_copy_leaves_its_parent_unchanged(case):
+    lp = case[0]
+    parent = Tableau(lp)
+    parent.solve()
+    rows, dens = [row[:] for row in parent.T], parent.dens[:]
+    child = parent.copy()
+    for i, row in enumerate(child.T):
+        row[i % len(row)] += 1
+        child.dens[i] *= 2
+    child.dens.append(1)
+    assert (parent.T, parent.dens) == (rows, dens)
