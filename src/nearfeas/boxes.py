@@ -2,14 +2,27 @@
 
 Columns living in [-scale, scale]^m are assigned to axis-aligned cells of
 side delta*scale; each cell's lower corner is its canonical vector, and every
-column decomposes exactly as canonical + residual with the residual bounded
-entrywise by delta*scale.  Grouping columns (or whole per-block column
-matrices) by cell underlies all three solver pipelines, and ``coupled_model``
-builds the one mixed model all three solve over such partitions; its
+column decomposes exactly as canonical + residual with every residual entry
+in [0, delta*scale].  Grouping columns (or whole per-block column matrices)
+by cell underlies all three solver pipelines, and ``coupled_model`` builds
+the one mixed model all three solve over such partitions; its
 ``CoupledModel`` says where each part's columns sit, so a pipeline reads the
 part it rounds straight off the mixed optimum.
+
+Each partition computes on one integer grid.  With ``den`` the lcm of the
+denominators of the entries it partitions, an entry v is the integer
+a = v * den; S is the largest |a| (``den`` when every entry is 0, so the
+scale S/den is 1), and with cells = 1/delta the cell index of an entry is
+max(ceil(a * cells / S), 1 - cells): values on a cell edge land in the lower
+cell, and -scale, which has no lower cell, clamps up into range.  Over the
+denominator cells * den a corner entry is (lam - 1) * S and a residual entry
+r = a * cells - (lam - 1) * S, so only the entries handed to the model are
+built as rationals.  The check 0 <= r <= S stays: it is the cell-side bound
+the pipelines' error analysis rests on, and one integer comparison per entry
+keeps a wrong index from ever reaching a model.
 """
 
+import math
 from dataclasses import dataclass
 
 from .branch_bound import MixedModel
@@ -27,62 +40,41 @@ def snap_delta(delta):
     return Rat(1, rat_ceil(1 / delta))
 
 
-@dataclass(frozen=True)
-class BoxIndex:
-    lambdas: tuple
-
-    def __lt__(self, other):
-        return self.lambdas < other.lambdas
-
-
-def _grid(delta, scale):
-    """The snapped delta and the cell side delta*scale of one partition."""
+def _grid(entries, delta):
+    """The integer grid of a partition of ``entries``: its snapped delta, its
+    scale, and its splitter, which maps a column to its cell (an int tuple),
+    the cell's lower corner and the residual column - corner."""
     delta = snap_delta(delta)
-    side = delta * scale
-    if side <= 0:
-        raise ValueError("delta*scale must be positive")
-    return delta, side
+    cells = delta.denominator
+    den = math.lcm(*{v.denominator for v in entries})
+    top = max((abs(v.numerator) * (den // v.denominator) for v in entries), default=0) or den
+    least = 1 - cells  # -scale's cell
+    unit = cells * den
+    corners = {}
 
+    def split(col):
+        nums = [v.numerator * (den // v.denominator) * cells for v in col]
+        cell = tuple(max(-(-a // top), least) for a in nums)
+        corner = corners.get(cell)
+        if corner is None:
+            corner = corners[cell] = tuple(Rat((lam - 1) * top, unit) for lam in cell)
+        residual = []
+        for a, lam in zip(nums, cell):
+            r = a - (lam - 1) * top
+            if not 0 <= r <= top:
+                raise PipelineInvariantError("residual outside its cell")
+            residual.append(Rat(r, unit))
+        return cell, corner, tuple(residual)
 
-def _box_index(vec, delta, side, scale):
-    """``box_index`` on a grid from ``_grid``."""
-    least = 1 - delta.denominator  # 1 - 1/delta: -scale's cell
-    sn, sd = side.numerator, side.denominator
-    lams = []
-    for v in vec:
-        if abs(v) > scale:
-            raise ValueError("coordinate exceeds scale")
-        lam = -(-v.numerator * sd // (v.denominator * sn))  # ceil(v / side)
-        lams.append(lam if lam > least else least)
-    return BoxIndex(tuple(lams))
-
-
-def box_index(vec, delta, scale):
-    """Cell index of vec: lambda_i = ceil(v_i / (delta*scale)), clamped.
-
-    Boundary values land in the lower cell; -scale (which has no lower cell)
-    clamps up into range.
-    """
-    delta, side = _grid(delta, scale)
-    return _box_index(vec, delta, side, scale)
-
-
-def _corner(idx, side):
-    """``canonical_vector`` on a grid of cell side ``side``."""
-    return tuple((lam - 1) * side for lam in idx.lambdas)
-
-
-def canonical_vector(idx, delta, scale):
-    """Lower corner of the cell: coordinate i is (lambda_i - 1) * delta * scale."""
-    return _corner(idx, snap_delta(delta) * scale)
+    return delta, Rat(top, den), split
 
 
 @dataclass(frozen=True)
 class BoxPartition:
     delta: object  # snapped
     scale: object
-    groups: dict  # BoxIndex -> list of column indices
-    canonicals: dict  # BoxIndex -> canonical vector
+    groups: dict  # cell (int tuple) -> list of column indices
+    canonicals: dict  # cell -> canonical vector
     residuals: tuple  # per column: column - canonical(its cell)
 
 
@@ -90,26 +82,15 @@ def partition_columns(mat, delta):
     """Group the columns of mat by cell; only occupied cells materialize."""
     if mat.cols == 0:
         raise ValueError("matrix has no columns")
-    scale = mat.inf_norm()
-    if scale == 0:
-        scale = ONE
-    delta, side = _grid(delta, scale)
+    delta, scale, split = _grid(mat.entries, delta)
     groups = {}
     canonicals = {}
     residuals = []
     for j in range(mat.cols):
-        col = mat.column(j)
-        idx = _box_index(col, delta, side, scale)
-        if idx not in groups:
-            groups[idx] = []
-            canonicals[idx] = _corner(idx, side)
-        groups[idx].append(j)
-        canon = canonicals[idx]
-        res = tuple(v - cv for v, cv in zip(col, canon))
-        for rv in res:
-            if abs(rv) > side:
-                raise PipelineInvariantError("residual exceeds cell side")
-        residuals.append(res)
+        cell, corner, residual = split(mat.column(j))
+        groups.setdefault(cell, []).append(j)
+        canonicals[cell] = corner
+        residuals.append(residual)
     return BoxPartition(delta, scale, groups, canonicals, tuple(residuals))
 
 
@@ -117,7 +98,7 @@ def partition_columns(mat, delta):
 class ConfigBoxPartition:
     delta: object
     scale: object
-    type_groups: dict  # tuple[BoxIndex, ...] -> list of block indices
+    type_groups: dict  # tuple of cells, one per column -> list of block indices
     canonical_matrices: dict  # type -> tuple of canonical vectors (one per column)
     residual_matrices: tuple  # per block: tuple of residual vectors
 
@@ -135,29 +116,18 @@ def partition_config_columns(mats, delta):
     for m in mats:
         if m.rows != mats[0].rows:
             raise ValueError("dimension mismatch: blocks differ in row count")
-    scale = max((m.inf_norm() for m in mats), default=ZERO)
-    if scale == 0:
-        scale = ONE
-    delta, side = _grid(delta, scale)
+    delta, scale, split = _grid([v for m in mats for v in m.entries], delta)
     type_groups = {}
     canonical_matrices = {}
     residual_matrices = []
     for i, m in enumerate(mats):
-        key = tuple(_box_index(m.column(j), delta, side, scale) for j in range(m.cols))
+        columns = [split(m.column(j)) for j in range(m.cols)]
+        key = tuple(cell for cell, _, _ in columns)
         if key not in type_groups:
             type_groups[key] = []
-            canonical_matrices[key] = tuple(_corner(idx, side) for idx in key)
+            canonical_matrices[key] = tuple(corner for _, corner, _ in columns)
         type_groups[key].append(i)
-        canon = canonical_matrices[key]
-        resid = []
-        for j in range(m.cols):
-            col = m.column(j)
-            res = tuple(v - cv for v, cv in zip(col, canon[j]))
-            for rv in res:
-                if abs(rv) > side:
-                    raise PipelineInvariantError("residual exceeds cell side")
-            resid.append(res)
-        residual_matrices.append(tuple(resid))
+        residual_matrices.append(tuple(residual for _, _, residual in columns))
     return ConfigBoxPartition(
         delta, scale, type_groups, canonical_matrices, tuple(residual_matrices)
     )

@@ -10,6 +10,7 @@ on stderr), 5 internal error (a broken solver invariant).
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -79,14 +80,7 @@ def _result_report(kind, epsilon, result):
         "status": result.status.value,
         "within_bound": bool(result.report.within_bound) if result.report else False,
         "refinements": result.refinements,
-        "solve_stats": {
-            "lp_pivots": result.stats.lp_pivots,
-            "bb_nodes": result.stats.bb_nodes,
-            "bb_infeasible": result.stats.bb_infeasible,
-            "bb_pruned": result.stats.bb_pruned,
-            "bb_incumbents": result.stats.bb_incumbents,
-            "bb_max_depth": result.stats.bb_max_depth,
-        },
+        "solve_stats": dataclasses.asdict(result.stats),
         "x": _solution_json(result.x),
         "notes": list(result.notes),
     }

@@ -185,23 +185,26 @@ def enumerate_major_configs(sblock, split, window, cap):
     return tuple(out)
 
 
-def build_mip6(inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, epsilon):
-    """Combined mixed model: box-typed major selections plus box-grouped minors.
-
-    Returns the model and the (block, column) of each minor variable, in the
-    order of its grouped part.  Asserts the minor-part smallness bound (below
-    eps/2 per scaled local row) exactly at build time.
-    """
-    sd = len(inst.b0)
-
-    # major value matrices: column phi holds sum_j lambda_j (x'_phi)_j D_j
-    value_mats = []
-    config_costs = []
+def major_values(sblocks, splits, config_lists):
+    """Per block, the value matrix of its major configurations (column phi
+    holds sum_j lambda_j (x'_phi)_j D_j) and their costs: two tuples."""
+    values = []
     for sb, split, cfgs in zip(sblocks, splits, config_lists):
         scaled = [tuple(lam * v for lam, v in zip(split.lambdas, cfg)) for cfg in cfgs]
-        mat, costs = value_columns(sb.block.D, sb.block.w, scaled)
-        value_mats.append(mat)
-        config_costs.append(costs)
+        values.append(value_columns(sb.block.D, sb.block.w, scaled))
+    return tuple(zip(*values))
+
+
+def build_mip6(inst, sblocks, splits, majors, delta1, delta2, slack_bounds, epsilon):
+    """Combined mixed model: box-typed major selections plus box-grouped minors.
+
+    ``majors`` is ``major_values`` of the blocks.  Returns the model and the
+    (block, column) of each minor variable, in the order of its grouped part.
+    Asserts the minor-part smallness bound (below eps/2 per scaled local row)
+    exactly at build time.
+    """
+    sd = len(inst.b0)
+    value_mats, config_costs = majors
     config_part = partition_config_columns(value_mats, delta1)
 
     # minor variables: one per small column with a positive bound
@@ -324,30 +327,21 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
             notes=("case2", "a block has no major configurations in the window"),
         )
     tau = max(len(c) for c in config_lists)
+    majors = major_values(sblocks, splits, config_lists)
 
     if params.delta_override is not None:
         delta1 = delta2 = params.delta_override
     else:
         # the normalizer relates the absolute selection-rounding error to the
         # smallest positive coupling target; the exact post-hoc check governs
-        scale1 = max(
-            (
-                abs(v)
-                for sb, sp, cfgs in zip(sblocks, splits, config_lists)
-                for cfg in cfgs
-                for v in sb.block.D.matvec(
-                    tuple(lam * c for lam, c in zip(sp.lambdas, cfg))
-                )
-            ),
-            default=ZERO,
-        )
+        scale1 = max(m.inf_norm() for m in majors[0])
         nu1 = max(ONE, scale1 / b_min)
         delta1 = eps / (4 * sd * (2 * tau + 1) * nu1)
         delta2 = eps / (8 * sd)
 
     for refinement in range(params.refinement_limit + 1):
         model, minor_keys = build_mip6(
-            inst, sblocks, splits, config_lists, delta1, delta2, slack_bounds, eps
+            inst, sblocks, splits, majors, delta1, delta2, slack_bounds, eps
         )
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
         if mixed.status == MIPStatus.INFEASIBLE:
@@ -409,6 +403,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
                     SolveStatus.INFEASIBLE, None, None, None, delta1, refinement, stats,
                     notes=("case2", "no major configurations after psi refinement"),
                 )
+            majors = major_values(sblocks, splits, config_lists)
     raise RefinementLimitExceeded(
         f"violation bound not met after {params.refinement_limit} refinements"
     )

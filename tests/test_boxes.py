@@ -4,14 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfeas.boxes import (
-    BoxIndex,
-    box_index,
-    canonical_vector,
-    partition_columns,
-    partition_config_columns,
-    snap_delta,
-)
+from nearfeas.boxes import partition_columns, partition_config_columns, snap_delta
 from nearfeas.linalg import Matrix
 from nearfeas.rationals import Rat
 
@@ -24,24 +17,123 @@ def test_snap_delta():
         snap_delta(Rat(0))
 
 
+def _reference_box_index(vec, delta, scale):
+    """The cell index computed entry by entry in rationals, re-snapping delta
+    for every column: the definition the partitions must keep."""
+    delta = snap_delta(delta)
+    cells = math.ceil(1 / delta)
+    side = delta * scale
+    return tuple(max(math.ceil(v / side), 1 - cells) for v in vec)
+
+
+def _reference_corner(idx, delta, scale):
+    """The lower corner of a cell, entry by entry: (lambda_i - 1) * delta * scale."""
+    side = snap_delta(delta) * scale
+    return tuple((lam - 1) * side for lam in idx)
+
+
+def _reference_groups(columns, delta, scale):
+    groups = {}
+    for j, col in enumerate(columns):
+        groups.setdefault(_reference_box_index(col, delta, scale), []).append(j)
+    return groups
+
+
+def _assert_splits(col, canon, residual, side):
+    assert tuple(c + r for c, r in zip(canon, residual)) == col
+    assert all(0 <= r <= side for r in residual)
+
+
+def _assert_matches_reference(rows, delta, blocks=1):
+    """Both partitions agree with the references on the columns of ``rows``:
+    ``partition_columns`` on the matrix, ``partition_config_columns`` on its
+    columns dealt round-robin into ``blocks`` blocks.  Returns the former."""
+    H = Matrix.from_rows(rows)
+    columns = [H.column(j) for j in range(H.cols)]
+    scale = max((abs(v) for col in columns for v in col), default=Rat(0)) or Rat(1)
+    side = snap_delta(delta) * scale
+    part = partition_columns(H, delta)
+    assert part.scale == scale and part.delta == snap_delta(delta)
+    assert part.groups == _reference_groups(columns, delta, scale)
+    for idx, canon in part.canonicals.items():
+        assert canon == _reference_corner(idx, delta, scale)
+    for col, residual in zip(columns, part.residuals):
+        canon = part.canonicals[_reference_box_index(col, delta, scale)]
+        _assert_splits(col, canon, residual, side)
+
+    mats = [
+        Matrix.from_rows([[row[j] for j in range(b, H.cols, blocks)] for row in rows])
+        for b in range(min(blocks, H.cols))
+    ]
+    cpart = partition_config_columns(mats, delta)
+    assert cpart.scale == scale and cpart.delta == part.delta
+    expected = {}
+    for i, m in enumerate(mats):
+        key = tuple(_reference_box_index(m.column(j), delta, scale) for j in range(m.cols))
+        expected.setdefault(key, []).append(i)
+        canon = cpart.canonical_matrices[key]
+        for j in range(m.cols):
+            _assert_splits(m.column(j), canon[j], cpart.residual_matrices[i][j], side)
+    assert cpart.type_groups == expected
+    for key, canon in cpart.canonical_matrices.items():
+        assert canon == tuple(_reference_corner(idx, delta, scale) for idx in key)
+    return part
+
+
 def test_box_index_examples():
-    assert box_index((Rat(0), Rat(0)), Rat(1, 2), Rat(1)).lambdas == (0, 0)
-    assert box_index((Rat(1), Rat(-1)), Rat(1, 2), Rat(1)).lambdas == (2, -1)
-    assert box_index((Rat(3, 10), Rat(-1, 5)), Rat(1, 2), Rat(1)).lambdas == (1, 0)
-
-
-def test_box_index_out_of_range():
-    with pytest.raises(ValueError):
-        box_index((Rat(2),), Rat(1, 2), Rat(1))
+    part = _assert_matches_reference(
+        [[0, 1, Rat(3, 10)], [0, -1, Rat(-1, 5)]], Rat(1, 2), blocks=3
+    )
+    assert list(part.groups) == [(0, 0), (2, -1), (1, 0)]
 
 
 def test_canonical_vector_examples():
-    assert canonical_vector(BoxIndex((1, 1)), Rat(1, 2), Rat(1)) == (Rat(0), Rat(0))
-    assert canonical_vector(BoxIndex((0, 0)), Rat(1, 2), Rat(1)) == (
-        Rat(-1, 2),
-        Rat(-1, 2),
+    part = _assert_matches_reference(
+        [[Rat(1, 2), 0, 1], [Rat(1, 2), 0, -1]], Rat(1, 2), blocks=3
     )
-    assert canonical_vector(BoxIndex((2, -1)), Rat(1, 2), Rat(1)) == (Rat(1, 2), Rat(-1))
+    assert part.canonicals == {
+        (1, 1): (Rat(0), Rat(0)),
+        (0, 0): (Rat(-1, 2), Rat(-1, 2)),
+        (2, -1): (Rat(1, 2), Rat(-1)),
+    }
+
+
+def test_all_zero_matrix_has_scale_one():
+    part = _assert_matches_reference([[0, 0, 0], [0, 0, 0]], Rat(1, 2))
+    assert part.scale == 1
+    assert part.groups == {(0, 0): [0, 1, 2]}
+    assert part.residuals == ((Rat(1, 2), Rat(1, 2)),) * 3
+
+
+def test_column_at_minus_scale_clamps_into_range():
+    part = _assert_matches_reference([[-2, 1], [0, -2]], Rat(1, 2), blocks=2)
+    # -scale's cell would be -2; it clamps to -1, whose corner is -scale
+    assert list(part.groups) == [(-1, 0), (1, -1)]
+    assert part.residuals[1] == (Rat(1), Rat(0))
+
+
+def test_cell_edge_lands_in_the_lower_cell():
+    part = _assert_matches_reference([[Rat(1, 2), 1, Rat(-1, 2)]], Rat(1, 2), blocks=2)
+    assert list(part.groups) == [(1,), (2,), (-1,)]
+    # an entry on an upper edge leaves a residual of exactly the cell side
+    assert part.residuals == ((Rat(1, 2),), (Rat(1, 2),), (Rat(1, 2),))
+
+
+def test_coprime_denominators_share_one_grid():
+    part = _assert_matches_reference(
+        [[Rat(1, 3), Rat(-1, 7), Rat(2, 21)], [Rat(2, 7), Rat(1, 3), Rat(-1, 3)]],
+        Rat(1, 4),
+        blocks=2,
+    )
+    assert part.scale == Rat(1, 3)
+    assert list(part.groups) == [(4, 4), (-1, 4), (2, -3)]
+
+
+def test_snapped_delta():
+    part = _assert_matches_reference([[1, Rat(1, 3), -1, Rat(2, 5)]], Rat(2, 5), blocks=2)
+    assert part.delta == Rat(1, 3)
+    assert list(part.groups) == [(3,), (1,), (-2,), (2,)]
+    assert part.canonicals[(-2,)] == (Rat(-1),)
 
 
 def test_partition_identical_columns_share_group():
@@ -49,7 +141,7 @@ def test_partition_identical_columns_share_group():
     part = partition_columns(H, Rat(1, 2))
     assert len(part.groups) == 1
     for j in range(2):
-        idx = box_index(H.column(j), part.delta, part.scale)
+        idx = _reference_box_index(H.column(j), part.delta, part.scale)
         canon = part.canonicals[idx]
         assert tuple(c + r for c, r in zip(canon, part.residuals[j])) == H.column(j)
 
@@ -87,7 +179,7 @@ def test_partition_invariants(m, n, inv_delta, rnd):
     side = part.delta * part.scale
     for j in range(n):
         col = H.column(j)
-        idx = box_index(col, part.delta, part.scale)
+        idx = _reference_box_index(col, part.delta, part.scale)
         canon = part.canonicals[idx]
         # exact reconstruction and residual bound
         assert tuple(c + r for c, r in zip(canon, part.residuals[j])) == col
@@ -140,22 +232,6 @@ def test_config_partition_row_count_mismatch():
     assert sorted(len(key) for key in part.type_groups) == [1, 2]
 
 
-def _reference_box_index(vec, delta, scale):
-    """The cell index computed entry by entry in rationals, re-snapping delta
-    for every column: the definition the partitions must keep."""
-    delta = snap_delta(delta)
-    cells = math.ceil(1 / delta)
-    side = delta * scale
-    return BoxIndex(tuple(max(math.ceil(v / side), 1 - cells) for v in vec))
-
-
-def _reference_groups(columns, delta, scale):
-    groups = {}
-    for j, col in enumerate(columns):
-        groups.setdefault(_reference_box_index(col, delta, scale), []).append(j)
-    return groups
-
-
 _entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
@@ -168,27 +244,4 @@ _entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     st.integers(1, 3),
 )
 def test_partitions_match_the_per_column_box_index(rows, delta, blocks):
-    H = Matrix.from_rows(rows)
-    part = partition_columns(H, delta)
-    columns = [H.column(j) for j in range(H.cols)]
-    scale = max((abs(v) for col in columns for v in col), default=Rat(0)) or Rat(1)
-    assert part.scale == scale and part.delta == snap_delta(delta)
-    assert part.groups == _reference_groups(columns, delta, scale)
-    for idx in part.groups:
-        assert part.canonicals[idx] == canonical_vector(idx, delta, scale)
-    for j, col in enumerate(columns):
-        assert box_index(col, delta, scale) == _reference_box_index(col, delta, scale)
-
-    # the same columns dealt round-robin into blocks
-    mats = [
-        Matrix.from_rows([[row[j] for j in range(b, H.cols, blocks)] for row in rows])
-        for b in range(min(blocks, H.cols))
-    ]
-    cpart = partition_config_columns(mats, delta)
-    expected = {}
-    for i, m in enumerate(mats):
-        key = tuple(_reference_box_index(m.column(j), delta, scale) for j in range(m.cols))
-        expected.setdefault(key, []).append(i)
-    assert cpart.type_groups == expected
-    for key, canon in cpart.canonical_matrices.items():
-        assert canon == tuple(canonical_vector(idx, delta, scale) for idx in key)
+    _assert_matches_reference(rows, delta, blocks)

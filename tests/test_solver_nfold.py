@@ -185,6 +185,26 @@ def test_clamp_repair_fires_and_passes():
     assert res.report.within_bound
 
 
+def test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors():
+    # the first attempt clamps block 2 and misses the window; halving psi
+    # re-splits the blocks, and the second model must be built over the new
+    # major configurations and their value matrices
+    trace = PipelineTrace()
+    inst = _inst(
+        [
+            ([["5/2", "1/13"]], [[2, "3/2"]], ["69/26"], [1, 2], [1, 3]),
+            ([["5/2", "1/2"]], [[1, 0]], [0], [1, 0], [0, 3]),
+            ([[3, "1/24"]], [[0, 3]], ["37/12"], [1, 2], [1, 2]),
+        ],
+        [11],
+    )
+    res = solve_nfold(inst, ApproxParams.build(Rat(1, 5)), trace=trace)
+    assert trace.clamps == [((2, 1, 1),)]
+    assert res.status == SolveStatus.OK and res.refinements == 1
+    assert res.x == ((1, 2), (0, 0), (1, 2))
+    assert res.objective == brute_force_nfold(inst).optimum == 12
+
+
 def test_fractional_minors_are_rounded_by_group():
     # single-configuration blocks pin the selections integral, so hitting the
     # coupling target between the integral lattice points forces the relaxed
@@ -268,7 +288,7 @@ def test_guarantees_on_random_instances():
 
 
 def test_build_mip6_no_small_columns_has_no_minors():
-    from nearfeas.solver_nfold import build_mip6
+    from nearfeas.solver_nfold import build_mip6, major_values
 
     inst = _inst(
         [([[1]], [[1]], [1], [3], [1]), ([[1]], [[2]], [1], [3], [1])], [3]
@@ -281,8 +301,9 @@ def test_build_mip6_no_small_columns_has_no_minors():
         enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), 10**4)
         for sb, sp in zip(sblocks, splits)
     ]
+    values = major_values(sblocks, splits, cfgs)
     model, minor_keys = build_mip6(
-        inst, sblocks, splits, cfgs, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
+        inst, sblocks, splits, values, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
     )
     assert minor_keys == ()
     assert model.part is None
@@ -292,7 +313,7 @@ def test_build_mip6_no_small_columns_has_no_minors():
 
 
 def test_build_mip6_integer_variable_count():
-    from nearfeas.solver_nfold import build_mip6
+    from nearfeas.solver_nfold import build_mip6, major_values
 
     inst = _inst(
         [
@@ -308,8 +329,9 @@ def test_build_mip6_integer_variable_count():
         enumerate_major_configs(sb, sp, (1 - eps / 2, 1 + eps / 2), 10**4)
         for sb, sp in zip(sblocks, splits)
     ]
+    values = major_values(sblocks, splits, cfgs)
     model, _ = build_mip6(
-        inst, sblocks, splits, cfgs, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
+        inst, sblocks, splits, values, Rat(1, 8), Rat(1, 8), (Rat(1),), eps
     )
     widths = sum(len(key) for key in model.config_part.type_groups)
     boxes = len(model.part.groups)
