@@ -7,12 +7,11 @@ enumerate the integral slack range 0..Cmax; rational processing times are
 pre-scaled to integers, and decoders report in the original units.
 """
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, SchedulingInstance, validate_scheduling
-from .rationals import ZERO, as_rat
+from .rationals import ZERO, as_rat, common_denominator, scaled
 
 
 def knapsack_to_general(profits, weights, capacities):
@@ -59,14 +58,6 @@ class ScheduleDecode:
     cost: object  # total assignment cost (zero without costs)
 
 
-def _scale_to_integers(p_rows, cmax):
-    denom = int(as_rat(cmax).denominator)
-    for row in p_rows:
-        for v in row:
-            denom = math.lcm(denom, int(v.denominator))
-    return denom
-
-
 def scheduling_to_config(p, cmax, costs=None):
     """Feasibility test for makespan at most cmax on unrelated machines.
 
@@ -85,14 +76,14 @@ def scheduling_to_config(p, cmax, costs=None):
     n = len(p_rows)
     m = len(p_rows[0]) if n else 1
 
-    scale = _scale_to_integers(p_rows, cmax)
-    cmax_i = int(cmax * scale)
+    scale = common_denominator([cmax, *(v for row in p_rows for v in row)])
+    cmax_i = scaled(cmax, scale)
     units = [tuple(1 if k == h else 0 for k in range(m)) for h in range(m)]
 
     blocks = []
     for i in range(n):
         D = [
-            [p_rows[i][h] * scale if k == h else 0 for k in range(m)]
+            [scaled(p_rows[i][h], scale) if k == h else 0 for k in range(m)]
             for h in range(m)
         ]
         w = costs[i] if costs is not None else [ZERO] * m

@@ -22,13 +22,12 @@ the pipelines' error analysis rests on, and one integer comparison per entry
 keeps a wrong index from ever reaching a model.
 """
 
-import math
 from dataclasses import dataclass
 
 from .branch_bound import MixedModel
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import ONE, Rat, ZERO, as_rat, rat_ceil
+from .rationals import ONE, Rat, ZERO, as_rat, common_denominator, rat_ceil, scaled
 from .simplex import LinearProgram
 
 
@@ -46,14 +45,14 @@ def _grid(entries, delta):
     the cell's lower corner and the residual column - corner."""
     delta = snap_delta(delta)
     cells = delta.denominator
-    den = math.lcm(*{v.denominator for v in entries})
-    top = max((abs(v.numerator) * (den // v.denominator) for v in entries), default=0) or den
+    den = common_denominator(entries)
+    top = max((abs(scaled(v, den)) for v in entries), default=0) or den
     least = 1 - cells  # -scale's cell
     unit = cells * den
     corners = {}
 
     def split(col):
-        nums = [v.numerator * (den // v.denominator) * cells for v in col]
+        nums = [scaled(v, den) * cells for v in col]
         cell = tuple(max(-(-a // top), least) for a in nums)
         corner = corners.get(cell)
         if corner is None:

@@ -305,7 +305,7 @@ def violation_report(inst, x, mode, bound, objective=None):
     if isinstance(inst, GeneralIP):
         if len(x) != inst.H.cols:
             raise ValueError("dimension mismatch: solution length")
-        attained = inst.H.matvec(tuple(as_rat(v) for v in x))
+        attained = inst.H.matvec(x)
         reference = inst.b
         if objective is None:
             objective = sum((wv * xv for wv, xv in zip(inst.w, x)), ZERO)
@@ -315,7 +315,7 @@ def violation_report(inst, x, mode, bound, objective=None):
         total = [ZERO] * len(inst.b0)
         obj = ZERO
         for blk, xi in zip(inst.blocks, x):
-            contrib = blk.D.matvec(tuple(as_rat(v) for v in xi))
+            contrib = blk.D.matvec(xi)
             total = [a + c for a, c in zip(total, contrib)]
             obj = obj + sum((wv * xv for wv, xv in zip(blk.weights, xi)), ZERO)
         attained, reference = tuple(total), inst.b0
@@ -329,7 +329,6 @@ def violation_report(inst, x, mode, bound, objective=None):
         reference = []
         obj = ZERO
         for blk, xi in zip(inst.blocks, x):
-            xi = tuple(as_rat(v) for v in xi)
             contrib = blk.D.matvec(xi)
             total = [a + c for a, c in zip(total, contrib)]
             attained.extend(blk.A.matvec(xi))

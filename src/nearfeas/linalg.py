@@ -5,10 +5,8 @@ a float: rows are scaled to integers (rank-preserving) and reduced by
 fraction-free Bareiss elimination, which keeps intermediate growth bounded.
 """
 
-import math
-
 from .backend import bareiss_rank, dot
-from .rationals import ZERO, as_rat
+from .rationals import ZERO, as_rat, common_denominator, scaled
 
 
 class Matrix:
@@ -76,23 +74,17 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(mat):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
-    out = []
-    for i in range(mat.rows):
-        row = mat.row(i)
-        scale = 1
-        for e in row:
-            scale = math.lcm(scale, int(e.denominator))
-        out.append([int(e.numerator) * (scale // int(e.denominator)) for e in row])
-    return out
-
-
 def rank_exact(mat):
-    """Exact rank over the rationals."""
+    """Exact rank over the rationals: each row is scaled to integers by its
+    common denominator (rank is unchanged) before the elimination."""
     if mat.rows == 0 or mat.cols == 0:
         return 0
-    return bareiss_rank(_integer_rows(mat))
+    rows = []
+    for i in range(mat.rows):
+        row = mat.row(i)
+        L = common_denominator(row)
+        rows.append([scaled(e, L) for e in row])
+    return bareiss_rank(rows)
 
 
 def is_nonsingular(mat):

@@ -8,7 +8,8 @@ A^i x = b^i with it, then searches their product.  Target rows and costs are
 scaled to integers once (by the lcm of their denominators).  Enumeration is
 lexicographic and exhaustive within the validated instance's bound box; the
 first combination of strictly smallest cost is the witness, and a box larger
-than the cap fails loudly before any search.  No code is shared with solvers.
+than the cap fails loudly before any search.  No code is shared with solvers
+beyond the exact scalars and integer scaling of ``rationals``.
 """
 
 import math
@@ -18,7 +19,7 @@ from operator import itemgetter, sub
 from .errors import EnumerationCapExceeded, InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from .instances import validate_config, validate_general, validate_nonneg
-from .rationals import ZERO, Rat
+from .rationals import ZERO, Rat, common_denominator, scaled
 
 DEFAULT_CAP = 10**7
 
@@ -43,20 +44,15 @@ def _validate(problems, points, cap, kind):
         raise EnumerationCapExceeded(f"{kind} oracle: {points} points exceeds cap {cap}")
 
 
-def _scaled(values, scales):
-    return tuple(v.numerator * (s // v.denominator) for v, s in zip(values, scales))
-
-
 def _matches(choices, target):
     """Yield (cost, witnesses) for every pick of one entry per position whose
     contributions sum to target, in lexicographic order of the picks;
     ``choices[i]`` lists position i's (contribution vector, cost, witness)."""
     entries = [e for position in choices for e in position]
-    rows = [math.lcm(t.denominator, *(e[0][r].denominator for e in entries))
-            for r, t in enumerate(target)]
-    unit = math.lcm(*(e[1].denominator for e in entries))
-    choices = [[(_scaled(vec, rows), c.numerator * (unit // c.denominator), w)
-                for vec, c, w in position] for position in choices]
+    rows = [common_denominator([t, *(e[0][r] for e in entries)]) for r, t in enumerate(target)]
+    unit = common_denominator(e[1] for e in entries)
+    choices = [[(tuple(map(scaled, vec, rows)), scaled(c, unit), w) for vec, c, w in position]
+               for position in choices]
     last = len(choices) - 1
     picks = [None] * len(choices)
 
@@ -72,7 +68,7 @@ def _matches(choices, target):
             picks[i] = w
             yield from search(i + 1, tuple(map(sub, rest, vec)), cost + c)
 
-    return search(0, _scaled(target, rows), 0)
+    return search(0, tuple(map(scaled, target, rows)), 0)
 
 
 def _best(choices, target):

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their text form.
+"""Exact rational scalars, their text form, and the integers beneath them.
 
 Everything numeric in this package is an exact rational; no floating point
 ever enters a computation.  ``Rat`` is the scalar constructor,
@@ -7,6 +7,12 @@ denominator and print as "p/q" (or "p" for integers).  The simplex does not
 use it between reading an LP and returning its vertex (the tableau, bounds
 and values are integer, see ``simplex``); model data, solutions and reports
 do.
+
+This module owns both crossings of that boundary.  ``as_rat`` is the one
+coercion into ``Rat`` (a ``Rat`` passes through unchanged, so coercing
+exact data costs nothing); ``common_denominator`` and ``scaled`` are the one
+way any layer (the simplex, the box grid, exact rank, the oracle, the
+scheduling reduction) turns rationals into integers over a shared scale.
 """
 
 import math
@@ -43,7 +49,12 @@ def format_rat(value):
 
 
 def as_rat(value):
-    """Coerce an int, rational, or "p/q" string to Rat; floats are rejected."""
+    """Coerce an int, rational, or "p/q" string to Rat; floats and booleans
+    are rejected, and a Rat is returned as it is."""
+    if type(value) is Rat:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("boolean values are not allowed")
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed")
     if isinstance(value, str):
@@ -54,6 +65,17 @@ def as_rat(value):
         return Rat(value.numerator, value.denominator)
     except AttributeError:
         raise TypeError(f"expected a rational, got {value!r}") from None
+
+
+def common_denominator(values):
+    """The least positive integer L with L * v integral for every v (the lcm
+    of the denominators); 1 for no values."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def scaled(v, L):
+    """L * v as an int; L must be a multiple of v's denominator."""
+    return v.numerator * (L // v.denominator)
 
 
 def is_integral(value):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .backend import pivot_update
 from .errors import PipelineInvariantError
-from .rationals import Rat, as_rat, is_integral
+from .rationals import Rat, as_rat, common_denominator, is_integral, scaled
 from .linalg import Matrix
 
 
@@ -97,24 +97,14 @@ _BASIC, _LOW, _UP = 0, 1, 2
 _MAX_ITERATIONS = 1 << 22
 
 
-def _scale(values):
-    """Positive integer L (the lcm of the denominators) with L * v integral."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(v, L):
-    """L * v as an int; L must be a multiple of v's denominator."""
-    return v.numerator * (L // v.denominator)
-
-
 def _scaled_rows(lp):
     """Each constraint row scaled to integers by the lcm s of its
     denominators: (the nonzeros of s * A_i as (column, int), s * b_i, s)."""
     rows = []
     for i in range(lp.matrix.rows):
         nz = [(j, v) for j, v in enumerate(lp.matrix.row(i)) if v]
-        s = _scale(v for _, v in nz)
-        rows.append(([(j, _scaled(v, s)) for j, v in nz], lp.rhs[i] * s, s))
+        s = common_denominator(v for _, v in nz)
+        rows.append(([(j, scaled(v, s)) for j, v in nz], lp.rhs[i] * s, s))
     return rows
 
 
@@ -168,19 +158,19 @@ class Tableau:
         # integral.  L0 covers the first two; res[i] is L0 * s times row i's
         # residual, which L makes integral once it holds L0 * s / gcd(res[i],
         # L0 * s)
-        L0 = math.lcm(_scale(lp.lower), _scale(lp.upper), _scale(sb for _, sb, _ in rows))
-        low0 = [_scaled(v, L0) for v in lp.lower]
+        L0 = common_denominator([*lp.lower, *lp.upper, *(sb for _, sb, _ in rows)])
+        low0 = [scaled(v, L0) for v in lp.lower]
         res = []
         L = L0
         for nz, sb, s in rows:
-            ri = _scaled(sb, L0) - sum(a * low0[j] for j, a in nz)
+            ri = scaled(sb, L0) - sum(a * low0[j] for j, a in nz)
             res.append(ri)
             L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))
         self.L = L
         f = L // L0
         self.lower = [v * f for v in low0]
-        self.upper = [_scaled(v, L) for v in lp.upper]
-        self.rhs = tuple(_scaled(sb, L) for _, sb, _ in rows)
+        self.upper = [scaled(v, L) for v in lp.upper]
+        self.rhs = tuple(scaled(sb, L) for _, sb, _ in rows)
 
         # rows: d * [A | I | value] for the all-artificial basis, whose
         # determinant in the row-scaled matrix is the product d of the row
@@ -311,8 +301,8 @@ class Tableau:
         raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
 
     def rebuild_cost_row(self, objective):
-        k = self.k = _scale(objective)
-        obj = self.obj = [_scaled(v, k) for v in objective]
+        k = self.k = common_denominator(objective)
+        obj = self.obj = [scaled(v, k) for v in objective]
         d, n, dens = self.d, self.n, self.dens
         T = self.T
         # bring every row over d, the cost row's new denominator
@@ -372,13 +362,13 @@ class Tableau:
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
-        L = math.lcm(self.L, *(v.denominator for v in (lo, hi) if v is not None))
+        L = math.lcm(self.L, common_denominator(v for v in (lo, hi) if v is not None))
         if L != self.L:
             self._rescale(L // self.L)
         if lo is not None:
-            self.lower[j] = _scaled(lo, L)
+            self.lower[j] = scaled(lo, L)
         if hi is not None:
-            self.upper[j] = _scaled(hi, L)
+            self.upper[j] = scaled(hi, L)
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         r, n = self.r, self.n

@@ -126,15 +126,13 @@ def build_restriction(model, values):
     )
 
 
-def _selection_from_values(model, values, rounded):
+def _selection_from_values(model, selected):
     """Per-block selected column; exactly one per block after rounding."""
     chosen = []
     for i, cols in enumerate(model.z):
         picks = []
         for phi, j in enumerate(cols):
-            v = rounded.get((i, phi))
-            if v is None:
-                v = values[j]
+            v = selected[j]
             if v == 1:
                 picks.append(phi)
             elif v != 0:
@@ -168,12 +166,14 @@ def select_columns(model, mixed_sol, stats, trace):
             (model, mixed_sol.values, _type_submatrices(model, support))
         )
 
+    # the selection values with the TU rounding applied
+    selected = list(values)
     restriction = build_restriction(model, values)
-    if restriction is None:
-        rounded = {}
-    else:
+    if restriction is not None:
         rounded = tu_round(restriction, stats=stats)
-        _check_marginals(model, values, rounded)
+        for (i, phi), v in rounded.items():
+            selected[model.z[i][phi]] = v
+        _check_marginals(model, values, selected)
         if trace is not None:
             frac_obj = sum(
                 (
@@ -184,7 +184,7 @@ def select_columns(model, mixed_sol, stats, trace):
             )
             trace.tu_calls.append((restriction, frac_obj, rounded))
 
-    chosen = _selection_from_values(model, values, rounded)
+    chosen = _selection_from_values(model, selected)
     cost = sum((model.config_costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
     if cost > sum((c * v for c, v in zip(model.mixed.lp.objective, values)), ZERO):
         raise PipelineInvariantError("objective chain violated")
@@ -206,16 +206,11 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
     return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen)), objective
 
 
-def _check_marginals(model, values, rounded):
+def _check_marginals(model, values, selected):
     for members in model.config_part.type_groups.values():
         for phi in range(len(model.z[members[0]])):
             before = sum((values[model.z[i][phi]] for i in members), ZERO)
-            after = ZERO
-            for i in members:
-                v = rounded.get((i, phi))
-                if v is None:
-                    v = values[model.z[i][phi]]
-                after = after + v
+            after = sum((selected[model.z[i][phi]] for i in members), ZERO)
             if before != after:
                 raise PipelineInvariantError("type marginal not conserved by rounding")
 

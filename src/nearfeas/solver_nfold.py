@@ -52,7 +52,6 @@ class ScaledBlock:
     index: int
     block: object  # original NonnegBlock
     A: Matrix  # surviving rows, scaled so the right-hand entry is 1
-    row_map: tuple  # original row index per surviving row
     fixed_zero: frozenset  # columns forced to 0 by a zero right-hand row
 
 
@@ -94,7 +93,6 @@ def normalize_blocks(inst):
                 idx,
                 blk,
                 Matrix(len(surviving), t, entries),
-                tuple(surviving),
                 frozenset(fixed),
             )
         )
@@ -364,9 +362,6 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
             blk = sb.block
             xi = []
             for j in range(blk.A.cols):
-                if split.kinds[j] == FIXED:
-                    xi.append(0)
-                    continue
                 major = config_lists[sb.index][chosen[sb.index]][j]
                 v = split.lambdas[j] * major + minors.get((sb.index, j), 0)
                 if v > blk.u[j]:

@@ -141,6 +141,23 @@ def test_parse_error_names_path(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--input", str(bad))
     assert code == 1
     assert "$.H[0][0]" in err
+    # a JSON boolean is no rational: one rational field per kind (scheduling's
+    # cmax is a case of test_malformed_scheduling_file_exits_one)
+    general = {"format": 1, "kind": "general", "H": [[True, "2"]], "b": [False],
+               "w": ["1", "1"], "l": [0, 0], "u": [1, 1]}
+    config = copy.deepcopy(VALID_FILES["nfold_config"])
+    config["blocks"][0]["weights"][0] = True
+    nonneg = copy.deepcopy(VALID_FILES["nfold_nonneg"])
+    nonneg["blocks"][0]["bi"][0] = False
+    for data, path in (
+        (general, "$.H[0][0]"),
+        (config, "$.blocks[0].weights[0]"),
+        (nonneg, "$.blocks[0].bi[0]"),
+    ):
+        bad.write_text(json.dumps(data))
+        for argv in (("check",), ("oracle",), ("solve", "--epsilon", "1/2")):
+            code, out, err = run(capsys, argv[0], "--input", str(bad), *argv[1:])
+            assert (code, out, err) == (1, "", f"error: {path}: boolean values are not allowed\n")
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -354,6 +371,7 @@ def test_gen_rejects_sizes_below_their_least(tmp_path, capsys, kind, flag, value
         ({"jobs": [[1, 1.5], [2, 1]]}, "$.jobs[0][1]: floating-point values are not allowed"),
         ({"jobs": "ab"}, "$.jobs: expected a list of rows"),
         ({"cmax": -2}, "scheduling data must be nonnegative"),
+        ({"cmax": True}, "$.cmax: boolean values are not allowed"),
     ],
 )
 def test_malformed_scheduling_file_exits_one(tmp_path, capsys, fields, message):
@@ -399,8 +417,8 @@ def _negated(value):
 @st.composite
 def _mutated_files(draw):
     """A valid file of some kind with one mutation: a key dropped, a value
-    swapped for a float, null, "x" or a nested list, a row made ragged, or a
-    number negated."""
+    swapped for a float, a boolean, null, "x" or a nested list, a row made
+    ragged, or a number negated."""
     data = copy.deepcopy(VALID_FILES[draw(st.sampled_from(sorted(VALID_FILES)))])
     nodes = list(_nodes(data))
     mutation = draw(st.sampled_from(["drop", "swap", "ragged", "negate"]))
@@ -426,7 +444,7 @@ def _mutated_files(draw):
     if mutation == "drop":
         del parent[last]
     elif mutation == "swap":
-        parent[last] = draw(st.sampled_from([1.5, None, "x", [[1]]]))
+        parent[last] = draw(st.sampled_from([1.5, True, None, "x", [[1]]]))
     elif mutation == "ragged" and draw(st.booleans()):
         parent[last].append(parent[last][-1])
     elif mutation == "ragged":

@@ -157,6 +157,15 @@ def test_parse_error_names_path():
     data2["blocks"][0]["weights"] = ["1/0"]
     with pytest.raises(InstanceFormatError, match=r"\$\.blocks\[0\]\.weights\[0\]"):
         instance_from_dict(data2)
+    # a JSON boolean is no rational, in a rational field of any kind
+    data["H"][0][0] = True
+    data3 = instance_to_dict(NFoldNonnegInstance.build([([[1]], [[1]], [1], [2], [1])], [1]))
+    data3["blocks"][0]["w"][0] = False
+    data2["blocks"][0]["weights"] = [True]
+    for bad, path in ((data, r"\$\.H\[0\]\[0\]"), (data2, r"\$\.blocks\[0\]\.weights\[0\]"),
+                      (data3, r"\$\.blocks\[0\]\.w\[0\]")):
+        with pytest.raises(InstanceFormatError, match=path + ": boolean values are not allowed"):
+            instance_from_dict(bad)
 
 
 def test_int_fields_reject_strings():
@@ -199,6 +208,7 @@ def test_scheduling_format_errors_name_their_path():
         ({"jobs": [[1, None]]}, r"\$\.jobs\[0\]\[1\]"),
         ({"jobs": [3]}, r"\$\.jobs\[0\]"),
         ({"cmax": [[1]]}, r"\$\.cmax"),
+        ({"cmax": True}, r"\$\.cmax: boolean values are not allowed"),
         ({"costs": {"a": 1}}, r"\$\.costs"),
         ({"costs": [["x", 1]]}, r"\$\.costs\[0\]\[0\]"),
     ):

@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from nearfeas.rationals import (
     Rat,
     as_rat,
+    common_denominator,
     format_rat,
     is_integral,
     parse_rat,
     rat_ceil,
     rat_floor,
+    scaled,
 )
 
 
@@ -43,6 +46,40 @@ def test_roundtrip():
 def test_as_rat_rejects_floats():
     with pytest.raises(TypeError):
         as_rat(0.5)
+
+
+def test_as_rat_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="boolean values are not allowed"):
+            as_rat(value)
+
+
+def test_as_rat_returns_a_rat_unchanged():
+    r = Rat(-6, 4)
+    assert as_rat(r) is r
+    assert as_rat(3) == Rat(3) and as_rat("-3/2") == r
+
+
+def test_common_denominator_examples():
+    assert common_denominator([]) == 1
+    assert common_denominator([3, -2, Rat(0)]) == 1
+    # the lcm, not the largest denominator
+    assert common_denominator([5, Rat(-1, 4), Rat(-5, 6), Rat(7, 9)]) == 36
+    assert scaled(Rat(-5, 6), 36) == -30
+    assert scaled(4, 36) == 144
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=8))
+def test_scaled_by_the_common_denominator_is_exact(values):
+    L = common_denominator(values)
+    assert L >= 1
+    for v in values:
+        assert type(scaled(v, L)) is int
+        assert scaled(v, L) == v * L
+    # least: no proper divisor L // p of L makes every value integral
+    for p in range(2, min(L, 1000) + 1):
+        if L % p == 0:
+            assert any((v * (L // p)).denominator != 1 for v in values)
 
 
 def test_floor_ceil_are_ints():

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
+from nearfeas import solver_config
 from nearfeas.boxes import partition_config_columns
 from nearfeas.generate import gen_config
-from nearfeas.instances import ApproxParams, NFoldConfigInstance
+from nearfeas.errors import PipelineInvariantError
+from nearfeas.instances import ApproxParams, NFoldConfigInstance, instance_from_dict
 from nearfeas.linalg import rank_exact
 from nearfeas.oracle import brute_force_config
 from nearfeas.rationals import Rat
@@ -138,3 +142,32 @@ def test_marginals_preserved_via_trace():
             Rat(0),
         )
         assert got <= frac_obj
+
+
+# gen_config(random.Random(1), n_blocks=3, s=1, t=2, kappa=2, max_configs=3):
+# at epsilon 1/5 and delta 1 its first TU re-solve rounds blocks 0 and 1 of
+# one type to
+# {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+_TU_ROUNDED = {"format": 1, "kind": "nfold_config", "b0": ["5/2"], "blocks": [
+    {"D": [["-1", "-3/2"]], "configs": [[1, 1], [-1, -2]], "weights": ["1/2", "0"]},
+    {"D": [["1/2", "2"]], "configs": [[-2, -2], [-2, 2]], "weights": ["-3", "0"]},
+    {"D": [["-2", "1"]], "configs": [[-1, 0], [-1, -1], [1, 0]], "weights": ["-3", "1"]},
+]}
+
+
+def test_a_rounding_that_moves_type_mass_is_rejected(monkeypatch):
+    inst = instance_from_dict(_TU_ROUNDED)
+    params = ApproxParams.build(Rat(1, 5), delta_override=Rat(1), refinement_limit=16)
+    trace = PipelineTrace()
+    assert solve_nfold_config(inst, params, trace=trace).status == SolveStatus.OK
+    assert trace.tu_calls[0][2] == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    tu_round = solver_config.tu_round
+
+    def block_0_flipped(restriction, stats=None):
+        # still one 0/1 selection per block, but both blocks now pick column 0
+        rounded = tu_round(restriction, stats=stats)
+        return {(i, phi): 1 - v if i == 0 else v for (i, phi), v in rounded.items()}
+
+    monkeypatch.setattr(solver_config, "tu_round", block_0_flipped)
+    with pytest.raises(PipelineInvariantError, match="type marginal not conserved"):
+        solve_nfold_config(inst, params)

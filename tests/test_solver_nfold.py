@@ -30,7 +30,6 @@ def test_normalize_case_i_fixes_variables():
     inst = _inst([([[1, 1], [0, 3]], [[1, 1]], [2, 0], [3, 3], [1, 1])], [3])
     (sb,) = normalize_blocks(inst)
     assert sb.fixed_zero == frozenset({1})
-    assert sb.row_map == (0,)
     assert sb.A.row(0) == (Rat(1, 2), Rat(1, 2))
 
 
@@ -38,7 +37,6 @@ def test_normalize_case_ii_drops_zero_row():
     inst = _inst([([[1, 0], [0, 0]], [[1, 1]], [1, 0], [3, 3], [1, 1])], [3])
     (sb,) = normalize_blocks(inst)
     assert sb.fixed_zero == frozenset()
-    assert sb.row_map == (0,)
 
 
 def test_normalize_scales_to_one():
