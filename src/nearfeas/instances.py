@@ -430,7 +430,8 @@ def _nonneg_block(blk, bp):
 def instance_from_dict(data, path="$"):
     if not isinstance(data, dict):
         raise InstanceFormatError(path, "expected an object")
-    if data.get("format") != 1:
+    fmt = data.get("format")
+    if type(fmt) is not int or fmt != 1:
         raise InstanceFormatError(f"{path}.format", "missing or unsupported format (need 1)")
     kind = _need(data, "kind", path)
     if kind == "general":

@@ -158,6 +158,11 @@ def test_parse_error_names_path(tmp_path, capsys):
         for argv in (("check",), ("oracle",), ("solve", "--epsilon", "1/2")):
             code, out, err = run(capsys, argv[0], "--input", str(bad), *argv[1:])
             assert (code, out, err) == (1, "", f"error: {path}: boolean values are not allowed\n")
+    # nor is a boolean or a float the format number 1
+    for fmt in (True, 1.0):
+        bad.write_text(json.dumps({**general, "H": [["1", "2"]], "b": ["1"], "format": fmt}))
+        code, out, err = run(capsys, "check", "--input", str(bad))
+        assert (code, out) == (1, "") and err.startswith("error: $.format: ")
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

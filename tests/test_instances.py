@@ -141,6 +141,10 @@ def test_json_roundtrip_every_kind(tmp_path):
 
 def test_format_field_required():
     data = instance_to_dict(GeneralIP.build([[1]], [1], [1], [0], [1]))
+    for fmt in (None, True, 1.0, 2, "1"):
+        data["format"] = fmt
+        with pytest.raises(InstanceFormatError, match=r"\$\.format"):
+            instance_from_dict(data)
     del data["format"]
     with pytest.raises(InstanceFormatError, match=r"\$\.format"):
         instance_from_dict(data)

@@ -3,16 +3,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/mutants.py [--timeout SECONDS] [NAME ...]
+    python3 tools/mutants.py
 
 Each row of ``MUTANTS`` names a file, an exact snippet in it, the snippet's
 replacement, the test ids that must fail once the replacement is made and,
 for a mutant that changes no behaviour, the reason it is equivalent.  The
 tool first runs every named test on an unmutated copy of the checkout, so a
-failure can only come from a mutant.  Then, for each row (or each row named
-on the command line), it copies the checkout to a temporary directory,
-applies the mutant there, runs the row's tests with pytest under the
-per-mutant timeout and prints one line:
+failure can only come from a mutant.  Then, for each row, it copies the
+checkout to a temporary directory, applies the mutant there, runs the row's
+tests with pytest under ``TIMEOUT`` seconds and prints one line:
 
 - ``killed``: a named test failed;
 - ``survived``: every named test passed;
@@ -28,7 +27,6 @@ a change that rewrites mutated code updates its rows.  Standard library
 only; the checkout is never modified.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -37,6 +35,7 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 300  # seconds per mutant; the unmutated run gets twice as long
 _IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-work", ".benchmarks"
 )
@@ -100,6 +99,16 @@ MUTANTS = (
         (
             "tests/test_rationals.py::test_as_rat_rejects_booleans",
             "tests/test_instances.py::test_parse_error_names_path",
+            "tests/test_cli.py::test_parse_error_names_path",
+        ),
+    ),
+    Mutant(
+        "format-accepts-true-and-float",
+        "src/nearfeas/instances.py",
+        "    if type(fmt) is not int or fmt != 1:\n",
+        "    if fmt != 1:\n",
+        (
+            "tests/test_instances.py::test_format_field_required",
             "tests/test_cli.py::test_parse_error_names_path",
         ),
     ),
@@ -244,7 +253,7 @@ def _pytest(tree, tests, timeout):
     return done.returncode
 
 
-def run(mutant, timeout):
+def run(mutant):
     """The mutant's outcome: killed, survived, stale or timeout."""
     if occurrences(mutant) != 1:
         return "stale"
@@ -255,32 +264,23 @@ def run(mutant, timeout):
             text = fh.read()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(mutant.snippet, mutant.replacement))
-        code = _pytest(tree, mutant.tests, timeout)
+        code = _pytest(tree, mutant.tests, TIMEOUT)
     if code is None:
         return "timeout"
     return {0: "survived", 1: "killed"}.get(code, "stale")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant")
-    parser.add_argument("names", nargs="*", help="rows to run (default: all)")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-
-    tests = sorted({t for m in rows for t in m.tests})
+def main():
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as workdir:
-        code = _pytest(_copy(workdir), tests, args.timeout * 2)
+        code = _pytest(_copy(workdir), tests, TIMEOUT * 2)
     if code != 0:
         print(f"baseline: the named tests do not pass unmutated (pytest exit {code})")
         return 2
 
     failed = 0
-    for mutant in rows:
-        outcome = run(mutant, args.timeout)
+    for mutant in MUTANTS:
+        outcome = run(mutant)
         line = f"{outcome:9} {mutant.name}"
         if mutant.equivalent:
             line += f" (equivalent: {mutant.equivalent})"
