@@ -14,20 +14,23 @@ denominators of the entries it partitions, an entry v is the integer
 a = v * den; S is the largest |a| (``den`` when every entry is 0, so the
 scale S/den is 1), and with cells = 1/delta the cell index of an entry is
 max(ceil(a * cells / S), 1 - cells): values on a cell edge land in the lower
-cell, and -scale, which has no lower cell, clamps up into range.  Over the
-denominator cells * den a corner entry is (lam - 1) * S and a residual entry
-r = a * cells - (lam - 1) * S, so only the entries handed to the model are
-built as rationals.  The check 0 <= r <= S stays: it is the cell-side bound
-the pipelines' error analysis rests on, and one integer comparison per entry
-keeps a wrong index from ever reaching a model.
+cell, and -scale, which has no lower cell, clamps up into range.  A
+partition holds its corners and residuals as integers over its ``unit``
+cells * den: a corner entry is (lam - 1) * S and a residual entry r = a *
+cells - (lam - 1) * S.  ``coupled_model`` lifts them straight into the
+model's integer rows, so no entry is ever built as a rational.  The check
+0 <= r <= S stays: it is the cell-side bound the pipelines' error analysis
+rests on, and one integer comparison per entry keeps a wrong index from ever
+reaching a model.
 """
 
+import math
 from dataclasses import dataclass
 
 from .branch_bound import MixedModel
 from .errors import PipelineInvariantError
-from .linalg import Matrix
-from .rationals import ONE, Rat, ZERO, as_rat, common_denominator, rat_ceil, scaled
+from .linalg import IntRows
+from .rationals import Rat, as_rat, common_denominator, rat_ceil, scaled
 from .simplex import LinearProgram
 
 
@@ -41,14 +44,14 @@ def snap_delta(delta):
 
 def _grid(entries, delta):
     """The integer grid of a partition of ``entries``: its snapped delta, its
-    scale, and its splitter, which maps a column to its cell (an int tuple),
-    the cell's lower corner and the residual column - corner."""
+    scale, its unit, and its splitter, which maps a column to its cell (an int
+    tuple), the cell's lower corner and the residual column - corner, both as
+    int tuples over the unit."""
     delta = snap_delta(delta)
     cells = delta.denominator
     den = common_denominator(entries)
     top = max((abs(scaled(v, den)) for v in entries), default=0) or den
     least = 1 - cells  # -scale's cell
-    unit = cells * den
     corners = {}
 
     def split(col):
@@ -56,32 +59,30 @@ def _grid(entries, delta):
         cell = tuple(max(-(-a // top), least) for a in nums)
         corner = corners.get(cell)
         if corner is None:
-            corner = corners[cell] = tuple(Rat((lam - 1) * top, unit) for lam in cell)
-        residual = []
-        for a, lam in zip(nums, cell):
-            r = a - (lam - 1) * top
-            if not 0 <= r <= top:
-                raise PipelineInvariantError("residual outside its cell")
-            residual.append(Rat(r, unit))
-        return cell, corner, tuple(residual)
+            corner = corners[cell] = tuple((lam - 1) * top for lam in cell)
+        residual = tuple(a - c for a, c in zip(nums, corner))
+        if not all(0 <= r <= top for r in residual):
+            raise PipelineInvariantError("residual outside its cell")
+        return cell, corner, residual
 
-    return delta, Rat(top, den), split
+    return delta, Rat(top, den), cells * den, split
 
 
 @dataclass(frozen=True)
 class BoxPartition:
     delta: object  # snapped
     scale: object
+    unit: int  # the denominator of every canonical and residual entry
     groups: dict  # cell (int tuple) -> list of column indices
-    canonicals: dict  # cell -> canonical vector
-    residuals: tuple  # per column: column - canonical(its cell)
+    canonicals: dict  # cell -> canonical vector, ints over unit
+    residuals: tuple  # per column: column - canonical(its cell), ints over unit
 
 
 def partition_columns(mat, delta):
     """Group the columns of mat by cell; only occupied cells materialize."""
     if mat.cols == 0:
         raise ValueError("matrix has no columns")
-    delta, scale, split = _grid(mat.entries, delta)
+    delta, scale, unit, split = _grid(mat.entries, delta)
     groups = {}
     canonicals = {}
     residuals = []
@@ -90,16 +91,17 @@ def partition_columns(mat, delta):
         groups.setdefault(cell, []).append(j)
         canonicals[cell] = corner
         residuals.append(residual)
-    return BoxPartition(delta, scale, groups, canonicals, tuple(residuals))
+    return BoxPartition(delta, scale, unit, groups, canonicals, tuple(residuals))
 
 
 @dataclass(frozen=True)
 class ConfigBoxPartition:
     delta: object
     scale: object
+    unit: int  # the denominator of every canonical and residual entry
     type_groups: dict  # tuple of cells, one per column -> list of block indices
-    canonical_matrices: dict  # type -> tuple of canonical vectors (one per column)
-    residual_matrices: tuple  # per block: tuple of residual vectors
+    canonical_matrices: dict  # type -> canonical vectors (one per column), ints over unit
+    residual_matrices: tuple  # per block: residual vectors, ints over unit
 
 
 def partition_config_columns(mats, delta):
@@ -115,7 +117,7 @@ def partition_config_columns(mats, delta):
     for m in mats:
         if m.rows != mats[0].rows:
             raise ValueError("dimension mismatch: blocks differ in row count")
-    delta, scale, split = _grid([v for m in mats for v in m.entries], delta)
+    delta, scale, unit, split = _grid([v for m in mats for v in m.entries], delta)
     type_groups = {}
     canonical_matrices = {}
     residual_matrices = []
@@ -128,7 +130,7 @@ def partition_config_columns(mats, delta):
         type_groups[key].append(i)
         residual_matrices.append(tuple(residual for _, _, residual in columns))
     return ConfigBoxPartition(
-        delta, scale, type_groups, canonical_matrices, tuple(residual_matrices)
+        delta, scale, unit, type_groups, canonical_matrices, tuple(residual_matrices)
     )
 
 
@@ -173,7 +175,8 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     integer variable g per group stands for its members' sum.  Canonical
     vectors go on y and g, residuals on z and x, and each coupling row
     ``= b_r`` gains a slack column bounded by +-slack_bounds[r].  An absent
-    part adds no rows and no columns.
+    part adds no rows and no columns.  Each row is built once as integers
+    over its least scale (``linalg.IntRows``).
 
     Columns are ``[z | y | x | g | slack]``, each block's z and each type's y
     contiguous, types and groups in their partition's order.  Rows are
@@ -202,41 +205,44 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     rows_sel = range(linking.stop, linking.stop + blocks)
     rows_grp = range(rows_sel.stop, rows_sel.stop + len(groups))
     rows = rows_grp.stop
-    entries = [ZERO] * (rows * cols)
 
-    for r in range(s):
-        base = r * cols
-        for i, zi in enumerate(z):
-            for j, res in zip(zi, cpart.residual_matrices[i]):
-                entries[base + j] = res[r]
+    # coupling row r over U, the lcm of the partitions' units: every corner
+    # and residual lifted to U, and the slack -U; dividing by the gcd g of U
+    # and the entries leaves the least scale U // g
+    U = math.lcm(*(p.unit for p in (cpart, part) if p is not None))
+    lifted = []  # (column, its ints over a unit, U // that unit), in column order
+    if cpart is not None:
+        f = U // cpart.unit
+        for zi, residuals in zip(z, cpart.residual_matrices):
+            lifted.extend((j, res, f) for j, res in zip(zi, residuals))
         for (key, _), yk in zip(types, y):
-            for j, canon in zip(yk, cpart.canonical_matrices[key]):
-                entries[base + j] = canon[r]
-        for j in range(len(x_costs)):
-            entries[base + x0 + j] = part.residuals[j][r]
-        for k, (key, _) in enumerate(groups):
-            entries[base + g0 + k] = part.canonicals[key][r]
-        entries[base + s0 + r] = -ONE
+            lifted.extend((j, canon, f) for j, canon in zip(yk, cpart.canonical_matrices[key]))
+    if part is not None:
+        f = U // part.unit
+        lifted.extend((j, res, f) for j, res in zip(x, part.residuals))
+        lifted.extend((g0 + k, part.canonicals[key], f) for k, (key, _) in enumerate(groups))
+    nonzeros = []
+    scales = []
+    for r in range(s):
+        row = [(j, vec[r] * m) for j, vec, m in lifted if vec[r]]
+        row.append((s0 + r, -U))
+        g = math.gcd(U, *(a for _, a in row))
+        nonzeros.append([(j, a // g) for j, a in row])
+        scales.append(U // g)
+    # the linking, selection and group rows: +-1 entries over scale 1
     for (_, members), yk in zip(types, y):
         for phi, j in enumerate(yk):
-            base = (linking.start + j - nz) * cols
-            for i in members:
-                entries[base + z[i][phi]] = ONE
-            entries[base + j] = -ONE
-    for i, zi in enumerate(z):
-        base = (rows_sel.start + i) * cols
-        entries[base + zi.start : base + zi.stop] = [ONE] * len(zi)
+            nonzeros.append([*((z[i][phi], 1) for i in members), (j, -1)])
+    nonzeros.extend([(j, 1) for j in zi] for zi in z)
     for k, (_, members) in enumerate(groups):
-        base = (rows_grp.start + k) * cols
-        for j in members:
-            entries[base + x0 + j] = ONE
-        entries[base + g0 + k] = -ONE
+        nonzeros.append([*((x0 + j, 1) for j in members), (g0 + k, -1)])
+    scales.extend([1] * (rows - s))
 
-    lower = [ZERO] * nz
-    upper = [ONE] * nz
+    lower = [0] * nz
+    upper = [1] * nz
     for (_, members), yk in zip(types, y):
-        lower.extend([ZERO] * len(yk))
-        upper.extend([Rat(len(members))] * len(yk))
+        lower.extend([0] * len(yk))
+        upper.extend([len(members)] * len(yk))
     lower.extend(x_lower)
     upper.extend(x_upper)
     for _, members in groups:
@@ -245,13 +251,13 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     lower.extend(-v for v in slack_bounds)
     upper.extend(slack_bounds)
     objective = [c for costs in block_costs for c in costs]
-    objective.extend([ZERO] * (x0 - nz))
+    objective.extend([0] * (x0 - nz))
     objective.extend(x_costs)
-    objective.extend([ZERO] * (cols - g0))
-    rhs = tuple(b) + (ZERO,) * len(linking) + (ONE,) * blocks + (ZERO,) * len(groups)
+    objective.extend([0] * (cols - g0))
+    rhs = tuple(b) + (0,) * len(linking) + (1,) * blocks + (0,) * len(groups)
 
     lp = LinearProgram(
-        Matrix(rows, cols, entries), rhs, tuple(lower), tuple(upper), tuple(objective)
+        IntRows(rows, cols, nonzeros, scales), rhs, tuple(lower), tuple(upper), tuple(objective)
     )
     mixed = MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
     return CoupledModel(

@@ -22,7 +22,6 @@ from .errors import (
     InvalidInstanceError,
     NearfeasError,
     ResourceLimitError,
-    ZeroColumnUnsupported,
 )
 from .generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from .instances import (
@@ -331,7 +330,7 @@ def main(argv=None):
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except (InstanceFormatError, InvalidInstanceError, ZeroColumnUnsupported) as exc:
+    except (InstanceFormatError, InvalidInstanceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

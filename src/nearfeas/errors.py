@@ -37,9 +37,5 @@ class RefinementLimitExceeded(ResourceLimitError):
     pass
 
 
-class ZeroColumnUnsupported(NearfeasError):
-    """A block column is zero in every surviving row of its local matrix."""
-
-
 class PipelineInvariantError(NearfeasError):
     """An internal structural guarantee failed; always a bug, never an input error."""

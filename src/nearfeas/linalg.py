@@ -1,12 +1,27 @@
-"""Dense rational matrices and exact rank.
+"""Dense rational matrices, sparse integer rows, and exact rank.
 
 Matrices are immutable row-major tuples of exact rationals.  Rank never sees
 a float: rows are scaled to integers (rank-preserving) and reduced by
 fraction-free Bareiss elimination, which keeps intermediate growth bounded.
+An LP's constraint rows are ``IntRows``, integers over one scale per row.
 """
+
+from typing import NamedTuple
 
 from .backend import bareiss_rank, dot
 from .rationals import ZERO, as_rat, common_denominator, scaled
+
+
+class IntRows(NamedTuple):
+    """A rows x cols rational matrix as sparse integer rows: row i is
+    ``nonzeros[i] / scales[i]``, its nonzeros listed as (column, int) pairs
+    in column order, and ``scales[i]`` the least positive integer that makes
+    the row integral."""
+
+    rows: int
+    cols: int
+    nonzeros: list
+    scales: list
 
 
 class Matrix:
@@ -43,13 +58,6 @@ class Matrix:
 
     def column(self, j):
         return self.entries[j :: self.cols] if self.cols else ()
-
-    def transpose(self):
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def inf_norm(self):
         return max((abs(e) for e in self.entries), default=ZERO)

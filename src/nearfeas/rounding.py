@@ -11,8 +11,8 @@ integral data are integral).
 from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
-from .linalg import Matrix
-from .rationals import ONE, ZERO, is_integral, rat_floor
+from .linalg import IntRows
+from .rationals import ZERO, is_integral, rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp_vertex
 
 
@@ -88,15 +88,16 @@ def tu_round(restriction, stats=None):
         return {}
     nl = len(restriction.left_rhs)
     nr = len(restriction.right_rhs)
-    entries = [ZERO] * ((nl + nr) * nv)
+    # 0/1 incidence rows over scale 1: each variable in one left and one right row
+    nonzeros = [[] for _ in range(nl + nr)]
     for k in range(nv):
-        entries[restriction.left_of[k] * nv + k] = ONE
-        entries[(nl + restriction.right_of[k]) * nv + k] = ONE
+        nonzeros[restriction.left_of[k]].append((k, 1))
+        nonzeros[nl + restriction.right_of[k]].append((k, 1))
     lp = LinearProgram(
-        Matrix(nl + nr, nv, entries),
+        IntRows(nl + nr, nv, nonzeros, [1] * (nl + nr)),
         tuple(restriction.left_rhs) + tuple(restriction.right_rhs),
-        (ZERO,) * nv,
-        (ONE,) * nv,
+        (0,) * nv,
+        (1,) * nv,
         restriction.costs,
     )
     sol = solve_lp_vertex(lp)

@@ -6,11 +6,11 @@ smallest basic variable index), so every run is deterministic and terminates
 despite degeneracy.  All arithmetic is exact; optimality and feasibility are
 decided with zero tolerance.
 
-The LP's state holds no rationals.  Each constraint row is scaled once to
-integers and the tableau is kept as Python ints by integer-preserving
-Gauss-Jordan pivots (J. Edmonds, "Systems of distinct representatives and
-linear algebra", J. Res. NBS 71B, 1967): every division in a pivot is exact
-by Cramer's rule.  Edmonds holds every row over one common denominator, the
+The LP's state holds no rationals.  Each constraint row arrives as integers
+over its own least scale (``linalg.IntRows``, built so by the model), and
+the tableau is kept as Python ints by integer-preserving Gauss-Jordan pivots
+(J. Edmonds, "Systems of distinct representatives and linear algebra", J.
+Res. NBS 71B, 1967): every division in a pivot is exact by Cramer's rule.  Edmonds holds every row over one common denominator, the
 determinant d of the current basis; here each row i has its own denominator
 dens[i], the determinant of the basis at the last pivot that changed row i,
 so a pivot leaves the rows with a zero in its column as they are instead of
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 from .backend import pivot_update
 from .errors import PipelineInvariantError
-from .rationals import Rat, as_rat, common_denominator, is_integral, scaled
-from .linalg import Matrix
+from .linalg import IntRows, Matrix
+from .rationals import Rat, common_denominator, is_integral, scaled
 
 
 class LPStatus(enum.Enum):
@@ -58,9 +58,14 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  s.t.  matrix . x = rhs, lower <= x <= upper."""
+    """min objective . x  s.t.  A x = rhs, lower <= x <= upper.
 
-    matrix: Matrix
+    ``matrix`` holds A as integer rows, row i being ``matrix.nonzeros[i] /
+    matrix.scales[i]`` with the least such scale (``linalg.IntRows``); the
+    right-hand side, bounds and objective are exact rationals or ints.
+    """
+
+    matrix: IntRows
     rhs: tuple
     lower: tuple
     upper: tuple
@@ -68,10 +73,6 @@ class LinearProgram:
 
     def __post_init__(self):
         r, c = self.matrix.rows, self.matrix.cols
-        object.__setattr__(self, "rhs", tuple(as_rat(v) for v in self.rhs))
-        object.__setattr__(self, "lower", tuple(as_rat(v) for v in self.lower))
-        object.__setattr__(self, "upper", tuple(as_rat(v) for v in self.upper))
-        object.__setattr__(self, "objective", tuple(as_rat(v) for v in self.objective))
         if len(self.rhs) != r:
             raise ValueError("dimension mismatch: rhs")
         if len(self.lower) != c or len(self.upper) != c or len(self.objective) != c:
@@ -97,25 +98,14 @@ _BASIC, _LOW, _UP = 0, 1, 2
 _MAX_ITERATIONS = 1 << 22
 
 
-def _scaled_rows(lp):
-    """Each constraint row scaled to integers by the lcm s of its
-    denominators: (the nonzeros of s * A_i as (column, int), s * b_i, s)."""
-    rows = []
-    for i in range(lp.matrix.rows):
-        nz = [(j, v) for j, v in enumerate(lp.matrix.row(i)) if v]
-        s = common_denominator(v for _, v in nz)
-        rows.append(([(j, scaled(v, s)) for j, v in nz], lp.rhs[i] * s, s))
-    return rows
-
-
 class Tableau:
     """Bounded-variable tableau held as Python ints, each row over its own
     denominator.
 
     ``d`` is the determinant of the current basis B: of its columns in the
-    row-scaled matrix ``D [A | I]`` (``D`` holds each row's denominator
-    lcm).  Row i is ``dens[i] * (B^-1 [A | I])_i`` and row r is
-    ``dens[r] * k * (reduced costs)`` with ``k > 0``, where ``dens[i]`` is
+    row-scaled matrix ``D [A | I]`` (``D`` holds the row scales
+    ``lp.matrix.scales``).  Row i is ``dens[i] * (B^-1 [A | I])_i`` and row
+    r is ``dens[r] * k * (reduced costs)`` with ``k > 0``, where ``dens[i]`` is
     the determinant of the basis at the last pivot that changed row i (so
     ``T[i] * d / dens[i]`` is Edmonds' integral row over ``d``).  Pivots
     keep every entry integral (``backend.pivot_update``).  A pivot's
@@ -149,20 +139,23 @@ class Tableau:
         self.basis = list(range(c, c + r))
         self.pivots = 0
 
-        # the rows scaled to integers, read once and shared by every copy:
-        # they also check vertices and infeasibility certificates
-        rows = self.rows = _scaled_rows(lp)
+        # the integer rows (s * A_i over scale s) and the scaled right-hand
+        # sides s * b_i, shared by every copy: they also check vertices and
+        # infeasibility certificates
+        nonzeros = self.nonzeros = lp.matrix.nonzeros
+        scales = self.scales = lp.matrix.scales
+        sbs = [b * s for b, s in zip(lp.rhs, scales)]
 
         # L: the bounds, the scaled right-hand sides and the residuals of the
         # all-at-lower start (the artificials' initial ranges) times L are
         # integral.  L0 covers the first two; res[i] is L0 * s times row i's
         # residual, which L makes integral once it holds L0 * s / gcd(res[i],
         # L0 * s)
-        L0 = common_denominator([*lp.lower, *lp.upper, *(sb for _, sb, _ in rows)])
+        L0 = common_denominator([*lp.lower, *lp.upper, *sbs])
         low0 = [scaled(v, L0) for v in lp.lower]
         res = []
         L = L0
-        for nz, sb, s in rows:
+        for nz, sb, s in zip(nonzeros, sbs, scales):
             ri = scaled(sb, L0) - sum(a * low0[j] for j, a in nz)
             res.append(ri)
             L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))
@@ -170,19 +163,19 @@ class Tableau:
         f = L // L0
         self.lower = [v * f for v in low0]
         self.upper = [scaled(v, L) for v in lp.upper]
-        self.rhs = tuple(scaled(sb, L) for _, sb, _ in rows)
+        self.rhs = tuple(scaled(sb, L) for sb in sbs)
 
         # rows: d * [A | I | value] for the all-artificial basis, whose
         # determinant in the row-scaled matrix is the product d of the row
         # scales; each artificial's value is its residual.  The cost row
         # holds the phase-1 reduced costs (k = 1), minus the signed sum of the
         # rows
-        d = math.prod(s for _, _, s in rows)
+        d = math.prod(scales)
         self.d = self.d0 = d
         self.dens = [d] * (r + 1)
         self.T = []
         cost = [0] * (n + 1)
-        for i, (nz, _, s) in enumerate(rows):
+        for i, (nz, s) in enumerate(zip(nonzeros, scales)):
             ri = res[i] * f  # L * s * residual
             self.lower.append(min(ri, 0) // s)
             self.upper.append(max(ri, 0) // s)
@@ -438,7 +431,7 @@ class Tableau:
         d0 = self.d0
         g = [0] * c
         rhs = 0
-        for yi, (nz, _, s), sb in zip(self.T[p][c : self.n], self.rows, self.rhs):
+        for yi, nz, s, sb in zip(self.T[p][c : self.n], self.nonzeros, self.scales, self.rhs):
             if yi:
                 f = yi * (d0 // s)
                 rhs += f * sb
@@ -468,7 +461,7 @@ class Tableau:
         for row, di, b in zip(self.T, self.dens, self.basis):
             if b < c:
                 values[b] = row[n] * e // di
-        _verify_vertex(self.rows, self.rhs, lower, upper, values, e)
+        _verify_vertex(self.nonzeros, self.rhs, lower, upper, values, e)
         cost = 0
         for v, w in zip(values, self.obj):
             if v and w:
@@ -504,18 +497,19 @@ def solve_lp_vertex(lp):
     return tab.vertex()
 
 
-def _verify_vertex(rows, rhs, lower, upper, values, e):
+def _verify_vertex(nonzeros, rhs, lower, upper, values, e):
     """Raise unless values meet the bounds and the equations exactly.
 
-    Everything is an integer numerator: ``lower``, ``upper`` and ``rhs`` (one
-    ``L * s * b_i`` per row of ``_scaled_rows``) over a scale L > 0, and
+    Everything is an integer numerator: each row's ``nonzeros`` (of ``s *
+    A_i``, as in ``linalg.IntRows``), ``lower``, ``upper`` and ``rhs`` (one
+    ``L * s * b_i`` per row) over a scale L > 0, and
     ``values`` over ``e * L`` with e > 0.  Each equation is checked over its
     row's nonzeros as a sum of integers.
     """
     for v, lo, hi in zip(values, lower, upper):
         if not lo * e <= v <= hi * e:
             raise PipelineInvariantError("vertex violates bounds")
-    for (nz, _, _), sb in zip(rows, rhs):
+    for nz, sb in zip(nonzeros, rhs):
         acc = 0
         for j, a in nz:
             acc += a * values[j]
@@ -533,7 +527,7 @@ def strictly_between_columns(lp, values, cols):
     strictly inside its bounds."""
     between = [j for j in cols if lp.lower[j] < values[j] < lp.upper[j]]
     entries = []
-    for i in range(lp.matrix.rows):
-        row = lp.matrix.row(i)
-        entries.extend(row[j] for j in between)
+    for nz, s in zip(lp.matrix.nonzeros, lp.matrix.scales):
+        row = dict(nz)
+        entries.extend(Rat(row.get(j, 0), s) for j in between)
     return Matrix(lp.matrix.rows, len(between), entries)

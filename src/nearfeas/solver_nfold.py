@@ -32,7 +32,6 @@ from .errors import (
     InvalidInstanceError,
     PipelineInvariantError,
     RefinementLimitExceeded,
-    ZeroColumnUnsupported,
 )
 from .instances import (
     MULTIPLICATIVE,
@@ -114,20 +113,11 @@ def classify_and_split(sblock, psi):
             major_ub.append(0)
             minor_ub.append(0)
             continue
-        col = sblock.A.column(j)
-        maxcoord = max(col, default=None)
-        if maxcoord is None:
-            # no surviving local rows: unconstrained locally, treat as big
-            kinds.append(BIG)
-            lambdas.append(1)
-            major_ub.append(u[j])
-            minor_ub.append(0)
-            continue
-        if maxcoord <= 0:
-            raise ZeroColumnUnsupported(
-                f"block {sblock.index} column {j} is zero in every surviving row"
-            )
-        if maxcoord >= psi:
+        # a column that is zero in every surviving row (or in a block with
+        # none) has no local weight: it is big, so its values are enumerated
+        # exactly
+        maxcoord = max(sblock.A.column(j), default=0)
+        if maxcoord == 0 or maxcoord >= psi:
             kinds.append(BIG)
             lambdas.append(1)
             major_ub.append(u[j])

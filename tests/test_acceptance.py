@@ -16,7 +16,7 @@ from nearfeas.branch_bound import MixedModel, solve_mip
 from nearfeas.cli import _result_report
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
-from nearfeas.linalg import Matrix, is_nonsingular, rank_exact
+from nearfeas.linalg import is_nonsingular, rank_exact
 from nearfeas.oracle import brute_force_config, brute_force_general, brute_force_nfold
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
@@ -30,6 +30,7 @@ from nearfeas.simplex import (
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from test_simplex import dense_lp
 
 EPSILONS = (Rat(1), Rat(1, 2), Rat(1, 5))
 
@@ -331,8 +332,8 @@ def test_criterion_9_mip_oracle_equivalence():
         else:
             b = [Rat(rng.randint(-3, 3)) for _ in range(m)]
         obj = [Rat(rng.randint(-3, 3)) for _ in range(n)]
-        lp = LinearProgram(
-            Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+        lp = dense_lp(
+            A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
         )
         ivars = frozenset(rng.sample(range(n), rng.randint(0, min(4, n))))
         model = MixedModel(lp, ivars)

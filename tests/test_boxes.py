@@ -39,9 +39,16 @@ def _reference_groups(columns, delta, scale):
     return groups
 
 
-def _assert_splits(col, canon, residual, side):
-    assert tuple(c + r for c, r in zip(canon, residual)) == col
-    assert all(0 <= r <= side for r in residual)
+def _rats(vec, unit):
+    """A partition's integer vector as the rationals it stands for."""
+    return tuple(Rat(v, unit) for v in vec)
+
+
+def _assert_splits(col, canon, residual, unit, side):
+    """The integer corner and residual over ``unit`` add up to the column, and
+    every residual lies in [0, S], S being the cell side over the unit."""
+    assert tuple(Rat(c + r, unit) for c, r in zip(canon, residual)) == col
+    assert all(0 <= r <= side * unit for r in residual)
 
 
 def _assert_matches_reference(rows, delta, blocks=1):
@@ -56,10 +63,10 @@ def _assert_matches_reference(rows, delta, blocks=1):
     assert part.scale == scale and part.delta == snap_delta(delta)
     assert part.groups == _reference_groups(columns, delta, scale)
     for idx, canon in part.canonicals.items():
-        assert canon == _reference_corner(idx, delta, scale)
+        assert _rats(canon, part.unit) == _reference_corner(idx, delta, scale)
     for col, residual in zip(columns, part.residuals):
         canon = part.canonicals[_reference_box_index(col, delta, scale)]
-        _assert_splits(col, canon, residual, side)
+        _assert_splits(col, canon, residual, part.unit, side)
 
     mats = [
         Matrix.from_rows([[row[j] for j in range(b, H.cols, blocks)] for row in rows])
@@ -73,10 +80,12 @@ def _assert_matches_reference(rows, delta, blocks=1):
         expected.setdefault(key, []).append(i)
         canon = cpart.canonical_matrices[key]
         for j in range(m.cols):
-            _assert_splits(m.column(j), canon[j], cpart.residual_matrices[i][j], side)
+            _assert_splits(m.column(j), canon[j], cpart.residual_matrices[i][j], cpart.unit, side)
     assert cpart.type_groups == expected
     for key, canon in cpart.canonical_matrices.items():
-        assert canon == tuple(_reference_corner(idx, delta, scale) for idx in key)
+        assert tuple(_rats(c, cpart.unit) for c in canon) == tuple(
+            _reference_corner(idx, delta, scale) for idx in key
+        )
     return part
 
 
@@ -91,7 +100,7 @@ def test_canonical_vector_examples():
     part = _assert_matches_reference(
         [[Rat(1, 2), 0, 1], [Rat(1, 2), 0, -1]], Rat(1, 2), blocks=3
     )
-    assert part.canonicals == {
+    assert {idx: _rats(c, part.unit) for idx, c in part.canonicals.items()} == {
         (1, 1): (Rat(0), Rat(0)),
         (0, 0): (Rat(-1, 2), Rat(-1, 2)),
         (2, -1): (Rat(1, 2), Rat(-1)),
@@ -102,21 +111,21 @@ def test_all_zero_matrix_has_scale_one():
     part = _assert_matches_reference([[0, 0, 0], [0, 0, 0]], Rat(1, 2))
     assert part.scale == 1
     assert part.groups == {(0, 0): [0, 1, 2]}
-    assert part.residuals == ((Rat(1, 2), Rat(1, 2)),) * 3
+    assert tuple(_rats(r, part.unit) for r in part.residuals) == ((Rat(1, 2), Rat(1, 2)),) * 3
 
 
 def test_column_at_minus_scale_clamps_into_range():
     part = _assert_matches_reference([[-2, 1], [0, -2]], Rat(1, 2), blocks=2)
     # -scale's cell would be -2; it clamps to -1, whose corner is -scale
     assert list(part.groups) == [(-1, 0), (1, -1)]
-    assert part.residuals[1] == (Rat(1), Rat(0))
+    assert _rats(part.residuals[1], part.unit) == (Rat(1), Rat(0))
 
 
 def test_cell_edge_lands_in_the_lower_cell():
     part = _assert_matches_reference([[Rat(1, 2), 1, Rat(-1, 2)]], Rat(1, 2), blocks=2)
     assert list(part.groups) == [(1,), (2,), (-1,)]
     # an entry on an upper edge leaves a residual of exactly the cell side
-    assert part.residuals == ((Rat(1, 2),), (Rat(1, 2),), (Rat(1, 2),))
+    assert tuple(_rats(r, part.unit) for r in part.residuals) == ((Rat(1, 2),),) * 3
 
 
 def test_coprime_denominators_share_one_grid():
@@ -133,7 +142,7 @@ def test_snapped_delta():
     part = _assert_matches_reference([[1, Rat(1, 3), -1, Rat(2, 5)]], Rat(2, 5), blocks=2)
     assert part.delta == Rat(1, 3)
     assert list(part.groups) == [(3,), (1,), (-2,), (2,)]
-    assert part.canonicals[(-2,)] == (Rat(-1),)
+    assert _rats(part.canonicals[(-2,)], part.unit) == (Rat(-1),)
 
 
 def test_partition_identical_columns_share_group():
@@ -142,8 +151,8 @@ def test_partition_identical_columns_share_group():
     assert len(part.groups) == 1
     for j in range(2):
         idx = _reference_box_index(H.column(j), part.delta, part.scale)
-        canon = part.canonicals[idx]
-        assert tuple(c + r for c, r in zip(canon, part.residuals[j])) == H.column(j)
+        side = part.delta * part.scale
+        _assert_splits(H.column(j), part.canonicals[idx], part.residuals[j], part.unit, side)
 
 
 def test_partition_close_columns_two_groups():
@@ -180,10 +189,8 @@ def test_partition_invariants(m, n, inv_delta, rnd):
     for j in range(n):
         col = H.column(j)
         idx = _reference_box_index(col, part.delta, part.scale)
-        canon = part.canonicals[idx]
         # exact reconstruction and residual bound
-        assert tuple(c + r for c, r in zip(canon, part.residuals[j])) == col
-        assert all(abs(r) <= side for r in part.residuals[j])
+        _assert_splits(col, part.canonicals[idx], part.residuals[j], part.unit, side)
     # two columns in one group differ by at most the cell side, componentwise
     for members in part.groups.values():
         for a in members:
@@ -217,7 +224,7 @@ def test_config_partition_occupancy_bound():
     side = part.delta * part.scale
     for resid in part.residual_matrices:
         for col in resid:
-            assert all(abs(v) <= side for v in col)
+            assert all(abs(Rat(v, part.unit)) <= side for v in col)
 
 
 def test_config_partition_row_count_mismatch():

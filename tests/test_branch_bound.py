@@ -8,10 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from nearfeas import backend
 from nearfeas.branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from nearfeas.errors import NodeLimitExceeded
-from nearfeas.linalg import Matrix
 from nearfeas.rationals import Rat
 from nearfeas.simplex import LinearProgram, LPStatus, Tableau, solve_lp_vertex
-from test_simplex import _PINNED_LPS, _pinned_lp, verify_rational_vertex
+from test_simplex import _PINNED_LPS, _pinned_lp, dense_lp, verify_rational_vertex
 
 
 def mip_optimum_by_enumeration(model):
@@ -37,7 +36,7 @@ def mip_optimum_by_enumeration(model):
 
 def test_two_variable_example():
     # minimize x s.t. 2y + x = 3, y integer in [0,5], x in [0,10]
-    lp = LinearProgram(Matrix.from_rows([[2, 1]]), (3,), (0, 0), (5, 10), (0, 1))
+    lp = dense_lp([[2, 1]], (3,), (0, 0), (5, 10), (0, 1))
     sol = solve_mip(MixedModel(lp, frozenset({0})))
     assert sol.status == MIPStatus.OPTIMAL
     assert sol.objective_value == 1
@@ -45,13 +44,13 @@ def test_two_variable_example():
 
 
 def test_fractional_target_infeasible():
-    lp = LinearProgram(Matrix.from_rows([[1]]), (Rat(1, 2),), (0,), (1,), (1,))
+    lp = dense_lp([[1]], (Rat(1, 2),), (0,), (1,), (1,))
     sol = solve_mip(MixedModel(lp, frozenset({0})))
     assert sol.status == MIPStatus.INFEASIBLE
 
 
 def test_no_integer_vars_degenerates_to_lp():
-    lp = LinearProgram(Matrix.from_rows([[1, 1]]), (1,), (0, 0), (1, 1), (1, 0))
+    lp = dense_lp([[1, 1]], (1,), (0, 0), (1, 1), (1, 0))
     mip = solve_mip(MixedModel(lp, frozenset()))
     vertex = solve_lp_vertex(lp)
     assert mip.status == MIPStatus.OPTIMAL
@@ -71,7 +70,7 @@ def _random_model(rng, max_int_vars=4, max_range=4):
     else:
         b = [Rat(rng.randint(-3, 3)) for _ in range(m)]
     obj = [Rat(rng.randint(-3, 3)) for _ in range(n)]
-    lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    lp = dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj))
     k = rng.randint(0, min(max_int_vars, n))
     ivars = frozenset(rng.sample(range(n), k))
     return MixedModel(lp, ivars)
@@ -109,8 +108,8 @@ def test_root_relaxation_bounds_result():
 def test_node_limit_is_loud():
     n = 8
     A = [[Rat(1)] * n]
-    lp = LinearProgram(
-        Matrix.from_rows(A), (Rat(2 * n - 1, 2),), (0,) * n, (1,) * n, (1,) * n
+    lp = dense_lp(
+        A, (Rat(2 * n - 1, 2),), (0,) * n, (1,) * n, (1,) * n
     )
     model = MixedModel(lp, frozenset(range(n)))
     with pytest.raises(NodeLimitExceeded):
@@ -119,7 +118,7 @@ def test_node_limit_is_loud():
 
 def test_stats_accumulate():
     stats = SolveStats()
-    lp = LinearProgram(Matrix.from_rows([[2, 1]]), (3,), (0, 0), (5, 10), (0, 1))
+    lp = dense_lp([[2, 1]], (3,), (0, 0), (5, 10), (0, 1))
     solve_mip(MixedModel(lp, frozenset({0})), stats=stats)
     assert stats.bb_nodes >= 1
     assert stats.lp_pivots >= 1
@@ -138,7 +137,7 @@ def test_stats_accumulate():
     ],
 )
 def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
-    lp = LinearProgram(Matrix.from_rows(rows), rhs, (0,) * len(upper), upper, objective)
+    lp = dense_lp(rows, rhs, (0,) * len(upper), upper, objective)
     stats = SolveStats()
     solve_mip(MixedModel(lp, frozenset({0})), stats=stats)
     assert (
@@ -156,7 +155,7 @@ def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
 
 
 def test_integer_bounds_must_be_integral():
-    lp = LinearProgram(Matrix.from_rows([[1]]), (0,), (Rat(1, 2),), (1,), (1,))
+    lp = dense_lp([[1]], (0,), (Rat(1, 2),), (1,), (1,))
     with pytest.raises(ValueError):
         MixedModel(lp, frozenset({0}))
 
@@ -167,7 +166,7 @@ def test_up_child_after_deep_down_subtree():
     # whole subtree; the up child, re-optimized from the root's snapshot after
     # that subtree has pivoted the shared tableau, is the last node and holds
     # the optimum.
-    lp = LinearProgram(Matrix.from_rows([[3, 3, 2]]), (6,), (0, 0, 0), (4, 2, 1), (0, 1, -2))
+    lp = dense_lp([[3, 3, 2]], (6,), (0, 0, 0), (4, 2, 1), (0, 1, -2))
     model = MixedModel(lp, frozenset({0, 1}))
     down = MixedModel(
         LinearProgram(lp.matrix, lp.rhs, lp.lower, (1, 2, 1), lp.objective), model.integer_vars
@@ -227,14 +226,14 @@ def _lp_and_cut(draw):
     else:
         b = [draw(st.fractions(min_value=-4, max_value=4, max_denominator=6)) for _ in range(m)]
     obj = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
-    lp = LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    lp = dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj))
     return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lp_and_cut())
 # x0 + x1 = 2 over [0, 1]^2 leaves x0 basic at 1; x0 <= 1/2 is infeasible
-@example((LinearProgram(Matrix.from_rows([[1, 1]]), (2,), (0, 0), (1, 1), (1, 0)), 0, False, 2))
+@example((dense_lp([[1, 1]], (2,), (0, 0), (1, 1), (1, 0)), 0, False, 2))
 def test_warm_child_matches_cold_solve(case):
     lp, rank, up, k = case
     parent = Tableau(lp)
@@ -280,8 +279,8 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     # reduced cost -1/2 has the sign that would make it enter.  Cutting x0 to
     # [0, 2] makes x1 (ratio 1/2) and x2 (ratio 1) candidates; x1 entering
     # would leave x2's reduced cost dual infeasible.  Only x2 may enter.
-    lp = LinearProgram(
-        Matrix.from_rows([[1, 1, 1]]),
+    lp = dense_lp(
+        [[1, 1, 1]],
         (Rat(5, 2),),
         (0, 0, 0),
         (3, 0, 5),
@@ -383,8 +382,8 @@ def _assert_over_d(rows, dens, d, ref_rows):
 # sign than d, so its entering test must read the row's own sign
 @example(
     (
-        LinearProgram(
-            Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, -1]]),
+        dense_lp(
+            [[1, -1, 0, 0], [0, 1, 0, -1]],
             (0, 1),
             (-1, -1, 0, -1),
             (0, 0, 0, 0),
@@ -400,8 +399,8 @@ def _assert_over_d(rows, dens, d, ref_rows):
 # the row's own
 @example(
     (
-        LinearProgram(
-            Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        dense_lp(
+            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
             (1, 0, 0),
             (-1, 0, 0),
             (1, 2, 0),
@@ -416,8 +415,8 @@ def _assert_over_d(rows, dens, d, ref_rows):
 # the dual leaving-row scan meets a row over a stale denominator
 @example(
     (
-        LinearProgram(
-            Matrix.from_rows([[0, 0, 0, 0, 1], [0, 1, -1, 0, 1]]),
+        dense_lp(
+            [[0, 0, 0, 0, 1], [0, 1, -1, 0, 1]],
             (-1, 0),
             (0, 0, -1, 0, -2),
             (0, 1, 0, 0, 0),

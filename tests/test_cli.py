@@ -185,6 +185,37 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+@pytest.mark.parametrize(
+    "blocks, b0, code, status",
+    [
+        # the local row needs A x = 1 from a zero column: infeasible
+        ([{"A": [["0"]], "D": [["1"]], "bi": ["1"], "u": [2], "w": ["1"]}], ["1"], 3, "infeasible"),
+        (
+            [
+                {"A": [["0", "1"]], "D": [["1", "1"]], "bi": ["1"], "u": [2, 1], "w": ["1", "1"]},
+                {"A": [["1", "1"]], "D": [["1", "2"]], "bi": ["1"], "u": [1, 1], "w": ["1", "2"]},
+            ],
+            ["3"],
+            0,
+            "ok",
+        ),
+    ],
+)
+def test_solve_zero_local_column(tmp_path, capsys, blocks, b0, code, status):
+    # a local column that is zero in every surviving row is valid input, and
+    # solve agrees with the oracle on it
+    inst = tmp_path / "zero.json"
+    inst.write_text(json.dumps({"format": 1, "kind": "nfold_nonneg", "blocks": blocks, "b0": b0}))
+    assert run(capsys, "check", "--input", str(inst))[0] == 0
+    got, out, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2", "--oracle-check")
+    report = json.loads(out)
+    assert (got, report["status"]) == (code, status)
+    assert report["oracle"]["feasible"] == (status == "ok")
+    if status == "ok":
+        assert report["oracle"]["check_passed"] is True
+    assert run(capsys, "oracle", "--input", str(inst))[0] == code
+
+
 def test_solve_unattainable_exit_code(tmp_path, capsys):
     inst = tmp_path / "gap.json"
     inst.write_text(

@@ -10,18 +10,24 @@ compared with pinned values, so a change of column or row order, or of any
 entry, bound or cost, fails here and not only in a benchmark report.
 """
 
+import contextlib
 import hashlib
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas import solver_config, solver_general, solver_nfold
 from nearfeas.boxes import partition_config_columns
 from nearfeas.branch_bound import solve_mip
-from nearfeas.generate import gen_config
+from nearfeas.errors import ResourceLimitError
+from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams, instance_from_dict
 from nearfeas.rationals import Rat
 from nearfeas.simplex import Tableau
+from test_simplex import dense_rows, int_rows
 
 INSTANCES = {
     "general": {
@@ -63,8 +69,12 @@ SOLVERS = {
 
 
 def _digest(lp):
+    """The SHA-256 of the model rendered densely: each row's entries as
+    rationals (its integers over its scale), then the right-hand side, bounds
+    and objective."""
     h = hashlib.sha256()
-    for part in (lp.matrix.entries, lp.rhs, lp.lower, lp.upper, lp.objective):
+    entries = [v for row in dense_rows(lp.matrix) for v in row]
+    for part in (entries, lp.rhs, lp.lower, lp.upper, lp.objective):
         h.update(" ".join(map(str, part)).encode() + b";")
     return h.hexdigest()
 
@@ -139,6 +149,53 @@ def test_selection_columns_are_distinct_configurations():
         assert lp.matrix.rows == len(inst.b0) + sum(widths) + len(inst.blocks)
         for i, cols in enumerate(model.z):
             assert len(set(norm.configs[i])) == len(cols)
-            row = lp.matrix.row(model.selection[i])
-            assert [j for j, v in enumerate(row) if v] == list(cols)
+            assert [j for j, _ in lp.matrix.nonzeros[model.selection[i]]] == list(cols)
             assert [lp.objective[j] for j in cols] == list(norm.costs[i])
+
+
+GENERATORS = {
+    "general": lambda rng: gen_general(
+        rng, m=rng.randint(1, 3), n=rng.randint(2, 6), feasible=rng.random() < 0.7
+    ),
+    "nfold-config": lambda rng: gen_config(
+        rng, n_blocks=rng.randint(1, 4), feasible=rng.random() < 0.7
+    ),
+    "nfold": lambda rng: gen_nonneg(
+        rng, n_blocks=rng.randint(1, 3), feasible=rng.random() < 0.7, small_bias=0.6
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(GENERATORS)),
+    st.integers(0, 2**32),
+    st.sampled_from((Rat(1), Rat(1, 2), Rat(1, 5))),
+)
+def test_model_rows_are_least_integer_rows(kind, seed, eps):
+    """Every row of every mixed model lists its nonzeros in ascending column
+    order over the least scale (no common factor of the scale and the
+    entries), so it equals the reference rule applied to the model's dense
+    rational rendering."""
+    lps = []
+
+    def mixed(model, **kw):
+        lps.append(model.lp)
+        return solve_mip(model, **kw)
+
+    inst = GENERATORS[kind](random.Random(seed))
+    with contextlib.ExitStack() as stack:
+        for mod in (solver_general, solver_config, solver_nfold):
+            stack.enter_context(mock.patch.object(mod, "solve_mip", mixed))
+        try:
+            SOLVERS[kind](inst, ApproxParams.build(eps))
+        except ResourceLimitError:
+            pass
+    for lp in lps:
+        A = lp.matrix
+        for nz, s in zip(A.nonzeros, A.scales):
+            cols = [j for j, _ in nz]
+            assert cols == sorted(set(cols))
+            assert all(a for _, a in nz)
+            assert math.gcd(s, *(a for _, a in nz)) == 1
+        assert int_rows(dense_rows(A)) == A

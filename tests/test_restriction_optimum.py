@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from nearfeas.errors import RefinementLimitExceeded
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
-from nearfeas.linalg import Matrix, is_nonsingular
+from nearfeas.linalg import is_nonsingular
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import LinearProgram, LPStatus, solve_lp_vertex, strictly_between_columns
+from nearfeas.simplex import LPStatus, solve_lp_vertex, strictly_between_columns
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from test_simplex import dense_lp, dense_rows
 
 EPSILONS = st.sampled_from((Rat(1), Rat(1, 2), Rat(1, 5), Rat(1, 10)))
 
@@ -41,26 +42,26 @@ def pinned_restriction(lp, cols, rows, values):
     fixed at ``values``: row i's right-hand side is b_i less the fixed
     columns' share."""
     kept = set(cols)
-    entries = []
+    A = dense_rows(lp.matrix)
+    sub = []
     rhs = []
     for i in rows:
-        row = lp.matrix.row(i)
-        entries.extend(row[j] for j in cols)
-        fixed = sum((a * values[j] for j, a in enumerate(row) if j not in kept), Rat(0))
+        sub.append([A[i][j] for j in cols])
+        fixed = sum((a * values[j] for j, a in enumerate(A[i]) if j not in kept), Rat(0))
         rhs.append(lp.rhs[i] - fixed)
-    return LinearProgram(
-        Matrix(len(rows), len(cols), entries),
-        tuple(rhs),
-        tuple(lp.lower[j] for j in cols),
-        tuple(lp.upper[j] for j in cols),
-        tuple(lp.objective[j] for j in cols),
+    return dense_lp(
+        sub,
+        rhs,
+        [lp.lower[j] for j in cols],
+        [lp.upper[j] for j in cols],
+        [lp.objective[j] for j in cols],
     )
 
 
 def _assert_optimal_vertex(model, values, cols, rows):
     sub = pinned_restriction(model.mixed.lp, cols, rows, values)
     part = tuple(values[j] for j in cols)
-    assert sub.matrix.matvec(part) == sub.rhs
+    assert [sum((a * v for a, v in zip(row, part)), Rat(0)) for row in dense_rows(sub.matrix)] == list(sub.rhs)
     assert all(lo <= v <= hi for lo, v, hi in zip(sub.lower, part, sub.upper))
     assert is_nonsingular(strictly_between_columns(sub, part, range(len(cols))))
     ref = solve_lp_vertex(sub)

@@ -6,18 +6,51 @@ from fractions import Fraction
 import pytest
 
 from nearfeas.errors import PipelineInvariantError
-from nearfeas.linalg import Matrix, is_nonsingular
-from nearfeas.rationals import Rat
+from nearfeas.linalg import IntRows, is_nonsingular
+from nearfeas.rationals import Rat, as_rat
 from nearfeas.simplex import (
     LinearProgram,
     LPStatus,
     Tableau,
-    _scaled_rows,
     _verify_vertex,
     nonintegral_support,
     solve_lp_vertex,
     strictly_between_columns,
 )
+
+
+def int_rows(A):
+    """Dense rational rows ``A`` as ``IntRows``, by the reference rule: row
+    i lists the nonzeros of s * A_i, s being the lcm of their denominators,
+    the least positive integer that makes the row integral."""
+    nonzeros = []
+    scales = []
+    for row in A:
+        nz = [(j, v) for j, v in enumerate(map(as_rat, row)) if v]
+        s = math.lcm(*(v.denominator for _, v in nz))
+        nonzeros.append([(j, int(v * s)) for j, v in nz])
+        scales.append(s)
+    return IntRows(len(A), len(A[0]) if A else 0, nonzeros, scales)
+
+
+def dense_rows(mat):
+    """``IntRows`` rendered as dense rational rows: row i is its nonzeros
+    over its scale."""
+    rows = []
+    for nz, s in zip(mat.nonzeros, mat.scales):
+        row = [Rat(0)] * mat.cols
+        for j, a in nz:
+            row[j] = Rat(a, s)
+        rows.append(row)
+    return rows
+
+
+def dense_lp(A, b, lower, upper, objective):
+    """The LP with dense rational rows ``A``; every other value is coerced
+    to a rational."""
+    return LinearProgram(
+        int_rows(A), *(tuple(map(as_rat, v)) for v in (b, lower, upper, objective))
+    )
 
 
 def _solve_square(rows, rhs):
@@ -92,7 +125,7 @@ def lp_optimum_by_enumeration(A, b, lower, upper, obj):
 
 
 def test_trivial_optimum():
-    lp = LinearProgram(Matrix.from_rows([[1, 1]]), (1,), (0, 0), (1, 1), (1, 0))
+    lp = dense_lp([[1, 1]], (1,), (0, 0), (1, 1), (1, 0))
     sol = solve_lp_vertex(lp)
     assert sol.status == LPStatus.OPTIMAL
     assert sol.values == (Rat(0), Rat(1))
@@ -100,14 +133,14 @@ def test_trivial_optimum():
 
 
 def test_trivial_infeasible():
-    lp = LinearProgram(Matrix.from_rows([[1, -1]]), (2,), (0, 0), (1, 1), (1, 1))
+    lp = dense_lp([[1, -1]], (2,), (0, 0), (1, 1), (1, 1))
     assert solve_lp_vertex(lp).status == LPStatus.INFEASIBLE
 
 
 def test_three_var_matches_enumeration():
     A = [[1, 1, 1], [2, 1, 0]]
-    lp = LinearProgram(
-        Matrix.from_rows(A), (2, 2), (0, 0, 0), (2, 2, 2), (1, 2, 3)
+    lp = dense_lp(
+        A, (2, 2), (0, 0, 0), (2, 2, 2), (1, 2, 3)
     )
     sol = solve_lp_vertex(lp)
     assert sol.status == LPStatus.OPTIMAL
@@ -141,8 +174,8 @@ def test_random_lps_match_enumeration():
         m = rng.randint(1, 3)
         n = rng.randint(1, 5)
         A, b, lower, upper, obj = _random_lp(rng, m, n)
-        lp = LinearProgram(
-            Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+        lp = dense_lp(
+            A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
         )
         sol = solve_lp_vertex(lp)
         expected = lp_optimum_by_enumeration(A, b, lower, upper, obj)
@@ -162,8 +195,8 @@ def test_vertex_nonsingular_property():
         m = rng.randint(1, 3)
         n = rng.randint(1, 5)
         A, b, lower, upper, obj = _random_lp(rng, m, n)
-        lp = LinearProgram(
-            Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+        lp = dense_lp(
+            A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
         )
         sol = solve_lp_vertex(lp)
         if sol.status != LPStatus.OPTIMAL:
@@ -179,8 +212,8 @@ def test_vertex_nonsingular_property():
 def test_determinism():
     rng = random.Random(17)
     A, b, lower, upper, obj = _random_lp(rng, 2, 4)
-    lp = LinearProgram(
-        Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+    lp = dense_lp(
+        A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
     )
     s1 = solve_lp_vertex(lp)
     s2 = solve_lp_vertex(lp)
@@ -197,12 +230,12 @@ def test_nonintegral_support_examples():
 
 def test_bounds_crossed_rejected():
     with pytest.raises(ValueError, match="bounds crossed"):
-        LinearProgram(Matrix.from_rows([[1]]), (0,), (1,), (0,), (0,))
+        dense_lp([[1]], (0,), (1,), (0,), (0,))
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        LinearProgram(Matrix.from_rows([[1, 2]]), (0, 0), (0, 0), (1, 1), (0, 0))
+        dense_lp([[1, 2]], (0, 0), (0, 0), (1, 1), (0, 0))
 
 
 def test_degenerate_lps_terminate_and_match():
@@ -216,8 +249,8 @@ def test_degenerate_lps_terminate_and_match():
         lower = [Fraction(0)] * n
         upper = [Fraction(rng.randint(0, 1)) for _ in range(n)]
         obj = [Fraction(rng.randint(-1, 1)) for _ in range(n)]
-        lp = LinearProgram(
-            Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+        lp = dense_lp(
+            A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
         )
         sol = solve_lp_vertex(lp)
         expected = lp_optimum_by_enumeration(A, b, lower, upper, obj)
@@ -245,8 +278,8 @@ def test_rational_entry_lps_match():
         else:
             b = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(m)]
         obj = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-        lp = LinearProgram(
-            Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj)
+        lp = dense_lp(
+            A, tuple(b), tuple(lower), tuple(upper), tuple(obj)
         )
         sol = solve_lp_vertex(lp)
         expected = lp_optimum_by_enumeration(A, b, lower, upper, obj)
@@ -351,7 +384,7 @@ _PINNED_LPS = [
 
 def _pinned_lp(case):
     A, b, lower, upper, obj, *_ = case
-    return LinearProgram(Matrix.from_rows(A), tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    return dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj))
 
 
 @pytest.mark.parametrize("case", _PINNED_LPS)
@@ -391,12 +424,12 @@ def verify_rational_vertex(lp, values):
     """``_verify_vertex`` on rational values: everything is put over the lcm
     L of the bound and scaled right-hand-side denominators, and the values
     over ``e * L``."""
-    rows = _scaled_rows(lp)
-    L = math.lcm(*(v.denominator for v in lp.lower + lp.upper + tuple(sb for _, sb, _ in rows)))
+    sbs = [b * s for b, s in zip(lp.rhs, lp.matrix.scales)]
+    L = math.lcm(*(v.denominator for v in (*lp.lower, *lp.upper, *sbs)))
     e = math.lcm(*((v * L).denominator for v in values))
     _verify_vertex(
-        rows,
-        [int(sb * L) for _, sb, _ in rows],
+        lp.matrix.nonzeros,
+        [int(sb * L) for sb in sbs],
         [int(v * L) for v in lp.lower],
         [int(v * L) for v in lp.upper],
         [int(v * L * e) for v in values],
@@ -407,10 +440,10 @@ def verify_rational_vertex(lp, values):
 def test_verify_vertex_rejects_one_violation():
     # rows x0 + 2 x2 = 3 and x1 - x2 = 0 with zeros between the nonzeros; the
     # data is integral, so L = 1 and the values are numerators over e
-    lp = LinearProgram(
-        Matrix.from_rows([[1, 0, 2, 0], [0, 1, -1, 0]]), (3, 0), (0, 0, 0, 0), (3, 1, 1, 2), (0, 0, 0, 0)
+    lp = dense_lp(
+        [[1, 0, 2, 0], [0, 1, -1, 0]], (3, 0), (0, 0, 0, 0), (3, 1, 1, 2), (0, 0, 0, 0)
     )
-    rows = _scaled_rows(lp)
+    rows = lp.matrix.nonzeros
     rhs, lower, upper = (3, 0), (0, 0, 0, 0), (3, 1, 1, 2)
     _verify_vertex(rows, rhs, lower, upper, (1, 1, 1, 2), 1)
     _verify_vertex(rows, rhs, lower, upper, (2, 2, 2, 4), 2)
@@ -427,7 +460,7 @@ def test_verify_vertex_rejects_one_violation():
 def test_verify_rational_vertex_scales_bounds_and_values():
     # x0 + x1 = 5/6 over [1/3, 1/2] x [0, 1]: L = 6, and 1/2 + 1/3 is checked
     # over e * L = 12
-    lp = LinearProgram(Matrix.from_rows([[1, 1]]), (Rat(5, 6),), (Rat(1, 3), 0), (Rat(1, 2), 1), (0, 0))
+    lp = dense_lp([[1, 1]], (Rat(5, 6),), (Rat(1, 3), 0), (Rat(1, 2), 1), (0, 0))
     verify_rational_vertex(lp, (Rat(1, 2), Rat(1, 3)))
     with pytest.raises(PipelineInvariantError, match="bounds"):
         verify_rational_vertex(lp, (Rat(1, 4), Rat(7, 12)))

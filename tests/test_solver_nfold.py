@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nearfeas.errors import EnumerationCapExceeded, ZeroColumnUnsupported
+from nearfeas.errors import EnumerationCapExceeded
 from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
 from nearfeas.linalg import is_nonsingular
@@ -58,11 +58,15 @@ def test_classify_small_and_big():
     assert max(2 * v for v in sb.A.column(0)) <= 2 * Rat(1, 4)
 
 
-def test_classify_zero_column_is_loud():
-    inst = _inst([([[0], [0]], [[1]], [1, 1], [3], [1])], [1])
+def test_classify_zero_column_is_big():
+    # column 0 is zero in both surviving rows, so it has no local weight: it is
+    # big (lambda 1, its whole range major), and its values are enumerated
+    inst = _inst([([[0, "1/5"], [0, "1/10"]], [[1, 1]], [1, 1], [3, 9], [1, 1])], [1])
     (sb,) = normalize_blocks(inst)
-    with pytest.raises(ZeroColumnUnsupported):
-        classify_and_split(sb, Rat(1, 4))
+    split = classify_and_split(sb, Rat(1, 4))
+    assert split.kinds == (BIG, SMALL)
+    assert split.lambdas == (1, 2)
+    assert (split.major_ub[0], split.minor_ub[0]) == (3, 0)
 
 
 def test_classify_fixed_column():

@@ -56,6 +56,7 @@ _BACKEND = "src/nearfeas/backend.py"
 _BOXES = "src/nearfeas/boxes.py"
 _NFOLD = "src/nearfeas/solver_nfold.py"
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
+_LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
     "tests/test_kernels.py::test_pivot_normalizes_column",
     "tests/test_kernels.py::test_rows_with_a_zero_in_the_pivot_column_keep_their_denominator",
@@ -129,6 +130,37 @@ MUTANTS = (
             "tests/test_simplex.py::test_random_lps_match_enumeration",
             "tests/test_report_digests.py::test_reports_match_the_pinned_digests",
         ),
+    ),
+    Mutant(
+        "phase-1-infeasibility-ignored",
+        _SIMPLEX,
+        "        if self.T[self.r][self.n]:\n            return LPStatus.INFEASIBLE\n",
+        "",
+        (
+            "tests/test_simplex.py::test_trivial_infeasible",
+            "tests/test_simplex.py::test_random_lps_match_enumeration",
+        ),
+    ),
+    Mutant(
+        "L-without-residual-denominators",
+        _SIMPLEX,
+        "            L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))\n",
+        "",
+        ("tests/test_simplex.py::test_pinned_scales",),
+    ),
+    Mutant(
+        "rescale-skips-value-column",
+        _SIMPLEX,
+        "        for row in self.T:\n            row[n] *= f\n",
+        "",
+        ("tests/test_simplex.py::test_pinned_warm_rescale",),
+    ),
+    Mutant(
+        "ratio-ties-to-larger-index",
+        _SIMPLEX,
+        "(gap * la == lg * a and bi < basis[leave])",
+        "(gap * la == lg * a and bi > basis[leave])",
+        ("tests/test_simplex.py::test_pinned_pivot_paths",),
     ),
     Mutant(
         "copy-shares-dens",
@@ -206,9 +238,31 @@ MUTANTS = (
     Mutant(
         "grid-corner-at-lam",
         _BOXES,
-        "Rat((lam - 1) * top, unit) for lam in cell",
-        "Rat(lam * top, unit) for lam in cell",
+        "tuple((lam - 1) * top for lam in cell)",
+        "tuple(lam * top for lam in cell)",
         _PARTITIONS,
+    ),
+    # the mixed model's integer rows
+    Mutant(
+        "coupling-scale-not-least",
+        _BOXES,
+        "        g = math.gcd(U, *(a for _, a in row))\n",
+        "        g = 1\n",
+        ("tests/test_model_layouts.py::test_model_rows_are_least_integer_rows",),
+    ),
+    Mutant(
+        "coupling-slack-positive",
+        _BOXES,
+        "row.append((s0 + r, -U))",
+        "row.append((s0 + r, U))",
+        (_LAYOUTS,),
+    ),
+    Mutant(
+        "linking-row-without-count",
+        _BOXES,
+        "nonzeros.append([*((z[i][phi], 1) for i in members), (j, -1)])",
+        "nonzeros.append([(z[i][phi], 1) for i in members])",
+        (_LAYOUTS,),
     ),
     # the nonnegative n-fold pipeline
     Mutant(
