@@ -1,25 +1,31 @@
 """Brute-force exact solvers: the ground truth for every pipeline guarantee.
 
-All three oracles are one product search, ``_matches``: each position (a
-variable, or a block) picks one entry from a list of (contribution vector,
-cost, witness), and a combination counts when its contributions sum exactly
-to a target.  The n-fold oracle first lists each block's solutions of
-A^i x = b^i with it, then searches their product.  Target rows and costs are
-scaled to integers once (by the lcm of their denominators).  Enumeration is
-lexicographic and exhaustive within the validated instance's bound box; the
-first combination of strictly smallest cost is the witness, and a box larger
-than the cap fails loudly before any search.  No code is shared with solvers
-beyond the exact scalars and integer scaling of ``rationals``.
+All three oracles are one integer search, ``_best``: each position (a
+variable, or a block) picks one entry of (int vector, int cost, witness), a
+pick counts when its vectors sum to the target, and the answer is the first
+pick of least cost in lexicographic order of the entry indices, as a product
+search over the bound box finds it.  Each row is scaled to ints with its
+target entry by their least common denominator (a coupling row by one across
+all blocks), costs by the weights' lcm; only the optimum becomes a ``Rat``.
+The search meets in the middle: the front half maps each prefix sum to its
+least (cost, index tuple), the back half each suffix sum (picks prepended),
+both dropping sums the other positions cannot complete per row, and sums
+meeting the target join.  Picks with equal partial sums share completions,
+so a costlier or an equally cheap later one never wins; so the n-fold oracle
+keeps, per D^i x among a block's solutions of A^i x = b^i, only the least
+(cost, x).  A box over the cap fails before any search; only ``rationals``
+is shared with the solvers.
 """
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from itertools import accumulate
+from operator import add, le, mul, sub
 
 from .errors import EnumerationCapExceeded, InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from .instances import validate_config, validate_general, validate_nonneg
-from .rationals import ZERO, Rat, common_denominator, scaled
+from .rationals import Rat, common_denominator, scaled
 
 DEFAULT_CAP = 10**7
 
@@ -44,50 +50,77 @@ def _validate(problems, points, cap, kind):
         raise EnumerationCapExceeded(f"{kind} oracle: {points} points exceeds cap {cap}")
 
 
-def _matches(choices, target):
-    """Yield (cost, witnesses) for every pick of one entry per position whose
-    contributions sum to target, in lexicographic order of the picks;
-    ``choices[i]`` lists position i's (contribution vector, cost, witness)."""
-    entries = [e for position in choices for e in position]
-    rows = [common_denominator([t, *(e[0][r] for e in entries)]) for r, t in enumerate(target)]
-    unit = common_denominator(e[1] for e in entries)
-    choices = [[(tuple(map(scaled, vec, rows)), scaled(c, unit), w) for vec, c, w in position]
-               for position in choices]
-    last = len(choices) - 1
-    picks = [None] * len(choices)
-
-    def search(i, rest, cost):
-        # rest is target minus the contributions picked so far
-        if i == last:
-            for vec, c, w in choices[i]:
-                if vec == rest:
-                    picks[i] = w
-                    yield Rat(cost + c, unit), tuple(picks)
-            return
-        for vec, c, w in choices[i]:
-            picks[i] = w
-            yield from search(i + 1, tuple(map(sub, rest, vec)), cost + c)
-
-    return search(0, tuple(map(scaled, target, rows)), 0)
+def _int_rows(mats, target):
+    """Row r of every matrix, and target[r], as ints over their least common denominator."""
+    scales = [common_denominator([t, *(a for m in mats for a in m.row(r))])
+              for r, t in enumerate(target)]
+    return ([[[scaled(a, L) for a in m.row(r)] for r, L in enumerate(scales)] for m in mats],
+            tuple(map(scaled, target, scales)))
 
 
-def _best(choices, target):
-    """The first combination of strictly smallest cost (``min`` keeps the first)."""
-    best = min(_matches(choices, target), key=itemgetter(0), default=None)
-    return _INFEASIBLE if best is None else OracleResult(True, *best)
+def _variables(rows, costs, lower, upper):
+    """Position j: value v in [lower_j, upper_j] adds v * column j, costs v * costs_j."""
+    return [[(tuple(v * a for a in col), v * c, v) for v in range(lo, hi + 1)]
+            for col, c, lo, hi in zip(zip(*rows), costs, lower, upper)]
 
 
-def _variables(mat, w, lower, upper):
-    """Position j: value v in [lower_j, upper_j] adds v * column j, costs v * w_j."""
-    return [[(tuple(v * a for a in mat.column(j)), v * w[j], v)
-             for v in range(lower[j], upper[j] + 1)] for j in range(mat.cols)]
+def _windows(positions, target):
+    """For i = 0..n, the per-row (least, greatest) sum that positions[:i] can
+    still complete to target, over the target's rows."""
+    lo = hi = target
+    out = [(lo, hi)]
+    for position in positions:
+        cols = [*zip(*(e[0] for e in position))]
+        lo = tuple(map(sub, lo, map(max, cols)))
+        hi = tuple(map(sub, hi, map(min, cols)))
+        out.append((lo, hi))
+    return out
+
+
+def _table(positions, windows, rows, prepend):
+    """Each sum of one entry per position, partial sums kept inside their
+    windows, to its least (cost, index tuple); ``prepend`` puts indices first."""
+    table = {(0,) * rows: (0, ())}
+    for position, (lo, hi) in zip(positions, windows):
+        entries = [(k, vec, cost) for k, (vec, cost, _) in enumerate(position)]
+        nxt = {}
+        get = nxt.get
+        for s, (c, picks) in table.items():
+            for k, vec, cost in entries:
+                t = tuple(map(add, s, vec))
+                if all(map(le, lo, t)) and all(map(le, t, hi)):
+                    key = (c + cost, (k, *picks) if prepend else (*picks, k))
+                    old = get(t)
+                    if old is None or key < old:
+                        nxt[t] = key
+        table = nxt
+    return table
+
+
+def _best(positions, target, unit):
+    """The first pick of least cost whose vectors sum to target; costs are over unit."""
+    n, rows = len(positions), len(target)
+    fronts = list(accumulate(map(len, positions), mul, initial=1))
+    h = min(range(n + 1), key=lambda i: max(fronts[i], fronts[n] // fronts[i]))
+    prefix, suffix = _windows(positions, target), _windows(positions[::-1], target)[::-1]
+    front = _table(positions[:h], suffix[1 : h + 1], rows, False)
+    back = _table(positions[h:][::-1], prefix[h:n][::-1], rows, True)
+    joins = ((m[0] + c, m[1] + picks) for s, (c, picks) in back.items()
+             if (m := front.get(tuple(map(sub, target, s)))) is not None)
+    best = min(joins, default=None)
+    if best is None:
+        return _INFEASIBLE
+    cost, picks = best
+    return OracleResult(True, Rat(cost, unit), tuple(p[k][2] for p, k in zip(positions, picks)))
 
 
 def brute_force_general(inst, cap=DEFAULT_CAP):
     """Exact optimum of min w.x over H.x = b, l <= x <= u, x integer."""
     problems, _ = validate_general(inst)
     _validate(problems, math.prod(hi - lo + 1 for lo, hi in zip(inst.l, inst.u)), cap, "general")
-    return _best(_variables(inst.H, inst.w, inst.l, inst.u), inst.b)
+    (rows,), b = _int_rows([inst.H], inst.b)
+    unit = common_denominator(inst.w)
+    return _best(_variables(rows, [scaled(w, unit) for w in inst.w], inst.l, inst.u), b, unit)
 
 
 def brute_force_config(inst, cap=DEFAULT_CAP):
@@ -96,24 +129,33 @@ def brute_force_config(inst, cap=DEFAULT_CAP):
     _validate(problems, math.prod(max(len(blk.configs), 1) for blk in inst.blocks), cap, "config")
     if not all(blk.configs for blk in inst.blocks):
         return _INFEASIBLE
-    choices = [[(blk.D.matvec(cfg), sum(map(Rat.__mul__, blk.weights, cfg), ZERO), cfg)
-                for cfg in blk.configs] for blk in inst.blocks]
-    return _best(choices, inst.b0)
+    d_rows, b0 = _int_rows([blk.D for blk in inst.blocks], inst.b0)
+    unit = common_denominator(w for blk in inst.blocks for w in blk.weights)
+    positions = [[(tuple(sum(map(mul, row, cfg)) for row in D),
+                   sum(scaled(w, unit) * v for w, v in zip(blk.weights, cfg)), cfg)
+                  for cfg in blk.configs] for blk, D in zip(inst.blocks, d_rows)]
+    return _best(positions, b0, unit)
 
 
 def brute_force_nfold(inst, cap=DEFAULT_CAP):
     """Exact optimum over the full integer box with all equalities exact; the
     cap applies to the full box, not to the per-block solution lists."""
-    points = math.prod(hi + 1 for blk in inst.blocks for hi in blk.u)
     problems, _ = validate_nonneg(inst)
-    _validate(problems, points, cap, "nfold")
-    choices = []
-    for blk in inst.blocks:
-        local = _matches(_variables(blk.A, blk.w, [0] * len(blk.u), blk.u), blk.bi)
-        choices.append([(blk.D.matvec(x), cost, x) for cost, x in local])
-        if not choices[-1]:
+    _validate(problems, math.prod(hi + 1 for blk in inst.blocks for hi in blk.u), cap, "nfold")
+    d_rows, b0 = _int_rows([blk.D for blk in inst.blocks], inst.b0)
+    unit = common_denominator(w for blk in inst.blocks for w in blk.w)
+    positions = []
+    for blk, D in zip(inst.blocks, d_rows):
+        (a_rows,), bi = _int_rows([blk.A], blk.bi)
+        local = _variables(a_rows + D, [scaled(w, unit) for w in blk.w], [0] * len(blk.u), blk.u)
+        # every solution of A^i x = b^i (the windows cover the A rows), with
+        # the least (cost, x) for each D^i x; a value is its own index
+        found = _table(local, _windows(local[::-1], bi)[::-1][1:], len(a_rows) + len(D), False)
+        if not found:
             return _INFEASIBLE
-    return _best(choices, inst.b0)
+        found = sorted(found.items(), key=lambda item: item[1][1])
+        positions.append([(s[len(bi) :], c, x) for s, (c, x) in found])
+    return _best(positions, b0, unit)
 
 
 def brute_force(inst, cap=DEFAULT_CAP):

@@ -150,7 +150,7 @@ def enumerate_major_configs(sblock, split, window, cap):
     out = []
     x = [0] * t
 
-    def rec(j, acc):
+    def rec(rec, j, acc):  # passed in: a closure over itself would be a cycle
         if j == t:
             if all(a >= lo for a in acc):
                 out.append(tuple(x))
@@ -166,10 +166,10 @@ def enumerate_major_configs(sblock, split, window, cap):
                 acc = [a + c for a, c in zip(acc, col)]
                 if any(a > hi for a in acc):
                     break
-            rec(j + 1, acc)
+            rec(rec, j + 1, acc)
         x[j] = 0
 
-    rec(0, [ZERO] * rows)
+    rec(rec, 0, [ZERO] * rows)
     return tuple(out)
 
 

@@ -1,12 +1,18 @@
+import gc
 import itertools
+import math
 import operator
+import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfeas.errors import EnumerationCapExceeded, InvalidInstanceError
+from nearfeas.generate import gen_general
 from nearfeas.instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from nearfeas.oracle import brute_force, brute_force_config, brute_force_general, brute_force_nfold
 from nearfeas.rationals import Rat
@@ -42,6 +48,25 @@ def test_block_witnesses_follow_enumeration_order():
     block = ([[1, 1]], [[1, 1]], [1], [1, 1], [1, 1])
     nfold = NFoldNonnegInstance.build([block, block], [2])
     assert brute_force_nfold(nfold).witness == ((0, 1), (0, 1))
+
+
+def test_the_search_leaves_no_reference_cycle():
+    """Each oracle call is freed by reference counting alone."""
+    block = ([[1, 1]], [[1, 1]], [1], [1, 1], [1, 1])
+    cases = [
+        GeneralIP.build([[2, 3, 5]], [10], [1, 1, 1], [0, 0, 0], [3, 3, 2]),
+        NFoldConfigInstance.build([([[1]], [(0,), (1,)], [1]), ([[1]], [(0,), (1,)], [5])], [1]),
+        NFoldNonnegInstance.build([block, block], [2]),
+    ]
+    for inst in cases:
+        assert brute_force(inst).feasible
+        gc.collect()
+        gc.disable()
+        try:
+            brute_force(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_config_examples():
@@ -191,11 +216,11 @@ def _target(draw, make, size):
 
 
 @st.composite
-def _general(draw):
-    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+def _general(draw, n_max=3, width_max=2):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, n_max))
     H = [_vector(draw, _RATIONAL, n) for _ in range(m)]
     lower = _vector(draw, st.integers(-2, 1), n)
-    upper = [lo + draw(st.integers(0, 2)) for lo in lower]
+    upper = [lo + draw(st.integers(0, width_max)) for lo in lower]
     x = [draw(st.integers(lo, hi)) for lo, hi in zip(lower, upper)]
     b = _target(draw, lambda: [_dot(row, x) for row in H], m)
     w = _vector(draw, _WEIGHT, n)
@@ -203,8 +228,8 @@ def _general(draw):
 
 
 @st.composite
-def _config(draw):
-    n, s, t = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+def _config(draw, blocks_max=3):
+    n, s, t = draw(st.integers(1, blocks_max)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
     blocks = []
     for _ in range(n):
         configs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * t), min_size=1, max_size=3))
@@ -256,3 +281,58 @@ def test_config_oracle_matches_product_search(inst):
 @given(_nfold())
 def test_nfold_oracle_matches_product_search(inst):
     _assert_matches(brute_force_nfold(inst), _nfold_reference(inst))
+
+
+# Wider boxes: up to 4096 points for a general instance and 729 picks for a
+# configuration instance, so that the search splits at several points and
+# joins its halves; the references still enumerate them.
+
+
+@settings(max_examples=100, deadline=None)
+@given(_general(n_max=6, width_max=3))
+def test_wide_general_oracle_matches_product_search(inst):
+    _assert_matches(brute_force_general(inst), _general_reference(inst))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config(blocks_max=6))
+def test_wide_config_oracle_matches_product_search(inst):
+    _assert_matches(brute_force_config(inst), _config_reference(inst))
+
+
+# Boxes far beyond what a product search enumerates quickly, each solved in
+# well under the 2 s and 5 MB asserted here.
+
+
+def _measured(inst):
+    """The oracle's result, its CPU seconds and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        result = brute_force_general(inst)
+        return result, time.process_time() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_row_of_distinct_prefix_sums_at_scale():
+    """One row with coefficients 4^j and values 0..3: every pick has its own
+    sum (base-4 digits), so the box of 4^11 points has exactly one solution."""
+    n = 11
+    digits = tuple(j % 4 for j in range(n))
+    b = sum(d * 4**j for j, d in enumerate(digits))
+    inst = GeneralIP.build([[4**j for j in range(n)]], [b], [1] * n, [0] * n, [3] * n)
+    result, seconds, peak = _measured(inst)
+    assert (result.feasible, result.optimum, result.witness) == (True, sum(digits), digits)
+    assert seconds < 2 and peak < 5 * 10**6
+
+
+def test_a_generated_box_of_ten_million_points():
+    """Optimum and witness as the exhaustive product search over the 9.6
+    million points of this box found them."""
+    inst = gen_general(random.Random(1), m=3, n=14, bound_max=4, box_cap=10**7)
+    assert math.prod(hi - lo + 1 for lo, hi in zip(inst.l, inst.u)) == 9_600_000
+    result, seconds, peak = _measured(inst)
+    witness = (0, 3, 1, 2, -3, 2, 2, -4, 2, -1, 3, 1, 1, 1)
+    assert (result.feasible, result.optimum, result.witness) == (True, -12, witness)
+    assert seconds < 2 and peak < 5 * 10**6

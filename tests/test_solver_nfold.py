@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -90,6 +91,20 @@ def test_enumerate_empty_window():
     (sb,) = normalize_blocks(inst)
     split = classify_and_split(sb, Rat(1, 8))
     assert enumerate_major_configs(sb, split, (Rat(3, 4), Rat(5, 4)), 1000) == ()
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    """The recursion is freed by reference counting alone."""
+    inst = _inst([([["1/2"]], [[1]], [1], [9], [1])], [2])
+    (sb,) = normalize_blocks(inst)
+    split = classify_and_split(sb, Rat(1, 8))
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_major_configs(sb, split, (Rat(3, 4), Rat(5, 4)), 1000) == ((2,),)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_exact_window_matches_direct():

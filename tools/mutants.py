@@ -55,6 +55,14 @@ _SIMPLEX = "src/nearfeas/simplex.py"
 _BACKEND = "src/nearfeas/backend.py"
 _BOXES = "src/nearfeas/boxes.py"
 _NFOLD = "src/nearfeas/solver_nfold.py"
+_BB = "src/nearfeas/branch_bound.py"
+_ORACLE = "src/nearfeas/oracle.py"
+_ORACLE_TESTS = ("tests/test_oracle.py",)
+_WARM = (
+    "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
+    "tests/test_branch_bound.py::test_warm_children_of_pinned_degenerate_lps",
+)
+_COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
 _LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
@@ -220,6 +228,77 @@ MUTANTS = (
         "",
         _KERNELS,
     ),
+    # the warm-started dual simplex and the branch-and-bound search
+    Mutant(
+        "snapshot-aliases-the-live-tableau",
+        _BB,
+        "stack.append((tab.copy(), branch_var, fl + 1, None, depth + 1))",
+        "stack.append((tab, branch_var, fl + 1, None, depth + 1))",
+        ("tests/test_branch_bound.py::test_up_child_after_deep_down_subtree",),
+    ),
+    Mutant(
+        "bb-pruned-not-counted",
+        _BB,
+        "            run.bb_pruned += 1\n",
+        "            run.bb_pruned += 0\n",
+        ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "dual-eligibility-sign-flipped",
+        _SIMPLEX,
+        "(sk == _LOW) != (((a > 0) == pos) != to_low)",
+        "(sk == _LOW) == (((a > 0) == pos) != to_low)",
+        _WARM,
+    ),
+    Mutant(
+        "dual-ratio-largest",
+        _SIMPLEX,
+        "(q < 0 or ck * qa < qc * a)",
+        "(q < 0 or ck * qa > qc * a)",
+        _WARM,
+    ),
+    Mutant(
+        "fixed-column-enters-dual-ratio-test",
+        _SIMPLEX,
+        "(q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:",
+        "(q < 0 or ck * qa < qc * a):",
+        ("tests/test_branch_bound.py::test_fixed_column_never_enters_the_dual_ratio_test",),
+    ),
+    Mutant(
+        "dual-leaving-status-swapped",
+        _SIMPLEX,
+        "self._pivot(leave, q, _LOW if to_low else _UP)",
+        "self._pivot(leave, q, _UP if to_low else _LOW)",
+        ("tests/test_simplex.py::test_pinned_warm_rescale",),
+    ),
+    Mutant(
+        "infeasibility-certificate-inverted",
+        _SIMPLEX,
+        "        if least <= rhs <= most:\n",
+        "        if not least <= rhs <= most:\n",
+        _WARM,
+    ),
+    Mutant(
+        "entering-value-from-the-other-bound",
+        _SIMPLEX,
+        "self._shift(q, self.lower[q] if stat[q] == _LOW else self.upper[q])",
+        "self._shift(q, self.upper[q] if stat[q] == _LOW else self.lower[q])",
+        _COLD + _WARM,
+    ),
+    Mutant(
+        "vertex-bounds-unchecked",
+        _SIMPLEX,
+        '            raise PipelineInvariantError("vertex violates bounds")\n',
+        "            pass\n",
+        ("tests/test_simplex.py::test_verify_vertex_rejects_one_violation",),
+    ),
+    Mutant(
+        "vertex-equations-unchecked",
+        _SIMPLEX,
+        '            raise PipelineInvariantError("vertex violates equations")\n',
+        "            pass\n",
+        ("tests/test_simplex.py::test_verify_vertex_rejects_one_violation",),
+    ),
     # the integer box grid
     Mutant(
         "grid-floor-for-ceiling",
@@ -241,6 +320,20 @@ MUTANTS = (
         "tuple((lam - 1) * top for lam in cell)",
         "tuple(lam * top for lam in cell)",
         _PARTITIONS,
+    ),
+    Mutant(
+        "grid-scale-fixed",
+        _BOXES,
+        "    top = max((abs(scaled(v, den)) for v in entries), default=0) or den\n",
+        "    top = den\n",
+        ("tests/test_scale_covariance.py::test_config_scale_covariance",),
+    ),
+    Mutant(
+        "config-slack-bounds-capped",
+        "src/nearfeas/solver_config.py",
+        "    bound = params.epsilon * delta_inf\n",
+        "    bound = min(params.epsilon * delta_inf, 1)\n",
+        ("tests/test_scale_covariance.py::test_config_scale_covariance",),
     ),
     # the mixed model's integer rows
     Mutant(
@@ -278,6 +371,63 @@ MUTANTS = (
         "\n            majors = major_values(sblocks, splits, config_lists)\n",
         "\n",
         ("tests/test_solver_nfold.py::test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors",),
+    ),
+    Mutant(
+        "major-search-closes-over-itself",
+        _NFOLD,
+        "    def rec(rec, j, acc):",
+        "    def rec(_, j, acc):",
+        ("tests/test_solver_nfold.py::test_enumeration_leaves_no_reference_cycle",),
+    ),
+    # the brute-force oracles
+    Mutant(
+        "oracle-entries-reversed",
+        _ORACLE,
+        "for v in range(lo, hi + 1)]",
+        "for v in range(hi, lo - 1, -1)]",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-half-keeps-later-equal-cost",
+        _ORACLE,
+        "if old is None or key < old:",
+        "if old is None or key[0] <= old[0]:",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-join-keeps-later-equal-cost",
+        _ORACLE,
+        "best = min(joins, default=None)",
+        "best = min(joins, key=lambda j: (j[0], [-k for k in j[1]]), default=None)",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-target-not-in-row-scale",
+        _ORACLE,
+        "common_denominator([t, *(a for m in mats for a in m.row(r))])",
+        "common_denominator(a for m in mats for a in m.row(r))",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-costs-not-scaled",
+        _ORACLE,
+        "    unit = common_denominator(inst.w)\n",
+        "    unit = 1\n",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-back-half-appends",
+        _ORACLE,
+        "(k, *picks) if prepend else (*picks, k)",
+        "(*picks, k)",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-back-window-from-the-wrong-half",
+        _ORACLE,
+        "prefix[h:n][::-1]",
+        "suffix[h:n][::-1]",
+        _ORACLE_TESTS,
     ),
 )
 
