@@ -18,6 +18,7 @@ from nearfeas import cli, simplex
 from nearfeas.cli import main
 from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from nearfeas.instances import (
+    instance_from_dict,
     instance_to_dict,
     validate_config,
     validate_general,
@@ -512,6 +513,73 @@ def test_mutated_instance_files_are_classified(data):
                 assert err.startswith("error: "), err
 
 
+PARSE_ERRORS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "parse_errors.txt")
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+def _single_faults():
+    """(label, file) for every single fault of every valid file: each non-root
+    node swapped for 1.5, true, null, "x" or [[1]], dropped from its object,
+    and, for a non-empty list, grown by a copy of its last item or shrunk by
+    one item."""
+    for kind in sorted(VALID_FILES):
+        data = VALID_FILES[kind]
+        nodes = dict(_nodes(data))
+        for path, node in nodes.items():
+            if not path:
+                continue
+            edits = [f"swap {json.dumps(value)}" for value in (1.5, True, None, "x", [[1]])]
+            if isinstance(nodes[path[:-1]], dict):
+                edits.append("drop")
+            if isinstance(node, list) and node:
+                edits += ["grow", "shrink"]
+            for edit in edits:
+                faulty = copy.deepcopy(data)
+                *parent_path, last = path
+                parent = faulty
+                for step in parent_path:
+                    parent = parent[step]
+                if edit.startswith("swap "):
+                    parent[last] = json.loads(edit[5:])
+                elif edit == "drop":
+                    del parent[last]
+                elif edit == "grow":
+                    parent[last].append(copy.deepcopy(parent[last][-1]))
+                else:
+                    parent[last].pop()
+                yield f"{kind} {_json_path(path)} {edit}", faulty
+
+
+def parse_outcome_lines():
+    """One line per single fault: its label and what parsing the file gives,
+    ``ok`` or ``<error type>: <message>``."""
+    lines = []
+    for label, data in _single_faults():
+        try:
+            instance_from_dict(data)
+            outcome = "ok"
+        except Exception as exc:  # the pinned outcome names any exception type
+            outcome = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{label} -> {outcome}")
+    return lines
+
+
+def test_single_fault_parse_outcomes_are_pinned():
+    """Every single-fault file parses, or fails with the message, pinned in
+    ``tests/data/parse_errors.txt``; a change that alters a message on
+    purpose regenerates the file with the command at the end of this module."""
+    with open(PARSE_ERRORS, encoding="utf-8") as fh:
+        pinned = fh.read().splitlines()
+    lines = parse_outcome_lines()
+    labels = [line.split(" -> ")[0] for line in lines]
+    assert labels == [line.split(" -> ")[0] for line in pinned], "the cases differ"
+    differ = [got for got, want in zip(lines, pinned) if got != want]
+    assert not differ, f"{len(differ)} outcomes differ: " + "; ".join(differ)
+
+
 def test_python_m_nearfeas_runs_from_a_checkout(tmp_path):
     inst = tmp_path / "g.json"
     main(["gen", "--kind", "general", "--seed", "1", "--output", str(inst)])
@@ -567,3 +635,9 @@ def test_each_solve_validates_its_instance_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2")
         assert code in (0, 2, 3)
         assert counts == expected[kind], kind
+
+
+if __name__ == "__main__":
+    # regenerates tests/data/parse_errors.txt:
+    #   PYTHONPATH=src python3 tests/test_cli.py > tests/data/parse_errors.txt
+    print("\n".join(parse_outcome_lines()))
