@@ -1,7 +1,8 @@
 """Command-line surface: solve, oracle, gen, check.
 
-``instances`` parses and validates instance files; ``_KINDS`` maps each
-instance type to its report kind, its ``--pipeline`` and its solve step.
+``instances`` parses and validates instance files and owns each kind's
+report name; ``_KINDS`` maps each instance type to its ``--pipeline`` and its
+solve step.
 Reports are deterministic JSON (sorted keys); every rational appears as an
 authoritative exact string alongside a float approximation for readability.
 Exit codes: 0 solved within bound, 2 near-feasibility unattainable,
@@ -30,6 +31,7 @@ from .instances import (
     NFoldConfigInstance,
     NFoldNonnegInstance,
     SchedulingInstance,
+    instance_from_dict,
     instance_to_dict,
     load_instance,
     validate,
@@ -136,19 +138,15 @@ def _solve_scheduling(inst, params):
     return result, core, {"schedule": schedule}
 
 
-# instance type -> (report kind, the --pipeline that solves it, solve step);
-# a step returns (result, the instance the oracle checks it on, extra report
+# instance type -> (the --pipeline that solves it, solve step); a step
+# returns (result, the instance the oracle checks it on, extra report
 # sections).  Steps look each solver up at call time, so a tracer that
 # replaces a solver on this module sees every call.
 _KINDS = {
-    GeneralIP: ("general", "general", lambda inst, p: (solve_general(inst, p), inst, {})),
-    NFoldConfigInstance: (
-        "nfold_config",
-        "nfold-config",
-        lambda inst, p: (solve_nfold_config(inst, p), inst, {}),
-    ),
-    NFoldNonnegInstance: ("nfold_nonneg", "nfold", lambda inst, p: (solve_nfold(inst, p), inst, {})),
-    SchedulingInstance: ("scheduling", "nfold-config", _solve_scheduling),
+    GeneralIP: ("general", lambda inst, p: (solve_general(inst, p), inst, {})),
+    NFoldConfigInstance: ("nfold-config", lambda inst, p: (solve_nfold_config(inst, p), inst, {})),
+    NFoldNonnegInstance: ("nfold", lambda inst, p: (solve_nfold(inst, p), inst, {})),
+    SchedulingInstance: ("nfold-config", _solve_scheduling),
 }
 
 
@@ -186,9 +184,11 @@ def _oracle_section(inst, result):
 
 def cmd_solve(args):
     inst = load_instance(args.input)
-    kind, pipeline, step = _KINDS[type(inst)]
+    pipeline, step = _KINDS[type(inst)]
     if args.pipeline not in ("auto", pipeline):
-        raise InvalidInstanceError([f"pipeline {args.pipeline} cannot solve a {kind} instance"])
+        raise InvalidInstanceError(
+            [f"pipeline {args.pipeline} cannot solve a {inst.kind} instance"]
+        )
     params = ApproxParams.build(
         _rat_flag("--epsilon", args.epsilon),
         delta_override=None if args.delta is None else _rat_flag("--delta", args.delta),
@@ -196,7 +196,7 @@ def cmd_solve(args):
         node_limit=args.node_limit,
     )
     result, check_inst, sections = step(inst, params)
-    report = _result_report(kind, params.epsilon, result)
+    report = _result_report(inst.kind, params.epsilon, result)
     report.update(sections)
     exit_code = _STATUS_EXIT[result.status]
 
@@ -241,16 +241,13 @@ def cmd_gen(args):
     rng = random.Random(args.seed)
     if args.kind == "general":
         inst = gen_general(rng, m=args.m, n=args.n, delta_max=args.delta_max)
-        data = instance_to_dict(inst)
     elif args.kind == "nfold-config":
         inst = gen_config(rng, n_blocks=args.blocks, s=args.s, t=args.t)
-        data = instance_to_dict(inst)
     elif args.kind == "nfold-nonneg":
         inst = gen_nonneg(rng, n_blocks=args.blocks, s_a=args.s, s_d=args.s, t=args.t)
-        data = instance_to_dict(inst)
     else:
-        data = gen_scheduling(rng, n_jobs=args.n, m_machines=args.m)
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        inst = instance_from_dict(gen_scheduling(rng, n_jobs=args.n, m_machines=args.m))
+    text = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -3,66 +3,175 @@ their validation, exact violation reports against the original (unrelaxed)
 constraints, and the JSON wire format ("format": 1).  Each kind has one
 validator returning ``(problems, Delta)``; ``validate`` picks it by type.
 
+Every field of a kind, and of an n-fold block, declares its wire codec once,
+in its dataclass field: a pair of a parse function ``(value, json_path)``
+that checks and coerces one value, raising ``InstanceFormatError`` at its
+path, and a dump function that writes the value back as JSON.  One loop parses the fields in
+declaration order, so the first bad field is the one reported; it reads a
+JSON object, and ``build`` runs the same loop on its Python arguments, so a
+value is accepted from Python exactly when a file may hold it.  One loop
+writes the fields back, and ``KINDS`` maps each ``"kind"`` to its class.
+
 All variable bounds are required finite so branch-and-bound and the oracle
 enumerations stay bounded; Delta values are always computed from the data,
 never supplied by the caller.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import ClassVar
 
 from .errors import InstanceFormatError, InvalidInstanceError
 from .linalg import Matrix
 from .rationals import ONE, ZERO, as_rat, format_rat
 
+# ---------------------------------------------------------------------------
+# Field codecs
+
+
+def _wire(codec, **kw):
+    """A dataclass field that carries its codec, a (parse, dump) pair."""
+    return field(metadata={"codec": codec}, **kw)
+
+
+def _parse_rat(value, path):
+    try:
+        return as_rat(value)
+    except (ValueError, TypeError) as exc:
+        raise InstanceFormatError(path, str(exc)) from exc
+
+
+def _parse_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceFormatError(path, "expected an integer")
+    return value
+
+
+def _seq(item, expected="a list", nonempty=False):
+    """A JSON list (from Python, also a tuple) of ``item`` values, parsed to
+    a tuple."""
+    parse_item, dump_item = item
+
+    def parse(values, path):
+        if not isinstance(values, (list, tuple)) or (nonempty and not values):
+            raise InstanceFormatError(path, f"expected {expected}")
+        return tuple([parse_item(v, f"{path}[{i}]") for i, v in enumerate(values)])
+
+    return parse, lambda values: [dump_item(v) for v in values]
+
+
+_RAT = (_parse_rat, format_rat)
+_RATS = _seq(_RAT)
+_INTS = _seq((_parse_int, int))
+_ROWS = _seq(_RATS, "a list of rows")
+_parse_rows, _dump_rows = _seq(_RATS, "a non-empty list of rows", nonempty=True)
+
+
+def _parse_matrix(value, path):
+    """A Matrix passes as it is; rows must be rectangular."""
+    if isinstance(value, Matrix):
+        return value
+    rows = _parse_rows(value, path)
+    cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise InstanceFormatError(path, "dimension mismatch: ragged rows")
+    return Matrix(len(rows), cols, [v for row in rows for v in row])
+
+
+_MATRIX = (_parse_matrix, lambda mat: _dump_rows(map(mat.row, range(mat.rows))))
+
+
+def _records(cls):
+    """A non-empty list of ``cls`` records: JSON objects, or from Python
+    also tuples of field values in declaration order."""
+
+    def parse(value, path):
+        if isinstance(value, tuple):
+            value = vars(cls(*value))
+        elif not isinstance(value, dict):
+            raise InstanceFormatError(path, "expected an object")
+        return _parse_fields(cls, value, path)
+
+    return _seq((parse, _dump_fields), "a non-empty list", nonempty=True)
+
+
+@cache
+def _codecs(cls):
+    """(name, parse, dump, required) of each field of ``cls``, in declaration
+    order."""
+    return tuple((f.name, *f.metadata["codec"], f.default is MISSING) for f in fields(cls))
+
+
+def _parse_fields(cls, data, path):
+    """``cls`` from the dict ``data``: each field is parsed before the next
+    is looked at.  A field without a default is required, and its value is
+    parsed even when it is null; a field with one reads null as absent."""
+    values = {}
+    for name, parse, _, required in _codecs(cls):
+        if name not in data:
+            if required:
+                raise InstanceFormatError(f"{path}.{name}", "missing field")
+        elif required or data[name] is not None:
+            values[name] = parse(data[name], f"{path}.{name}")
+    return cls(**values)
+
+
+def _dump_fields(record):
+    """The record's fields as JSON values; a field that is None is left out."""
+    data = {}
+    for name, _, dump, _ in _codecs(type(record)):
+        value = getattr(record, name)
+        if value is not None:
+            data[name] = dump(value)
+    return data
+
+
+class _Record:
+    """A dataclass whose fields declare their codecs."""
+
+    @classmethod
+    def build(cls, *args, **kwargs):
+        """The record from Python values: the dataclass's own arguments bind
+        them, then each field's codec checks and coerces its value as from a
+        file, so a bad value raises InstanceFormatError at its ``$.`` path.
+        Lists or tuples, a Matrix, and ints, Rats or "p/q" strings in
+        rational fields are accepted; integer fields take ints only."""
+        return _parse_fields(cls, vars(cls(*args, **kwargs)), "$")
+
+
+# ---------------------------------------------------------------------------
+# Instance kinds
+
 
 @dataclass(frozen=True)
-class GeneralIP:
+class GeneralIP(_Record):
     """min w.x  s.t.  H.x = b, l <= x <= u, x integer."""
 
-    H: Matrix
-    b: tuple
-    w: tuple
-    l: tuple
-    u: tuple
+    kind: ClassVar[str] = "general"
 
-    @classmethod
-    def build(cls, H, b, w, l, u):
-        return cls(
-            Matrix.from_rows(H) if not isinstance(H, Matrix) else H,
-            tuple(as_rat(v) for v in b),
-            tuple(as_rat(v) for v in w),
-            tuple(int(v) for v in l),
-            tuple(int(v) for v in u),
-        )
+    H: Matrix = _wire(_MATRIX)
+    b: tuple = _wire(_RATS)
+    w: tuple = _wire(_RATS)
+    l: tuple = _wire(_INTS)
+    u: tuple = _wire(_INTS)
 
 
 @dataclass(frozen=True)
-class ConfigBlock:
-    D: Matrix
-    configs: tuple  # tuple of integer vectors, each of length t
-    weights: tuple  # length t
+class ConfigBlock(_Record):
+    D: Matrix = _wire(_MATRIX)
+    configs: tuple = _wire(_seq(_INTS))  # tuple of integer vectors, each of length t
+    weights: tuple = _wire(_RATS)  # length t
 
 
 @dataclass(frozen=True)
-class NFoldConfigInstance:
+class NFoldConfigInstance(_Record):
     """min sum_i w^i.x^i  s.t.  sum_i D^i x^i = b0, x^i in configs^i."""
 
-    blocks: tuple
-    b0: tuple
+    kind: ClassVar[str] = "nfold_config"
 
-    @classmethod
-    def build(cls, blocks, b0):
-        built = []
-        for D, configs, weights in blocks:
-            built.append(
-                ConfigBlock(
-                    Matrix.from_rows(D) if not isinstance(D, Matrix) else D,
-                    tuple(tuple(int(v) for v in cfg) for cfg in configs),
-                    tuple(as_rat(v) for v in weights),
-                )
-            )
-        return cls(tuple(built), tuple(as_rat(v) for v in b0))
+    blocks: tuple = _wire(_records(ConfigBlock))
+    b0: tuple = _wire(_RATS)
 
     def kappa(self):
         k = 0
@@ -74,56 +183,44 @@ class NFoldConfigInstance:
 
 
 @dataclass(frozen=True)
-class NonnegBlock:
-    A: Matrix
-    D: Matrix
-    bi: tuple
-    u: tuple
-    w: tuple
+class NonnegBlock(_Record):
+    A: Matrix = _wire(_MATRIX)
+    D: Matrix = _wire(_MATRIX)
+    bi: tuple = _wire(_RATS)
+    u: tuple = _wire(_INTS)
+    w: tuple = _wire(_RATS)
 
 
 @dataclass(frozen=True)
-class NFoldNonnegInstance:
+class NFoldNonnegInstance(_Record):
     """min sum_i w^i.x^i  s.t.  sum_i D^i x^i = b0, A^i x^i = b^i, 0 <= x <= u."""
 
-    blocks: tuple
-    b0: tuple
+    kind: ClassVar[str] = "nfold_nonneg"
 
-    @classmethod
-    def build(cls, blocks, b0):
-        built = []
-        for A, D, bi, u, w in blocks:
-            built.append(
-                NonnegBlock(
-                    Matrix.from_rows(A) if not isinstance(A, Matrix) else A,
-                    Matrix.from_rows(D) if not isinstance(D, Matrix) else D,
-                    tuple(as_rat(v) for v in bi),
-                    tuple(int(v) for v in u),
-                    tuple(as_rat(v) for v in w),
-                )
-            )
-        return cls(tuple(built), tuple(as_rat(v) for v in b0))
+    blocks: tuple = _wire(_records(NonnegBlock))
+    b0: tuple = _wire(_RATS)
 
 
 @dataclass(frozen=True)
-class SchedulingInstance:
+class SchedulingInstance(_Record):
     """Makespan at most cmax on unrelated machines: job i takes jobs[i][h] on
     machine h; costs, when given, has the same shape and is the objective."""
 
-    jobs: tuple  # one row of processing times per job
-    cmax: object
-    costs: object = None  # None, or one row of costs per job
+    kind: ClassVar[str] = "scheduling"
 
-    @classmethod
-    def build(cls, jobs, cmax, costs=None):
-        def rows(table):
-            return tuple(tuple(as_rat(v) for v in row) for row in table)
-
-        return cls(rows(jobs), as_rat(cmax), None if costs is None else rows(costs))
+    jobs: tuple = _wire(_ROWS)  # one row of processing times per job
+    cmax: object = _wire(_RAT)
+    costs: object = _wire(_ROWS, default=None)  # None, or one cost row per job
 
     def max_time(self):
         """The largest processing time; zero without jobs."""
         return max((v for row in self.jobs for v in row), default=ZERO)
+
+
+KINDS = {
+    cls.kind: cls
+    for cls in (GeneralIP, NFoldConfigInstance, NFoldNonnegInstance, SchedulingInstance)
+}
 
 
 @dataclass(frozen=True)
@@ -211,11 +308,8 @@ def validate_general(inst):
 
 
 def validate_config(inst):
-    """Returns (problems, Delta), Delta = max_i ||D^i||_inf."""
+    """Returns (problems, Delta), Delta = max_i ||D^i||_inf; blocks are never empty."""
     problems = []
-    if not inst.blocks:
-        problems.append("dimension mismatch: no blocks")
-        return problems, ZERO
     s = inst.blocks[0].D.rows
     t = inst.blocks[0].D.cols
     if s < 1 or t < 1:
@@ -237,11 +331,8 @@ def validate_config(inst):
 
 
 def validate_nonneg(inst):
-    """Returns (problems, Delta), Delta = max_i ||D^i||_inf."""
+    """Returns (problems, Delta), Delta = max_i ||D^i||_inf; blocks are never empty."""
     problems = []
-    if not inst.blocks:
-        problems.append("dimension mismatch: no blocks")
-        return problems, ZERO
     sa = inst.blocks[0].A.rows
     sd = inst.blocks[0].D.rows
     t = inst.blocks[0].A.cols
@@ -347,175 +438,25 @@ def violation_report(inst, x, mode, bound, objective=None):
 # JSON wire format
 
 
-def _need(obj, key, path):
-    if key not in obj:
-        raise InstanceFormatError(f"{path}.{key}", "missing field")
-    return obj[key]
-
-
-def _rat(value, path):
-    try:
-        return as_rat(value)
-    except (ValueError, TypeError) as exc:
-        raise InstanceFormatError(path, str(exc)) from exc
-
-
-def _rat_list(values, path):
-    if not isinstance(values, list):
-        raise InstanceFormatError(path, "expected a list")
-    return [_rat(v, f"{path}[{i}]") for i, v in enumerate(values)]
-
-
-def _int_list(values, path):
-    if not isinstance(values, list):
-        raise InstanceFormatError(path, "expected a list")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InstanceFormatError(f"{path}[{i}]", "expected an integer")
-        out.append(v)
-    return out
-
-
-def _rat_rows(rows, path):
-    if not isinstance(rows, list):
-        raise InstanceFormatError(path, "expected a list of rows")
-    return [_rat_list(row, f"{path}[{i}]") for i, row in enumerate(rows)]
-
-
-def _rat_matrix(rows, path):
-    if not isinstance(rows, list) or not rows:
-        raise InstanceFormatError(path, "expected a non-empty list of rows")
-    try:
-        return Matrix.from_rows(_rat_rows(rows, path))
-    except ValueError as exc:
-        raise InstanceFormatError(path, str(exc)) from exc
-
-
-def _nfold(data, path, parse_block):
-    """The blocks and b0 of an n-fold kind, each block parsed by parse_block."""
-    blocks = _need(data, "blocks", path)
-    if not isinstance(blocks, list) or not blocks:
-        raise InstanceFormatError(f"{path}.blocks", "expected a non-empty list")
-    built = []
-    for i, blk in enumerate(blocks):
-        bp = f"{path}.blocks[{i}]"
-        if not isinstance(blk, dict):
-            raise InstanceFormatError(bp, "expected an object")
-        built.append(parse_block(blk, bp))
-    return built, _rat_list(_need(data, "b0", path), f"{path}.b0")
-
-
-def _config_block(blk, bp):
-    configs = _need(blk, "configs", bp)
-    if not isinstance(configs, list):
-        raise InstanceFormatError(f"{bp}.configs", "expected a list")
-    return (
-        _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
-        [_int_list(cfg, f"{bp}.configs[{k}]") for k, cfg in enumerate(configs)],
-        _rat_list(_need(blk, "weights", bp), f"{bp}.weights"),
-    )
-
-
-def _nonneg_block(blk, bp):
-    return (
-        _rat_matrix(_need(blk, "A", bp), f"{bp}.A"),
-        _rat_matrix(_need(blk, "D", bp), f"{bp}.D"),
-        _rat_list(_need(blk, "bi", bp), f"{bp}.bi"),
-        _int_list(_need(blk, "u", bp), f"{bp}.u"),
-        _rat_list(_need(blk, "w", bp), f"{bp}.w"),
-    )
-
-
 def instance_from_dict(data, path="$"):
     if not isinstance(data, dict):
         raise InstanceFormatError(path, "expected an object")
     fmt = data.get("format")
     if type(fmt) is not int or fmt != 1:
         raise InstanceFormatError(f"{path}.format", "missing or unsupported format (need 1)")
-    kind = _need(data, "kind", path)
-    if kind == "general":
-        return GeneralIP.build(
-            _rat_matrix(_need(data, "H", path), f"{path}.H"),
-            _rat_list(_need(data, "b", path), f"{path}.b"),
-            _rat_list(_need(data, "w", path), f"{path}.w"),
-            _int_list(_need(data, "l", path), f"{path}.l"),
-            _int_list(_need(data, "u", path), f"{path}.u"),
-        )
-    if kind == "nfold_config":
-        return NFoldConfigInstance.build(*_nfold(data, path, _config_block))
-    if kind == "nfold_nonneg":
-        return NFoldNonnegInstance.build(*_nfold(data, path, _nonneg_block))
-    if kind == "scheduling":
-        costs = data.get("costs")  # optional; null means none
-        return SchedulingInstance.build(
-            _rat_rows(_need(data, "jobs", path), f"{path}.jobs"),
-            _rat(_need(data, "cmax", path), f"{path}.cmax"),
-            None if costs is None else _rat_rows(costs, f"{path}.costs"),
-        )
-    raise InstanceFormatError(f"{path}.kind", f"unknown kind {kind!r}")
-
-
-def _rows_json(rows):
-    return [[format_rat(v) for v in row] for row in rows]
-
-
-def _matrix_json(mat):
-    return _rows_json(mat.row(i) for i in range(mat.rows))
+    if "kind" not in data:
+        raise InstanceFormatError(f"{path}.kind", "missing field")
+    kind = data["kind"]
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InstanceFormatError(f"{path}.kind", f"unknown kind {kind!r}")
+    return _parse_fields(cls, data, path)
 
 
 def instance_to_dict(inst):
-    if isinstance(inst, GeneralIP):
-        return {
-            "format": 1,
-            "kind": "general",
-            "H": _matrix_json(inst.H),
-            "b": [format_rat(v) for v in inst.b],
-            "w": [format_rat(v) for v in inst.w],
-            "l": list(inst.l),
-            "u": list(inst.u),
-        }
-    if isinstance(inst, NFoldConfigInstance):
-        return {
-            "format": 1,
-            "kind": "nfold_config",
-            "blocks": [
-                {
-                    "D": _matrix_json(blk.D),
-                    "configs": [list(cfg) for cfg in blk.configs],
-                    "weights": [format_rat(v) for v in blk.weights],
-                }
-                for blk in inst.blocks
-            ],
-            "b0": [format_rat(v) for v in inst.b0],
-        }
-    if isinstance(inst, NFoldNonnegInstance):
-        return {
-            "format": 1,
-            "kind": "nfold_nonneg",
-            "blocks": [
-                {
-                    "A": _matrix_json(blk.A),
-                    "D": _matrix_json(blk.D),
-                    "bi": [format_rat(v) for v in blk.bi],
-                    "u": list(blk.u),
-                    "w": [format_rat(v) for v in blk.w],
-                }
-                for blk in inst.blocks
-            ],
-            "b0": [format_rat(v) for v in inst.b0],
-        }
-    if isinstance(inst, SchedulingInstance):
-        data = {
-            "format": 1,
-            "kind": "scheduling",
-            "jobs": _rows_json(inst.jobs),
-            "cmax": format_rat(inst.cmax),
-        }
-        if inst.costs is not None:
-            data["costs"] = _rows_json(inst.costs)
-        return data
-    raise TypeError(f"unsupported instance type {type(inst)!r}")
+    if type(inst) not in KINDS.values():
+        raise TypeError(f"unsupported instance type {type(inst)!r}")
+    return {"format": 1, "kind": inst.kind, **_dump_fields(inst)}
 
 
 def load_instance(path):

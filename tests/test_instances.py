@@ -221,3 +221,45 @@ def test_scheduling_format_errors_name_their_path():
     del base["cmax"]
     with pytest.raises(InstanceFormatError, match=r"\$\.cmax: missing field"):
         instance_from_dict(base)
+
+
+def test_build_rejects_non_integer_integer_fields():
+    # build once truncated these with int(): 0, 2, 1, 3 and 1
+    for bad in (Rat(1, 2), 2.7, True, "3"):
+        for field, bounds in (("l", ([bad], [2])), ("u", ([0], [bad]))):
+            with pytest.raises(InstanceFormatError, match=rf"^\$\.{field}\[0\]: expected an integer$"):
+                GeneralIP.build([[1]], [1], [1], *bounds)
+    config_entry = r"^\$\.blocks\[0\]\.configs\[0\]\[0\]: expected an integer$"
+    with pytest.raises(InstanceFormatError, match=config_entry):
+        NFoldConfigInstance.build([([[1]], [(1.9,)], [1])], [1])
+    with pytest.raises(InstanceFormatError, match=r"^\$\.blocks\[0\]\.u\[0\]: expected an integer$"):
+        NFoldNonnegInstance.build([([[1]], [[1]], [1], [True], [1])], [1])
+
+
+def test_build_accepts_what_a_file_accepts():
+    # tuples, a Matrix, and ints, Rats or "p/q" strings in rational fields;
+    # a bad rational is named by its path, as in a file
+    inst = GeneralIP.build(((1, "1/2"),), (Rat(3, 2),), [1, 1], (0, 0), [1, 1])
+    assert inst == instance_from_dict(instance_to_dict(inst))
+    assert GeneralIP.build(inst.H, inst.b, inst.w, inst.l, inst.u) == inst
+    with pytest.raises(InstanceFormatError, match=r"^\$\.w\[1\]: floating-point values"):
+        GeneralIP.build([[1, 2]], [1], [1, 0.5], [0, 0], [1, 1])
+    with pytest.raises(InstanceFormatError, match=r"^\$\.H: dimension mismatch: ragged rows$"):
+        GeneralIP.build([[1, 2], [3]], [1, 1], [1, 1], [0, 0], [1, 1])
+
+
+def test_blocks_must_be_non_empty():
+    for kind in ("nfold_config", "nfold_nonneg"):
+        with pytest.raises(InstanceFormatError, match=r"^\$\.blocks: expected a non-empty list$"):
+            instance_from_dict({"format": 1, "kind": kind, "blocks": [], "b0": ["1"]})
+    for cls in (NFoldConfigInstance, NFoldNonnegInstance):
+        with pytest.raises(InstanceFormatError, match=r"^\$\.blocks: expected a non-empty list$"):
+            cls.build([], [1])
+
+
+def test_dump_leaves_absent_costs_out():
+    inst = SchedulingInstance.build([[1, 2]], 2)
+    assert inst.costs is None
+    assert instance_to_dict(inst) == {
+        "format": 1, "kind": "scheduling", "jobs": [["1", "2"]], "cmax": "2"
+    }

@@ -57,6 +57,8 @@ _BOXES = "src/nearfeas/boxes.py"
 _NFOLD = "src/nearfeas/solver_nfold.py"
 _BB = "src/nearfeas/branch_bound.py"
 _ORACLE = "src/nearfeas/oracle.py"
+_INSTANCES = "src/nearfeas/instances.py"
+_PARSE_OUTCOMES = "tests/test_cli.py::test_single_fault_parse_outcomes_are_pinned"
 _ORACLE_TESTS = ("tests/test_oracle.py",)
 _WARM = (
     "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
@@ -113,13 +115,62 @@ MUTANTS = (
     ),
     Mutant(
         "format-accepts-true-and-float",
-        "src/nearfeas/instances.py",
+        _INSTANCES,
         "    if type(fmt) is not int or fmt != 1:\n",
         "    if fmt != 1:\n",
         (
             "tests/test_instances.py::test_format_field_required",
             "tests/test_cli.py::test_parse_error_names_path",
         ),
+    ),
+    # the instance field codecs
+    Mutant(
+        "int-codec-accepts-bool",
+        _INSTANCES,
+        "    if isinstance(value, bool) or not isinstance(value, int):\n",
+        "    if not isinstance(value, int):\n",
+        (
+            "tests/test_instances.py::test_build_rejects_non_integer_integer_fields",
+            _PARSE_OUTCOMES,
+        ),
+    ),
+    Mutant(
+        "required-null-read-as-absent",
+        _INSTANCES,
+        "        elif required or data[name] is not None:\n",
+        "        elif data[name] is not None:\n",
+        (_PARSE_OUTCOMES,),
+    ),
+    Mutant(
+        "costs-required",
+        _INSTANCES,
+        "    costs: object = _wire(_ROWS, default=None)",
+        "    costs: object = _wire(_ROWS)",
+        (
+            "tests/test_instances.py::test_scheduling_kind_parses_and_validates",
+            "tests/test_instances.py::test_dump_leaves_absent_costs_out",
+        ),
+    ),
+    Mutant(
+        "dump-writes-costs-null",
+        _INSTANCES,
+        "        if value is not None:\n            data[name] = dump(value)\n",
+        "        data[name] = None if value is None else dump(value)\n",
+        ("tests/test_instances.py::test_dump_leaves_absent_costs_out",),
+    ),
+    Mutant(
+        "kind-lookup-before-str-check",
+        _INSTANCES,
+        "    cls = KINDS.get(kind) if isinstance(kind, str) else None\n",
+        "    cls = KINDS.get(kind)\n",
+        (_PARSE_OUTCOMES,),
+    ),
+    Mutant(
+        "blocks-accept-an-empty-list",
+        _INSTANCES,
+        '"a non-empty list", nonempty=True)',
+        '"a non-empty list", nonempty=False)',
+        ("tests/test_instances.py::test_blocks_must_be_non_empty",),
     ),
     Mutant(
         "marginals-read-the-rounded-copy-twice",
