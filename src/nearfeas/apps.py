@@ -10,7 +10,8 @@ pre-scaled to integers, and decoders report in the original units.
 from dataclasses import dataclass
 
 from .errors import InvalidInstanceError
-from .instances import GeneralIP, NFoldConfigInstance, SchedulingInstance, validate_scheduling
+from .instances import GeneralIP, NFoldConfigInstance, SchedulingInstance
+from .instances import parse_int_rows, parse_ints, validate_scheduling
 from .rationals import ZERO, as_rat, common_denominator, scaled
 
 
@@ -18,16 +19,18 @@ def knapsack_to_general(profits, weights, capacities):
     """Multidimensional knapsack as a minimization instance (negated profits).
 
     weights is a list of m rows of n nonnegative integers, capacities m
-    nonnegative integers; returns (instance, decoder) where the decoder strips
-    the slack variables off a solution vector.
+    nonnegative integers; both pass the instance files' integer codec, so any
+    other value raises InstanceFormatError at its path (``$.weights[i][j]``,
+    ``$.capacities[i]``).  Returns (instance, decoder) where the decoder
+    strips the slack variables off a solution vector.
     """
     profits = [as_rat(v) for v in profits]
-    caps = [int(v) for v in capacities]
+    caps = list(parse_ints(capacities, "$.capacities"))
     m = len(caps)
     n = len(profits)
     if m < 1:
         raise ValueError("at least one capacity dimension is required")
-    rows = [list(map(int, row)) for row in weights]
+    rows = [list(row) for row in parse_int_rows(weights, "$.weights")]
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ValueError("dimension mismatch: weights")
     if any(v < 0 for row in rows for v in row) or any(c < 0 for c in caps) or any(

@@ -1,7 +1,7 @@
 """Hot kernels: simplex pivoting, fraction-free elimination, exact dot products.
 
-These loops dominate runtime.  They run as plain Python: the pivot and rank
-kernels over Python ints, ``dot`` over exact rationals.
+These loops dominate runtime.  They run as plain Python over Python ints
+(``dot`` also sums exact rationals when its vector holds them).
 """
 
 KERNEL_BACKEND = "pure"
@@ -101,13 +101,12 @@ def bareiss_rank(m):
     return rank
 
 
-def dot(a, b, zero):
-    """Exact dot product of two equal-length sequences."""
+def dot(row, x, zero):
+    """Exact dot product of a sparse row, its nonzeros as (column, value)
+    pairs (as in ``linalg.IntRows``), with the dense vector x."""
     acc = zero
-    for i in range(len(a)):
-        ai = a[i]
-        if ai:
-            bi = b[i]
-            if bi:
-                acc = acc + ai * bi
+    for j, a in row:
+        v = x[j]
+        if v:
+            acc += a * v
     return acc

@@ -4,7 +4,8 @@ Depth-first search over the integer-variable box with exact LP bounds from
 the simplex module; each node reads its vertex as integers over one
 denominator (``Tableau.vertex_numerators``), and pruning and branching
 compare those integers exactly, so the returned objective is the true
-mixed-integer optimum.  Rationals are built only for an incumbent.
+mixed-integer optimum.  The incumbent is kept in that form, and the
+``MixedSolution`` carries it: the one Rat built is the optimal objective.
 Branches on the integer variable whose relaxation value is farthest from an
 integer (ties to the smallest index), exploring the floor side first.
 
@@ -46,11 +47,19 @@ class MixedModel:
 
 @dataclass
 class MixedSolution:
+    """The optimum as integers: x_j is ``numerators[j] / den``, den > 0
+    (``numerators`` is None when infeasible); ``values`` builds the Rats."""
+
     status: MIPStatus
-    values: tuple | None
+    numerators: list | None
+    den: int
     objective_value: object
     nodes: int = 0
     lp_pivots: int = 0
+
+    @property
+    def values(self):
+        return None if self.numerators is None else tuple(Rat(v, self.den) for v in self.numerators)
 
 
 @dataclass
@@ -78,7 +87,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
     lp = model.lp
     int_vars = sorted(model.integer_vars)
     run = SolveStats()
-    best = None  # (objective numerator, its denominator, values)
+    best = None  # (cost, cost_den, values, den) of vertex_numerators
 
     # stack entries: (tableau, branched variable, its new bounds, depth); the
     # root carries no bound change and is solved cold
@@ -114,7 +123,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
                 branch_dist = dist
                 branch_var = k
         if branch_var < 0:
-            best = (cost, cost_den, tuple(Rat(v, den) for v in values))
+            best = (cost, cost_den, values, den)
             run.bb_incumbents += 1
             continue
 
@@ -130,7 +139,8 @@ def solve_mip(model, node_limit=10**6, stats=None):
         stats.bb_pruned += run.bb_pruned
         stats.bb_incumbents += run.bb_incumbents
         stats.bb_max_depth = max(stats.bb_max_depth, run.bb_max_depth)
+    counts = (run.bb_nodes, run.lp_pivots)
     if best is None:
-        return MixedSolution(MIPStatus.INFEASIBLE, None, None, run.bb_nodes, run.lp_pivots)
-    cost, cost_den, values = best
-    return MixedSolution(MIPStatus.OPTIMAL, values, Rat(cost, cost_den), run.bb_nodes, run.lp_pivots)
+        return MixedSolution(MIPStatus.INFEASIBLE, None, 1, None, *counts)
+    cost, cost_den, values, den = best
+    return MixedSolution(MIPStatus.OPTIMAL, values, den, Rat(cost, cost_den), *counts)

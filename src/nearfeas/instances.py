@@ -18,13 +18,15 @@ never supplied by the caller.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import ClassVar
 
+from .backend import dot
 from .errors import InstanceFormatError, InvalidInstanceError
 from .linalg import Matrix
-from .rationals import ONE, ZERO, as_rat, format_rat
+from .rationals import ONE, ZERO, Rat, as_rat, common_denominator, format_rat, scaled
 
 # ---------------------------------------------------------------------------
 # Field codecs
@@ -50,13 +52,21 @@ def _parse_int(value, path):
 
 def _seq(item, expected="a list", nonempty=False):
     """A JSON list (from Python, also a tuple) of ``item`` values, parsed to
-    a tuple."""
+    a tuple.  Items are parsed at path None, which names nothing; only once
+    one fails are they parsed again at their own paths, to name the first."""
     parse_item, dump_item = item
 
     def parse(values, path):
         if not isinstance(values, (list, tuple)) or (nonempty and not values):
             raise InstanceFormatError(path, f"expected {expected}")
-        return tuple([parse_item(v, f"{path}[{i}]") for i, v in enumerate(values)])
+        try:
+            return tuple([parse_item(v, None) for v in values])
+        except InstanceFormatError:
+            if path is None:
+                raise
+            for i, v in enumerate(values):
+                parse_item(v, f"{path}[{i}]")
+            raise
 
     return parse, lambda values: [dump_item(v) for v in values]
 
@@ -64,6 +74,8 @@ def _seq(item, expected="a list", nonempty=False):
 _RAT = (_parse_rat, format_rat)
 _RATS = _seq(_RAT)
 _INTS = _seq((_parse_int, int))
+parse_ints, _ = _INTS  # (values, path): a tuple of ints, or an error at its path
+parse_int_rows, _ = _seq(_INTS, "a list of rows")
 _ROWS = _seq(_RATS, "a list of rows")
 _parse_rows, _dump_rows = _seq(_RATS, "a non-empty list of rows", nonempty=True)
 
@@ -113,7 +125,7 @@ def _parse_fields(cls, data, path):
             if required:
                 raise InstanceFormatError(f"{path}.{name}", "missing field")
         elif required or data[name] is not None:
-            values[name] = parse(data[name], f"{path}.{name}")
+            values[name] = parse(data[name], path and f"{path}.{name}")
     return cls(**values)
 
 
@@ -275,16 +287,45 @@ class ViolationReport:
 
 
 def _report(mode, attained, reference, bound, objective):
-    residual = tuple(a - r for a, r in zip(attained, reference))
-    max_abs = max((abs(r) for r in residual), default=ZERO)
+    """Row values attained, as integer pairs (n, d) with d > 0, against the
+    reference: the window tests are integer; Rats are built for the fields."""
+    residual = []
+    top, top_den = 0, 1
+    within = True
+    if mode == MULTIPLICATIVE:
+        p, e = bound.numerator, bound.denominator
+    for (n, d), ref in zip(attained, reference):
+        q, r = ref.denominator, ref.numerator
+        num = n * q - r * d  # the residual times d * q
+        den = d * q
+        residual.append(Rat(num, den))
+        if abs(num) * top_den > top * den:
+            top, top_den = abs(num), den
+        if mode == MULTIPLICATIVE and within:
+            # (1 - eps) * ref <= n / d <= (1 + eps) * ref, times e * q * d
+            within = (e - p) * r * d <= e * n * q <= (e + p) * r * d
     if mode == ADDITIVE:
-        within = max_abs <= bound
-    else:
-        eps = bound
-        within = all(
-            (1 - eps) * r <= a <= (1 + eps) * r for a, r in zip(attained, reference)
-        )
-    return ViolationReport(mode, residual, max_abs, bound, within, objective)
+        within = top * bound.denominator <= bound.numerator * top_den
+    return ViolationReport(mode, tuple(residual), Rat(top, top_den), bound, within, objective)
+
+
+def _row_sums(mats, xs):
+    """Per row, sum_i mats[i] xs[i] as an integer pair (n, d), d > 0, the
+    lcm of the terms' row scales."""
+    forms = [mat.int_rows() for mat in mats]
+    if any(len(x) != f.cols for f, x in zip(forms, xs)):
+        raise ValueError("dimension mismatch in matrix-vector product")
+    out = []
+    for r in range(forms[0].rows):
+        terms = [(dot(f.nonzeros[r], x, 0), f.scales[r]) for f, x in zip(forms, xs)]
+        d = math.lcm(*(s for _, s in terms))
+        out.append((sum(n * (d // s) for n, s in terms), d))
+    return out
+
+
+def _cost(weights, x):
+    unit = common_denominator(weights)
+    return Rat(sum(scaled(w, unit) * v for w, v in zip(weights, x) if v), unit)
 
 
 def validate_general(inst):
@@ -314,11 +355,9 @@ def validate_config(inst):
     t = inst.blocks[0].D.cols
     if s < 1 or t < 1:
         problems.append("dimension mismatch: blocks must be at least 1x1")
-    delta = ZERO
     for i, blk in enumerate(inst.blocks):
         if blk.D.rows != s or blk.D.cols != t:
             problems.append(f"dimension mismatch: block {i} shape")
-        delta = max(delta, blk.D.inf_norm())
         if len(blk.weights) != t:
             problems.append(f"dimension mismatch: block {i} weights")
         for cfg in blk.configs:
@@ -327,7 +366,7 @@ def validate_config(inst):
                 break
     if len(inst.b0) != s:
         problems.append("dimension mismatch: b0")
-    return problems, delta
+    return problems, max(blk.D.inf_norm() for blk in inst.blocks)
 
 
 def validate_nonneg(inst):
@@ -338,13 +377,11 @@ def validate_nonneg(inst):
     t = inst.blocks[0].A.cols
     if sa < 1 or sd < 1 or t < 1:
         problems.append("dimension mismatch: blocks must be at least 1x1")
-    delta = ZERO
     for i, blk in enumerate(inst.blocks):
-        delta = max(delta, blk.D.inf_norm())
         if blk.A.rows != sa or blk.D.rows != sd or blk.A.cols != t or blk.D.cols != t:
             problems.append(f"dimension mismatch: block {i} shape")
             continue
-        if any(e < 0 for e in blk.A.entries) or any(e < 0 for e in blk.D.entries):
+        if any(a < 0 for mat in (blk.A, blk.D) for nz in mat.int_rows().nonzeros for _, a in nz):
             problems.append(f"negative entry in block {i}")
         if len(blk.bi) != sa or len(blk.u) != t or len(blk.w) != t:
             problems.append(f"dimension mismatch: block {i} vectors")
@@ -352,7 +389,7 @@ def validate_nonneg(inst):
             problems.append(f"negative upper bound in block {i}")
     if len(inst.b0) != sd:
         problems.append("dimension mismatch: b0")
-    return problems, delta
+    return problems, max(blk.D.inf_norm() for blk in inst.blocks)
 
 
 def validate_scheduling(inst):
@@ -396,41 +433,26 @@ def violation_report(inst, x, mode, bound, objective=None):
     if isinstance(inst, GeneralIP):
         if len(x) != inst.H.cols:
             raise ValueError("dimension mismatch: solution length")
-        attained = inst.H.matvec(x)
+        attained = _row_sums([inst.H], [x])
         reference = inst.b
-        if objective is None:
-            objective = sum((wv * xv for wv, xv in zip(inst.w, x)), ZERO)
-    elif isinstance(inst, NFoldConfigInstance):
+        weights, flat = inst.w, x
+    elif isinstance(inst, (NFoldConfigInstance, NFoldNonnegInstance)):
         if len(x) != len(inst.blocks):
             raise ValueError("dimension mismatch: block count")
-        total = [ZERO] * len(inst.b0)
-        obj = ZERO
-        for blk, xi in zip(inst.blocks, x):
-            contrib = blk.D.matvec(xi)
-            total = [a + c for a, c in zip(total, contrib)]
-            obj = obj + sum((wv * xv for wv, xv in zip(blk.weights, xi)), ZERO)
-        attained, reference = tuple(total), inst.b0
-        if objective is None:
-            objective = obj
-    elif isinstance(inst, NFoldNonnegInstance):
-        if len(x) != len(inst.blocks):
-            raise ValueError("dimension mismatch: block count")
-        total = [ZERO] * len(inst.b0)
-        attained = []
-        reference = []
-        obj = ZERO
-        for blk, xi in zip(inst.blocks, x):
-            contrib = blk.D.matvec(xi)
-            total = [a + c for a, c in zip(total, contrib)]
-            attained.extend(blk.A.matvec(xi))
-            reference.extend(blk.bi)
-            obj = obj + sum((wv * xv for wv, xv in zip(blk.w, xi)), ZERO)
-        attained = tuple(total) + tuple(attained)
-        reference = tuple(inst.b0) + tuple(reference)
-        if objective is None:
-            objective = obj
+        attained = _row_sums([blk.D for blk in inst.blocks], x)
+        reference = inst.b0
+        flat = [v for xi in x for v in xi]
+        if isinstance(inst, NFoldConfigInstance):
+            weights = [w for blk in inst.blocks for w in blk.weights]
+        else:
+            weights = [w for blk in inst.blocks for w in blk.w]
+            reference = [*reference, *(v for blk in inst.blocks for v in blk.bi)]
+            for blk, xi in zip(inst.blocks, x):
+                attained.extend(_row_sums([blk.A], [xi]))
     else:
         raise TypeError(f"unsupported instance type {type(inst)!r}")
+    if objective is None:
+        objective = _cost(weights, flat)
     return _report(mode, attained, reference, bound, objective)
 
 

@@ -3,13 +3,15 @@
 Matrices are immutable row-major tuples of exact rationals.  Rank never sees
 a float: rows are scaled to integers (rank-preserving) and reduced by
 fraction-free Bareiss elimination, which keeps intermediate growth bounded.
-An LP's constraint rows are ``IntRows``, integers over one scale per row.
+An LP's constraint rows are ``IntRows``, integers over one scale per row; a
+``Matrix`` keeps that form of itself, and its products and norm are integer
+sums and comparisons over it.
 """
 
 from typing import NamedTuple
 
 from .backend import bareiss_rank, dot
-from .rationals import ZERO, as_rat, common_denominator, scaled
+from .rationals import Rat, as_rat, integer_row
 
 
 class IntRows(NamedTuple):
@@ -25,9 +27,10 @@ class IntRows(NamedTuple):
 
 
 class Matrix:
-    """Immutable rows x cols rational matrix, entries row-major."""
+    """Immutable rows x cols rational matrix, entries row-major; its
+    ``IntRows`` form, built on first use, takes no part in equality."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(entries)
@@ -36,6 +39,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -59,13 +63,30 @@ class Matrix:
     def column(self, j):
         return self.entries[j :: self.cols] if self.cols else ()
 
+    def int_rows(self):
+        """The matrix as ``IntRows``, built on the first call and kept."""
+        if self._ints is None:
+            rows = [integer_row(self.row(i)) for i in range(self.rows)]
+            nonzeros = [[(j, a) for j, a in enumerate(ints) if a] for _, ints in rows]
+            form = IntRows(self.rows, self.cols, nonzeros, [s for s, _ in rows])
+            object.__setattr__(self, "_ints", form)
+        return self._ints
+
     def inf_norm(self):
-        return max((abs(e) for e in self.entries), default=ZERO)
+        """The largest |entry|, found by integer cross products."""
+        form, top, den = self.int_rows(), 0, 1
+        for nz, s in zip(form.nonzeros, form.scales):
+            a = max([abs(v) for _, v in nz], default=0)
+            if a * den > top * s:
+                top, den = a, s
+        return Rat(top, den)
 
     def matvec(self, x):
+        """The product with x: an integer sum per row, one Rat per row."""
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(dot(self.row(i), x, ZERO) for i in range(self.rows))
+        form = self.int_rows()
+        return tuple(Rat(dot(nz, x, 0), s) for nz, s in zip(form.nonzeros, form.scales))
 
     def __eq__(self, other):
         return (
@@ -87,12 +108,7 @@ def rank_exact(mat):
     common denominator (rank is unchanged) before the elimination."""
     if mat.rows == 0 or mat.cols == 0:
         return 0
-    rows = []
-    for i in range(mat.rows):
-        row = mat.row(i)
-        L = common_denominator(row)
-        rows.append([scaled(e, L) for e in row])
-    return bareiss_rank(rows)
+    return bareiss_rank([integer_row(mat.row(i))[1] for i in range(mat.rows)])
 
 
 def is_nonsingular(mat):

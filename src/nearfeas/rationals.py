@@ -3,15 +3,16 @@
 Everything numeric in this package is an exact rational; no floating point
 ever enters a computation.  ``Rat`` is the scalar constructor,
 ``fractions.Fraction``: values stay in lowest terms with a positive
-denominator and print as "p/q" (or "p" for integers).  The simplex does not
-use it between reading an LP and returning its vertex (the tableau, bounds
-and values are integer, see ``simplex``); model data, solutions and reports
-do.
+denominator and print as "p/q" (or "p" for integers).  It holds parsed
+instance data, LP inputs and reported fields; the layers between work on
+ints: the tableau, a matrix's ``int_rows``, residuals, the mixed optimum's
+numerators and the roundings.
 
 This module owns both crossings of that boundary.  ``as_rat`` is the one
 coercion into ``Rat`` (a ``Rat`` passes through unchanged, so coercing
-exact data costs nothing); ``common_denominator`` and ``scaled`` are the one
-way any layer (the simplex, the box grid, exact rank, the oracle, the
+exact data costs nothing); ``common_denominator`` and ``scaled``, and
+``integer_row`` for both at once, are the one way any layer (the simplex,
+the box grid, exact rank, a matrix's integer rows, the oracle, the
 scheduling reduction) turns rationals into integers over a shared scale.
 """
 
@@ -76,6 +77,14 @@ def common_denominator(values):
 def scaled(v, L):
     """L * v as an int; L must be a multiple of v's denominator."""
     return v.numerator * (L // v.denominator)
+
+
+def integer_row(values):
+    """``(L, ints)``: L is ``common_denominator(values)`` and ints lists
+    ``scaled(v, L)`` for every v, read in one pass."""
+    pairs = [v.as_integer_ratio() for v in values]
+    L = math.lcm(*[d for _, d in pairs])
+    return L, [n * (L // d) for n, d in pairs]
 
 
 def is_integral(value):

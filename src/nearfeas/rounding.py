@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
 from .linalg import IntRows
-from .rationals import ZERO, is_integral, rat_floor
+from .rationals import is_integral
 from .simplex import LinearProgram, LPStatus, solve_lp_vertex
 
 
@@ -25,22 +25,20 @@ class GroupRoundingPlan:
     gamma: int
 
     @classmethod
-    def build(cls, entries):
-        """entries: iterable of (key, value, weight) for one group."""
+    def build(cls, entries, den):
+        """entries: iterable of (key, value numerator, weight) for one group,
+        each value being its numerator over the positive int ``den``; floors
+        and fractional parts come from ``divmod``."""
         fractional = []
         for key, value, weight in entries:
-            if not is_integral(value):
-                fl = rat_floor(value)
-                fractional.append((weight, key, fl, value - fl))
+            fl, f = divmod(value, den)
+            if f:
+                fractional.append((weight, key, fl, f))
         fractional.sort(key=lambda e: (e[0], e[1]))
-        gamma = sum((e[3] for e in fractional), ZERO)
-        if not is_integral(gamma):
+        gamma, rest = divmod(sum(e[3] for e in fractional), den)
+        if rest:
             raise PipelineInvariantError("group fractional mass is not an integer")
-        return cls(
-            tuple(e[1] for e in fractional),
-            tuple(e[2] for e in fractional),
-            int(gamma),
-        )
+        return cls(tuple(e[1] for e in fractional), tuple(e[2] for e in fractional), gamma)
 
 
 def greedy_group_round(plan):

@@ -10,7 +10,8 @@ are an optimal vertex of the LP at fixed counts (``fix_counts_lp``; few
 fractional entries survive by the two-part rank argument); they are
 integralized by an exact re-solve over the totally unimodular bipartite
 restriction.  Nonnegative n-fold case 2 runs the same selection stage,
-``select_columns``.
+``select_columns``, which checks the optimum's numerators and integer costs;
+its Rats are the selection's cost and the restriction's right marginals.
 
 The coupling rows carry slack columns bounded per row by the permitted
 violation; slack-bounded infeasibility is therefore independent of the box
@@ -22,15 +23,15 @@ cost-minimal selection and its exact violation.  Structural infeasibility
 
 from dataclasses import dataclass
 
+from .backend import dot
 from .boxes import coupled_model, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
-from .rationals import ONE, ZERO, is_integral
+from .rationals import ONE, ZERO, Rat, common_denominator, scaled
 from .results import ApproxResult, SolveStatus
 from .rounding import AssignmentRestriction, tu_round
-from .simplex import nonintegral_support
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,15 @@ def normalize_configs(inst):
 
 
 def value_columns(D, weights, vectors):
-    """The matrix whose column phi is D v_phi, and the exact costs w.v_phi."""
-    cols = [D.matvec(v) for v in vectors]
-    mat = Matrix(D.rows, len(cols), [col[r] for r in range(D.rows) for col in cols])
-    return mat, tuple(sum((wv * v for wv, v in zip(weights, vec)), ZERO) for vec in vectors)
+    """The matrix whose column phi is D v_phi, and the exact costs w.v_phi.
+    Both are integer sums, over ``D.int_rows()`` and over the weights'
+    common denominator; a Rat is built only for each result."""
+    form = D.int_rows()
+    unit = common_denominator(weights)
+    w = [scaled(v, unit) for v in weights]
+    entries = [Rat(dot(nz, v, 0), s) for nz, s in zip(form.nonzeros, form.scales) for v in vectors]
+    costs = tuple(Rat(sum(a * b for a, b in zip(w, v) if b), unit) for v in vectors)
+    return Matrix(D.rows, len(vectors), entries), costs
 
 
 def build_mip4(norm, part, slack_bounds):
@@ -77,21 +83,19 @@ def build_mip4(norm, part, slack_bounds):
 
 def fix_counts_lp(model, mixed_sol):
     """The optimal vertex of the fixed-count LP (z, with every other column
-    pinned at the mixed optimum): the optimum's own z, which come first.
-    ``solve_mip`` branches only on counts; see ``solver_general.restrict_lp2``."""
-    return mixed_sol.values[: model.z[-1].stop]
+    pinned at the mixed optimum): the optimum's own z, which come first, as
+    numerators over ``mixed_sol.den``.  ``solve_mip`` branches only on
+    counts; see ``solver_general.restrict_lp2``."""
+    return mixed_sol.numerators[: model.z[-1].stop]
 
 
-def build_restriction(model, values):
-    """Bipartite restriction over the fractional selection entries."""
+def build_restriction(model, values, den):
+    """Bipartite restriction over the fractional selection entries, for
+    ``values`` the selections' numerators over ``den``."""
     part = model.config_part
     block_type = {i: key for key, members in part.type_groups.items() for i in members}
-    frac = [
-        (i, phi)
-        for i, cols in enumerate(model.z)
-        for phi, j in enumerate(cols)
-        if not is_integral(values[j])
-    ]
+    frac = [(i, phi) for i, cols in enumerate(model.z)
+            for phi, j in enumerate(cols) if values[j] % den]
     if not frac:
         return None
     blocks = sorted({i for i, _ in frac})
@@ -99,22 +103,13 @@ def build_restriction(model, values):
     left_index = {i: r for r, i in enumerate(blocks)}
     right_index = {p: r for r, p in enumerate(pairs)}
 
-    left_rhs = []
-    for i in blocks:
-        acc = ONE
-        for j in model.z[i]:
-            v = values[j]
-            if is_integral(v) and v:
-                acc = acc - v
-        left_rhs.append(acc)
-    right_rhs = []
-    for key, phi in pairs:
-        acc = ZERO
-        for i in part.type_groups[key]:
-            v = values[model.z[i][phi]]
-            if not is_integral(v):
-                acc = acc + v
-        right_rhs.append(acc)
+    # a block's left marginal is 1 less its integral selections; a pair's
+    # right marginal is the mass of its fractional ones
+    left_rhs = [1 - sum(v // den for j in model.z[i] if not (v := values[j]) % den) for i in blocks]
+    right_rhs = [
+        Rat(sum(v for i in part.type_groups[key] if (v := values[model.z[i][phi]]) % den), den)
+        for key, phi in pairs
+    ]
 
     return AssignmentRestriction(
         tuple(frac),
@@ -126,14 +121,14 @@ def build_restriction(model, values):
     )
 
 
-def _selection_from_values(model, selected):
+def _selection_from_values(model, selected, den):
     """Per-block selected column; exactly one per block after rounding."""
     chosen = []
     for i, cols in enumerate(model.z):
         picks = []
         for phi, j in enumerate(cols):
             v = selected[j]
-            if v == 1:
+            if v == den:
                 picks.append(phi)
             elif v != 0:
                 raise PipelineInvariantError("selection entry not 0/1 after rounding")
@@ -151,10 +146,14 @@ def select_columns(model, mixed_sol, stats, trace):
     fractional for s coupling rows, tau the widest block; its bipartite
     restriction is made integral by an exact TU re-solve, and each block is
     decoded to its one selected column.  Returns the columns and their exact
-    cost, which is at most the cost of the unrounded selections.
+    cost, which is at most the cost of the unrounded selections.  Selections
+    stay numerators over the optimum's denominator and costs integers over
+    their common denominator, so every check is an integer comparison; the
+    cost is the one Rat.
     """
     values = fix_counts_lp(model, mixed_sol)
-    support = nonintegral_support(values)
+    den = mixed_sol.den
+    support = frozenset(j for j, v in enumerate(values) if v % den)
     s = len(model.coupling)
     tau = max(len(cols) for cols in model.z)
     if len(support) > s * (2 * tau + 1):
@@ -166,29 +165,27 @@ def select_columns(model, mixed_sol, stats, trace):
             (model, mixed_sol.values, _type_submatrices(model, support))
         )
 
-    # the selection values with the TU rounding applied
+    # the selection numerators with the TU rounding applied
     selected = list(values)
-    restriction = build_restriction(model, values)
+    restriction = build_restriction(model, values, den)
     if restriction is not None:
         rounded = tu_round(restriction, stats=stats)
         for (i, phi), v in rounded.items():
-            selected[model.z[i][phi]] = v
+            selected[model.z[i][phi]] = v * den
         _check_marginals(model, values, selected)
         if trace is not None:
-            frac_obj = sum(
-                (
-                    model.config_costs[i][phi] * values[model.z[i][phi]]
-                    for i, phi in restriction.keys
-                ),
-                ZERO,
-            )
-            trace.tu_calls.append((restriction, frac_obj, rounded))
+            costs, z = model.config_costs, model.z
+            frac_obj = sum((costs[i][phi] * values[z[i][phi]] for i, phi in restriction.keys), ZERO)
+            trace.tu_calls.append((restriction, frac_obj / den, rounded))
 
-    chosen = _selection_from_values(model, selected)
-    cost = sum((model.config_costs[i][phi] for i, phi in enumerate(chosen)), ZERO)
-    if cost > sum((c * v for c, v in zip(model.mixed.lp.objective, values)), ZERO):
+    chosen = _selection_from_values(model, selected, den)
+    costs = model.mixed.lp.objective[: len(values)]
+    unit = common_denominator(costs)
+    weights = [scaled(c, unit) for c in costs]
+    cost = sum(weights[model.z[i][phi]] for i, phi in enumerate(chosen))
+    if cost * den > sum(w * v for w, v in zip(weights, values) if v):
         raise PipelineInvariantError("objective chain violated")
-    return chosen, cost
+    return chosen, Rat(cost, unit)
 
 
 def _attempt(norm, delta, slack_bounds, params, stats, trace):
@@ -207,10 +204,12 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
 
 
 def _check_marginals(model, values, selected):
+    """Each type's selections of each column sum to the same numerator
+    before and after the rounding."""
     for members in model.config_part.type_groups.values():
         for phi in range(len(model.z[members[0]])):
-            before = sum((values[model.z[i][phi]] for i in members), ZERO)
-            after = sum((selected[model.z[i][phi]] for i in members), ZERO)
+            before = sum(values[model.z[i][phi]] for i in members)
+            after = sum(selected[model.z[i][phi]] for i in members)
             if before != after:
                 raise PipelineInvariantError("type marginal not conserved by rounding")
 
@@ -220,12 +219,7 @@ def _type_submatrices(model, support):
     selection entries (rank is bounded by twice the type's width)."""
     out = []
     for members in model.config_part.type_groups.values():
-        frac = [
-            (i, phi)
-            for i in members
-            for phi, j in enumerate(model.z[i])
-            if j in support
-        ]
+        frac = [(i, phi) for i in members for phi, j in enumerate(model.z[i]) if j in support]
         if not frac:
             continue
         rows = len(members) + len(model.z[members[0]])
@@ -240,15 +234,10 @@ def _type_submatrices(model, support):
 
 def _free_bounds(norm):
     """Slack bounds large enough never to bind (best-effort diagnostics)."""
-    inst = norm.inst
-    s = len(inst.b0)
-    bounds = []
-    for r in range(s):
-        reach = abs(inst.b0[r]) + 1
-        for mat in norm.value_mats:
-            reach = reach + max((abs(v) for v in mat.row(r)), default=ZERO)
-        bounds.append(reach)
-    return tuple(bounds)
+    return tuple(
+        abs(b) + 1 + sum((max(map(abs, mat.row(r)), default=ZERO) for mat in norm.value_mats), ZERO)
+        for r, b in enumerate(norm.inst.b0)
+    )
 
 
 def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
@@ -265,13 +254,9 @@ def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
     t = inst.blocks[0].D.cols
     kappa = max(inst.kappa(), 1)
     tau = norm.tau
-    delta0 = (
-        params.delta_override
-        if params.delta_override is not None
-        else params.epsilon / (s * (2 * tau + 1) * kappa * t)
-    )
-
-    delta = delta0
+    delta = params.delta_override
+    if delta is None:
+        delta = params.epsilon / (s * (2 * tau + 1) * kappa * t)
     for refinement in range(params.refinement_limit + 1):
         attempt = _attempt(norm, delta, violation_bounds, params, stats, trace)
         if attempt is None:
@@ -283,21 +268,13 @@ def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
             x, objective = fallback
             report = violation_report(inst, x, ADDITIVE, report_bound, objective)
             return ApproxResult(
-                SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE,
-                x,
-                objective,
-                report,
-                delta,
-                refinement,
-                stats,
+                SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE, x, objective, report, delta,
+                refinement, stats,
             )
         x, objective = attempt
         report = violation_report(inst, x, ADDITIVE, report_bound, objective)
-        residual = report.residual
-        if all(abs(r) <= b for r, b in zip(residual, violation_bounds)):
-            return ApproxResult(
-                SolveStatus.OK, x, objective, report, delta, refinement, stats
-            )
+        if all(abs(r) <= b for r, b in zip(report.residual, violation_bounds)):
+            return ApproxResult(SolveStatus.OK, x, objective, report, delta, refinement, stats)
         delta = delta / 2
     raise RefinementLimitExceeded(
         f"violation bound not met after {params.refinement_limit} refinements"
@@ -310,6 +287,4 @@ def solve_nfold_config(inst, params, trace=None):
     if problems:
         raise InvalidInstanceError(problems)
     bound = params.epsilon * delta_inf
-    return solve_config_core(
-        inst, params, tuple(bound for _ in inst.b0), trace=trace
-    )
+    return solve_config_core(inst, params, tuple(bound for _ in inst.b0), trace=trace)

@@ -8,8 +8,9 @@ basic optimal solution, whose continuous part already is an optimal vertex
 of the LP with the group sums pinned (``restrict_lp2``), so at most 2m of
 its variables are fractional; they are rounded greedily within their
 groups.  That rounding stage, ``round_within_groups``, also rounds the minor
-variables of nonnegative n-fold case 2.  A final exact check against the
-permitted violation drives the halve-and-retry refinement of the box width.
+variables of nonnegative n-fold case 2; it reads the optimum's numerators
+and integer costs, and its one Rat is the rounded cost.  A final exact check
+against the permitted violation drives the halve-and-retry refinement.
 
 The coupling rows carry slack columns bounded by the permitted violation, so
 instances without exactly-feasible integer points still yield near-feasible
@@ -21,10 +22,9 @@ from .boxes import coupled_model, partition_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
 from .instances import ADDITIVE, validate_general, violation_report
-from .rationals import ZERO
+from .rationals import Rat, common_denominator, scaled
 from .results import ApproxResult, SolveStatus
 from .rounding import GroupRoundingPlan, greedy_group_round
-from .simplex import nonintegral_support
 
 
 def build_mip1(inst, part, slack_bound):
@@ -37,14 +37,15 @@ def build_mip1(inst, part, slack_bound):
 
 def restrict_lp2(model, mixed_sol):
     """The optimal vertex of LP2, the LP over the grouped variables x with
-    every other column pinned at the mixed optimum: that optimum's own x.
+    every other column pinned at the mixed optimum: that optimum's own x, as
+    numerators over ``mixed_sol.den``.
 
     ``solve_mip`` returns a basic optimal solution of its last LP and never
     branches on x, so its x part is a vertex of LP2 (a vertex of a polytope
     that lies in a slice is a vertex of the slice; A. Schrijver, *Theory of
     Linear and Integer Programming*, 1986, ch. 8), and an optimal one, since
     a cheaper x would give a cheaper mixed solution."""
-    return mixed_sol.values[model.x.start : model.x.stop]
+    return mixed_sol.numerators[model.x.start : model.x.stop]
 
 
 def round_within_groups(model, mixed_sol, trace):
@@ -56,33 +57,35 @@ def round_within_groups(model, mixed_sol, trace):
     m coupling rows; each group's fractional members are rounded greedily,
     which conserves the group sum.  Returns the rounded values, in the
     column order of ``model.part``, and their exact cost, which is at most
-    the cost of the unrounded values.
+    the cost of the unrounded values.  Values stay numerators over the
+    optimum's denominator and costs integers over their common denominator,
+    so every check is an integer comparison; the cost is the one Rat.
     """
     vertex = restrict_lp2(model, mixed_sol)
+    den = mixed_sol.den
     m = len(model.coupling)
-    support = len(nonintegral_support(vertex))
+    support = sum(1 for v in vertex if v % den)
     if support > 2 * m:
         raise PipelineInvariantError(f"fractional support {support} exceeds 2m={2 * m}")
     if trace is not None:
         trace.grouped_optima.append((model, mixed_sol.values))
 
     costs = model.mixed.lp.objective[model.x.start : model.x.stop]
-    values = list(vertex)
+    unit = common_denominator(costs)
+    weights = [scaled(c, unit) for c in costs]
+    x = [v // den for v in vertex]
     for members in model.part.groups.values():
-        plan = GroupRoundingPlan.build((j, values[j], costs[j]) for j in members)
+        plan = GroupRoundingPlan.build(((j, vertex[j], weights[j]) for j in members), den)
         if trace is not None:
             trace.group_plans.append(plan)
         for j, v in greedy_group_round(plan).items():
-            values[j] = v
-        before = sum((vertex[j] for j in members), ZERO)
-        after = sum((values[j] for j in members), ZERO)
-        if before != after:
+            x[j] = v
+        if sum(vertex[j] for j in members) != den * sum(x[j] for j in members):
             raise PipelineInvariantError("group sum not conserved by rounding")
-    x = tuple(int(v) for v in values)
-    cost = sum((c * v for c, v in zip(costs, x)), ZERO)
-    if cost > sum((c * v for c, v in zip(costs, vertex)), ZERO):
+    cost = sum(w * v for w, v in zip(weights, x))
+    if cost * den > sum(w * v for w, v in zip(weights, vertex)):
         raise PipelineInvariantError("objective chain violated")
-    return x, cost
+    return tuple(x), Rat(cost, unit)
 
 
 def solve_general(inst, params, trace=None):

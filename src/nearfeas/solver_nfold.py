@@ -27,18 +27,9 @@ from dataclasses import dataclass
 
 from .boxes import coupled_model, partition_columns, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
-from .errors import (
-    EnumerationCapExceeded,
-    InvalidInstanceError,
-    PipelineInvariantError,
-    RefinementLimitExceeded,
-)
-from .instances import (
-    MULTIPLICATIVE,
-    NFoldConfigInstance,
-    validate_nonneg,
-    violation_report,
-)
+from .errors import EnumerationCapExceeded, InvalidInstanceError
+from .errors import PipelineInvariantError, RefinementLimitExceeded
+from .instances import MULTIPLICATIVE, NFoldConfigInstance, validate_nonneg, violation_report
 from .linalg import Matrix
 from .rationals import ONE, ZERO, rat_ceil
 from .results import ApproxResult, SolveStatus
@@ -70,31 +61,14 @@ def normalize_blocks(inst):
     (then no nonnegative x can satisfy even the relaxed local constraints)."""
     out = []
     for idx, blk in enumerate(inst.blocks):
-        t = blk.A.cols
-        fixed = set()
-        surviving = []
-        for h in range(blk.A.rows):
-            bh = blk.bi[h]
-            if bh == 0:
-                row = blk.A.row(h)
-                nz = [j for j in range(t) if row[j]]
-                fixed.update(nz)  # zero right-hand side forces these to 0
-            elif bh < 0:
-                return None
-            else:
-                surviving.append(h)
-        entries = []
-        for h in surviving:
-            bh = blk.bi[h]
-            entries.extend(v / bh for v in blk.A.row(h))
-        out.append(
-            ScaledBlock(
-                idx,
-                blk,
-                Matrix(len(surviving), t, entries),
-                frozenset(fixed),
-            )
-        )
+        if any(bh < 0 for bh in blk.bi):
+            return None
+        rows = [(blk.A.row(h), bh) for h, bh in enumerate(blk.bi)]
+        # a zero right-hand side forces the row's nonzero columns to 0
+        fixed = frozenset(j for row, bh in rows if bh == 0 for j, v in enumerate(row) if v)
+        scaled = [[v / bh for v in row] for row, bh in rows if bh]
+        entries = [v for row in scaled for v in row]
+        out.append(ScaledBlock(idx, blk, Matrix(len(scaled), blk.A.cols, entries), fixed))
     return out
 
 
@@ -137,22 +111,26 @@ def enumerate_major_configs(sblock, split, window, cap):
     """All integer major vectors with the scaled-and-lambda'd local sums inside
     the window on every surviving row, in lexicographic order.
 
-    The scaled columns are nonnegative, so a partial sum above the window's
-    top stays above it for larger values; the cap fails loudly.
+    The sums are integers over each row's scale s in ``sblock.A.int_rows()``,
+    so the window is the integer bounds ceil(lo * s) and floor(hi * s) per
+    row.  The scaled columns are nonnegative, so a partial sum above the
+    window's top stays above it for larger values; the cap fails loudly.
     """
     t = sblock.A.cols
-    rows = sblock.A.rows
+    form = sblock.A.int_rows()
     lo, hi = window
-    cols = []
-    for j in range(t):
-        lam = split.lambdas[j]
-        cols.append(tuple(lam * v for v in sblock.A.column(j)))
+    lows = [-(-lo.numerator * s // lo.denominator) for s in form.scales]
+    highs = [hi.numerator * s // hi.denominator for s in form.scales]
+    cols = [[0] * form.rows for _ in range(t)]
+    for h, nz in enumerate(form.nonzeros):
+        for j, a in nz:
+            cols[j][h] = split.lambdas[j] * a
     out = []
     x = [0] * t
 
     def rec(rec, j, acc):  # passed in: a closure over itself would be a cycle
         if j == t:
-            if all(a >= lo for a in acc):
+            if all(a >= low for a, low in zip(acc, lows)):
                 out.append(tuple(x))
                 if len(out) > cap:
                     raise EnumerationCapExceeded(
@@ -164,12 +142,12 @@ def enumerate_major_configs(sblock, split, window, cap):
             x[j] = v
             if v:
                 acc = [a + c for a, c in zip(acc, col)]
-                if any(a > hi for a in acc):
+                if any(a > high for a, high in zip(acc, highs)):
                     break
             rec(rec, j + 1, acc)
         x[j] = 0
 
-    rec(rec, 0, [ZERO] * rows)
+    rec(rec, 0, [0] * form.rows)
     return tuple(out)
 
 
@@ -203,22 +181,17 @@ def build_mip6(inst, sblocks, splits, majors, delta1, delta2, slack_bounds, epsi
             if split.kinds[j] == SMALL and split.minor_ub[j] > 0:
                 minor_keys.append((sb.index, j))
                 minor_ub.append(split.minor_ub[j])
-        # exact smallness check: the whole minor range stays under eps/2
-        for h in range(sb.A.rows):
-            row = sb.A.row(h)
-            reach = sum(
-                (row[j] * split.minor_ub[j] for j in range(sb.A.cols) if split.kinds[j] == SMALL),
-                ZERO,
-            )
-            if reach > epsilon / 2:
+        # exact smallness check: the whole minor range (only small columns
+        # have one) stays under eps/2, in integers over each row's scale s
+        form = sb.A.int_rows()
+        for nz, s in zip(form.nonzeros, form.scales):
+            reach = sum(a * split.minor_ub[j] for j, a in nz)
+            if 2 * reach * epsilon.denominator > epsilon.numerator * s:
                 raise PipelineInvariantError("minor part exceeds eps/2 on a local row")
     minor_keys = tuple(minor_keys)
     grouped = None
     if minor_keys:
-        entries = []
-        for r in range(sd):
-            for (i, j) in minor_keys:
-                entries.append(inst.blocks[i].D.at(r, j))
+        entries = [inst.blocks[i].D.at(r, j) for r in range(sd) for i, j in minor_keys]
         minor_part = partition_columns(Matrix(sd, len(minor_keys), entries), delta2)
         costs = tuple(inst.blocks[i].w[j] for i, j in minor_keys)
         grouped = (minor_part, (ZERO,) * len(minor_keys), tuple(minor_ub), costs)
@@ -272,15 +245,9 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
             notes=("case1", "a block has no exact local solutions"),
         )
     cfg_inst = NFoldConfigInstance.build(
-        [
-            (blk.D, cfgs, blk.w)
-            for blk, cfgs in zip(inst.blocks, config_lists)
-        ],
-        inst.b0,
+        [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, config_lists)], inst.b0
     )
-    bounds = tuple(
-        min(eps * delta_cfg, eps * b) if b > 0 else ZERO for b in inst.b0
-    )
+    bounds = tuple(min(eps * delta_cfg, eps * b) if b > 0 else ZERO for b in inst.b0)
     delegate = solve_config_core(cfg_inst, params, bounds, stats=stats, trace=trace)
     if delegate.status != SolveStatus.OK:
         delegate.notes = ("case1",) + delegate.notes
@@ -289,14 +256,8 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
     if not report.within_bound:
         raise PipelineInvariantError("delegated solution escaped the multiplicative bound")
     return ApproxResult(
-        SolveStatus.OK,
-        delegate.x,
-        delegate.objective,
-        report,
-        delegate.delta_used,
-        delegate.refinements,
-        stats,
-        notes=("case1",),
+        SolveStatus.OK, delegate.x, delegate.objective, report, delegate.delta_used,
+        delegate.refinements, stats, notes=("case1",),
     )
 
 
@@ -366,13 +327,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
         report = violation_report(inst, x, MULTIPLICATIVE, eps)
         if report.within_bound:
             return ApproxResult(
-                SolveStatus.OK,
-                x,
-                report.objective,
-                report,
-                delta1,
-                refinement,
-                stats,
+                SolveStatus.OK, x, report.objective, report, delta1, refinement, stats,
                 notes=("case2",),
             )
         delta1 = delta1 / 2

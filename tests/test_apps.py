@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nearfeas.apps import gap_to_config, knapsack_to_general, scheduling_to_config
-from nearfeas.errors import InvalidInstanceError
+from nearfeas.errors import InstanceFormatError, InvalidInstanceError
 from nearfeas.instances import ApproxParams
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
@@ -131,6 +131,21 @@ def test_knapsack_rejects_bad_data():
         knapsack_to_general([1], [[-1]], [2])
     with pytest.raises(ValueError):
         knapsack_to_general([1], [[1], [1]], [2])
+
+
+def test_knapsack_integer_data_passes_the_integer_codec():
+    # no value is truncated: each raises at its path, as in an instance file
+    for weights, capacities, path in (
+        ([[1.5]], [2], "$.weights[0][0]"),
+        ([[True]], [2], "$.weights[0][0]"),
+        ([[1]], ["3"], "$.capacities[0]"),
+        ([[1]], [2.7], "$.capacities[0]"),
+        ([[1]], [Rat(5, 2)], "$.capacities[0]"),
+        ([[1], 2], [2, 2], "$.weights[1]"),
+    ):
+        with pytest.raises(InstanceFormatError) as exc:
+            knapsack_to_general([1], weights, capacities)
+        assert exc.value.path == path
 
 
 def test_scheduling_rejects_bad_data():

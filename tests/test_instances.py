@@ -1,7 +1,9 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas.errors import InstanceFormatError
 from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
@@ -76,6 +78,122 @@ def test_violation_report_deterministic_exact():
     a = violation_report(inst, (1, 1, 1), ADDITIVE, Rat(1))
     b = violation_report(inst, (1, 1, 1), ADDITIVE, Rat(1))
     assert a == b
+
+
+# rationals with mixed denominators, negative entries and zeros
+_RATS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5]))
+
+
+def _fraction_rows(mat):
+    return [mat.row(i) for i in range(mat.rows)]
+
+
+def _fraction_product(rows, x):
+    return [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+
+
+def _reference_report(inst, x, mode, bound):
+    """Residuals, max |residual|, the window test and w.x, each computed
+    with plain Fraction arithmetic on the unrelaxed constraints."""
+    if isinstance(inst, GeneralIP):
+        attained = _fraction_product(_fraction_rows(inst.H), x)
+        reference = list(inst.b)
+        pairs = list(zip(inst.w, x))
+    else:
+        weights = [blk.weights if isinstance(inst, NFoldConfigInstance) else blk.w for blk in inst.blocks]
+        attained = [Fraction(0)] * len(inst.b0)
+        for blk, xi in zip(inst.blocks, x):
+            attained = [a + c for a, c in zip(attained, _fraction_product(_fraction_rows(blk.D), xi))]
+        reference = list(inst.b0)
+        if isinstance(inst, NFoldNonnegInstance):
+            for blk, xi in zip(inst.blocks, x):
+                attained += _fraction_product(_fraction_rows(blk.A), xi)
+                reference += list(blk.bi)
+        pairs = [(w, v) for ws, xi in zip(weights, x) for w, v in zip(ws, xi)]
+    residual = tuple(a - r for a, r in zip(attained, reference))
+    top = max((abs(r) for r in residual), default=Fraction(0))
+    if mode == ADDITIVE:
+        within = top <= bound
+    else:
+        within = all((1 - bound) * r <= a <= (1 + bound) * r for a, r in zip(attained, reference))
+    return residual, top, within, sum((w * v for w, v in pairs), Fraction(0))
+
+
+_FACTORS = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(4, 5), Fraction(6, 5), Fraction(2)]
+
+
+@st.composite
+def _instances_and_candidates(draw):
+    """An instance of any kind with rational data (negative entries allowed:
+    the report does not validate), an integer candidate, and targets near
+    the candidate's row values, so that both window outcomes occur."""
+    kind = draw(st.sampled_from(["general", "nfold_config", "nfold_nonneg"]))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+
+    def vec(k):
+        return draw(st.lists(_RATS, min_size=k, max_size=k))
+
+    def mat(r):
+        return [vec(cols) for _ in range(r)]
+
+    def ints(k):
+        return draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+
+    def near(values):
+        # each target is a value times a factor near 1, or (unless every
+        # target must be near) any small rational
+        close = draw(st.booleans())
+        out = []
+        for v in values:
+            if close or draw(st.booleans()):
+                out.append(v * draw(st.sampled_from(_FACTORS)))
+            else:
+                out.append(draw(_RATS))
+        return out
+
+    if kind == "general":
+        H = mat(rows)
+        x = ints(cols)
+        inst = GeneralIP.build(H, near(_fraction_product(H, x)), vec(cols), [-3] * cols, [3] * cols)
+    else:
+        blocks = []
+        x = []
+        coupling = [Fraction(0)] * rows
+        for _ in range(draw(st.integers(1, 3))):
+            D = mat(rows)
+            xi = ints(cols)
+            x.append(tuple(xi))
+            coupling = [a + c for a, c in zip(coupling, _fraction_product(D, xi))]
+            if kind == "nfold_config":
+                blocks.append((D, [tuple(xi)], vec(cols)))
+            else:
+                A = mat(rows)
+                blocks.append((A, D, near(_fraction_product(A, xi)), [3] * cols, vec(cols)))
+        cls = NFoldConfigInstance if kind == "nfold_config" else NFoldNonnegInstance
+        inst = cls.build(blocks, near(coupling))
+        x = tuple(x)
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    bound = draw(st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 5])))
+    return inst, x, mode, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances_and_candidates())
+def test_violation_report_matches_a_fraction_reference(case):
+    inst, x, mode, bound = case
+    report = violation_report(inst, x, mode, bound)
+    residual, top, within, objective = _reference_report(inst, x, mode, bound)
+    assert report.mode == mode and report.bound == bound
+    assert report.residual == residual
+    assert report.max_abs_residual == top
+    assert report.within_bound == within
+    assert report.objective == objective
+    assert violation_report(inst, x, mode, bound, objective=7).objective == 7
+    # the validator's Delta reads the same integer rows
+    mats = [inst.H] if isinstance(inst, GeneralIP) else [blk.D for blk in inst.blocks]
+    entries = [abs(a) for mat in mats for row in _fraction_rows(mat) for a in row]
+    assert validate(inst)[1] == max(entries)
 
 
 def test_params_epsilon_range():

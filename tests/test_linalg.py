@@ -122,3 +122,37 @@ def test_inf_norm_and_matvec():
     assert m.matvec((Rat(2), Rat(1))) == (Rat(-2), Rat(2))
     with pytest.raises(ValueError):
         m.matvec((Rat(1),))
+
+
+# rationals with mixed denominators, negative entries and zeros
+_RATS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+
+
+@st.composite
+def _rational_matrix_and_vector(draw):
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    rows = [draw(st.lists(_RATS, min_size=n, max_size=n)) for _ in range(m)]
+    x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return Matrix(m, n, [v for row in rows for v in row]), rows, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrix_and_vector())
+def test_integer_rows_match_a_fraction_reference(case):
+    """matvec, inf_norm and the kept integer rows agree with plain Fraction
+    arithmetic on the entries."""
+    mat, rows, x = case
+    expected = tuple(sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows)
+    assert mat.matvec(x) == expected
+    assert mat.matvec(x) == expected  # the kept form reads the same again
+    assert mat.inf_norm() == max((abs(a) for row in rows for a in row), default=Fraction(0))
+    form = mat.int_rows()
+    assert (form.rows, form.cols) == (mat.rows, mat.cols)
+    for row, nz, s in zip(rows, form.nonzeros, form.scales):
+        # s is the least scale that makes the row integral
+        assert s == min(k for k in range(1, 85) if all((a * k).denominator == 1 for a in row))
+        assert nz == [(j, int(a * s)) for j, a in enumerate(row) if a]
+    # the kept form is no part of equality or hashing
+    fresh = Matrix(mat.rows, mat.cols, mat.entries)
+    assert fresh == mat and hash(fresh) == hash(mat)

@@ -6,6 +6,7 @@ from nearfeas.rationals import (
     as_rat,
     common_denominator,
     format_rat,
+    integer_row,
     is_integral,
     parse_rat,
     rat_ceil,
@@ -80,6 +81,14 @@ def test_scaled_by_the_common_denominator_is_exact(values):
     for p in range(2, min(L, 1000) + 1):
         if L % p == 0:
             assert any((v * (L // p)).denominator != 1 for v in values)
+
+
+@given(st.lists(st.one_of(st.fractions(max_denominator=10**4), st.integers(-50, 50)), max_size=8))
+def test_integer_row_is_the_common_denominator_and_the_scaled_values(values):
+    L, ints = integer_row(values)
+    assert L == common_denominator(values)
+    assert ints == [scaled(v, L) for v in values]
+    assert all(type(a) is int for a in ints)
 
 
 def test_floor_ceil_are_ints():

@@ -15,9 +15,8 @@ from nearfeas.rationals import Rat
 
 
 def test_greedy_rounds_cheapest_up():
-    plan = GroupRoundingPlan.build(
-        [(0, Rat(1, 2), Rat(1)), (1, Rat(7, 10), Rat(2)), (2, Rat(4, 5), Rat(3))]
-    )
+    # values 1/2, 7/10 and 4/5 as numerators over 10
+    plan = GroupRoundingPlan.build([(0, 5, Rat(1)), (1, 7, Rat(2)), (2, 8, Rat(3))], 10)
     assert plan.gamma == 2
     out = greedy_group_round(plan)
     assert out == {0: 1, 1: 1, 2: 0}
@@ -26,20 +25,20 @@ def test_greedy_rounds_cheapest_up():
 
 
 def test_greedy_all_integral_unchanged():
-    plan = GroupRoundingPlan.build([(0, Rat(2), Rat(1)), (1, Rat(0), Rat(5))])
+    plan = GroupRoundingPlan.build([(0, 2, Rat(1)), (1, 0, Rat(5))], 1)
     assert plan.gamma == 0
     assert greedy_group_round(plan) == {}
 
 
 def test_greedy_weight_order():
-    plan = GroupRoundingPlan.build([(0, Rat(1, 2), Rat(2)), (1, Rat(1, 2), Rat(1))])
+    plan = GroupRoundingPlan.build([(0, 1, Rat(2)), (1, 1, Rat(1))], 2)
     assert plan.gamma == 1
     assert greedy_group_round(plan) == {1: 1, 0: 0}
 
 
 def test_greedy_nonintegral_gamma_is_loud():
     with pytest.raises(PipelineInvariantError):
-        GroupRoundingPlan.build([(0, Rat(1, 3), Rat(1))])
+        GroupRoundingPlan.build([(0, 1, Rat(1))], 3)
 
 
 def test_greedy_is_optimal_among_sum_preserving_roundings():
@@ -59,7 +58,8 @@ def test_greedy_is_optimal_among_sum_preserving_roundings():
                     break
         weights = [Fraction(rng.randint(-3, 3)) for _ in range(len(fracs))]
         entries = [(i, Fraction(rng.randint(0, 2)) + f, w) for i, (f, w) in enumerate(zip(fracs, weights))]
-        plan = GroupRoundingPlan.build(entries)
+        # every value is a multiple of 1/4
+        plan = GroupRoundingPlan.build([(i, int(v * 4), w) for i, v, w in entries], 4)
         out = greedy_group_round(plan)
         got = sum(w * out[i] for i, v, w in entries)
         # brute force over all sum-preserving up/down choices

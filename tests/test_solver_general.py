@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas.boxes import partition_columns
 from nearfeas.branch_bound import MIPStatus, MixedSolution, solve_mip
@@ -52,10 +55,11 @@ def test_round_within_groups_rejects_wide_fractional_support():
     inst = GeneralIP.build([[2, 3, 5]], [10], [1, 1, 1], [0, 0, 0], [3, 3, 2])
     part = partition_columns(inst.H, Rat(1, 10))
     model = build_mip1(inst, part, slack_bound=Rat(1))
-    values = [Rat(0)] * model.mixed.lp.matrix.cols
+    # every grouped entry 1/2: numerators over 2
+    numerators = [0] * model.mixed.lp.matrix.cols
     for j in model.x:
-        values[j] = Rat(1, 2)
-    mixed = MixedSolution(MIPStatus.OPTIMAL, tuple(values), Rat(0))
+        numerators[j] = 1
+    mixed = MixedSolution(MIPStatus.OPTIMAL, numerators, 2, Rat(0))
     with pytest.raises(PipelineInvariantError, match="exceeds 2m=2"):
         round_within_groups(model, mixed, None)
 
@@ -145,3 +149,76 @@ def test_refinement_limit_loud():
         assert res.report.within_bound
     except RefinementLimitExceeded:
         pass
+
+
+def _reference_round_within_groups(model, values):
+    """The grouped rounding over plain Fractions: the floor and fractional
+    part of each entry, the group's fractional mass, the gamma cheapest
+    members rounded up, and the cost of the result."""
+    vertex = values[model.x.start : model.x.stop]
+    m = len(model.coupling)
+    support = sum(1 for v in vertex if v.denominator != 1)
+    if support > 2 * m:
+        raise PipelineInvariantError(f"fractional support {support} exceeds 2m={2 * m}")
+    costs = model.mixed.lp.objective[model.x.start : model.x.stop]
+    out = list(vertex)
+    for members in model.part.groups.values():
+        fractional = sorted(
+            (costs[j], j, math.floor(vertex[j])) for j in members if vertex[j].denominator != 1
+        )
+        gamma = sum((vertex[j] - fl for _, j, fl in fractional), Fraction(0))
+        if gamma.denominator != 1:
+            raise PipelineInvariantError("group fractional mass is not an integer")
+        for pos, (_, j, fl) in enumerate(fractional):
+            out[j] = fl + (1 if pos < gamma else 0)
+    x = tuple(int(v) for v in out)
+    return x, sum((c * v for c, v in zip(costs, x)), Fraction(0))
+
+
+_GROUP_RATS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _grouped_optima(draw):
+    """A general model and a candidate grouped part over a random positive
+    denominator: mostly integral entries, each group's mass made integral
+    unless the case is a corrupted one."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    H = [draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) for _ in range(m)]
+    w = draw(st.lists(_GROUP_RATS, min_size=n, max_size=n))
+    inst = GeneralIP.build(H, [1] * m, w, [0] * n, [4] * n)
+    part = partition_columns(inst.H, draw(st.sampled_from([Rat(1), Rat(1, 2)])))
+    model = build_mip1(inst, part, slack_bound=Rat(1))
+    den = draw(st.integers(2, 6))
+    numerators = [0] * model.mixed.lp.matrix.cols
+    for j in model.x:
+        fraction = draw(st.integers(1, den - 1)) if draw(st.booleans()) else 0
+        numerators[j] = draw(st.integers(0, 3)) * den + fraction
+    if not draw(st.integers(0, 4)) == 0:  # balance each group's mass
+        for members in part.groups.values():
+            last = model.x.start + members[-1]
+            numerators[last] += -sum(numerators[model.x.start + j] for j in members) % den
+    return model, numerators, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grouped_optima())
+def test_integer_group_rounding_matches_a_fraction_reference(case):
+    """Same x and cost as plain Fraction rounding, and the same
+    PipelineInvariantError when the support is too wide or a group's mass is
+    not integral."""
+    model, numerators, den = case
+    mixed = MixedSolution(MIPStatus.OPTIMAL, numerators, den, Rat(0))
+    try:
+        expected = _reference_round_within_groups(model, mixed.values)
+    except PipelineInvariantError as exc:
+        with pytest.raises(PipelineInvariantError) as got:
+            round_within_groups(model, mixed, None)
+        assert str(got.value) == str(exc)
+        return
+    x, cost = round_within_groups(model, mixed, None)
+    assert (x, cost) == expected
+    # the rounded cost never exceeds the unrounded one
+    costs = model.mixed.lp.objective[model.x.start : model.x.stop]
+    assert cost <= sum((c * v for c, v in zip(costs, mixed.values[model.x.start :])), Fraction(0))

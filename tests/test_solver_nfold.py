@@ -1,7 +1,10 @@
 import gc
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas.errors import EnumerationCapExceeded
 from nearfeas.generate import gen_nonneg
@@ -105,6 +108,53 @@ def test_enumeration_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_WINDOW_ENDS = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6, 8]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda rows: st.integers(1, 3).flatmap(
+            lambda t: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 5])),
+                        min_size=t,
+                        max_size=t,
+                    ),
+                    min_size=rows,
+                    max_size=rows,
+                ),
+                st.lists(st.integers(0, 4), min_size=t, max_size=t),
+                st.lists(st.integers(1, 3), min_size=rows, max_size=rows),
+            )
+        )
+    ),
+    st.sampled_from([Rat(1, 8), Rat(1, 4), Rat(1, 2)]),
+    _WINDOW_ENDS,
+    _WINDOW_ENDS,
+)
+def test_enumeration_window_matches_a_fraction_reference(data, psi, a, b):
+    """The integer window bounds per row select exactly the major vectors
+    whose lambda-scaled local sums, in plain Fractions, lie in the window."""
+    A, u, bi = data
+    lo, hi = min(a, b) / 4, max(a, b) / 4
+    t = len(u)
+    inst = _inst([(A, [[1] * t], bi, u, [1] * t)], [1])
+    (sb,) = normalize_blocks(inst)
+    split = classify_and_split(sb, psi)
+    rows = [sb.A.row(h) for h in range(sb.A.rows)]
+    expected = tuple(
+        point
+        for point in itertools.product(*(range(ub + 1) for ub in split.major_ub))
+        if all(
+            lo <= sum((lam * v * p for lam, v, p in zip(split.lambdas, row, point)), Fraction(0)) <= hi
+            for row in rows
+        )
+    )
+    assert enumerate_major_configs(sb, split, (lo, hi), 10**6) == expected
 
 
 def test_enumerate_exact_window_matches_direct():

@@ -59,6 +59,13 @@ _BB = "src/nearfeas/branch_bound.py"
 _ORACLE = "src/nearfeas/oracle.py"
 _INSTANCES = "src/nearfeas/instances.py"
 _PARSE_OUTCOMES = "tests/test_cli.py::test_single_fault_parse_outcomes_are_pinned"
+_GENERAL = "src/nearfeas/solver_general.py"
+_CONFIG = "src/nearfeas/solver_config.py"
+_DIGESTS = "tests/test_report_digests.py::test_reports_match_the_pinned_digests"
+_INT_ROWS = "tests/test_linalg.py::test_integer_rows_match_a_fraction_reference"
+_REPORT = "tests/test_instances.py::test_violation_report_matches_a_fraction_reference"
+_GROUPS = "tests/test_solver_general.py::test_integer_group_rounding_matches_a_fraction_reference"
+_WINDOW = "tests/test_solver_nfold.py::test_enumeration_window_matches_a_fraction_reference"
 _ORACLE_TESTS = ("tests/test_oracle.py",)
 _WARM = (
     "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
@@ -173,10 +180,88 @@ MUTANTS = (
         ("tests/test_instances.py::test_blocks_must_be_non_empty",),
     ),
     Mutant(
+        "item-parsed-again-at-its-list-path",
+        _INSTANCES,
+        '                parse_item(v, f"{path}[{i}]")\n',
+        "                parse_item(v, path)\n",
+        (_PARSE_OUTCOMES,),
+    ),
+    Mutant(
+        "knapsack-capacities-truncated",
+        "src/nearfeas/apps.py",
+        'caps = list(parse_ints(capacities, "$.capacities"))',
+        "caps = [int(v) for v in capacities]",
+        ("tests/test_apps.py::test_knapsack_integer_data_passes_the_integer_codec",),
+    ),
+    # integer rows, reports and roundings
+    Mutant(
+        "inf-norm-compares-numerators-only",
+        "src/nearfeas/linalg.py",
+        "            if a * den > top * s:\n",
+        "            if a > top:\n",
+        (_INT_ROWS, _REPORT),
+    ),
+    Mutant(
+        "residual-sign-flipped",
+        _INSTANCES,
+        "        num = n * q - r * d  # the residual times d * q\n",
+        "        num = r * d - n * q  # the residual times d * q\n",
+        (_REPORT, "tests/test_instances.py::test_violation_report_examples"),
+    ),
+    Mutant(
+        "multiplicative-top-without-the-row-scale",
+        _INSTANCES,
+        "e * n * q <= (e + p) * r * d",
+        "e * n * q <= (e + p) * r",
+        (_REPORT,),
+    ),
+    Mutant(
+        "group-mass-not-checked",
+        "src/nearfeas/rounding.py",
+        "        gamma, rest = divmod(sum(e[3] for e in fractional), den)\n",
+        "        gamma, rest = sum(e[3] for e in fractional) // den, 0\n",
+        ("tests/test_rounding.py::test_greedy_nonintegral_gamma_is_loud", _GROUPS),
+    ),
+    Mutant(
+        "group-sum-compared-without-den",
+        _GENERAL,
+        "!= den * sum(x[j] for j in members):",
+        "!= sum(x[j] for j in members):",
+        (_GROUPS,),
+    ),
+    Mutant(
+        "group-objective-chain-without-den",
+        _GENERAL,
+        "    if cost * den > sum(w * v for w, v in zip(weights, vertex)):\n",
+        "    if cost > sum(w * v for w, v in zip(weights, vertex)):\n",
+        (_GROUPS,),
+    ),
+    Mutant(
+        "selection-objective-chain-without-den",
+        _CONFIG,
+        "    if cost * den > sum(w * v for w, v in zip(weights, values) if v):\n",
+        "    if cost > sum(w * v for w, v in zip(weights, values) if v):\n",
+        (_DIGESTS,),
+    ),
+    Mutant(
+        "window-top-rounded-up",
+        _NFOLD,
+        "highs = [hi.numerator * s // hi.denominator for s in form.scales]",
+        "highs = [-(-hi.numerator * s // hi.denominator) for s in form.scales]",
+        (_WINDOW,),
+    ),
+    Mutant(
+        "window-bottom-rounded-down",
+        _NFOLD,
+        "lows = [-(-lo.numerator * s // lo.denominator) for s in form.scales]",
+        "lows = [lo.numerator * s // lo.denominator for s in form.scales]",
+        (_WINDOW,),
+    ),
+    Mutant(
         "marginals-read-the-rounded-copy-twice",
-        "src/nearfeas/solver_config.py",
-        "before = sum((values[model.z[i][phi]] for i in members), ZERO)",
-        "before = sum((selected[model.z[i][phi]] for i in members), ZERO)",
+        _CONFIG,
+        "before = sum(values[model.z[i][phi]] for i in members)",
+        "before = sum(selected[model.z[i][phi]] for i in members)",
         ("tests/test_solver_config.py::test_a_rounding_that_moves_type_mass_is_rejected",),
     ),
     # the simplex and its kernel
