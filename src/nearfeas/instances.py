@@ -251,6 +251,10 @@ class ApproxParams:
         if kw.get("delta_override") is not None:
             kw["delta_override"] = as_rat(kw["delta_override"])
         params = cls(eps, **kw)
+        for name in ("refinement_limit", "node_limit", "config_cap"):
+            value = getattr(params, name)
+            if isinstance(value, bool) or not isinstance(value, int):  # as ``_parse_int``
+                raise InvalidInstanceError([f"{name} must be an integer"])
         problems = []
         if params.refinement_limit < 0:
             problems.append("refinement_limit must be nonnegative")

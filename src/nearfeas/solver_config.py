@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from .backend import dot
 from .boxes import coupled_model, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
-from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
+from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
 from .rationals import ONE, ZERO, Rat, common_denominator, scaled
-from .results import ApproxResult, SolveStatus
+from .results import ApproxResult, SolveStatus, refine
 from .rounding import AssignmentRestriction, tu_round
 
 
@@ -240,14 +240,13 @@ def _free_bounds(norm):
     )
 
 
-def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
-    """Shared driver: per-row violation bounds decide acceptance; the attached
+def solve_config_core(inst, params, violation_bounds, stats, trace=None):
+    """Shared core: per-row violation bounds decide acceptance; the attached
     report uses the uniform additive bound max(violation_bounds).  inst must
     pass ``validate_config``: its callers validate, or build it valid."""
     norm = normalize_configs(inst)
-    stats = stats if stats is not None else SolveStats()
     if norm is None:
-        return ApproxResult(SolveStatus.INFEASIBLE, None, None, None, None, 0, stats)
+        return ApproxResult(SolveStatus.INFEASIBLE, stats=stats)
 
     report_bound = max(violation_bounds) if violation_bounds else ZERO
     s = len(inst.b0)
@@ -257,28 +256,25 @@ def solve_config_core(inst, params, violation_bounds, stats=None, trace=None):
     delta = params.delta_override
     if delta is None:
         delta = params.epsilon / (s * (2 * tau + 1) * kappa * t)
-    for refinement in range(params.refinement_limit + 1):
-        attempt = _attempt(norm, delta, violation_bounds, params, stats, trace)
-        if attempt is None:
+
+    def attempt(delta):
+        status = SolveStatus.OK
+        found = _attempt(norm, delta, violation_bounds, params, stats, trace)
+        if found is None:
             # No selection satisfies the per-row bounds, at any width: report
             # the best-effort coupling-free optimum and its exact violation.
-            fallback = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
-            if fallback is None:
+            status = SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE
+            found = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
+            if found is None:
                 raise PipelineInvariantError("coupling-free model cannot be infeasible")
-            x, objective = fallback
-            report = violation_report(inst, x, ADDITIVE, report_bound, objective)
-            return ApproxResult(
-                SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE, x, objective, report, delta,
-                refinement, stats,
-            )
-        x, objective = attempt
+        x, objective = found
         report = violation_report(inst, x, ADDITIVE, report_bound, objective)
-        if all(abs(r) <= b for r, b in zip(report.residual, violation_bounds)):
-            return ApproxResult(SolveStatus.OK, x, objective, report, delta, refinement, stats)
-        delta = delta / 2
-    raise RefinementLimitExceeded(
-        f"violation bound not met after {params.refinement_limit} refinements"
-    )
+        within = all(abs(r) <= b for r, b in zip(report.residual, violation_bounds))
+        if within or status != SolveStatus.OK:
+            return ApproxResult(status, x, objective, report, delta, stats=stats)
+        return None
+
+    return refine(attempt, delta, params.refinement_limit)
 
 
 def solve_nfold_config(inst, params, trace=None):
@@ -287,4 +283,4 @@ def solve_nfold_config(inst, params, trace=None):
     if problems:
         raise InvalidInstanceError(problems)
     bound = params.epsilon * delta_inf
-    return solve_config_core(inst, params, tuple(bound for _ in inst.b0), trace=trace)
+    return solve_config_core(inst, params, tuple(bound for _ in inst.b0), SolveStats(), trace)

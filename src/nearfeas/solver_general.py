@@ -9,8 +9,8 @@ of the LP with the group sums pinned (``restrict_lp2``), so at most 2m of
 its variables are fractional; they are rounded greedily within their
 groups.  That rounding stage, ``round_within_groups``, also rounds the minor
 variables of nonnegative n-fold case 2; it reads the optimum's numerators
-and integer costs, and its one Rat is the rounded cost.  A final exact check
-against the permitted violation drives the halve-and-retry refinement.
+and integer costs, and its one Rat is the rounded cost.  ``results.refine``
+halves the width, up to its limit, until the exact violation check passes.
 
 The coupling rows carry slack columns bounded by the permitted violation, so
 instances without exactly-feasible integer points still yield near-feasible
@@ -20,10 +20,10 @@ set admits an integer point (which certifies the original as infeasible).
 
 from .boxes import coupled_model, partition_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
-from .errors import InvalidInstanceError, PipelineInvariantError, RefinementLimitExceeded
+from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_general, violation_report
 from .rationals import Rat, common_denominator, scaled
-from .results import ApproxResult, SolveStatus
+from .results import ApproxResult, SolveStatus, refine
 from .rounding import GroupRoundingPlan, greedy_group_round
 
 
@@ -97,23 +97,17 @@ def solve_general(inst, params, trace=None):
     bound = eps * delta_inf
     stats = SolveStats()
 
-    delta = params.delta_override if params.delta_override is not None else eps / (2 * m)
-    for refinement in range(params.refinement_limit + 1):
+    def attempt(delta):
         part = partition_columns(inst.H, delta)
         model = build_mip1(inst, part, slack_bound=bound)
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
         if mixed.status == MIPStatus.INFEASIBLE:
-            return ApproxResult(
-                SolveStatus.INFEASIBLE, None, None, None, part.delta, refinement, stats
-            )
-
+            return ApproxResult(SolveStatus.INFEASIBLE, delta_used=part.delta, stats=stats)
         x, objective = round_within_groups(model, mixed, trace)
         report = violation_report(inst, x, ADDITIVE, bound, objective)
         if report.within_bound:
-            return ApproxResult(
-                SolveStatus.OK, x, objective, report, part.delta, refinement, stats
-            )
-        delta = delta / 2
-    raise RefinementLimitExceeded(
-        f"violation bound not met after {params.refinement_limit} refinements"
-    )
+            return ApproxResult(SolveStatus.OK, x, objective, report, part.delta, stats=stats)
+        return None
+
+    delta = params.delta_override if params.delta_override is not None else eps / (2 * m)
+    return refine(attempt, delta, params.refinement_limit)

@@ -18,21 +18,21 @@ upper bound by less than lambda; clamping repairs it with a local effect
 below eps/2 per block.
 
 Every acceptance decision is an exact post-hoc check of the multiplicative
-guarantee on the original unscaled data; on failure the box widths are
-halved, and psi too whenever clamping contributed, which drives the model
-toward the clamp-free all-big regime.
+guarantee on the original unscaled data.  On failure ``results.refine``,
+which owns the halving and the refinement limit, halves both box widths
+together; psi is halved too at the start of the attempt after a clamped
+failure, which drives the model toward the clamp-free all-big regime.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boxes import coupled_model, partition_columns, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
-from .errors import EnumerationCapExceeded, InvalidInstanceError
-from .errors import PipelineInvariantError, RefinementLimitExceeded
+from .errors import EnumerationCapExceeded, InvalidInstanceError, PipelineInvariantError
 from .instances import MULTIPLICATIVE, NFoldConfigInstance, validate_nonneg, violation_report
 from .linalg import Matrix
 from .rationals import ONE, ZERO, rat_ceil
-from .results import ApproxResult, SolveStatus
+from .results import ApproxResult, SolveStatus, refine
 from .solver_config import select_columns, solve_config_core, value_columns
 from .solver_general import round_within_groups
 
@@ -222,7 +222,7 @@ def solve_nfold(inst, params, trace=None):
 
     sblocks = normalize_blocks(inst)
     if sblocks is None:
-        return ApproxResult(SolveStatus.INFEASIBLE, None, None, None, None, 0, stats)
+        return ApproxResult(SolveStatus.INFEASIBLE, stats=stats)
 
     t = inst.blocks[0].A.cols
     psi = eps / (4 * t)
@@ -241,24 +241,20 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
     config_lists = _major_configs(sblocks, splits, (ONE, ONE), params.config_cap)
     if config_lists is None:
         return ApproxResult(
-            SolveStatus.INFEASIBLE, None, None, None, None, 0, stats,
+            SolveStatus.INFEASIBLE, stats=stats,
             notes=("case1", "a block has no exact local solutions"),
         )
     cfg_inst = NFoldConfigInstance.build(
         [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, config_lists)], inst.b0
     )
     bounds = tuple(min(eps * delta_cfg, eps * b) if b > 0 else ZERO for b in inst.b0)
-    delegate = solve_config_core(cfg_inst, params, bounds, stats=stats, trace=trace)
+    delegate = solve_config_core(cfg_inst, params, bounds, stats, trace)
     if delegate.status != SolveStatus.OK:
-        delegate.notes = ("case1",) + delegate.notes
-        return delegate
+        return replace(delegate, notes=("case1",) + delegate.notes)
     report = violation_report(inst, delegate.x, MULTIPLICATIVE, eps, delegate.objective)
     if not report.within_bound:
         raise PipelineInvariantError("delegated solution escaped the multiplicative bound")
-    return ApproxResult(
-        SolveStatus.OK, delegate.x, delegate.objective, report, delegate.delta_used,
-        delegate.refinements, stats, notes=("case1",),
-    )
+    return replace(delegate, report=report, notes=("case1",))
 
 
 def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
@@ -272,7 +268,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
     config_lists = _major_configs(sblocks, splits, window, params.config_cap)
     if config_lists is None:
         return ApproxResult(
-            SolveStatus.INFEASIBLE, None, None, None, None, 0, stats,
+            SolveStatus.INFEASIBLE, stats=stats,
             notes=("case2", "a block has no major configurations in the window"),
         )
     tau = max(len(c) for c in config_lists)
@@ -287,16 +283,30 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
         nu1 = max(ONE, scale1 / b_min)
         delta1 = eps / (4 * sd * (2 * tau + 1) * nu1)
         delta2 = eps / (8 * sd)
+    ratio = delta2 / delta1
+    clamped = ()
 
-    for refinement in range(params.refinement_limit + 1):
+    def attempt(delta1):
+        nonlocal psi, splits, config_lists, majors, clamped
+        if clamped:
+            # clamping is width-independent; shrinking psi turns small columns
+            # big and removes the overshoot source entirely
+            psi = psi / 2
+            splits = [classify_and_split(sb, psi) for sb in sblocks]
+            config_lists = _major_configs(sblocks, splits, window, params.config_cap)
+            if config_lists is None:
+                return ApproxResult(
+                    SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats,
+                    notes=("case2", "no major configurations after psi refinement"),
+                )
+            majors = major_values(sblocks, splits, config_lists)
         model, minor_keys = build_mip6(
-            inst, sblocks, splits, majors, delta1, delta2, slack_bounds, eps
+            inst, sblocks, splits, majors, delta1, delta1 * ratio, slack_bounds, eps
         )
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
         if mixed.status == MIPStatus.INFEASIBLE:
             return ApproxResult(
-                SolveStatus.INFEASIBLE, None, None, None, delta1, refinement, stats,
-                notes=("case2",),
+                SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats, notes=("case2",)
             )
 
         chosen, sel_cost = select_columns(model, mixed, stats, trace)
@@ -327,23 +337,8 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
         report = violation_report(inst, x, MULTIPLICATIVE, eps)
         if report.within_bound:
             return ApproxResult(
-                SolveStatus.OK, x, report.objective, report, delta1, refinement, stats,
-                notes=("case2",),
+                SolveStatus.OK, x, report.objective, report, delta1, stats=stats, notes=("case2",)
             )
-        delta1 = delta1 / 2
-        delta2 = delta2 / 2
-        if clamped:
-            # clamping is width-independent; shrinking psi turns small columns
-            # big and removes the overshoot source entirely
-            psi = psi / 2
-            splits = [classify_and_split(sb, psi) for sb in sblocks]
-            config_lists = _major_configs(sblocks, splits, window, params.config_cap)
-            if config_lists is None:
-                return ApproxResult(
-                    SolveStatus.INFEASIBLE, None, None, None, delta1, refinement, stats,
-                    notes=("case2", "no major configurations after psi refinement"),
-                )
-            majors = major_values(sblocks, splits, config_lists)
-    raise RefinementLimitExceeded(
-        f"violation bound not met after {params.refinement_limit} refinements"
-    )
+        return None
+
+    return refine(attempt, delta1, params.refinement_limit)

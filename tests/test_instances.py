@@ -216,6 +216,14 @@ def test_params_reject_limits_that_admit_no_search():
     assert (p.node_limit, p.config_cap, p.refinement_limit) == (1, 1, 0)
 
 
+def test_params_reject_limits_that_are_not_integers():
+    # the rule of the instance files' integer codec: no bools, floats or strings
+    for name in ("refinement_limit", "node_limit", "config_cap"):
+        for value in (True, 1.5, 3.0, "3"):
+            with pytest.raises(InvalidInstanceError, match=f"^{name} must be an integer$"):
+                ApproxParams.build(Rat(1, 2), **{name: value})
+
+
 def _roundtrip(inst):
     return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -5,17 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfeas.boxes import partition_columns
+from nearfeas.boxes import partition_columns, snap_delta
 from nearfeas.branch_bound import MIPStatus, MixedSolution, solve_mip
 from nearfeas.errors import PipelineInvariantError, RefinementLimitExceeded
 from nearfeas.generate import gen_general
-from nearfeas.instances import ApproxParams, GeneralIP
+from nearfeas.instances import ApproxParams, GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from nearfeas.linalg import is_nonsingular
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
 from nearfeas.simplex import nonintegral_support, strictly_between_columns
+from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import build_mip1, round_within_groups, solve_general
+from nearfeas.solver_nfold import solve_nfold
 
 
 def test_build_mip1_single_group():
@@ -131,24 +134,73 @@ def test_group_sum_conservation():
     assert res.status == SolveStatus.OK
 
 
-def test_refinement_limit_loud():
-    # delta override so coarse the first rounds fail, with zero refinements allowed
-    inst = GeneralIP.build(
-        [[Rat(7, 3), Rat(23, 10), 5, Rat(12, 5), Rat(49, 20)]],
-        [12],
-        [1, 1, 1, 1, 1],
-        [0] * 5,
-        [3] * 5,
-    )
+# One instance per pipeline that verifies only after its width is halved:
+# (solve, instance, epsilon, delta_override, halvings needed, accepted width)
+REFINING = {
+    "general": (
+        solve_general,
+        GeneralIP.build([[1, "3/2", 1]], [1], ["-3/2", 1, 1], [-1, -1, 1], [2, 0, 2]),
+        Rat(1, 5),
+        Rat(1),
+        2,
+        snap_delta(Rat(1, 4)),
+    ),
+    "config": (
+        solve_nfold_config,
+        NFoldConfigInstance.build(
+            [
+                ([[-1, "5/2"]], [[-1, -2], [2, -1]], ["3/2", 3]),
+                ([[-1, "-1/2"]], [[2, 2], [2, 0]], ["-1/2", "5/2"]),
+            ],
+            ["-15/2"],
+        ),
+        Rat(1, 2),
+        Rat(1),
+        1,
+        Rat(1, 2),
+    ),
+    # case 2, whose first attempt clamps; its closed-form width is 1/140
+    "case2": (
+        solve_nfold,
+        NFoldNonnegInstance.build(
+            [
+                ([["5/2", "1/13"]], [[2, "3/2"]], ["69/26"], [1, 2], [1, 3]),
+                ([["5/2", "1/2"]], [[1, 0]], [0], [1, 0], [0, 3]),
+                ([[3, "1/24"]], [[0, 3]], ["37/12"], [1, 2], [1, 2]),
+            ],
+            [11],
+        ),
+        Rat(1, 5),
+        None,
+        1,
+        Rat(1, 280),
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(REFINING))
+def test_the_refinement_limit_is_reached_in_every_pipeline(pipeline):
+    solve, inst, eps, delta, needed, accepted = REFINING[pipeline]
+    short = ApproxParams.build(eps, delta_override=delta, refinement_limit=needed - 1)
+    with pytest.raises(RefinementLimitExceeded, match=f"after {needed - 1} refinements"):
+        solve(inst, short)
+    res = solve(inst, ApproxParams.build(eps, delta_override=delta, refinement_limit=needed))
+    assert res.status == SolveStatus.OK and res.report.within_bound
+    assert (res.refinements, res.delta_used) == (needed, accepted)
+
+
+@pytest.mark.parametrize("pipeline", sorted(REFINING))
+def test_a_refining_solve_leaves_no_cyclic_garbage(pipeline):
+    """The attempts and their results are freed by reference counting alone."""
+    solve, inst, eps, delta, needed, _ = REFINING[pipeline]
+    params = ApproxParams.build(eps, delta_override=delta)
+    gc.collect()
+    gc.disable()
     try:
-        res = solve_general(
-            inst,
-            ApproxParams.build(Rat(1, 5), delta_override=Rat(1, 2), refinement_limit=0),
-        )
-        # acceptable alternative: the coarse width happened to verify
-        assert res.report.within_bound
-    except RefinementLimitExceeded:
-        pass
+        assert solve(inst, params).refinements == needed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _reference_round_within_groups(model, values):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfeas.errors import EnumerationCapExceeded
+from nearfeas import solver_nfold
+from nearfeas.errors import EnumerationCapExceeded, RefinementLimitExceeded
 from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
 from nearfeas.linalg import is_nonsingular
@@ -18,6 +19,7 @@ from nearfeas.solver_nfold import (
     BIG,
     FIXED,
     SMALL,
+    _major_configs,
     classify_and_split,
     enumerate_major_configs,
     normalize_blocks,
@@ -252,12 +254,9 @@ def test_clamp_repair_fires_and_passes():
     assert res.report.within_bound
 
 
-def test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors():
-    # the first attempt clamps block 2 and misses the window; halving psi
-    # re-splits the blocks, and the second model must be built over the new
-    # major configurations and their value matrices
-    trace = PipelineTrace()
-    inst = _inst(
+def _clamped_inst():
+    """Block 2's first attempt clamps and misses the window."""
+    return _inst(
         [
             ([["5/2", "1/13"]], [[2, "3/2"]], ["69/26"], [1, 2], [1, 3]),
             ([["5/2", "1/2"]], [[1, 0]], [0], [1, 0], [0, 3]),
@@ -265,11 +264,39 @@ def test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors():
         ],
         [11],
     )
+
+
+def test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors():
+    # the first attempt clamps block 2 and misses the window; halving psi
+    # re-splits the blocks, and the second model must be built over the new
+    # major configurations and their value matrices
+    trace = PipelineTrace()
+    inst = _clamped_inst()
     res = solve_nfold(inst, ApproxParams.build(Rat(1, 5)), trace=trace)
     assert trace.clamps == [((2, 1, 1),)]
     assert res.status == SolveStatus.OK and res.refinements == 1
     assert res.x == ((1, 2), (0, 0), (1, 2))
     assert res.objective == brute_force_nfold(inst).optimum == 12
+
+
+def test_a_psi_refinement_that_leaves_a_block_no_majors_is_infeasible(monkeypatch):
+    # no instance is known to reach this exit, so the enumeration after the
+    # clamped rejection is made to find no major configurations
+    calls = []
+
+    def none_after_the_first(*args):
+        calls.append(args)
+        return _major_configs(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(solver_nfold, "_major_configs", none_after_the_first)
+    res = solve_nfold(_clamped_inst(), ApproxParams.build(Rat(1, 5)))
+    assert res.status == SolveStatus.INFEASIBLE
+    assert res.notes == ("case2", "no major configurations after psi refinement")
+    # the second attempt ends at its own width: half the closed-form 1/140
+    assert (res.refinements, res.delta_used) == (1, Rat(1, 280))
+    calls.clear()
+    with pytest.raises(RefinementLimitExceeded):
+        solve_nfold(_clamped_inst(), ApproxParams.build(Rat(1, 5), refinement_limit=0))
 
 
 def test_fractional_minors_are_rounded_by_group():

@@ -61,10 +61,15 @@ _INSTANCES = "src/nearfeas/instances.py"
 _PARSE_OUTCOMES = "tests/test_cli.py::test_single_fault_parse_outcomes_are_pinned"
 _GENERAL = "src/nearfeas/solver_general.py"
 _CONFIG = "src/nearfeas/solver_config.py"
+_RESULTS = "src/nearfeas/results.py"
 _DIGESTS = "tests/test_report_digests.py::test_reports_match_the_pinned_digests"
 _INT_ROWS = "tests/test_linalg.py::test_integer_rows_match_a_fraction_reference"
 _REPORT = "tests/test_instances.py::test_violation_report_matches_a_fraction_reference"
 _GROUPS = "tests/test_solver_general.py::test_integer_group_rounding_matches_a_fraction_reference"
+_LIMITS = "tests/test_solver_general.py::test_the_refinement_limit_is_reached_in_every_pipeline"
+_PSI_EXHAUSTED = (
+    "tests/test_solver_nfold.py::test_a_psi_refinement_that_leaves_a_block_no_majors_is_infeasible"
+)
 _WINDOW = "tests/test_solver_nfold.py::test_enumeration_window_matches_a_fraction_reference"
 _ORACLE_TESTS = ("tests/test_oracle.py",)
 _WARM = (
@@ -466,7 +471,7 @@ MUTANTS = (
     ),
     Mutant(
         "config-slack-bounds-capped",
-        "src/nearfeas/solver_config.py",
+        _CONFIG,
         "    bound = params.epsilon * delta_inf\n",
         "    bound = min(params.epsilon * delta_inf, 1)\n",
         ("tests/test_scale_covariance.py::test_config_scale_covariance",),
@@ -514,6 +519,54 @@ MUTANTS = (
         "    def rec(rec, j, acc):",
         "    def rec(_, j, acc):",
         ("tests/test_solver_nfold.py::test_enumeration_leaves_no_reference_cycle",),
+    ),
+    Mutant(
+        "psi-exhaustion-not-checked",
+        _NFOLD,
+        """            if config_lists is None:
+                return ApproxResult(
+                    SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats,
+                    notes=("case2", "no major configurations after psi refinement"),
+                )
+""",
+        "",
+        (_PSI_EXHAUSTED,),
+    ),
+    # the verify-and-refine driver
+    Mutant(
+        "refine-halves-twice-per-step",
+        _RESULTS,
+        "        delta = delta / 2\n",
+        "        delta = delta / 4\n",
+        (_LIMITS, _DIGESTS),
+    ),
+    Mutant(
+        "refine-one-attempt-too-few",
+        _RESULTS,
+        "    for refinements in range(limit + 1):\n",
+        "    for refinements in range(limit):\n",
+        (_LIMITS,),
+    ),
+    Mutant(
+        "refinements-stamped-off-by-one",
+        _RESULTS,
+        "            result.refinements = refinements\n",
+        "            result.refinements = refinements + 1\n",
+        (_LIMITS,),
+    ),
+    Mutant(
+        "general-attempt-closes-over-itself",
+        _GENERAL,
+        "        return None\n\n    delta = params.delta_override",
+        "        return None if attempt else None\n\n    delta = params.delta_override",
+        ("tests/test_solver_general.py::test_a_refining_solve_leaves_no_cyclic_garbage",),
+    ),
+    Mutant(
+        "params-limits-accept-booleans",
+        _INSTANCES,
+        "            if isinstance(value, bool) or not isinstance(value, int):",
+        "            if not isinstance(value, int):",
+        ("tests/test_instances.py::test_params_reject_limits_that_are_not_integers",),
     ),
     # the brute-force oracles
     Mutant(
