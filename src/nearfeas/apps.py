@@ -10,9 +10,10 @@ pre-scaled to integers, and decoders report in the original units.
 from dataclasses import dataclass
 
 from .errors import InvalidInstanceError
-from .instances import GeneralIP, NFoldConfigInstance, SchedulingInstance
+from .instances import ConfigBlock, GeneralIP, NFoldConfigInstance, SchedulingInstance
 from .instances import parse_int_rows, parse_ints, validate_scheduling
-from .rationals import ZERO, as_rat, common_denominator, scaled
+from .linalg import Matrix
+from .rationals import ONE, ZERO, Rat, as_rat, common_denominator, scaled
 
 
 def knapsack_to_general(profits, weights, capacities):
@@ -81,21 +82,21 @@ def scheduling_to_config(p, cmax, costs=None):
 
     scale = common_denominator([cmax, *(v for row in p_rows for v in row)])
     cmax_i = scaled(cmax, scale)
-    units = [tuple(1 if k == h else 0 for k in range(m)) for h in range(m)]
+    units = tuple(tuple(1 if k == h else 0 for k in range(m)) for h in range(m))
 
+    # the core's records are built as they are, not parsed again: every
+    # entry is an int or a Rat made here
+    zeros = (ZERO,) * m
     blocks = []
     for i in range(n):
-        D = [
-            [scaled(p_rows[i][h], scale) if k == h else 0 for k in range(m)]
-            for h in range(m)
-        ]
-        w = costs[i] if costs is not None else [ZERO] * m
-        blocks.append((D, units, w))
-    identity = [[1 if k == h else 0 for k in range(m)] for h in range(m)]
+        diag = [Rat(scaled(v, scale)) for v in p_rows[i]]
+        D = Matrix(m, m, [diag[h] if k == h else ZERO for h in range(m) for k in range(m)])
+        blocks.append(ConfigBlock(D, units, costs[i] if costs is not None else zeros))
+    identity = Matrix(m, m, [ONE if k == h else ZERO for h in range(m) for k in range(m)])
     for h in range(m):
-        slack_cfgs = [tuple(k if j == h else 0 for j in range(m)) for k in range(cmax_i + 1)]
-        blocks.append((identity, slack_cfgs, [ZERO] * m))
-    inst = NFoldConfigInstance.build(blocks, [cmax_i] * m)
+        slack_cfgs = tuple(tuple(k if j == h else 0 for j in range(m)) for k in range(cmax_i + 1))
+        blocks.append(ConfigBlock(identity, slack_cfgs, zeros))
+    inst = NFoldConfigInstance(tuple(blocks), (Rat(cmax_i),) * m)
 
     def decode(x):
         assignment = []

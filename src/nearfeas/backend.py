@@ -4,6 +4,8 @@ These loops dominate runtime.  They run as plain Python over Python ints
 (``dot`` also sums exact rationals when its vector holds them).
 """
 
+import math
+
 KERNEL_BACKEND = "pure"
 
 
@@ -11,51 +13,44 @@ def pivot_update(rows, pr, pc, dens, d):
     """Integer-preserving Gauss-Jordan pivot on rows[pr][pc], in place.
 
     Rows are lists of Python ints, row i over its own denominator
-    ``dens[i]``: the determinant of the basis at the last pivot that changed
-    that row (Edmonds 1967), while `d` is the determinant of the current
-    basis.  A row's values as rationals are ``rows[i] / dens[i]``, so a row
-    over a stale denominator still reads the current tableau, and
-    ``rows[i] * d / dens[i]`` is integral: it is the row Edmonds' scheme
+    ``dens[i]``: the determinant of the basis at the last pivot that rewrote
+    that row in full (Edmonds 1967), while `d` is the determinant of the
+    current basis.  A row's values as rationals are ``rows[i] / dens[i]``,
+    and ``rows[i] * d / dens[i]`` is integral: it is the row Edmonds' scheme
     would hold over `d`.
 
     The pivot row is first brought over `d` (``p * d // dens[pr]``) if it is
     stale, and its entry in column `pc` is the pivot, the new determinant.
-    Rows with a zero in column `pc`, including any objective row the caller
-    appended, do not change and keep their denominators.  Every other row
-    becomes ``(a * piv - f * p) // dens[i]`` over ``dens[i] = piv``: that is
-    the Edmonds update of the row brought over `d`, so by Cramer's rule each
-    division is exact.  The pivot row stays as it is over `d`, now over the
-    pivot.  Returns the pivot, the new determinant.
+    With ``g`` the gcd of the pivot row, its values are ``(p // g) / h`` for
+    ``h = piv // g``, their least denominator.  Rows with a zero in column
+    `pc`, including any objective row the caller appended, do not change.  A
+    row whose entry ``f`` in column `pc` is a multiple of ``h`` keeps its
+    denominator and changes only where the pivot row is nonzero: it loses
+    ``(f // h) * (p // g)``, which is ``f * p / piv`` exactly.  Every other
+    row becomes ``(a * piv - f * p) // dens[i]`` over ``dens[i] = piv``: that
+    is the Edmonds update of the row brought over `d`, so by Cramer's rule
+    each division is exact.  The pivot row stays as it is over `d`, now over
+    the pivot.  Returns the pivot, the new determinant.
     """
     prow = rows[pr]
     dp = dens[pr]
     if dp != d:
         prow[:] = [p * d // dp if p else 0 for p in prow]
     piv = dens[pr] = prow[pc]
-    if piv == d:
-        # a row over d becomes (a * d - f * p) / d = a - f * p / d: it
-        # changes only where p != 0 (f * p / d is exact since a and the
-        # result are), and stays over d
-        nz = [(j, p) for j, p in enumerate(prow) if p]
-        for i in range(len(rows)):
-            row = rows[i]
-            f = row[pc]
-            if f and i != pr:
-                di = dens[i]
-                if di == d:
-                    for j, p in nz:
-                        row[j] -= f * p // d
-                else:
-                    row[:] = [(a * piv - f * p) // di for a, p in zip(row, prow)]
-                    dens[i] = piv
-        return piv
-    for i in range(len(rows)):
-        row = rows[i]
+    g = math.gcd(*prow)
+    h = piv // g
+    nz = [(j, p // g) for j, p in enumerate(prow) if p]
+    for i, row in enumerate(rows):
         f = row[pc]
         if f and i != pr:
-            di = dens[i]
-            row[:] = [(a * piv - f * p) // di for a, p in zip(row, prow)]
-            dens[i] = piv
+            if f % h:
+                di = dens[i]
+                row[:] = [(a * piv - f * p) // di for a, p in zip(row, prow)]
+                dens[i] = piv
+            else:
+                q = f // h
+                for j, p in nz:
+                    row[j] -= q * p
     return piv
 
 

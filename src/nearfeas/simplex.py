@@ -10,16 +10,20 @@ The LP's state holds no rationals.  Each constraint row arrives as integers
 over its own least scale (``linalg.IntRows``, built so by the model), and
 the tableau is kept as Python ints by integer-preserving Gauss-Jordan pivots
 (J. Edmonds, "Systems of distinct representatives and linear algebra", J.
-Res. NBS 71B, 1967): every division in a pivot is exact by Cramer's rule.  Edmonds holds every row over one common denominator, the
-determinant d of the current basis; here each row i has its own denominator
-dens[i], the determinant of the basis at the last pivot that changed row i,
-so a pivot leaves the rows with a zero in its column as they are instead of
-rewriting them over the new d.  One positive integer scale L per LP makes
-every bound and every scaled right-hand side integral, so the bounds are
-held as ints over L and the basic values as an integer value column, over
-dens[i] * L in row i, that the pivots carry with the tableau (an integer
-right-hand side, as in the revised simplex of R. Azulay & J.-F. Pique, "A
-revised simplex method with integer Q-matrices", ACM TOMS 27(3), 2001).
+Res. NBS 71B, 1967): every division in a pivot is exact by Cramer's rule.
+Edmonds holds every row over one common denominator, the determinant d of the
+current basis; here each row i has its own denominator dens[i], the
+determinant of the basis at the last pivot that rewrote row i in full.  A
+pivot leaves the rows with a zero in its column as they are, and a row whose
+entry in that column is a multiple of the least denominator of the pivot
+row's values keeps its denominator and changes only where the pivot row is
+nonzero; only the other rows are rewritten over the new d.  One positive
+integer scale L per LP makes every bound and every scaled right-hand side
+integral, so the bounds are held as ints over L and the basic values as an
+integer value column, over dens[i] * L in row i, that the pivots carry with
+the tableau (an integer right-hand side, as in the revised simplex of R.
+Azulay & J.-F. Pique, "A revised simplex method with integer Q-matrices",
+ACM TOMS 27(3), 2001).
 Every decision is an integer cross product within one row, or between two
 rows each read against the sign of its own denominator, and compares the
 same exact quantities a rational tableau would, so the pivot path is the
@@ -106,8 +110,8 @@ class Tableau:
     row-scaled matrix ``D [A | I]`` (``D`` holds the row scales
     ``lp.matrix.scales``).  Row i is ``dens[i] * (B^-1 [A | I])_i`` and row
     r is ``dens[r] * k * (reduced costs)`` with ``k > 0``, where ``dens[i]`` is
-    the determinant of the basis at the last pivot that changed row i (so
-    ``T[i] * d / dens[i]`` is Edmonds' integral row over ``d``).  Pivots
+    the determinant of the basis at the last pivot that rewrote row i in full
+    (so ``T[i] * d / dens[i]`` is Edmonds' integral row over ``d``).  Pivots
     keep every entry integral (``backend.pivot_update``).  A pivot's
     determinant is its pivot entry, which may be negative, so ``d`` and any
     ``dens[i]`` may turn negative, and signs of entries in row i are read

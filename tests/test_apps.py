@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 
 from nearfeas.apps import gap_to_config, knapsack_to_general, scheduling_to_config
 from nearfeas.errors import InstanceFormatError, InvalidInstanceError
-from nearfeas.instances import ApproxParams
+from nearfeas.generate import gen_scheduling
+from nearfeas.instances import ApproxParams, NFoldConfigInstance
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
 from nearfeas.results import SolveStatus
@@ -84,6 +86,45 @@ def test_scheduling_rational_times_are_scaled():
     res = solve_nfold_config(inst, ApproxParams.build(Rat(1, 2)))
     d = decode(res.x)
     assert d.makespan in (Rat(1, 2), Rat(3, 2))
+
+
+def _core_through_the_codecs(p, cmax, costs=None):
+    """The configuration core of the scheduling reduction, written as plain
+    lists and checked and coerced by ``NFoldConfigInstance.build``: one block
+    per job (D the diagonal of its scaled times, unit configurations, its
+    costs) and one slack block per machine (identity D, configurations k *
+    e_h for k = 0..cmax), over b0 = cmax on every machine."""
+    m = len(p[0])
+    scale = math.lcm(Rat(cmax).denominator, *(Rat(v).denominator for row in p for v in row))
+    units = [[int(k == h) for k in range(m)] for h in range(m)]
+    blocks = []
+    for i, row in enumerate(p):
+        D = [[int(Rat(v) * scale) if k == h else 0 for k in range(m)] for h, v in enumerate(row)]
+        blocks.append((D, units, costs[i] if costs is not None else [0] * m))
+    top = int(Rat(cmax) * scale)
+    for h in range(m):
+        slack = [[k * int(j == h) for j in range(m)] for k in range(top + 1)]
+        blocks.append((units, slack, [0] * m))
+    return NFoldConfigInstance.build(blocks, [top] * m)
+
+
+def test_scheduling_core_equals_the_core_built_through_the_codecs():
+    rng = random.Random(5)
+    cases = [
+        ([[1, 2], [2, 1]], 0, None),
+        ([[3]], 0, [[2]]),
+        ([[Rat(1, 2), Rat(3, 2)], [Rat(2, 3), 1]], Rat(5, 2), [["1/2", 0], [1, "3/4"]]),
+    ]
+    for k in range(12):
+        data = gen_scheduling(rng, rng.randint(1, 5), rng.randint(1, 3), with_costs=k % 2 == 1)
+        cases.append((data["jobs"], data["cmax"], data.get("costs")))
+    for p, cmax, costs in cases:
+        inst, _ = scheduling_to_config(p, cmax, costs)
+        ref = _core_through_the_codecs(p, cmax, costs)
+        assert inst == ref
+        for blk, ref_blk in zip(inst.blocks, ref.blocks):
+            assert [type(v) for v in blk.D.entries] == [type(v) for v in ref_blk.D.entries]
+            assert [type(v) for v in blk.weights] == [type(v) for v in ref_blk.weights]
 
 
 def test_roundtrip_residuals():

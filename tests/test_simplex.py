@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfeas.errors import PipelineInvariantError
 from nearfeas.linalg import IntRows, is_nonsingular
@@ -466,3 +467,84 @@ def test_verify_rational_vertex_scales_bounds_and_values():
         verify_rational_vertex(lp, (Rat(1, 4), Rat(7, 12)))
     with pytest.raises(PipelineInvariantError, match="equations"):
         verify_rational_vertex(lp, (Rat(1, 2), Rat(1, 4)))
+
+
+def _basis_determinant(lp, basis):
+    """|det| of the basis columns of the row-scaled matrix ``D [A | I]``, by
+    Fraction elimination; row i of ``D [A | I]`` is ``s_i * A_i`` (the
+    ``IntRows`` nonzeros) followed by ``s_i`` in artificial column i."""
+    r, c = lp.matrix.rows, lp.matrix.cols
+    m = []
+    for i, (nz, s) in enumerate(zip(lp.matrix.nonzeros, lp.matrix.scales)):
+        row = dict(nz)
+        row[c + i] = s
+        m.append([Fraction(row.get(b, 0)) for b in basis])
+    det = Fraction(1)
+    for col in range(r):
+        piv = next(i for i in range(col, r) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        det *= m[col][col]
+        for i in range(col + 1, r):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return abs(det)
+
+
+@st.composite
+def _lp_and_cuts(draw):
+    """A small LP with rational rows (so the row scales exceed 1), rational
+    bounds and right-hand side (half the time that of a point inside the
+    bounds), and up to three cuts for ``reoptimize``: which basic variable
+    (by rank), which side, and how many quarters of the way to its opposite
+    bound."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    lower = [draw(st.fractions(min_value=-2, max_value=0, max_denominator=4)) for _ in range(n)]
+    upper = [draw(st.fractions(min_value=lo, max_value=lo + 3, max_denominator=4)) for lo in lower]
+    if draw(st.booleans()):
+        x0 = [
+            draw(st.fractions(min_value=lo, max_value=hi, max_denominator=4))
+            for lo, hi in zip(lower, upper)
+        ]
+        b = [sum((A[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
+    else:
+        b = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in range(m)]
+    obj = [draw(st.integers(-3, 3)) for _ in range(n)]
+    cut = st.tuples(st.integers(0, 4), st.booleans(), st.integers(1, 4))
+    cuts = draw(st.lists(cut, max_size=3))
+    return dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj)), cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lp_and_cuts())
+def test_every_pivot_keeps_rows_integral_over_d_and_d_the_basis_determinant(case):
+    lp, cuts = case
+    pivot = Tableau._pivot
+
+    def checked_pivot(tab, leave, q, leave_stat):
+        pivot(tab, leave, q, leave_stat)
+        for row, di in zip(tab.T, tab.dens):
+            assert all(v * tab.d % di == 0 for v in row)
+        assert abs(tab.d) == _basis_determinant(lp, tab.basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tableau, "_pivot", checked_pivot)
+        tab = Tableau(lp)
+        status = tab.solve()
+        for rank, up, k in cuts:
+            if status != LPStatus.OPTIMAL:
+                break
+            basic = sorted(j for j in tab.basis if j < lp.matrix.cols)
+            if not basic:
+                break
+            j = basic[rank % len(basic)]
+            v, lo, hi = tab.vertex().values[j], lp.lower[j], lp.upper[j]
+            if up and v < hi:
+                lo = v + (hi - v) * Fraction(k, 4)
+            elif not up and v > lo:
+                hi = v - (v - lo) * Fraction(k, 4)
+            else:
+                continue
+            status = tab.reoptimize(j, lo, hi)

@@ -82,7 +82,10 @@ _LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
     "tests/test_kernels.py::test_pivot_normalizes_column",
     "tests/test_kernels.py::test_rows_with_a_zero_in_the_pivot_column_keep_their_denominator",
+    "tests/test_kernels.py::test_the_pivot_is_the_old_d_times_its_true_value",
+    "tests/test_kernels.py::test_a_row_the_pivot_row_allows_keeps_its_denominator",
     "tests/test_kernels.py::test_integer_pivots_match_fraction_gauss_jordan",
+    "tests/test_simplex.py::test_every_pivot_keeps_rows_integral_over_d_and_d_the_basis_determinant",
 )
 _PARTITIONS = (
     "tests/test_boxes.py::test_box_index_examples",
@@ -197,6 +200,13 @@ MUTANTS = (
         'caps = list(parse_ints(capacities, "$.capacities"))',
         "caps = [int(v) for v in capacities]",
         ("tests/test_apps.py::test_knapsack_integer_data_passes_the_integer_codec",),
+    ),
+    Mutant(
+        "scheduling-slack-stops-below-cmax",
+        "src/nearfeas/apps.py",
+        "for k in range(cmax_i + 1))",
+        "for k in range(cmax_i))",
+        ("tests/test_apps.py::test_scheduling_core_equals_the_core_built_through_the_codecs",),
     ),
     # integer rows, reports and roundings
     Mutant(
@@ -352,14 +362,12 @@ MUTANTS = (
         "            pos = dens[self.r] > 0\n",
         "            pos = self.d > 0\n",
         (_EAGER,),
-        equivalent="the entering column always has a nonzero reduced cost, so every primal "
-        "pivot moves the cost row over the new d, and rebuild_cost_row starts it over d",
     ),
     Mutant(
         "kernel-keeps-old-dens",
         _BACKEND,
-        "            dens[i] = piv\n    return piv\n",
-        "    return piv\n",
+        "zip(row, prow)]\n                dens[i] = piv\n",
+        "zip(row, prow)]\n",
         _KERNELS,
     ),
     Mutant(
@@ -367,6 +375,20 @@ MUTANTS = (
         _BACKEND,
         "    if dp != d:\n        prow[:] = [p * d // dp if p else 0 for p in prow]\n",
         "",
+        _KERNELS,
+    ),
+    Mutant(
+        "kernel-sparse-without-divisibility-test",
+        _BACKEND,
+        "            if f % h:\n",
+        "            if dens[i] != d:\n",
+        _KERNELS,
+    ),
+    Mutant(
+        "kernel-gcd-without-pivot-column",
+        _BACKEND,
+        "    g = math.gcd(*prow)\n",
+        "    g = math.gcd(*prow[:pc], *prow[pc + 1 :])\n",
         _KERNELS,
     ),
     # the warm-started dual simplex and the branch-and-bound search
