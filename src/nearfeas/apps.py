@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidInstanceError
 from .instances import ConfigBlock, GeneralIP, NFoldConfigInstance, SchedulingInstance
-from .instances import parse_int_rows, parse_ints, validate_scheduling
+from .instances import parse_int_table, parse_ints, validate_scheduling
 from .linalg import Matrix
-from .rationals import ONE, ZERO, Rat, as_rat, common_denominator, scaled
+from .rationals import ZERO, Rat, as_rat, common_denominator, scaled
 
 
 def knapsack_to_general(profits, weights, capacities):
@@ -31,7 +31,7 @@ def knapsack_to_general(profits, weights, capacities):
     n = len(profits)
     if m < 1:
         raise ValueError("at least one capacity dimension is required")
-    rows = [list(row) for row in parse_int_rows(weights, "$.weights")]
+    rows = [list(row) for row in parse_int_table(weights, "$.weights")]
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ValueError("dimension mismatch: weights")
     if any(v < 0 for row in rows for v in row) or any(c < 0 for c in caps) or any(
@@ -85,14 +85,15 @@ def scheduling_to_config(p, cmax, costs=None):
     units = tuple(tuple(1 if k == h else 0 for k in range(m)) for h in range(m))
 
     # the core's records are built as they are, not parsed again: every
-    # entry is an int or a Rat made here
+    # value is an int or a Rat made here
     zeros = (ZERO,) * m
+    ones = [1] * m
     blocks = []
     for i in range(n):
-        diag = [Rat(scaled(v, scale)) for v in p_rows[i]]
-        D = Matrix(m, m, [diag[h] if k == h else ZERO for h in range(m) for k in range(m)])
+        diag = [scaled(v, scale) for v in p_rows[i]]
+        D = Matrix(m, m, [[(h, a)] if a else [] for h, a in enumerate(diag)], ones)
         blocks.append(ConfigBlock(D, units, costs[i] if costs is not None else zeros))
-    identity = Matrix(m, m, [ONE if k == h else ZERO for h in range(m) for k in range(m)])
+    identity = Matrix(m, m, [[(h, 1)] for h in range(m)], ones)
     for h in range(m):
         slack_cfgs = tuple(tuple(k if j == h else 0 for j in range(m)) for k in range(cmax_i + 1))
         blocks.append(ConfigBlock(identity, slack_cfgs, zeros))

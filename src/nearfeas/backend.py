@@ -98,7 +98,7 @@ def bareiss_rank(m):
 
 def dot(row, x, zero):
     """Exact dot product of a sparse row, its nonzeros as (column, value)
-    pairs (as in ``linalg.IntRows``), with the dense vector x."""
+    pairs (as in a ``linalg.Matrix``), with the dense vector x."""
     acc = zero
     for j, a in row:
         v = x[j]

@@ -10,9 +10,10 @@ the one mixed model all three solve over such partitions; its
 part it rounds straight off the mixed optimum.
 
 Each partition computes on one integer grid.  With ``den`` the lcm of the
-denominators of the entries it partitions, an entry v is the integer
-a = v * den; S is the largest |a| (``den`` when every entry is 0, so the
-scale S/den is 1), and with cells = 1/delta the cell index of an entry is
+row scales of the matrices it partitions, an entry v = n / s of a row over
+scale s is the integer a = n * (den // s) = v * den; S is the largest |a|
+(``den`` when every entry is 0, so the scale S/den is 1), and with cells =
+1/delta the cell index of an entry is
 max(ceil(a * cells / S), 1 - cells): values on a cell edge land in the lower
 cell, and -scale, which has no lower cell, clamps up into range.  A
 partition holds its corners and residuals as integers over its ``unit``
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 from .branch_bound import MixedModel
 from .errors import PipelineInvariantError
-from .linalg import IntRows
-from .rationals import Rat, as_rat, common_denominator, rat_ceil, scaled
+from .linalg import Matrix
+from .rationals import Rat, as_rat, rat_ceil
 from .simplex import LinearProgram
 
 
@@ -42,28 +43,33 @@ def snap_delta(delta):
     return Rat(1, rat_ceil(1 / delta))
 
 
-def _grid(entries, delta):
-    """The integer grid of a partition of ``entries``: its snapped delta, its
-    scale, its unit, and its splitter, which maps a column to its cell (an int
-    tuple), the cell's lower corner and the residual column - corner, both as
-    int tuples over the unit."""
+def _grid(mats, delta):
+    """The integer grid of a partition of the columns of ``mats``: its
+    snapped delta, its scale, its unit, and its splitter, which maps a matrix
+    to each column's cell (an int tuple), the cell's lower corner and the
+    residual column - corner, both as int tuples over the unit."""
     delta = snap_delta(delta)
     cells = delta.denominator
-    den = common_denominator(entries)
-    top = max((abs(scaled(v, den)) for v in entries), default=0) or den
+    den = math.lcm(*(s for m in mats for s in m.scales))
+    top = max((abs(a) * (den // s) for m in mats for nz, s in zip(m.nonzeros, m.scales)
+               for _, a in nz), default=0) or den
     least = 1 - cells  # -scale's cell
     corners = {}
 
-    def split(col):
-        nums = [scaled(v, den) * cells for v in col]
-        cell = tuple(max(-(-a // top), least) for a in nums)
-        corner = corners.get(cell)
-        if corner is None:
-            corner = corners[cell] = tuple((lam - 1) * top for lam in cell)
-        residual = tuple(a - c for a, c in zip(nums, corner))
-        if not all(0 <= r <= top for r in residual):
-            raise PipelineInvariantError("residual outside its cell")
-        return cell, corner, residual
+    def split(mat):
+        lifted = [(dict(nz), den // s * cells) for nz, s in zip(mat.nonzeros, mat.scales)]
+        out = []
+        for j in range(mat.cols):
+            nums = [row.get(j, 0) * f for row, f in lifted]
+            cell = tuple(max(-(-a // top), least) for a in nums)
+            corner = corners.get(cell)
+            if corner is None:
+                corner = corners[cell] = tuple((lam - 1) * top for lam in cell)
+            residual = tuple(a - c for a, c in zip(nums, corner))
+            if not all(0 <= r <= top for r in residual):
+                raise PipelineInvariantError("residual outside its cell")
+            out.append((cell, corner, residual))
+        return out
 
     return delta, Rat(top, den), cells * den, split
 
@@ -82,12 +88,11 @@ def partition_columns(mat, delta):
     """Group the columns of mat by cell; only occupied cells materialize."""
     if mat.cols == 0:
         raise ValueError("matrix has no columns")
-    delta, scale, unit, split = _grid(mat.entries, delta)
+    delta, scale, unit, split = _grid([mat], delta)
     groups = {}
     canonicals = {}
     residuals = []
-    for j in range(mat.cols):
-        cell, corner, residual = split(mat.column(j))
+    for j, (cell, corner, residual) in enumerate(split(mat)):
         groups.setdefault(cell, []).append(j)
         canonicals[cell] = corner
         residuals.append(residual)
@@ -117,12 +122,12 @@ def partition_config_columns(mats, delta):
     for m in mats:
         if m.rows != mats[0].rows:
             raise ValueError("dimension mismatch: blocks differ in row count")
-    delta, scale, unit, split = _grid([v for m in mats for v in m.entries], delta)
+    delta, scale, unit, split = _grid(mats, delta)
     type_groups = {}
     canonical_matrices = {}
     residual_matrices = []
     for i, m in enumerate(mats):
-        columns = [split(m.column(j)) for j in range(m.cols)]
+        columns = split(m)
         key = tuple(cell for cell, _, _ in columns)
         if key not in type_groups:
             type_groups[key] = []
@@ -176,7 +181,7 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     vectors go on y and g, residuals on z and x, and each coupling row
     ``= b_r`` gains a slack column bounded by +-slack_bounds[r].  An absent
     part adds no rows and no columns.  Each row is built once as integers
-    over its least scale (``linalg.IntRows``).
+    over a scale, which the ``linalg.Matrix`` it goes into reduces.
 
     Columns are ``[z | y | x | g | slack]``, each block's z and each type's y
     contiguous, types and groups in their partition's order.  Rows are
@@ -207,8 +212,7 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     rows = rows_grp.stop
 
     # coupling row r over U, the lcm of the partitions' units: every corner
-    # and residual lifted to U, and the slack -U; dividing by the gcd g of U
-    # and the entries leaves the least scale U // g
+    # and residual lifted to U, and the slack -U
     U = math.lcm(*(p.unit for p in (cpart, part) if p is not None))
     lifted = []  # (column, its ints over a unit, U // that unit), in column order
     if cpart is not None:
@@ -221,14 +225,8 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
         f = U // part.unit
         lifted.extend((j, res, f) for j, res in zip(x, part.residuals))
         lifted.extend((g0 + k, part.canonicals[key], f) for k, (key, _) in enumerate(groups))
-    nonzeros = []
-    scales = []
-    for r in range(s):
-        row = [(j, vec[r] * m) for j, vec, m in lifted if vec[r]]
-        row.append((s0 + r, -U))
-        g = math.gcd(U, *(a for _, a in row))
-        nonzeros.append([(j, a // g) for j, a in row])
-        scales.append(U // g)
+    nonzeros = [[*((j, vec[r] * m) for j, vec, m in lifted if vec[r]), (s0 + r, -U)]
+                for r in range(s)]
     # the linking, selection and group rows: +-1 entries over scale 1
     for (_, members), yk in zip(types, y):
         for phi, j in enumerate(yk):
@@ -236,7 +234,6 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     nonzeros.extend([(j, 1) for j in zi] for zi in z)
     for k, (_, members) in enumerate(groups):
         nonzeros.append([*((x0 + j, 1) for j in members), (g0 + k, -1)])
-    scales.extend([1] * (rows - s))
 
     lower = [0] * nz
     upper = [1] * nz
@@ -256,9 +253,8 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     objective.extend([0] * (cols - g0))
     rhs = tuple(b) + (0,) * len(linking) + (1,) * blocks + (0,) * len(groups)
 
-    lp = LinearProgram(
-        IntRows(rows, cols, nonzeros, scales), rhs, tuple(lower), tuple(upper), tuple(objective)
-    )
+    A = Matrix(rows, cols, nonzeros, [U] * s + [1] * (rows - s))
+    lp = LinearProgram(A, rhs, tuple(lower), tuple(upper), tuple(objective))
     mixed = MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
     return CoupledModel(
         mixed, cpart, tuple(block_costs), part, z, y, x,

@@ -4,7 +4,8 @@
 report name; ``_KINDS`` maps each instance type to its ``--pipeline`` and its
 solve step.
 Reports are deterministic JSON (sorted keys); every rational appears as an
-authoritative exact string alongside a float approximation for readability.
+authoritative exact string alongside a float approximation for readability,
+null for a value outside the float range.
 Exit codes: 0 solved within bound, 2 near-feasibility unattainable,
 3 infeasible, 4 resource limit exceeded, 1 usage or parse error ("error: ..."
 on stderr), 5 internal error (a broken solver invariant).

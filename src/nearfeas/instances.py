@@ -75,7 +75,7 @@ _RAT = (_parse_rat, format_rat)
 _RATS = _seq(_RAT)
 _INTS = _seq((_parse_int, int))
 parse_ints, _ = _INTS  # (values, path): a tuple of ints, or an error at its path
-parse_int_rows, _ = _seq(_INTS, "a list of rows")
+parse_int_table, _ = _seq(_INTS, "a list of rows")
 _ROWS = _seq(_RATS, "a list of rows")
 _parse_rows, _dump_rows = _seq(_RATS, "a non-empty list of rows", nonempty=True)
 
@@ -88,7 +88,7 @@ def _parse_matrix(value, path):
     cols = len(rows[0])
     if any(len(row) != cols for row in rows):
         raise InstanceFormatError(path, "dimension mismatch: ragged rows")
-    return Matrix(len(rows), cols, [v for row in rows for v in row])
+    return Matrix.from_rows(rows)
 
 
 _MATRIX = (_parse_matrix, lambda mat: _dump_rows(map(mat.row, range(mat.rows))))
@@ -235,6 +235,14 @@ KINDS = {
 }
 
 
+def _param_rat(name, value):
+    """``as_rat(value)``, or an InvalidInstanceError naming the parameter."""
+    try:
+        return as_rat(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstanceError([f"{name} must be an exact rational: {exc}"]) from exc
+
+
 @dataclass(frozen=True)
 class ApproxParams:
     epsilon: object
@@ -245,11 +253,11 @@ class ApproxParams:
 
     @classmethod
     def build(cls, epsilon, **kw):
-        eps = as_rat(epsilon)
+        eps = _param_rat("epsilon", epsilon)
         if not ZERO < eps <= ONE:
             raise InvalidInstanceError(["epsilon must lie in (0, 1]"])
         if kw.get("delta_override") is not None:
-            kw["delta_override"] = as_rat(kw["delta_override"])
+            kw["delta_override"] = _param_rat("delta_override", kw["delta_override"])
         params = cls(eps, **kw)
         for name in ("refinement_limit", "node_limit", "config_cap"):
             value = getattr(params, name)
@@ -316,12 +324,11 @@ def _report(mode, attained, reference, bound, objective):
 def _row_sums(mats, xs):
     """Per row, sum_i mats[i] xs[i] as an integer pair (n, d), d > 0, the
     lcm of the terms' row scales."""
-    forms = [mat.int_rows() for mat in mats]
-    if any(len(x) != f.cols for f, x in zip(forms, xs)):
+    if any(len(x) != m.cols for m, x in zip(mats, xs)):
         raise ValueError("dimension mismatch in matrix-vector product")
     out = []
-    for r in range(forms[0].rows):
-        terms = [(dot(f.nonzeros[r], x, 0), f.scales[r]) for f, x in zip(forms, xs)]
+    for r in range(mats[0].rows):
+        terms = [(dot(m.nonzeros[r], x, 0), m.scales[r]) for m, x in zip(mats, xs)]
         d = math.lcm(*(s for _, s in terms))
         out.append((sum(n * (d // s) for n, s in terms), d))
     return out
@@ -385,7 +392,7 @@ def validate_nonneg(inst):
         if blk.A.rows != sa or blk.D.rows != sd or blk.A.cols != t or blk.D.cols != t:
             problems.append(f"dimension mismatch: block {i} shape")
             continue
-        if any(a < 0 for mat in (blk.A, blk.D) for nz in mat.int_rows().nonzeros for _, a in nz):
+        if any(a < 0 for mat in (blk.A, blk.D) for nz in mat.nonzeros for _, a in nz):
             problems.append(f"negative entry in block {i}")
         if len(blk.bi) != sa or len(blk.u) != t or len(blk.w) != t:
             problems.append(f"dimension mismatch: block {i} vectors")

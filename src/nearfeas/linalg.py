@@ -1,81 +1,69 @@
-"""Dense rational matrices, sparse integer rows, and exact rank.
+"""Rational matrices as sparse integer rows, and exact rank.
 
-Matrices are immutable row-major tuples of exact rationals.  Rank never sees
-a float: rows are scaled to integers (rank-preserving) and reduced by
-fraction-free Bareiss elimination, which keeps intermediate growth bounded.
-An LP's constraint rows are ``IntRows``, integers over one scale per row; a
-``Matrix`` keeps that form of itself, and its products and norm are integer
-sums and comparisons over it.
+A ``Matrix`` holds only integers: row i is ``nonzeros[i] / scales[i]``, its
+(column, int) nonzeros in column order over the least positive scale, so
+two matrices are equal exactly when their rational entries are.  Products,
+the norm and rank (fraction-free Bareiss elimination) work on these ints; a
+``Rat`` is built only for a result, or for the ``row`` and ``column`` views.
 """
 
-from typing import NamedTuple
+import math
 
 from .backend import bareiss_rank, dot
-from .rationals import Rat, as_rat, integer_row
-
-
-class IntRows(NamedTuple):
-    """A rows x cols rational matrix as sparse integer rows: row i is
-    ``nonzeros[i] / scales[i]``, its nonzeros listed as (column, int) pairs
-    in column order, and ``scales[i]`` the least positive integer that makes
-    the row integral."""
-
-    rows: int
-    cols: int
-    nonzeros: list
-    scales: list
+from .rationals import ZERO, Rat, as_rat, integer_row
 
 
 class Matrix:
-    """Immutable rows x cols rational matrix, entries row-major; its
-    ``IntRows`` form, built on first use, takes no part in equality."""
+    """Immutable rows x cols rational matrix; the constructor takes each
+    row's nonzeros in column order over a positive int scale, and divides the
+    row by the gcd of its scale and its entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "nonzeros", "scales")
 
-    def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("dimension mismatch: entry count != rows*cols")
+    def __init__(self, rows, cols, nonzeros, scales):
+        nonzeros, scales = list(nonzeros), list(scales)
+        if rows < 0 or cols < 0 or len(nonzeros) != rows or len(scales) != rows:
+            raise ValueError("dimension mismatch: row count != rows")
+        for i, (nz, s) in enumerate(zip(nonzeros, scales)):
+            if s < 1:
+                raise ValueError("row scales must be positive")
+            g = math.gcd(s, *[a for _, a in nz]) if s != 1 else 1
+            nonzeros[i] = tuple([(j, a // g) for j, a in nz] if g != 1 else nz)
+            scales[i] = s // g
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "nonzeros", tuple(nonzeros))
+        object.__setattr__(self, "scales", tuple(scales))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, data):
-        data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("dimension mismatch: ragged rows")
-        return cls(rows, cols, [as_rat(v) for row in data for v in row])
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
+        """The matrix of rational rows; every entry passes ``as_rat``."""
+        rows = [integer_row([as_rat(v) for v in row]) for row in data]
+        cols = len(rows[0][1]) if rows else 0
+        if any(len(ints) != cols for _, ints in rows):
+            raise ValueError("dimension mismatch: ragged rows")
+        nonzeros = [[(j, a) for j, a in enumerate(ints) if a] for _, ints in rows]
+        return cls(len(rows), cols, nonzeros, [s for s, _ in rows])
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        """Row i as a tuple of Rats."""
+        out = [ZERO] * self.cols
+        s = self.scales[i]
+        for j, a in self.nonzeros[i]:
+            out[j] = Rat(a, s)
+        return tuple(out)
 
     def column(self, j):
-        return self.entries[j :: self.cols] if self.cols else ()
-
-    def int_rows(self):
-        """The matrix as ``IntRows``, built on the first call and kept."""
-        if self._ints is None:
-            rows = [integer_row(self.row(i)) for i in range(self.rows)]
-            nonzeros = [[(j, a) for j, a in enumerate(ints) if a] for _, ints in rows]
-            form = IntRows(self.rows, self.cols, nonzeros, [s for s, _ in rows])
-            object.__setattr__(self, "_ints", form)
-        return self._ints
+        """Column j as a tuple of Rats."""
+        return tuple(Rat(dict(nz).get(j, 0), s) for nz, s in zip(self.nonzeros, self.scales))
 
     def inf_norm(self):
         """The largest |entry|, found by integer cross products."""
-        form, top, den = self.int_rows(), 0, 1
-        for nz, s in zip(form.nonzeros, form.scales):
+        top, den = 0, 1
+        for nz, s in zip(self.nonzeros, self.scales):
             a = max([abs(v) for _, v in nz], default=0)
             if a * den > top * s:
                 top, den = a, s
@@ -85,30 +73,28 @@ class Matrix:
         """The product with x: an integer sum per row, one Rat per row."""
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        form = self.int_rows()
-        return tuple(Rat(dot(nz, x, 0), s) for nz, s in zip(form.nonzeros, form.scales))
+        return tuple(Rat(dot(nz, x, 0), s) for nz, s in zip(self.nonzeros, self.scales))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.scales == other.scales
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.nonzeros, self.scales))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
 
 def rank_exact(mat):
-    """Exact rank over the rationals: each row is scaled to integers by its
-    common denominator (rank is unchanged) before the elimination."""
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    return bareiss_rank([integer_row(mat.row(i))[1] for i in range(mat.rows)])
+    """Exact rank over the rationals, by Bareiss elimination of the integer
+    rows (scaling a row leaves the rank unchanged)."""
+    return bareiss_rank([[r.get(j, 0) for j in range(mat.cols)] for r in map(dict, mat.nonzeros)])
 
 
 def is_nonsingular(mat):

@@ -14,7 +14,8 @@ meeting the target join.  Picks with equal partial sums share completions,
 so a costlier or an equally cheap later one never wins; so the n-fold oracle
 keeps, per D^i x among a block's solutions of A^i x = b^i, only the least
 (cost, x).  A box over the cap fails before any search; only ``rationals``
-is shared with the solvers.
+and the matrices' one stored form, their integer rows, are shared with the
+solvers.
 """
 
 import math
@@ -50,12 +51,13 @@ def _validate(problems, points, cap, kind):
         raise EnumerationCapExceeded(f"{kind} oracle: {points} points exceeds cap {cap}")
 
 
-def _int_rows(mats, target):
-    """Row r of every matrix, and target[r], as ints over their least common denominator."""
-    scales = [common_denominator([t, *(a for m in mats for a in m.row(r))])
-              for r, t in enumerate(target)]
-    return ([[[scaled(a, L) for a in m.row(r)] for r, L in enumerate(scales)] for m in mats],
-            tuple(map(scaled, target, scales)))
+def _lifted_rows(mats, target):
+    """Row r of every matrix, and target[r], as dense ints over their least
+    common denominator, the lcm of the target's denominator and the row scales."""
+    scales = [math.lcm(t.denominator, *(m.scales[r] for m in mats)) for r, t in enumerate(target)]
+    rows = [[[row.get(j, 0) * (L // s) for j in range(m.cols)]
+             for row, s, L in zip(map(dict, m.nonzeros), m.scales, scales)] for m in mats]
+    return rows, tuple(map(scaled, target, scales))
 
 
 def _variables(rows, costs, lower, upper):
@@ -118,7 +120,7 @@ def brute_force_general(inst, cap=DEFAULT_CAP):
     """Exact optimum of min w.x over H.x = b, l <= x <= u, x integer."""
     problems, _ = validate_general(inst)
     _validate(problems, math.prod(hi - lo + 1 for lo, hi in zip(inst.l, inst.u)), cap, "general")
-    (rows,), b = _int_rows([inst.H], inst.b)
+    (rows,), b = _lifted_rows([inst.H], inst.b)
     unit = common_denominator(inst.w)
     return _best(_variables(rows, [scaled(w, unit) for w in inst.w], inst.l, inst.u), b, unit)
 
@@ -129,7 +131,7 @@ def brute_force_config(inst, cap=DEFAULT_CAP):
     _validate(problems, math.prod(max(len(blk.configs), 1) for blk in inst.blocks), cap, "config")
     if not all(blk.configs for blk in inst.blocks):
         return _INFEASIBLE
-    d_rows, b0 = _int_rows([blk.D for blk in inst.blocks], inst.b0)
+    d_rows, b0 = _lifted_rows([blk.D for blk in inst.blocks], inst.b0)
     unit = common_denominator(w for blk in inst.blocks for w in blk.weights)
     positions = [[(tuple(sum(map(mul, row, cfg)) for row in D),
                    sum(scaled(w, unit) * v for w, v in zip(blk.weights, cfg)), cfg)
@@ -142,11 +144,11 @@ def brute_force_nfold(inst, cap=DEFAULT_CAP):
     cap applies to the full box, not to the per-block solution lists."""
     problems, _ = validate_nonneg(inst)
     _validate(problems, math.prod(hi + 1 for blk in inst.blocks for hi in blk.u), cap, "nfold")
-    d_rows, b0 = _int_rows([blk.D for blk in inst.blocks], inst.b0)
+    d_rows, b0 = _lifted_rows([blk.D for blk in inst.blocks], inst.b0)
     unit = common_denominator(w for blk in inst.blocks for w in blk.w)
     positions = []
     for blk, D in zip(inst.blocks, d_rows):
-        (a_rows,), bi = _int_rows([blk.A], blk.bi)
+        (a_rows,), bi = _lifted_rows([blk.A], blk.bi)
         local = _variables(a_rows + D, [scaled(w, unit) for w in blk.w], [0] * len(blk.u), blk.u)
         # every solution of A^i x = b^i (the windows cover the A rows), with
         # the least (cost, x) for each D^i x; a value is its own index

@@ -5,15 +5,15 @@ ever enters a computation.  ``Rat`` is the scalar constructor,
 ``fractions.Fraction``: values stay in lowest terms with a positive
 denominator and print as "p/q" (or "p" for integers).  It holds parsed
 instance data, LP inputs and reported fields; the layers between work on
-ints: the tableau, a matrix's ``int_rows``, residuals, the mixed optimum's
-numerators and the roundings.
+ints: the tableau, every matrix (``linalg.Matrix`` stores only integer
+rows), residuals, the mixed optimum's numerators and the roundings.
 
 This module owns both crossings of that boundary.  ``as_rat`` is the one
 coercion into ``Rat`` (a ``Rat`` passes through unchanged, so coercing
 exact data costs nothing); ``common_denominator`` and ``scaled``, and
-``integer_row`` for both at once, are the one way any layer (the simplex,
-the box grid, exact rank, a matrix's integer rows, the oracle, the
-scheduling reduction) turns rationals into integers over a shared scale.
+``integer_row`` for both at once, are the one way any layer (a matrix's
+``from_rows``, the simplex's bounds, the costs, the scheduling reduction)
+turns rationals into integers over a shared scale.
 """
 
 import math
@@ -100,5 +100,9 @@ def rat_ceil(value):
 
 
 def to_float(value):
-    """Decimal approximation for report readability only."""
-    return int(value.numerator) / int(value.denominator)
+    """Decimal approximation for report readability only; None for a value
+    outside the float range."""
+    try:
+        return int(value.numerator) / int(value.denominator)
+    except OverflowError:
+        return None

@@ -11,7 +11,7 @@ integral data are integral).
 from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
-from .linalg import IntRows
+from .linalg import Matrix
 from .rationals import is_integral
 from .simplex import LinearProgram, LPStatus, solve_lp_vertex
 
@@ -92,7 +92,7 @@ def tu_round(restriction, stats=None):
         nonzeros[restriction.left_of[k]].append((k, 1))
         nonzeros[nl + restriction.right_of[k]].append((k, 1))
     lp = LinearProgram(
-        IntRows(nl + nr, nv, nonzeros, [1] * (nl + nr)),
+        Matrix(nl + nr, nv, nonzeros, [1] * (nl + nr)),
         tuple(restriction.left_rhs) + tuple(restriction.right_rhs),
         (0,) * nv,
         (1,) * nv,

@@ -7,7 +7,7 @@ despite degeneracy.  All arithmetic is exact; optimality and feasibility are
 decided with zero tolerance.
 
 The LP's state holds no rationals.  Each constraint row arrives as integers
-over its own least scale (``linalg.IntRows``, built so by the model), and
+over its own least scale (a ``linalg.Matrix``, built so by the model), and
 the tableau is kept as Python ints by integer-preserving Gauss-Jordan pivots
 (J. Edmonds, "Systems of distinct representatives and linear algebra", J.
 Res. NBS 71B, 1967): every division in a pivot is exact by Cramer's rule.
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .backend import pivot_update
 from .errors import PipelineInvariantError
-from .linalg import IntRows, Matrix
+from .linalg import Matrix
 from .rationals import Rat, common_denominator, is_integral, scaled
 
 
@@ -65,11 +65,11 @@ class LinearProgram:
     """min objective . x  s.t.  A x = rhs, lower <= x <= upper.
 
     ``matrix`` holds A as integer rows, row i being ``matrix.nonzeros[i] /
-    matrix.scales[i]`` with the least such scale (``linalg.IntRows``); the
+    matrix.scales[i]`` with the least such scale (``linalg.Matrix``); the
     right-hand side, bounds and objective are exact rationals or ints.
     """
 
-    matrix: IntRows
+    matrix: Matrix
     rhs: tuple
     lower: tuple
     upper: tuple
@@ -505,7 +505,7 @@ def _verify_vertex(nonzeros, rhs, lower, upper, values, e):
     """Raise unless values meet the bounds and the equations exactly.
 
     Everything is an integer numerator: each row's ``nonzeros`` (of ``s *
-    A_i``, as in ``linalg.IntRows``), ``lower``, ``upper`` and ``rhs`` (one
+    A_i``, as in ``linalg.Matrix``), ``lower``, ``upper`` and ``rhs`` (one
     ``L * s * b_i`` per row) over a scale L > 0, and
     ``values`` over ``e * L`` with e > 0.  Each equation is checked over its
     row's nonzeros as a sum of integers.
@@ -530,8 +530,8 @@ def strictly_between_columns(lp, values, cols):
     """Submatrix, over all rows, of the columns among ``cols`` whose value is
     strictly inside its bounds."""
     between = [j for j in cols if lp.lower[j] < values[j] < lp.upper[j]]
-    entries = []
-    for nz, s in zip(lp.matrix.nonzeros, lp.matrix.scales):
+    nonzeros = []
+    for nz in lp.matrix.nonzeros:
         row = dict(nz)
-        entries.extend(Rat(row.get(j, 0), s) for j in between)
-    return Matrix(lp.matrix.rows, len(between), entries)
+        nonzeros.append([(k, a) for k, j in enumerate(between) if (a := row.get(j))])
+    return Matrix(lp.matrix.rows, len(between), nonzeros, lp.matrix.scales)

@@ -1,7 +1,7 @@
 """Pipeline for block IPs whose blocks choose from explicit configuration sets.
 
-Each block contributes one column D^i x^i from its precomputed value matrix,
-which has one column per distinct configuration of the block; blocks whose
+Each block contributes one column D^i x^i from its value matrix of integer
+rows, with one column per distinct configuration of the block; blocks whose
 value matrices fall columnwise into the same boxes share a type, and one
 integer variable per (type, column) counts selections across the type's
 blocks: the selection part of ``boxes.coupled_model``.  The exact mixed
@@ -29,7 +29,7 @@ from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
-from .rationals import ONE, ZERO, Rat, common_denominator, scaled
+from .rationals import ZERO, Rat, common_denominator, scaled
 from .results import ApproxResult, SolveStatus, refine
 from .rounding import AssignmentRestriction, tu_round
 
@@ -64,15 +64,15 @@ def normalize_configs(inst):
 
 
 def value_columns(D, weights, vectors):
-    """The matrix whose column phi is D v_phi, and the exact costs w.v_phi.
-    Both are integer sums, over ``D.int_rows()`` and over the weights'
-    common denominator; a Rat is built only for each result."""
-    form = D.int_rows()
+    """The matrix whose column phi is D v_phi, and the exact costs w.v_phi:
+    integer sums over D's row scales and over the weights' common
+    denominator; a Rat is built only for each cost."""
     unit = common_denominator(weights)
     w = [scaled(v, unit) for v in weights]
-    entries = [Rat(dot(nz, v, 0), s) for nz, s in zip(form.nonzeros, form.scales) for v in vectors]
+    nonzeros = [[(phi, a) for phi, v in enumerate(vectors) if (a := dot(nz, v, 0))]
+                for nz in D.nonzeros]
     costs = tuple(Rat(sum(a * b for a, b in zip(w, v) if b), unit) for v in vectors)
-    return Matrix(D.rows, len(vectors), entries), costs
+    return Matrix(D.rows, len(vectors), nonzeros, D.scales), costs
 
 
 def build_mip4(norm, part, slack_bounds):
@@ -224,18 +224,19 @@ def _type_submatrices(model, support):
             continue
         rows = len(members) + len(model.z[members[0]])
         member_row = {i: r for r, i in enumerate(members)}
-        entries = [ZERO] * (rows * len(frac))
+        nonzeros = [[] for _ in range(rows)]
         for c, (i, phi) in enumerate(frac):
-            entries[member_row[i] * len(frac) + c] = ONE
-            entries[(len(members) + phi) * len(frac) + c] = ONE
-        out.append(Matrix(rows, len(frac), entries))
+            nonzeros[member_row[i]].append((c, 1))
+            nonzeros[len(members) + phi].append((c, 1))
+        out.append(Matrix(rows, len(frac), nonzeros, [1] * rows))
     return out
 
 
 def _free_bounds(norm):
     """Slack bounds large enough never to bind (best-effort diagnostics)."""
     return tuple(
-        abs(b) + 1 + sum((max(map(abs, mat.row(r)), default=ZERO) for mat in norm.value_mats), ZERO)
+        abs(b) + 1 + sum(Rat(max([abs(a) for _, a in mat.nonzeros[r]], default=0), mat.scales[r])
+                         for mat in norm.value_mats)
         for r, b in enumerate(norm.inst.b0)
     )
 

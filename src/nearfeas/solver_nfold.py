@@ -1,8 +1,8 @@
 """Pipeline for nonnegative block IPs with local equality constraints.
 
-Step 0 scales each block's local rows so surviving right-hand entries are 1
-(zero rows either fix variables to 0 or vanish).  Columns of the scaled local
-matrices are big (some coordinate at least psi) or small; small columns split
+Step 0 scales each block's local rows, in integers, so surviving right-hand
+entries are 1 (zero rows fix variables to 0 or vanish).  Scaled local
+columns are big (some coordinate at least psi) or small; small columns split
 x = lambda * major + minor so the major part has big scaled columns and the
 minor part has negligible local impact.  If every column is big the instance
 delegates to the configuration pipeline over the exact local solution sets;
@@ -24,6 +24,7 @@ together; psi is halved too at the start of the attempt after a clamped
 failure, which drives the model toward the clamp-free all-big regime.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from .boxes import coupled_model, partition_columns, partition_config_columns
@@ -31,7 +32,7 @@ from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import EnumerationCapExceeded, InvalidInstanceError, PipelineInvariantError
 from .instances import MULTIPLICATIVE, NFoldConfigInstance, validate_nonneg, violation_report
 from .linalg import Matrix
-from .rationals import ONE, ZERO, rat_ceil
+from .rationals import ONE, ZERO
 from .results import ApproxResult, SolveStatus, refine
 from .solver_config import select_columns, solve_config_core, value_columns
 from .solver_general import round_within_groups
@@ -58,71 +59,66 @@ class ColumnSplit:
 
 def normalize_blocks(inst):
     """Step-0 scaling; returns None when some right-hand entry is negative
-    (then no nonnegative x can satisfy even the relaxed local constraints)."""
+    (then no nonnegative x can satisfy even the relaxed local constraints).
+    A row over scale s divided by b_h = p / q is its ints times q over s * p."""
     out = []
     for idx, blk in enumerate(inst.blocks):
         if any(bh < 0 for bh in blk.bi):
             return None
-        rows = [(blk.A.row(h), bh) for h, bh in enumerate(blk.bi)]
+        A = blk.A
         # a zero right-hand side forces the row's nonzero columns to 0
-        fixed = frozenset(j for row, bh in rows if bh == 0 for j, v in enumerate(row) if v)
-        scaled = [[v / bh for v in row] for row, bh in rows if bh]
-        entries = [v for row in scaled for v in row]
-        out.append(ScaledBlock(idx, blk, Matrix(len(scaled), blk.A.cols, entries), fixed))
+        fixed = frozenset(j for nz, bh in zip(A.nonzeros, blk.bi) if bh == 0 for j, _ in nz)
+        kept = [(nz, s, bh) for nz, s, bh in zip(A.nonzeros, A.scales, blk.bi) if bh]
+        nonzeros = [[(j, a * bh.denominator) for j, a in nz] for nz, _, bh in kept]
+        scales = [s * bh.numerator for _, s, bh in kept]
+        out.append(ScaledBlock(idx, blk, Matrix(len(kept), A.cols, nonzeros, scales), fixed))
     return out
 
 
 def classify_and_split(sblock, psi):
-    """Big/small classification and lambda splitting of one scaled block."""
-    t = sblock.A.cols
+    """Big/small classification and lambda splitting of one scaled block; a
+    column's largest entry top / den meets psi = P / Q in integers."""
     u = sblock.block.u
-    kinds = []
-    lambdas = []
-    major_ub = []
-    minor_ub = []
-    for j in range(t):
+    tops = [(0, 1)] * sblock.A.cols
+    for nz, s in zip(sblock.A.nonzeros, sblock.A.scales):
+        for j, a in nz:
+            top, den = tops[j]
+            if a * den > top * s:
+                tops[j] = (a, s)
+    P, Q = psi.numerator, psi.denominator
+    columns = []  # per column: (kind, lambda, major bound, minor bound)
+    for j, (top, den) in enumerate(tops):
         if j in sblock.fixed_zero:
-            kinds.append(FIXED)
-            lambdas.append(1)
-            major_ub.append(0)
-            minor_ub.append(0)
-            continue
-        # a column that is zero in every surviving row (or in a block with
-        # none) has no local weight: it is big, so its values are enumerated
-        # exactly
-        maxcoord = max(sblock.A.column(j), default=0)
-        if maxcoord == 0 or maxcoord >= psi:
-            kinds.append(BIG)
-            lambdas.append(1)
-            major_ub.append(u[j])
-            minor_ub.append(0)
+            columns.append((FIXED, 1, 0, 0))
+        elif top == 0 or top * Q >= P * den:
+            # a column that is zero in every surviving row (or in a block
+            # with none) has no local weight: it is big, so its values are
+            # enumerated exactly
+            columns.append((BIG, 1, u[j], 0))
         else:
-            lam = rat_ceil(psi / maxcoord)
-            if (lam - 1) * maxcoord >= psi or lam * maxcoord > 2 * psi:
+            lam = -(-P * den // (Q * top))  # ceil(psi / (top / den))
+            if (lam - 1) * top * Q >= P * den or lam * top * Q > 2 * P * den:
                 raise PipelineInvariantError("lambda minimality violated")
-            kinds.append(SMALL)
-            lambdas.append(lam)
-            major_ub.append(u[j] // lam)
-            minor_ub.append(min(lam - 1, u[j]))
-    return ColumnSplit(tuple(kinds), tuple(lambdas), tuple(major_ub), tuple(minor_ub))
+            columns.append((SMALL, lam, u[j] // lam, min(lam - 1, u[j])))
+    return ColumnSplit(*zip(*columns))
 
 
 def enumerate_major_configs(sblock, split, window, cap):
     """All integer major vectors with the scaled-and-lambda'd local sums inside
     the window on every surviving row, in lexicographic order.
 
-    The sums are integers over each row's scale s in ``sblock.A.int_rows()``,
-    so the window is the integer bounds ceil(lo * s) and floor(hi * s) per
-    row.  The scaled columns are nonnegative, so a partial sum above the
-    window's top stays above it for larger values; the cap fails loudly.
+    The sums are integers over each row's scale s in ``sblock.A``, so the
+    window is the integer bounds ceil(lo * s) and floor(hi * s) per row.  The
+    scaled columns are nonnegative, so a partial sum above the window's top
+    stays above it for larger values; the cap fails loudly.
     """
-    t = sblock.A.cols
-    form = sblock.A.int_rows()
+    A = sblock.A
+    t = A.cols
     lo, hi = window
-    lows = [-(-lo.numerator * s // lo.denominator) for s in form.scales]
-    highs = [hi.numerator * s // hi.denominator for s in form.scales]
-    cols = [[0] * form.rows for _ in range(t)]
-    for h, nz in enumerate(form.nonzeros):
+    lows = [-(-lo.numerator * s // lo.denominator) for s in A.scales]
+    highs = [hi.numerator * s // hi.denominator for s in A.scales]
+    cols = [[0] * A.rows for _ in range(t)]
+    for h, nz in enumerate(A.nonzeros):
         for j, a in nz:
             cols[j][h] = split.lambdas[j] * a
     out = []
@@ -147,7 +143,7 @@ def enumerate_major_configs(sblock, split, window, cap):
             rec(rec, j + 1, acc)
         x[j] = 0
 
-    rec(rec, 0, [0] * form.rows)
+    rec(rec, 0, [0] * A.rows)
     return tuple(out)
 
 
@@ -183,16 +179,21 @@ def build_mip6(inst, sblocks, splits, majors, delta1, delta2, slack_bounds, epsi
                 minor_ub.append(split.minor_ub[j])
         # exact smallness check: the whole minor range (only small columns
         # have one) stays under eps/2, in integers over each row's scale s
-        form = sb.A.int_rows()
-        for nz, s in zip(form.nonzeros, form.scales):
+        for nz, s in zip(sb.A.nonzeros, sb.A.scales):
             reach = sum(a * split.minor_ub[j] for j, a in nz)
             if 2 * reach * epsilon.denominator > epsilon.numerator * s:
                 raise PipelineInvariantError("minor part exceeds eps/2 on a local row")
     minor_keys = tuple(minor_keys)
     grouped = None
     if minor_keys:
-        entries = [inst.blocks[i].D.at(r, j) for r in range(sd) for i, j in minor_keys]
-        minor_part = partition_columns(Matrix(sd, len(minor_keys), entries), delta2)
+        # column k is column j of block i's D for (i, j) = minor_keys[k]; row
+        # r is over the lcm of the blocks' scales of row r
+        Ds = [inst.blocks[i].D for i, _ in minor_keys]
+        L = [math.lcm(*(D.scales[r] for D in Ds)) for r in range(sd)]
+        nonzeros = [[(k, a * (L[r] // D.scales[r]))
+                     for k, (D, (_, j)) in enumerate(zip(Ds, minor_keys))
+                     if (a := dict(D.nonzeros[r]).get(j))] for r in range(sd)]
+        minor_part = partition_columns(Matrix(sd, len(minor_keys), nonzeros, L), delta2)
         costs = tuple(inst.blocks[i].w[j] for i, j in minor_keys)
         grouped = (minor_part, (ZERO,) * len(minor_keys), tuple(minor_ub), costs)
 

@@ -265,6 +265,36 @@ def test_oracle_validates_like_check_and_solve(tmp_path, capsys):
         assert out == ""
 
 
+_BIG = "1" + "0" * 400  # above the float range
+
+
+@pytest.mark.parametrize(
+    "argv, data, code, pinned",
+    [
+        # Delta is 10**400, so the bound epsilon * Delta is 5 * 10**399
+        (("solve", "--epsilon", "1/2"),
+         {"kind": "general", "H": [[_BIG, "1"]], "b": ["1"], "w": ["1", "1"], "l": [0, 0], "u": [1, 1]},
+         0, {"bound": "5" + "0" * 399, "bound_approx": None, "objective_approx": 0.0}),
+        # no selection reaches b0, so the best-effort residual is 1 - b0
+        (("solve", "--epsilon", "1/2"),
+         {"kind": "nfold_config", "blocks": [{"D": [["1"]], "configs": [[1]], "weights": ["1"]}],
+          "b0": [_BIG]},
+         2, {"residual": ["-" + "9" * 400], "residual_approx": [None],
+             "max_abs_residual": "9" * 400, "max_abs_residual_approx": None}),
+        (("oracle",),
+         {"kind": "general", "H": [["1", "1"]], "b": ["1"], "w": [_BIG, _BIG], "l": [0, 0], "u": [1, 1]},
+         0, {"optimum": _BIG, "optimum_approx": None}),
+    ],
+)
+def test_a_value_outside_the_float_range_approximates_to_null(tmp_path, capsys, argv, data, code, pinned):
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps({"format": 1, **data}))
+    got, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+    assert (got, err) == (code, "")
+    report = json.loads(out)
+    assert {key: report[key] for key in pinned} == pinned
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", "/nonexistent.json", "--epsilon", "1/2")
     assert code == 1
@@ -454,8 +484,8 @@ def _negated(value):
 @st.composite
 def _mutated_files(draw):
     """A valid file of some kind with one mutation: a key dropped, a value
-    swapped for a float, a boolean, null, "x" or a nested list, a row made
-    ragged, or a number negated."""
+    swapped for a float, a boolean, null, "x", a nested list or a 400-digit
+    integer, a row made ragged, or a number negated."""
     data = copy.deepcopy(VALID_FILES[draw(st.sampled_from(sorted(VALID_FILES)))])
     nodes = list(_nodes(data))
     mutation = draw(st.sampled_from(["drop", "swap", "ragged", "negate"]))
@@ -481,7 +511,12 @@ def _mutated_files(draw):
     if mutation == "drop":
         del parent[last]
     elif mutation == "swap":
-        parent[last] = draw(st.sampled_from([1.5, True, None, "x", [[1]]]))
+        values = [1.5, True, None, "x", [[1]], 10**399]
+        if parent_path == [] and last == "cmax":
+            # the scheduling reduction builds cmax + 1 slack configurations
+            # per machine, so a 400-digit cmax never finishes (ROADMAP item 2)
+            values.pop()
+        parent[last] = draw(st.sampled_from(values))
     elif mutation == "ragged" and draw(st.booleans()):
         parent[last].append(parent[last][-1])
     elif mutation == "ragged":

@@ -224,6 +224,24 @@ def test_params_reject_limits_that_are_not_integers():
                 ApproxParams.build(Rat(1, 2), **{name: value})
 
 
+def test_params_reject_widths_that_are_not_exact_rationals():
+    # the rule of the instance files' rational codec: no floats, bools, None
+    # or malformed strings, each classified and naming its parameter
+    for value, why in ((0.5, "floating-point values are not allowed"),
+                       (True, "boolean values are not allowed"),
+                       (None, "expected a rational, got None"),
+                       ("1/x", "malformed rational '1/x'"),
+                       ("1/0", "zero denominator in '1/0'")):
+        with pytest.raises(InvalidInstanceError) as exc:
+            ApproxParams.build(value)
+        assert exc.value.problems == [f"epsilon must be an exact rational: {why}"]
+        if value is not None:  # a None width means none was given
+            with pytest.raises(InvalidInstanceError) as exc:
+                ApproxParams.build(Rat(1, 2), delta_override=value)
+            assert exc.value.problems == [f"delta_override must be an exact rational: {why}"]
+    assert ApproxParams.build("1/2", delta_override="1/4").delta_override == Rat(1, 4)
+
+
 def _roundtrip(inst):
     return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
 

@@ -94,15 +94,9 @@ def test_rank_bounded_and_transpose_invariant(mat):
 @given(_matrices(), st.lists(st.integers(-3, 3), min_size=1, max_size=4))
 def test_dependent_column_preserves_rank(mat, coeffs):
     coeffs = (coeffs * mat.cols)[: mat.cols]
-    newcol = [
-        sum((Rat(c) * mat.at(i, j) for j, c in enumerate(coeffs)), Rat(0))
-        for i in range(mat.rows)
-    ]
-    extended = Matrix(
-        mat.rows,
-        mat.cols + 1,
-        [v for i in range(mat.rows) for v in (*mat.row(i), newcol[i])],
-    )
+    rows = [mat.row(i) for i in range(mat.rows)]
+    newcol = [sum((Rat(c) * row[j] for j, c in enumerate(coeffs)), Rat(0)) for row in rows]
+    extended = Matrix.from_rows([(*row, v) for row, v in zip(rows, newcol)])
     assert rank_exact(extended) == rank_exact(mat)
 
 
@@ -111,7 +105,9 @@ def test_matrix_immutable_and_validated():
     with pytest.raises(AttributeError):
         m.rows = 3
     with pytest.raises(ValueError):
-        Matrix(2, 2, [1, 2, 3])
+        Matrix(2, 2, [[(0, 1)]], [1])
+    with pytest.raises(ValueError):
+        Matrix(1, 2, [[(0, 1)]], [0])
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [3]])
 
@@ -134,25 +130,43 @@ def _rational_matrix_and_vector(draw):
     n = draw(st.integers(0, 5))
     rows = [draw(st.lists(_RATS, min_size=n, max_size=n)) for _ in range(m)]
     x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    return Matrix(m, n, [v for row in rows for v in row]), rows, x
+    factors = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    return rows, n, x, factors
+
+
+def _least_scale(row):
+    return min(k for k in range(1, 85) if all((a * k).denominator == 1 for a in row))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rational_matrix_and_vector())
 def test_integer_rows_match_a_fraction_reference(case):
-    """matvec, inf_norm and the kept integer rows agree with plain Fraction
-    arithmetic on the entries."""
-    mat, rows, x = case
+    """matvec, inf_norm and the stored integer rows agree with plain
+    Fraction arithmetic on the entries; the views read the entries back, and
+    the same rationals over other scales give an equal matrix."""
+    rows, n, x, factors = case
+    m = len(rows)
+    # each row over its least scale times a factor, so not reduced in general
+    scales = [_least_scale(row) * k for row, k in zip(rows, factors)]
+    mat = Matrix(m, n, [[(j, int(a * s)) for j, a in enumerate(row) if a]
+                        for row, s in zip(rows, scales)], scales)
     expected = tuple(sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows)
     assert mat.matvec(x) == expected
-    assert mat.matvec(x) == expected  # the kept form reads the same again
     assert mat.inf_norm() == max((abs(a) for row in rows for a in row), default=Fraction(0))
-    form = mat.int_rows()
-    assert (form.rows, form.cols) == (mat.rows, mat.cols)
-    for row, nz, s in zip(rows, form.nonzeros, form.scales):
-        # s is the least scale that makes the row integral
-        assert s == min(k for k in range(1, 85) if all((a * k).denominator == 1 for a in row))
-        assert nz == [(j, int(a * s)) for j, a in enumerate(row) if a]
-    # the kept form is no part of equality or hashing
-    fresh = Matrix(mat.rows, mat.cols, mat.entries)
-    assert fresh == mat and hash(fresh) == hash(mat)
+    assert (mat.rows, mat.cols) == (m, n)
+    for i, (row, nz, s) in enumerate(zip(rows, mat.nonzeros, mat.scales)):
+        # s is the least scale that makes the row integral, so the row is
+        # reduced by the gcd of its scale and its entries
+        assert s == _least_scale(row)
+        assert nz == tuple((j, int(a * s)) for j, a in enumerate(row) if a)
+        assert mat.row(i) == tuple(row)
+    for j in range(n):
+        assert mat.column(j) == tuple(row[j] for row in rows)
+    if m:
+        fresh = Matrix.from_rows(rows)
+        assert fresh == mat and hash(fresh) == hash(mat)
+    # differently scaled integer rows of the same rationals are equal
+    half = Matrix(1, 1, [[(0, 2)]], [4])
+    assert half == Matrix(1, 1, [[(0, 1)]], [2]) == Matrix.from_rows([[Rat(1, 2)]])
+    assert hash(half) == hash(Matrix(1, 1, [[(0, 1)]], [2]))
+    assert half != Matrix(1, 1, [[(0, 1)]], [4])

@@ -29,7 +29,7 @@ PARAMS = ApproxParams.build(Rat(1, 2))
 
 
 def _scaled(mat, lam):
-    return Matrix(mat.rows, mat.cols, [lam * v for v in mat.entries])
+    return Matrix.from_rows([lam * v for v in mat.row(i)] for i in range(mat.rows))
 
 
 def _scale_general(inst, lam):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfeas.errors import PipelineInvariantError
-from nearfeas.linalg import IntRows, is_nonsingular
+from nearfeas.linalg import Matrix, is_nonsingular
 from nearfeas.rationals import Rat, as_rat
 from nearfeas.simplex import (
     LinearProgram,
@@ -21,9 +21,10 @@ from nearfeas.simplex import (
 
 
 def int_rows(A):
-    """Dense rational rows ``A`` as ``IntRows``, by the reference rule: row
-    i lists the nonzeros of s * A_i, s being the lcm of their denominators,
-    the least positive integer that makes the row integral."""
+    """Dense rational rows ``A`` as a ``Matrix`` of integer rows, by the
+    reference rule: row i lists the nonzeros of s * A_i, s being the lcm of
+    their denominators, the least positive integer that makes the row
+    integral."""
     nonzeros = []
     scales = []
     for row in A:
@@ -31,11 +32,11 @@ def int_rows(A):
         s = math.lcm(*(v.denominator for _, v in nz))
         nonzeros.append([(j, int(v * s)) for j, v in nz])
         scales.append(s)
-    return IntRows(len(A), len(A[0]) if A else 0, nonzeros, scales)
+    return Matrix(len(A), len(A[0]) if A else 0, nonzeros, scales)
 
 
 def dense_rows(mat):
-    """``IntRows`` rendered as dense rational rows: row i is its nonzeros
+    """A ``Matrix`` rendered as dense rational rows: row i is its nonzeros
     over its scale."""
     rows = []
     for nz, s in zip(mat.nonzeros, mat.scales):
@@ -472,7 +473,7 @@ def test_verify_rational_vertex_scales_bounds_and_values():
 def _basis_determinant(lp, basis):
     """|det| of the basis columns of the row-scaled matrix ``D [A | I]``, by
     Fraction elimination; row i of ``D [A | I]`` is ``s_i * A_i`` (the
-    ``IntRows`` nonzeros) followed by ``s_i`` in artificial column i."""
+    ``Matrix`` nonzeros) followed by ``s_i`` in artificial column i."""
     r, c = lp.matrix.rows, lp.matrix.cols
     m = []
     for i, (nz, s) in enumerate(zip(lp.matrix.nonzeros, lp.matrix.scales)):

@@ -39,6 +39,14 @@ def test_value_matrix_columns():
     inst = NFoldConfigInstance.build([([[1, 2]], [(1, 1)], [1, 1])], [3])
     norm = normalize_configs(inst)
     assert norm.value_mats[0].column(0) == (Rat(3),)
+    # rational rows: column phi is D p_phi, and the costs are w . p_phi
+    inst = NFoldConfigInstance.build(
+        [([["1/2", "2/3"], [0, "-1/4"]], [(1, 1), (3, 0), (0, 4)], ["1/3", 1])], [1, 1]
+    )
+    norm = normalize_configs(inst)
+    assert norm.value_mats[0].row(0) == (Rat(7, 6), Rat(3, 2), Rat(8, 3))
+    assert norm.value_mats[0].row(1) == (Rat(-1, 4), Rat(0), Rat(-1))
+    assert norm.costs[0] == (Rat(4, 3), Rat(1), Rat(4))
 
 
 def test_build_mip4_forced_single():

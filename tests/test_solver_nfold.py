@@ -51,6 +51,17 @@ def test_normalize_scales_to_one():
     assert sb.A.row(0) == (ONE,)
 
 
+def test_normalize_divides_each_row_by_its_rational_right_hand_side():
+    # row h over b_h: 87/14 and 3/8 are not integers, 0 fixes the row's columns
+    inst = _inst([([["3/14", 2], ["1/2", 0], [0, "5/3"]], [[1, 1]], ["87/14", 0, "3/8"],
+                   [1, 3], [1, 1])], [3])
+    (sb,) = normalize_blocks(inst)
+    assert sb.fixed_zero == frozenset({0})
+    assert [sb.A.row(h) for h in range(sb.A.rows)] == [
+        (Rat(3, 87), Rat(28, 87)), (Rat(0), Rat(40, 9))
+    ]
+
+
 def test_classify_small_and_big():
     inst = _inst(
         [([["1/5", "1/2"], ["1/10", 0]], [[1, 1], [1, 1]], [1, 1], [9, 9], [1, 1])],

@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 
 _RATIONALS = "src/nearfeas/rationals.py"
+_LINALG = "src/nearfeas/linalg.py"
 _SIMPLEX = "src/nearfeas/simplex.py"
 _BACKEND = "src/nearfeas/backend.py"
 _BOXES = "src/nearfeas/boxes.py"
@@ -138,6 +139,21 @@ MUTANTS = (
             "tests/test_cli.py::test_parse_error_names_path",
         ),
     ),
+    Mutant(
+        "float-approximation-unguarded",
+        _RATIONALS,
+        "    try:\n        return int(value.numerator) / int(value.denominator)\n"
+        "    except OverflowError:\n        return None\n",
+        "    return int(value.numerator) / int(value.denominator)\n",
+        ("tests/test_cli.py::test_a_value_outside_the_float_range_approximates_to_null",),
+    ),
+    Mutant(
+        "params-widths-unclassified",
+        _INSTANCES,
+        '        eps = _param_rat("epsilon", epsilon)\n',
+        "        eps = as_rat(epsilon)\n",
+        ("tests/test_instances.py::test_params_reject_widths_that_are_not_exact_rationals",),
+    ),
     # the instance field codecs
     Mutant(
         "int-codec-accepts-bool",
@@ -211,7 +227,7 @@ MUTANTS = (
     # integer rows, reports and roundings
     Mutant(
         "inf-norm-compares-numerators-only",
-        "src/nearfeas/linalg.py",
+        _LINALG,
         "            if a * den > top * s:\n",
         "            if a > top:\n",
         (_INT_ROWS, _REPORT),
@@ -261,16 +277,44 @@ MUTANTS = (
     Mutant(
         "window-top-rounded-up",
         _NFOLD,
-        "highs = [hi.numerator * s // hi.denominator for s in form.scales]",
-        "highs = [-(-hi.numerator * s // hi.denominator) for s in form.scales]",
+        "highs = [hi.numerator * s // hi.denominator for s in A.scales]",
+        "highs = [-(-hi.numerator * s // hi.denominator) for s in A.scales]",
         (_WINDOW,),
     ),
     Mutant(
         "window-bottom-rounded-down",
         _NFOLD,
-        "lows = [-(-lo.numerator * s // lo.denominator) for s in form.scales]",
-        "lows = [lo.numerator * s // lo.denominator for s in form.scales]",
+        "lows = [-(-lo.numerator * s // lo.denominator) for s in A.scales]",
+        "lows = [lo.numerator * s // lo.denominator for s in A.scales]",
         (_WINDOW,),
+    ),
+    Mutant(
+        "value-columns-over-unit-scales",
+        _CONFIG,
+        "    return Matrix(D.rows, len(vectors), nonzeros, D.scales), costs\n",
+        "    return Matrix(D.rows, len(vectors), nonzeros, [1] * D.rows), costs\n",
+        ("tests/test_solver_config.py::test_value_matrix_columns",),
+    ),
+    Mutant(
+        "normalize-ignores-the-rhs-denominator",
+        _NFOLD,
+        "[[(j, a * bh.denominator) for j, a in nz] for nz, _, bh in kept]",
+        "[[(j, a) for j, a in nz] for nz, _, bh in kept]",
+        ("tests/test_solver_nfold.py::test_normalize_divides_each_row_by_its_rational_right_hand_side",),
+    ),
+    Mutant(
+        "lambda-rounded-down",
+        _NFOLD,
+        "lam = -(-P * den // (Q * top))",
+        "lam = P * den // (Q * top)",
+        ("tests/test_solver_nfold.py::test_classify_small_and_big",),
+    ),
+    Mutant(
+        "minor-rows-not-lifted",
+        _NFOLD,
+        "[[(k, a * (L[r] // D.scales[r]))",
+        "[[(k, a)",
+        (_LAYOUTS,),
     ),
     Mutant(
         "marginals-read-the-rounded-copy-twice",
@@ -485,9 +529,17 @@ MUTANTS = (
         _PARTITIONS,
     ),
     Mutant(
+        "grid-lifts-by-den",
+        _BOXES,
+        "        lifted = [(dict(nz), den // s * cells) for nz, s in zip(mat.nonzeros, mat.scales)]\n",
+        "        lifted = [(dict(nz), den * cells) for nz, s in zip(mat.nonzeros, mat.scales)]\n",
+        _PARTITIONS,
+    ),
+    Mutant(
         "grid-scale-fixed",
         _BOXES,
-        "    top = max((abs(scaled(v, den)) for v in entries), default=0) or den\n",
+        "    top = max((abs(a) * (den // s) for m in mats for nz, s in zip(m.nonzeros, m.scales)\n"
+        "               for _, a in nz), default=0) or den\n",
         "    top = den\n",
         ("tests/test_scale_covariance.py::test_config_scale_covariance",),
     ),
@@ -500,17 +552,17 @@ MUTANTS = (
     ),
     # the mixed model's integer rows
     Mutant(
-        "coupling-scale-not-least",
-        _BOXES,
-        "        g = math.gcd(U, *(a for _, a in row))\n",
-        "        g = 1\n",
-        ("tests/test_model_layouts.py::test_model_rows_are_least_integer_rows",),
+        "matrix-rows-not-reduced",
+        _LINALG,
+        "            g = math.gcd(s, *[a for _, a in nz]) if s != 1 else 1\n",
+        "            g = 1\n",
+        (_INT_ROWS, "tests/test_model_layouts.py::test_model_rows_are_least_integer_rows"),
     ),
     Mutant(
         "coupling-slack-positive",
         _BOXES,
-        "row.append((s0 + r, -U))",
-        "row.append((s0 + r, U))",
+        "), (s0 + r, -U)]",
+        "), (s0 + r, U)]",
         (_LAYOUTS,),
     ),
     Mutant(
@@ -615,8 +667,8 @@ MUTANTS = (
     Mutant(
         "oracle-target-not-in-row-scale",
         _ORACLE,
-        "common_denominator([t, *(a for m in mats for a in m.row(r))])",
-        "common_denominator(a for m in mats for a in m.row(r))",
+        "math.lcm(t.denominator, *(m.scales[r] for m in mats))",
+        "math.lcm(*(m.scales[r] for m in mats))",
         _ORACLE_TESTS,
     ),
     Mutant(
