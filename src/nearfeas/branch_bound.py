@@ -13,13 +13,16 @@ Only the root LP is solved cold.  A child differs from its parent by one
 bound of a basic variable, so it is re-optimized from the parent's optimal
 tableau by the bounded dual simplex (``Tableau.reoptimize``, after Koberstein
 2005): the down child continues on the parent's tableau in place, and the up
-child waits on the stack with a snapshot of it.  Every optimal node vertex is
+child waits on the stack with a snapshot of it.  A child is pruned as soon as
+its dual simplex's objective reaches the incumbent's (a cutoff that trusts
+dual feasibility, as pruning an optimal node does; a dual certificate of node
+optimality must cover cut-off nodes too).  Every optimal node vertex is
 checked against the equations and the node's bounds, and every infeasible
 node by its Farkas certificate.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NodeLimitExceeded
 from .rationals import Rat, is_integral
@@ -66,12 +69,19 @@ class MixedSolution:
 class SolveStats:
     """Cumulative effort counters threaded through a pipeline run.
 
-    ``bb_infeasible`` counts nodes whose LP is infeasible, ``bb_pruned`` nodes
-    cut off by the incumbent's objective, ``bb_incumbents`` incumbent updates,
-    and ``bb_max_depth`` is the deepest node of any search (the root is 0).
+    ``lp_pivots`` sums the cold solves' crash, phase-1 and phase-2 pivots
+    and the children's dual pivots.  ``bb_infeasible`` counts nodes whose LP
+    is infeasible, ``bb_pruned`` nodes cut off by the incumbent's objective
+    (some before their LP proved infeasible), ``bb_incumbents`` incumbent
+    updates, and ``bb_max_depth`` is the deepest node of any search (the
+    root is 0).
     """
 
     lp_pivots: int = 0
+    lp_crash_pivots: int = 0
+    lp_phase1_pivots: int = 0
+    lp_phase2_pivots: int = 0
+    lp_dual_pivots: int = 0
     bb_nodes: int = 0
     bb_infeasible: int = 0
     bb_pruned: int = 0
@@ -99,16 +109,23 @@ def solve_mip(model, node_limit=10**6, stats=None):
         run.bb_nodes += 1
         run.bb_max_depth = max(run.bb_max_depth, depth)
 
-        status = tab.solve() if j is None else tab.reoptimize(j, lo, hi)
+        if j is None:
+            status = tab.solve()
+            run.lp_crash_pivots += tab.crash_pivots
+            run.lp_phase1_pivots += tab.phase1_pivots
+            run.lp_phase2_pivots += tab.pivots - tab.crash_pivots - tab.phase1_pivots
+        else:
+            status = tab.reoptimize(j, lo, hi, None if best is None else best[:2])
+            run.lp_dual_pivots += tab.pivots
         run.lp_pivots += tab.pivots
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1
             continue
-        # the checked vertex as integers over one positive denominator
-        values, den, cost, cost_den = tab.vertex_numerators()
-        if best is not None and cost * best[1] >= best[0] * cost_den:
+        if status == LPStatus.CUTOFF:
             run.bb_pruned += 1
             continue
+        # the checked vertex as integers over one positive denominator
+        values, den, cost, cost_den = tab.vertex_numerators()
 
         # the integer variable farthest from an integer: the distance is
         # min(f, 1 - f) for the fractional part f, here its numerator over den
@@ -133,12 +150,10 @@ def solve_mip(model, node_limit=10**6, stats=None):
         stack.append((tab, branch_var, None, fl, depth + 1))  # explored first
 
     if stats is not None:
-        stats.lp_pivots += run.lp_pivots
-        stats.bb_nodes += run.bb_nodes
-        stats.bb_infeasible += run.bb_infeasible
-        stats.bb_pruned += run.bb_pruned
-        stats.bb_incumbents += run.bb_incumbents
-        stats.bb_max_depth = max(stats.bb_max_depth, run.bb_max_depth)
+        for f in fields(SolveStats):
+            mine, theirs = getattr(run, f.name), getattr(stats, f.name)
+            merged = max(mine, theirs) if f.name == "bb_max_depth" else mine + theirs
+            setattr(stats, f.name, merged)
     counts = (run.bb_nodes, run.lp_pivots)
     if best is None:
         return MixedSolution(MIPStatus.INFEASIBLE, None, 1, None, *counts)

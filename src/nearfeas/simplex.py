@@ -3,7 +3,9 @@
 A cold solve is the two-phase primal method with signed artificial variables
 and Bland's rule (smallest eligible index enters; ratio ties break to the
 smallest basic variable index), so every run is deterministic and terminates
-despite degeneracy.  All arithmetic is exact; optimality and feasibility are
+despite degeneracy; phase 1 starts from a primal-feasible crash basis (R. E.
+Bixby, "Implementing the simplex method: the initial basis", ORSA J. Comput.
+4(3), 1992).  All arithmetic is exact; optimality and feasibility are
 decided with zero tolerance.
 
 The LP's state holds no rationals.  Each constraint row arrives as integers
@@ -40,12 +42,16 @@ bound-violating basic variable of smallest index and ties in the dual ratio
 test break to the smallest index (Bland's rule read on the dual), so the
 re-optimization is deterministic and terminates.  A row with no entering
 column is a Farkas certificate of infeasibility and is checked exactly
-against the original matrix.  Branch-and-bound re-optimizes every child node
-this way from its parent's tableau.
+against the original matrix.  Given a cutoff, the re-optimization stops once
+its objective, a lower bound while the basis is dual feasible, reaches it.
+Branch-and-bound re-optimizes every child node this way from its parent's
+tableau, with the incumbent's objective as the cutoff.
 """
 
+import collections
 import copy
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +64,7 @@ from .rationals import Rat, common_denominator, is_integral, scaled
 class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
+    CUTOFF = "cutoff"
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,8 @@ class Tableau:
     column times its step to it.  A nonbasic variable sits at the bound its
     status names.
 
-    ``solve`` runs the cold two-phase method; once it is optimal,
-    ``reoptimize`` tightens one basic variable's bounds and restores
+    ``solve`` runs the crash start and the cold two-phase method; once it is
+    optimal, ``reoptimize`` tightens one basic variable's bounds and restores
     optimality by the dual simplex, and ``copy`` snapshots the state for a
     later re-optimization under other bounds.  ``pivots`` counts the pivots
     of the last solve or re-optimization.  Rationals appear only in the LP
@@ -324,9 +331,45 @@ class Tableau:
                         cost[j] -= cb * row[j]
         T[self.r] = cost
 
+    def _crash(self):
+        """Crash start (Bixby 1992): each row's artificial leaves at 0 for
+        the first nonbasic, non-fixed structural column, by (nonzeros in
+        ``lp.matrix``, index), whose move to absorb it keeps that column and
+        every basic variable within its bounds (each artificial within its
+        phase-1 range); a row with no such column keeps its artificial."""
+        T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
+        dens = self.dens
+        c, n, r = self.c, self.n, self.r
+        count = collections.Counter(j for nz in self.nonzeros for j, _ in nz)
+        order = sorted(range(c), key=lambda j: (count[j], j))
+        for i in range(r):
+            row = T[i]
+            v = row[n]
+            for j in [j for j in order if row[j] and stat[j] != _BASIC and lower[j] != upper[j]]:
+                a = row[j]
+                # x_j moves by v / (L * a) from its bound, to (start * a + v) /
+                # a over L, and row k's basic value by -T[k][j] / dens[k]
+                # times that, to (T[k][n] * a - T[k][j] * v) / (dens[k] * a)
+                moved = (
+                    (t[n], t[j], dk, b) for t, dk, b in zip(T, dens, basis) if t[j] and t is not row
+                )
+                start = lower[j] if stat[j] == _LOW else upper[j]
+                for t, f, dk, b in itertools.chain([(start, -1, 1, j)], moved):
+                    num, den = t * a - f * v, dk * a
+                    lo, hi = lower[b] * den, upper[b] * den
+                    if not (lo <= num <= hi if den > 0 else hi <= num <= lo):
+                        break
+                else:
+                    self._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)
+                    break
+
     def solve(self):
-        """Cold two-phase solve from the all-artificial basis."""
+        """Cold two-phase solve from the crash basis; ``crash_pivots`` and
+        ``phase1_pivots`` count the pivots before phase 2."""
+        self._crash()
+        self.crash_pivots = self.pivots
         self._iterate()
+        self.phase1_pivots = self.pivots - self.crash_pivots
         # the cost row's value entry is -dens[r] * L times the phase-1 objective,
         # the signed sum of the artificials
         if self.T[self.r][self.n]:
@@ -348,14 +391,20 @@ class Tableau:
         for row in self.T:
             row[n] *= f
 
-    def reoptimize(self, j, lo, hi):
+    def reoptimize(self, j, lo, hi, cutoff=None):
         """Give basic variable j the bounds [lo, hi] (ints or rationals; None
         keeps that bound) and restore optimality by the bounded dual simplex;
-        OPTIMAL or INFEASIBLE.
+        OPTIMAL, INFEASIBLE or CUTOFF.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
         new bounds, and no value moves until the first dual pivot.  A bound
         whose denominator does not divide L scales L up to the lcm.
+
+        The objective of a dual-feasible basis bounds the new optimum from
+        below, so the search stops with CUTOFF once it reaches ``cutoff =
+        (cost, cost_den)``, cost_den > 0.  This trusts dual feasibility alone,
+        as pruning an optimal node by its objective does; a certificate of
+        node optimality must cover cut-off nodes too.
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
@@ -370,8 +419,14 @@ class Tableau:
         dens = self.dens
         r, n = self.r, self.n
         cost_row = T[r]
+        kL = self.k * L
         self.pivots = 0
         for _ in range(_MAX_ITERATIONS):
+            # the objective -cost_row[n] / (dens[r] * k * L) against the cutoff
+            if cutoff is not None:
+                gap = -cost_row[n] * cutoff[1] - cutoff[0] * dens[r] * kL
+                if gap >= 0 if dens[r] > 0 else gap <= 0:
+                    return LPStatus.CUTOFF
             # the leaving row: the out-of-bounds basic variable of least
             # index; in a row over a negative denominator the value column
             # runs opposite to the values

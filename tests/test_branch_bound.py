@@ -127,13 +127,19 @@ def test_stats_accumulate():
 @pytest.mark.parametrize(
     "rows, rhs, upper, objective, counts",
     [
-        # min x s.t. 2y + x = 3: the root has y = 3/2; the down child y <= 1
-        # gives the incumbent y = x = 1, the up child y >= 2 needs x < 0
-        ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1)),
+        # min x s.t. 2y + x = 3: the crash pivots y in at 3/2, the root; the
+        # down child y <= 1 gives the incumbent y = x = 1 in one dual pivot,
+        # the up child y >= 2 needs x < 0
+        ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1, 1, 0, 0, 1)),
         # min -y + 5z s.t. 2y + x - z = 3: the root has y = 3/2; the down child
-        # gives the incumbent y = x = 1 (objective -1), the up child's best is
-        # y = 2, z = 1 (objective 3), cut off by the incumbent
-        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1)),
+        # gives the incumbent y = x = 1 (objective -1), the up child's dual
+        # simplex reaches y = 2, z = 1 (objective 3) in one pivot and stops
+        # there, cut off by the incumbent
+        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1, 1, 0, 0, 2)),
+        # min z s.t. 2y + x = 3, z free of the row: every node's objective is
+        # 0, so the infeasible up child y >= 2 is cut off at its first
+        # iteration, before any pivot, by the down child's incumbent
+        ([[2, 1, 0]], (3,), (5, 10, 10), (0, 0, 1), (3, 0, 1, 1, 1, 1, 0, 0, 1)),
     ],
 )
 def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
@@ -146,7 +152,12 @@ def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
         stats.bb_pruned,
         stats.bb_incumbents,
         stats.bb_max_depth,
+        stats.lp_crash_pivots,
+        stats.lp_phase1_pivots,
+        stats.lp_phase2_pivots,
+        stats.lp_dual_pivots,
     ) == counts
+    assert stats.lp_pivots == sum(counts[5:])
     # a second search adds its counts and keeps the deeper of the two depths
     solve_mip(MixedModel(lp, frozenset()), stats=stats)
     assert stats.bb_nodes == counts[0] + 1
@@ -239,19 +250,54 @@ def test_warm_child_matches_cold_solve(case):
     parent = Tableau(lp)
     if parent.solve() != LPStatus.OPTIMAL:
         return
+    cut = _cut(parent, rank, up, k)
+    if cut is not None:
+        _check_warm_child(parent, *cut)
+
+
+def _cut(parent, rank, up, k):
+    """The basic variable of the given rank among an optimal tableau's
+    structural basics, and bounds that exclude its value, as a branching
+    bound excludes a fractional value: ``(j, lo, hi)``, or None when there
+    is no such variable or its value sits on the side's bound."""
+    lp = parent.lp
     basic = sorted(j for j in parent.basis if j < lp.matrix.cols)
     if not basic:
-        return
+        return None
     j = basic[rank % len(basic)]
     v, lo, hi = parent.vertex().values[j], lp.lower[j], lp.upper[j]
-    # the cut excludes v, as a branching bound excludes a fractional value
     if up and v < hi:
-        lo = v + (hi - v) * Fraction(k, 4)
-    elif not up and v > lo:
-        hi = v - (v - lo) * Fraction(k, 4)
-    else:
+        return j, v + (hi - v) * Fraction(k, 4), hi
+    if not up and v > lo:
+        return j, lo, v - (v - lo) * Fraction(k, 4)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_and_cut(), st.integers(-2, 8))
+# x0 = 3/2 at the optimum -3, whose cost row sits over a negative
+# denominator; the child x0 >= 9/4 ends at -3/2, below the cutoff 0
+@example((dense_lp([[-2, 1]], (-3,), (0, 0), (3, 3), (-2, 2)), 0, True, 2), 6)
+def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
+    # two snapshots of one optimal tableau re-optimize the same cut, one
+    # with a cutoff at the parent's objective plus halves / 2
+    lp, rank, up, k = case
+    parent = Tableau(lp)
+    if parent.solve() != LPStatus.OPTIMAL:
         return
-    _check_warm_child(parent, j, lo, hi)
+    cut = _cut(parent, rank, up, k)
+    if cut is None:
+        return
+    cutoff = parent.vertex().objective_value + Rat(halves, 2)
+    stopped, free = parent.copy(), parent.copy()
+    status = stopped.reoptimize(*cut, (cutoff.numerator, cutoff.denominator))
+    free_status = free.reoptimize(*cut)
+    if status == LPStatus.CUTOFF:
+        assert free_status == LPStatus.INFEASIBLE or free.vertex().objective_value >= cutoff
+    else:
+        assert (status, stopped.basis, stopped.pivots) == (free_status, free.basis, free.pivots)
+        if status == LPStatus.OPTIMAL:
+            assert stopped.vertex().objective_value < cutoff
 
 
 def test_warm_children_of_pinned_degenerate_lps():

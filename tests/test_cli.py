@@ -56,6 +56,10 @@ def test_solve_general_with_oracle_check(tmp_path, capsys):
     assert report["solve_stats"]["lp_pivots"] >= 0
     assert set(report["solve_stats"]) == {
         "lp_pivots",
+        "lp_crash_pivots",
+        "lp_phase1_pivots",
+        "lp_phase2_pivots",
+        "lp_dual_pivots",
         "bb_nodes",
         "bb_infeasible",
         "bb_pruned",

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nearfeas.errors import PipelineInvariantError
 from nearfeas.linalg import Matrix, is_nonsingular
@@ -13,6 +13,7 @@ from nearfeas.simplex import (
     LinearProgram,
     LPStatus,
     Tableau,
+    _LOW,
     _verify_vertex,
     nonintegral_support,
     solve_lp_vertex,
@@ -295,11 +296,14 @@ def test_rational_entry_lps_match():
 # Degenerate LPs (vertices on bounds, ratio-test ties) with their pivot path
 # pinned: (A, b, lower, upper, objective, pivots, basis, values).  The first
 # four have fractional rows and objectives and negative residuals at the
-# all-lower start, so the integer tableau's denominator leaves 1 and turns
-# negative; the fifth is 0/1 data.  The last three have bounds and right-hand
-# sides over different denominators, so the scale L of bounds and values is
-# 30, 12 and 30 (12: the second row's residual is -5/4); in the last, an
-# artificial leaves the basis at its nonzero bound.
+# all-lower start, so the integer tableau's denominator leaves 1 (and in the
+# first, second and fourth turns negative); the fifth is 0/1 data.  The last
+# four have bounds and right-hand sides over different denominators, so the
+# scale L of bounds and values is 30, 12, 60 and 30 (12: the second row's
+# residual is -5/4).  The crash start finds no column in the sixth.  In the
+# eighth it finds none for the first and third rows, and for the second it
+# passes over the fixed x0 and x3 and over x1 and pivots x2 in; phase 1 then
+# drives an artificial out of the basis at its nonzero bound.
 _PINNED_LPS = [
     (
         [["2/3", 1, "2/3", 2], [0, 0, 0, "-1/2"], [0, "-2/3", 1, 0]],
@@ -307,8 +311,8 @@ _PINNED_LPS = [
         [0, -1, -1, 0],
         [2, 1, 0, 1],
         [1, "-3/2", -3, -1],
-        4,
-        (2, 3),
+        3,
+        (1, 2, 3),
         [0, 1, 0, 1],
     ),
     (
@@ -317,7 +321,7 @@ _PINNED_LPS = [
         [-1, -1, -1, -1, -1],
         [0, 1, 0, 0, 1],
         ["1/3", "1/2", "-3/2", -1, 3],
-        5,
+        3,
         (0, 2, 4),
         [0, -1, 0, -1, 1],
     ),
@@ -327,7 +331,7 @@ _PINNED_LPS = [
         [0, -1, -1, -1],
         [2, 0, 0, 1],
         [-3, "-1/2", "-3/2", 0],
-        5,
+        3,
         (1, 2),
         [0, 0, -1, -1],
     ),
@@ -337,8 +341,8 @@ _PINNED_LPS = [
         [0, -1, 0, 0, 0],
         [2, 0, 1, 1, 1],
         [2, 0, -3, 0, 3],
-        6,
-        (1, 2, 4),
+        4,
+        (1, 2, 3),
         [2, -1, 0, 1, 0],
     ),
     (
@@ -347,8 +351,8 @@ _PINNED_LPS = [
         [0] * 6,
         [1] * 6,
         [1, 1, 1, -1, 1, -1],
-        7,
-        (3, 4, 5),
+        5,
+        (1, 3, 4, 5),
         [0, 0, 0, 0, 0, 1],
     ),
     (
@@ -372,12 +376,22 @@ _PINNED_LPS = [
         ["1/2", "2/3", "3/2", "1/3", -1],
     ),
     (
+        [[2, -1, "2/3", 0, 2], [2, "2/3", -2, "2/3", 1], [0, -2, -1, "2/3", 2]],
+        ["3/4", "3/5", "-3/5"],
+        [0, -1, -2, -3, "-1/3"],
+        [0, 1, 2, -3, "17/3"],
+        [2, 1, 2, -2, -2],
+        3,
+        (1, 2, 4),
+        [0, "789/1540", "-537/770", -3, "19/22"],
+    ),
+    (
         [[1, 1, 3, 0, -2], [-2, 3, "-1/2", -1, 1]],
         ["-4/5", "3/5"],
         [-1, 0, 0, "-1/3", -1],
         ["-1/2", 3, 1, "2/3", 1],
         [-1, -2, 1, 2, 0],
-        7,
+        5,
         (3, 4),
         ["-1/2", 0, 0, "11/20", "3/20"],
     ),
@@ -400,7 +414,7 @@ def test_pinned_pivot_paths(case):
 
 
 def test_pinned_scales():
-    assert [Tableau(_pinned_lp(case)).L for case in _PINNED_LPS[5:]] == [30, 12, 30]
+    assert [Tableau(_pinned_lp(case)).L for case in _PINNED_LPS[5:]] == [30, 12, 60, 30]
 
 
 @pytest.mark.parametrize(
@@ -518,8 +532,38 @@ def _lp_and_cuts(draw):
     return dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj)), cuts
 
 
+@settings(max_examples=200, deadline=None)
+@given(_lp_and_cuts())
+def test_the_crash_start_keeps_every_basic_value_within_its_bounds(case):
+    tab = Tableau(case[0])
+    tab._crash()
+    n = tab.n
+    for row, di, b in zip(tab.T, tab.dens, tab.basis):
+        assert tab.lower[b] <= Fraction(row[n], di) <= tab.upper[b]
+    # an artificial that left the basis sits at 0
+    for j in range(tab.c, n):
+        if j not in tab.basis:
+            assert (tab.lower[j] if tab.stat[j] == _LOW else tab.upper[j]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5))
+def test_solves_from_the_crash_start_match_enumeration(rnd, m, n):
+    A, b, lower, upper, obj = _random_lp(rnd, m, n)
+    sol = solve_lp_vertex(dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj)))
+    expected = lp_optimum_by_enumeration(A, b, lower, upper, obj)
+    if expected is None:
+        assert sol.status == LPStatus.INFEASIBLE
+    else:
+        assert sol.status == LPStatus.OPTIMAL
+        assert sol.objective_value == expected
+
+
+# every pivot is checked: the crash start's, both phases' and the dual
+# simplex's; the pinned eighth LP makes a crash pivot and a phase-1 pivot
 @settings(max_examples=150, deadline=None)
 @given(_lp_and_cuts())
+@example((_pinned_lp(_PINNED_LPS[7]), [(0, True, 2)]))
 def test_every_pivot_keeps_rows_integral_over_d_and_d_the_basis_determinant(case):
     lp, cuts = case
     pivot = Tableau._pivot

@@ -23,12 +23,12 @@ _GENERATORS = {
 
 # (kind, seed, lp_pivots, bb_nodes, objective) at --epsilon 1/5
 _CASES = [
-    ("general", 2, 70, 49, "-3"),
-    ("general", 4, 64, 27, "-37/2"),
-    ("nfold_config", 0, 109, 29, "-7"),
-    ("nfold_config", 3, 78, 31, "2"),
-    ("nfold_nonneg", 16, 37, 11, "27"),
-    ("nfold_nonneg", 4, 20, 7, "22"),
+    ("general", 2, 66, 49, "-3"),
+    ("general", 4, 53, 27, "-37/2"),
+    ("nfold_config", 0, 86, 29, "-7"),
+    ("nfold_config", 3, 70, 31, "2"),
+    ("nfold_nonneg", 16, 32, 11, "27"),
+    ("nfold_nonneg", 4, 19, 7, "22"),
 ]
 
 
@@ -43,6 +43,8 @@ def test_solve_effort_is_pinned(tmp_path, capsys, kind, seed, pivots, nodes, obj
     assert report["status"] == "ok"
     stats = report["solve_stats"]
     assert (stats["lp_pivots"], stats["bb_nodes"], report["objective"]) == (pivots, nodes, objective)
+    phases = ("lp_crash_pivots", "lp_phase1_pivots", "lp_phase2_pivots", "lp_dual_pivots")
+    assert stats["lp_pivots"] == sum(stats[k] for k in phases)
 
 
 def test_a_pinned_instance_has_rational_rows_rhs_and_weights():

@@ -3,7 +3,11 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [NAME ...]
+
+With no names it runs every row; with names, only those rows, after the
+baseline run of their tests.  ``-h`` or ``--help`` prints this text, and an
+unknown name exits 2 and names it; neither starts a test run.
 
 Each row of ``MUTANTS`` names a file, an exact snippet in it, the snippet's
 replacement, the test ids that must fail once the replacement is made and,
@@ -21,7 +25,8 @@ tests with pytest under ``TIMEOUT`` seconds and prints one line:
 
 A row with an ``equivalent`` reason prints it after its outcome.  The exit
 status is 0 when every row is killed, or survives if it is marked
-equivalent; 1 otherwise, and 2 when the tests fail unmutated.
+equivalent; 1 otherwise, and 2 when the tests fail unmutated or a name is
+unknown.
 ``tests/test_mutants.py`` checks that every snippet occurs exactly once, so
 a change that rewrites mutated code updates its rows.  Standard library
 only; the checkout is never modified.
@@ -73,12 +78,14 @@ _PSI_EXHAUSTED = (
 )
 _WINDOW = "tests/test_solver_nfold.py::test_enumeration_window_matches_a_fraction_reference"
 _ORACLE_TESTS = ("tests/test_oracle.py",)
-_WARM = (
-    "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
+_WARM = (  # the pinned test first, so that -x stops at its quick failure
     "tests/test_branch_bound.py::test_warm_children_of_pinned_degenerate_lps",
+    "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
 )
 _COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
+_CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
+_CUTOFF = "tests/test_branch_bound.py::test_a_cutoff_stops_only_a_child_that_cannot_beat_it"
 _LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
     "tests/test_kernels.py::test_pivot_normalizes_column",
@@ -377,7 +384,7 @@ MUTANTS = (
         _SIMPLEX,
         "                di = dens[i]\n                pos = di > 0\n",
         "                di = self.d\n                pos = di > 0\n",
-        (_EAGER,),
+        ("tests/test_simplex.py::test_pinned_pivot_paths", _EAGER),
     ),
     Mutant(
         "dual-leaving-scan-reads-d",
@@ -435,6 +442,28 @@ MUTANTS = (
         "    g = math.gcd(*prow[:pc], *prow[pc + 1 :])\n",
         _KERNELS,
     ),
+    # the crash start of a cold solve
+    Mutant(
+        "crash-checks-only-the-entering-bounds",
+        _SIMPLEX,
+        " if t[j] and t is not row\n",
+        " if False\n",
+        (_CRASH,) + _COLD,
+    ),
+    Mutant(
+        "crash-ignores-the-artificial-ranges",
+        _SIMPLEX,
+        " if t[j] and t is not row\n",
+        " if t[j] and t is not row and b < c\n",
+        (_CRASH,),
+    ),
+    Mutant(
+        "crash-artificial-leaves-at-its-far-bound",
+        _SIMPLEX,
+        "self._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)",
+        "self._pivot(i, j, _UP if lower[c + i] == 0 else _LOW)",
+        (_CRASH,),
+    ),
     # the warm-started dual simplex and the branch-and-bound search
     Mutant(
         "snapshot-aliases-the-live-tableau",
@@ -449,6 +478,27 @@ MUTANTS = (
         "            run.bb_pruned += 1\n",
         "            run.bb_pruned += 0\n",
         ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "cutoff-counted-as-infeasible",
+        _BB,
+        "        if status == LPStatus.INFEASIBLE:\n            run.bb_infeasible += 1\n",
+        "        if status != LPStatus.OPTIMAL:\n            run.bb_infeasible += 1\n",
+        ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "dual-pivots-not-counted",
+        _BB,
+        "            run.lp_dual_pivots += tab.pivots\n",
+        "",
+        ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "cutoff-ignores-a-negative-cost-row-denominator",
+        _SIMPLEX,
+        "if gap >= 0 if dens[r] > 0 else gap <= 0:",
+        "if gap >= 0:",
+        (_CUTOFF,),
     ),
     Mutant(
         "dual-eligibility-sign-flipped",
@@ -737,8 +787,19 @@ def run(mutant):
     return {0: "survived", 1: "killed"}.get(code, "stale")
 
 
-def main():
-    tests = sorted({t for m in MUTANTS for t in m.tests})
+def main(argv=None):
+    names = sys.argv[1:] if argv is None else argv
+    if "-h" in names or "--help" in names:
+        print(__doc__)
+        return 0
+    rows = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in rows]
+    if unknown:
+        print("unknown mutant: " + ", ".join(unknown), file=sys.stderr)
+        return 2
+    chosen = [rows[name] for name in names] if names else MUTANTS
+
+    tests = sorted({t for m in chosen for t in m.tests})
     with tempfile.TemporaryDirectory() as workdir:
         code = _pytest(_copy(workdir), tests, TIMEOUT * 2)
     if code != 0:
@@ -746,7 +807,7 @@ def main():
         return 2
 
     failed = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         outcome = run(mutant)
         line = f"{outcome:9} {mutant.name}"
         if mutant.equivalent:
