@@ -82,7 +82,10 @@ def _result_report(kind, epsilon, result):
         "status": result.status.value,
         "within_bound": bool(result.report.within_bound) if result.report else False,
         "refinements": result.refinements,
-        "solve_stats": dataclasses.asdict(result.stats),
+        # every SolveStats field, without asdict's deep copy of each int
+        "solve_stats": {
+            f.name: getattr(result.stats, f.name) for f in dataclasses.fields(result.stats)
+        },
         "x": _solution_json(result.x),
         "notes": list(result.notes),
     }

@@ -44,14 +44,15 @@ re-optimization is deterministic and terminates.  A row with no entering
 column is a Farkas certificate of infeasibility and is checked exactly
 against the original matrix.  Given a cutoff, the re-optimization stops once
 its objective, a lower bound while the basis is dual feasible, reaches it.
-Branch-and-bound re-optimizes every child node this way from its parent's
-tableau, with the incumbent's objective as the cutoff.
+The ratio test fixes the objective after its pivot exactly (the entering
+column's |reduced cost / pivot entry| times the leaving variable's distance
+to its bound), so a pivot that would reach the cutoff is declined, not made.  Branch-and-bound
+re-optimizes every child node this way from its parent's tableau, with the
+incumbent's objective as the cutoff.
 """
 
 import collections
-import copy
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,7 +208,8 @@ class Tableau:
     def copy(self):
         """An independent snapshot: rows and their denominators, basis,
         bounds and statuses."""
-        new = copy.copy(self)
+        new = object.__new__(Tableau)
+        new.__dict__.update(self.__dict__)
         new.T = [row[:] for row in self.T]
         new.dens = self.dens[:]
         new.lower = self.lower[:]
@@ -336,32 +338,48 @@ class Tableau:
         the first nonbasic, non-fixed structural column, by (nonzeros in
         ``lp.matrix``, index), whose move to absorb it keeps that column and
         every basic variable within its bounds (each artificial within its
-        phase-1 range); a row with no such column keeps its artificial."""
+        phase-1 range); a row with no such column keeps its artificial.
+
+        A row whose artificial is already 0 moves nothing, so its first
+        candidate passes at once; on any other row a candidate's own move
+        (its sign and its width) is tested before the rows of its column."""
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         c, n, r = self.c, self.n, self.r
         count = collections.Counter(j for nz in self.nonzeros for j, _ in nz)
-        order = sorted(range(c), key=lambda j: (count[j], j))
+        order = [j for j in sorted(range(c), key=lambda j: (count[j], j)) if lower[j] != upper[j]]
         for i in range(r):
             row = T[i]
             v = row[n]
-            for j in [j for j in order if row[j] and stat[j] != _BASIC and lower[j] != upper[j]]:
+            for j in order:
                 a = row[j]
-                # x_j moves by v / (L * a) from its bound, to (start * a + v) /
-                # a over L, and row k's basic value by -T[k][j] / dens[k]
-                # times that, to (T[k][n] * a - T[k][j] * v) / (dens[k] * a)
-                moved = (
-                    (t[n], t[j], dk, b) for t, dk, b in zip(T, dens, basis) if t[j] and t is not row
-                )
-                start = lower[j] if stat[j] == _LOW else upper[j]
-                for t, f, dk, b in itertools.chain([(start, -1, 1, j)], moved):
-                    num, den = t * a - f * v, dk * a
-                    lo, hi = lower[b] * den, upper[b] * den
-                    if not (lo <= num <= hi if den > 0 else hi <= num <= lo):
-                        break
-                else:
-                    self._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)
-                    break
+                if not a or stat[j] == _BASIC:
+                    continue
+                if v:
+                    # x_j moves by v / (L * a) from its bound: up from the
+                    # lower one, down from the upper one, by at most its width
+                    if ((v > 0) == (a > 0)) != (stat[j] == _LOW):
+                        continue
+                    if abs(v) > (upper[j] - lower[j]) * abs(a):
+                        continue
+                    if not self._rows_absorb(row, j, v, a):
+                        continue
+                self._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)
+                break
+
+    def _rows_absorb(self, row, j, v, a):
+        """Whether every other row's basic value stays within its bounds
+        when x_j moves by v / (L * a): row k's moves by -T[k][j] / dens[k]
+        times that, to (T[k][n] * a - T[k][j] * v) / (dens[k] * a)."""
+        lower, upper, n = self.lower, self.upper, self.n
+        for t, dk, b in zip(self.T, self.dens, self.basis):
+            f = t[j]
+            if f and t is not row:
+                num, den = t[n] * a - f * v, dk * a
+                lo, hi = lower[b] * den, upper[b] * den
+                if not (lo <= num <= hi if den > 0 else hi <= num <= lo):
+                    return False
+        return True
 
     def solve(self):
         """Cold two-phase solve from the crash basis; ``crash_pivots`` and
@@ -397,36 +415,47 @@ class Tableau:
         OPTIMAL, INFEASIBLE or CUTOFF.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
-        new bounds, and no value moves until the first dual pivot.  A bound
-        whose denominator does not divide L scales L up to the lcm.
+        new bounds, and no value moves until the first dual pivot.  An int
+        bound is held as itself times L; a rational bound whose denominator
+        does not divide L scales L up to the lcm.
 
         The objective of a dual-feasible basis bounds the new optimum from
         below, so the search stops with CUTOFF once it reaches ``cutoff =
-        (cost, cost_den)``, cost_den > 0.  This trusts dual feasibility alone,
-        as pruning an optimal node by its objective does; a certificate of
-        node optimality must cover cut-off nodes too.
+        (cost, cost_den)``, cost_den > 0: at once if the parent's objective
+        reaches it, else as soon as the ratio test has picked a pivot whose
+        objective would, before that pivot is made (and counted).  The step
+        is exact: leaving x_l moving to its violated bound and x_q entering
+        raise the objective by |d_q / alpha_lq| times x_l's distance to that
+        bound.  This trusts dual feasibility alone, as pruning an optimal
+        node by its objective does; a certificate of node optimality must
+        cover cut-off nodes too.
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
-        L = math.lcm(self.L, common_denominator(v for v in (lo, hi) if v is not None))
-        if L != self.L:
-            self._rescale(L // self.L)
+        L = self.L
+        if not all(type(v) is int for v in (lo, hi) if v is not None):
+            L = math.lcm(L, common_denominator(v for v in (lo, hi) if v is not None))
+            if L != self.L:
+                self._rescale(L // self.L)
         if lo is not None:
-            self.lower[j] = scaled(lo, L)
+            self.lower[j] = lo * L if type(lo) is int else scaled(lo, L)
         if hi is not None:
-            self.upper[j] = scaled(hi, L)
+            self.upper[j] = hi * L if type(hi) is int else scaled(hi, L)
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         r, n = self.r, self.n
         cost_row = T[r]
         kL = self.k * L
         self.pivots = 0
+        # the objective is zr / (|dens[r]| * k * L), zr being -cost_row[n]
+        # read against the sign of dens[r]; it reaches cost / cost_den when
+        # zr * cost_den >= cost * |dens[r]| * k * L
+        if cutoff is not None:
+            cost, cost_den = cutoff
+            zr = -cost_row[n] if dens[r] > 0 else cost_row[n]
+            if zr * cost_den >= cost * abs(dens[r]) * kL:
+                return LPStatus.CUTOFF
         for _ in range(_MAX_ITERATIONS):
-            # the objective -cost_row[n] / (dens[r] * k * L) against the cutoff
-            if cutoff is not None:
-                gap = -cost_row[n] * cutoff[1] - cutoff[0] * dens[r] * kL
-                if gap >= 0 if dens[r] > 0 else gap <= 0:
-                    return LPStatus.CUTOFF
             # the leaving row: the out-of-bounds basic variable of least
             # index; in a row over a negative denominator the value column
             # runs opposite to the values
@@ -474,6 +503,14 @@ class Tableau:
             if q < 0:
                 self._certify_infeasible(leave)
                 return LPStatus.INFEASIBLE
+            # the objective after the pivot: |d_q / alpha_lq| is qc * |di| /
+            # (|dens[r]| * k * qa), and lv's distance to its bound is
+            # |v - di * bound| / (|di| * L)
+            if cutoff is not None:
+                step = abs(v - di * (lower[lv] if to_low else upper[lv]))
+                zr = -cost_row[n] if dens[r] > 0 else cost_row[n]
+                if (zr * qa + qc * step) * cost_den >= cost * abs(dens[r]) * kL * qa:
+                    return LPStatus.CUTOFF
             self._pivot(leave, q, _LOW if to_low else _UP)
         raise PipelineInvariantError("dual simplex iteration cap hit; anti-cycling rule broken")
 

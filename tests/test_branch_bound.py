@@ -132,10 +132,10 @@ def test_stats_accumulate():
         # the up child y >= 2 needs x < 0
         ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1, 1, 0, 0, 1)),
         # min -y + 5z s.t. 2y + x - z = 3: the root has y = 3/2; the down child
-        # gives the incumbent y = x = 1 (objective -1), the up child's dual
-        # simplex reaches y = 2, z = 1 (objective 3) in one pivot and stops
-        # there, cut off by the incumbent
-        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1, 1, 0, 0, 2)),
+        # gives the incumbent y = x = 1 (objective -1), the up child's ratio
+        # test picks the pivot to y = 2, z = 1 (objective 3), and the child
+        # is cut off by the incumbent without making it
+        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1, 1, 0, 0, 1)),
         # min z s.t. 2y + x = 3, z free of the row: every node's objective is
         # 0, so the infeasible up child y >= 2 is cut off at its first
         # iteration, before any pivot, by the down child's incumbent
@@ -273,14 +273,70 @@ def _cut(parent, rank, up, k):
     return None
 
 
+def _free_run(tab, cut):
+    """Re-optimize ``tab`` under ``cut`` with no cutoff, recording the
+    objective and the basis before the first pivot and after each one:
+    ``(status, [(objective, basis), ...])``."""
+    pivot = Tableau._pivot
+    states = []
+
+    def record(t):
+        objective = Rat(-t.T[t.r][t.n], t.dens[t.r] * t.k * t.L)
+        states.append((objective, t.basis[:]))
+
+    def recording_pivot(t, leave, q, leave_stat):
+        pivot(t, leave, q, leave_stat)
+        record(t)
+
+    record(tab)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tableau, "_pivot", recording_pivot)
+        status = tab.reoptimize(*cut)
+    return status, states
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lp_and_cut(), st.integers(-2, 8))
 # x0 = 3/2 at the optimum -3, whose cost row sits over a negative
 # denominator; the child x0 >= 9/4 ends at -3/2, below the cutoff 0
 @example((dense_lp([[-2, 1]], (-3,), (0, 0), (3, 3), (-2, 2)), 0, True, 2), 6)
+# the cost row sits over a negative denominator at the optimum 31/4; the
+# child's one pivot reaches 37/4, exactly the cutoff, and is declined
+@example(
+    (
+        dense_lp(
+            [[-2, -2]], (Rat(11, 2),), (Rat(-7, 2), Rat(-1, 2)), (Rat(-5, 2), Rat(1, 2)), (-3, -1)
+        ),
+        0,
+        True,
+        4,
+    ),
+    3,
+)
+# a degenerate dual step: the child's first pivot keeps the objective at -1
+# (its entering column's reduced cost is 0) and is made; the second reaches
+# 2, exactly the cutoff, and is declined
+@example(
+    (
+        dense_lp(
+            [[-1, -1, 2]],
+            (3,),
+            (-1, Rat(-10, 3), Rat(-5, 3)),
+            (2, Rat(-7, 3), Rat(4, 3)),
+            (1, 0, 0),
+        ),
+        1,
+        True,
+        4,
+    ),
+    6,
+)
 def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     # two snapshots of one optimal tableau re-optimize the same cut, one
-    # with a cutoff at the parent's objective plus halves / 2
+    # with a cutoff at the parent's objective plus halves / 2.  The free run
+    # records its objective after each pivot: the cut-off run stops at once
+    # if the parent's objective reaches the cutoff, and otherwise just
+    # before the first pivot whose objective does; else it is the free run
     lp, rank, up, k = case
     parent = Tableau(lp)
     if parent.solve() != LPStatus.OPTIMAL:
@@ -291,9 +347,17 @@ def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     cutoff = parent.vertex().objective_value + Rat(halves, 2)
     stopped, free = parent.copy(), parent.copy()
     status = stopped.reoptimize(*cut, (cutoff.numerator, cutoff.denominator))
-    free_status = free.reoptimize(*cut)
-    if status == LPStatus.CUTOFF:
-        assert free_status == LPStatus.INFEASIBLE or free.vertex().objective_value >= cutoff
+    free_status, states = _free_run(free, cut)
+    objectives = [z for z, _ in states]
+    # the dual objective never falls, and the free run ends on its optimum
+    assert objectives == sorted(objectives)
+    assert len(states) == free.pivots + 1
+    if free_status == LPStatus.OPTIMAL:
+        assert objectives[-1] == free.vertex().objective_value
+    reached = [p for p, z in enumerate(objectives) if z >= cutoff]
+    if reached:
+        kept = max(reached[0] - 1, 0)
+        assert (status, stopped.pivots, stopped.basis) == (LPStatus.CUTOFF, kept, states[kept][1])
     else:
         assert (status, stopped.basis, stopped.pivots) == (free_status, free.basis, free.pivots)
         if status == LPStatus.OPTIMAL:

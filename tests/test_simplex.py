@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -13,7 +14,9 @@ from nearfeas.simplex import (
     LinearProgram,
     LPStatus,
     Tableau,
+    _BASIC,
     _LOW,
+    _UP,
     _verify_vertex,
     nonintegral_support,
     solve_lp_vertex,
@@ -532,11 +535,48 @@ def _lp_and_cuts(draw):
     return dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj)), cuts
 
 
+def _reference_crash(tab):
+    """The crash start as first written: for each row, the candidate columns
+    in order, each tested by one walk over its own move and the rows with a
+    nonzero in its column.  The reference for ``Tableau._crash``."""
+    T, lower, upper, stat, basis = tab.T, tab.lower, tab.upper, tab.stat, tab.basis
+    c, n = tab.c, tab.n
+    count = collections.Counter(j for nz in tab.nonzeros for j, _ in nz)
+    order = sorted(range(c), key=lambda j: (count[j], j))
+    for i in range(tab.r):
+        row = T[i]
+        v = row[n]
+        for j in [j for j in order if row[j] and stat[j] != _BASIC and lower[j] != upper[j]]:
+            a = row[j]
+            moved = (
+                (t[n], t[j], dk, b) for t, dk, b in zip(T, tab.dens, basis) if t[j] and t is not row
+            )
+            start = lower[j] if stat[j] == _LOW else upper[j]
+            for t, f, dk, b in itertools.chain([(start, -1, 1, j)], moved):
+                num, den = t * a - f * v, dk * a
+                lo, hi = lower[b] * den, upper[b] * den
+                if not (lo <= num <= hi if den > 0 else hi <= num <= lo):
+                    break
+            else:
+                tab._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)
+                break
+
+
+def _crashed_as_the_reference(lp):
+    """A tableau of lp after ``Tableau._crash``, checked to have the basis,
+    statuses, rows and crash pivots of ``_reference_crash``."""
+    tab, ref = Tableau(lp), Tableau(lp)
+    tab._crash()
+    _reference_crash(ref)
+    assert (tab.pivots, tab.basis, tab.stat) == (ref.pivots, ref.basis, ref.stat)
+    assert (tab.T, tab.dens, tab.d) == (ref.T, ref.dens, ref.d)
+    return tab
+
+
 @settings(max_examples=200, deadline=None)
 @given(_lp_and_cuts())
 def test_the_crash_start_keeps_every_basic_value_within_its_bounds(case):
-    tab = Tableau(case[0])
-    tab._crash()
+    tab = _crashed_as_the_reference(case[0])
     n = tab.n
     for row, di, b in zip(tab.T, tab.dens, tab.basis):
         assert tab.lower[b] <= Fraction(row[n], di) <= tab.upper[b]
@@ -544,6 +584,19 @@ def test_the_crash_start_keeps_every_basic_value_within_its_bounds(case):
     for j in range(tab.c, n):
         if j not in tab.basis:
             assert (tab.lower[j] if tab.stat[j] == _LOW else tab.upper[j]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5))
+def test_the_crash_start_matches_the_reference_on_integer_lps(rnd, m, n):
+    A, b, lower, upper, obj = _random_lp(rnd, m, n)
+    lp = dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj))
+    _crashed_as_the_reference(lp)
+
+
+@pytest.mark.parametrize("case", _PINNED_LPS)
+def test_the_crash_start_matches_the_reference_on_pinned_lps(case):
+    _crashed_as_the_reference(_pinned_lp(case))
 
 
 @settings(max_examples=150, deadline=None)

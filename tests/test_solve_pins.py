@@ -23,11 +23,11 @@ _GENERATORS = {
 
 # (kind, seed, lp_pivots, bb_nodes, objective) at --epsilon 1/5
 _CASES = [
-    ("general", 2, 66, 49, "-3"),
-    ("general", 4, 53, 27, "-37/2"),
-    ("nfold_config", 0, 86, 29, "-7"),
-    ("nfold_config", 3, 70, 31, "2"),
-    ("nfold_nonneg", 16, 32, 11, "27"),
+    ("general", 2, 56, 49, "-3"),
+    ("general", 4, 43, 27, "-37/2"),
+    ("nfold_config", 0, 85, 29, "-7"),
+    ("nfold_config", 3, 67, 31, "2"),
+    ("nfold_nonneg", 16, 29, 11, "27"),
     ("nfold_nonneg", 4, 19, 7, "22"),
 ]
 

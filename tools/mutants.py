@@ -85,6 +85,7 @@ _WARM = (  # the pinned test first, so that -x stops at its quick failure
 _COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
 _CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
+_CRASH_PINNED = "tests/test_simplex.py::test_the_crash_start_matches_the_reference_on_pinned_lps"
 _CUTOFF = "tests/test_branch_bound.py::test_a_cutoff_stops_only_a_child_that_cannot_beat_it"
 _LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
@@ -446,23 +447,37 @@ MUTANTS = (
     Mutant(
         "crash-checks-only-the-entering-bounds",
         _SIMPLEX,
-        " if t[j] and t is not row\n",
-        " if False\n",
-        (_CRASH,) + _COLD,
+        "            if f and t is not row:\n",
+        "            if False:\n",
+        (_CRASH_PINNED, _CRASH) + _COLD,
     ),
     Mutant(
         "crash-ignores-the-artificial-ranges",
         _SIMPLEX,
-        " if t[j] and t is not row\n",
-        " if t[j] and t is not row and b < c\n",
-        (_CRASH,),
+        "            if f and t is not row:\n",
+        "            if f and t is not row and b < self.c:\n",
+        (_CRASH_PINNED, _CRASH),
+    ),
+    Mutant(
+        "crash-own-move-width-unchecked",
+        _SIMPLEX,
+        "                    if abs(v) > (upper[j] - lower[j]) * abs(a):\n                        continue\n",
+        "",
+        (_CRASH_PINNED, _CRASH),
+    ),
+    Mutant(
+        "crash-zero-value-shortcut-on-a-nonzero-row",
+        _SIMPLEX,
+        "                if v:\n",
+        "                if v > 0:\n",
+        (_CRASH_PINNED, _CRASH),
     ),
     Mutant(
         "crash-artificial-leaves-at-its-far-bound",
         _SIMPLEX,
         "self._pivot(i, j, _LOW if lower[c + i] == 0 else _UP)",
         "self._pivot(i, j, _UP if lower[c + i] == 0 else _LOW)",
-        (_CRASH,),
+        (_CRASH_PINNED, _CRASH),
     ),
     # the warm-started dual simplex and the branch-and-bound search
     Mutant(
@@ -496,8 +511,36 @@ MUTANTS = (
     Mutant(
         "cutoff-ignores-a-negative-cost-row-denominator",
         _SIMPLEX,
-        "if gap >= 0 if dens[r] > 0 else gap <= 0:",
-        "if gap >= 0:",
+        "            zr = -cost_row[n] if dens[r] > 0 else cost_row[n]\n            if zr * cost_den",
+        "            zr = -cost_row[n]\n            if zr * cost_den",
+        (_CUTOFF,),
+    ),
+    Mutant(
+        "lookahead-ignores-a-negative-cost-row-denominator",
+        _SIMPLEX,
+        "                zr = -cost_row[n] if dens[r] > 0 else cost_row[n]\n                if (zr",
+        "                zr = -cost_row[n]\n                if (zr",
+        (_CUTOFF,),
+    ),
+    Mutant(
+        "lookahead-step-to-the-other-bound",
+        _SIMPLEX,
+        "step = abs(v - di * (lower[lv] if to_low else upper[lv]))",
+        "step = abs(v - di * (upper[lv] if to_low else lower[lv]))",
+        (_CUTOFF,),
+    ),
+    Mutant(
+        "lookahead-without-the-step",
+        _SIMPLEX,
+        "if (zr * qa + qc * step) * cost_den",
+        "if zr * qa * cost_den",
+        (_CUTOFF,),
+    ),
+    Mutant(
+        "lookahead-strict",
+        _SIMPLEX,
+        ">= cost * abs(dens[r]) * kL * qa:",
+        "> cost * abs(dens[r]) * kL * qa:",
         (_CUTOFF,),
     ),
     Mutant(
