@@ -1,7 +1,7 @@
 """Hot kernels: simplex pivoting, fraction-free elimination, exact dot products.
 
 These loops dominate runtime.  They run as plain Python over Python ints
-(``dot`` also sums exact rationals when its vector holds them).
+(``dot``, summing from the int 0, also sums exact rationals).
 """
 
 import math
@@ -96,10 +96,10 @@ def bareiss_rank(m):
     return rank
 
 
-def dot(row, x, zero):
+def dot(row, x):
     """Exact dot product of a sparse row, its nonzeros as (column, value)
     pairs (as in a ``linalg.Matrix``), with the dense vector x."""
-    acc = zero
+    acc = 0
     for j, a in row:
         v = x[j]
         if v:

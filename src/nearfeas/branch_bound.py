@@ -88,6 +88,13 @@ class SolveStats:
     bb_incumbents: int = 0
     bb_max_depth: int = 0
 
+    def count_cold_solve(self, tab):
+        """Add the pivots of ``tab``'s cold solve, by phase and in total."""
+        self.lp_crash_pivots += tab.crash_pivots
+        self.lp_phase1_pivots += tab.phase1_pivots
+        self.lp_phase2_pivots += tab.pivots - tab.crash_pivots - tab.phase1_pivots
+        self.lp_pivots += tab.pivots
+
 
 def solve_mip(model, node_limit=10**6, stats=None):
     """Exact optimum over assignments where integer_vars take integer values.
@@ -111,13 +118,11 @@ def solve_mip(model, node_limit=10**6, stats=None):
 
         if j is None:
             status = tab.solve()
-            run.lp_crash_pivots += tab.crash_pivots
-            run.lp_phase1_pivots += tab.phase1_pivots
-            run.lp_phase2_pivots += tab.pivots - tab.crash_pivots - tab.phase1_pivots
+            run.count_cold_solve(tab)
         else:
             status = tab.reoptimize(j, lo, hi, None if best is None else best[:2])
             run.lp_dual_pivots += tab.pivots
-        run.lp_pivots += tab.pivots
+            run.lp_pivots += tab.pivots
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1
             continue

@@ -37,7 +37,7 @@ from .instances import (
     load_instance,
     validate,
 )
-from .oracle import brute_force
+from .oracle import DEFAULT_CAP, brute_force
 from .rationals import format_rat, parse_rat, to_float
 from .results import SolveStatus
 from .solver_config import solve_nfold_config
@@ -288,14 +288,14 @@ def build_parser():
     )
     p.add_argument("--oracle-check", action="store_true")
     p.add_argument("--json-out", default=None)
-    p.add_argument("--refine-limit", type=int, default=12)
-    p.add_argument("--node-limit", type=int, default=10**6)
+    p.add_argument("--refine-limit", type=int, default=ApproxParams.refinement_limit)
+    p.add_argument("--node-limit", type=int, default=ApproxParams.node_limit)
     p.add_argument("--delta", default=None, help="override the initial box width")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exact brute-force solve")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=int, default=10**7)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_oracle)
 

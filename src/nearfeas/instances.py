@@ -328,7 +328,7 @@ def _row_sums(mats, xs):
         raise ValueError("dimension mismatch in matrix-vector product")
     out = []
     for r in range(mats[0].rows):
-        terms = [(dot(m.nonzeros[r], x, 0), m.scales[r]) for m, x in zip(mats, xs)]
+        terms = [(dot(m.nonzeros[r], x), m.scales[r]) for m, x in zip(mats, xs)]
         d = math.lcm(*(s for _, s in terms))
         out.append((sum(n * (d // s) for n, s in terms), d))
     return out

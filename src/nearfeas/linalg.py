@@ -73,7 +73,7 @@ class Matrix:
         """The product with x: an integer sum per row, one Rat per row."""
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(Rat(dot(nz, x, 0), s) for nz, s in zip(self.nonzeros, self.scales))
+        return tuple(Rat(dot(nz, x), s) for nz, s in zip(self.nonzeros, self.scales))
 
     def __eq__(self, other):
         return (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import PipelineInvariantError
 from .linalg import Matrix
 from .rationals import is_integral
-from .simplex import LinearProgram, LPStatus, solve_lp_vertex
+from .simplex import LinearProgram, LPStatus, Tableau
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,17 @@ def tu_round(restriction, stats=None):
         (1,) * nv,
         restriction.costs,
     )
-    sol = solve_lp_vertex(lp)
+    tab = Tableau(lp)
+    status = tab.solve()
     if stats is not None:
-        stats.lp_pivots += sol.pivots
-    if sol.status != LPStatus.OPTIMAL:
+        stats.count_cold_solve(tab)
+    if status != LPStatus.OPTIMAL:
         raise PipelineInvariantError("TU restriction lost feasibility")
+    values, den, _, _ = tab.vertex_numerators()
     out = {}
     for k, key in enumerate(restriction.keys):
-        v = sol.values[k]
-        if v != 0 and v != 1:
+        v = values[k]
+        if v != 0 and v != den:
             raise PipelineInvariantError("TU vertex is not 0/1")
-        out[key] = int(v)
+        out[key] = v // den
     return out

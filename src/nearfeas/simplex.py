@@ -20,35 +20,36 @@ pivot leaves the rows with a zero in its column as they are, and a row whose
 entry in that column is a multiple of the least denominator of the pivot
 row's values keeps its denominator and changes only where the pivot row is
 nonzero; only the other rows are rewritten over the new d.  One positive
-integer scale L per LP makes every bound and every scaled right-hand side
-integral, so the bounds are held as ints over L and the basic values as an
-integer value column, over dens[i] * L in row i, that the pivots carry with
-the tableau (an integer right-hand side, as in the revised simplex of R.
-Azulay & J.-F. Pique, "A revised simplex method with integer Q-matrices",
-ACM TOMS 27(3), 2001).
+integer scale L per LP, fixed when the tableau is built, makes every bound
+and every scaled right-hand side integral, so the bounds are held as ints
+over L and the basic values as an integer value column, over dens[i] * L in
+row i, that the pivots carry with the tableau (an integer right-hand side,
+as in the revised simplex of R. Azulay & J.-F. Pique, "A revised simplex
+method with integer Q-matrices", ACM TOMS 27(3), 2001).
 Every decision is an integer cross product within one row, or between two
 rows each read against the sign of its own denominator, and compares the
 same exact quantities a rational tableau would, so the pivot path is the
 same.  Rationals appear only in the LP's input and in ``vertex()``'s output.
 
 A ``Tableau`` left optimal can be re-optimized after one basic variable's
-bounds are tightened, by the bounded-variable dual simplex (A. Koberstein,
-"The dual simplex method: techniques for a fast and stable implementation",
-PhD thesis, Paderborn, 2005).  Edmonds' entries are minors of the row-scaled
-matrix fixed by the basis alone, so the old tableau is exact for the new
-bounds; the basis stays dual feasible and only the tightened variable is out
-of bounds, which is where the dual method starts.  The leaving row is the
-bound-violating basic variable of smallest index and ties in the dual ratio
-test break to the smallest index (Bland's rule read on the dual), so the
-re-optimization is deterministic and terminates.  A row with no entering
-column is a Farkas certificate of infeasibility and is checked exactly
-against the original matrix.  Given a cutoff, the re-optimization stops once
-its objective, a lower bound while the basis is dual feasible, reaches it.
-The ratio test fixes the objective after its pivot exactly (the entering
-column's |reduced cost / pivot entry| times the leaving variable's distance
-to its bound), so a pivot that would reach the cutoff is declined, not made.  Branch-and-bound
-re-optimizes every child node this way from its parent's tableau, with the
-incumbent's objective as the cutoff.
+bounds are tightened to ints (a branching bound), by the bounded-variable
+dual simplex (A. Koberstein, "The dual simplex method: techniques for a fast
+and stable implementation", PhD thesis, Paderborn, 2005).  Edmonds' entries
+are minors of the row-scaled matrix fixed by the basis alone, so the old
+tableau is exact for the new bounds; the basis stays dual feasible and only
+the tightened variable is out of bounds, which is where the dual method
+starts.  The leaving row is the bound-violating basic variable of smallest
+index and ties in the dual ratio test break to the smallest index (Bland's
+rule read on the dual), so the re-optimization is deterministic and
+terminates.  A row with no entering column is a Farkas certificate of
+infeasibility and is checked exactly against the original matrix.  Given a
+cutoff, the re-optimization stops once its objective, a lower bound while
+the basis is dual feasible, reaches it.  The ratio test fixes the objective
+after its pivot exactly (the entering column's |reduced cost / pivot entry|
+times the leaving variable's distance to its bound), so a pivot that would
+reach the cutoff is declined, not made.  Branch-and-bound re-optimizes every
+child node this way from its parent's tableau, with the incumbent's
+objective as the cutoff.
 """
 
 import collections
@@ -125,16 +126,16 @@ class Tableau:
     ``dens[i]`` may turn negative, and signs of entries in row i are read
     relative to the sign of ``dens[i]``.
 
-    The bounds ``lower`` and ``upper`` are ints over the scale ``L``, and
-    each row ends in a value column: ``dens[i] * L`` times the row's basic
-    value, and ``-dens[r] * k * L`` times the objective in row r.  The
-    column is the tableau of ``L * D (b - N x_N)``, so a pivot carries it
-    like any other column, and a nonbasic variable that moves adds its own
-    column times its step to it.  A nonbasic variable sits at the bound its
-    status names.
+    The bounds ``lower`` and ``upper`` are ints over the scale ``L``, fixed
+    when the tableau is built and shared by all its copies, and each row
+    ends in a value column: ``dens[i] * L`` times the row's basic value, and
+    ``-dens[r] * k * L`` times the objective in row r.  The column is the
+    tableau of ``L * D (b - N x_N)``, so a pivot carries it like any other
+    column, and a nonbasic variable that moves adds its own column times its
+    step to it.  A nonbasic variable sits at the bound its status names.
 
     ``solve`` runs the crash start and the cold two-phase method; once it is
-    optimal, ``reoptimize`` tightens one basic variable's bounds and restores
+    optimal, ``reoptimize`` sets int bounds on one basic variable and restores
     optimality by the dual simplex, and ``copy`` snapshots the state for a
     later re-optimization under other bounds.  ``pivots`` counts the pivots
     of the last solve or re-optimization.  Rationals appear only in the LP
@@ -399,25 +400,16 @@ class Tableau:
         self.rebuild_cost_row(self.lp.objective)
         return self._iterate()
 
-    def _rescale(self, f):
-        """Multiply L, the bounds and the value column by the integer f."""
-        self.L *= f
-        self.lower = [v * f for v in self.lower]
-        self.upper = [v * f for v in self.upper]
-        self.rhs = tuple(v * f for v in self.rhs)
-        n = self.n
-        for row in self.T:
-            row[n] *= f
-
     def reoptimize(self, j, lo, hi, cutoff=None):
-        """Give basic variable j the bounds [lo, hi] (ints or rationals; None
-        keeps that bound) and restore optimality by the bounded dual simplex;
-        OPTIMAL, INFEASIBLE or CUTOFF.
+        """Give basic variable j the int bounds [lo, hi] (None keeps that
+        bound) and restore optimality by the bounded dual simplex; OPTIMAL,
+        INFEASIBLE or CUTOFF.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
-        new bounds, and no value moves until the first dual pivot.  An int
-        bound is held as itself times L; a rational bound whose denominator
-        does not divide L scales L up to the lcm.
+        new bounds, and no value moves until the first dual pivot.  A bound
+        is held as itself times L, so L stays the scale it was when the
+        tableau was built; a bound that is not an int raises, as branching
+        bounds on integer variables are ints.
 
         The objective of a dual-feasible basis bounds the new optimum from
         below, so the search stops with CUTOFF once it reaches ``cutoff =
@@ -432,15 +424,13 @@ class Tableau:
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
+        if not all(v is None or type(v) is int for v in (lo, hi)):
+            raise PipelineInvariantError("bound change to a bound that is not an int")
         L = self.L
-        if not all(type(v) is int for v in (lo, hi) if v is not None):
-            L = math.lcm(L, common_denominator(v for v in (lo, hi) if v is not None))
-            if L != self.L:
-                self._rescale(L // self.L)
         if lo is not None:
-            self.lower[j] = lo * L if type(lo) is int else scaled(lo, L)
+            self.lower[j] = lo * L
         if hi is not None:
-            self.upper[j] = hi * L if type(hi) is int else scaled(hi, L)
+            self.upper[j] = hi * L
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         r, n = self.r, self.n

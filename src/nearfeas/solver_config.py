@@ -69,7 +69,7 @@ def value_columns(D, weights, vectors):
     denominator; a Rat is built only for each cost."""
     unit = common_denominator(weights)
     w = [scaled(v, unit) for v in weights]
-    nonzeros = [[(phi, a) for phi, v in enumerate(vectors) if (a := dot(nz, v, 0))]
+    nonzeros = [[(phi, a) for phi, v in enumerate(vectors) if (a := dot(nz, v))]
                 for nz in D.nonzeros]
     costs = tuple(Rat(sum(a * b for a, b in zip(w, v) if b), unit) for v in vectors)
     return Matrix(D.rows, len(vectors), nonzeros, D.scales), costs

@@ -10,7 +10,7 @@ from nearfeas.branch_bound import MIPStatus, MixedModel, SolveStats, solve_mip
 from nearfeas.errors import NodeLimitExceeded
 from nearfeas.rationals import Rat
 from nearfeas.simplex import LinearProgram, LPStatus, Tableau, solve_lp_vertex
-from test_simplex import _PINNED_LPS, _pinned_lp, dense_lp, verify_rational_vertex
+from test_simplex import _PINNED_LPS, _pinned_lp, dense_lp, int_cut, verify_rational_vertex
 
 
 def mip_optimum_by_enumeration(model):
@@ -196,14 +196,18 @@ def test_up_child_after_deep_down_subtree():
 
 def _child_lp(lp, j, lo, hi):
     lower, upper = list(lp.lower), list(lp.upper)
-    lower[j], upper[j] = lo, hi
+    if lo is not None:
+        lower[j] = lo
+    if hi is not None:
+        upper[j] = hi
     return LinearProgram(lp.matrix, lp.rhs, tuple(lower), tuple(upper), lp.objective)
 
 
 def _check_warm_child(parent, j, lo, hi):
-    """Re-optimize a snapshot of an optimal tableau under new bounds of basic
-    variable j; it must agree with a cold solve of the child LP, and the
-    parent tableau must be left as it was.  Returns the child's status."""
+    """Re-optimize a snapshot of an optimal tableau under new int bounds of
+    basic variable j (None keeps a bound); it must agree with a cold solve
+    of the child LP, and the parent tableau must be left as it was.  Returns
+    the child's status."""
     lp = parent.lp
     before = parent.vertex()
     child = _child_lp(lp, j, lo, hi)
@@ -223,8 +227,8 @@ def _check_warm_child(parent, j, lo, hi):
 def _lp_and_cut(draw):
     """A small LP with rational data, bounds and right-hand sides (bounds and
     free right-hand sides over denominators up to 6, so the tableau's scale
-    L exceeds 1), and a bound cut: which basic variable (by rank), which
-    side, and how far toward the opposite bound."""
+    L exceeds 1), and a cut for ``int_cut``: which basic variable (by rank),
+    which side, and how far toward the far bound."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -238,39 +242,23 @@ def _lp_and_cut(draw):
         b = [draw(st.fractions(min_value=-4, max_value=4, max_denominator=6)) for _ in range(m)]
     obj = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
     lp = dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj))
-    return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 4))
+    return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 2))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lp_and_cut())
-# x0 + x1 = 2 over [0, 1]^2 leaves x0 basic at 1; x0 <= 1/2 is infeasible
-@example((dense_lp([[1, 1]], (2,), (0, 0), (1, 1), (1, 0)), 0, False, 2))
+# x0 + x1 = 3/2 over [0, 1]^2 leaves x0 basic at 1/2; x0 <= 0 is infeasible
+@example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, False, 1))
+# and x0 >= 1 is optimal at x1 = 1/2, one dual pivot later
+@example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, True, 1))
 def test_warm_child_matches_cold_solve(case):
     lp, rank, up, k = case
     parent = Tableau(lp)
     if parent.solve() != LPStatus.OPTIMAL:
         return
-    cut = _cut(parent, rank, up, k)
+    cut = int_cut(parent, rank, up, k)
     if cut is not None:
         _check_warm_child(parent, *cut)
-
-
-def _cut(parent, rank, up, k):
-    """The basic variable of the given rank among an optimal tableau's
-    structural basics, and bounds that exclude its value, as a branching
-    bound excludes a fractional value: ``(j, lo, hi)``, or None when there
-    is no such variable or its value sits on the side's bound."""
-    lp = parent.lp
-    basic = sorted(j for j in parent.basis if j < lp.matrix.cols)
-    if not basic:
-        return None
-    j = basic[rank % len(basic)]
-    v, lo, hi = parent.vertex().values[j], lp.lower[j], lp.upper[j]
-    if up and v < hi:
-        return j, v + (hi - v) * Fraction(k, 4), hi
-    if not up and v > lo:
-        return j, lo, v - (v - lo) * Fraction(k, 4)
-    return None
 
 
 def _free_run(tab, cut):
@@ -298,10 +286,11 @@ def _free_run(tab, cut):
 @settings(max_examples=300, deadline=None)
 @given(_lp_and_cut(), st.integers(-2, 8))
 # x0 = 3/2 at the optimum -3, whose cost row sits over a negative
-# denominator; the child x0 >= 9/4 ends at -3/2, below the cutoff 0
-@example((dense_lp([[-2, 1]], (-3,), (0, 0), (3, 3), (-2, 2)), 0, True, 2), 6)
-# the cost row sits over a negative denominator at the optimum 31/4; the
-# child's one pivot reaches 37/4, exactly the cutoff, and is declined
+# denominator; the child x0 >= 2 ends at -2, below the cutoff 0
+@example((dense_lp([[-2, 1]], (-3,), (0, 0), (3, 3), (-2, 2)), 0, True, 1), 6)
+# the cost row sits over a negative denominator at the optimum 31/4, x1 =
+# -1/4; the child x1 >= 0's one pivot reaches 33/4, exactly the cutoff, and
+# is declined
 @example(
     (
         dense_lp(
@@ -309,27 +298,17 @@ def _free_run(tab, cut):
         ),
         0,
         True,
-        4,
-    ),
-    3,
-)
-# a degenerate dual step: the child's first pivot keeps the objective at -1
-# (its entering column's reduced cost is 0) and is made; the second reaches
-# 2, exactly the cutoff, and is declined
-@example(
-    (
-        dense_lp(
-            [[-1, -1, 2]],
-            (3,),
-            (-1, Rat(-10, 3), Rat(-5, 3)),
-            (2, Rat(-7, 3), Rat(4, 3)),
-            (1, 0, 0),
-        ),
         1,
-        True,
-        4,
     ),
-    6,
+    1,
+)
+# a degenerate dual step: x2 = 2/3 at the optimum 0, and the child x2 <= 0's
+# first pivot keeps the objective at 0 (its entering column's reduced cost
+# is 0) and is made; the second reaches 1, exactly the cutoff, and is
+# declined
+@example(
+    (dense_lp([[1, -1, 2]], (0,), (Rat(-4, 3), -1, -1), (-1, 0, 2), (-1, 0, -2)), 0, False, 1),
+    2,
 )
 def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     # two snapshots of one optimal tableau re-optimize the same cut, one
@@ -341,7 +320,7 @@ def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     parent = Tableau(lp)
     if parent.solve() != LPStatus.OPTIMAL:
         return
-    cut = _cut(parent, rank, up, k)
+    cut = int_cut(parent, rank, up, k)
     if cut is None:
         return
     cutoff = parent.vertex().objective_value + Rat(halves, 2)
@@ -370,16 +349,11 @@ def test_warm_children_of_pinned_degenerate_lps():
         lp = _pinned_lp(case)
         tab = Tableau(lp)
         assert tab.solve() == LPStatus.OPTIMAL
-        for j in sorted(k for k in tab.basis if k < lp.matrix.cols):
-            v = tab.vertex().values[j]
-            for lo, hi in (
-                (lp.lower[j], v - Rat(1, 2)),
-                (lp.lower[j], v - 1),
-                (v + Rat(1, 2), lp.upper[j]),
-                (v + 1, lp.upper[j]),
-            ):
-                if lo <= hi:
-                    statuses.append(_check_warm_child(tab, j, lo, hi))
+        basics = sum(j < tab.c for j in tab.basis)
+        for rank, up, k in itertools.product(range(basics), (False, True), (1, 2)):
+            cut = int_cut(tab, rank, up, k)
+            if cut is not None:
+                statuses.append(_check_warm_child(tab, *cut))
     assert LPStatus.OPTIMAL in statuses and LPStatus.INFEASIBLE in statuses
 
 
@@ -399,7 +373,7 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     tab = Tableau(lp)
     assert tab.solve() == LPStatus.OPTIMAL
     assert tab.basis == [0]
-    assert tab.reoptimize(0, Rat(0), Rat(2)) == LPStatus.OPTIMAL
+    assert tab.reoptimize(0, None, 2) == LPStatus.OPTIMAL
     assert (tab.pivots, tab.basis) == (1, [2])
     sol = tab.vertex()
     assert sol.values == (2, 0, Rat(1, 2))
@@ -429,33 +403,25 @@ def _eager_pivot(rows, pr, pc, dens, d):
 def _reoptimize_chain(lp, first, steps):
     """Cold solve, then re-optimize snapshots under bound cuts, as
     branch-and-bound does: each step copies one of the tableaux made so far
-    (``which``), cuts one basic variable (``rank``) toward a side (``up``)
-    by ``k`` quarters of the distance to its opposite bound, and re-optimizes
-    the copy.  Returns every tableau with the status it reached."""
+    (``which``), cuts one basic variable by ``int_cut(rank, up, k)`` and
+    re-optimizes the copy.  Returns every tableau with the status it
+    reached."""
     tab = Tableau(lp)
     made = [(tab, tab.solve())]
     for which, rank, up, k in [(0,) + first] + steps:
         parent, status = made[which % len(made)]
         if status != LPStatus.OPTIMAL:
             continue
-        basic = sorted(j for j in parent.basis if j < lp.matrix.cols)
-        if not basic:
-            continue
-        j = basic[rank % len(basic)]
-        v, lo, hi = parent.vertex().values[j], parent.lp.lower[j], parent.lp.upper[j]
-        if up and v < hi:
-            lo = v + (hi - v) * Fraction(k, 4)
-        elif not up and v > lo:
-            hi = v - (v - lo) * Fraction(k, 4)
-        else:
+        cut = int_cut(parent, rank, up, k)
+        if cut is None:
             continue
         child = parent.copy()
-        made.append((child, child.reoptimize(j, lo, hi)))
+        made.append((child, child.reoptimize(*cut)))
     return made
 
 
 _chain_steps = st.lists(
-    st.tuples(st.integers(0, 7), st.integers(0, 4), st.booleans(), st.integers(1, 4)), max_size=6
+    st.tuples(st.integers(0, 7), st.integers(0, 4), st.booleans(), st.integers(1, 2)), max_size=6
 )
 
 
@@ -493,14 +459,14 @@ def _assert_over_d(rows, dens, d, ref_rows):
 @example(
     (
         dense_lp(
-            [[1, -1, 0, 0], [0, 1, 0, -1]],
-            (0, 1),
-            (-1, -1, 0, -1),
-            (0, 0, 0, 0),
-            (0, 0, 0, -1),
+            [[0, 0, -1, -1], [0, 1, 0, 0], [-1, 0, 0, 1]],
+            (Rat(-1, 2), 0, Rat(1, 2)),
+            (-1, -1, -1, Rat(-1, 2)),
+            (0, 0, 0, 1),
+            (0, 0, 0, 1),
         ),
-        0,
-        False,
+        2,
+        True,
         1,
     ),
     [],
@@ -522,21 +488,22 @@ def _assert_over_d(rows, dens, d, ref_rows):
     ),
     [],
 )
-# the dual leaving-row scan meets a row over a stale denominator
+# the dual leaving-row scan meets a row over a stale denominator: in the
+# root's second child, the row that leaves
 @example(
     (
         dense_lp(
-            [[0, 0, 0, 0, 1], [0, 1, -1, 0, 1]],
-            (-1, 0),
-            (0, 0, -1, 0, -2),
-            (0, 1, 0, 0, 0),
-            (0, 0, 0, 0, 0),
+            [[0, 0, -1, -1], [-1, 0, 0, 1]],
+            (0, 0),
+            (0, 0, -1, Rat(-1, 2)),
+            (1, 0, 1, Rat(1, 2)),
+            (0, 0, 0, -1),
         ),
         0,
-        True,
+        False,
         1,
     ),
-    [],
+    [(0, 1, True, 1)],
 )
 def test_per_row_denominators_match_the_eager_tableau(case, steps):
     lp, rank, up, k = case

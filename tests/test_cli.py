@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import importlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from nearfeas import cli, simplex
 from nearfeas.cli import main
 from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from nearfeas.instances import (
+    ApproxParams,
     instance_from_dict,
     instance_to_dict,
     validate_config,
@@ -25,6 +27,7 @@ from nearfeas.instances import (
     validate_nonneg,
     validate_scheduling,
 )
+from nearfeas.oracle import brute_force
 from nearfeas.rationals import Rat, parse_rat, to_float
 
 
@@ -347,6 +350,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, "check", "--input", str(path))
         assert code == 1
         assert err.startswith("error: ")
+
+
+def test_the_parser_defaults_are_the_library_defaults():
+    # the limits a plain solve or oracle run uses are those of ApproxParams
+    # and of the brute-force oracle, not copies of them
+    parser = cli.build_parser()
+    solve = parser.parse_args(["solve", "--input", "x.json", "--epsilon", "1/2"])
+    params = ApproxParams.build(Rat(1, 2))
+    assert (solve.refine_limit, solve.node_limit) == (params.refinement_limit, params.node_limit)
+    oracle = parser.parse_args(["oracle", "--input", "x.json"])
+    assert oracle.cap == inspect.signature(brute_force).parameters["cap"].default
 
 
 def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):

@@ -420,23 +420,18 @@ def test_pinned_scales():
     assert [Tableau(_pinned_lp(case)).L for case in _PINNED_LPS[5:]] == [30, 12, 60, 30]
 
 
-@pytest.mark.parametrize(
-    "j, lo, hi, status, pivots, basis, values",
-    [
-        (4, "2/7", 1, LPStatus.OPTIMAL, 1, [3, 2], ["-1/2", 0, "19/210", "269/420", "2/7"]),
-        (4, -1, "1/11", LPStatus.INFEASIBLE, 1, [3, 0], None),
-    ],
-)
-def test_pinned_warm_rescale(j, lo, hi, status, pivots, basis, values):
-    # the last pinned LP has L = 30 and x4 basic at 3/20; a bound over 7 or
-    # 11 does not divide L, so the re-optimization scales L and the values up
+def test_a_bound_that_is_not_an_int_raises():
+    # the last pinned LP has L = 30 and x4 basic at 3/20; branching bounds
+    # are ints, and a rational one, even an integral Rat, leaves the tableau
+    # as it was
     tab = Tableau(_pinned_lp(_PINNED_LPS[-1]))
     assert tab.solve() == LPStatus.OPTIMAL
-    assert tab.reoptimize(j, Rat(lo), Rat(hi)) == status
-    assert tab.L == 30 * Rat(lo).denominator * Rat(hi).denominator
-    assert (tab.pivots, tab.basis) == (pivots, basis)
-    if values is not None:
-        assert tab.vertex().values == tuple(Rat(v) for v in values)
+    before = (tab.lower[:], tab.upper[:], [row[:] for row in tab.T], tab.L)
+    for lo, hi in ((Rat(2, 7), None), (None, Rat(0)), (0, Rat(1, 11))):
+        with pytest.raises(PipelineInvariantError, match="not an int"):
+            tab.reoptimize(4, lo, hi)
+        assert (tab.lower, tab.upper, tab.T, tab.L) == before
+    assert tab.reoptimize(4, None, 0) == LPStatus.INFEASIBLE
 
 
 def verify_rational_vertex(lp, values):
@@ -512,9 +507,7 @@ def _basis_determinant(lp, basis):
 def _lp_and_cuts(draw):
     """A small LP with rational rows (so the row scales exceed 1), rational
     bounds and right-hand side (half the time that of a point inside the
-    bounds), and up to three cuts for ``reoptimize``: which basic variable
-    (by rank), which side, and how many quarters of the way to its opposite
-    bound."""
+    bounds), and up to three cuts for ``int_cut``."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -530,9 +523,29 @@ def _lp_and_cuts(draw):
     else:
         b = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in range(m)]
     obj = [draw(st.integers(-3, 3)) for _ in range(n)]
-    cut = st.tuples(st.integers(0, 4), st.booleans(), st.integers(1, 4))
+    cut = st.tuples(st.integers(0, 4), st.booleans(), st.integers(1, 2))
     cuts = draw(st.lists(cut, max_size=3))
     return dense_lp(A, tuple(b), tuple(lower), tuple(upper), tuple(obj)), cuts
+
+
+def int_cut(tab, rank, up, k):
+    """The bound branch-and-bound puts on an optimal tableau's structural
+    basic variable of the given rank, moved ``k - 1`` further toward its far
+    bound: ``(j, floor(v) + k, None)`` up and ``(j, None, floor(v) + 1 - k)``
+    down, for the variable's value v.  None when there is no such variable,
+    v is integral or the bound leaves the variable's current range."""
+    basic = sorted(j for j in tab.basis if j < tab.c)
+    if not basic:
+        return None
+    j = basic[rank % len(basic)]
+    v = tab.vertex().values[j]
+    if v.denominator == 1:
+        return None
+    if up:
+        lo = math.floor(v) + k
+        return (j, lo, None) if lo * tab.L <= tab.upper[j] else None
+    hi = math.floor(v) + 1 - k
+    return (j, None, hi) if hi * tab.L >= tab.lower[j] else None
 
 
 def _reference_crash(tab):
@@ -616,7 +629,7 @@ def test_solves_from_the_crash_start_match_enumeration(rnd, m, n):
 # simplex's; the pinned eighth LP makes a crash pivot and a phase-1 pivot
 @settings(max_examples=150, deadline=None)
 @given(_lp_and_cuts())
-@example((_pinned_lp(_PINNED_LPS[7]), [(0, True, 2)]))
+@example((_pinned_lp(_PINNED_LPS[7]), [(0, True, 1)]))
 def test_every_pivot_keeps_rows_integral_over_d_and_d_the_basis_determinant(case):
     lp, cuts = case
     pivot = Tableau._pivot
@@ -634,15 +647,6 @@ def test_every_pivot_keeps_rows_integral_over_d_and_d_the_basis_determinant(case
         for rank, up, k in cuts:
             if status != LPStatus.OPTIMAL:
                 break
-            basic = sorted(j for j in tab.basis if j < lp.matrix.cols)
-            if not basic:
-                break
-            j = basic[rank % len(basic)]
-            v, lo, hi = tab.vertex().values[j], lp.lower[j], lp.upper[j]
-            if up and v < hi:
-                lo = v + (hi - v) * Fraction(k, 4)
-            elif not up and v > lo:
-                hi = v - (v - lo) * Fraction(k, 4)
-            else:
-                continue
-            status = tab.reoptimize(j, lo, hi)
+            cut = int_cut(tab, rank, up, k)
+            if cut is not None:
+                status = tab.reoptimize(*cut)

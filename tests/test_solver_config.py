@@ -179,3 +179,14 @@ def test_a_rounding_that_moves_type_mass_is_rejected(monkeypatch):
     monkeypatch.setattr(solver_config, "tu_round", block_0_flipped)
     with pytest.raises(PipelineInvariantError, match="type marginal not conserved"):
         solve_nfold_config(inst, params)
+
+
+def test_the_tu_re_solve_is_counted_by_phase():
+    # the TU re-solve is a cold solve: its pivots count in lp_pivots and in
+    # the crash, phase-1 and phase-2 counters, as the root's do
+    trace = PipelineTrace()
+    params = ApproxParams.build(Rat(1, 5), delta_override=Rat(1), refinement_limit=16)
+    stats = solve_nfold_config(instance_from_dict(_TU_ROUNDED), params, trace=trace).stats
+    assert trace.tu_calls
+    phases = (stats.lp_crash_pivots, stats.lp_phase1_pivots, stats.lp_phase2_pivots)
+    assert stats.lp_pivots == sum(phases) + stats.lp_dual_pivots

@@ -262,6 +262,13 @@ MUTANTS = (
         ("tests/test_rounding.py::test_greedy_nonintegral_gamma_is_loud", _GROUPS),
     ),
     Mutant(
+        "tu-round-counts-no-phases",
+        "src/nearfeas/rounding.py",
+        "        stats.count_cold_solve(tab)\n",
+        "        stats.lp_pivots += tab.pivots\n",
+        ("tests/test_solver_config.py::test_the_tu_re_solve_is_counted_by_phase",),
+    ),
+    Mutant(
         "group-sum-compared-without-den",
         _GENERAL,
         "!= den * sum(x[j] for j in members):",
@@ -358,13 +365,6 @@ MUTANTS = (
         "            L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))\n",
         "",
         ("tests/test_simplex.py::test_pinned_scales",),
-    ),
-    Mutant(
-        "rescale-skips-value-column",
-        _SIMPLEX,
-        "        for row in self.T:\n            row[n] *= f\n",
-        "",
-        ("tests/test_simplex.py::test_pinned_warm_rescale",),
     ),
     Mutant(
         "ratio-ties-to-larger-index",
@@ -569,7 +569,14 @@ MUTANTS = (
         _SIMPLEX,
         "self._pivot(leave, q, _LOW if to_low else _UP)",
         "self._pivot(leave, q, _UP if to_low else _LOW)",
-        ("tests/test_simplex.py::test_pinned_warm_rescale",),
+        _WARM,
+    ),
+    Mutant(
+        "rational-bound-accepted",
+        _SIMPLEX,
+        "        if not all(v is None or type(v) is int for v in (lo, hi)):\n",
+        "        if False:\n",
+        ("tests/test_simplex.py::test_a_bound_that_is_not_an_int_raises",),
     ),
     Mutant(
         "infeasibility-certificate-inverted",
