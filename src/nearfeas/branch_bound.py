@@ -18,7 +18,7 @@ its dual simplex's objective reaches the incumbent's (a cutoff that trusts
 dual feasibility, as pruning an optimal node does; a dual certificate of node
 optimality must cover cut-off nodes too).  Every optimal node vertex is
 checked against the equations and the node's bounds, and every infeasible
-node by its Farkas certificate.
+node, the root's phase 1 included, by its Farkas certificate.
 """
 
 import enum

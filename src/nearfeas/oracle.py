@@ -26,7 +26,7 @@ from operator import add, le, mul, sub
 from .errors import EnumerationCapExceeded, InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from .instances import validate_config, validate_general, validate_nonneg
-from .rationals import Rat, common_denominator, scaled
+from .rationals import Rat, common_denominator, integer_row, scaled
 
 DEFAULT_CAP = 10**7
 
@@ -121,8 +121,8 @@ def brute_force_general(inst, cap=DEFAULT_CAP):
     problems, _ = validate_general(inst)
     _validate(problems, math.prod(hi - lo + 1 for lo, hi in zip(inst.l, inst.u)), cap, "general")
     (rows,), b = _lifted_rows([inst.H], inst.b)
-    unit = common_denominator(inst.w)
-    return _best(_variables(rows, [scaled(w, unit) for w in inst.w], inst.l, inst.u), b, unit)
+    unit, w = integer_row(inst.w)
+    return _best(_variables(rows, w, inst.l, inst.u), b, unit)
 
 
 def brute_force_config(inst, cap=DEFAULT_CAP):

@@ -5,8 +5,12 @@ and Bland's rule (smallest eligible index enters; ratio ties break to the
 smallest basic variable index), so every run is deterministic and terminates
 despite degeneracy; phase 1 starts from a primal-feasible crash basis (R. E.
 Bixby, "Implementing the simplex method: the initial basis", ORSA J. Comput.
-4(3), 1992).  All arithmetic is exact; optimality and feasibility are
-decided with zero tolerance.
+4(3), 1992).  The phase-2 cost row is built with the tableau, where its
+reduced costs are the objective itself, and the crash and phase-1 pivots
+carry it to phase 2.  An infeasible phase 1 is certified: its multipliers
+are checked as a Farkas certificate against the original rows.  All
+arithmetic is exact; optimality and feasibility are decided with zero
+tolerance.
 
 The LP's state holds no rationals.  Each constraint row arrives as integers
 over its own least scale (a ``linalg.Matrix``, built so by the model), and
@@ -42,7 +46,7 @@ starts.  The leaving row is the bound-violating basic variable of smallest
 index and ties in the dual ratio test break to the smallest index (Bland's
 rule read on the dual), so the re-optimization is deterministic and
 terminates.  A row with no entering column is a Farkas certificate of
-infeasibility and is checked exactly against the original matrix.  Given a
+infeasibility and is checked exactly against the original rows.  Given a
 cutoff, the re-optimization stops once its objective, a lower bound while
 the basis is dual feasible, reaches it.  The ratio test fixes the objective
 after its pivot exactly (the entering column's |reduced cost / pivot entry|
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from .backend import pivot_update
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import Rat, common_denominator, is_integral, scaled
+from .rationals import Rat, common_denominator, integer_row, is_integral, scaled
 
 
 class LPStatus(enum.Enum):
@@ -116,12 +120,13 @@ class Tableau:
     denominator.
 
     ``d`` is the determinant of the current basis B: of its columns in the
-    row-scaled matrix ``D [A | I]`` (``D`` holds the row scales
-    ``lp.matrix.scales``).  Row i is ``dens[i] * (B^-1 [A | I])_i`` and row
-    r is ``dens[r] * k * (reduced costs)`` with ``k > 0``, where ``dens[i]`` is
-    the determinant of the basis at the last pivot that rewrote row i in full
-    (so ``T[i] * d / dens[i]`` is Edmonds' integral row over ``d``).  Pivots
-    keep every entry integral (``backend.pivot_update``).  A pivot's
+    row-scaled matrix ``D [A | I]`` (``D`` holds the row scales ``scales``).
+    Row i is ``dens[i] * (B^-1 [A | I])_i`` and row r is ``dens[r] * k *
+    (reduced costs)`` of the objective ``obj / k`` (k > 0; in phase 1, of the
+    phase-1 objective with k = 1, while row r + 1 carries the objective's),
+    where ``dens[i]`` is the determinant of the basis at the last pivot that
+    rewrote row i in full (so ``T[i] * d / dens[i]`` is Edmonds' integral row
+    over ``d``).  Pivots keep every entry integral (``backend.pivot_update``).  A pivot's
     determinant is its pivot entry, which may be negative, so ``d`` and any
     ``dens[i]`` may turn negative, and signs of entries in row i are read
     relative to the sign of ``dens[i]``.
@@ -134,16 +139,16 @@ class Tableau:
     column, and a nonbasic variable that moves adds its own column times its
     step to it.  A nonbasic variable sits at the bound its status names.
 
-    ``solve`` runs the crash start and the cold two-phase method; once it is
-    optimal, ``reoptimize`` sets int bounds on one basic variable and restores
-    optimality by the dual simplex, and ``copy`` snapshots the state for a
-    later re-optimization under other bounds.  ``pivots`` counts the pivots
-    of the last solve or re-optimization.  Rationals appear only in the LP
-    given to the constructor and in what ``vertex`` returns.
+    ``solve`` runs the crash start and the cold two-phase method, and
+    certifies an infeasible phase 1; once it is optimal, ``reoptimize`` sets
+    int bounds on one basic variable and restores optimality by the dual
+    simplex, and ``copy`` snapshots the state for a later re-optimization
+    under other bounds.  ``pivots`` counts the pivots of the last solve or
+    re-optimization.  Rationals appear only in the LP given to the
+    constructor and in what ``vertex`` returns.
     """
 
     def __init__(self, lp):
-        self.lp = lp
         r, c = lp.matrix.rows, lp.matrix.cols
         self.r = r
         self.c = c
@@ -180,12 +185,14 @@ class Tableau:
 
         # rows: d * [A | I | value] for the all-artificial basis, whose
         # determinant in the row-scaled matrix is the product d of the row
-        # scales; each artificial's value is its residual.  The cost row
-        # holds the phase-1 reduced costs (k = 1), minus the signed sum of the
-        # rows
+        # scales; each artificial's value is its residual.  The phase-1 cost
+        # row holds the phase-1 reduced costs (k = 1), minus the signed sum of
+        # the rows.  The phase-2 row below it holds d * obj, as the
+        # artificials cost 0, and -d * k * L times the objective at the start,
+        # where every structural is at its lower bound
         d = math.prod(scales)
         self.d = self.d0 = d
-        self.dens = [d] * (r + 1)
+        self.dens = [d] * (r + 2)
         self.T = []
         cost = [0] * (n + 1)
         for i, (nz, s) in enumerate(zip(nonzeros, scales)):
@@ -205,6 +212,9 @@ class Tableau:
                     cost[j] -= si * t[j]
                 cost[n] -= si * t[n]
         self.T.append(cost)
+        self.k, self.obj = integer_row(lp.objective)
+        start = sum(v * lo for v, lo in zip(self.obj, self.lower))
+        self.T.append([v * d for v in self.obj] + [0] * r + [-d * start])
 
     def copy(self):
         """An independent snapshot: rows and their denominators, basis,
@@ -307,37 +317,10 @@ class Tableau:
                 self._pivot(leave, entering, leave_stat)
         raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
 
-    def rebuild_cost_row(self, objective):
-        k = self.k = common_denominator(objective)
-        obj = self.obj = [scaled(v, k) for v in objective]
-        d, n, dens = self.d, self.n, self.dens
-        T = self.T
-        # bring every row over d, the cost row's new denominator
-        for i in range(self.r):
-            di = dens[i]
-            if di != d:
-                T[i][:] = [a * d // di if a else 0 for a in T[i]]
-        dens[:] = [d] * (self.r + 1)
-        cost = [v * d for v in obj] + [0] * (self.r + 1)
-        # the value column's entry is -d * k * L times the objective
-        cost[n] = -d * sum(
-            v * (self.lower[j] if self.stat[j] == _LOW else self.upper[j])
-            for j, v in enumerate(obj)
-            if v and self.stat[j] != _BASIC
-        )
-        for i in range(self.r):
-            cb = obj[self.basis[i]] if self.basis[i] < self.c else 0
-            if cb:
-                row = T[i]
-                for j in range(n + 1):
-                    if row[j]:
-                        cost[j] -= cb * row[j]
-        T[self.r] = cost
-
     def _crash(self):
         """Crash start (Bixby 1992): each row's artificial leaves at 0 for
-        the first nonbasic, non-fixed structural column, by (nonzeros in
-        ``lp.matrix``, index), whose move to absorb it keeps that column and
+        the first nonbasic, non-fixed structural column, by (nonzeros in the
+        LP's rows, index), whose move to absorb it keeps that column and
         every basic variable within its bounds (each artificial within its
         phase-1 range); a row with no such column keeps its artificial.
 
@@ -384,20 +367,28 @@ class Tableau:
 
     def solve(self):
         """Cold two-phase solve from the crash basis; ``crash_pivots`` and
-        ``phase1_pivots`` count the pivots before phase 2."""
+        ``phase1_pivots`` count the pivots before phase 2.
+
+        Phase 1 minimizes the sum of the artificials times their range's
+        signs sigma.  At a positive optimum its multipliers y (artificial i's
+        reduced cost is sigma_i - y_i) are a Farkas certificate: ``y . b``
+        exceeds the largest ``y . A x`` over the bounds by that optimum or
+        more, as each artificial's reduced cost times its value is <= 0."""
         self._crash()
         self.crash_pivots = self.pivots
         self._iterate()
         self.phase1_pivots = self.pivots - self.crash_pivots
-        # the cost row's value entry is -dens[r] * L times the phase-1 objective,
-        # the signed sum of the artificials
-        if self.T[self.r][self.n]:
+        T, dens, r, c, n = self.T, self.dens, self.r, self.c, self.n
+        # the phase-1 row's value entry is -dens[r] * L times its objective
+        if T[r][n]:
+            sigma = [(hi > 0) - (lo < 0) for lo, hi in zip(self.lower[c:], self.upper[c:])]
+            self._certify_infeasible([si * dens[r] - a for si, a in zip(sigma, T[r][c:n])])
             return LPStatus.INFEASIBLE
         # every artificial is 0, so its bounds close on its value
-        for j in range(self.c, self.n):
-            self.lower[j] = 0
-            self.upper[j] = 0
-        self.rebuild_cost_row(self.lp.objective)
+        self.lower[c:] = [0] * r
+        self.upper[c:] = [0] * r
+        T[r] = T.pop()
+        dens[r] = dens.pop()
         return self._iterate()
 
     def reoptimize(self, j, lo, hi, cutoff=None):
@@ -409,7 +400,8 @@ class Tableau:
         new bounds, and no value moves until the first dual pivot.  A bound
         is held as itself times L, so L stays the scale it was when the
         tableau was built; a bound that is not an int raises, as branching
-        bounds on integer variables are ints.
+        bounds on integer variables are ints, and so does one that crosses
+        the variable's other bound, before anything changes.
 
         The objective of a dual-feasible basis bounds the new optimum from
         below, so the search stops with CUTOFF once it reaches ``cutoff =
@@ -427,10 +419,11 @@ class Tableau:
         if not all(v is None or type(v) is int for v in (lo, hi)):
             raise PipelineInvariantError("bound change to a bound that is not an int")
         L = self.L
-        if lo is not None:
-            self.lower[j] = lo * L
-        if hi is not None:
-            self.upper[j] = hi * L
+        lo = self.lower[j] if lo is None else lo * L
+        hi = self.upper[j] if hi is None else hi * L
+        if lo > hi:
+            raise PipelineInvariantError("bound change crosses the other bound")
+        self.lower[j], self.upper[j] = lo, hi
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         r, n = self.r, self.n
@@ -491,7 +484,7 @@ class Tableau:
                 if (q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:
                     q, qc, qa = k, ck, a
             if q < 0:
-                self._certify_infeasible(leave)
+                self._certify_infeasible(row[self.c : n])
                 return LPStatus.INFEASIBLE
             # the objective after the pivot: |d_q / alpha_lq| is qc * |di| /
             # (|dens[r]| * k * qa), and lv's distance to its bound is
@@ -504,20 +497,20 @@ class Tableau:
             self._pivot(leave, q, _LOW if to_low else _UP)
         raise PipelineInvariantError("dual simplex iteration cap hit; anti-cycling rule broken")
 
-    def _certify_infeasible(self, p):
-        """Check that row p proves the current bounds infeasible.
+    def _certify_infeasible(self, y):
+        """Check that the row multipliers y, ints over a scale of either
+        sign, prove the current bounds infeasible.
 
-        The row's artificial part y satisfies ``y . (A x) = y . b`` for every
-        solution x of the equations; the certificate holds when ``y . b`` lies
-        outside the range of ``y . A x`` over the bounds.  Both sides are
-        recomputed from the original rows, scaled by ``d0 * L > 0``, not read
-        from the tableau.
+        Every solution x of the equations has ``y . (A x) = y . b``; the
+        certificate holds when ``y . b`` lies outside the range of ``y . A x``
+        over the bounds.  Both sides are recomputed from the original rows,
+        scaled by ``d0 * L > 0``, not read from the tableau.
         """
         c = self.c
         d0 = self.d0
         g = [0] * c
         rhs = 0
-        for yi, nz, s, sb in zip(self.T[p][c : self.n], self.nonzeros, self.scales, self.rhs):
+        for yi, nz, s, sb in zip(y, self.nonzeros, self.scales, self.rhs):
             if yi:
                 f = yi * (d0 // s)
                 rhs += f * sb
@@ -532,7 +525,7 @@ class Tableau:
                 least += at_lo
                 most += at_hi
         if least <= rhs <= most:
-            raise PipelineInvariantError("dual simplex infeasibility certificate does not hold")
+            raise PipelineInvariantError("infeasibility certificate does not hold")
 
     def vertex_numerators(self):
         """The vertex of the current basis in integer form, checked against

@@ -29,7 +29,7 @@ from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
-from .rationals import ZERO, Rat, common_denominator, scaled
+from .rationals import ZERO, Rat, integer_row
 from .results import ApproxResult, SolveStatus, refine
 from .rounding import AssignmentRestriction, tu_round
 
@@ -67,8 +67,7 @@ def value_columns(D, weights, vectors):
     """The matrix whose column phi is D v_phi, and the exact costs w.v_phi:
     integer sums over D's row scales and over the weights' common
     denominator; a Rat is built only for each cost."""
-    unit = common_denominator(weights)
-    w = [scaled(v, unit) for v in weights]
+    unit, w = integer_row(weights)
     nonzeros = [[(phi, a) for phi, v in enumerate(vectors) if (a := dot(nz, v))]
                 for nz in D.nonzeros]
     costs = tuple(Rat(sum(a * b for a, b in zip(w, v) if b), unit) for v in vectors)
@@ -180,8 +179,7 @@ def select_columns(model, mixed_sol, stats, trace):
 
     chosen = _selection_from_values(model, selected, den)
     costs = model.mixed.lp.objective[: len(values)]
-    unit = common_denominator(costs)
-    weights = [scaled(c, unit) for c in costs]
+    unit, weights = integer_row(costs)
     cost = sum(weights[model.z[i][phi]] for i, phi in enumerate(chosen))
     if cost * den > sum(w * v for w, v in zip(weights, values) if v):
         raise PipelineInvariantError("objective chain violated")

@@ -22,7 +22,7 @@ from .boxes import coupled_model, partition_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_general, violation_report
-from .rationals import Rat, common_denominator, scaled
+from .rationals import Rat, integer_row
 from .results import ApproxResult, SolveStatus, refine
 from .rounding import GroupRoundingPlan, greedy_group_round
 
@@ -71,8 +71,7 @@ def round_within_groups(model, mixed_sol, trace):
         trace.grouped_optima.append((model, mixed_sol.values))
 
     costs = model.mixed.lp.objective[model.x.start : model.x.stop]
-    unit = common_denominator(costs)
-    weights = [scaled(c, unit) for c in costs]
+    unit, weights = integer_row(costs)
     x = [v // den for v in vertex]
     for members in model.part.groups.values():
         plan = GroupRoundingPlan.build(((j, vertex[j], weights[j]) for j in members), den)

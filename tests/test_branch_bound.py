@@ -203,12 +203,11 @@ def _child_lp(lp, j, lo, hi):
     return LinearProgram(lp.matrix, lp.rhs, tuple(lower), tuple(upper), lp.objective)
 
 
-def _check_warm_child(parent, j, lo, hi):
-    """Re-optimize a snapshot of an optimal tableau under new int bounds of
-    basic variable j (None keeps a bound); it must agree with a cold solve
-    of the child LP, and the parent tableau must be left as it was.  Returns
-    the child's status."""
-    lp = parent.lp
+def _check_warm_child(lp, parent, j, lo, hi):
+    """Re-optimize a snapshot of an optimal tableau of lp under new int
+    bounds of basic variable j (None keeps a bound); it must agree with a
+    cold solve of the child LP, and the parent tableau must be left as it
+    was.  Returns the child's status."""
     before = parent.vertex()
     child = _child_lp(lp, j, lo, hi)
     cold = solve_lp_vertex(child)
@@ -225,17 +224,26 @@ def _check_warm_child(parent, j, lo, hi):
 
 @st.composite
 def _lp_and_cut(draw):
-    """A small LP with rational data, bounds and right-hand sides (bounds and
-    free right-hand sides over denominators up to 6, so the tableau's scale
-    L exceeds 1), and a cut for ``int_cut``: which basic variable (by rank),
-    which side, and how far toward the far bound."""
+    """A small LP with rational data and right-hand sides, and bounds that
+    are integral for some variables, as an integer variable's are, and
+    rational for the others (bounds and free right-hand sides over
+    denominators up to 6, so the tableau's scale L exceeds 1), and a cut for
+    ``int_cut``: which basic variable (by rank), which side, and how far
+    toward the far bound."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     A = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    lower = [draw(st.fractions(min_value=-2, max_value=0, max_denominator=6)) for _ in range(n)]
-    upper = [draw(st.fractions(min_value=lo, max_value=lo + 3, max_denominator=6)) for lo in lower]
-    if draw(st.booleans()):
+    lower, upper = [], []
+    for _ in range(n):
+        if draw(st.booleans()):
+            lo = draw(st.integers(-2, 0))
+            lower.append(Fraction(lo))
+            upper.append(Fraction(draw(st.integers(lo + 1, lo + 3))))
+        else:
+            lower.append(draw(st.fractions(min_value=-2, max_value=0, max_denominator=6)))
+            upper.append(draw(st.fractions(min_value=lower[-1], max_value=lower[-1] + 3, max_denominator=6)))
+    if draw(st.integers(0, 3)):
         x0 = [draw(st.fractions(min_value=lo, max_value=hi, max_denominator=6)) for lo, hi in zip(lower, upper)]
         b = [sum((A[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
     else:
@@ -258,7 +266,7 @@ def test_warm_child_matches_cold_solve(case):
         return
     cut = int_cut(parent, rank, up, k)
     if cut is not None:
-        _check_warm_child(parent, *cut)
+        _check_warm_child(lp, parent, *cut)
 
 
 def _free_run(tab, cut):
@@ -353,7 +361,7 @@ def test_warm_children_of_pinned_degenerate_lps():
         for rank, up, k in itertools.product(range(basics), (False, True), (1, 2)):
             cut = int_cut(tab, rank, up, k)
             if cut is not None:
-                statuses.append(_check_warm_child(tab, *cut))
+                statuses.append(_check_warm_child(lp, tab, *cut))
     assert LPStatus.OPTIMAL in statuses and LPStatus.INFEASIBLE in statuses
 
 

@@ -91,7 +91,7 @@ def _layouts(monkeypatch, kind):
         return solve_mip(model, **kw)
 
     def solve(tab):
-        cold.append((tab.lp.matrix.rows, tab.lp.matrix.cols))
+        cold.append((tab.r, tab.c))
         return cold_solve(tab)
 
     cold_solve = Tableau.solve

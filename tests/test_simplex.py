@@ -421,15 +421,21 @@ def test_pinned_scales():
 
 
 def test_a_bound_that_is_not_an_int_raises():
-    # the last pinned LP has L = 30 and x4 basic at 3/20; branching bounds
-    # are ints, and a rational one, even an integral Rat, leaves the tableau
-    # as it was
+    # the last pinned LP has L = 30, x4 basic at 3/20 and x3 basic at 11/20
+    # below its upper bound 2/3; branching bounds are ints, and a rational
+    # one, even an integral Rat, leaves the tableau as it was, as does an int
+    # one that crosses the other bound
     tab = Tableau(_pinned_lp(_PINNED_LPS[-1]))
     assert tab.solve() == LPStatus.OPTIMAL
     before = (tab.lower[:], tab.upper[:], [row[:] for row in tab.T], tab.L)
-    for lo, hi in ((Rat(2, 7), None), (None, Rat(0)), (0, Rat(1, 11))):
-        with pytest.raises(PipelineInvariantError, match="not an int"):
-            tab.reoptimize(4, lo, hi)
+    for j, lo, hi, error in (
+        (4, Rat(2, 7), None, "not an int"),
+        (4, None, Rat(0), "not an int"),
+        (4, 0, Rat(1, 11), "not an int"),
+        (3, 1, None, "crosses"),
+    ):
+        with pytest.raises(PipelineInvariantError, match=error):
+            tab.reoptimize(j, lo, hi)
         assert (tab.lower, tab.upper, tab.T, tab.L) == before
     assert tab.reoptimize(4, None, 0) == LPStatus.INFEASIBLE
 
@@ -623,6 +629,26 @@ def test_solves_from_the_crash_start_match_enumeration(rnd, m, n):
     else:
         assert sol.status == LPStatus.OPTIMAL
         assert sol.objective_value == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lp_and_cuts())
+# x0 - x1 = 2 over [0, 1]^2
+@example((dense_lp([[1, -1]], (2,), (0, 0), (1, 1), (1, 1)), []))
+def test_every_cold_infeasible_lp_is_certified(case):
+    # phase 1's multipliers pass the Farkas check whenever it ends infeasible
+    lp = case[0]
+    check = Tableau._certify_infeasible
+    calls = []
+
+    def counted(tab, y):
+        calls.append(y)
+        check(tab, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tableau, "_certify_infeasible", counted)
+        status = Tableau(lp).solve()
+    assert len(calls) == (status == LPStatus.INFEASIBLE)
 
 
 # every pivot is checked: the crash start's, both phases' and the dual

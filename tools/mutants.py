@@ -83,6 +83,7 @@ _WARM = (  # the pinned test first, so that -x stops at its quick failure
     "tests/test_branch_bound.py::test_warm_child_matches_cold_solve",
 )
 _COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
+_COLD_CERTIFIED = "tests/test_simplex.py::test_every_cold_infeasible_lp_is_certified"
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
 _CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
 _CRASH_PINNED = "tests/test_simplex.py::test_the_crash_start_matches_the_reference_on_pinned_lps"
@@ -342,22 +343,43 @@ MUTANTS = (
     Mutant(
         "phase-2-skipped",
         _SIMPLEX,
-        "        self.rebuild_cost_row(self.lp.objective)\n        return self._iterate()\n",
-        "        self.rebuild_cost_row(self.lp.objective)\n        return LPStatus.OPTIMAL\n",
+        "        return self._iterate()\n",
+        "        return LPStatus.OPTIMAL\n",
         (
             "tests/test_simplex.py::test_random_lps_match_enumeration",
             "tests/test_report_digests.py::test_reports_match_the_pinned_digests",
         ),
     ),
     Mutant(
+        "phase-2-row-not-swapped-in",
+        _SIMPLEX,
+        "        T[r] = T.pop()\n        dens[r] = dens.pop()\n",
+        "",
+        _COLD + _WARM,
+    ),
+    Mutant(
         "phase-1-infeasibility-ignored",
         _SIMPLEX,
-        "        if self.T[self.r][self.n]:\n            return LPStatus.INFEASIBLE\n",
-        "",
+        "        if T[r][n]:\n",
+        "        if False:\n",
         (
             "tests/test_simplex.py::test_trivial_infeasible",
             "tests/test_simplex.py::test_random_lps_match_enumeration",
         ),
+    ),
+    Mutant(
+        "phase-1-certificate-skipped",
+        _SIMPLEX,
+        "            self._certify_infeasible([si * dens[r] - a for si, a in zip(sigma, T[r][c:n])])\n",
+        "",
+        (_COLD_CERTIFIED,),
+    ),
+    Mutant(
+        "phase-1-certificate-sign-flipped",
+        _SIMPLEX,
+        "sigma = [(hi > 0) - (lo < 0) for",
+        "sigma = [(lo < 0) - (hi > 0) for",
+        (_COLD_CERTIFIED,),
     ),
     Mutant(
         "L-without-residual-denominators",
@@ -579,6 +601,13 @@ MUTANTS = (
         ("tests/test_simplex.py::test_a_bound_that_is_not_an_int_raises",),
     ),
     Mutant(
+        "crossed-bound-accepted",
+        _SIMPLEX,
+        '            raise PipelineInvariantError("bound change crosses the other bound")\n',
+        "            pass\n",
+        ("tests/test_simplex.py::test_a_bound_that_is_not_an_int_raises",),
+    ),
+    Mutant(
         "infeasibility-certificate-inverted",
         _SIMPLEX,
         "        if least <= rhs <= most:\n",
@@ -774,8 +803,8 @@ MUTANTS = (
     Mutant(
         "oracle-costs-not-scaled",
         _ORACLE,
-        "    unit = common_denominator(inst.w)\n",
-        "    unit = 1\n",
+        "    unit, w = integer_row(inst.w)\n",
+        "    unit, w = 1, [v.numerator for v in inst.w]\n",
         _ORACLE_TESTS,
     ),
     Mutant(
