@@ -13,7 +13,7 @@ from .errors import InvalidInstanceError
 from .instances import ConfigBlock, GeneralIP, NFoldConfigInstance, SchedulingInstance
 from .instances import parse_int_table, parse_ints, validate_scheduling
 from .linalg import Matrix
-from .rationals import ZERO, Rat, as_rat, common_denominator, scaled
+from .rationals import ZERO, Rat, as_rat, integer_row
 
 
 def knapsack_to_general(profits, weights, capacities):
@@ -80,8 +80,7 @@ def scheduling_to_config(p, cmax, costs=None):
     n = len(p_rows)
     m = len(p_rows[0]) if n else 1
 
-    scale = common_denominator([cmax, *(v for row in p_rows for v in row)])
-    cmax_i = scaled(cmax, scale)
+    _, (cmax_i, *times) = integer_row([cmax, *(v for row in p_rows for v in row)])
     units = tuple(tuple(1 if k == h else 0 for k in range(m)) for h in range(m))
 
     # the core's records are built as they are, not parsed again: every
@@ -90,7 +89,7 @@ def scheduling_to_config(p, cmax, costs=None):
     ones = [1] * m
     blocks = []
     for i in range(n):
-        diag = [scaled(v, scale) for v in p_rows[i]]
+        diag = times[i * m : i * m + m]
         D = Matrix(m, m, [[(h, a)] if a else [] for h, a in enumerate(diag)], ones)
         blocks.append(ConfigBlock(D, units, costs[i] if costs is not None else zeros))
     identity = Matrix(m, m, [[(h, 1)] for h in range(m)], ones)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .branch_bound import MixedModel
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import Rat, as_rat, rat_ceil
+from .rationals import Rat, as_rat
 from .simplex import LinearProgram
 
 
@@ -40,7 +40,7 @@ def snap_delta(delta):
     delta = as_rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return Rat(1, rat_ceil(1 / delta))
+    return Rat(1, math.ceil(1 / delta))
 
 
 def _grid(mats, delta):
@@ -146,7 +146,6 @@ class CoupledModel:
 
     mixed: MixedModel
     config_part: object  # ConfigBoxPartition of the selections, or None
-    config_costs: tuple  # per block: its column costs
     part: object  # BoxPartition of the grouped variables, or None
     z: tuple  # per block: the range of its selection columns
     y: tuple  # per type: the range of its count columns
@@ -256,7 +255,4 @@ def coupled_model(b, slack_bounds, selection=None, grouped=None):
     A = Matrix(rows, cols, nonzeros, [U] * s + [1] * (rows - s))
     lp = LinearProgram(A, rhs, tuple(lower), tuple(upper), tuple(objective))
     mixed = MixedModel(lp, frozenset(range(nz, x0)) | frozenset(range(g0, s0)))
-    return CoupledModel(
-        mixed, cpart, tuple(block_costs), part, z, y, x,
-        range(s), linking, rows_sel, rows_grp,
-    )
+    return CoupledModel(mixed, cpart, part, z, y, x, range(s), linking, rows_sel, rows_grp)

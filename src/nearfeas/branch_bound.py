@@ -22,7 +22,7 @@ node, the root's phase 1 included, by its Farkas certificate.
 """
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import NodeLimitExceeded
 from .rationals import Rat, is_integral
@@ -99,11 +99,14 @@ class SolveStats:
 def solve_mip(model, node_limit=10**6, stats=None):
     """Exact optimum over assignments where integer_vars take integer values.
 
-    Raises NodeLimitExceeded rather than returning an approximate answer.
+    Counts into ``stats`` when given, a search stopped by its limit too;
+    ``node_limit`` and the solution's counts cover this call alone.  Raises
+    NodeLimitExceeded rather than returning an approximate answer.
     """
     lp = model.lp
     int_vars = sorted(model.integer_vars)
-    run = SolveStats()
+    run = SolveStats() if stats is None else stats
+    nodes0, pivots0 = run.bb_nodes, run.lp_pivots
     best = None  # (cost, cost_den, values, den) of vertex_numerators
 
     # stack entries: (tableau, branched variable, its new bounds, depth); the
@@ -111,7 +114,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
     stack = [(Tableau(lp), None, None, None, 0)]
     while stack:
         tab, j, lo, hi, depth = stack.pop()
-        if run.bb_nodes >= node_limit:
+        if run.bb_nodes - nodes0 >= node_limit:
             raise NodeLimitExceeded(f"branch-and-bound exceeded {node_limit} nodes")
         run.bb_nodes += 1
         run.bb_max_depth = max(run.bb_max_depth, depth)
@@ -154,12 +157,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
         stack.append((tab.copy(), branch_var, fl + 1, None, depth + 1))
         stack.append((tab, branch_var, None, fl, depth + 1))  # explored first
 
-    if stats is not None:
-        for f in fields(SolveStats):
-            mine, theirs = getattr(run, f.name), getattr(stats, f.name)
-            merged = max(mine, theirs) if f.name == "bb_max_depth" else mine + theirs
-            setattr(stats, f.name, merged)
-    counts = (run.bb_nodes, run.lp_pivots)
+    counts = (run.bb_nodes - nodes0, run.lp_pivots - pivots0)
     if best is None:
         return MixedSolution(MIPStatus.INFEASIBLE, None, 1, None, *counts)
     cost, cost_den, values, den = best

@@ -26,7 +26,7 @@ from typing import ClassVar
 from .backend import dot
 from .errors import InstanceFormatError, InvalidInstanceError
 from .linalg import Matrix
-from .rationals import ONE, ZERO, Rat, as_rat, common_denominator, format_rat, scaled
+from .rationals import ONE, ZERO, Rat, as_rat, format_rat, integer_row
 
 # ---------------------------------------------------------------------------
 # Field codecs
@@ -335,8 +335,8 @@ def _row_sums(mats, xs):
 
 
 def _cost(weights, x):
-    unit = common_denominator(weights)
-    return Rat(sum(scaled(w, unit) * v for w, v in zip(weights, x) if v), unit)
+    unit, w = integer_row(weights)
+    return Rat(sum(a * v for a, v in zip(w, x) if v), unit)
 
 
 def validate_general(inst):

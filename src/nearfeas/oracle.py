@@ -26,7 +26,7 @@ from operator import add, le, mul, sub
 from .errors import EnumerationCapExceeded, InvalidInstanceError
 from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from .instances import validate_config, validate_general, validate_nonneg
-from .rationals import Rat, common_denominator, integer_row, scaled
+from .rationals import Rat, integer_row
 
 DEFAULT_CAP = 10**7
 
@@ -57,7 +57,7 @@ def _lifted_rows(mats, target):
     scales = [math.lcm(t.denominator, *(m.scales[r] for m in mats)) for r, t in enumerate(target)]
     rows = [[[row.get(j, 0) * (L // s) for j in range(m.cols)]
              for row, s, L in zip(map(dict, m.nonzeros), m.scales, scales)] for m in mats]
-    return rows, tuple(map(scaled, target, scales))
+    return rows, tuple(t.numerator * (L // t.denominator) for t, L in zip(target, scales))
 
 
 def _variables(rows, costs, lower, upper):
@@ -132,10 +132,11 @@ def brute_force_config(inst, cap=DEFAULT_CAP):
     if not all(blk.configs for blk in inst.blocks):
         return _INFEASIBLE
     d_rows, b0 = _lifted_rows([blk.D for blk in inst.blocks], inst.b0)
-    unit = common_denominator(w for blk in inst.blocks for w in blk.weights)
+    t = inst.blocks[0].D.cols
+    unit, w = integer_row([v for blk in inst.blocks for v in blk.weights])
     positions = [[(tuple(sum(map(mul, row, cfg)) for row in D),
-                   sum(scaled(w, unit) * v for w, v in zip(blk.weights, cfg)), cfg)
-                  for cfg in blk.configs] for blk, D in zip(inst.blocks, d_rows)]
+                   sum(map(mul, w[i * t : i * t + t], cfg)), cfg)
+                  for cfg in blk.configs] for i, (blk, D) in enumerate(zip(inst.blocks, d_rows))]
     return _best(positions, b0, unit)
 
 
@@ -145,11 +146,12 @@ def brute_force_nfold(inst, cap=DEFAULT_CAP):
     problems, _ = validate_nonneg(inst)
     _validate(problems, math.prod(hi + 1 for blk in inst.blocks for hi in blk.u), cap, "nfold")
     d_rows, b0 = _lifted_rows([blk.D for blk in inst.blocks], inst.b0)
-    unit = common_denominator(w for blk in inst.blocks for w in blk.w)
+    t = inst.blocks[0].D.cols
+    unit, w = integer_row([v for blk in inst.blocks for v in blk.w])
     positions = []
-    for blk, D in zip(inst.blocks, d_rows):
+    for i, (blk, D) in enumerate(zip(inst.blocks, d_rows)):
         (a_rows,), bi = _lifted_rows([blk.A], blk.bi)
-        local = _variables(a_rows + D, [scaled(w, unit) for w in blk.w], [0] * len(blk.u), blk.u)
+        local = _variables(a_rows + D, w[i * t : i * t + t], [0] * t, blk.u)
         # every solution of A^i x = b^i (the windows cover the A rows), with
         # the least (cost, x) for each D^i x; a value is its own index
         found = _table(local, _windows(local[::-1], bi)[::-1][1:], len(a_rows) + len(D), False)

@@ -10,10 +10,10 @@ rows), residuals, the mixed optimum's numerators and the roundings.
 
 This module owns both crossings of that boundary.  ``as_rat`` is the one
 coercion into ``Rat`` (a ``Rat`` passes through unchanged, so coercing
-exact data costs nothing); ``common_denominator`` and ``scaled``, and
-``integer_row`` for both at once, are the one way any layer (a matrix's
-``from_rows``, the simplex's bounds, the costs, the scheduling reduction)
-turns rationals into integers over a shared scale.
+exact data costs nothing); ``integer_row`` is the one way any layer (a
+matrix's ``from_rows``, the simplex's bounds and objective, the costs, the
+scheduling reduction) turns rationals into integers over a shared scale.
+Both reject a float or a bool with the same ``TypeError``.
 """
 
 import math
@@ -49,16 +49,21 @@ def format_rat(value):
     return str(value)
 
 
+def _exact(value):
+    """``value`` itself; a bool or a float raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("boolean values are not allowed")
+    if isinstance(value, float):
+        raise TypeError("floating-point values are not allowed")
+    return value
+
+
 def as_rat(value):
     """Coerce an int, rational, or "p/q" string to Rat; floats and booleans
     are rejected, and a Rat is returned as it is."""
     if type(value) is Rat:
         return value
-    if isinstance(value, bool):
-        raise TypeError("boolean values are not allowed")
-    if isinstance(value, float):
-        raise TypeError("floating-point values are not allowed")
-    if isinstance(value, str):
+    if isinstance(_exact(value), str):
         return parse_rat(value)
     if isinstance(value, int):
         return Rat(value)
@@ -68,35 +73,17 @@ def as_rat(value):
         raise TypeError(f"expected a rational, got {value!r}") from None
 
 
-def common_denominator(values):
-    """The least positive integer L with L * v integral for every v (the lcm
-    of the denominators); 1 for no values."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def scaled(v, L):
-    """L * v as an int; L must be a multiple of v's denominator."""
-    return v.numerator * (L // v.denominator)
-
-
 def integer_row(values):
-    """``(L, ints)``: L is ``common_denominator(values)`` and ints lists
-    ``scaled(v, L)`` for every v, read in one pass."""
-    pairs = [v.as_integer_ratio() for v in values]
+    """``(L, ints)``: L is the least positive integer with L * v integral for
+    every v (the lcm of the denominators; 1 for no values), and ints lists
+    every L * v as an int, read in one pass."""
+    pairs = [_exact(v).as_integer_ratio() for v in values]
     L = math.lcm(*[d for _, d in pairs])
     return L, [n * (L // d) for n, d in pairs]
 
 
 def is_integral(value):
     return value.denominator == 1
-
-
-def rat_floor(value):
-    return int(math.floor(value))
-
-
-def rat_ceil(value):
-    return int(math.ceil(value))
 
 
 def to_float(value):

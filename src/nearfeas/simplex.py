@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from .backend import pivot_update
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import Rat, common_denominator, integer_row, is_integral, scaled
+from .rationals import Rat, as_rat, integer_row, is_integral
 
 
 class LPStatus(enum.Enum):
@@ -162,26 +162,26 @@ class Tableau:
         # infeasibility certificates
         nonzeros = self.nonzeros = lp.matrix.nonzeros
         scales = self.scales = lp.matrix.scales
-        sbs = [b * s for b, s in zip(lp.rhs, scales)]
+        sbs = [as_rat(b) * s for b, s in zip(lp.rhs, scales)]  # b * s hides a bool b
 
         # L: the bounds, the scaled right-hand sides and the residuals of the
         # all-at-lower start (the artificials' initial ranges) times L are
         # integral.  L0 covers the first two; res[i] is L0 * s times row i's
         # residual, which L makes integral once it holds L0 * s / gcd(res[i],
         # L0 * s)
-        L0 = common_denominator([*lp.lower, *lp.upper, *sbs])
-        low0 = [scaled(v, L0) for v in lp.lower]
+        L0, ints = integer_row([*lp.lower, *lp.upper, *sbs])
+        low0, up0, sb0 = ints[:c], ints[c : 2 * c], ints[2 * c :]
         res = []
         L = L0
-        for nz, sb, s in zip(nonzeros, sbs, scales):
-            ri = scaled(sb, L0) - sum(a * low0[j] for j, a in nz)
+        for nz, sb, s in zip(nonzeros, sb0, scales):
+            ri = sb - sum(a * low0[j] for j, a in nz)
             res.append(ri)
             L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))
         self.L = L
         f = L // L0
         self.lower = [v * f for v in low0]
-        self.upper = [scaled(v, L) for v in lp.upper]
-        self.rhs = tuple(scaled(sb, L) for sb in sbs)
+        self.upper = [v * f for v in up0]
+        self.rhs = tuple(v * f for v in sb0)
 
         # rows: d * [A | I | value] for the all-artificial basis, whose
         # determinant in the row-scaled matrix is the product d of the row

@@ -116,7 +116,7 @@ def build_restriction(model, values, den):
         tuple(right_index[(block_type[i], phi)] for i, phi in frac),
         tuple(left_rhs),
         tuple(right_rhs),
-        tuple(model.config_costs[i][phi] for i, phi in frac),
+        tuple(model.mixed.lp.objective[model.z[i][phi]] for i, phi in frac),
     )
 
 
@@ -173,8 +173,8 @@ def select_columns(model, mixed_sol, stats, trace):
             selected[model.z[i][phi]] = v * den
         _check_marginals(model, values, selected)
         if trace is not None:
-            costs, z = model.config_costs, model.z
-            frac_obj = sum((costs[i][phi] * values[z[i][phi]] for i, phi in restriction.keys), ZERO)
+            cols = [model.z[i][phi] for i, phi in restriction.keys]
+            frac_obj = sum((model.mixed.lp.objective[j] * values[j] for j in cols), ZERO)
             trace.tu_calls.append((restriction, frac_obj / den, rounded))
 
     chosen = _selection_from_values(model, selected, den)

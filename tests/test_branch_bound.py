@@ -163,6 +163,13 @@ def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
     assert stats.bb_nodes == counts[0] + 1
     assert stats.bb_incumbents == counts[3] + 1
     assert stats.bb_max_depth == counts[4]
+    # the node limit and the solution's counts are those of one search, not
+    # of the shared stats
+    pivots = stats.lp_pivots
+    sol = solve_mip(MixedModel(lp, frozenset({0})), node_limit=counts[0], stats=stats)
+    assert (sol.nodes, sol.lp_pivots) == (counts[0], sum(counts[5:]))
+    assert stats.bb_nodes == 2 * counts[0] + 1
+    assert stats.lp_pivots == pivots + sum(counts[5:])
 
 
 def test_integer_bounds_must_be_integral():

@@ -1,18 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nearfeas.rationals import (
-    Rat,
-    as_rat,
-    common_denominator,
-    format_rat,
-    integer_row,
-    is_integral,
-    parse_rat,
-    rat_ceil,
-    rat_floor,
-    scaled,
-)
+from nearfeas.rationals import Rat, as_rat, format_rat, integer_row, is_integral, parse_rat
 
 
 def test_parse_basic():
@@ -61,22 +52,21 @@ def test_as_rat_returns_a_rat_unchanged():
     assert as_rat(3) == Rat(3) and as_rat("-3/2") == r
 
 
-def test_common_denominator_examples():
-    assert common_denominator([]) == 1
-    assert common_denominator([3, -2, Rat(0)]) == 1
-    # the lcm, not the largest denominator
-    assert common_denominator([5, Rat(-1, 4), Rat(-5, 6), Rat(7, 9)]) == 36
-    assert scaled(Rat(-5, 6), 36) == -30
-    assert scaled(4, 36) == 144
+def test_integer_row_examples():
+    assert integer_row([]) == (1, [])
+    assert integer_row([3, -2, Rat(0)]) == (1, [3, -2, 0])
+    # the lcm, not the largest denominator, with mixed signs
+    assert integer_row([5, Rat(-1, 4), Rat(-5, 6), Rat(7, 9)]) == (36, [180, -9, -30, 28])
 
 
 @given(st.lists(st.fractions(max_denominator=10**6), max_size=8))
 def test_scaled_by_the_common_denominator_is_exact(values):
-    L = common_denominator(values)
+    L, ints = integer_row(values)
     assert L >= 1
-    for v in values:
-        assert type(scaled(v, L)) is int
-        assert scaled(v, L) == v * L
+    assert len(ints) == len(values)
+    for v, a in zip(values, ints):
+        assert type(a) is int
+        assert a == v * L
     # least: no proper divisor L // p of L makes every value integral
     for p in range(2, min(L, 1000) + 1):
         if L % p == 0:
@@ -86,18 +76,23 @@ def test_scaled_by_the_common_denominator_is_exact(values):
 @given(st.lists(st.one_of(st.fractions(max_denominator=10**4), st.integers(-50, 50)), max_size=8))
 def test_integer_row_is_the_common_denominator_and_the_scaled_values(values):
     L, ints = integer_row(values)
-    assert L == common_denominator(values)
-    assert ints == [scaled(v, L) for v in values]
+    assert L == math.lcm(*(Rat(v).denominator for v in values))
+    assert ints == [v * L for v in values]
     assert all(type(a) is int for a in ints)
 
 
-def test_floor_ceil_are_ints():
-    assert rat_floor(Rat(7, 2)) == 3
-    assert rat_ceil(Rat(7, 2)) == 4
-    assert rat_floor(Rat(-7, 2)) == -4
-    assert rat_ceil(Rat(-7, 2)) == -3
-    assert isinstance(rat_floor(Rat(7, 2)), int)
-    assert isinstance(rat_ceil(Rat(-7, 2)), int)
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.1, True], "floating-point values are not allowed"),
+        ([Rat(1, 2), 1.0], "floating-point values are not allowed"),
+        ([3, True], "boolean values are not allowed"),
+        ([False], "boolean values are not allowed"),
+    ],
+)
+def test_integer_row_rejects_floats_and_booleans(values, message):
+    with pytest.raises(TypeError, match=message):
+        integer_row(values)
 
 
 def test_is_integral():

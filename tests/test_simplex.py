@@ -244,6 +244,25 @@ def test_dimension_mismatch_rejected():
         dense_lp([[1, 2]], (0, 0), (0, 0), (1, 1), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("objective", (0.5, 1.0), "floating-point"),
+        ("lower", (0, 0.0), "floating-point"),
+        ("upper", (1.5, 1), "floating-point"),
+        ("rhs", (0.5,), "floating-point"),
+        ("objective", (1, False), "boolean"),
+        ("upper", (True, 1), "boolean"),
+        ("rhs", (True,), "boolean"),
+    ],
+)
+def test_a_float_or_a_bool_in_the_lp_raises(field, value, message):
+    data = {"rhs": (1,), "lower": (0, 0), "upper": (1, 1), "objective": (1, 1), field: value}
+    lp = LinearProgram(int_rows([[1, 1]]), **data)
+    with pytest.raises(TypeError, match=message):
+        Tableau(lp)
+
+
 def test_degenerate_lps_terminate_and_match():
     # 0/1 data with tiny right-hand sides maximizes ratio-test ties
     rng = random.Random(41)

@@ -110,21 +110,31 @@ MUTANTS = (
     Mutant(
         "scaled-off-by-one",
         _RATIONALS,
-        "    return v.numerator * (L // v.denominator)\n",
-        "    return v.numerator * (L // v.denominator) + 1\n",
+        "    return L, [n * (L // d) for n, d in pairs]\n",
+        "    return L, [n * (L // d) + 1 for n, d in pairs]\n",
         (
-            "tests/test_rationals.py::test_common_denominator_examples",
+            "tests/test_rationals.py::test_integer_row_examples",
             "tests/test_rationals.py::test_scaled_by_the_common_denominator_is_exact",
         ),
     ),
     Mutant(
         "common-denominator-max",
         _RATIONALS,
-        "    return math.lcm(*(v.denominator for v in values))\n",
-        "    return max((v.denominator for v in values), default=1)\n",
+        "    L = math.lcm(*[d for _, d in pairs])\n",
+        "    L = max([d for _, d in pairs], default=1)\n",
         (
-            "tests/test_rationals.py::test_common_denominator_examples",
+            "tests/test_rationals.py::test_integer_row_examples",
             "tests/test_rationals.py::test_scaled_by_the_common_denominator_is_exact",
+        ),
+    ),
+    Mutant(
+        "integer-row-accepts-floats-and-booleans",
+        _RATIONALS,
+        "    pairs = [_exact(v).as_integer_ratio() for v in values]\n",
+        "    pairs = [v.as_integer_ratio() for v in values]\n",
+        (
+            "tests/test_rationals.py::test_integer_row_rejects_floats_and_booleans",
+            "tests/test_simplex.py::test_a_float_or_a_bool_in_the_lp_raises",
         ),
     ),
     Mutant(
@@ -231,6 +241,13 @@ MUTANTS = (
         "src/nearfeas/apps.py",
         "for k in range(cmax_i + 1))",
         "for k in range(cmax_i))",
+        ("tests/test_apps.py::test_scheduling_core_equals_the_core_built_through_the_codecs",),
+    ),
+    Mutant(
+        "scheduling-times-of-the-first-job",
+        "src/nearfeas/apps.py",
+        "        diag = times[i * m : i * m + m]\n",
+        "        diag = times[:m]\n",
         ("tests/test_apps.py::test_scheduling_core_equals_the_core_built_through_the_codecs",),
     ),
     # integer rows, reports and roundings
@@ -389,6 +406,20 @@ MUTANTS = (
         ("tests/test_simplex.py::test_pinned_scales",),
     ),
     Mutant(
+        "tableau-bound-slices-shifted",
+        _SIMPLEX,
+        "low0, up0, sb0 = ints[:c], ints[c : 2 * c], ints[2 * c :]",
+        "low0, up0, sb0 = ints[:c], ints[c + 1 : 2 * c + 1], ints[2 * c + 1 :]",
+        (*_COLD, "tests/test_simplex.py::test_pinned_pivot_paths"),
+    ),
+    Mutant(
+        "tableau-rhs-accepts-a-bool",
+        _SIMPLEX,
+        "sbs = [as_rat(b) * s for b, s in zip(lp.rhs, scales)]",
+        "sbs = [b * s for b, s in zip(lp.rhs, scales)]",
+        ("tests/test_simplex.py::test_a_float_or_a_bool_in_the_lp_raises",),
+    ),
+    Mutant(
         "ratio-ties-to-larger-index",
         _SIMPLEX,
         "(gap * la == lg * a and bi < basis[leave])",
@@ -528,6 +559,20 @@ MUTANTS = (
         _BB,
         "            run.lp_dual_pivots += tab.pivots\n",
         "",
+        ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "node-limit-counts-earlier-searches",
+        _BB,
+        "        if run.bb_nodes - nodes0 >= node_limit:\n",
+        "        if run.bb_nodes >= node_limit:\n",
+        ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
+    ),
+    Mutant(
+        "solution-pivots-count-earlier-searches",
+        _BB,
+        "    counts = (run.bb_nodes - nodes0, run.lp_pivots - pivots0)\n",
+        "    counts = (run.bb_nodes - nodes0, run.lp_pivots)\n",
         ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
     ),
     Mutant(
@@ -805,6 +850,20 @@ MUTANTS = (
         _ORACLE,
         "    unit, w = integer_row(inst.w)\n",
         "    unit, w = 1, [v.numerator for v in inst.w]\n",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-config-weights-of-the-first-block",
+        _ORACLE,
+        "sum(map(mul, w[i * t : i * t + t], cfg))",
+        "sum(map(mul, w[:t], cfg))",
+        _ORACLE_TESTS,
+    ),
+    Mutant(
+        "oracle-nfold-weights-of-the-first-block",
+        _ORACLE,
+        "local = _variables(a_rows + D, w[i * t : i * t + t],",
+        "local = _variables(a_rows + D, w[:t],",
         _ORACLE_TESTS,
     ),
     Mutant(
