@@ -125,8 +125,6 @@ def _solve_scheduling(inst, params):
     and its additive makespan bound cmax + epsilon * max p."""
     core, decode = _scheduling_core(inst)
     result = solve_nfold_config(core, params)
-    if result.x is None:
-        return result, core, {}
     d = decode(result.x)
     bound = inst.cmax + params.epsilon * inst.max_time()
     schedule = {

@@ -434,8 +434,8 @@ def validate(inst):
     return _VALIDATORS[type(inst)](inst)
 
 
-def violation_report(inst, x, mode, bound, objective=None):
-    """Exact residual report for a candidate solution.
+def violation_report(inst, x, mode, bound):
+    """Exact residual report and objective w . x of a candidate solution.
 
     For GeneralIP, x is a flat integer vector; for the n-fold kinds it is a
     tuple of per-block vectors.  mode is ADDITIVE (bound = permitted
@@ -462,9 +462,7 @@ def violation_report(inst, x, mode, bound, objective=None):
                 attained.extend(_row_sums([blk.A], [xi]))
     else:
         raise TypeError(f"unsupported instance type {type(inst)!r}")
-    if objective is None:
-        objective = _cost(weights, flat)
-    return _report(mode, attained, reference, bound, objective)
+    return _report(mode, attained, reference, bound, _cost(weights, flat))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ class Matrix:
         return hash((self.rows, self.cols, self.nonzeros, self.scales))
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
+        return f"Matrix({self.rows}, {self.cols}, {self.nonzeros!r}, {self.scales!r})"
 
 
 def rank_exact(mat):

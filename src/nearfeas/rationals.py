@@ -11,9 +11,10 @@ rows), residuals, the mixed optimum's numerators and the roundings.
 This module owns both crossings of that boundary.  ``as_rat`` is the one
 coercion into ``Rat`` (a ``Rat`` passes through unchanged, so coercing
 exact data costs nothing); ``integer_row`` is the one way any layer (a
-matrix's ``from_rows``, the simplex's bounds and objective, the costs, the
-scheduling reduction) turns rationals into integers over a shared scale.
-Both reject a float or a bool with the same ``TypeError``.
+matrix's ``from_rows``, the simplex's bounds, right-hand sides and
+objective, the costs, the scheduling reduction) turns rationals into
+integers over a shared scale.  Both reject a float or a bool with the same
+``TypeError``; ``integer_row`` also rejects a string, which ``as_rat`` parses.
 """
 
 import math
@@ -74,10 +75,15 @@ def as_rat(value):
 
 
 def integer_row(values):
-    """``(L, ints)``: L is the least positive integer with L * v integral for
-    every v (the lcm of the denominators; 1 for no values), and ints lists
-    every L * v as an int, read in one pass."""
-    pairs = [_exact(v).as_integer_ratio() for v in values]
+    """``(L, ints)`` for a sequence of values: L is the least positive integer
+    with L * v integral for every v (the lcm of the denominators; 1 for no
+    values), and ints lists every L * v as an int, read in one pass.  A value
+    that is not a rational raises ``as_rat``'s TypeError."""
+    try:
+        pairs = [_exact(v).as_integer_ratio() for v in values]
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "as_integer_ratio"))
+        raise TypeError(f"expected a rational, got {bad!r}") from None
     L = math.lcm(*[d for _, d in pairs])
     return L, [n * (L // d) for n, d in pairs]
 

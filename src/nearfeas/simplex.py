@@ -8,28 +8,30 @@ Bixby, "Implementing the simplex method: the initial basis", ORSA J. Comput.
 4(3), 1992).  The phase-2 cost row is built with the tableau, where its
 reduced costs are the objective itself, and the crash and phase-1 pivots
 carry it to phase 2.  An infeasible phase 1 is certified: its multipliers
-are checked as a Farkas certificate against the original rows.  All
+are checked as a Farkas certificate against the LP's own rows.  All
 arithmetic is exact; optimality and feasibility are decided with zero
 tolerance.
 
-The LP's state holds no rationals.  Each constraint row arrives as integers
-over its own least scale (a ``linalg.Matrix``, built so by the model), and
-the tableau is kept as Python ints by integer-preserving Gauss-Jordan pivots
-(J. Edmonds, "Systems of distinct representatives and linear algebra", J.
-Res. NBS 71B, 1967): every division in a pivot is exact by Cramer's rule.
-Edmonds holds every row over one common denominator, the determinant d of the
+The LP's state holds no rationals.  Each constraint row A_i arrives as
+integers N_i over its least scale s_i (a ``linalg.Matrix``, built so by the
+model), and the tableau starts as those rows as stored: [N | I], the
+all-artificial basis of N x + a = S b (S = diag(s)), of determinant 1.
+Integer-preserving Gauss-Jordan pivots (J. Edmonds, "Systems of distinct
+representatives and linear algebra", J. Res. NBS 71B, 1967) keep it as
+Python ints: every division in a pivot is exact by Cramer's rule.  Edmonds
+holds every row over one common denominator, the determinant d of the
 current basis; here each row i has its own denominator dens[i], the
 determinant of the basis at the last pivot that rewrote row i in full.  A
 pivot leaves the rows with a zero in its column as they are, and a row whose
 entry in that column is a multiple of the least denominator of the pivot
 row's values keeps its denominator and changes only where the pivot row is
 nonzero; only the other rows are rewritten over the new d.  One positive
-integer scale L per LP, fixed when the tableau is built, makes every bound
-and every scaled right-hand side integral, so the bounds are held as ints
-over L and the basic values as an integer value column, over dens[i] * L in
-row i, that the pivots carry with the tableau (an integer right-hand side,
-as in the revised simplex of R. Azulay & J.-F. Pique, "A revised simplex
-method with integer Q-matrices", ACM TOMS 27(3), 2001).
+integer scale L per LP, the lcm of the denominators of the bounds and of b,
+makes every bound and every right-hand side integral, so the bounds are held
+as ints over L and the basic values as an integer value column, over
+dens[i] * L in row i, that the pivots carry with the tableau (an integer
+right-hand side, as in the revised simplex of R. Azulay & J.-F. Pique, "A
+revised simplex method with integer Q-matrices", ACM TOMS 27(3), 2001).
 Every decision is an integer cross product within one row, or between two
 rows each read against the sign of its own denominator, and compares the
 same exact quantities a rational tableau would, so the pivot path is the
@@ -39,14 +41,14 @@ A ``Tableau`` left optimal can be re-optimized after one basic variable's
 bounds are tightened to ints (a branching bound), by the bounded-variable
 dual simplex (A. Koberstein, "The dual simplex method: techniques for a fast
 and stable implementation", PhD thesis, Paderborn, 2005).  Edmonds' entries
-are minors of the row-scaled matrix fixed by the basis alone, so the old
+are minors of [N | I] fixed by the basis alone, so the old
 tableau is exact for the new bounds; the basis stays dual feasible and only
 the tightened variable is out of bounds, which is where the dual method
 starts.  The leaving row is the bound-violating basic variable of smallest
 index and ties in the dual ratio test break to the smallest index (Bland's
 rule read on the dual), so the re-optimization is deterministic and
 terminates.  A row with no entering column is a Farkas certificate of
-infeasibility and is checked exactly against the original rows.  Given a
+infeasibility and is checked exactly against the LP's own rows.  Given a
 cutoff, the re-optimization stops once its objective, a lower bound while
 the basis is dual feasible, reaches it.  The ratio test fixes the objective
 after its pivot exactly (the entering column's |reduced cost / pivot entry|
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 from .backend import pivot_update
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import Rat, as_rat, integer_row, is_integral
+from .rationals import Rat, integer_row, is_integral
 
 
 class LPStatus(enum.Enum):
@@ -119,23 +121,27 @@ class Tableau:
     """Bounded-variable tableau held as Python ints, each row over its own
     denominator.
 
-    ``d`` is the determinant of the current basis B: of its columns in the
-    row-scaled matrix ``D [A | I]`` (``D`` holds the row scales ``scales``).
-    Row i is ``dens[i] * (B^-1 [A | I])_i`` and row r is ``dens[r] * k *
-    (reduced costs)`` of the objective ``obj / k`` (k > 0; in phase 1, of the
-    phase-1 objective with k = 1, while row r + 1 carries the objective's),
-    where ``dens[i]`` is the determinant of the basis at the last pivot that
-    rewrote row i in full (so ``T[i] * d / dens[i]`` is Edmonds' integral row
-    over ``d``).  Pivots keep every entry integral (``backend.pivot_update``).  A pivot's
-    determinant is its pivot entry, which may be negative, so ``d`` and any
-    ``dens[i]`` may turn negative, and signs of entries in row i are read
-    relative to the sign of ``dens[i]``.
+    It solves ``N x + a = S b``: ``N`` the LP's integer rows (``nonzeros``),
+    ``S`` the diagonal of their ``scales``, ``a`` the artificials.  ``d`` is
+    the determinant of the current basis B, columns of ``[N | I]``; both it
+    and every ``dens[i]`` start at 1, in the all-artificial basis.  Row i is
+    ``dens[i] * (B^-1 [N | I])_i`` and row r is ``dens[r] * k * (reduced
+    costs)`` of the objective ``obj / k`` (k > 0; in phase 1, of the phase-1
+    objective with k = 1, while row r + 1 carries the objective's), where
+    ``dens[i]`` is the determinant of the basis at the last pivot that
+    rewrote row i in full (so ``T[i] * d / dens[i]`` is Edmonds' integral
+    row over ``d``).  Pivots keep every entry integral
+    (``backend.pivot_update``).  A pivot's determinant is its pivot entry,
+    which may be negative, so ``d`` and any ``dens[i]`` may turn negative,
+    and signs of entries in row i are read relative to the sign of
+    ``dens[i]``.
 
     The bounds ``lower`` and ``upper`` are ints over the scale ``L``, fixed
-    when the tableau is built and shared by all its copies, and each row
+    when the tableau is built and shared by all its copies, and ``rhs`` is
+    ``L * S b``.  Each row
     ends in a value column: ``dens[i] * L`` times the row's basic value, and
     ``-dens[r] * k * L`` times the objective in row r.  The column is the
-    tableau of ``L * D (b - N x_N)``, so a pivot carries it like any other
+    tableau of ``L (S b - N x_N)``, so a pivot carries it like any other
     column, and a nonbasic variable that moves adds its own column times its
     step to it.  A nonbasic variable sits at the bound its status names.
 
@@ -157,64 +163,46 @@ class Tableau:
         self.basis = list(range(c, c + r))
         self.pivots = 0
 
-        # the integer rows (s * A_i over scale s) and the scaled right-hand
-        # sides s * b_i, shared by every copy: they also check vertices and
-        # infeasibility certificates
+        # the integer rows N_i and the right-hand sides L * s_i * b_i, shared
+        # by every copy: they also check vertices and certificates
         nonzeros = self.nonzeros = lp.matrix.nonzeros
         scales = self.scales = lp.matrix.scales
-        sbs = [as_rat(b) * s for b, s in zip(lp.rhs, scales)]  # b * s hides a bool b
+        self.L, ints = integer_row([*lp.lower, *lp.upper, *lp.rhs])
+        self.lower, self.upper, bs = ints[:c], ints[c : 2 * c], ints[2 * c :]
+        self.rhs = tuple(v * s for v, s in zip(bs, scales))
 
-        # L: the bounds, the scaled right-hand sides and the residuals of the
-        # all-at-lower start (the artificials' initial ranges) times L are
-        # integral.  L0 covers the first two; res[i] is L0 * s times row i's
-        # residual, which L makes integral once it holds L0 * s / gcd(res[i],
-        # L0 * s)
-        L0, ints = integer_row([*lp.lower, *lp.upper, *sbs])
-        low0, up0, sb0 = ints[:c], ints[c : 2 * c], ints[2 * c :]
-        res = []
-        L = L0
-        for nz, sb, s in zip(nonzeros, sb0, scales):
-            ri = sb - sum(a * low0[j] for j, a in nz)
-            res.append(ri)
-            L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))
-        self.L = L
-        f = L // L0
-        self.lower = [v * f for v in low0]
-        self.upper = [v * f for v in up0]
-        self.rhs = tuple(v * f for v in sb0)
-
-        # rows: d * [A | I | value] for the all-artificial basis, whose
-        # determinant in the row-scaled matrix is the product d of the row
-        # scales; each artificial's value is its residual.  The phase-1 cost
-        # row holds the phase-1 reduced costs (k = 1), minus the signed sum of
-        # the rows.  The phase-2 row below it holds d * obj, as the
-        # artificials cost 0, and -d * k * L times the objective at the start,
-        # where every structural is at its lower bound
-        d = math.prod(scales)
-        self.d = self.d0 = d
-        self.dens = [d] * (r + 2)
+        # rows: [N | I | value]; artificial i's value is r_i / L, r_i being
+        # row i's residual at the all-lower start, and its range runs from 0
+        # to it.  The phase-1 row is minus the sum of the rows weighted by
+        # artificial i's cost sigma_i * k1 / s_i (see ``solve``).  The phase-2
+        # row below it holds obj, as the artificials cost 0, and -k * L times
+        # the objective at the start, where every structural is at its lower
+        # bound
+        lower = self.lower
+        self.d = 1
+        self.dens = [1] * (r + 2)
         self.T = []
+        k1 = math.lcm(*scales)
         cost = [0] * (n + 1)
-        for i, (nz, s) in enumerate(zip(nonzeros, scales)):
-            ri = res[i] * f  # L * s * residual
-            self.lower.append(min(ri, 0) // s)
-            self.upper.append(max(ri, 0) // s)
-            g = d // s
+        for i, (nz, s, ri) in enumerate(zip(nonzeros, scales, self.rhs)):
             t = [0] * (n + 1)
             for j, a in nz:
-                t[j] = a * g
-            t[c + i] = d
-            t[n] = ri * g
+                t[j] = a
+                ri -= a * lower[j]
+            t[c + i] = 1
+            t[n] = ri
             self.T.append(t)
             if ri:
-                si = 1 if ri > 0 else -1
-                for j, _ in nz:
-                    cost[j] -= si * t[j]
-                cost[n] -= si * t[n]
+                w = k1 // s if ri > 0 else -(k1 // s)
+                for j, a in nz:
+                    cost[j] -= w * a
+                cost[n] -= w * ri
+        lower += [min(t[n], 0) for t in self.T]
+        self.upper += [max(t[n], 0) for t in self.T]
         self.T.append(cost)
         self.k, self.obj = integer_row(lp.objective)
-        start = sum(v * lo for v, lo in zip(self.obj, self.lower))
-        self.T.append([v * d for v in self.obj] + [0] * r + [-d * start])
+        start = sum(v * lo for v, lo in zip(self.obj, lower))
+        self.T.append(self.obj + [0] * r + [-start])
 
     def copy(self):
         """An independent snapshot: rows and their denominators, basis,
@@ -369,10 +357,12 @@ class Tableau:
         """Cold two-phase solve from the crash basis; ``crash_pivots`` and
         ``phase1_pivots`` count the pivots before phase 2.
 
-        Phase 1 minimizes the sum of the artificials times their range's
-        signs sigma.  At a positive optimum its multipliers y (artificial i's
-        reduced cost is sigma_i - y_i) are a Farkas certificate: ``y . b``
-        exceeds the largest ``y . A x`` over the bounds by that optimum or
+        Phase 1 minimizes the sum of the unscaled artificials a_i / s_i
+        times their range's signs sigma, times k1 = lcm(scales): artificial
+        i costs ``w_i = sigma_i * k1 / s_i``, an int.  At a positive optimum
+        its multipliers y on the rows ``N x + a = S b`` (artificial i's
+        reduced cost is w_i - y_i) are a Farkas certificate: ``y . S b``
+        exceeds the largest ``y . N x`` over the bounds by that optimum or
         more, as each artificial's reduced cost times its value is <= 0."""
         self._crash()
         self.crash_pivots = self.pivots
@@ -381,8 +371,10 @@ class Tableau:
         T, dens, r, c, n = self.T, self.dens, self.r, self.c, self.n
         # the phase-1 row's value entry is -dens[r] * L times its objective
         if T[r][n]:
+            k1 = math.lcm(*self.scales)
             sigma = [(hi > 0) - (lo < 0) for lo, hi in zip(self.lower[c:], self.upper[c:])]
-            self._certify_infeasible([si * dens[r] - a for si, a in zip(sigma, T[r][c:n])])
+            y = [si * (k1 // s) * dens[r] - a for si, s, a in zip(sigma, self.scales, T[r][c:n])]
+            self._certify_infeasible(y)
             return LPStatus.INFEASIBLE
         # every artificial is 0, so its bounds close on its value
         self.lower[c:] = [0] * r
@@ -501,21 +493,18 @@ class Tableau:
         """Check that the row multipliers y, ints over a scale of either
         sign, prove the current bounds infeasible.
 
-        Every solution x of the equations has ``y . (A x) = y . b``; the
-        certificate holds when ``y . b`` lies outside the range of ``y . A x``
-        over the bounds.  Both sides are recomputed from the original rows,
-        scaled by ``d0 * L > 0``, not read from the tableau.
+        Every solution x of the equations ``N x = S b`` has ``y . (N x) =
+        y . (S b)``; the certificate holds when ``y . (S b)`` lies outside the
+        range of ``y . N x`` over the bounds.  Both sides are recomputed from
+        the LP's integer rows, scaled by L, not read from the tableau.
         """
-        c = self.c
-        d0 = self.d0
-        g = [0] * c
+        g = [0] * self.c
         rhs = 0
-        for yi, nz, s, sb in zip(y, self.nonzeros, self.scales, self.rhs):
+        for yi, nz, sb in zip(y, self.nonzeros, self.rhs):
             if yi:
-                f = yi * (d0 // s)
-                rhs += f * sb
+                rhs += yi * sb
                 for j, a in nz:
-                    g[j] += f * a
+                    g[j] += yi * a
         least = most = 0
         for j, gj in enumerate(g):
             if gj:

@@ -189,16 +189,16 @@ def select_columns(model, mixed_sol, stats, trace):
 def _attempt(norm, delta, slack_bounds, params, stats, trace):
     """One mixed solve + selection stage at a given width.
 
-    Returns (x, objective), or None when the slack-bounded model is
-    infeasible (a width-independent fact).
+    Returns x, or None when the slack-bounded model is infeasible (a
+    width-independent fact).
     """
     part = partition_config_columns(norm.value_mats, delta)
     model = build_mip4(norm, part, slack_bounds=slack_bounds)
     mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
     if mixed.status == MIPStatus.INFEASIBLE:
         return None
-    chosen, objective = select_columns(model, mixed, stats, trace)
-    return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen)), objective
+    chosen, _ = select_columns(model, mixed, stats, trace)
+    return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen))
 
 
 def _check_marginals(model, values, selected):
@@ -258,19 +258,18 @@ def solve_config_core(inst, params, violation_bounds, stats, trace=None):
 
     def attempt(delta):
         status = SolveStatus.OK
-        found = _attempt(norm, delta, violation_bounds, params, stats, trace)
-        if found is None:
+        x = _attempt(norm, delta, violation_bounds, params, stats, trace)
+        if x is None:
             # No selection satisfies the per-row bounds, at any width: report
             # the best-effort coupling-free optimum and its exact violation.
             status = SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE
-            found = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
-            if found is None:
+            x = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
+            if x is None:
                 raise PipelineInvariantError("coupling-free model cannot be infeasible")
-        x, objective = found
-        report = violation_report(inst, x, ADDITIVE, report_bound, objective)
+        report = violation_report(inst, x, ADDITIVE, report_bound)
         within = all(abs(r) <= b for r, b in zip(report.residual, violation_bounds))
         if within or status != SolveStatus.OK:
-            return ApproxResult(status, x, objective, report, delta, stats=stats)
+            return ApproxResult(status, x, report.objective, report, delta, stats=stats)
         return None
 
     return refine(attempt, delta, params.refinement_limit)

@@ -102,10 +102,10 @@ def solve_general(inst, params, trace=None):
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
         if mixed.status == MIPStatus.INFEASIBLE:
             return ApproxResult(SolveStatus.INFEASIBLE, delta_used=part.delta, stats=stats)
-        x, objective = round_within_groups(model, mixed, trace)
-        report = violation_report(inst, x, ADDITIVE, bound, objective)
+        x, _ = round_within_groups(model, mixed, trace)
+        report = violation_report(inst, x, ADDITIVE, bound)
         if report.within_bound:
-            return ApproxResult(SolveStatus.OK, x, objective, report, part.delta, stats=stats)
+            return ApproxResult(SolveStatus.OK, x, report.objective, report, part.delta, stats=stats)
         return None
 
     delta = params.delta_override if params.delta_override is not None else eps / (2 * m)

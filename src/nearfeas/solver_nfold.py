@@ -252,10 +252,10 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
     delegate = solve_config_core(cfg_inst, params, bounds, stats, trace)
     if delegate.status != SolveStatus.OK:
         return replace(delegate, notes=("case1",) + delegate.notes)
-    report = violation_report(inst, delegate.x, MULTIPLICATIVE, eps, delegate.objective)
+    report = violation_report(inst, delegate.x, MULTIPLICATIVE, eps)
     if not report.within_bound:
         raise PipelineInvariantError("delegated solution escaped the multiplicative bound")
-    return replace(delegate, report=report, notes=("case1",))
+    return replace(delegate, objective=report.objective, report=report, notes=("case1",))
 
 
 def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):

@@ -45,6 +45,13 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_writes_the_file_text_to_stdout_without_output(tmp_path, capsys):
+    out_file = tmp_path / "g.json"
+    argv = ["gen", "--kind", "nfold-nonneg", "--blocks", "2", "--seed", "3"]
+    assert run(capsys, *argv, "--output", str(out_file)) == (0, "", "")
+    assert run(capsys, *argv) == (0, out_file.read_text(), "")
+
+
 def test_solve_general_with_oracle_check(tmp_path, capsys):
     inst = tmp_path / "g.json"
     main(["gen", "--kind", "general", "--m", "1", "--n", "4", "--seed", "3", "--output", str(inst)])
@@ -468,6 +475,69 @@ def test_malformed_scheduling_file_exits_one(tmp_path, capsys, fields, message):
     for argv in (("check",), ("oracle",), ("solve", "--epsilon", "1/2")):
         code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"kind": "general", "H": [[]], "b": ["1"], "w": [], "l": [], "u": []},
+            "dimension mismatch: H must be at least 1x1",
+        ),
+        (
+            {"kind": "nfold_config", "b0": ["1"], "blocks": [
+                {"D": [["1", "2"]], "configs": [[0, 1]], "weights": ["1", "1"]},
+                {"D": [["1"]], "configs": [[0]], "weights": ["1"]},
+            ]},
+            "dimension mismatch: block 1 shape; dimension mismatch: block 1 weights; "
+            "dimension mismatch: block 1 config length",
+        ),
+        (
+            {"kind": "nfold_config", "b0": ["1"],
+             "blocks": [{"D": [[]], "configs": [[]], "weights": []}]},
+            "dimension mismatch: blocks must be at least 1x1",
+        ),
+        (
+            {"kind": "nfold_nonneg", "b0": ["1", "1"], "blocks": [
+                {"A": [["1"]], "D": [["1"]], "bi": ["1", "1"], "u": [1], "w": ["1"]},
+            ]},
+            "dimension mismatch: block 0 vectors; dimension mismatch: b0",
+        ),
+        (
+            {"kind": "nfold_nonneg", "b0": ["1"], "blocks": [
+                {"A": [["1"]], "D": [["1"]], "bi": ["1"], "u": [1], "w": ["1"]},
+                {"A": [["1", "1"]], "D": [["1", "1"]], "bi": ["1"], "u": [1, 1], "w": ["1", "1"]},
+            ]},
+            "dimension mismatch: block 1 shape",
+        ),
+        (
+            {"kind": "nfold_nonneg", "b0": ["1"],
+             "blocks": [{"A": [[]], "D": [[]], "bi": ["1"], "u": [], "w": []}]},
+            "dimension mismatch: blocks must be at least 1x1",
+        ),
+    ],
+)
+def test_misshapen_instance_files_exit_one(tmp_path, capsys, data, message):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({"format": 1, **data}))
+    for argv in (("check",), ("oracle",), ("solve", "--epsilon", "1/2")):
+        code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_ok_solve_of_an_infeasible_instance_passes_a_vacuous_oracle_check(tmp_path, capsys):
+    # 2 x = 1 has no integer solution in [0, 1], but x = 0 misses it by 1,
+    # within the bound epsilon * Delta = 1
+    inst = tmp_path / "g.json"
+    inst.write_text(json.dumps(
+        {"format": 1, "kind": "general", "H": [["2"]], "b": ["1"], "w": ["1"], "l": [0], "u": [1]}
+    ))
+    code, out, _ = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/2", "--oracle-check")
+    report = json.loads(out)
+    assert (code, report["status"]) == (0, "ok")
+    assert report["oracle"]["feasible"] is False
+    assert report["oracle"]["objective_guarantee_vacuous"] is True
+    assert report["oracle"]["check_passed"] is True
 
 
 # one small valid instance file per kind

@@ -189,7 +189,6 @@ def test_violation_report_matches_a_fraction_reference(case):
     assert report.max_abs_residual == top
     assert report.within_bound == within
     assert report.objective == objective
-    assert violation_report(inst, x, mode, bound, objective=7).objective == 7
     # the validator's Delta reads the same integer rows
     mats = [inst.H] if isinstance(inst, GeneralIP) else [blk.D for blk in inst.blocks]
     entries = [abs(a) for mat in mats for row in _fraction_rows(mat) for a in row]

@@ -162,6 +162,8 @@ def test_integer_rows_match_a_fraction_reference(case):
         assert mat.row(i) == tuple(row)
     for j in range(n):
         assert mat.column(j) == tuple(row[j] for row in rows)
+    # the repr is the constructor call, so a falsifying matrix pastes back
+    assert eval(repr(mat)) == mat
     if m:
         fresh = Matrix.from_rows(rows)
         assert fresh == mat and hash(fresh) == hash(mat)

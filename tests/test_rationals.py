@@ -88,6 +88,8 @@ def test_integer_row_is_the_common_denominator_and_the_scaled_values(values):
         ([Rat(1, 2), 1.0], "floating-point values are not allowed"),
         ([3, True], "boolean values are not allowed"),
         ([False], "boolean values are not allowed"),
+        ([1, "1/2"], "expected a rational, got '1/2'"),
+        ([None], "expected a rational, got None"),
     ],
 )
 def test_integer_row_rejects_floats_and_booleans(values, message):

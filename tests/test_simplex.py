@@ -254,6 +254,8 @@ def test_dimension_mismatch_rejected():
         ("objective", (1, False), "boolean"),
         ("upper", (True, 1), "boolean"),
         ("rhs", (True,), "boolean"),
+        ("objective", ("1", 1), "expected a rational"),
+        ("rhs", ("1/2",), "expected a rational"),
     ],
 )
 def test_a_float_or_a_bool_in_the_lp_raises(field, value, message):
@@ -321,8 +323,8 @@ def test_rational_entry_lps_match():
 # all-lower start, so the integer tableau's denominator leaves 1 (and in the
 # first, second and fourth turns negative); the fifth is 0/1 data.  The last
 # four have bounds and right-hand sides over different denominators, so the
-# scale L of bounds and values is 30, 12, 60 and 30 (12: the second row's
-# residual is -5/4).  The crash start finds no column in the sixth.  In the
+# scale L of bounds and values, the lcm of those denominators, is 30, 12, 60
+# and 30.  The crash start finds no column in the sixth.  In the
 # eighth it finds none for the first and third rows, and for the second it
 # passes over the fixed x0 and x3 and over x1 and pivots x2 in; phase 1 then
 # drives an artificial out of the basis at its nonzero bound.
@@ -439,6 +441,22 @@ def test_pinned_scales():
     assert [Tableau(_pinned_lp(case)).L for case in _PINNED_LPS[5:]] == [30, 12, 60, 30]
 
 
+@pytest.mark.parametrize("case", _PINNED_LPS)
+def test_a_fresh_tableau_is_the_lps_own_integer_rows(case):
+    # [N | I | residual] over determinant 1: N the stored integer rows, and
+    # row i's residual L * (s_i * b_i - N_i . lower) at the all-lower start
+    lp = _pinned_lp(case)
+    tab = Tableau(lp)
+    r, c, L = tab.r, tab.c, tab.L
+    assert tab.d == 1 and tab.dens == [1] * (r + 2)
+    for i, (row, nz, s, b) in enumerate(zip(tab.T, lp.matrix.nonzeros, lp.matrix.scales, lp.rhs)):
+        residual = s * b - sum(a * lp.lower[j] for j, a in nz)
+        identity = [int(k == i) for k in range(r)]
+        assert row == [dict(nz).get(j, 0) for j in range(c)] + identity + [residual * L]
+        assert tab.rhs[i] == s * b * L
+        assert (tab.lower[c + i], tab.upper[c + i]) == (min(residual * L, 0), max(residual * L, 0))
+
+
 def test_a_bound_that_is_not_an_int_raises():
     # the last pinned LP has L = 30, x4 basic at 3/20 and x3 basic at 11/20
     # below its upper bound 2/3; branching bounds are ints, and a rational
@@ -508,14 +526,14 @@ def test_verify_rational_vertex_scales_bounds_and_values():
 
 
 def _basis_determinant(lp, basis):
-    """|det| of the basis columns of the row-scaled matrix ``D [A | I]``, by
-    Fraction elimination; row i of ``D [A | I]`` is ``s_i * A_i`` (the
-    ``Matrix`` nonzeros) followed by ``s_i`` in artificial column i."""
+    """|det| of the basis columns of ``[N | I]``, by Fraction elimination;
+    row i of ``[N | I]`` is ``N_i = s_i * A_i`` (the ``Matrix`` nonzeros)
+    followed by 1 in artificial column i."""
     r, c = lp.matrix.rows, lp.matrix.cols
     m = []
-    for i, (nz, s) in enumerate(zip(lp.matrix.nonzeros, lp.matrix.scales)):
+    for i, nz in enumerate(lp.matrix.nonzeros):
         row = dict(nz)
-        row[c + i] = s
+        row[c + i] = 1
         m.append([Fraction(row.get(b, 0)) for b in basis])
     det = Fraction(1)
     for col in range(r):
@@ -654,6 +672,9 @@ def test_solves_from_the_crash_start_match_enumeration(rnd, m, n):
 @given(_lp_and_cuts())
 # x0 - x1 = 2 over [0, 1]^2
 @example((dense_lp([[1, -1]], (2,), (0, 0), (1, 1), (1, 1)), []))
+# x0 = 1 and 2 x0 + x1 / 2 = 1 over [0, 1] x [0, 0]: rows of scales 1 and 2,
+# so the multipliers need phase 1's weights k1 / s_i
+@example((dense_lp([[1, 0], [2, Rat(1, 2)]], (1, 1), (0, 0), (1, 0), (0, 0)), []))
 def test_every_cold_infeasible_lp_is_certified(case):
     # phase 1's multipliers pass the Farkas check whenever it ends infeasible
     lp = case[0]

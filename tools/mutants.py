@@ -130,8 +130,8 @@ MUTANTS = (
     Mutant(
         "integer-row-accepts-floats-and-booleans",
         _RATIONALS,
-        "    pairs = [_exact(v).as_integer_ratio() for v in values]\n",
-        "    pairs = [v.as_integer_ratio() for v in values]\n",
+        "        pairs = [_exact(v).as_integer_ratio() for v in values]\n",
+        "        pairs = [v.as_integer_ratio() for v in values]\n",
         (
             "tests/test_rationals.py::test_integer_row_rejects_floats_and_booleans",
             "tests/test_simplex.py::test_a_float_or_a_bool_in_the_lp_raises",
@@ -273,6 +273,13 @@ MUTANTS = (
         (_REPORT,),
     ),
     Mutant(
+        "report-objective-off-by-one",
+        _INSTANCES,
+        "bound, _cost(weights, flat))",
+        "bound, _cost(weights, flat) + 1)",
+        (_REPORT,),
+    ),
+    Mutant(
         "group-mass-not-checked",
         "src/nearfeas/rounding.py",
         "        gamma, rest = divmod(sum(e[3] for e in fractional), den)\n",
@@ -387,9 +394,23 @@ MUTANTS = (
     Mutant(
         "phase-1-certificate-skipped",
         _SIMPLEX,
-        "            self._certify_infeasible([si * dens[r] - a for si, a in zip(sigma, T[r][c:n])])\n",
+        "            self._certify_infeasible(y)\n",
         "",
         (_COLD_CERTIFIED,),
+    ),
+    Mutant(
+        "phase-1-certificate-unweighted",
+        _SIMPLEX,
+        "y = [si * (k1 // s) * dens[r] - a for",
+        "y = [si * dens[r] - a for",
+        (_COLD_CERTIFIED,),
+    ),
+    Mutant(
+        "phase-1-unweighted",
+        _SIMPLEX,
+        "                w = k1 // s if ri > 0 else -(k1 // s)\n",
+        "                w = 1 if ri > 0 else -1\n",
+        ("tests/test_simplex.py::test_rational_entry_lps_match",),
     ),
     Mutant(
         "phase-1-certificate-sign-flipped",
@@ -399,25 +420,25 @@ MUTANTS = (
         (_COLD_CERTIFIED,),
     ),
     Mutant(
-        "L-without-residual-denominators",
-        _SIMPLEX,
-        "            L = math.lcm(L, L0 * s // math.gcd(ri, L0 * s))\n",
-        "",
-        ("tests/test_simplex.py::test_pinned_scales",),
-    ),
-    Mutant(
         "tableau-bound-slices-shifted",
         _SIMPLEX,
-        "low0, up0, sb0 = ints[:c], ints[c : 2 * c], ints[2 * c :]",
-        "low0, up0, sb0 = ints[:c], ints[c + 1 : 2 * c + 1], ints[2 * c + 1 :]",
+        "ints[:c], ints[c : 2 * c], ints[2 * c :]",
+        "ints[:c], ints[c + 1 : 2 * c + 1], ints[2 * c + 1 :]",
         (*_COLD, "tests/test_simplex.py::test_pinned_pivot_paths"),
     ),
     Mutant(
         "tableau-rhs-accepts-a-bool",
         _SIMPLEX,
-        "sbs = [as_rat(b) * s for b, s in zip(lp.rhs, scales)]",
-        "sbs = [b * s for b, s in zip(lp.rhs, scales)]",
+        "integer_row([*lp.lower, *lp.upper, *lp.rhs])",
+        "integer_row([*lp.lower, *lp.upper, *(b * 1 for b in lp.rhs)])",
         ("tests/test_simplex.py::test_a_float_or_a_bool_in_the_lp_raises",),
+    ),
+    Mutant(
+        "tableau-rhs-unscaled",
+        _SIMPLEX,
+        "self.rhs = tuple(v * s for v, s in zip(bs, scales))",
+        "self.rhs = tuple(v for v, s in zip(bs, scales))",
+        ("tests/test_simplex.py::test_a_fresh_tableau_is_the_lps_own_integer_rows", *_COLD),
     ),
     Mutant(
         "ratio-ties-to-larger-index",
