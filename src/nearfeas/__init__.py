@@ -21,17 +21,11 @@ from .instances import (
     validate_general,
     violation_report,
 )
-from .linalg import Matrix, is_nonsingular, rank_exact
+from .linalg import Matrix
 from .oracle import brute_force, brute_force_config, brute_force_general, brute_force_nfold
 from .rationals import RAT_BACKEND, Rat, as_rat, format_rat, parse_rat
 from .results import ApproxResult, PipelineTrace, SolveStatus
-from .simplex import (
-    LinearProgram,
-    LPStatus,
-    VertexSolution,
-    nonintegral_support,
-    solve_lp_vertex,
-)
+from .simplex import LinearProgram, LPStatus, VertexSolution, solve_lp_vertex
 
 __version__ = "0.1.0"
 
@@ -63,11 +57,8 @@ __all__ = [
     "brute_force_nfold",
     "dump_instance",
     "format_rat",
-    "is_nonsingular",
     "load_instance",
-    "nonintegral_support",
     "parse_rat",
-    "rank_exact",
     "solve_lp_vertex",
     "solve_mip",
     "validate_general",

@@ -1,4 +1,4 @@
-"""Hot kernels: simplex pivoting, fraction-free elimination, exact dot products.
+"""Hot kernels: integer-preserving simplex pivots and exact dot products.
 
 These loops dominate runtime.  They run as plain Python over Python ints
 (``dot``, summing from the int 0, also sums exact rationals).
@@ -52,48 +52,6 @@ def pivot_update(rows, pr, pc, dens, d):
                 for j, p in nz:
                     row[j] -= q * p
     return piv
-
-
-def bareiss_rank(m):
-    """Rank of an integer matrix via fraction-free (Bareiss) elimination.
-
-    `m` is a list of lists of Python ints and is consumed (mutated).
-    Intermediate entries stay integral: each 2x2-determinant step divides
-    exactly by the previous pivot.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    row = 0
-    prev = 1
-    for col in range(ncols):
-        piv = -1
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        rr = m[row]
-        p = rr[col]
-        for i in range(row + 1, nrows):
-            ri = m[i]
-            f = ri[col]
-            if f:
-                for j in range(col + 1, ncols):
-                    ri[j] = (p * ri[j] - f * rr[j]) // prev
-                ri[col] = 0
-            elif prev != 1 or p != 1:
-                for j in range(col + 1, ncols):
-                    ri[j] = (p * ri[j]) // prev
-        prev = p
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
 
 
 def dot(row, x):

@@ -1,15 +1,15 @@
-"""Rational matrices as sparse integer rows, and exact rank.
+"""Rational matrices as sparse integer rows.
 
 A ``Matrix`` holds only integers: row i is ``nonzeros[i] / scales[i]``, its
 (column, int) nonzeros in column order over the least positive scale, so
-two matrices are equal exactly when their rational entries are.  Products,
-the norm and rank (fraction-free Bareiss elimination) work on these ints; a
-``Rat`` is built only for a result, or for the ``row`` and ``column`` views.
+two matrices are equal exactly when their rational entries are.  Products
+and the norm work on these ints; a ``Rat`` is built only for a result, or
+for the ``row`` and ``column`` views.
 """
 
 import math
 
-from .backend import bareiss_rank, dot
+from .backend import dot
 from .rationals import ZERO, Rat, as_rat, integer_row
 
 
@@ -90,13 +90,3 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}, {self.cols}, {self.nonzeros!r}, {self.scales!r})"
 
-
-def rank_exact(mat):
-    """Exact rank over the rationals, by Bareiss elimination of the integer
-    rows (scaling a row leaves the rank unchanged)."""
-    return bareiss_rank([[r.get(j, 0) for j in range(mat.cols)] for r in map(dict, mat.nonzeros)])
-
-
-def is_nonsingular(mat):
-    """True iff the columns are linearly independent (rank equals cols)."""
-    return rank_exact(mat) == mat.cols

@@ -50,7 +50,7 @@ class PipelineTrace:
     """Optional collector for the structural invariants exercised in tests."""
 
     grouped_optima: list = field(default_factory=list)  # (CoupledModel, mixed values)
-    selection_optima: list = field(default_factory=list)  # (model, values, type_cols)
+    selection_optima: list = field(default_factory=list)  # (CoupledModel, mixed values)
     tu_calls: list = field(default_factory=list)  # (restriction, fractional, rounded)
     group_plans: list = field(default_factory=list)
     clamps: list = field(default_factory=list)

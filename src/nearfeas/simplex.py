@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from .backend import pivot_update
 from .errors import PipelineInvariantError
 from .linalg import Matrix
-from .rationals import Rat, integer_row, is_integral
+from .rationals import Rat, integer_row
 
 
 class LPStatus(enum.Enum):
@@ -584,18 +584,3 @@ def _verify_vertex(nonzeros, rhs, lower, upper, values, e):
         if acc != sb * e:
             raise PipelineInvariantError("vertex violates equations")
 
-
-def nonintegral_support(values):
-    """Indices of the entries of ``values`` that are not integers."""
-    return frozenset(j for j, v in enumerate(values) if not is_integral(v))
-
-
-def strictly_between_columns(lp, values, cols):
-    """Submatrix, over all rows, of the columns among ``cols`` whose value is
-    strictly inside its bounds."""
-    between = [j for j in cols if lp.lower[j] < values[j] < lp.upper[j]]
-    nonzeros = []
-    for nz in lp.matrix.nonzeros:
-        row = dict(nz)
-        nonzeros.append([(k, a) for k, j in enumerate(between) if (a := row.get(j))])
-    return Matrix(lp.matrix.rows, len(between), nonzeros, lp.matrix.scales)

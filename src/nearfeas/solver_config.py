@@ -152,17 +152,13 @@ def select_columns(model, mixed_sol, stats, trace):
     """
     values = fix_counts_lp(model, mixed_sol)
     den = mixed_sol.den
-    support = frozenset(j for j, v in enumerate(values) if v % den)
+    support = sum(1 for v in values if v % den)
     s = len(model.coupling)
     tau = max(len(cols) for cols in model.z)
-    if len(support) > s * (2 * tau + 1):
-        raise PipelineInvariantError(
-            f"fractional support {len(support)} exceeds s(2tau+1)"
-        )
+    if support > s * (2 * tau + 1):
+        raise PipelineInvariantError(f"fractional support {support} exceeds s(2tau+1)")
     if trace is not None:
-        trace.selection_optima.append(
-            (model, mixed_sol.values, _type_submatrices(model, support))
-        )
+        trace.selection_optima.append((model, mixed_sol.values))
 
     # the selection numerators with the TU rounding applied
     selected = list(values)
@@ -210,24 +206,6 @@ def _check_marginals(model, values, selected):
             after = sum(selected[model.z[i][phi]] for i in members)
             if before != after:
                 raise PipelineInvariantError("type marginal not conserved by rounding")
-
-
-def _type_submatrices(model, support):
-    """Per type: assignment-constraint submatrix restricted to its fractional
-    selection entries (rank is bounded by twice the type's width)."""
-    out = []
-    for members in model.config_part.type_groups.values():
-        frac = [(i, phi) for i in members for phi, j in enumerate(model.z[i]) if j in support]
-        if not frac:
-            continue
-        rows = len(members) + len(model.z[members[0]])
-        member_row = {i: r for r, i in enumerate(members)}
-        nonzeros = [[] for _ in range(rows)]
-        for c, (i, phi) in enumerate(frac):
-            nonzeros[member_row[i]].append((c, 1))
-            nonzeros[len(members) + phi].append((c, 1))
-        out.append(Matrix(rows, len(frac), nonzeros, [1] * rows))
-    return out
 
 
 def _free_bounds(norm):

@@ -16,20 +16,14 @@ from nearfeas.branch_bound import MixedModel, solve_mip
 from nearfeas.cli import _result_report
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
-from nearfeas.linalg import is_nonsingular, rank_exact
 from nearfeas.oracle import brute_force_config, brute_force_general, brute_force_nfold
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import (
-    LinearProgram,
-    LPStatus,
-    nonintegral_support,
-    solve_lp_vertex,
-    strictly_between_columns,
-)
+from nearfeas.simplex import LinearProgram, LPStatus, solve_lp_vertex
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from structure import nonintegral_support, rank, strictly_between_independent, type_submatrices
 from test_simplex import dense_lp
 
 EPSILONS = (Rat(1), Rat(1, 2), Rat(1, 5))
@@ -174,12 +168,12 @@ def test_criterion_3_vertex_nonsingularity(general_runs, config_runs):
     _, ctrace = config_runs
     checked = 0
     for model, values in gtrace.grouped_optima:
-        if not is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x)):
+        if not strictly_between_independent(model.mixed.lp, values, model.x):
             _fail(3, "singular strictly-between column set on a grouped part")
         checked += 1
-    for model, values, _subs in ctrace.selection_optima:
+    for model, values in ctrace.selection_optima:
         z = range(model.z[-1].stop)
-        if not is_nonsingular(strictly_between_columns(model.mixed.lp, values, z)):
+        if not strictly_between_independent(model.mixed.lp, values, z):
             _fail(3, "singular strictly-between column set on a selection part")
         checked += 1
     _pass(3, f"{checked} optimal vertices, strictly-between columns always independent")
@@ -198,7 +192,7 @@ def test_criterion_4_config_guarantee(config_runs):
             _fail(4, f"objective {res.objective} above optimum {orc.optimum}")
         if res.report.max_abs_residual > eps * delta:
             _fail(4, "violation above eps*Delta")
-    for model, values, _subs in trace.selection_optima:
+    for model, values in trace.selection_optima:
         s, tau = len(model.coupling), max(len(cols) for cols in model.z)
         if len(nonintegral_support(values[: model.z[-1].stop])) > s * (2 * tau + 1):
             _fail(4, "selection part fractional support exceeds s(2tau+1)")
@@ -262,10 +256,10 @@ def test_criterion_5_tu_rounding(config_runs):
 def test_criterion_6_rank_bounds(config_runs):
     _, trace = config_runs
     checked = 0
-    for model, _values, submats in trace.selection_optima:
+    for model, values in trace.selection_optima:
         tau = max(len(cols) for cols in model.z)
-        for sub in submats:
-            if rank_exact(sub) > 2 * tau:
+        for sub in type_submatrices(model, values):
+            if rank(sub) > 2 * tau:
                 _fail(6, f"type-group fractional submatrix rank exceeds 2tau = {2 * tau}")
             checked += 1
     if checked == 0:

@@ -68,12 +68,6 @@ def test_the_pivot_is_the_old_d_times_its_true_value():
     assert dens == [-1, 1, 1]
 
 
-def test_bareiss_known_ranks():
-    assert backend.bareiss_rank([[1, 0], [0, 1]]) == 2
-    assert backend.bareiss_rank([[1, 2], [2, 4]]) == 1
-    assert backend.bareiss_rank([[0, 0], [0, 0]]) == 0
-
-
 class _ExactDivisor(int):
     """An int that fails any floor division by it that leaves a remainder."""
 

@@ -1,6 +1,7 @@
 """Checks on the checkout itself."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import pkgutil
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +46,30 @@ def test_perfbench_hooks_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{hook}: {module_name}.{attr} does not resolve"
+
+
+def test_every_exported_name_resolves():
+    """``from nearfeas import *`` works: each name in ``__all__`` exists."""
+    import nearfeas
+
+    for name in nearfeas.__all__:
+        assert hasattr(nearfeas, name), f"nearfeas.__all__ names {name}, which does not exist"
+
+
+def test_structure_reference_shares_no_code_with_the_solver():
+    """``tests/structure.py``, the reference for the vertex-structure checks,
+    imports from the standard library only."""
+    with open(os.path.join(ROOT, "tests", "structure.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "structure.py uses a relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported
+    assert imported <= sys.stdlib_module_names, sorted(imported - sys.stdlib_module_names)
 
 
 def test_readme_cli_block_lists_every_option():

@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 from nearfeas.errors import RefinementLimitExceeded
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
-from nearfeas.linalg import is_nonsingular
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import LPStatus, solve_lp_vertex, strictly_between_columns
+from nearfeas.simplex import LPStatus, solve_lp_vertex
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from structure import strictly_between_independent
 from test_simplex import dense_lp, dense_rows
 
 EPSILONS = st.sampled_from((Rat(1), Rat(1, 2), Rat(1, 5), Rat(1, 10)))
@@ -63,7 +63,7 @@ def _assert_optimal_vertex(model, values, cols, rows):
     part = tuple(values[j] for j in cols)
     assert [sum((a * v for a, v in zip(row, part)), Rat(0)) for row in dense_rows(sub.matrix)] == list(sub.rhs)
     assert all(lo <= v <= hi for lo, v, hi in zip(sub.lower, part, sub.upper))
-    assert is_nonsingular(strictly_between_columns(sub, part, range(len(cols))))
+    assert strictly_between_independent(sub, part, range(len(cols)))
     ref = solve_lp_vertex(sub)
     assert ref.status == LPStatus.OPTIMAL
     assert ref.objective_value == sum((c * v for c, v in zip(sub.objective, part)), Rat(0))
@@ -72,7 +72,7 @@ def _assert_optimal_vertex(model, values, cols, rows):
 def _assert_trace(trace):
     for model, values in trace.grouped_optima:
         _assert_optimal_vertex(model, values, model.x, (*model.coupling, *model.groups))
-    for model, values, _submats in trace.selection_optima:
+    for model, values in trace.selection_optima:
         rows = (*model.coupling, *model.linking, *model.selection)
         _assert_optimal_vertex(model, values, range(model.z[-1].stop), rows)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nearfeas.errors import PipelineInvariantError
-from nearfeas.linalg import Matrix, is_nonsingular
+from nearfeas.linalg import Matrix
 from nearfeas.rationals import Rat, as_rat
 from nearfeas.simplex import (
     LinearProgram,
@@ -18,10 +18,9 @@ from nearfeas.simplex import (
     _LOW,
     _UP,
     _verify_vertex,
-    nonintegral_support,
     solve_lp_vertex,
-    strictly_between_columns,
 )
+from structure import nonintegral_support, strictly_between_independent
 
 
 def int_rows(A):
@@ -195,6 +194,12 @@ def test_random_lps_match_enumeration():
 
 
 def test_vertex_nonsingular_property():
+    # the reference tells dependent strictly-between columns from independent ones
+    lp = dense_lp([[1, 1]], (1,), (0, 0), (1, 1), (0, 0))
+    half = (Rat(1, 2), Rat(1, 2))
+    assert not strictly_between_independent(lp, half, range(2))
+    assert strictly_between_independent(lp, half, range(1))
+    assert strictly_between_independent(lp, (Rat(1), Rat(0)), range(2))
     rng = random.Random(13)
     checked = 0
     for _ in range(40):
@@ -207,7 +212,7 @@ def test_vertex_nonsingular_property():
         sol = solve_lp_vertex(lp)
         if sol.status != LPStatus.OPTIMAL:
             continue
-        assert is_nonsingular(strictly_between_columns(lp, sol.values, range(n)))
+        assert strictly_between_independent(lp, sol.values, range(n))
         for j in range(n):
             if j not in sol.basis:
                 assert sol.values[j] in (lp.lower[j], lp.upper[j])

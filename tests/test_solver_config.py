@@ -7,16 +7,15 @@ from nearfeas.boxes import partition_config_columns
 from nearfeas.generate import gen_config
 from nearfeas.errors import PipelineInvariantError
 from nearfeas.instances import ApproxParams, NFoldConfigInstance, instance_from_dict
-from nearfeas.linalg import rank_exact
 from nearfeas.oracle import brute_force_config
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import nonintegral_support
 from nearfeas.solver_config import (
     build_mip4,
     normalize_configs,
     solve_nfold_config,
 )
+from structure import nonintegral_support, rank, type_submatrices
 
 
 def test_normalize_dedupes():
@@ -130,11 +129,11 @@ def test_exact_block_membership_and_guarantees():
     assert okc == 20
     # fractional support and per-type rank bounds on every selection part
     assert trace.selection_optima
-    for model, values, submats in trace.selection_optima:
+    for model, values in trace.selection_optima:
         s, tau = len(model.coupling), max(len(cols) for cols in model.z)
         assert len(nonintegral_support(values[: model.z[-1].stop])) <= s * (2 * tau + 1)
-        for sub in submats:
-            assert rank_exact(sub) <= 2 * tau
+        for sub in type_submatrices(model, values):
+            assert rank(sub) <= 2 * tau
 
 
 def test_marginals_preserved_via_trace():

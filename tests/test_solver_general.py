@@ -11,14 +11,13 @@ from nearfeas.branch_bound import MIPStatus, MixedSolution, solve_mip
 from nearfeas.errors import PipelineInvariantError, RefinementLimitExceeded
 from nearfeas.generate import gen_general
 from nearfeas.instances import ApproxParams, GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
-from nearfeas.linalg import is_nonsingular
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import nonintegral_support, strictly_between_columns
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import build_mip1, round_within_groups, solve_general
 from nearfeas.solver_nfold import solve_nfold
+from structure import nonintegral_support, strictly_between_independent
 
 
 def test_build_mip1_single_group():
@@ -123,7 +122,7 @@ def test_guarantees_on_random_instances():
     for model, values in trace.grouped_optima:
         x = values[model.x.start : model.x.stop]
         assert len(nonintegral_support(x)) <= 2 * len(model.coupling)
-        assert is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x))
+        assert strictly_between_independent(model.mixed.lp, values, model.x)
 
 
 def test_group_sum_conservation():
@@ -132,6 +131,12 @@ def test_group_sum_conservation():
     trace = PipelineTrace()
     res = solve_general(inst, ApproxParams.build(Rat(1, 2)), trace=trace)
     assert res.status == SolveStatus.OK
+    # the accepted attempt is the last one recorded
+    model, values = trace.grouped_optima[-1]
+    x = values[model.x.start : model.x.stop]
+    assert model.part.groups
+    for members in model.part.groups.values():
+        assert sum(res.x[j] for j in members) == sum(x[j] for j in members)
 
 
 # One instance per pipeline that verifies only after its width is halved:

@@ -10,11 +10,9 @@ from nearfeas import solver_nfold
 from nearfeas.errors import EnumerationCapExceeded, RefinementLimitExceeded
 from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
-from nearfeas.linalg import is_nonsingular
 from nearfeas.oracle import brute_force_nfold
 from nearfeas.rationals import ONE, Rat
 from nearfeas.results import PipelineTrace, SolveStatus
-from nearfeas.simplex import nonintegral_support, strictly_between_columns
 from nearfeas.solver_nfold import (
     BIG,
     FIXED,
@@ -25,6 +23,7 @@ from nearfeas.solver_nfold import (
     normalize_blocks,
     solve_nfold,
 )
+from structure import nonintegral_support, strictly_between_independent
 
 
 def _inst(blocks, b0):
@@ -383,13 +382,13 @@ def test_guarantees_on_random_instances():
         for blk, xi in zip(inst.blocks, res.x):
             assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
     assert case2_runs and minor_runs
-    for model, values, _submats in trace.selection_optima:
+    for model, values in trace.selection_optima:
         s, tau = len(model.coupling), max(len(cols) for cols in model.z)
         assert len(nonintegral_support(values[: model.z[-1].stop])) <= s * (2 * tau + 1)
     for model, values in trace.grouped_optima:
         x = values[model.x.start : model.x.stop]
         assert len(nonintegral_support(x)) <= 2 * len(model.coupling)
-        assert is_nonsingular(strictly_between_columns(model.mixed.lp, values, model.x))
+        assert strictly_between_independent(model.mixed.lp, values, model.x)
 
 
 def test_build_mip6_no_small_columns_has_no_minors():
