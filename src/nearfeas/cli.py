@@ -7,8 +7,8 @@ Reports are deterministic JSON (sorted keys); every rational appears as an
 authoritative exact string alongside a float approximation for readability,
 null for a value outside the float range.
 Exit codes: 0 solved within bound, 2 near-feasibility unattainable,
-3 infeasible, 4 resource limit exceeded, 1 usage or parse error ("error: ..."
-on stderr), 5 internal error (a broken solver invariant).
+3 infeasible, 4 resource limit exceeded or out of memory, 1 usage or parse
+error ("error: ..." on stderr), 5 internal error (a broken solver invariant).
 """
 
 import argparse
@@ -328,6 +328,9 @@ def main(argv=None):
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
+        return EXIT_RESOURCE
+    except MemoryError:
+        sys.stderr.write("resource limit: out of memory\n")
         return EXIT_RESOURCE
     except (InstanceFormatError, InvalidInstanceError) as exc:
         sys.stderr.write(f"error: {exc}\n")

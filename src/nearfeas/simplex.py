@@ -18,9 +18,10 @@ model), and the tableau starts as those rows as stored: [N | I], the
 all-artificial basis of N x + a = S b (S = diag(s)), of determinant 1.
 Integer-preserving Gauss-Jordan pivots (J. Edmonds, "Systems of distinct
 representatives and linear algebra", J. Res. NBS 71B, 1967) keep it as
-Python ints: every division in a pivot is exact by Cramer's rule.  Edmonds
-holds every row over one common denominator, the determinant d of the
-current basis; here each row i has its own denominator dens[i], the
+Python ints: every division in a pivot is exact by Cramer's rule, entry by
+entry, so a column can be cut from every row without touching the rest.
+Edmonds holds every row over one common denominator, the determinant d of
+the current basis; here each row i has its own denominator dens[i], the
 determinant of the basis at the last pivot that rewrote row i in full.  A
 pivot leaves the rows with a zero in its column as they are, and a row whose
 entry in that column is a multiple of the least denominator of the pivot
@@ -36,6 +37,11 @@ Every decision is an integer cross product within one row, or between two
 rows each read against the sign of its own denominator, and compares the
 same exact quantities a rational tableau would, so the pivot path is the
 same.  Rationals appear only in the LP's input and in ``vertex()``'s output.
+Once phase 1 ends feasible, the artificials outside its final basis J0 are
+fixed at 0 and never enter again, so their columns are cut from every row;
+the rows keep the columns of the artificials still basic, and the phase-1
+artificial block, B0^-1 for the basis B0 of the columns J0, is kept once
+and shared by every copy of the tableau.
 
 A ``Tableau`` left optimal can be re-optimized after one basic variable's
 bounds are tightened to ints (a branching bound), by the bounded-variable
@@ -48,9 +54,13 @@ starts.  The leaving row is the bound-violating basic variable of smallest
 index and ties in the dual ratio test break to the smallest index (Bland's
 rule read on the dual), so the re-optimization is deterministic and
 terminates.  A row with no entering column is a Farkas certificate of
-infeasibility and is checked exactly against the LP's own rows.  Given a
-cutoff, the re-optimization stops once its objective, a lower bound while
-the basis is dual feasible, reaches it.  The ratio test fixes the objective
+infeasibility and is checked exactly against the LP's own rows: its
+multipliers are the row on J0 times B0^-1, the unique y for which y [N | I]
+is the row on J0, and so the row's own basis-inverse part (D. Applegate,
+W. Cook, S. Dash & D. Espinoza, "Exact solutions to linear programming
+problems", Oper. Res. Letters 35(6), 2007).  Given a cutoff, the
+re-optimization stops once its objective, a lower bound while the basis is
+dual feasible, reaches it.  The ratio test fixes the objective
 after its pivot exactly (the entering column's |reduced cost / pivot entry|
 times the leaving variable's distance to its bound), so a pivot that would
 reach the cutoff is declined, not made.  Branch-and-bound re-optimizes every
@@ -125,7 +135,8 @@ class Tableau:
     ``S`` the diagonal of their ``scales``, ``a`` the artificials.  ``d`` is
     the determinant of the current basis B, columns of ``[N | I]``; both it
     and every ``dens[i]`` start at 1, in the all-artificial basis.  Row i is
-    ``dens[i] * (B^-1 [N | I])_i`` and row r is ``dens[r] * k * (reduced
+    ``dens[i] * (B^-1 [N | I])_i``, followed by the value column at index
+    ``n`` (``c + r`` through phase 1), and row r is ``dens[r] * k * (reduced
     costs)`` of the objective ``obj / k`` (k > 0; in phase 1, of the phase-1
     objective with k = 1, while row r + 1 carries the objective's), where
     ``dens[i]`` is the determinant of the basis at the last pivot that
@@ -144,6 +155,13 @@ class Tableau:
     tableau of ``L (S b - N x_N)``, so a pivot carries it like any other
     column, and a nonbasic variable that moves adds its own column times its
     step to it.  A nonbasic variable sits at the bound its status names.
+
+    After a feasible phase 1 the rows are ``[structural | value | columns of
+    the artificials basic at its end]`` and ``n`` is ``c``, the value
+    column's index; column ids in ``basis``, ``stat``, ``lower`` and
+    ``upper`` stay those of ``[N | I]``.  ``phase1`` keeps, for ``_farkas``,
+    the phase-1 artificial block, its rows' denominators, its ``d`` and the
+    positions of its basis columns in the cut rows; copies share it.
 
     ``solve`` runs the crash start and the cold two-phase method, and
     certifies an infeasible phase 1; once it is optimal, ``reoptimize`` sets
@@ -381,7 +399,40 @@ class Tableau:
         self.upper[c:] = [0] * r
         T[r] = T.pop()
         dens[r] = dens.pop()
+        self._drop_artificials()
         return self._iterate()
+
+    def _drop_artificials(self):
+        """Cut the columns of the nonbasic artificials, fixed at 0 for good,
+        from every row, after phase 1: rows become ``[structural | value |
+        the columns of the still-basic artificials]`` and ``n`` becomes
+        ``c``.  The phase-1 artificial block, B0^-1 row by row over each
+        row's denominator, is kept for ``_farkas`` with ``d``, and with the
+        positions in the cut rows of the phase-1 basis columns J0."""
+        T, c, r = self.T, self.c, self.r
+        keep = [j for j in self.basis if j >= c]
+        at = {j: c + 1 + i for i, j in enumerate(keep)}
+        block = [t[c : c + r] for t in T[:r]]
+        cols = [c + r] + keep
+        for t in T:
+            t[c:] = [t[j] for j in cols]
+        self.phase1 = (block, self.dens[:r], self.d, [at.get(j, j) for j in self.basis])
+        self.n = c
+
+    def _farkas(self, row):
+        """The multipliers y, ints over a scale of either sign, that combine
+        the rows of ``N x + a = S b`` into ``row``: ``row_J0 B0^-1``, the
+        unique y with ``y . [N | I]`` equal to the row on J0, summed over
+        the phase-1 rows, each brought over d0."""
+        block, dens0, d0, at = self.phase1
+        y = [0] * self.r
+        for t, s, p in zip(block, dens0, at):
+            b = row[p]
+            if b:
+                for i, a in enumerate(t):
+                    if a:
+                        y[i] += b * (a * d0 // s)
+        return y
 
     def reoptimize(self, j, lo, hi, cutoff=None):
         """Give basic variable j the int bounds [lo, hi] (None keeps that
@@ -405,6 +456,10 @@ class Tableau:
         bound.  This trusts dual feasibility alone, as pruning an optimal
         node by its objective does; a certificate of node optimality must
         cover cut-off nodes too.
+
+        A leaving row with no entering column proves the node infeasible;
+        the rows no longer hold the basis inverse, so its multipliers come
+        from ``_farkas`` before ``_certify_infeasible`` checks them.
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
@@ -476,7 +531,7 @@ class Tableau:
                 if (q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:
                     q, qc, qa = k, ck, a
             if q < 0:
-                self._certify_infeasible(row[self.c : n])
+                self._certify_infeasible(self._farkas(row))
                 return LPStatus.INFEASIBLE
             # the objective after the pivot: |d_q / alpha_lq| is qc * |di| /
             # (|dens[r]| * k * qa), and lv's distance to its bound is

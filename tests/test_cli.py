@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfeas import cli, simplex
+from nearfeas import cli, simplex, solver_config
 from nearfeas.cli import main
 from nearfeas.generate import gen_config, gen_general, gen_nonneg, gen_scheduling
 from nearfeas.instances import (
@@ -379,6 +379,20 @@ def test_solver_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
     assert code == 5
     assert err.startswith("internal error: ")
     assert "iteration cap" in err
+
+
+def test_running_out_of_memory_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # a pipeline step that cannot allocate ends in one classified line, not
+    # a traceback; the step raises at once, so nothing large is allocated
+    inst = tmp_path / "s.json"
+    main(["gen", "--kind", "scheduling", "--seed", "1", "--output", str(inst)])
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver_config, "coupled_model", no_memory)
+    code, out, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1/5")
+    assert (code, out, err) == (cli.EXIT_RESOURCE, "", "resource limit: out of memory\n")
 
 
 def test_pipeline_mismatch_rejected(tmp_path, capsys):

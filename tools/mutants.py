@@ -84,6 +84,7 @@ _WARM = (  # the pinned test first, so that -x stops at its quick failure
 )
 _COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
 _COLD_CERTIFIED = "tests/test_simplex.py::test_every_cold_infeasible_lp_is_certified"
+_FARKAS = "tests/test_branch_bound.py::test_dual_farkas_multipliers_come_from_the_phase_1_basis"
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
 _CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
 _CRASH_PINNED = "tests/test_simplex.py::test_the_crash_start_matches_the_reference_on_pinned_lps"
@@ -679,6 +680,40 @@ MUTANTS = (
         "        if least <= rhs <= most:\n",
         "        if not least <= rhs <= most:\n",
         _WARM,
+    ),
+    Mutant(
+        "farkas-unscaled",
+        _SIMPLEX,
+        "y[i] += b * (a * d0 // s)",
+        "y[i] += b * a",
+        (_FARKAS, *_WARM),
+    ),
+    Mutant(
+        "farkas-reads-the-current-basis",
+        _SIMPLEX,
+        "for t, s, p in zip(block, dens0, at):",
+        "for t, s, p in zip(block, dens0, self.basis):",
+        (_FARKAS, *_WARM),
+    ),
+    Mutant(
+        "basic-artificial-columns-dropped",
+        _SIMPLEX,
+        "keep = [j for j in self.basis if j >= c]",
+        "keep = []",
+        (_FARKAS, *_WARM),
+    ),
+    Mutant(
+        "artificial-block-taken-after-the-cut",
+        _SIMPLEX,
+        "        block = [t[c : c + r] for t in T[:r]]\n"
+        "        cols = [c + r] + keep\n"
+        "        for t in T:\n"
+        "            t[c:] = [t[j] for j in cols]\n",
+        "        cols = [c + r] + keep\n"
+        "        for t in T:\n"
+        "            t[c:] = [t[j] for j in cols]\n"
+        "        block = [t[c : c + r] for t in T[:r]]\n",
+        (_FARKAS, *_WARM),
     ),
     Mutant(
         "entering-value-from-the-other-bound",
