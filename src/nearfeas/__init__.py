@@ -24,7 +24,7 @@ from .instances import (
 from .linalg import Matrix
 from .oracle import brute_force, brute_force_config, brute_force_general, brute_force_nfold
 from .rationals import RAT_BACKEND, Rat, as_rat, format_rat, parse_rat
-from .results import ApproxResult, PipelineTrace, SolveStatus
+from .results import ApproxResult, SolveStatus
 from .simplex import LinearProgram, LPStatus, VertexSolution, solve_lp_vertex
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "MULTIPLICATIVE",
     "NFoldConfigInstance",
     "NFoldNonnegInstance",
-    "PipelineTrace",
     "RAT_BACKEND",
     "Rat",
     "SolveStats",

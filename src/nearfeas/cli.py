@@ -1,8 +1,8 @@
 """Command-line surface: solve, oracle, gen, check.
 
 ``instances`` parses and validates instance files and owns each kind's
-report name; ``_KINDS`` maps each instance type to its ``--pipeline`` and its
-solve step.
+report name; ``_KINDS`` maps each instance type to its solve step, so the
+file's ``kind`` picks the pipeline.
 Reports are deterministic JSON (sorted keys); every rational appears as an
 authoritative exact string alongside a float approximation for readability,
 null for a value outside the float range.
@@ -140,15 +140,14 @@ def _solve_scheduling(inst, params):
     return result, core, {"schedule": schedule}
 
 
-# instance type -> (the --pipeline that solves it, solve step); a step
-# returns (result, the instance the oracle checks it on, extra report
-# sections).  Steps look each solver up at call time, so a tracer that
-# replaces a solver on this module sees every call.
+# instance type -> solve step; a step returns (result, the instance the
+# oracle checks it on, extra report sections).  Steps look each solver up at
+# call time, so a tracer that replaces a solver on this module sees every call.
 _KINDS = {
-    GeneralIP: ("general", lambda inst, p: (solve_general(inst, p), inst, {})),
-    NFoldConfigInstance: ("nfold-config", lambda inst, p: (solve_nfold_config(inst, p), inst, {})),
-    NFoldNonnegInstance: ("nfold", lambda inst, p: (solve_nfold(inst, p), inst, {})),
-    SchedulingInstance: ("nfold-config", _solve_scheduling),
+    GeneralIP: lambda inst, p: (solve_general(inst, p), inst, {}),
+    NFoldConfigInstance: lambda inst, p: (solve_nfold_config(inst, p), inst, {}),
+    NFoldNonnegInstance: lambda inst, p: (solve_nfold(inst, p), inst, {}),
+    SchedulingInstance: _solve_scheduling,
 }
 
 
@@ -186,18 +185,13 @@ def _oracle_section(inst, result):
 
 def cmd_solve(args):
     inst = load_instance(args.input)
-    pipeline, step = _KINDS[type(inst)]
-    if args.pipeline not in ("auto", pipeline):
-        raise InvalidInstanceError(
-            [f"pipeline {args.pipeline} cannot solve a {inst.kind} instance"]
-        )
     params = ApproxParams.build(
         _rat_flag("--epsilon", args.epsilon),
         delta_override=None if args.delta is None else _rat_flag("--delta", args.delta),
         refinement_limit=args.refine_limit,
         node_limit=args.node_limit,
     )
-    result, check_inst, sections = step(inst, params)
+    result, check_inst, sections = _KINDS[type(inst)](inst, params)
     report = _result_report(inst.kind, params.epsilon, result)
     report.update(sections)
     exit_code = _STATUS_EXIT[result.status]
@@ -279,11 +273,6 @@ def build_parser():
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True, help='rational, e.g. "1/5"')
-    p.add_argument(
-        "--pipeline",
-        choices=["auto", "general", "nfold-config", "nfold"],
-        default="auto",
-    )
     p.add_argument("--oracle-check", action="store_true")
     p.add_argument("--json-out", default=None)
     p.add_argument("--refine-limit", type=int, default=ApproxParams.refinement_limit)

@@ -491,11 +491,12 @@ def instance_to_dict(inst):
 
 
 def load_instance(path):
-    """The instance an instance file holds; invalid JSON is a format error."""
+    """The instance an instance file holds; invalid JSON, which includes an
+    integer literal past the interpreter's digit limit, is a format error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 

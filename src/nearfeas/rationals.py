@@ -19,6 +19,7 @@ integers over a shared scale.  Both reject a float or a bool with the same
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 Rat = Fraction
@@ -46,8 +47,18 @@ def parse_rat(text):
 
 
 def format_rat(value):
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(value)
+    """Render as "p/q", or "p" when the denominator is 1, at any length: past
+    the interpreter's digit limit for int-to-text conversion, the limit is
+    lifted for this conversion alone."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _exact(value):

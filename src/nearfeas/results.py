@@ -44,13 +44,3 @@ def refine(attempt, delta, limit):
         delta = delta / 2
     raise RefinementLimitExceeded(f"violation bound not met after {limit} refinements")
 
-
-@dataclass
-class PipelineTrace:
-    """Optional collector for the structural invariants exercised in tests."""
-
-    grouped_optima: list = field(default_factory=list)  # (CoupledModel, mixed values)
-    selection_optima: list = field(default_factory=list)  # (CoupledModel, mixed values)
-    tu_calls: list = field(default_factory=list)  # (restriction, fractional, rounded)
-    group_plans: list = field(default_factory=list)
-    clamps: list = field(default_factory=list)

@@ -137,7 +137,7 @@ def _selection_from_values(model, selected, den):
     return tuple(chosen)
 
 
-def select_columns(model, mixed_sol, stats, trace):
+def select_columns(model, mixed_sol, stats):
     """The selection stage of both block pipelines.
 
     The selection part of the mixed optimum is the fixed-count LP's optimal
@@ -157,8 +157,6 @@ def select_columns(model, mixed_sol, stats, trace):
     tau = max(len(cols) for cols in model.z)
     if support > s * (2 * tau + 1):
         raise PipelineInvariantError(f"fractional support {support} exceeds s(2tau+1)")
-    if trace is not None:
-        trace.selection_optima.append((model, mixed_sol.values))
 
     # the selection numerators with the TU rounding applied
     selected = list(values)
@@ -168,10 +166,6 @@ def select_columns(model, mixed_sol, stats, trace):
         for (i, phi), v in rounded.items():
             selected[model.z[i][phi]] = v * den
         _check_marginals(model, values, selected)
-        if trace is not None:
-            cols = [model.z[i][phi] for i, phi in restriction.keys]
-            frac_obj = sum((model.mixed.lp.objective[j] * values[j] for j in cols), ZERO)
-            trace.tu_calls.append((restriction, frac_obj / den, rounded))
 
     chosen = _selection_from_values(model, selected, den)
     costs = model.mixed.lp.objective[: len(values)]
@@ -182,7 +176,7 @@ def select_columns(model, mixed_sol, stats, trace):
     return chosen, Rat(cost, unit)
 
 
-def _attempt(norm, delta, slack_bounds, params, stats, trace):
+def _attempt(norm, delta, slack_bounds, params, stats):
     """One mixed solve + selection stage at a given width.
 
     Returns x, or None when the slack-bounded model is infeasible (a
@@ -193,7 +187,7 @@ def _attempt(norm, delta, slack_bounds, params, stats, trace):
     mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
     if mixed.status == MIPStatus.INFEASIBLE:
         return None
-    chosen, _ = select_columns(model, mixed, stats, trace)
+    chosen, _ = select_columns(model, mixed, stats)
     return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen))
 
 
@@ -217,7 +211,7 @@ def _free_bounds(norm):
     )
 
 
-def solve_config_core(inst, params, violation_bounds, stats, trace=None):
+def solve_config_core(inst, params, violation_bounds, stats):
     """Shared core: per-row violation bounds decide acceptance; the attached
     report uses the uniform additive bound max(violation_bounds).  inst must
     pass ``validate_config``: its callers validate, or build it valid."""
@@ -236,12 +230,12 @@ def solve_config_core(inst, params, violation_bounds, stats, trace=None):
 
     def attempt(delta):
         status = SolveStatus.OK
-        x = _attempt(norm, delta, violation_bounds, params, stats, trace)
+        x = _attempt(norm, delta, violation_bounds, params, stats)
         if x is None:
             # No selection satisfies the per-row bounds, at any width: report
             # the best-effort coupling-free optimum and its exact violation.
             status = SolveStatus.NEAR_FEASIBILITY_UNATTAINABLE
-            x = _attempt(norm, delta, _free_bounds(norm), params, stats, trace)
+            x = _attempt(norm, delta, _free_bounds(norm), params, stats)
             if x is None:
                 raise PipelineInvariantError("coupling-free model cannot be infeasible")
         report = violation_report(inst, x, ADDITIVE, report_bound)
@@ -253,10 +247,10 @@ def solve_config_core(inst, params, violation_bounds, stats, trace=None):
     return refine(attempt, delta, params.refinement_limit)
 
 
-def solve_nfold_config(inst, params, trace=None):
+def solve_nfold_config(inst, params):
     """Additive guarantee: every coupling row within epsilon * max_i ||D^i||."""
     problems, delta_inf = validate_config(inst)
     if problems:
         raise InvalidInstanceError(problems)
     bound = params.epsilon * delta_inf
-    return solve_config_core(inst, params, tuple(bound for _ in inst.b0), SolveStats(), trace)
+    return solve_config_core(inst, params, tuple(bound for _ in inst.b0), SolveStats())

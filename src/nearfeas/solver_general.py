@@ -48,7 +48,7 @@ def restrict_lp2(model, mixed_sol):
     return mixed_sol.numerators[model.x.start : model.x.stop]
 
 
-def round_within_groups(model, mixed_sol, trace):
+def round_within_groups(model, mixed_sol):
     """The grouped rounding stage of the general pipeline and of nonnegative
     n-fold case 2's minor variables.
 
@@ -67,16 +67,12 @@ def round_within_groups(model, mixed_sol, trace):
     support = sum(1 for v in vertex if v % den)
     if support > 2 * m:
         raise PipelineInvariantError(f"fractional support {support} exceeds 2m={2 * m}")
-    if trace is not None:
-        trace.grouped_optima.append((model, mixed_sol.values))
 
     costs = model.mixed.lp.objective[model.x.start : model.x.stop]
     unit, weights = integer_row(costs)
     x = [v // den for v in vertex]
     for members in model.part.groups.values():
         plan = GroupRoundingPlan.build(((j, vertex[j], weights[j]) for j in members), den)
-        if trace is not None:
-            trace.group_plans.append(plan)
         for j, v in greedy_group_round(plan).items():
             x[j] = v
         if sum(vertex[j] for j in members) != den * sum(x[j] for j in members):
@@ -87,7 +83,7 @@ def round_within_groups(model, mixed_sol, trace):
     return tuple(x), Rat(cost, unit)
 
 
-def solve_general(inst, params, trace=None):
+def solve_general(inst, params):
     problems, delta_inf = validate_general(inst)
     if problems:
         raise InvalidInstanceError(problems)
@@ -102,7 +98,7 @@ def solve_general(inst, params, trace=None):
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
         if mixed.status == MIPStatus.INFEASIBLE:
             return ApproxResult(SolveStatus.INFEASIBLE, delta_used=part.delta, stats=stats)
-        x, _ = round_within_groups(model, mixed, trace)
+        x, _ = round_within_groups(model, mixed)
         report = violation_report(inst, x, ADDITIVE, bound)
         if report.within_bound:
             return ApproxResult(SolveStatus.OK, x, report.objective, report, part.delta, stats=stats)

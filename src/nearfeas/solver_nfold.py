@@ -12,10 +12,9 @@ the two parts of its optimum are rounded independently, each an optimal
 vertex of the LP that pins the rest: the selections by the configuration
 pipeline's selection stage (``solver_config.select_columns``: TU re-solve)
 and the minors by the general pipeline's grouped rounding stage
-(``solver_general.round_within_groups``: greedy in-group rounding), so a
-trace collects both parts as it does there.  Recombination may overshoot an
-upper bound by less than lambda; clamping repairs it with a local effect
-below eps/2 per block.
+(``solver_general.round_within_groups``: greedy in-group rounding).
+Recombination (``_recombine``) may overshoot an upper bound by less than
+lambda; clamping repairs it with a local effect below eps/2 per block.
 
 Every acceptance decision is an exact post-hoc check of the multiplicative
 guarantee on the original unscaled data.  On failure ``results.refine``,
@@ -214,7 +213,7 @@ def _major_configs(sblocks, splits, window, cap):
     return out
 
 
-def solve_nfold(inst, params, trace=None):
+def solve_nfold(inst, params):
     problems, delta_cfg = validate_nonneg(inst)
     if problems:
         raise InvalidInstanceError(problems)
@@ -230,11 +229,11 @@ def solve_nfold(inst, params, trace=None):
     splits = [classify_and_split(sb, psi) for sb in sblocks]
 
     if all(k != SMALL for sp in splits for k in sp.kinds):
-        return _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace)
-    return _solve_case2(inst, params, sblocks, splits, psi, stats, trace)
+        return _solve_case1(inst, params, sblocks, splits, delta_cfg, stats)
+    return _solve_case2(inst, params, sblocks, splits, psi, stats)
 
 
-def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
+def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats):
     """All columns big: delegate to the configuration pipeline over the exact
     local solution sets, then restate the additive outcome multiplicatively."""
     eps = params.epsilon
@@ -249,7 +248,7 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
         [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, config_lists)], inst.b0
     )
     bounds = tuple(min(eps * delta_cfg, eps * b) if b > 0 else ZERO for b in inst.b0)
-    delegate = solve_config_core(cfg_inst, params, bounds, stats, trace)
+    delegate = solve_config_core(cfg_inst, params, bounds, stats)
     if delegate.status != SolveStatus.OK:
         return replace(delegate, notes=("case1",) + delegate.notes)
     report = violation_report(inst, delegate.x, MULTIPLICATIVE, eps)
@@ -258,7 +257,26 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats, trace):
     return replace(delegate, objective=report.objective, report=report, notes=("case1",))
 
 
-def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
+def _recombine(sblocks, splits, config_lists, chosen, minors):
+    """x = lambda * major + minor per block, for each block's chosen major
+    configuration and the rounded minors by (block, column), clamped at u;
+    returns x and the clamps, one (block, column, overshoot) each."""
+    clamped = []
+    x_blocks = []
+    for sb, split in zip(sblocks, splits):
+        u = sb.block.u
+        xi = []
+        for j, major in enumerate(config_lists[sb.index][chosen[sb.index]]):
+            v = split.lambdas[j] * major + minors.get((sb.index, j), 0)
+            if v > u[j]:
+                clamped.append((sb.index, j, v - u[j]))
+                v = u[j]
+            xi.append(v)
+        x_blocks.append(tuple(xi))
+    return tuple(x_blocks), clamped
+
+
+def _solve_case2(inst, params, sblocks, splits, psi, stats):
     eps = params.epsilon
     sd = len(inst.b0)
     b_pos = [b for b in inst.b0 if b > 0]
@@ -310,31 +328,15 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats, trace):
                 SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats, notes=("case2",)
             )
 
-        chosen, sel_cost = select_columns(model, mixed, stats, trace)
+        chosen, sel_cost = select_columns(model, mixed, stats)
         minors, minor_cost = {}, ZERO
         if minor_keys:
-            values, minor_cost = round_within_groups(model, mixed, trace)
+            values, minor_cost = round_within_groups(model, mixed)
             minors = dict(zip(minor_keys, values))
         if sel_cost + minor_cost > mixed.objective_value:
             raise PipelineInvariantError("objective chain violated")
 
-        clamped = []
-        x_blocks = []
-        for sb, split in zip(sblocks, splits):
-            blk = sb.block
-            xi = []
-            for j in range(blk.A.cols):
-                major = config_lists[sb.index][chosen[sb.index]][j]
-                v = split.lambdas[j] * major + minors.get((sb.index, j), 0)
-                if v > blk.u[j]:
-                    clamped.append((sb.index, j, v - blk.u[j]))
-                    v = blk.u[j]
-                xi.append(v)
-            x_blocks.append(tuple(xi))
-        x = tuple(x_blocks)
-        if trace is not None and clamped:
-            trace.clamps.append(tuple(clamped))
-
+        x, clamped = _recombine(sblocks, splits, config_lists, chosen, minors)
         report = violation_report(inst, x, MULTIPLICATIVE, eps)
         if report.within_bound:
             return ApproxResult(

@@ -18,11 +18,12 @@ from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
 from nearfeas.oracle import brute_force_config, brute_force_general, brute_force_nfold
 from nearfeas.rationals import Rat
-from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.results import SolveStatus
 from nearfeas.simplex import LinearProgram, LPStatus, solve_lp_vertex
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from stages import record_stages
 from structure import nonintegral_support, rank, strictly_between_independent, type_submatrices
 from test_simplex import dense_lp
 
@@ -44,94 +45,92 @@ def _fail(k, message):
 @pytest.fixture(scope="module")
 def general_runs():
     rng = random.Random(2024_01)
-    trace = PipelineTrace()
     runs = []
-    count = 0
-    while count < 200:
-        inst = gen_general(
-            rng,
-            m=rng.randint(1, 3),
-            n=rng.randint(2, 10),
-            delta_max=5,
-            bound_max=3,
-            box_cap=30_000,
-            feasible=rng.random() < 0.9,
-        )
-        orc = brute_force_general(inst, cap=200_000)
-        if not orc.feasible:
-            continue
-        eps = EPSILONS[count % 3]
-        res = solve_general(inst, ApproxParams.build(eps), trace=trace)
-        runs.append((inst, eps, res, orc))
-        # a coarse-width pass on a subsample keeps the rounding machinery
-        # honestly exercised (wide boxes produce fractional vertices)
-        if count % 5 == 0:
-            seps = Rat(1, 5)
-            stress = solve_general(
-                inst,
-                ApproxParams.build(seps, delta_override=Rat(1), refinement_limit=16),
-                trace=trace,
+    with record_stages() as trace:
+        count = 0
+        while count < 200:
+            inst = gen_general(
+                rng,
+                m=rng.randint(1, 3),
+                n=rng.randint(2, 10),
+                delta_max=5,
+                bound_max=3,
+                box_cap=30_000,
+                feasible=rng.random() < 0.9,
             )
-            assert stress.status == SolveStatus.OK
-            assert stress.report.max_abs_residual <= seps * inst.H.inf_norm()
-            assert stress.objective <= orc.optimum
-        count += 1
+            orc = brute_force_general(inst, cap=200_000)
+            if not orc.feasible:
+                continue
+            eps = EPSILONS[count % 3]
+            res = solve_general(inst, ApproxParams.build(eps))
+            runs.append((inst, eps, res, orc))
+            # a coarse-width pass on a subsample keeps the rounding machinery
+            # honestly exercised (wide boxes produce fractional vertices)
+            if count % 5 == 0:
+                seps = Rat(1, 5)
+                stress = solve_general(
+                    inst,
+                    ApproxParams.build(seps, delta_override=Rat(1), refinement_limit=16),
+                )
+                assert stress.status == SolveStatus.OK
+                assert stress.report.max_abs_residual <= seps * inst.H.inf_norm()
+                assert stress.objective <= orc.optimum
+            count += 1
     return runs, trace
 
 
 @pytest.fixture(scope="module")
 def config_runs():
     rng = random.Random(2024_02)
-    trace = PipelineTrace()
     runs = []
-    for count in range(100):
-        inst = gen_config(
-            rng,
-            n_blocks=rng.randint(1, 8),
-            s=rng.randint(1, 2),
-            t=rng.randint(1, 2),
-            kappa=2,
-            max_configs=4,
-        )
-        orc = brute_force_config(inst, cap=200_000)
-        assert orc.feasible  # b0 is generated from a draw
-        eps = EPSILONS[count % 3]
-        res = solve_nfold_config(inst, ApproxParams.build(eps), trace=trace)
-        runs.append((inst, eps, res, orc))
-        if count % 3 == 0:
-            seps = Rat(1, 5)  # tight slack makes coarse boxes bind
-            stress = solve_nfold_config(
-                inst,
-                ApproxParams.build(seps, delta_override=Rat(1), refinement_limit=16),
-                trace=trace,
+    with record_stages() as trace:
+        for count in range(100):
+            inst = gen_config(
+                rng,
+                n_blocks=rng.randint(1, 8),
+                s=rng.randint(1, 2),
+                t=rng.randint(1, 2),
+                kappa=2,
+                max_configs=4,
             )
-            assert stress.status == SolveStatus.OK
-            delta = max(blk.D.inf_norm() for blk in inst.blocks)
-            assert stress.report.max_abs_residual <= seps * delta
-            assert stress.objective <= orc.optimum
+            orc = brute_force_config(inst, cap=200_000)
+            assert orc.feasible  # b0 is generated from a draw
+            eps = EPSILONS[count % 3]
+            res = solve_nfold_config(inst, ApproxParams.build(eps))
+            runs.append((inst, eps, res, orc))
+            if count % 3 == 0:
+                seps = Rat(1, 5)  # tight slack makes coarse boxes bind
+                stress = solve_nfold_config(
+                    inst,
+                    ApproxParams.build(seps, delta_override=Rat(1), refinement_limit=16),
+                )
+                assert stress.status == SolveStatus.OK
+                delta = max(blk.D.inf_norm() for blk in inst.blocks)
+                assert stress.report.max_abs_residual <= seps * delta
+                assert stress.objective <= orc.optimum
     return runs, trace
 
 
 @pytest.fixture(scope="module")
 def nfold_runs():
     rng = random.Random(2024_03)
-    trace = PipelineTrace()
     runs = []
-    for count in range(50):
-        inst = gen_nonneg(
-            rng,
-            n_blocks=rng.randint(1, 5),
-            s_a=rng.randint(1, 2),
-            s_d=rng.randint(1, 2),
-            t=rng.randint(1, 2),
-            u_max=3,
-            small_bias=0.5,
-        )
-        orc = brute_force_nfold(inst, cap=2_000_000)
-        assert orc.feasible
-        eps = EPSILONS[count % 3]
-        res = solve_nfold(inst, ApproxParams.build(eps), trace=trace)
-        runs.append((inst, eps, res, orc))
+    with record_stages() as trace:
+        for count in range(50):
+            inst = gen_nonneg(
+                rng,
+                n_blocks=rng.randint(1, 5),
+                s_a=rng.randint(1, 2),
+                s_d=rng.randint(1, 2),
+                t=rng.randint(1, 2),
+                u_max=3,
+                small_bias=0.5,
+            )
+            orc = brute_force_nfold(inst, cap=2_000_000)
+            assert orc.feasible
+            eps = EPSILONS[count % 3]
+            res = solve_nfold(inst, ApproxParams.build(eps))
+            runs.append((inst, eps, res, orc))
     return runs, trace
 
 

@@ -260,20 +260,34 @@ def _lp_and_cut(draw):
     return lp, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(1, 2))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_lp_and_cut())
-# x0 + x1 = 3/2 over [0, 1]^2 leaves x0 basic at 1/2; x0 <= 0 is infeasible
-@example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, False, 1))
-# and x0 >= 1 is optimal at x1 = 1/2, one dual pivot later
-@example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, True, 1))
-def test_warm_child_matches_cold_solve(case):
-    lp, rank, up, k = case
-    parent = Tableau(lp)
-    if parent.solve() != LPStatus.OPTIMAL:
-        return
-    cut = int_cut(parent, rank, up, k)
-    if cut is not None:
-        _check_warm_child(lp, parent, *cut)
+# the draws of the property below where int_cut makes a cut, under the
+# derandomized profile: 103 of the 302 draws, with Hypothesis 6.155, and 68
+# to 115 in ten runs of the unseeded profile
+_CUT_FLOOR = 40
+
+
+def test_warm_child_matches_cold_solve():
+    cuts = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lp_and_cut())
+    # x0 + x1 = 3/2 over [0, 1]^2 leaves x0 basic at 1/2; x0 <= 0 is infeasible
+    @example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, False, 1))
+    # and x0 >= 1 is optimal at x1 = 1/2, one dual pivot later
+    @example((dense_lp([[1, 1]], (Rat(3, 2),), (0, 0), (1, 1), (1, 0)), 0, True, 1))
+    def prop(case):
+        lp, rank, up, k = case
+        parent = Tableau(lp)
+        if parent.solve() != LPStatus.OPTIMAL:
+            return
+        cut = int_cut(parent, rank, up, k)
+        if cut is not None:
+            cuts.append(cut)
+            _check_warm_child(lp, parent, *cut)
+
+    prop()
+    if settings.default.derandomize:
+        assert len(cuts) >= _CUT_FLOOR
 
 
 def _unit_on_basis(lp, basis, y):

@@ -395,14 +395,37 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, capsys, monkeypatch
     assert (code, out, err) == (cli.EXIT_RESOURCE, "", "resource limit: out of memory\n")
 
 
-def test_pipeline_mismatch_rejected(tmp_path, capsys):
+# a JSON integer literal of 5000 digits, past the interpreter's limit of 4300
+# digits for text-to-int conversion; json.dump cannot write it either
+_HUGE_LITERAL = "1" * 5000
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_usage_error(tmp_path, capsys):
     inst = tmp_path / "g.json"
-    main(["gen", "--kind", "general", "--seed", "2", "--output", str(inst)])
-    code, _, err = run(
-        capsys, "solve", "--input", str(inst), "--epsilon", "1/2", "--pipeline", "nfold"
+    inst.write_text(
+        '{"format": 1, "kind": "general", "H": [["1"]], "b": ["1"], "w": ["1"],'
+        f' "l": [0], "u": [{_HUGE_LITERAL}]}}'
     )
-    assert code == 1
-    assert "cannot solve" in err
+    for argv in (["check"], ["oracle"], ["solve", "--epsilon", "1/2"]):
+        code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("error: $: invalid JSON: ") and err.count("\n") == 1
+
+
+def test_a_report_value_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
+    # every input is under the limit, but the residual is
+    # 1/(10^3000 + 1) - 1/(10^3000 - 1) = -2/(10^6000 - 1), 6000 digits
+    inst = tmp_path / "g.json"
+    big = 10**3000
+    inst.write_text(json.dumps({
+        "format": 1, "kind": "general", "H": [[f"1/{big + 1}"]], "b": [f"1/{big - 1}"],
+        "w": ["1"], "l": [1], "u": [1],
+    }))
+    code, out, err = run(capsys, "solve", "--input", str(inst), "--epsilon", "1")
+    assert (code, err) == (cli.EXIT_OK, "")
+    report = json.loads(out)
+    assert report["residual"] == ["-2/" + "9" * 6000]
+    assert report["max_abs_residual"] == "2/" + "9" * 6000
 
 
 def test_solve_worked_example_with_oracle(tmp_path, capsys):
@@ -583,11 +606,16 @@ def _negated(value):
         return None
 
 
+# stands in the data for _HUGE_LITERAL, which json.dumps cannot write
+_HUGE = "huge integer literal"
+
+
 @st.composite
 def _mutated_files(draw):
     """A valid file of some kind with one mutation: a key dropped, a value
-    swapped for a float, a boolean, null, "x", a nested list or a 400-digit
-    integer, a row made ragged, or a number negated."""
+    swapped for a float, a boolean, null, "x", a nested list, a 5000-digit
+    integer literal (``_HUGE``, which the test writes into the file text) or
+    a 400-digit integer, a row made ragged, or a number negated."""
     data = copy.deepcopy(VALID_FILES[draw(st.sampled_from(sorted(VALID_FILES)))])
     nodes = list(_nodes(data))
     mutation = draw(st.sampled_from(["drop", "swap", "ragged", "negate"]))
@@ -613,7 +641,7 @@ def _mutated_files(draw):
     if mutation == "drop":
         del parent[last]
     elif mutation == "swap":
-        values = [1.5, True, None, "x", [[1]], 10**399]
+        values = [1.5, True, None, "x", [[1]], _HUGE, 10**399]
         if parent_path == [] and last == "cmax":
             # the scheduling reduction builds cmax + 1 slack configurations
             # per machine, so a 400-digit cmax never finishes (ROADMAP item 2)
@@ -642,7 +670,7 @@ def test_mutated_instance_files_are_classified(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "inst.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data).replace(json.dumps(_HUGE), _HUGE_LITERAL))
         for argv in (["check"], ["oracle"], ["solve", "--epsilon", "1/2"]):
             code, _, err = _main([argv[0], "--input", path, *argv[1:]])
             assert code in (0, 1, 2, 3, 4, 5)

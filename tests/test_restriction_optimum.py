@@ -18,11 +18,12 @@ from nearfeas.errors import RefinementLimitExceeded
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import ApproxParams
 from nearfeas.rationals import Rat
-from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.results import SolveStatus
 from nearfeas.simplex import LPStatus, solve_lp_vertex
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import solve_general
 from nearfeas.solver_nfold import solve_nfold
+from stages import record_stages
 from structure import strictly_between_independent
 from test_simplex import dense_lp, dense_rows
 
@@ -78,11 +79,11 @@ def _assert_trace(trace):
 
 
 def _solve(solver, inst, params):
-    trace = PipelineTrace()
-    try:
-        res = solver(inst, params, trace=trace)
-    except RefinementLimitExceeded:
-        res = None
+    with record_stages() as trace:
+        try:
+            res = solver(inst, params)
+        except RefinementLimitExceeded:
+            res = None
     _assert_trace(trace)
     return res, trace
 

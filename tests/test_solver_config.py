@@ -9,12 +9,13 @@ from nearfeas.errors import PipelineInvariantError
 from nearfeas.instances import ApproxParams, NFoldConfigInstance, instance_from_dict
 from nearfeas.oracle import brute_force_config
 from nearfeas.rationals import Rat
-from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.results import SolveStatus
 from nearfeas.solver_config import (
     build_mip4,
     normalize_configs,
     solve_nfold_config,
 )
+from stages import record_stages
 from structure import nonintegral_support, rank, type_submatrices
 
 
@@ -103,29 +104,29 @@ def test_solve_infeasible_empty_configs():
 
 def test_exact_block_membership_and_guarantees():
     rng = random.Random(77)
-    trace = PipelineTrace()
     okc = 0
-    for _ in range(20):
-        inst = gen_config(
-            rng,
-            n_blocks=rng.randint(1, 5),
-            s=rng.randint(1, 2),
-            t=rng.randint(1, 2),
-            kappa=2,
-            max_configs=3,
-        )
-        eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
-        res = solve_nfold_config(inst, ApproxParams.build(eps), trace=trace)
-        delta = max(blk.D.inf_norm() for blk in inst.blocks)
-        orc = brute_force_config(inst)
-        assert res.status == SolveStatus.OK  # b0 feasible by construction
-        assert res.report.max_abs_residual <= eps * delta
-        # bit-identical membership
-        for blk, xi in zip(inst.blocks, res.x):
-            assert xi in blk.configs
-        assert orc.feasible
-        assert res.objective <= orc.optimum
-        okc += 1
+    with record_stages() as trace:
+        for _ in range(20):
+            inst = gen_config(
+                rng,
+                n_blocks=rng.randint(1, 5),
+                s=rng.randint(1, 2),
+                t=rng.randint(1, 2),
+                kappa=2,
+                max_configs=3,
+            )
+            eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
+            res = solve_nfold_config(inst, ApproxParams.build(eps))
+            delta = max(blk.D.inf_norm() for blk in inst.blocks)
+            orc = brute_force_config(inst)
+            assert res.status == SolveStatus.OK  # b0 feasible by construction
+            assert res.report.max_abs_residual <= eps * delta
+            # bit-identical membership
+            for blk, xi in zip(inst.blocks, res.x):
+                assert xi in blk.configs
+            assert orc.feasible
+            assert res.objective <= orc.optimum
+            okc += 1
     assert okc == 20
     # fractional support and per-type rank bounds on every selection part
     assert trace.selection_optima
@@ -138,10 +139,10 @@ def test_exact_block_membership_and_guarantees():
 
 def test_marginals_preserved_via_trace():
     rng = random.Random(5)
-    trace = PipelineTrace()
-    for _ in range(10):
-        inst = gen_config(rng, n_blocks=4, s=2, t=1, kappa=2, max_configs=3)
-        solve_nfold_config(inst, ApproxParams.build(Rat(1, 2)), trace=trace)
+    with record_stages() as trace:
+        for _ in range(10):
+            inst = gen_config(rng, n_blocks=4, s=2, t=1, kappa=2, max_configs=3)
+            solve_nfold_config(inst, ApproxParams.build(Rat(1, 2)))
     for restriction, frac_obj, rounded in trace.tu_calls:
         assert all(v in (0, 1) for v in rounded.values())
         got = sum(
@@ -165,8 +166,8 @@ _TU_ROUNDED = {"format": 1, "kind": "nfold_config", "b0": ["5/2"], "blocks": [
 def test_a_rounding_that_moves_type_mass_is_rejected(monkeypatch):
     inst = instance_from_dict(_TU_ROUNDED)
     params = ApproxParams.build(Rat(1, 5), delta_override=Rat(1), refinement_limit=16)
-    trace = PipelineTrace()
-    assert solve_nfold_config(inst, params, trace=trace).status == SolveStatus.OK
+    with record_stages() as trace:
+        assert solve_nfold_config(inst, params).status == SolveStatus.OK
     assert trace.tu_calls[0][2] == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     tu_round = solver_config.tu_round
 
@@ -183,9 +184,9 @@ def test_a_rounding_that_moves_type_mass_is_rejected(monkeypatch):
 def test_the_tu_re_solve_is_counted_by_phase():
     # the TU re-solve is a cold solve: its pivots count in lp_pivots and in
     # the crash, phase-1 and phase-2 counters, as the root's do
-    trace = PipelineTrace()
     params = ApproxParams.build(Rat(1, 5), delta_override=Rat(1), refinement_limit=16)
-    stats = solve_nfold_config(instance_from_dict(_TU_ROUNDED), params, trace=trace).stats
+    with record_stages() as trace:
+        stats = solve_nfold_config(instance_from_dict(_TU_ROUNDED), params).stats
     assert trace.tu_calls
     phases = (stats.lp_crash_pivots, stats.lp_phase1_pivots, stats.lp_phase2_pivots)
     assert stats.lp_pivots == sum(phases) + stats.lp_dual_pivots

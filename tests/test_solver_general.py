@@ -13,10 +13,11 @@ from nearfeas.generate import gen_general
 from nearfeas.instances import ApproxParams, GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from nearfeas.oracle import brute_force_general
 from nearfeas.rationals import Rat
-from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.results import SolveStatus
 from nearfeas.solver_config import solve_nfold_config
 from nearfeas.solver_general import build_mip1, round_within_groups, solve_general
 from nearfeas.solver_nfold import solve_nfold
+from stages import record_stages
 from structure import nonintegral_support, strictly_between_independent
 
 
@@ -63,7 +64,7 @@ def test_round_within_groups_rejects_wide_fractional_support():
         numerators[j] = 1
     mixed = MixedSolution(MIPStatus.OPTIMAL, numerators, 2, Rat(0))
     with pytest.raises(PipelineInvariantError, match="exceeds 2m=2"):
-        round_within_groups(model, mixed, None)
+        round_within_groups(model, mixed)
 
 
 def test_solve_three_column_example():
@@ -102,20 +103,20 @@ def test_solve_infeasible_relaxation():
 
 def test_guarantees_on_random_instances():
     rng = random.Random(101)
-    trace = PipelineTrace()
     solved = 0
-    for _ in range(25):
-        inst = gen_general(rng, m=rng.randint(1, 3), n=rng.randint(2, 7))
-        eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
-        res = solve_general(inst, ApproxParams.build(eps), trace=trace)
-        orc = brute_force_general(inst)
-        delta = inst.H.inf_norm()
-        assert res.status == SolveStatus.OK
-        assert res.report.within_bound
-        assert res.report.max_abs_residual <= eps * delta
-        if orc.feasible:
-            assert res.objective <= orc.optimum
-            solved += 1
+    with record_stages() as trace:
+        for _ in range(25):
+            inst = gen_general(rng, m=rng.randint(1, 3), n=rng.randint(2, 7))
+            eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
+            res = solve_general(inst, ApproxParams.build(eps))
+            orc = brute_force_general(inst)
+            delta = inst.H.inf_norm()
+            assert res.status == SolveStatus.OK
+            assert res.report.within_bound
+            assert res.report.max_abs_residual <= eps * delta
+            if orc.feasible:
+                assert res.objective <= orc.optimum
+                solved += 1
     assert solved >= 20
     # support and nonsingularity bounds on every grouped part it rounded
     assert trace.grouped_optima
@@ -128,8 +129,8 @@ def test_guarantees_on_random_instances():
 def test_group_sum_conservation():
     rng = random.Random(7)
     inst = gen_general(rng, m=2, n=6)
-    trace = PipelineTrace()
-    res = solve_general(inst, ApproxParams.build(Rat(1, 2)), trace=trace)
+    with record_stages() as trace:
+        res = solve_general(inst, ApproxParams.build(Rat(1, 2)))
     assert res.status == SolveStatus.OK
     # the accepted attempt is the last one recorded
     model, values = trace.grouped_optima[-1]
@@ -271,10 +272,10 @@ def test_integer_group_rounding_matches_a_fraction_reference(case):
         expected = _reference_round_within_groups(model, mixed.values)
     except PipelineInvariantError as exc:
         with pytest.raises(PipelineInvariantError) as got:
-            round_within_groups(model, mixed, None)
+            round_within_groups(model, mixed)
         assert str(got.value) == str(exc)
         return
-    x, cost = round_within_groups(model, mixed, None)
+    x, cost = round_within_groups(model, mixed)
     assert (x, cost) == expected
     # the rounded cost never exceeds the unrounded one
     costs = model.mixed.lp.objective[model.x.start : model.x.stop]

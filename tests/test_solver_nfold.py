@@ -12,7 +12,7 @@ from nearfeas.generate import gen_nonneg
 from nearfeas.instances import ApproxParams, NFoldNonnegInstance
 from nearfeas.oracle import brute_force_nfold
 from nearfeas.rationals import ONE, Rat
-from nearfeas.results import PipelineTrace, SolveStatus
+from nearfeas.results import SolveStatus
 from nearfeas.solver_nfold import (
     BIG,
     FIXED,
@@ -23,6 +23,7 @@ from nearfeas.solver_nfold import (
     normalize_blocks,
     solve_nfold,
 )
+from stages import record_stages
 from structure import nonintegral_support, strictly_between_independent
 
 
@@ -255,9 +256,9 @@ def test_negative_rhs_infeasible():
 def test_clamp_repair_fires_and_passes():
     # small column lambda=2 with u=2: the split encoding reaches 3, the clamp
     # caps it at u, and the multiplicative check still accepts
-    trace = PipelineTrace()
     inst = _inst([([["1/20", 1]], [[5, 0]], [1], [2, 1], [0, 0])], [15])
-    res = solve_nfold(inst, ApproxParams.build(Rat(1, 2)), trace=trace)
+    with record_stages() as trace:
+        res = solve_nfold(inst, ApproxParams.build(Rat(1, 2)))
     assert res.status == SolveStatus.OK
     assert res.x == ((2, 1),)
     assert trace.clamps
@@ -280,9 +281,9 @@ def test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors():
     # the first attempt clamps block 2 and misses the window; halving psi
     # re-splits the blocks, and the second model must be built over the new
     # major configurations and their value matrices
-    trace = PipelineTrace()
     inst = _clamped_inst()
-    res = solve_nfold(inst, ApproxParams.build(Rat(1, 5)), trace=trace)
+    with record_stages() as trace:
+        res = solve_nfold(inst, ApproxParams.build(Rat(1, 5)))
     assert trace.clamps == [((2, 1, 1),)]
     assert res.status == SolveStatus.OK and res.refinements == 1
     assert res.x == ((1, 2), (0, 0), (1, 2))
@@ -315,7 +316,6 @@ def test_fractional_minors_are_rounded_by_group():
     # minor variables to split fractionally inside one shared box; the greedy
     # conserves the group sum, and refinement later certifies the instance
     # infeasible (the local rows admit only x = 0 exactly)
-    trace = PipelineTrace()
     inst = _inst(
         [
             ([["1/500", 1]], [[1, 0]], [1], [1, 1], [1, 0]),
@@ -324,63 +324,63 @@ def test_fractional_minors_are_rounded_by_group():
         ],
         ["29/6"],
     )
-    res = solve_nfold(
-        inst,
-        ApproxParams.build(Rat(1, 50), delta_override=Rat(1), refinement_limit=16),
-        trace=trace,
-    )
+    with record_stages() as trace:
+        res = solve_nfold(
+            inst,
+            ApproxParams.build(Rat(1, 50), delta_override=Rat(1), refinement_limit=16),
+        )
     assert res.status == SolveStatus.INFEASIBLE
     assert any(p.members for p in trace.group_plans)
 
 
 def test_guarantees_on_random_instances():
     rng = random.Random(55)
-    trace = PipelineTrace()
     case2_runs = minor_runs = 0
-    for k in range(40):
-        inst = gen_nonneg(
-            rng,
-            n_blocks=rng.randint(1, 4),
-            s_a=rng.randint(1, 2),
-            s_d=rng.randint(1, 2),
-            t=rng.randint(1, 2),
-            u_max=3,
-            # the later instances shrink local columns, so case 2 runs too
-            small_bias=0.5 if k >= 15 else 0.0,
-        )
-        eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
-        recorded = len(trace.selection_optima)
-        restricted = len(trace.grouped_optima)
-        res = solve_nfold(inst, ApproxParams.build(eps), trace=trace)
-        assert res.status == SolveStatus.OK
-        if "case2" in res.notes:
-            # case 2 runs the same selection stage as the config pipeline, and
-            # the same grouped rounding stage as the general one on the minor
-            # variables of its first model, if it has any
-            case2_runs += 1
-            assert len(trace.selection_optima) > recorded
-            t = inst.blocks[0].A.cols
-            splits = [classify_and_split(sb, eps / (4 * t)) for sb in normalize_blocks(inst)]
-            if any(kind == SMALL and ub for sp in splits for kind, ub in zip(sp.kinds, sp.minor_ub)):
-                minor_runs += 1
-                assert len(trace.grouped_optima) > restricted
-        # multiplicative guarantee on the original data, exact
-        for blk, xi in zip(inst.blocks, res.x):
-            ax = blk.A.matvec(xi)
-            for got, ref in zip(ax, blk.bi):
+    with record_stages() as trace:
+        for k in range(40):
+            inst = gen_nonneg(
+                rng,
+                n_blocks=rng.randint(1, 4),
+                s_a=rng.randint(1, 2),
+                s_d=rng.randint(1, 2),
+                t=rng.randint(1, 2),
+                u_max=3,
+                # the later instances shrink local columns, so case 2 runs too
+                small_bias=0.5 if k >= 15 else 0.0,
+            )
+            eps = rng.choice((Rat(1), Rat(1, 2), Rat(1, 5)))
+            recorded = len(trace.selection_optima)
+            restricted = len(trace.grouped_optima)
+            res = solve_nfold(inst, ApproxParams.build(eps))
+            assert res.status == SolveStatus.OK
+            if "case2" in res.notes:
+                # case 2 runs the same selection stage as the config pipeline, and
+                # the same grouped rounding stage as the general one on the minor
+                # variables of its first model, if it has any
+                case2_runs += 1
+                assert len(trace.selection_optima) > recorded
+                t = inst.blocks[0].A.cols
+                splits = [classify_and_split(sb, eps / (4 * t)) for sb in normalize_blocks(inst)]
+                if any(kind == SMALL and ub for sp in splits for kind, ub in zip(sp.kinds, sp.minor_ub)):
+                    minor_runs += 1
+                    assert len(trace.grouped_optima) > restricted
+            # multiplicative guarantee on the original data, exact
+            for blk, xi in zip(inst.blocks, res.x):
+                ax = blk.A.matvec(xi)
+                for got, ref in zip(ax, blk.bi):
+                    assert (1 - eps) * ref <= got <= (1 + eps) * ref
+            total = [Rat(0)] * len(inst.b0)
+            for blk, xi in zip(inst.blocks, res.x):
+                contrib = blk.D.matvec(xi)
+                total = [a + c for a, c in zip(total, contrib)]
+            for got, ref in zip(total, inst.b0):
                 assert (1 - eps) * ref <= got <= (1 + eps) * ref
-        total = [Rat(0)] * len(inst.b0)
-        for blk, xi in zip(inst.blocks, res.x):
-            contrib = blk.D.matvec(xi)
-            total = [a + c for a, c in zip(total, contrib)]
-        for got, ref in zip(total, inst.b0):
-            assert (1 - eps) * ref <= got <= (1 + eps) * ref
-        orc = brute_force_nfold(inst)
-        assert orc.feasible
-        assert res.objective <= orc.optimum
-        # bounds respected
-        for blk, xi in zip(inst.blocks, res.x):
-            assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
+            orc = brute_force_nfold(inst)
+            assert orc.feasible
+            assert res.objective <= orc.optimum
+            # bounds respected
+            for blk, xi in zip(inst.blocks, res.x):
+                assert all(0 <= v <= ub for v, ub in zip(xi, blk.u))
     assert case2_runs and minor_runs
     for model, values in trace.selection_optima:
         s, tau = len(model.coupling), max(len(cols) for cols in model.z)

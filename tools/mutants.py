@@ -168,6 +168,23 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_value_outside_the_float_range_approximates_to_null",),
     ),
     Mutant(
+        "format-rat-under-the-digit-limit",
+        _RATIONALS,
+        "        sys.set_int_max_str_digits(0)\n",
+        "",
+        ("tests/test_cli.py::test_a_report_value_past_the_digit_limit_is_printed_exactly",),
+    ),
+    Mutant(
+        "load-instance-json-errors-only",
+        _INSTANCES,
+        "        except (ValueError, RecursionError) as exc:\n",
+        "        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:\n",
+        (
+            "tests/test_cli.py::test_an_integer_literal_past_the_digit_limit_is_a_usage_error",
+            "tests/test_cli.py::test_mutated_instance_files_are_classified",
+        ),
+    ),
+    Mutant(
         "params-widths-unclassified",
         _INSTANCES,
         '        eps = _param_rat("epsilon", epsilon)\n',
@@ -816,6 +833,13 @@ MUTANTS = (
         "\n            majors = major_values(sblocks, splits, config_lists)\n",
         "\n",
         ("tests/test_solver_nfold.py::test_a_clamped_rejection_halves_psi_and_rebuilds_the_majors",),
+    ),
+    Mutant(
+        "recombine-never-clamps",
+        _NFOLD,
+        "            if v > u[j]:\n",
+        "            if False:\n",
+        ("tests/test_solver_nfold.py::test_clamp_repair_fires_and_passes",),
     ),
     Mutant(
         "major-search-closes-over-itself",
