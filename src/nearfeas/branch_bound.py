@@ -70,11 +70,12 @@ class SolveStats:
     """Cumulative effort counters threaded through a pipeline run.
 
     ``lp_pivots`` sums the cold solves' crash, phase-1 and phase-2 pivots
-    and the children's dual pivots.  ``bb_infeasible`` counts nodes whose LP
-    is infeasible, ``bb_pruned`` nodes cut off by the incumbent's objective
-    (some before their LP proved infeasible), ``bb_incumbents`` incumbent
-    updates, and ``bb_max_depth`` is the deepest node of any search (the
-    root is 0).
+    and the children's dual pivots; ``lp_dual_flips`` counts the bound flips
+    of the children's long dual steps, which are not pivots.
+    ``bb_infeasible`` counts nodes whose LP is infeasible, ``bb_pruned``
+    nodes cut off by the incumbent's objective (some before their LP proved
+    infeasible), ``bb_incumbents`` incumbent updates, and ``bb_max_depth`` is
+    the deepest node of any search (the root is 0).
     """
 
     lp_pivots: int = 0
@@ -82,6 +83,7 @@ class SolveStats:
     lp_phase1_pivots: int = 0
     lp_phase2_pivots: int = 0
     lp_dual_pivots: int = 0
+    lp_dual_flips: int = 0
     bb_nodes: int = 0
     bb_infeasible: int = 0
     bb_pruned: int = 0
@@ -125,6 +127,7 @@ def solve_mip(model, node_limit=10**6, stats=None):
         else:
             status = tab.reoptimize(j, lo, hi, None if best is None else best[:2])
             run.lp_dual_pivots += tab.pivots
+            run.lp_dual_flips += tab.flips
             run.lp_pivots += tab.pivots
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1

@@ -19,6 +19,7 @@ never supplied by the caller.
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import ClassVar
@@ -497,7 +498,16 @@ def load_instance(path):
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
+            reason = exc
+            # the digit limit is the one plain ValueError the parse raises;
+            # its own text advises a call that a command-line user cannot make
+            if type(exc) is ValueError:
+                reason = (
+                    f"an integer literal has more than {sys.get_int_max_str_digits()} "
+                    "digits, the limit that the PYTHONINTMAXSTRDIGITS environment "
+                    "variable sets"
+                )
+            raise InstanceFormatError("$", f"invalid JSON: {reason}") from exc
     return instance_from_dict(data)
 
 

@@ -105,8 +105,10 @@ def is_integral(value):
 
 def to_float(value):
     """Decimal approximation for report readability only; None for a value
-    outside the float range."""
+    outside the float range, or nonzero and so close to 0 that it rounds to
+    0.0."""
     try:
-        return int(value.numerator) / int(value.denominator)
+        approx = int(value.numerator) / int(value.denominator)
     except OverflowError:
         return None
+    return None if value and not approx else approx

@@ -52,18 +52,27 @@ tableau is exact for the new bounds; the basis stays dual feasible and only
 the tightened variable is out of bounds, which is where the dual method
 starts.  The leaving row is the bound-violating basic variable of smallest
 index and ties in the dual ratio test break to the smallest index (Bland's
-rule read on the dual), so the re-optimization is deterministic and
-terminates.  A row with no entering column is a Farkas certificate of
-infeasibility and is checked exactly against the LP's own rows: its
-multipliers are the row on J0 times B0^-1, the unique y for which y [N | I]
-is the row on J0, and so the row's own basis-inverse part (D. Applegate,
-W. Cook, S. Dash & D. Espinoza, "Exact solutions to linear programming
-problems", Oper. Res. Letters 35(6), 2007).  Given a cutoff, the
-re-optimization stops once its objective, a lower bound while the basis is
-dual feasible, reaches it.  The ratio test fixes the objective
-after its pivot exactly (the entering column's |reduced cost / pivot entry|
-times the leaving variable's distance to its bound), so a pivot that would
-reach the cutoff is declined, not made.  Branch-and-bound re-optimizes every
+rule read on the dual), so the re-optimization is deterministic.  The ratio
+test takes long steps (the bound-flipping ratio test of Koberstein 2005 and
+of I. Maros, "A generalized dual phase-2 simplex algorithm", European J.
+Oper. Res. 149(1), 2003): every column is boxed, so where the least ratio is
+positive, the candidates are passed in ratio order, and one whose move to
+its other bound still leaves the leaving variable short of its bound flips
+there, a shift of the value column instead of a pivot; the first that
+cannot be passed enters.  Each such step raises the dual objective
+strictly, and a step whose least ratio is 0 is the plain one, so the
+re-optimization terminates.  A row whose candidates are all passed, or that
+has none, is a Farkas certificate of infeasibility and is checked exactly
+against the LP's own rows: its multipliers are the row on J0 times B0^-1,
+the unique y for which y [N | I] is the row on J0, and so the row's own
+basis-inverse part (D. Applegate, W. Cook, S. Dash & D. Espinoza, "Exact
+solutions to linear programming problems", Oper. Res. Letters 35(6),
+2007).  Given a cutoff, the re-optimization stops once its objective, a
+lower bound while the basis is dual feasible, reaches it.  The ratio test
+fixes the objective at each breakpoint exactly (the objective after the
+flips so far, plus the column's |reduced cost / pivot entry| times the
+leaving variable's remaining distance to its bound), so a flip or a pivot
+that would reach the cutoff is declined, not made.  Branch-and-bound re-optimizes every
 child node this way from its parent's tableau, with the incumbent's
 objective as the cutoff.
 """
@@ -168,6 +177,7 @@ class Tableau:
     int bounds on one basic variable and restores optimality by the dual
     simplex, and ``copy`` snapshots the state for a later re-optimization
     under other bounds.  ``pivots`` counts the pivots of the last solve or
+    re-optimization, and ``flips`` the bound flips of the last
     re-optimization.  Rationals appear only in the LP given to the
     constructor and in what ``vertex`` returns.
     """
@@ -247,6 +257,13 @@ class Tableau:
                 if a:
                     row[n] += a * step
 
+    def _flip(self, k):
+        """Move nonbasic x_k to its other bound."""
+        width = self.upper[k] - self.lower[k]
+        up = self.stat[k] == _LOW
+        self._shift(k, -width if up else width)
+        self.stat[k] = _UP if up else _LOW
+
     def _pivot(self, leave, q, leave_stat):
         """Swap x_q into the basis at row ``leave``; the leaving variable
         takes the bound ``leave_stat`` names."""
@@ -315,8 +332,7 @@ class Tableau:
             width = upper[entering] - lower[entering]
 
             if leave < 0 or width * la <= lg:
-                self._shift(entering, -width if up else width)
-                stat[entering] = _UP if up else _LOW
+                self._flip(entering)
             else:
                 if lg < 0:
                     raise PipelineInvariantError("negative ratio-test step")
@@ -440,26 +456,41 @@ class Tableau:
         INFEASIBLE or CUTOFF.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
-        new bounds, and no value moves until the first dual pivot.  A bound
-        is held as itself times L, so L stays the scale it was when the
-        tableau was built; a bound that is not an int raises, as branching
-        bounds on integer variables are ints, and so does one that crosses
-        the variable's other bound, before anything changes.
+        new bounds, and no value moves until the first dual step.  A bound is
+        held as itself times L, so L stays the scale it was when the tableau
+        was built; a bound that is not an int raises, as branching bounds on
+        integer variables are ints, and so does one that crosses the
+        variable's other bound, before anything changes.
+
+        Each step takes the leaving row's candidate columns in the order of
+        |d_k / alpha_k| (cross products, ties to the smaller index).  When
+        the least ratio is positive, it is a long step: with delta the
+        leaving variable's distance to its violated bound and w_k = |alpha_k|
+        (u_k - l_k) how far column k's flip moves it, both over |dens| * L,
+        column k flips to its other bound (``_flip``, counted in ``flips``)
+        while delta - w_k > 0, delta falling by w_k, and the first column
+        that cannot be passed enters.  A step whose least ratio is 0 pivots
+        that column in, as the short step does.
 
         The objective of a dual-feasible basis bounds the new optimum from
         below, so the search stops with CUTOFF once it reaches ``cutoff =
         (cost, cost_den)``, cost_den > 0: at once if the parent's objective
-        reaches it, else as soon as the ratio test has picked a pivot whose
-        objective would, before that pivot is made (and counted).  The step
-        is exact: leaving x_l moving to its violated bound and x_q entering
-        raise the objective by |d_q / alpha_lq| times x_l's distance to that
-        bound.  This trusts dual feasibility alone, as pruning an optimal
-        node by its objective does; a certificate of node optimality must
-        cover cut-off nodes too.
+        reaches it, else as soon as the ratio test reaches a breakpoint
+        whose objective would, before that column's flip or pivot is made
+        (and counted).  The objective at breakpoint q is exact and a bound:
+        the flips so far move the objective as they move the value column,
+        the basis with those flips is dual feasible at q's ratio, and from
+        there leaving x_l moving to its violated bound and x_q entering
+        raise it by |d_q / alpha_lq| times x_l's remaining distance to that
+        bound.  So a long step that crosses the cutoff stops there, with no
+        further flips and no certificate.  This trusts dual feasibility
+        alone, as pruning an optimal node by its objective does; a
+        certificate of node optimality must cover cut-off nodes too.
 
-        A leaving row with no entering column proves the node infeasible;
-        the rows no longer hold the basis inverse, so its multipliers come
-        from ``_farkas`` before ``_certify_infeasible`` checks them.
+        A leaving row with no entering column, or whose candidates can all
+        be passed, proves the node infeasible; the rows no longer hold the
+        basis inverse, so its multipliers come from ``_farkas`` before
+        ``_certify_infeasible`` checks them.
         """
         if self.stat[j] != _BASIC:
             raise PipelineInvariantError("bound change on a nonbasic variable")
@@ -476,7 +507,7 @@ class Tableau:
         r, n = self.r, self.n
         cost_row = T[r]
         kL = self.k * L
-        self.pivots = 0
+        self.pivots = self.flips = 0
         # the objective is zr / (|dens[r]| * k * L), zr being -cost_row[n]
         # read against the sign of dens[r]; it reaches cost / cost_den when
         # zr * cost_den >= cost * |dens[r]| * k * L
@@ -503,44 +534,57 @@ class Tableau:
             if leave < 0:
                 return LPStatus.OPTIMAL
 
-            # lv moves to the bound it violates; an entering column must move
-            # it that way, and the least |reduced cost| / |entry| keeps every
-            # reduced cost's sign (compared as cross products, ties to the
-            # smallest index)
+            # lv moves to the bound it violates, at a distance of delta /
+            # (|di| * L); an entering column must move it that way
             row = T[leave]
             v = row[n]
             di = dens[leave]
             pos = di > 0
             to_low = v < di * lower[lv] if pos else v > di * lower[lv]
-            q = -1
-            qc = qa = 0
+            delta = abs(v - di * (lower[lv] if to_low else upper[lv]))
             # a column at its lower bound may only rise and one at its upper
-            # bound only fall, moving lv by -(entry) per unit: it enters only
-            # if that moves lv toward the bound lv violates.  Artificials are
-            # fixed at 0 after phase 1 and never enter, nor does any other
-            # fixed column.
-            for k in range(self.c):
-                a = row[k]
-                if not a:
-                    continue
-                sk = stat[k]
-                if sk == _BASIC or (sk == _LOW) != (((a > 0) == pos) != to_low):
-                    continue
-                ck = abs(cost_row[k])
-                a = abs(a)
-                if (q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:
-                    q, qc, qa = k, ck, a
-            if q < 0:
-                self._certify_infeasible(self._farkas(row))
-                return LPStatus.INFEASIBLE
-            # the objective after the pivot: |d_q / alpha_lq| is qc * |di| /
-            # (|dens[r]| * k * qa), and lv's distance to its bound is
-            # |v - di * bound| / (|di| * L)
-            if cutoff is not None:
-                step = abs(v - di * (lower[lv] if to_low else upper[lv]))
-                zr = -cost_row[n] if dens[r] > 0 else cost_row[n]
-                if (zr * qa + qc * step) * cost_den >= cost * abs(dens[r]) * kL * qa:
-                    return LPStatus.CUTOFF
+            # bound only fall, moving lv by -(entry) per unit: it is a
+            # candidate only if that moves lv toward the bound lv violates.
+            # Artificials are fixed at 0 after phase 1 and never enter, nor
+            # does any other fixed column.  The candidates come in ratio
+            # order, the least |reduced cost| / |entry| first (compared as
+            # cross products, ties to the smallest index).  While that ratio
+            # is positive, a candidate whose flip to its other bound moves lv
+            # by w, still short of its bound, is passed: it flips, and the
+            # dual objective's slope past it, delta - w, stays positive.  A
+            # flipped column moves lv away from its bound, so the next scan
+            # skips it.  The first candidate that cannot be passed enters
+            while True:
+                q = -1
+                qc = qa = 0
+                for k in range(self.c):
+                    a = row[k]
+                    if not a:
+                        continue
+                    sk = stat[k]
+                    if sk == _BASIC or (sk == _LOW) != (((a > 0) == pos) != to_low):
+                        continue
+                    ck = abs(cost_row[k])
+                    a = abs(a)
+                    if (q < 0 or ck * qa < qc * a) and lower[k] != upper[k]:
+                        q, qc, qa = k, ck, a
+                if q < 0:
+                    self._certify_infeasible(self._farkas(row))
+                    return LPStatus.INFEASIBLE
+                # the objective at q's breakpoint, after q's pivot or before
+                # its flip: |d_q / alpha_lq| is qc * |di| / (|dens[r]| * k *
+                # qa), and lv's distance to its bound, after the flips so far,
+                # is delta / (|di| * L)
+                if cutoff is not None:
+                    zr = -cost_row[n] if dens[r] > 0 else cost_row[n]
+                    if (zr * qa + qc * delta) * cost_den >= cost * abs(dens[r]) * kL * qa:
+                        return LPStatus.CUTOFF
+                w = qa * (upper[q] - lower[q])
+                if not (qc and delta - w > 0):
+                    break
+                self._flip(q)
+                self.flips += 1
+                delta -= w
             self._pivot(leave, q, _LOW if to_low else _UP)
         raise PipelineInvariantError("dual simplex iteration cap hit; anti-cycling rule broken")
 

@@ -214,7 +214,7 @@ def _check_warm_child(lp, parent, j, lo, hi):
     """Re-optimize a snapshot of an optimal tableau of lp under new int
     bounds of basic variable j (None keeps a bound); it must agree with a
     cold solve of the child LP, and the parent tableau must be left as it
-    was.  Returns the child's status."""
+    was.  Returns the child's status and its re-optimized tableau."""
     before = parent.vertex()
     child = _child_lp(lp, j, lo, hi)
     cold = solve_lp_vertex(child)
@@ -226,7 +226,7 @@ def _check_warm_child(lp, parent, j, lo, hi):
         assert sol.objective_value == cold.objective_value
         verify_rational_vertex(child, sol.values)
     assert parent.vertex() == before
-    return status
+    return status, warm
 
 
 @st.composite
@@ -261,13 +261,15 @@ def _lp_and_cut(draw):
 
 
 # the draws of the property below where int_cut makes a cut, under the
-# derandomized profile: 103 of the 302 draws, with Hypothesis 6.155, and 68
-# to 115 in ten runs of the unseeded profile
+# derandomized profile: 121 of the 302 draws, with Hypothesis 6.155, and 86
+# to 127 in ten runs of the unseeded profile; and those whose child makes a
+# bound flip in a long dual step: 19 there, and 10 to 27 in the same ten runs
 _CUT_FLOOR = 40
+_FLIP_FLOOR = 5
 
 
 def test_warm_child_matches_cold_solve():
-    cuts = []
+    cuts, flipped = [], []
 
     @settings(max_examples=300, deadline=None)
     @given(_lp_and_cut())
@@ -283,11 +285,13 @@ def test_warm_child_matches_cold_solve():
         cut = int_cut(parent, rank, up, k)
         if cut is not None:
             cuts.append(cut)
-            _check_warm_child(lp, parent, *cut)
+            _, warm = _check_warm_child(lp, parent, *cut)
+            flipped.append(warm.flips > 0)
 
     prop()
     if settings.default.derandomize:
         assert len(cuts) >= _CUT_FLOOR
+        assert sum(flipped) >= _FLIP_FLOOR
 
 
 def _unit_on_basis(lp, basis, y):
@@ -439,12 +443,20 @@ def _free_run(tab, cut):
     (dense_lp([[1, -1, 2]], (0,), (Rat(-4, 3), -1, -1), (-1, 0, 2), (-1, 0, -2)), 0, False, 1),
     2,
 )
+# x2 = 1/2 at the optimum -11/2; the child x2 >= 3 is infeasible, and its
+# long step passes x1's breakpoint at -3 by a flip, then reaches x0's at
+# -3/2, past the cutoff -2, so it stops there with one flip of the free
+# run's two
+@example((dense_lp([[1, 1, 1]], (Rat(5, 2),), (0, 0, 0), (1, 1, 4), (-3, -2, -1)), 0, True, 3), 7)
 def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     # two snapshots of one optimal tableau re-optimize the same cut, one
     # with a cutoff at the parent's objective plus halves / 2.  The free run
     # records its objective after each pivot: the cut-off run stops at once
     # if the parent's objective reaches the cutoff, and otherwise just
-    # before the first pivot whose objective does; else it is the free run
+    # before the first pivot whose objective does; else it is the free run,
+    # except that a free run ending infeasible may be cut off in its last
+    # long step, at a breakpoint that reaches the cutoff before it passed
+    # every candidate
     lp, rank, up, k = case
     parent = Tableau(lp)
     if parent.solve() != LPStatus.OPTIMAL:
@@ -466,6 +478,9 @@ def test_a_cutoff_stops_only_a_child_that_cannot_beat_it(case, halves):
     if reached:
         kept = max(reached[0] - 1, 0)
         assert (status, stopped.pivots, stopped.basis) == (LPStatus.CUTOFF, kept, states[kept][1])
+    elif free_status == LPStatus.INFEASIBLE and status == LPStatus.CUTOFF:
+        assert (stopped.pivots, stopped.basis) == (free.pivots, free.basis)
+        assert stopped.flips < free.flips
     else:
         assert (status, stopped.basis, stopped.pivots) == (free_status, free.basis, free.pivots)
         if status == LPStatus.OPTIMAL:
@@ -482,7 +497,7 @@ def test_warm_children_of_pinned_degenerate_lps():
         for rank, up, k in itertools.product(range(basics), (False, True), (1, 2)):
             cut = int_cut(tab, rank, up, k)
             if cut is not None:
-                statuses.append(_check_warm_child(lp, tab, *cut))
+                statuses.append(_check_warm_child(lp, tab, *cut)[0])
     assert LPStatus.OPTIMAL in statuses and LPStatus.INFEASIBLE in statuses
 
 
@@ -491,7 +506,9 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     # never moves the fixed x1, so at the optimum (x0 basic at 5/2) its
     # reduced cost -1/2 has the sign that would make it enter.  Cutting x0 to
     # [0, 2] makes x1 (ratio 1/2) and x2 (ratio 1) candidates; x1 entering
-    # would leave x2's reduced cost dual infeasible.  Only x2 may enter.
+    # would leave x2's reduced cost dual infeasible, and a long step would
+    # pass x1 by a flip that moves nothing.  Only x2 may enter, and nothing
+    # flips.
     lp = dense_lp(
         [[1, 1, 1]],
         (Rat(5, 2),),
@@ -503,10 +520,68 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     assert tab.solve() == LPStatus.OPTIMAL
     assert tab.basis == [0]
     assert tab.reoptimize(0, None, 2) == LPStatus.OPTIMAL
-    assert (tab.pivots, tab.basis) == (1, [2])
+    assert (tab.pivots, tab.flips, tab.basis) == (1, 0, [2])
     sol = tab.vertex()
     assert sol.values == (2, 0, Rat(1, 2))
     assert sol.objective_value == -2
+
+
+# (rows, rhs, upper, objective, cut, (pivots, flips, basis)), every lower
+# bound 0: children whose long dual steps flip, each optimal as its cold solve
+_LONG_STEPS = [
+    # min -3 x0 - x1 s.t. x0 - 3 x1 + x2 = 0: the root has x1 = 2/3, x0 = x2 =
+    # 1.  For x1 <= 0, x2 (ratio 1) flips to 0, which leaves x1 1/3 above its
+    # bound, a slope of 1 in the row's integer units; x0's flip (ratio 10)
+    # would close the gap exactly, so it is not passed at slope 0 but enters,
+    # at 0
+    ([[1, -3, 1]], (0,), (1, 2, 1), (-3, -1, 0), (1, None, 0), (1, 1, [0])),
+    # min -2 x0 - 2 x1 - x2 - 3 x3 s.t. x0 + x1 - x2 - 3 x3 = -7/2: the root
+    # has x3 = 11/6.  For x3 <= 1 the least ratio is x2's 0, so x2 enters by a
+    # plain pivot, though its flip would move x3 by only 1/3 of the 5/6; x2 =
+    # 5/2 then leaves for 1, x0 and x1 tie at ratio 3, x0 flips to 0 and x1
+    # enters
+    (
+        [[1, 1, -1, -3]],
+        (Rat(-7, 2),),
+        (1, 1, 1, 3),
+        (-2, -2, -1, -3),
+        (3, None, 1),
+        (2, 1, [1]),
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, rhs, upper, objective, cut, effort", _LONG_STEPS)
+def test_pinned_long_dual_steps(rows, rhs, upper, objective, cut, effort):
+    lp = dense_lp(rows, rhs, (0,) * len(upper), upper, objective)
+    parent = Tableau(lp)
+    assert parent.solve() == LPStatus.OPTIMAL
+    status, warm = _check_warm_child(lp, parent, *cut)
+    assert status == LPStatus.OPTIMAL
+    assert (warm.pivots, warm.flips, warm.basis) == effort
+
+
+@pytest.mark.parametrize(
+    "cutoff, status, flips",
+    [
+        (None, LPStatus.INFEASIBLE, 2),
+        (-1, LPStatus.INFEASIBLE, 2),
+        (-2, LPStatus.CUTOFF, 1),
+        (-3, LPStatus.CUTOFF, 0),
+    ],
+)
+def test_a_long_step_stops_at_the_breakpoint_that_reaches_the_cutoff(cutoff, status, flips):
+    # min -3 x0 - 2 x1 - x2 s.t. x0 + x1 + x2 = 5/2: the root has x2 = 1/2
+    # at -11/2.  The child x2 >= 3 is infeasible; its long step passes x1's
+    # breakpoint, where the objective is -3, and x0's, at -3/2, and then has
+    # no candidate left.  A cutoff stops it at the first breakpoint that
+    # reaches it, before that flip and with no certificate
+    lp = dense_lp([[1, 1, 1]], (Rat(5, 2),), (0, 0, 0), (1, 1, 4), (-3, -2, -1))
+    tab = Tableau(lp)
+    assert tab.solve() == LPStatus.OPTIMAL
+    assert tab.basis == [2]
+    bound = None if cutoff is None else (cutoff, 1)
+    assert (tab.reoptimize(2, 3, None, bound), tab.pivots, tab.flips) == (status, 0, flips)
 
 
 def _eager_pivot_update(rows, pr, pc, d):

@@ -70,6 +70,7 @@ def test_solve_general_with_oracle_check(tmp_path, capsys):
         "lp_phase1_pivots",
         "lp_phase2_pivots",
         "lp_dual_pivots",
+        "lp_dual_flips",
         "bb_nodes",
         "bb_infeasible",
         "bb_pruned",
@@ -410,6 +411,9 @@ def test_an_integer_literal_past_the_digit_limit_is_a_usage_error(tmp_path, caps
         code, out, err = run(capsys, argv[0], "--input", str(inst), *argv[1:])
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err.startswith("error: $: invalid JSON: ") and err.count("\n") == 1
+        # the remedy it names is one a command-line user can take
+        assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+        assert "sys.set_int_max_str_digits" not in err
 
 
 def test_a_report_value_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
@@ -426,6 +430,10 @@ def test_a_report_value_past_the_digit_limit_is_printed_exactly(tmp_path, capsys
     report = json.loads(out)
     assert report["residual"] == ["-2/" + "9" * 6000]
     assert report["max_abs_residual"] == "2/" + "9" * 6000
+    # nonzero values too close to 0 for a float approximate to null, not 0.0
+    assert report["bound"] != "0" and report["bound_approx"] is None
+    assert report["residual_approx"] == [None]
+    assert report["max_abs_residual_approx"] is None
 
 
 def test_solve_worked_example_with_oracle(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from nearfeas.rationals import Rat, as_rat, format_rat, integer_row, is_integral, parse_rat
+from nearfeas.rationals import Rat, as_rat, format_rat, integer_row, is_integral, parse_rat, to_float
 
 
 def test_parse_basic():
@@ -100,3 +100,14 @@ def test_integer_row_rejects_floats_and_booleans(values, message):
 def test_is_integral():
     assert is_integral(Rat(4, 2))
     assert not is_integral(Rat(1, 3))
+
+
+def test_to_float_examples():
+    # null outside the float range and for a nonzero value that would round
+    # to 0.0; a subnormal float and 0 itself approximate as themselves
+    assert to_float(Rat(3, 2)) == 1.5
+    assert to_float(Rat(0)) == 0.0
+    assert to_float(Rat(1, 10**320)) == 1e-320
+    for tiny in (Rat(1, 10**400), Rat(-2, 10**6000 - 1)):
+        assert to_float(tiny) is None
+    assert to_float(Rat(10**400, 3)) is None

@@ -3,7 +3,9 @@
 Pivot and node counts are deterministic, so a change to any pivot or
 branching decision fails here, not only in the benchmark.  Two instances
 per pipeline; every one carries halves, and the general instance of seed 4
-has rational constraint rows, right-hand side and weights alike.
+has rational constraint rows, right-hand side and weights alike.  The same
+solves check that ``lp_dual_flips`` counts the bound flips the node
+re-optimizations make.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 from nearfeas.cli import main
 from nearfeas.generate import gen_config, gen_general, gen_nonneg
 from nearfeas.instances import instance_to_dict
+from nearfeas.simplex import Tableau
 
 _GENERATORS = {
     "general": lambda rng: gen_general(rng, m=2, n=7),
@@ -23,23 +26,27 @@ _GENERATORS = {
 
 # (kind, seed, lp_pivots, bb_nodes, objective) at --epsilon 1/5
 _CASES = [
-    ("general", 2, 56, 49, "-3"),
-    ("general", 4, 43, 27, "-37/2"),
-    ("nfold_config", 0, 85, 29, "-7"),
-    ("nfold_config", 3, 67, 31, "2"),
-    ("nfold_nonneg", 16, 29, 11, "27"),
+    ("general", 2, 54, 49, "-3"),
+    ("general", 4, 37, 27, "-37/2"),
+    ("nfold_config", 0, 65, 29, "-7"),
+    ("nfold_config", 3, 59, 31, "2"),
+    ("nfold_nonneg", 16, 28, 11, "27"),
     ("nfold_nonneg", 4, 19, 7, "22"),
 ]
 
 
-@pytest.mark.parametrize("kind, seed, pivots, nodes, objective", _CASES)
-def test_solve_effort_is_pinned(tmp_path, capsys, kind, seed, pivots, nodes, objective):
+def _solve(tmp_path, capsys, kind, seed):
     data = instance_to_dict(_GENERATORS[kind](random.Random(seed)))
     assert data["kind"] == kind
-    path = tmp_path / "inst.json"
+    path = tmp_path / f"{kind}-{seed}.json"
     path.write_text(json.dumps(data))
     assert main(["solve", "--input", str(path), "--epsilon", "1/5"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("kind, seed, pivots, nodes, objective", _CASES)
+def test_solve_effort_is_pinned(tmp_path, capsys, kind, seed, pivots, nodes, objective):
+    report = _solve(tmp_path, capsys, kind, seed)
     assert report["status"] == "ok"
     stats = report["solve_stats"]
     assert (stats["lp_pivots"], stats["bb_nodes"], report["objective"]) == (pivots, nodes, objective)
@@ -51,3 +58,31 @@ def test_a_pinned_instance_has_rational_rows_rhs_and_weights():
     data = instance_to_dict(_GENERATORS["general"](random.Random(4)))
     for key in ("H", "b", "w"):
         assert "/" in json.dumps(data[key]), key
+
+
+def test_the_reported_dual_flips_are_the_re_optimizations_flips(tmp_path, capsys):
+    # every Tableau._flip made inside a re-optimization, counted from
+    # outside; the primal bound flips of cold solves are not dual flips
+    flip, reoptimize = Tableau._flip, Tableau.reoptimize
+    inside, counted = [], []
+
+    def counting_flip(tab, k):
+        counted[-1] += bool(inside)
+        flip(tab, k)
+
+    def marked_reoptimize(tab, *args):
+        inside.append(tab)
+        try:
+            return reoptimize(tab, *args)
+        finally:
+            inside.pop()
+
+    reported = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tableau, "_flip", counting_flip)
+        mp.setattr(Tableau, "reoptimize", marked_reoptimize)
+        for kind, seed, *_ in _CASES:
+            counted.append(0)
+            reported.append(_solve(tmp_path, capsys, kind, seed)["solve_stats"]["lp_dual_flips"])
+    assert reported == counted
+    assert sum(counted) > 0

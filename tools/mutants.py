@@ -89,6 +89,7 @@ _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_
 _CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
 _CRASH_PINNED = "tests/test_simplex.py::test_the_crash_start_matches_the_reference_on_pinned_lps"
 _CUTOFF = "tests/test_branch_bound.py::test_a_cutoff_stops_only_a_child_that_cannot_beat_it"
+_LONG_STEPS = "tests/test_branch_bound.py::test_pinned_long_dual_steps"
 _LAYOUTS = "tests/test_model_layouts.py::test_pinned_model_layouts"
 _KERNELS = (
     "tests/test_kernels.py::test_pivot_normalizes_column",
@@ -162,10 +163,20 @@ MUTANTS = (
     Mutant(
         "float-approximation-unguarded",
         _RATIONALS,
-        "    try:\n        return int(value.numerator) / int(value.denominator)\n"
+        "    try:\n        approx = int(value.numerator) / int(value.denominator)\n"
         "    except OverflowError:\n        return None\n",
-        "    return int(value.numerator) / int(value.denominator)\n",
+        "    approx = int(value.numerator) / int(value.denominator)\n",
         ("tests/test_cli.py::test_a_value_outside_the_float_range_approximates_to_null",),
+    ),
+    Mutant(
+        "float-approximation-underflows-to-0",
+        _RATIONALS,
+        "    return None if value and not approx else approx\n",
+        "    return approx\n",
+        (
+            "tests/test_rationals.py::test_to_float_examples",
+            "tests/test_cli.py::test_a_report_value_past_the_digit_limit_is_printed_exactly",
+        ),
     ),
     Mutant(
         "format-rat-under-the-digit-limit",
@@ -183,6 +194,13 @@ MUTANTS = (
             "tests/test_cli.py::test_an_integer_literal_past_the_digit_limit_is_a_usage_error",
             "tests/test_cli.py::test_mutated_instance_files_are_classified",
         ),
+    ),
+    Mutant(
+        "digit-limit-error-in-the-parsers-words",
+        _INSTANCES,
+        "            if type(exc) is ValueError:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_an_integer_literal_past_the_digit_limit_is_a_usage_error",),
     ),
     Mutant(
         "params-widths-unclassified",
@@ -624,21 +642,21 @@ MUTANTS = (
     Mutant(
         "lookahead-ignores-a-negative-cost-row-denominator",
         _SIMPLEX,
-        "                zr = -cost_row[n] if dens[r] > 0 else cost_row[n]\n                if (zr",
-        "                zr = -cost_row[n]\n                if (zr",
+        "                    zr = -cost_row[n] if dens[r] > 0 else cost_row[n]\n                    if (zr",
+        "                    zr = -cost_row[n]\n                    if (zr",
         (_CUTOFF,),
     ),
     Mutant(
         "lookahead-step-to-the-other-bound",
         _SIMPLEX,
-        "step = abs(v - di * (lower[lv] if to_low else upper[lv]))",
-        "step = abs(v - di * (upper[lv] if to_low else lower[lv]))",
+        "delta = abs(v - di * (lower[lv] if to_low else upper[lv]))",
+        "delta = abs(v - di * (upper[lv] if to_low else lower[lv]))",
         (_CUTOFF,),
     ),
     Mutant(
         "lookahead-without-the-step",
         _SIMPLEX,
-        "if (zr * qa + qc * step) * cost_den",
+        "if (zr * qa + qc * delta) * cost_den",
         "if zr * qa * cost_den",
         (_CUTOFF,),
     ),
@@ -676,6 +694,49 @@ MUTANTS = (
         "self._pivot(leave, q, _LOW if to_low else _UP)",
         "self._pivot(leave, q, _UP if to_low else _LOW)",
         _WARM,
+    ),
+    # the long dual step
+    Mutant(
+        "flip-without-its-shift",
+        _SIMPLEX,
+        "        self._shift(k, -width if up else width)\n",
+        "",
+        (_LONG_STEPS, *_COLD),
+    ),
+    Mutant(
+        "long-step-passes-a-breakpoint-at-slope-0",
+        _SIMPLEX,
+        "qc and delta - w > 0",
+        "qc and delta - w >= 0",
+        (_LONG_STEPS,),
+    ),
+    Mutant(
+        "long-step-capacity-off-by-one",
+        _SIMPLEX,
+        "qc and delta - w > 0",
+        "qc and delta - w > 1",
+        (_LONG_STEPS,),
+    ),
+    Mutant(
+        "long-step-at-entering-ratio-0",
+        _SIMPLEX,
+        "if not (qc and delta - w > 0):",
+        "if not (delta - w > 0):",
+        (_LONG_STEPS,),
+    ),
+    Mutant(
+        "cutoff-read-only-at-the-entering-column",
+        _SIMPLEX,
+        "                if cutoff is not None:\n",
+        "                if cutoff is not None and not (qc and delta - qa * (upper[q] - lower[q]) > 0):\n",
+        ("tests/test_branch_bound.py::test_a_long_step_stops_at_the_breakpoint_that_reaches_the_cutoff",),
+    ),
+    Mutant(
+        "dual-flips-not-counted",
+        _BB,
+        "            run.lp_dual_flips += tab.flips\n",
+        "",
+        ("tests/test_solve_pins.py::test_the_reported_dual_flips_are_the_re_optimizations_flips",),
     ),
     Mutant(
         "rational-bound-accepted",
