@@ -18,7 +18,7 @@ its dual simplex's objective reaches the incumbent's (a cutoff that trusts
 dual feasibility, as pruning an optimal node does; a dual certificate of node
 optimality must cover cut-off nodes too).  Every optimal node vertex is
 checked against the equations and the node's bounds, and every infeasible
-node, the root's phase 1 included, by its Farkas certificate.
+node, the root included, by its Farkas certificate.
 """
 
 import enum
@@ -69,9 +69,9 @@ class MixedSolution:
 class SolveStats:
     """Cumulative effort counters threaded through a pipeline run.
 
-    ``lp_pivots`` sums the cold solves' crash, phase-1 and phase-2 pivots
-    and the children's dual pivots; ``lp_dual_flips`` counts the bound flips
-    of the children's long dual steps, which are not pivots.
+    ``lp_pivots`` sums the crash pivots of the cold solves and the dual
+    pivots of every solve, cold or a child's; ``lp_dual_flips`` counts the
+    bound flips of the long dual steps, which are not pivots.
     ``bb_infeasible`` counts nodes whose LP is infeasible, ``bb_pruned``
     nodes cut off by the incumbent's objective (some before their LP proved
     infeasible), ``bb_incumbents`` incumbent updates, and ``bb_max_depth`` is
@@ -80,8 +80,6 @@ class SolveStats:
 
     lp_pivots: int = 0
     lp_crash_pivots: int = 0
-    lp_phase1_pivots: int = 0
-    lp_phase2_pivots: int = 0
     lp_dual_pivots: int = 0
     lp_dual_flips: int = 0
     bb_nodes: int = 0
@@ -90,11 +88,12 @@ class SolveStats:
     bb_incumbents: int = 0
     bb_max_depth: int = 0
 
-    def count_cold_solve(self, tab):
-        """Add the pivots of ``tab``'s cold solve, by phase and in total."""
+    def count_lp(self, tab):
+        """Add the pivots and flips of ``tab``'s last solve or
+        re-optimization, by kind and in total."""
         self.lp_crash_pivots += tab.crash_pivots
-        self.lp_phase1_pivots += tab.phase1_pivots
-        self.lp_phase2_pivots += tab.pivots - tab.crash_pivots - tab.phase1_pivots
+        self.lp_dual_pivots += tab.pivots - tab.crash_pivots
+        self.lp_dual_flips += tab.flips
         self.lp_pivots += tab.pivots
 
 
@@ -123,12 +122,9 @@ def solve_mip(model, node_limit=10**6, stats=None):
 
         if j is None:
             status = tab.solve()
-            run.count_cold_solve(tab)
         else:
             status = tab.reoptimize(j, lo, hi, None if best is None else best[:2])
-            run.lp_dual_pivots += tab.pivots
-            run.lp_dual_flips += tab.flips
-            run.lp_pivots += tab.pivots
+        run.count_lp(tab)
         if status == LPStatus.INFEASIBLE:
             run.bb_infeasible += 1
             continue

@@ -101,7 +101,7 @@ def tu_round(restriction, stats=None):
     tab = Tableau(lp)
     status = tab.solve()
     if stats is not None:
-        stats.count_cold_solve(tab)
+        stats.count_lp(tab)
     if status != LPStatus.OPTIMAL:
         raise PipelineInvariantError("TU restriction lost feasibility")
     values, den, _, _ = tab.vertex_numerators()

@@ -1,16 +1,16 @@
 """Exact bounded-variable simplex returning optimal vertex solutions.
 
-A cold solve is the two-phase primal method with signed artificial variables
-and Bland's rule (smallest eligible index enters; ratio ties break to the
-smallest basic variable index), so every run is deterministic and terminates
-despite degeneracy; phase 1 starts from a primal-feasible crash basis (R. E.
-Bixby, "Implementing the simplex method: the initial basis", ORSA J. Comput.
-4(3), 1992).  The phase-2 cost row is built with the tableau, where its
-reduced costs are the objective itself, and the crash and phase-1 pivots
-carry it to phase 2.  An infeasible phase 1 is certified: its multipliers
-are checked as a Farkas certificate against the LP's own rows.  All
-arithmetic is exact; optimality and feasibility are decided with zero
-tolerance.
+Every LP is solved by one method, the bounded dual simplex (A. Koberstein,
+"The dual simplex method: techniques for a fast and stable implementation",
+PhD thesis, Paderborn, 2005).  A cold solve starts from a crash basis (R. E.
+Bixby, "Implementing the simplex method: the initial basis", ORSA J.
+Comput. 4(3), 1992), which keeps every basic structural within its bounds;
+the artificials are then held to [0, 0], so the ones still basic are the
+only variables out of bounds.  Every column is boxed, so the basis becomes
+dual feasible once each nonbasic column whose reduced cost contradicts its
+status flips to its other bound, and a cold solve is one more
+re-optimization.  All arithmetic is exact; optimality and feasibility are
+decided with zero tolerance.
 
 The LP's state holds no rationals.  Each constraint row A_i arrives as
 integers N_i over its least scale s_i (a ``linalg.Matrix``, built so by the
@@ -37,49 +37,47 @@ Every decision is an integer cross product within one row, or between two
 rows each read against the sign of its own denominator, and compares the
 same exact quantities a rational tableau would, so the pivot path is the
 same.  Rationals appear only in the LP's input and in ``vertex()``'s output.
-Once phase 1 ends feasible, the artificials outside its final basis J0 are
-fixed at 0 and never enter again, so their columns are cut from every row;
-the rows keep the columns of the artificials still basic, and the phase-1
-artificial block, B0^-1 for the basis B0 of the columns J0, is kept once
-and shared by every copy of the tableau.
+Once the crash ends, the artificials outside its basis J0 are fixed at 0 and
+never enter again, so their columns are cut from every row; the rows keep
+the columns of the artificials still basic, and the inverse B0^-1 of the
+crash basis B0, the columns J0, is kept once and shared by every copy of the
+tableau.
+
+The leaving row is the bound-violating basic variable of smallest index and
+ties in the dual ratio test break to the smallest index (Bland's rule read
+on the dual), so every run is deterministic.  The ratio test takes long
+steps (the bound-flipping ratio test of Koberstein 2005 and of I. Maros, "A
+generalized dual phase-2 simplex algorithm", European J. Oper. Res. 149(1),
+2003): where the least ratio is positive, the candidates are passed in
+ratio order, and one whose move to its other bound still leaves the leaving
+variable short of its bound flips there, a shift of the value column
+instead of a pivot; the first that cannot be passed enters.  Each such step
+raises the dual objective strictly, and a step whose least ratio is 0 is the
+plain one, so the method terminates.  A row whose candidates are all
+passed, or that has none, is a Farkas certificate of infeasibility and is
+checked exactly against the LP's own rows: its multipliers are the row on
+J0 times B0^-1, the unique y for which y [N | I] is the row on J0, and so
+the row's own basis-inverse part (D. Applegate, W. Cook, S. Dash & D.
+Espinoza, "Exact solutions to linear programming problems", Oper. Res.
+Letters 35(6), 2007).
 
 A ``Tableau`` left optimal can be re-optimized after one basic variable's
-bounds are tightened to ints (a branching bound), by the bounded-variable
-dual simplex (A. Koberstein, "The dual simplex method: techniques for a fast
-and stable implementation", PhD thesis, Paderborn, 2005).  Edmonds' entries
-are minors of [N | I] fixed by the basis alone, so the old
-tableau is exact for the new bounds; the basis stays dual feasible and only
-the tightened variable is out of bounds, which is where the dual method
-starts.  The leaving row is the bound-violating basic variable of smallest
-index and ties in the dual ratio test break to the smallest index (Bland's
-rule read on the dual), so the re-optimization is deterministic.  The ratio
-test takes long steps (the bound-flipping ratio test of Koberstein 2005 and
-of I. Maros, "A generalized dual phase-2 simplex algorithm", European J.
-Oper. Res. 149(1), 2003): every column is boxed, so where the least ratio is
-positive, the candidates are passed in ratio order, and one whose move to
-its other bound still leaves the leaving variable short of its bound flips
-there, a shift of the value column instead of a pivot; the first that
-cannot be passed enters.  Each such step raises the dual objective
-strictly, and a step whose least ratio is 0 is the plain one, so the
-re-optimization terminates.  A row whose candidates are all passed, or that
-has none, is a Farkas certificate of infeasibility and is checked exactly
-against the LP's own rows: its multipliers are the row on J0 times B0^-1,
-the unique y for which y [N | I] is the row on J0, and so the row's own
-basis-inverse part (D. Applegate, W. Cook, S. Dash & D. Espinoza, "Exact
-solutions to linear programming problems", Oper. Res. Letters 35(6),
-2007).  Given a cutoff, the re-optimization stops once its objective, a
-lower bound while the basis is dual feasible, reaches it.  The ratio test
-fixes the objective at each breakpoint exactly (the objective after the
-flips so far, plus the column's |reduced cost / pivot entry| times the
-leaving variable's remaining distance to its bound), so a flip or a pivot
-that would reach the cutoff is declined, not made.  Branch-and-bound re-optimizes every
-child node this way from its parent's tableau, with the incumbent's
-objective as the cutoff.
+bounds are tightened to ints (a branching bound).  Edmonds' entries are
+minors of [N | I] fixed by the basis alone, so the old tableau is exact for
+the new bounds; the basis stays dual feasible and only the tightened
+variable is out of bounds, which is where the dual method starts.  Given a
+cutoff, the re-optimization stops once its objective, a lower bound while
+the basis is dual feasible, reaches it.  The ratio test fixes the objective
+at each breakpoint exactly (the objective after the flips so far, plus the
+column's |reduced cost / pivot entry| times the leaving variable's
+remaining distance to its bound), so a flip or a pivot that would reach the
+cutoff is declined, not made.  Branch-and-bound re-optimizes every child
+node this way from its parent's tableau, with the incumbent's objective as
+the cutoff.
 """
 
 import collections
 import enum
-import math
 from dataclasses import dataclass
 
 from .backend import pivot_update
@@ -131,8 +129,8 @@ class VertexSolution:
 
 _BASIC, _LOW, _UP = 0, 1, 2
 
-# Bland's rule precludes cycling; the cap only turns an unforeseen bug into
-# a loud failure instead of a hang.
+# Bland's rule, read on the dual, precludes cycling; the cap only turns an
+# unforeseen bug into a loud failure instead of a hang.
 _MAX_ITERATIONS = 1 << 22
 
 
@@ -145,9 +143,8 @@ class Tableau:
     the determinant of the current basis B, columns of ``[N | I]``; both it
     and every ``dens[i]`` start at 1, in the all-artificial basis.  Row i is
     ``dens[i] * (B^-1 [N | I])_i``, followed by the value column at index
-    ``n`` (``c + r`` through phase 1), and row r is ``dens[r] * k * (reduced
-    costs)`` of the objective ``obj / k`` (k > 0; in phase 1, of the phase-1
-    objective with k = 1, while row r + 1 carries the objective's), where
+    ``n`` (``c + r`` through the crash), and row r is ``dens[r] * k *
+    (reduced costs)`` of the objective ``obj / k`` (k > 0), where
     ``dens[i]`` is the determinant of the basis at the last pivot that
     rewrote row i in full (so ``T[i] * d / dens[i]`` is Edmonds' integral
     row over ``d``).  Pivots keep every entry integral
@@ -165,20 +162,20 @@ class Tableau:
     column, and a nonbasic variable that moves adds its own column times its
     step to it.  A nonbasic variable sits at the bound its status names.
 
-    After a feasible phase 1 the rows are ``[structural | value | columns of
-    the artificials basic at its end]`` and ``n`` is ``c``, the value
-    column's index; column ids in ``basis``, ``stat``, ``lower`` and
-    ``upper`` stay those of ``[N | I]``.  ``phase1`` keeps, for ``_farkas``,
-    the phase-1 artificial block, its rows' denominators, its ``d`` and the
+    After the crash the rows are ``[structural | value | columns of the
+    artificials basic at its end]`` and ``n`` is ``c``, the value column's
+    index; column ids in ``basis``, ``stat``, ``lower`` and ``upper`` stay
+    those of ``[N | I]``.  ``crash_inverse`` keeps, for ``_farkas``, the
+    inverse of the crash basis over its determinant, as sparse rows, and the
     positions of its basis columns in the cut rows; copies share it.
 
-    ``solve`` runs the crash start and the cold two-phase method, and
-    certifies an infeasible phase 1; once it is optimal, ``reoptimize`` sets
-    int bounds on one basic variable and restores optimality by the dual
-    simplex, and ``copy`` snapshots the state for a later re-optimization
-    under other bounds.  ``pivots`` counts the pivots of the last solve or
-    re-optimization, and ``flips`` the bound flips of the last
-    re-optimization.  Rationals appear only in the LP given to the
+    ``solve`` runs the crash start and the dual simplex from it; once it is
+    optimal, ``reoptimize`` sets int bounds on one basic variable and runs
+    the dual simplex again, and ``copy`` snapshots the state for a later
+    re-optimization under other bounds.  ``pivots`` counts the pivots of the
+    last solve or re-optimization, ``crash_pivots`` the crash's among them
+    (0 after a re-optimization), and ``flips`` the bound flips of its long
+    dual steps.  Rationals appear only in the LP given to the
     constructor and in what ``vertex`` returns.
     """
 
@@ -189,30 +186,25 @@ class Tableau:
         self.n = n = c + r  # structural + artificial
         self.stat = [_LOW] * c + [_BASIC] * r
         self.basis = list(range(c, c + r))
-        self.pivots = 0
+        self.pivots = self.crash_pivots = self.flips = 0
 
         # the integer rows N_i and the right-hand sides L * s_i * b_i, shared
         # by every copy: they also check vertices and certificates
         nonzeros = self.nonzeros = lp.matrix.nonzeros
-        scales = self.scales = lp.matrix.scales
         self.L, ints = integer_row([*lp.lower, *lp.upper, *lp.rhs])
         self.lower, self.upper, bs = ints[:c], ints[c : 2 * c], ints[2 * c :]
-        self.rhs = tuple(v * s for v, s in zip(bs, scales))
+        self.rhs = tuple(v * s for v, s in zip(bs, lp.matrix.scales))
 
         # rows: [N | I | value]; artificial i's value is r_i / L, r_i being
-        # row i's residual at the all-lower start, and its range runs from 0
-        # to it.  The phase-1 row is minus the sum of the rows weighted by
-        # artificial i's cost sigma_i * k1 / s_i (see ``solve``).  The phase-2
-        # row below it holds obj, as the artificials cost 0, and -k * L times
-        # the objective at the start, where every structural is at its lower
-        # bound
+        # row i's residual at the all-lower start, and its range, which only
+        # the crash reads, runs from 0 to it.  The cost row holds obj, as the
+        # artificials cost 0, and -k * L times the objective at the start,
+        # where every structural is at its lower bound
         lower = self.lower
         self.d = 1
-        self.dens = [1] * (r + 2)
+        self.dens = [1] * (r + 1)
         self.T = []
-        k1 = math.lcm(*scales)
-        cost = [0] * (n + 1)
-        for i, (nz, s, ri) in enumerate(zip(nonzeros, scales, self.rhs)):
+        for i, (nz, ri) in enumerate(zip(nonzeros, self.rhs)):
             t = [0] * (n + 1)
             for j, a in nz:
                 t[j] = a
@@ -220,14 +212,8 @@ class Tableau:
             t[c + i] = 1
             t[n] = ri
             self.T.append(t)
-            if ri:
-                w = k1 // s if ri > 0 else -(k1 // s)
-                for j, a in nz:
-                    cost[j] -= w * a
-                cost[n] -= w * ri
         lower += [min(t[n], 0) for t in self.T]
         self.upper += [max(t[n], 0) for t in self.T]
-        self.T.append(cost)
         self.k, self.obj = integer_row(lp.objective)
         start = sum(v * lo for v, lo in zip(self.obj, lower))
         self.T.append(self.obj + [0] * r + [-start])
@@ -277,74 +263,13 @@ class Tableau:
         self._shift(lv, -(self.lower[lv] if leave_stat == _LOW else self.upper[lv]))
         self.pivots += 1
 
-    def _iterate(self):
-        T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
-        dens = self.dens
-        n = self.n
-        cost_row = T[self.r]
-        fixed = [lo == hi for lo, hi in zip(lower, upper)]
-        for _ in range(_MAX_ITERATIONS):
-            pos = dens[self.r] > 0
-            entering = -1
-            for j in range(n):
-                rc = cost_row[j]
-                if not rc:
-                    continue
-                sj = stat[j]
-                if sj == _BASIC or fixed[j]:
-                    continue
-                if not pos:
-                    rc = -rc
-                if (sj == _LOW and rc < 0) or (sj == _UP and rc > 0):
-                    entering = j
-                    break
-            if entering < 0:
-                return LPStatus.OPTIMAL
-
-            up = stat[entering] == _LOW  # moving up from lower, else down from upper
-            # the ratio test: the step that row i allows is gap / (L * |a|),
-            # gap being |dens[i]| * L times the distance from the basic value
-            # to the bound the move drives it toward; the step does not depend
-            # on the row's denominator, and caps compare as cross products
-            leave = -1
-            lg = la = 0
-            leave_stat = _LOW
-            for i in range(self.r):
-                row = T[i]
-                a = row[entering]
-                if not a:
-                    continue
-                bi = basis[i]
-                di = dens[i]
-                pos = di > 0
-                if ((a > 0) == pos) == up:
-                    gap = row[n] - di * lower[bi]
-                    hb = _LOW
-                else:
-                    gap = di * upper[bi] - row[n]
-                    hb = _UP
-                if not pos:
-                    gap = -gap
-                if a < 0:
-                    a = -a
-                if leave < 0 or gap * la < lg * a or (gap * la == lg * a and bi < basis[leave]):
-                    leave, lg, la, leave_stat = i, gap, a, hb
-            width = upper[entering] - lower[entering]
-
-            if leave < 0 or width * la <= lg:
-                self._flip(entering)
-            else:
-                if lg < 0:
-                    raise PipelineInvariantError("negative ratio-test step")
-                self._pivot(leave, entering, leave_stat)
-        raise PipelineInvariantError("simplex iteration cap hit; anti-cycling rule broken")
-
     def _crash(self):
         """Crash start (Bixby 1992): each row's artificial leaves at 0 for
         the first nonbasic, non-fixed structural column, by (nonzeros in the
         LP's rows, index), whose move to absorb it keeps that column and
         every basic variable within its bounds (each artificial within its
-        phase-1 range); a row with no such column keeps its artificial.
+        range from 0 to its starting value); a row with no such column keeps
+        its artificial.
 
         A row whose artificial is already 0 moves nothing, so its first
         candidate passes at once; on any other row a candidate's own move
@@ -388,72 +313,69 @@ class Tableau:
         return True
 
     def solve(self):
-        """Cold two-phase solve from the crash basis; ``crash_pivots`` and
-        ``phase1_pivots`` count the pivots before phase 2.
+        """Cold solve: the crash start, then the dual simplex (``_dual``)
+        from the crash basis; OPTIMAL or INFEASIBLE.
 
-        Phase 1 minimizes the sum of the unscaled artificials a_i / s_i
-        times their range's signs sigma, times k1 = lcm(scales): artificial
-        i costs ``w_i = sigma_i * k1 / s_i``, an int.  At a positive optimum
-        its multipliers y on the rows ``N x + a = S b`` (artificial i's
-        reduced cost is w_i - y_i) are a Farkas certificate: ``y . S b``
-        exceeds the largest ``y . N x`` over the bounds by that optimum or
-        more, as each artificial's reduced cost times its value is <= 0."""
+        Every artificial's bounds then close to [0, 0]: a nonbasic one sits
+        there already, and the crash kept every basic structural within its
+        bounds, so the basic artificials off 0 are the only variables out of
+        bounds.  Every structural is boxed, so each one whose reduced cost
+        contradicts its status, negative at its lower bound or positive at
+        its upper one, flips to its other bound (not counted in ``flips``),
+        and the basis is dual feasible.  A basic column's reduced cost is 0,
+        so it never flips."""
         self._crash()
         self.crash_pivots = self.pivots
-        self._iterate()
-        self.phase1_pivots = self.pivots - self.crash_pivots
-        T, dens, r, c, n = self.T, self.dens, self.r, self.c, self.n
-        # the phase-1 row's value entry is -dens[r] * L times its objective
-        if T[r][n]:
-            k1 = math.lcm(*self.scales)
-            sigma = [(hi > 0) - (lo < 0) for lo, hi in zip(self.lower[c:], self.upper[c:])]
-            y = [si * (k1 // s) * dens[r] - a for si, s, a in zip(sigma, self.scales, T[r][c:n])]
-            self._certify_infeasible(y)
-            return LPStatus.INFEASIBLE
-        # every artificial is 0, so its bounds close on its value
+        c, r = self.c, self.r
         self.lower[c:] = [0] * r
         self.upper[c:] = [0] * r
-        T[r] = T.pop()
-        dens[r] = dens.pop()
         self._drop_artificials()
-        return self._iterate()
+        cost_row, stat = self.T[r], self.stat
+        pos = self.dens[r] > 0
+        for j in range(c):
+            rc = cost_row[j]
+            if rc and ((rc < 0) == pos) == (stat[j] == _LOW):
+                self._flip(j)
+        return self._dual()
 
     def _drop_artificials(self):
         """Cut the columns of the nonbasic artificials, fixed at 0 for good,
-        from every row, after phase 1: rows become ``[structural | value |
+        from every row, after the crash: rows become ``[structural | value |
         the columns of the still-basic artificials]`` and ``n`` becomes
-        ``c``.  The phase-1 artificial block, B0^-1 row by row over each
-        row's denominator, is kept for ``_farkas`` with ``d``, and with the
-        positions in the cut rows of the phase-1 basis columns J0."""
-        T, c, r = self.T, self.c, self.r
+        ``c``.  The inverse of the crash basis B0, the columns J0, is kept
+        for ``_farkas`` as d0 B0^-1, d0 = det B0, row i being the artificial
+        block of row i brought over d0, as sparse rows; with it, the
+        positions of J0's columns in the cut rows."""
+        T, c, r, d0 = self.T, self.c, self.r, self.d
         keep = [j for j in self.basis if j >= c]
         at = {j: c + 1 + i for i, j in enumerate(keep)}
-        block = [t[c : c + r] for t in T[:r]]
+        inverse = [
+            [(i, a * d0 // s) for i, a in enumerate(t[c : c + r]) if a]
+            for t, s in zip(T[:r], self.dens)
+        ]
         cols = [c + r] + keep
         for t in T:
             t[c:] = [t[j] for j in cols]
-        self.phase1 = (block, self.dens[:r], self.d, [at.get(j, j) for j in self.basis])
+        self.crash_inverse = (inverse, [at.get(j, j) for j in self.basis])
         self.n = c
 
     def _farkas(self, row):
         """The multipliers y, ints over a scale of either sign, that combine
         the rows of ``N x + a = S b`` into ``row``: ``row_J0 B0^-1``, the
-        unique y with ``y . [N | I]`` equal to the row on J0, summed over
-        the phase-1 rows, each brought over d0."""
-        block, dens0, d0, at = self.phase1
+        unique y with ``y . [N | I]`` equal to the row on J0, times d0."""
+        inverse, at = self.crash_inverse
         y = [0] * self.r
-        for t, s, p in zip(block, dens0, at):
+        for t, p in zip(inverse, at):
             b = row[p]
             if b:
-                for i, a in enumerate(t):
-                    if a:
-                        y[i] += b * (a * d0 // s)
+                for i, a in t:
+                    y[i] += b * a
         return y
 
     def reoptimize(self, j, lo, hi, cutoff=None):
         """Give basic variable j the int bounds [lo, hi] (None keeps that
-        bound) and restore optimality by the bounded dual simplex; OPTIMAL,
-        INFEASIBLE or CUTOFF.
+        bound) and restore optimality by the dual simplex (``_dual``, under
+        ``cutoff``); OPTIMAL, INFEASIBLE or CUTOFF.
 
         The tableau must be optimal.  Its basis stays dual feasible under the
         new bounds, and no value moves until the first dual step.  A bound is
@@ -461,6 +383,23 @@ class Tableau:
         was built; a bound that is not an int raises, as branching bounds on
         integer variables are ints, and so does one that crosses the
         variable's other bound, before anything changes.
+        """
+        if self.stat[j] != _BASIC:
+            raise PipelineInvariantError("bound change on a nonbasic variable")
+        if not all(v is None or type(v) is int for v in (lo, hi)):
+            raise PipelineInvariantError("bound change to a bound that is not an int")
+        L = self.L
+        lo = self.lower[j] if lo is None else lo * L
+        hi = self.upper[j] if hi is None else hi * L
+        if lo > hi:
+            raise PipelineInvariantError("bound change crosses the other bound")
+        self.lower[j], self.upper[j] = lo, hi
+        self.pivots = self.crash_pivots = self.flips = 0
+        return self._dual(cutoff)
+
+    def _dual(self, cutoff=None):
+        """The bounded dual simplex from a dual-feasible basis, counting its
+        pivots and flips; OPTIMAL, INFEASIBLE or CUTOFF.
 
         Each step takes the leaving row's candidate columns in the order of
         |d_k / alpha_k| (cross products, ties to the smaller index).  When
@@ -474,7 +413,7 @@ class Tableau:
 
         The objective of a dual-feasible basis bounds the new optimum from
         below, so the search stops with CUTOFF once it reaches ``cutoff =
-        (cost, cost_den)``, cost_den > 0: at once if the parent's objective
+        (cost, cost_den)``, cost_den > 0: at once if the starting objective
         reaches it, else as soon as the ratio test reaches a breakpoint
         whose objective would, before that column's flip or pivot is made
         (and counted).  The objective at breakpoint q is exact and a bound:
@@ -488,26 +427,15 @@ class Tableau:
         certificate of node optimality must cover cut-off nodes too.
 
         A leaving row with no entering column, or whose candidates can all
-        be passed, proves the node infeasible; the rows no longer hold the
+        be passed, proves the LP infeasible; the rows no longer hold the
         basis inverse, so its multipliers come from ``_farkas`` before
         ``_certify_infeasible`` checks them.
         """
-        if self.stat[j] != _BASIC:
-            raise PipelineInvariantError("bound change on a nonbasic variable")
-        if not all(v is None or type(v) is int for v in (lo, hi)):
-            raise PipelineInvariantError("bound change to a bound that is not an int")
-        L = self.L
-        lo = self.lower[j] if lo is None else lo * L
-        hi = self.upper[j] if hi is None else hi * L
-        if lo > hi:
-            raise PipelineInvariantError("bound change crosses the other bound")
-        self.lower[j], self.upper[j] = lo, hi
         T, lower, upper, stat, basis = self.T, self.lower, self.upper, self.stat, self.basis
         dens = self.dens
         r, n = self.r, self.n
         cost_row = T[r]
-        kL = self.k * L
-        self.pivots = self.flips = 0
+        kL = self.k * self.L
         # the objective is zr / (|dens[r]| * k * L), zr being -cost_row[n]
         # read against the sign of dens[r]; it reaches cost / cost_den when
         # zr * cost_den >= cost * |dens[r]| * k * L
@@ -545,7 +473,7 @@ class Tableau:
             # a column at its lower bound may only rise and one at its upper
             # bound only fall, moving lv by -(entry) per unit: it is a
             # candidate only if that moves lv toward the bound lv violates.
-            # Artificials are fixed at 0 after phase 1 and never enter, nor
+            # Artificials are fixed at 0 after the crash and never enter, nor
             # does any other fixed column.  The candidates come in ratio
             # order, the least |reduced cost| / |entry| first (compared as
             # cross products, ties to the smallest index).  While that ratio

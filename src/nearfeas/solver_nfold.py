@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 from .boxes import coupled_model, partition_columns, partition_config_columns
 from .branch_bound import MIPStatus, SolveStats, solve_mip
 from .errors import EnumerationCapExceeded, InvalidInstanceError, PipelineInvariantError
-from .instances import MULTIPLICATIVE, NFoldConfigInstance, validate_nonneg, violation_report
+from .instances import MULTIPLICATIVE, ConfigBlock, NFoldConfigInstance, validate_nonneg
+from .instances import violation_report
 from .linalg import Matrix
 from .rationals import ONE, ZERO
 from .results import ApproxResult, SolveStatus, refine
@@ -244,8 +245,11 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats):
             SolveStatus.INFEASIBLE, stats=stats,
             notes=("case1", "a block has no exact local solutions"),
         )
-    cfg_inst = NFoldConfigInstance.build(
-        [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, config_lists)], inst.b0
+    # the core's records are built as they are, not parsed again: D, w and
+    # b0 come parsed from the instance, the configurations are int tuples
+    cfg_inst = NFoldConfigInstance(
+        tuple(ConfigBlock(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, config_lists)),
+        inst.b0,
     )
     bounds = tuple(min(eps * delta_cfg, eps * b) if b > 0 else ZERO for b in inst.b0)
     delegate = solve_config_core(cfg_inst, params, bounds, stats)

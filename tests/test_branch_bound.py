@@ -130,16 +130,16 @@ def test_stats_accumulate():
         # min x s.t. 2y + x = 3: the crash pivots y in at 3/2, the root; the
         # down child y <= 1 gives the incumbent y = x = 1 in one dual pivot,
         # the up child y >= 2 needs x < 0
-        ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1, 1, 0, 0, 1)),
+        ([[2, 1]], (3,), (5, 10), (0, 1), (3, 1, 0, 1, 1, 1, 1)),
         # min -y + 5z s.t. 2y + x - z = 3: the root has y = 3/2; the down child
         # gives the incumbent y = x = 1 (objective -1), the up child's ratio
         # test picks the pivot to y = 2, z = 1 (objective 3), and the child
         # is cut off by the incumbent without making it
-        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1, 1, 0, 0, 1)),
+        ([[2, 1, -1]], (3,), (5, 10, 10), (-1, 0, 5), (3, 0, 1, 1, 1, 1, 1)),
         # min z s.t. 2y + x = 3, z free of the row: every node's objective is
         # 0, so the infeasible up child y >= 2 is cut off at its first
         # iteration, before any pivot, by the down child's incumbent
-        ([[2, 1, 0]], (3,), (5, 10, 10), (0, 0, 1), (3, 0, 1, 1, 1, 1, 0, 0, 1)),
+        ([[2, 1, 0]], (3,), (5, 10, 10), (0, 0, 1), (3, 0, 1, 1, 1, 1, 1)),
     ],
 )
 def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
@@ -153,8 +153,6 @@ def test_branch_and_bound_counters(rows, rhs, upper, objective, counts):
         stats.bb_incumbents,
         stats.bb_max_depth,
         stats.lp_crash_pivots,
-        stats.lp_phase1_pivots,
-        stats.lp_phase2_pivots,
         stats.lp_dual_pivots,
     ) == counts
     assert stats.lp_pivots == sum(counts[5:])
@@ -307,23 +305,23 @@ def _unit_on_basis(lp, basis, y):
 
 
 # the draws of the property below with an infeasible child certified while
-# an artificial is still basic from phase 1, under the derandomized profile:
-# 34 of the 228 draws with an optimal parent, with Hypothesis 6.155, and 15
-# to 44 in eight runs of the unseeded profile
+# an artificial is still basic from the crash, under the derandomized
+# profile: 105 of the 261 draws with an optimal parent, with Hypothesis
+# 6.155, and 51 to 114 in ten runs of the unseeded profile
 _ARTIFICIAL_IN_J0_FLOOR = 10
 
 
-def test_dual_farkas_multipliers_come_from_the_phase_1_basis():
-    # after phase 1 the rows keep the structural columns, the value column
+def test_dual_farkas_multipliers_come_from_the_crash_basis():
+    # after the crash the rows keep the structural columns, the value column
     # and the columns of the artificials still basic, and an infeasible
-    # child's multipliers, recovered through the phase-1 basis, combine the
+    # child's multipliers, recovered through the crash basis, combine the
     # LP's rows into a unit vector on the current basis
     reached = []
 
     @settings(max_examples=300, deadline=None)
     @given(_lp_and_cut())
-    # the phase-1 rows sit over unequal denominators, so each must be
-    # brought over d0 before its multipliers add up
+    # the rows of the crash basis sit over unequal denominators, so each
+    # must be brought over d0 before its multipliers add up
     @example(
         (
             dense_lp(
@@ -353,14 +351,12 @@ def test_dual_farkas_multipliers_come_from_the_phase_1_basis():
     def prop(case):
         lp = case[0]
         c = lp.matrix.cols
-        iterate, check = Tableau._iterate, Tableau._certify_infeasible
+        drop, check = Tableau._drop_artificials, Tableau._certify_infeasible
         kept, calls = [], []
 
-        def phase_1_then_2(tab):
-            status = iterate(tab)
-            if not kept:
-                kept.append(sum(j >= c for j in tab.basis))
-            return status
+        def dropped(tab):
+            kept.append(sum(j >= c for j in tab.basis))
+            drop(tab)
 
         def certified(tab, y):
             assert _unit_on_basis(lp, tab.basis, y)
@@ -368,12 +364,12 @@ def test_dual_farkas_multipliers_come_from_the_phase_1_basis():
             check(tab, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Tableau, "_iterate", phase_1_then_2)
+            mp.setattr(Tableau, "_drop_artificials", dropped)
             tab = Tableau(lp)
             status = tab.solve()
         if status != LPStatus.OPTIMAL:
             return
-        assert all(len(row) == c + 1 + kept[0] for row in tab.T)
+        assert len(kept) == 1 and all(len(row) == c + 1 + kept[0] for row in tab.T)
         # every cut int_cut makes on the optimum, each on its own copy
         basics = sum(j < c for j in tab.basis)
         infeasible = 0
@@ -502,13 +498,14 @@ def test_warm_children_of_pinned_degenerate_lps():
 
 
 def test_fixed_column_never_enters_the_dual_ratio_test():
-    # min -x0 - 3/2 x1  s.t.  x0 + x1 + x2 = 5/2, x1 fixed at 0.  The primal
-    # never moves the fixed x1, so at the optimum (x0 basic at 5/2) its
-    # reduced cost -1/2 has the sign that would make it enter.  Cutting x0 to
-    # [0, 2] makes x1 (ratio 1/2) and x2 (ratio 1) candidates; x1 entering
-    # would leave x2's reduced cost dual infeasible, and a long step would
-    # pass x1 by a flip that moves nothing.  Only x2 may enter, and nothing
-    # flips.
+    # min -x0 - 3/2 x1  s.t.  x0 + x1 + x2 = 5/2, x1 fixed at 0.  The crash
+    # pivots x0 in at 5/2, and x1's reduced cost -1/2 makes the cold solve
+    # flip it to its upper bound, 0, which moves nothing.  Cutting x0 to
+    # [0, 2] makes only x2 a candidate: it enters, and nothing flips.
+    # Cutting x0 to [3, 3] would make x1, whose fall would raise x0, a
+    # candidate of ratio 1/2: a long step would pass it by a flip that
+    # moves nothing.  It is fixed, so the child has no candidate and is
+    # infeasible at once.
     lp = dense_lp(
         [[1, 1, 1]],
         (Rat(5, 2),),
@@ -519,11 +516,14 @@ def test_fixed_column_never_enters_the_dual_ratio_test():
     tab = Tableau(lp)
     assert tab.solve() == LPStatus.OPTIMAL
     assert tab.basis == [0]
+    up = tab.copy()
     assert tab.reoptimize(0, None, 2) == LPStatus.OPTIMAL
     assert (tab.pivots, tab.flips, tab.basis) == (1, 0, [2])
     sol = tab.vertex()
     assert sol.values == (2, 0, Rat(1, 2))
     assert sol.objective_value == -2
+    assert up.reoptimize(0, 3, None) == LPStatus.INFEASIBLE
+    assert (up.pivots, up.flips) == (0, 0)
 
 
 # (rows, rhs, upper, objective, cut, (pivots, flips, basis)), every lower
@@ -675,8 +675,8 @@ def _assert_over_d(rows, dens, d, ref_rows):
     ),
     [],
 )
-# phase 1's ratio test meets a row over a stale denominator, so it must read
-# the row's own
+# the crash leaves a row over a stale denominator, 1 while d is -1, so the
+# child's dual simplex must read the row's own
 @example(
     (
         dense_lp(

@@ -67,8 +67,6 @@ def test_solve_general_with_oracle_check(tmp_path, capsys):
     assert set(report["solve_stats"]) == {
         "lp_pivots",
         "lp_crash_pivots",
-        "lp_phase1_pivots",
-        "lp_phase2_pivots",
         "lp_dual_pivots",
         "lp_dual_flips",
         "bb_nodes",

@@ -25,7 +25,7 @@ def test_every_mutant_snippet_occurs_exactly_once():
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["--help"], 0), (["-h"], 0), (["phase-2-skipped", "no-such-mutant"], 2)],
+    [(["--help"], 0), (["-h"], 0), (["dual-feasibility-flips-skipped", "no-such-mutant"], 2)],
 )
 def test_help_and_unknown_names_start_no_test_run(monkeypatch, capsys, argv, code):
     tool = _tool()
@@ -40,4 +40,4 @@ def test_help_and_unknown_names_start_no_test_run(monkeypatch, capsys, argv, cod
     if code == 0:
         assert out.strip() == tool.__doc__.strip()
     else:
-        assert "no-such-mutant" in err and "phase-2-skipped" not in err
+        assert "no-such-mutant" in err and "dual-feasibility-flips-skipped" not in err

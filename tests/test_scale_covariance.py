@@ -4,10 +4,9 @@ Box widths are delta * Delta.  Scaling the coupling rows ((H, b), or the
 D^i and b0) by lambda > 0 scales Delta and every box by lambda, so the
 partitions are the same, the mixed model is a row and column scaling of the
 old one with the same optimum, and an additive bound scales by lambda (a
-multiplicative one is epsilon itself).  Simplex paths are not
-scale-invariant (phase 1 weighs every row by its scale), so reports may
-differ beyond these three facts.  lambda = -1 is no symmetry: box floors are
-not odd functions.
+multiplicative one is epsilon itself).  Simplex paths are not held to be
+scale-invariant, so reports may differ beyond these three facts.  lambda =
+-1 is no symmetry: box floors are not odd functions.
 """
 
 import random

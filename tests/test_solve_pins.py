@@ -4,8 +4,8 @@ Pivot and node counts are deterministic, so a change to any pivot or
 branching decision fails here, not only in the benchmark.  Two instances
 per pipeline; every one carries halves, and the general instance of seed 4
 has rational constraint rows, right-hand side and weights alike.  The same
-solves check that ``lp_dual_flips`` counts the bound flips the node
-re-optimizations make.
+solves check that ``lp_dual_flips`` counts the bound flips of every dual
+simplex run, a cold solve's and the node re-optimizations'.
 """
 
 import json
@@ -26,11 +26,11 @@ _GENERATORS = {
 
 # (kind, seed, lp_pivots, bb_nodes, objective) at --epsilon 1/5
 _CASES = [
-    ("general", 2, 54, 49, "-3"),
-    ("general", 4, 37, 27, "-37/2"),
-    ("nfold_config", 0, 65, 29, "-7"),
-    ("nfold_config", 3, 59, 31, "2"),
-    ("nfold_nonneg", 16, 28, 11, "27"),
+    ("general", 2, 56, 49, "-3"),
+    ("general", 4, 33, 27, "-37/2"),
+    ("nfold_config", 0, 58, 29, "-7"),
+    ("nfold_config", 3, 47, 31, "2"),
+    ("nfold_nonneg", 16, 24, 11, "27"),
     ("nfold_nonneg", 4, 19, 7, "22"),
 ]
 
@@ -50,7 +50,7 @@ def test_solve_effort_is_pinned(tmp_path, capsys, kind, seed, pivots, nodes, obj
     assert report["status"] == "ok"
     stats = report["solve_stats"]
     assert (stats["lp_pivots"], stats["bb_nodes"], report["objective"]) == (pivots, nodes, objective)
-    phases = ("lp_crash_pivots", "lp_phase1_pivots", "lp_phase2_pivots", "lp_dual_pivots")
+    phases = ("lp_crash_pivots", "lp_dual_pivots")
     assert stats["lp_pivots"] == sum(stats[k] for k in phases)
 
 
@@ -61,26 +61,27 @@ def test_a_pinned_instance_has_rational_rows_rhs_and_weights():
 
 
 def test_the_reported_dual_flips_are_the_re_optimizations_flips(tmp_path, capsys):
-    # every Tableau._flip made inside a re-optimization, counted from
-    # outside; the primal bound flips of cold solves are not dual flips
-    flip, reoptimize = Tableau._flip, Tableau.reoptimize
+    # every Tableau._flip made inside a dual simplex run, cold or warm,
+    # counted from outside; the flips that make a cold solve's crash basis
+    # dual feasible come before its run and are not dual flips
+    flip, dual = Tableau._flip, Tableau._dual
     inside, counted = [], []
 
     def counting_flip(tab, k):
         counted[-1] += bool(inside)
         flip(tab, k)
 
-    def marked_reoptimize(tab, *args):
+    def marked_dual(tab, *args):
         inside.append(tab)
         try:
-            return reoptimize(tab, *args)
+            return dual(tab, *args)
         finally:
             inside.pop()
 
     reported = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tableau, "_flip", counting_flip)
-        mp.setattr(Tableau, "reoptimize", marked_reoptimize)
+        mp.setattr(Tableau, "_dual", marked_dual)
         for kind, seed, *_ in _CASES:
             counted.append(0)
             reported.append(_solve(tmp_path, capsys, kind, seed)["solve_stats"]["lp_dual_flips"])

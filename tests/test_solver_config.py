@@ -183,10 +183,9 @@ def test_a_rounding_that_moves_type_mass_is_rejected(monkeypatch):
 
 def test_the_tu_re_solve_is_counted_by_phase():
     # the TU re-solve is a cold solve: its pivots count in lp_pivots and in
-    # the crash, phase-1 and phase-2 counters, as the root's do
+    # the crash and dual counters, as the root's do
     params = ApproxParams.build(Rat(1, 5), delta_override=Rat(1), refinement_limit=16)
     with record_stages() as trace:
         stats = solve_nfold_config(instance_from_dict(_TU_ROUNDED), params).stats
     assert trace.tu_calls
-    phases = (stats.lp_crash_pivots, stats.lp_phase1_pivots, stats.lp_phase2_pivots)
-    assert stats.lp_pivots == sum(phases) + stats.lp_dual_pivots
+    assert stats.lp_pivots == stats.lp_crash_pivots + stats.lp_dual_pivots

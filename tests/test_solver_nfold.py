@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nearfeas import solver_nfold
 from nearfeas.errors import EnumerationCapExceeded, RefinementLimitExceeded
 from nearfeas.generate import gen_nonneg
-from nearfeas.instances import ApproxParams, NFoldNonnegInstance
+from nearfeas.instances import ApproxParams, NFoldConfigInstance, NFoldNonnegInstance
 from nearfeas.oracle import brute_force_nfold
 from nearfeas.rationals import ONE, Rat
 from nearfeas.results import SolveStatus
@@ -235,6 +235,38 @@ def test_case1_threshold_boundary():
     res = solve_nfold(inst, ApproxParams.build(Rat(4, 5)))
     assert "case1" in res.notes
     assert res.status == SolveStatus.OK
+
+
+@pytest.mark.parametrize(
+    "blocks, b0",
+    [
+        ([([[1]], [[1]], [1], [5], [1]), ([[1]], [[1]], [1], [5], [1])], [2]),
+        ([([["1/10", 1]], [[1, 1]], [1], [10, 1], [1, "1/3"])], ["3/2"]),
+        ([([[1, 2], [0, 1]], [[1, 1], ["1/2", 0]], [4, 1], [4, 2], [2, -1])], [3, 1]),
+    ],
+)
+def test_case1_builds_the_core_that_build_makes(monkeypatch, blocks, b0):
+    # the configuration core handed to the config pipeline equals the one
+    # NFoldConfigInstance.build parses from the same blocks and b0
+    inst = _inst(blocks, b0)
+    cores, core_solve = [], solver_nfold.solve_config_core
+
+    def kept(core, *args):
+        cores.append(core)
+        return core_solve(core, *args)
+
+    monkeypatch.setattr(solver_nfold, "solve_config_core", kept)
+    res = solve_nfold(inst, ApproxParams.build(Rat(4, 5)))
+    assert "case1" in res.notes and len(cores) == 1
+    sblocks = normalize_blocks(inst)
+    psi = Rat(4, 5) / (4 * inst.blocks[0].A.cols)
+    splits = [classify_and_split(sb, psi) for sb in sblocks]
+    configs = _major_configs(sblocks, splits, (ONE, ONE), 200_000)
+    built = NFoldConfigInstance.build(
+        [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, configs)], inst.b0
+    )
+    # equal values of equal types: a Fraction and an int would compare equal
+    assert cores[0] == built and repr(cores[0]) == repr(built)
 
 
 def test_case2_small_column_end_to_end():

@@ -84,7 +84,8 @@ _WARM = (  # the pinned test first, so that -x stops at its quick failure
 )
 _COLD = ("tests/test_simplex.py::test_random_lps_match_enumeration",)
 _COLD_CERTIFIED = "tests/test_simplex.py::test_every_cold_infeasible_lp_is_certified"
-_FARKAS = "tests/test_branch_bound.py::test_dual_farkas_multipliers_come_from_the_phase_1_basis"
+_FARKAS = "tests/test_branch_bound.py::test_dual_farkas_multipliers_come_from_the_crash_basis"
+_COLD_FLIPS = "tests/test_simplex.py::test_the_cold_flips_leave_every_reduced_cost_on_its_status_side"
 _EAGER = "tests/test_branch_bound.py::test_per_row_denominators_match_the_eager_tableau"
 _CRASH = "tests/test_simplex.py::test_the_crash_start_keeps_every_basic_value_within_its_bounds"
 _CRASH_PINNED = "tests/test_simplex.py::test_the_crash_start_matches_the_reference_on_pinned_lps"
@@ -325,7 +326,7 @@ MUTANTS = (
     Mutant(
         "tu-round-counts-no-phases",
         "src/nearfeas/rounding.py",
-        "        stats.count_cold_solve(tab)\n",
+        "        stats.count_lp(tab)\n",
         "        stats.lp_pivots += tab.pivots\n",
         ("tests/test_solver_config.py::test_the_tu_re_solve_is_counted_by_phase",),
     ),
@@ -401,59 +402,25 @@ MUTANTS = (
     ),
     # the simplex and its kernel
     Mutant(
-        "phase-2-skipped",
+        "dual-feasibility-flips-skipped",
         _SIMPLEX,
-        "        return self._iterate()\n",
-        "        return LPStatus.OPTIMAL\n",
-        (
-            "tests/test_simplex.py::test_random_lps_match_enumeration",
-            "tests/test_report_digests.py::test_reports_match_the_pinned_digests",
-        ),
+        "            if rc and ((rc < 0) == pos) == (stat[j] == _LOW):\n",
+        "            if False:\n",
+        (_COLD_FLIPS, *_COLD, _DIGESTS),
     ),
     Mutant(
-        "phase-2-row-not-swapped-in",
+        "cold-flip-sign-inverted",
         _SIMPLEX,
-        "        T[r] = T.pop()\n        dens[r] = dens.pop()\n",
+        "if rc and ((rc < 0) == pos) == (stat[j] == _LOW):",
+        "if rc and ((rc > 0) == pos) == (stat[j] == _LOW):",
+        (_COLD_FLIPS, *_COLD),
+    ),
+    Mutant(
+        "artificial-ranges-left-open",
+        _SIMPLEX,
+        "        self.lower[c:] = [0] * r\n        self.upper[c:] = [0] * r\n",
         "",
-        _COLD + _WARM,
-    ),
-    Mutant(
-        "phase-1-infeasibility-ignored",
-        _SIMPLEX,
-        "        if T[r][n]:\n",
-        "        if False:\n",
-        (
-            "tests/test_simplex.py::test_trivial_infeasible",
-            "tests/test_simplex.py::test_random_lps_match_enumeration",
-        ),
-    ),
-    Mutant(
-        "phase-1-certificate-skipped",
-        _SIMPLEX,
-        "            self._certify_infeasible(y)\n",
-        "",
-        (_COLD_CERTIFIED,),
-    ),
-    Mutant(
-        "phase-1-certificate-unweighted",
-        _SIMPLEX,
-        "y = [si * (k1 // s) * dens[r] - a for",
-        "y = [si * dens[r] - a for",
-        (_COLD_CERTIFIED,),
-    ),
-    Mutant(
-        "phase-1-unweighted",
-        _SIMPLEX,
-        "                w = k1 // s if ri > 0 else -(k1 // s)\n",
-        "                w = 1 if ri > 0 else -1\n",
-        ("tests/test_simplex.py::test_rational_entry_lps_match",),
-    ),
-    Mutant(
-        "phase-1-certificate-sign-flipped",
-        _SIMPLEX,
-        "sigma = [(hi > 0) - (lo < 0) for",
-        "sigma = [(lo < 0) - (hi > 0) for",
-        (_COLD_CERTIFIED,),
+        ("tests/test_simplex.py::test_trivial_infeasible", *_COLD),
     ),
     Mutant(
         "tableau-bound-slices-shifted",
@@ -472,16 +439,9 @@ MUTANTS = (
     Mutant(
         "tableau-rhs-unscaled",
         _SIMPLEX,
-        "self.rhs = tuple(v * s for v, s in zip(bs, scales))",
-        "self.rhs = tuple(v for v, s in zip(bs, scales))",
+        "self.rhs = tuple(v * s for v, s in zip(bs, lp.matrix.scales))",
+        "self.rhs = tuple(v for v, s in zip(bs, lp.matrix.scales))",
         ("tests/test_simplex.py::test_a_fresh_tableau_is_the_lps_own_integer_rows", *_COLD),
-    ),
-    Mutant(
-        "ratio-ties-to-larger-index",
-        _SIMPLEX,
-        "(gap * la == lg * a and bi < basis[leave])",
-        "(gap * la == lg * a and bi > basis[leave])",
-        ("tests/test_simplex.py::test_pinned_pivot_paths",),
     ),
     Mutant(
         "copy-shares-dens",
@@ -489,13 +449,6 @@ MUTANTS = (
         "        new.dens = self.dens[:]\n",
         "",
         (_EAGER, "tests/test_branch_bound.py::test_a_mutated_copy_leaves_its_parent_unchanged"),
-    ),
-    Mutant(
-        "primal-ratio-test-reads-d",
-        _SIMPLEX,
-        "                di = dens[i]\n                pos = di > 0\n",
-        "                di = self.d\n                pos = di > 0\n",
-        ("tests/test_simplex.py::test_pinned_pivot_paths", _EAGER),
     ),
     Mutant(
         "dual-leaving-scan-reads-d",
@@ -516,13 +469,6 @@ MUTANTS = (
         _SIMPLEX,
         "                values[b] = row[n] * e // di\n",
         "                values[b] = row[n]\n",
-        (_EAGER,),
-    ),
-    Mutant(
-        "primal-entering-sign-reads-d",
-        _SIMPLEX,
-        "            pos = dens[self.r] > 0\n",
-        "            pos = self.d > 0\n",
         (_EAGER,),
     ),
     Mutant(
@@ -614,7 +560,7 @@ MUTANTS = (
     Mutant(
         "dual-pivots-not-counted",
         _BB,
-        "            run.lp_dual_pivots += tab.pivots\n",
+        "        self.lp_dual_pivots += tab.pivots - tab.crash_pivots\n",
         "",
         ("tests/test_branch_bound.py::test_branch_and_bound_counters",),
     ),
@@ -734,7 +680,7 @@ MUTANTS = (
     Mutant(
         "dual-flips-not-counted",
         _BB,
-        "            run.lp_dual_flips += tab.flips\n",
+        "        self.lp_dual_flips += tab.flips\n",
         "",
         ("tests/test_solve_pins.py::test_the_reported_dual_flips_are_the_re_optimizations_flips",),
     ),
@@ -762,15 +708,15 @@ MUTANTS = (
     Mutant(
         "farkas-unscaled",
         _SIMPLEX,
-        "y[i] += b * (a * d0 // s)",
-        "y[i] += b * a",
+        "[(i, a * d0 // s) for i, a in enumerate(t[c : c + r]) if a]",
+        "[(i, a) for i, a in enumerate(t[c : c + r]) if a]",
         (_FARKAS, *_WARM),
     ),
     Mutant(
         "farkas-reads-the-current-basis",
         _SIMPLEX,
-        "for t, s, p in zip(block, dens0, at):",
-        "for t, s, p in zip(block, dens0, self.basis):",
+        "for t, p in zip(inverse, at):",
+        "for t, p in zip(inverse, self.basis):",
         (_FARKAS, *_WARM),
     ),
     Mutant(
@@ -781,16 +727,18 @@ MUTANTS = (
         (_FARKAS, *_WARM),
     ),
     Mutant(
-        "artificial-block-taken-after-the-cut",
+        "crash-inverse-taken-after-the-cut",
         _SIMPLEX,
-        "        block = [t[c : c + r] for t in T[:r]]\n"
-        "        cols = [c + r] + keep\n"
-        "        for t in T:\n"
-        "            t[c:] = [t[j] for j in cols]\n",
         "        cols = [c + r] + keep\n"
         "        for t in T:\n"
         "            t[c:] = [t[j] for j in cols]\n"
-        "        block = [t[c : c + r] for t in T[:r]]\n",
+        "        self.crash_inverse",
+        "        cols = [c + r] + keep\n"
+        "        for t in T:\n"
+        "            t[c:] = [t[j] for j in cols]\n"
+        "        inverse = [[(i, a * d0 // s) for i, a in enumerate(t[c : c + r]) if a]\n"
+        "                   for t, s in zip(T[:r], self.dens)]\n"
+        "        self.crash_inverse",
         (_FARKAS, *_WARM),
     ),
     Mutant(
