@@ -17,7 +17,6 @@ from .instances import (
     NFoldNonnegInstance,
     ViolationReport,
     load_instance,
-    dump_instance,
     validate_general,
     violation_report,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "brute_force_config",
     "brute_force_general",
     "brute_force_nfold",
-    "dump_instance",
     "format_rat",
     "load_instance",
     "parse_rat",

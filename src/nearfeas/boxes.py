@@ -45,7 +45,7 @@ def snap_delta(delta):
 
 def _grid(mats, delta):
     """The integer grid of a partition of the columns of ``mats``: its
-    snapped delta, its scale, its unit, and its splitter, which maps a matrix
+    snapped delta, its unit, and its splitter, which maps a matrix
     to each column's cell (an int tuple), the cell's lower corner and the
     residual column - corner, both as int tuples over the unit."""
     delta = snap_delta(delta)
@@ -71,13 +71,12 @@ def _grid(mats, delta):
             out.append((cell, corner, residual))
         return out
 
-    return delta, Rat(top, den), cells * den, split
+    return delta, cells * den, split
 
 
 @dataclass(frozen=True)
 class BoxPartition:
     delta: object  # snapped
-    scale: object
     unit: int  # the denominator of every canonical and residual entry
     groups: dict  # cell (int tuple) -> list of column indices
     canonicals: dict  # cell -> canonical vector, ints over unit
@@ -88,7 +87,7 @@ def partition_columns(mat, delta):
     """Group the columns of mat by cell; only occupied cells materialize."""
     if mat.cols == 0:
         raise ValueError("matrix has no columns")
-    delta, scale, unit, split = _grid([mat], delta)
+    delta, unit, split = _grid([mat], delta)
     groups = {}
     canonicals = {}
     residuals = []
@@ -96,13 +95,12 @@ def partition_columns(mat, delta):
         groups.setdefault(cell, []).append(j)
         canonicals[cell] = corner
         residuals.append(residual)
-    return BoxPartition(delta, scale, unit, groups, canonicals, tuple(residuals))
+    return BoxPartition(delta, unit, groups, canonicals, tuple(residuals))
 
 
 @dataclass(frozen=True)
 class ConfigBoxPartition:
     delta: object
-    scale: object
     unit: int  # the denominator of every canonical and residual entry
     type_groups: dict  # tuple of cells, one per column -> list of block indices
     canonical_matrices: dict  # type -> canonical vectors (one per column), ints over unit
@@ -122,7 +120,7 @@ def partition_config_columns(mats, delta):
     for m in mats:
         if m.rows != mats[0].rows:
             raise ValueError("dimension mismatch: blocks differ in row count")
-    delta, scale, unit, split = _grid(mats, delta)
+    delta, unit, split = _grid(mats, delta)
     type_groups = {}
     canonical_matrices = {}
     residual_matrices = []
@@ -135,7 +133,7 @@ def partition_config_columns(mats, delta):
         type_groups[key].append(i)
         residual_matrices.append(tuple(residual for _, _, residual in columns))
     return ConfigBoxPartition(
-        delta, scale, unit, type_groups, canonical_matrices, tuple(residual_matrices)
+        delta, unit, type_groups, canonical_matrices, tuple(residual_matrices)
     )
 
 

@@ -21,17 +21,11 @@ checked against the equations and the node's bounds, and every infeasible
 node, the root included, by its Farkas certificate.
 """
 
-import enum
 from dataclasses import dataclass
 
 from .errors import NodeLimitExceeded
 from .rationals import Rat, is_integral
 from .simplex import LinearProgram, LPStatus, Tableau
-
-
-class MIPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,6 @@ class MixedSolution:
     """The optimum as integers: x_j is ``numerators[j] / den``, den > 0
     (``numerators`` is None when infeasible); ``values`` builds the Rats."""
 
-    status: MIPStatus
     numerators: list | None
     den: int
     objective_value: object
@@ -158,6 +151,6 @@ def solve_mip(model, node_limit=10**6, stats=None):
 
     counts = (run.bb_nodes - nodes0, run.lp_pivots - pivots0)
     if best is None:
-        return MixedSolution(MIPStatus.INFEASIBLE, None, 1, None, *counts)
+        return MixedSolution(None, 1, None, *counts)
     cost, cost_den, values, den = best
-    return MixedSolution(MIPStatus.OPTIMAL, values, den, Rat(cost, cost_den), *counts)
+    return MixedSolution(values, den, Rat(cost, cost_den), *counts)

@@ -76,11 +76,13 @@ def _solution_json(x):
 
 
 def _result_report(kind, epsilon, result):
+    vr = result.report  # a ViolationReport, or None: every field below reads None or empty
+    residual = getattr(vr, "residual", ())
     report = {
         "kind": kind,
         "epsilon": format_rat(epsilon),
         "status": result.status.value,
-        "within_bound": bool(result.report.within_bound) if result.report else False,
+        "within_bound": bool(getattr(vr, "within_bound", False)),
         "refinements": result.refinements,
         # every SolveStats field, without asdict's deep copy of each int
         "solve_stats": {
@@ -88,21 +90,14 @@ def _result_report(kind, epsilon, result):
         },
         "x": _solution_json(result.x),
         "notes": list(result.notes),
+        "mode": getattr(vr, "mode", None),
+        "residual": [format_rat(v) for v in residual],
+        "residual_approx": [to_float(v) for v in residual],
+        "delta_used": format_rat(result.delta_used) if result.delta_used is not None else None,
     }
     _rat_json(report, "objective", result.objective)
-    if result.report is not None:
-        report["mode"] = result.report.mode
-        report["residual"] = [format_rat(v) for v in result.report.residual]
-        report["residual_approx"] = [to_float(v) for v in result.report.residual]
-        _rat_json(report, "max_abs_residual", result.report.max_abs_residual)
-        _rat_json(report, "bound", result.report.bound)
-    else:
-        report["mode"] = None
-        report["residual"] = []
-        report["residual_approx"] = []
-        _rat_json(report, "max_abs_residual", None)
-        _rat_json(report, "bound", None)
-    report["delta_used"] = format_rat(result.delta_used) if result.delta_used is not None else None
+    _rat_json(report, "max_abs_residual", getattr(vr, "max_abs_residual", None))
+    _rat_json(report, "bound", getattr(vr, "bound", None))
     return report
 
 

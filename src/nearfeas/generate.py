@@ -10,9 +10,9 @@ from .instances import GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
 from .rationals import Rat
 
 
-def _rat_entry(rng, max_abs, allow_halves=True):
+def _rat_entry(rng, max_abs):
     num = rng.randint(-max_abs, max_abs)
-    if allow_halves and rng.random() < 0.3:
+    if rng.random() < 0.3:
         return Rat(2 * num + rng.choice((-1, 1)), 2)
     return Rat(num)
 
@@ -112,10 +112,10 @@ def gen_nonneg(rng, n_blocks=3, s_a=2, s_d=2, t=2, u_max=3, feasible=True, small
     return NFoldNonnegInstance.build(blocks, b0)
 
 
-def gen_scheduling(rng, n_jobs=4, m_machines=2, p_max=5, with_costs=False):
+def gen_scheduling(rng, n_jobs=4, m_machines=2, with_costs=False):
     """Random unrelated-machines instance with a feasible makespan target:
     cmax is the max load of a random assignment."""
-    p = [[rng.randint(1, p_max) for _ in range(m_machines)] for _ in range(n_jobs)]
+    p = [[rng.randint(1, 5) for _ in range(m_machines)] for _ in range(n_jobs)]
     loads = [0] * m_machines
     for i in range(n_jobs):
         h = rng.randrange(m_machines)

@@ -250,7 +250,6 @@ class ApproxParams:
     delta_override: object = None
     refinement_limit: int = 12
     node_limit: int = 10**6
-    config_cap: int = 200_000
 
     @classmethod
     def build(cls, epsilon, **kw):
@@ -260,7 +259,7 @@ class ApproxParams:
         if kw.get("delta_override") is not None:
             kw["delta_override"] = _param_rat("delta_override", kw["delta_override"])
         params = cls(eps, **kw)
-        for name in ("refinement_limit", "node_limit", "config_cap"):
+        for name in ("refinement_limit", "node_limit"):
             value = getattr(params, name)
             if isinstance(value, bool) or not isinstance(value, int):  # as ``_parse_int``
                 raise InvalidInstanceError([f"{name} must be an integer"])
@@ -269,8 +268,6 @@ class ApproxParams:
             problems.append("refinement_limit must be nonnegative")
         if params.node_limit < 1:
             problems.append("node_limit must be positive")
-        if params.config_cap < 1:
-            problems.append("config_cap must be positive")
         if params.delta_override is not None and params.delta_override <= 0:
             problems.append("delta_override must be positive")
         if problems:
@@ -470,19 +467,19 @@ def violation_report(inst, x, mode, bound):
 # JSON wire format
 
 
-def instance_from_dict(data, path="$"):
+def instance_from_dict(data):
     if not isinstance(data, dict):
-        raise InstanceFormatError(path, "expected an object")
+        raise InstanceFormatError("$", "expected an object")
     fmt = data.get("format")
     if type(fmt) is not int or fmt != 1:
-        raise InstanceFormatError(f"{path}.format", "missing or unsupported format (need 1)")
+        raise InstanceFormatError("$.format", "missing or unsupported format (need 1)")
     if "kind" not in data:
-        raise InstanceFormatError(f"{path}.kind", "missing field")
+        raise InstanceFormatError("$.kind", "missing field")
     kind = data["kind"]
     cls = KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise InstanceFormatError(f"{path}.kind", f"unknown kind {kind!r}")
-    return _parse_fields(cls, data, path)
+        raise InstanceFormatError("$.kind", f"unknown kind {kind!r}")
+    return _parse_fields(cls, data, "$")
 
 
 def instance_to_dict(inst):
@@ -510,8 +507,3 @@ def load_instance(path):
             raise InstanceFormatError("$", f"invalid JSON: {reason}") from exc
     return instance_from_dict(data)
 
-
-def dump_instance(inst, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,21 +8,26 @@ for the ``row`` and ``column`` views.
 """
 
 import math
+from dataclasses import dataclass
 
 from .backend import dot
 from .rationals import ZERO, Rat, as_rat, integer_row
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable rows x cols rational matrix; the constructor takes each
     row's nonzeros in column order over a positive int scale, and divides the
     row by the gcd of its scale and its entries."""
 
-    __slots__ = ("rows", "cols", "nonzeros", "scales")
+    rows: int
+    cols: int
+    nonzeros: tuple
+    scales: tuple
 
-    def __init__(self, rows, cols, nonzeros, scales):
-        nonzeros, scales = list(nonzeros), list(scales)
-        if rows < 0 or cols < 0 or len(nonzeros) != rows or len(scales) != rows:
+    def __post_init__(self):
+        nonzeros, scales = list(self.nonzeros), list(self.scales)
+        if min(self.rows, self.cols) < 0 or not len(nonzeros) == len(scales) == self.rows:
             raise ValueError("dimension mismatch: row count != rows")
         for i, (nz, s) in enumerate(zip(nonzeros, scales)):
             if s < 1:
@@ -30,13 +35,8 @@ class Matrix:
             g = math.gcd(s, *[a for _, a in nz]) if s != 1 else 1
             nonzeros[i] = tuple([(j, a // g) for j, a in nz] if g != 1 else nz)
             scales[i] = s // g
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nonzeros", tuple(nonzeros))
         object.__setattr__(self, "scales", tuple(scales))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, data):
@@ -74,19 +74,3 @@ class Matrix:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(Rat(dot(nz, x), s) for nz, s in zip(self.nonzeros, self.scales))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.scales == other.scales
-            and self.nonzeros == other.nonzeros
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.nonzeros, self.scales))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}, {self.cols}, {self.nonzeros!r}, {self.scales!r})"
-

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .backend import dot
 from .boxes import coupled_model, partition_config_columns
-from .branch_bound import MIPStatus, SolveStats, solve_mip
+from .branch_bound import SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_config, violation_report
 from .linalg import Matrix
@@ -185,7 +185,7 @@ def _attempt(norm, delta, slack_bounds, params, stats):
     part = partition_config_columns(norm.value_mats, delta)
     model = build_mip4(norm, part, slack_bounds=slack_bounds)
     mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
-    if mixed.status == MIPStatus.INFEASIBLE:
+    if mixed.numerators is None:
         return None
     chosen, _ = select_columns(model, mixed, stats)
     return tuple(norm.configs[i][phi] for i, phi in enumerate(chosen))

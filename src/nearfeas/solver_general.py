@@ -19,7 +19,7 @@ set admits an integer point (which certifies the original as infeasible).
 """
 
 from .boxes import coupled_model, partition_columns
-from .branch_bound import MIPStatus, SolveStats, solve_mip
+from .branch_bound import SolveStats, solve_mip
 from .errors import InvalidInstanceError, PipelineInvariantError
 from .instances import ADDITIVE, validate_general, violation_report
 from .rationals import Rat, integer_row
@@ -96,7 +96,7 @@ def solve_general(inst, params):
         part = partition_columns(inst.H, delta)
         model = build_mip1(inst, part, slack_bound=bound)
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
-        if mixed.status == MIPStatus.INFEASIBLE:
+        if mixed.numerators is None:
             return ApproxResult(SolveStatus.INFEASIBLE, delta_used=part.delta, stats=stats)
         x, _ = round_within_groups(model, mixed)
         report = violation_report(inst, x, ADDITIVE, bound)

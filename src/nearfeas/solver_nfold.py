@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .boxes import coupled_model, partition_columns, partition_config_columns
-from .branch_bound import MIPStatus, SolveStats, solve_mip
+from .branch_bound import SolveStats, solve_mip
 from .errors import EnumerationCapExceeded, InvalidInstanceError, PipelineInvariantError
 from .instances import MULTIPLICATIVE, ConfigBlock, NFoldConfigInstance, validate_nonneg
 from .instances import violation_report
@@ -47,6 +47,7 @@ class ScaledBlock:
 
 
 BIG, SMALL, FIXED = "big", "small", "fixed"
+CONFIG_CAP = 200_000  # major configurations per block before EnumerationCapExceeded
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,11 @@ def build_mip6(inst, sblocks, splits, majors, delta1, delta2, slack_bounds, epsi
     return model, minor_keys
 
 
-def _major_configs(sblocks, splits, window, cap):
+def _major_configs(sblocks, splits, window):
     """Major configurations of every block, or None once a block has none."""
     out = []
     for sb, split in zip(sblocks, splits):
-        cfgs = enumerate_major_configs(sb, split, window, cap)
+        cfgs = enumerate_major_configs(sb, split, window, CONFIG_CAP)
         if not cfgs:
             return None
         out.append(cfgs)
@@ -239,7 +240,7 @@ def _solve_case1(inst, params, sblocks, splits, delta_cfg, stats):
     local solution sets, then restate the additive outcome multiplicatively."""
     eps = params.epsilon
     # the exact local solution sets: window [1, 1] on every surviving row
-    config_lists = _major_configs(sblocks, splits, (ONE, ONE), params.config_cap)
+    config_lists = _major_configs(sblocks, splits, (ONE, ONE))
     if config_lists is None:
         return ApproxResult(
             SolveStatus.INFEASIBLE, stats=stats,
@@ -288,7 +289,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats):
     slack_bounds = tuple((eps / 2) * b if b > 0 else ZERO for b in inst.b0)
     window = (1 - eps / 2, 1 + eps / 2)
 
-    config_lists = _major_configs(sblocks, splits, window, params.config_cap)
+    config_lists = _major_configs(sblocks, splits, window)
     if config_lists is None:
         return ApproxResult(
             SolveStatus.INFEASIBLE, stats=stats,
@@ -316,7 +317,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats):
             # big and removes the overshoot source entirely
             psi = psi / 2
             splits = [classify_and_split(sb, psi) for sb in sblocks]
-            config_lists = _major_configs(sblocks, splits, window, params.config_cap)
+            config_lists = _major_configs(sblocks, splits, window)
             if config_lists is None:
                 return ApproxResult(
                     SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats,
@@ -327,7 +328,7 @@ def _solve_case2(inst, params, sblocks, splits, psi, stats):
             inst, sblocks, splits, majors, delta1, delta1 * ratio, slack_bounds, eps
         )
         mixed = solve_mip(model.mixed, node_limit=params.node_limit, stats=stats)
-        if mixed.status == MIPStatus.INFEASIBLE:
+        if mixed.numerators is None:
             return ApproxResult(
                 SolveStatus.INFEASIBLE, delta_used=delta1, stats=stats, notes=("case2",)
             )

@@ -343,10 +343,10 @@ def test_criterion_9_mip_oracle_equivalence():
             if sol.status == LPStatus.OPTIMAL and (best is None or sol.objective_value < best):
                 best = sol.objective_value
         if best is None:
-            if got.status.value != "infeasible":
+            if got.numerators is not None:
                 _fail(9, "solver found a solution where enumeration found none")
         else:
-            if got.status.value != "optimal" or got.objective_value != best:
+            if got.numerators is None or got.objective_value != best:
                 _fail(9, f"objective {got.objective_value} differs from enumeration {best}")
         count += 1
     _pass(9, "100 mixed models, objective equals exhaustive enumeration, exactly")

@@ -17,6 +17,12 @@ def test_snap_delta():
         snap_delta(Rat(0))
 
 
+def _scale(*mats):
+    """The reference grid scale of the matrices: their largest |entry|, or 1
+    when every entry is 0."""
+    return max((abs(v) for m in mats for i in range(m.rows) for v in m.row(i)), default=0) or Rat(1)
+
+
 def _reference_box_index(vec, delta, scale):
     """The cell index computed entry by entry in rationals, re-snapping delta
     for every column: the definition the partitions must keep."""
@@ -57,10 +63,10 @@ def _assert_matches_reference(rows, delta, blocks=1):
     columns dealt round-robin into ``blocks`` blocks.  Returns the former."""
     H = Matrix.from_rows(rows)
     columns = [H.column(j) for j in range(H.cols)]
-    scale = max((abs(v) for col in columns for v in col), default=Rat(0)) or Rat(1)
+    scale = _scale(H)
     side = snap_delta(delta) * scale
     part = partition_columns(H, delta)
-    assert part.scale == scale and part.delta == snap_delta(delta)
+    assert part.delta == snap_delta(delta)
     assert part.groups == _reference_groups(columns, delta, scale)
     for idx, canon in part.canonicals.items():
         assert _rats(canon, part.unit) == _reference_corner(idx, delta, scale)
@@ -73,7 +79,7 @@ def _assert_matches_reference(rows, delta, blocks=1):
         for b in range(min(blocks, H.cols))
     ]
     cpart = partition_config_columns(mats, delta)
-    assert cpart.scale == scale and cpart.delta == part.delta
+    assert cpart.delta == part.delta
     expected = {}
     for i, m in enumerate(mats):
         key = tuple(_reference_box_index(m.column(j), delta, scale) for j in range(m.cols))
@@ -109,7 +115,7 @@ def test_canonical_vector_examples():
 
 def test_all_zero_matrix_has_scale_one():
     part = _assert_matches_reference([[0, 0, 0], [0, 0, 0]], Rat(1, 2))
-    assert part.scale == 1
+    # the scale is 1, so every residual is the cell side delta * 1
     assert part.groups == {(0, 0): [0, 1, 2]}
     assert tuple(_rats(r, part.unit) for r in part.residuals) == ((Rat(1, 2), Rat(1, 2)),) * 3
 
@@ -134,8 +140,9 @@ def test_coprime_denominators_share_one_grid():
         Rat(1, 4),
         blocks=2,
     )
-    assert part.scale == Rat(1, 3)
+    # the scale is 1/3, so the cell side is 1/12
     assert list(part.groups) == [(4, 4), (-1, 4), (2, -3)]
+    assert _rats(part.canonicals[(4, 4)], part.unit) == (Rat(1, 4), Rat(1, 4))
 
 
 def test_snapped_delta():
@@ -150,8 +157,8 @@ def test_partition_identical_columns_share_group():
     part = partition_columns(H, Rat(1, 2))
     assert len(part.groups) == 1
     for j in range(2):
-        idx = _reference_box_index(H.column(j), part.delta, part.scale)
-        side = part.delta * part.scale
+        idx = _reference_box_index(H.column(j), part.delta, _scale(H))
+        side = part.delta * _scale(H)
         _assert_splits(H.column(j), part.canonicals[idx], part.residuals[j], part.unit, side)
 
 
@@ -185,10 +192,10 @@ def test_partition_invariants(m, n, inv_delta, rnd):
     )
     delta = Rat(1, inv_delta)
     part = partition_columns(H, delta)
-    side = part.delta * part.scale
+    side = part.delta * _scale(H)
     for j in range(n):
         col = H.column(j)
-        idx = _reference_box_index(col, part.delta, part.scale)
+        idx = _reference_box_index(col, part.delta, _scale(H))
         # exact reconstruction and residual bound
         _assert_splits(col, part.canonicals[idx], part.residuals[j], part.unit, side)
     # two columns in one group differ by at most the cell side, componentwise
@@ -221,7 +228,7 @@ def test_config_partition_occupancy_bound():
     part = partition_config_columns(mats, Rat(1, 4))
     assert len(part.type_groups) <= 6
     # residual bound entrywise
-    side = part.delta * part.scale
+    side = part.delta * _scale(*mats)
     for resid in part.residual_matrices:
         for col in resid:
             assert all(abs(Rat(v, part.unit)) <= side for v in col)

@@ -15,7 +15,6 @@ from nearfeas.instances import (
     NFoldConfigInstance,
     NFoldNonnegInstance,
     SchedulingInstance,
-    dump_instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -206,18 +205,16 @@ def test_params_epsilon_range():
 
 def test_params_reject_limits_that_admit_no_search():
     # node and refinement limits are also checked through the CLI
-    with pytest.raises(InvalidInstanceError, match="config_cap must be positive"):
-        ApproxParams.build(Rat(1, 2), config_cap=0)
     for delta in (0, "-1/2"):
         with pytest.raises(InvalidInstanceError, match="delta_override must be positive"):
             ApproxParams.build(Rat(1, 2), delta_override=delta)
-    p = ApproxParams.build(Rat(1, 2), node_limit=1, config_cap=1, refinement_limit=0)
-    assert (p.node_limit, p.config_cap, p.refinement_limit) == (1, 1, 0)
+    p = ApproxParams.build(Rat(1, 2), node_limit=1, refinement_limit=0)
+    assert (p.node_limit, p.refinement_limit) == (1, 0)
 
 
 def test_params_reject_limits_that_are_not_integers():
     # the rule of the instance files' integer codec: no bools, floats or strings
-    for name in ("refinement_limit", "node_limit", "config_cap"):
+    for name in ("refinement_limit", "node_limit"):
         for value in (True, 1.5, 3.0, "3"):
             with pytest.raises(InvalidInstanceError, match=f"^{name} must be an integer$"):
                 ApproxParams.build(Rat(1, 2), **{name: value})
@@ -278,7 +275,7 @@ def test_json_roundtrip_every_kind(tmp_path):
         assert instance_from_dict(instance_to_dict(inst)) == inst
         assert _roundtrip(inst) == inst
         path = tmp_path / f"{k}.json"
-        dump_instance(inst, path)
+        path.write_text(json.dumps(instance_to_dict(inst), indent=2), encoding="utf-8")
         assert load_instance(path) == inst
 
 

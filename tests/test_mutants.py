@@ -1,5 +1,6 @@
 """The mutation table in ``tools/mutants.py`` still matches the code."""
 
+import ast
 import importlib.util
 import os
 
@@ -21,6 +22,27 @@ def test_every_mutant_snippet_occurs_exactly_once():
     tool = _tool()
     stale = [m.name for m in tool.MUTANTS if tool.occurrences(m) != 1]
     assert not stale, "snippets that no longer occur exactly once: " + ", ".join(stale)
+
+
+def test_every_mutant_test_id_names_an_existing_test():
+    # read with ast, so no test runs: a renamed or deleted test would
+    # otherwise show only in a full run of the tool, as a baseline failure
+    tool = _tool()
+    defined = {}
+    missing = []
+    for test_id in sorted({t for m in tool.MUTANTS for t in m.tests}):
+        path, _, name = test_id.partition("::")
+        full = os.path.join(ROOT, path)
+        if not os.path.isfile(full):
+            missing.append(test_id)
+            continue
+        if path not in defined:
+            with open(full, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), full)
+            defined[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if name and name.split("[")[0] not in defined[path]:
+            missing.append(test_id)
+    assert not missing, "test ids that name no test: " + ", ".join(missing)
 
 
 @pytest.mark.parametrize(

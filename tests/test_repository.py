@@ -99,6 +99,26 @@ def test_readme_cli_block_lists_every_option():
                     )
 
 
+def test_every_solve_parameter_has_a_flag():
+    """Each ``ApproxParams`` field is set by its own ``solve`` flag, so no knob
+    is left that only the library can set."""
+    from nearfeas.cli import build_parser
+    from nearfeas.instances import ApproxParams
+
+    flags = {
+        "epsilon": "--epsilon",
+        "delta_override": "--delta",
+        "refinement_limit": "--refine-limit",
+        "node_limit": "--node-limit",
+    }
+    assert [f.name for f in dataclasses.fields(ApproxParams)] == list(flags)
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {o for a in subparsers.choices["solve"]._actions for o in a.option_strings}
+    assert set(flags.values()) <= options
+
+
 def test_readme_dotted_names_resolve():
     """Every backticked dotted name in the README whose head is the package,
     one of its modules or a class defined in one (``simplex.solve_lp_vertex``,

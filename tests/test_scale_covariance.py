@@ -41,8 +41,9 @@ def _scale_blocks(inst, lam):
 
 
 def _first_attempt(solve, inst):
-    """The partitions built up to the first mixed solve, that solve's status
-    and objective, and the result (None if a resource limit ended it)."""
+    """The partitions built up to the first mixed solve, that solve's
+    objective (None when infeasible), and the result (None if a resource
+    limit ended it)."""
     seen = []
 
     def recording(name, fn):
@@ -50,7 +51,7 @@ def _first_attempt(solve, inst):
             out = fn(*args, **kwargs)
             if not any(kind == "mip" for kind, *_ in seen):
                 if name == "solve_mip":
-                    seen.append(("mip", out.status, out.objective_value))
+                    seen.append(("mip", out.objective_value))
                 else:
                     groups = out.groups if name == "partition_columns" else out.type_groups
                     seen.append((name, groups))

@@ -44,7 +44,10 @@ def _solve(tmp_path, capsys, kind, seed):
     return json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("kind, seed, pivots, nodes, objective", _CASES)
+# ids of kind and seed alone, so a changed count keeps each test's name
+@pytest.mark.parametrize(
+    "kind, seed, pivots, nodes, objective", _CASES, ids=[f"{k}-{s}" for k, s, *_ in _CASES]
+)
 def test_solve_effort_is_pinned(tmp_path, capsys, kind, seed, pivots, nodes, objective):
     report = _solve(tmp_path, capsys, kind, seed)
     assert report["status"] == "ok"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfeas.boxes import partition_columns, snap_delta
-from nearfeas.branch_bound import MIPStatus, MixedSolution, solve_mip
+from nearfeas.branch_bound import MixedSolution, solve_mip
 from nearfeas.errors import PipelineInvariantError, RefinementLimitExceeded
 from nearfeas.generate import gen_general
 from nearfeas.instances import ApproxParams, GeneralIP, NFoldConfigInstance, NFoldNonnegInstance
@@ -48,7 +48,7 @@ def test_mip1_embeds_feasible_points():
         part = partition_columns(inst.H, Rat(1, 4))
         model = build_mip1(inst, part, slack_bound=Rat(0))
         mixed = solve_mip(model.mixed)
-        assert mixed.status == MIPStatus.OPTIMAL
+        assert mixed.numerators is not None
         assert mixed.objective_value <= orc.optimum
 
 
@@ -62,7 +62,7 @@ def test_round_within_groups_rejects_wide_fractional_support():
     numerators = [0] * model.mixed.lp.matrix.cols
     for j in model.x:
         numerators[j] = 1
-    mixed = MixedSolution(MIPStatus.OPTIMAL, numerators, 2, Rat(0))
+    mixed = MixedSolution(numerators, 2, Rat(0))
     with pytest.raises(PipelineInvariantError, match="exceeds 2m=2"):
         round_within_groups(model, mixed)
 
@@ -267,7 +267,7 @@ def test_integer_group_rounding_matches_a_fraction_reference(case):
     PipelineInvariantError when the support is too wide or a group's mass is
     not integral."""
     model, numerators, den = case
-    mixed = MixedSolution(MIPStatus.OPTIMAL, numerators, den, Rat(0))
+    mixed = MixedSolution(numerators, den, Rat(0))
     try:
         expected = _reference_round_within_groups(model, mixed.values)
     except PipelineInvariantError as exc:

@@ -261,7 +261,7 @@ def test_case1_builds_the_core_that_build_makes(monkeypatch, blocks, b0):
     sblocks = normalize_blocks(inst)
     psi = Rat(4, 5) / (4 * inst.blocks[0].A.cols)
     splits = [classify_and_split(sb, psi) for sb in sblocks]
-    configs = _major_configs(sblocks, splits, (ONE, ONE), 200_000)
+    configs = _major_configs(sblocks, splits, (ONE, ONE))
     built = NFoldConfigInstance.build(
         [(blk.D, cfgs, blk.w) for blk, cfgs in zip(inst.blocks, configs)], inst.b0
     )
@@ -476,9 +476,10 @@ def test_build_mip6_integer_variable_count():
     assert splits[0].major_ub[0] == 5 and splits[0].minor_ub[0] == 1
 
 
-def test_config_cap_is_a_resource_limit():
+def test_config_cap_is_a_resource_limit(monkeypatch):
     # the instance `nearfeas gen --kind nfold-nonneg --seed 3` writes
     inst = gen_nonneg(random.Random(3), n_blocks=4, s_a=2, s_d=2, t=2)
     assert solve_nfold(inst, ApproxParams.build(Rat(1, 2))).status == SolveStatus.OK
+    monkeypatch.setattr(solver_nfold, "CONFIG_CAP", 1)
     with pytest.raises(EnumerationCapExceeded, match="more than 1 major configurations"):
-        solve_nfold(inst, ApproxParams.build(Rat(1, 2), config_cap=1))
+        solve_nfold(inst, ApproxParams.build(Rat(1, 2)))
